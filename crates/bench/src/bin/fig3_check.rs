@@ -18,62 +18,42 @@
 //! `[golden.assignment]`, and diffed against its own `[golden]` block — the
 //! leg CI's protocol-zoo matrix runs once per spec file.
 //!
-//! `--check-threads N` runs every verification through the layer-synchronized
-//! parallel checker with `N` workers; the printed states/transitions are
-//! guaranteed identical to the serial run (CI diffs the two).
-//!
-//! `--one-shot` verifies through the original one-shot drivers
-//! (`Checker::run_shared`) instead of the default session-backed
-//! `Checker::run` path; the outputs are guaranteed identical, and the CI
-//! session-smoke step diffs them.
+//! `--check-threads N` runs every verification — built-in models and specs
+//! alike — through the layer-synchronized parallel checker with `N`
+//! workers; the printed states/transitions are guaranteed identical to the
+//! serial run (CI diffs the two).
 //!
 //! `--dot` additionally writes the full explored state graph of the 2-cache
 //! VI protocol to `vi_2cache.dot` (small enough to render with Graphviz).
 //!
 //! SIGINT (Ctrl-C) stops cleanly *between* models: every model verified so
 //! far keeps its printed verdict, the remainder are skipped, and the binary
-//! exits 130 without claiming the full suite passed.
+//! exits 130 without claiming the full suite passed. An unknown flag or an
+//! unparsable value exits 2 with the usage line before any verification.
 
 use verc3_bench::{
-    parse_check_threads, sigint, spec_golden_resolver, spec_verification_deviations, verify,
-    verify_one_shot, verify_skeleton_golden, verify_spec_golden,
+    check_flags, parse_check_threads, sigint, spec_verification_deviations, usage_error, verify,
+    verify_skeleton_golden, verify_spec_golden, FIG3_GOLDEN_ROWS,
 };
-use verc3_mck::{Checker, CheckerOptions, Verdict};
+use verc3_mck::{Checker, CheckerOptions, NoHoles, TransitionSystem, Verdict};
 use verc3_protocols::mesi::{MesiConfig, MesiModel};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 use verc3_protocols::vi::{ViConfig, ViModel};
 use verc3_spec::ProtocolSpec;
 
-/// Golden `(states, transitions)` for every built-in row, in print order.
-/// Measured once on the serial session-backed checker; the parallel and
-/// one-shot paths are count-identical by construction, so one table gates
-/// all of them.
-const GOLDEN_ROWS: &[(&str, usize, usize)] = &[
-    ("MSI golden (2 caches)", 87, 176),
-    ("MSI golden (3 caches)", 332, 977),
-    ("MSI golden (4 caches)", 1056, 4201),
-    ("MSI golden (5 caches)", 2991, 15250),
-    ("MSI golden (6 caches)", 7671, 48031),
-    ("MSI golden (3, no symmetry)", 1736, 5076),
-    ("MSI golden (3, data values)", 12287, 36476),
-    ("MSI-xl skeleton (golden)", 332, 977),
-    ("MSI-5 skeleton (golden)", 2991, 15250),
-    ("MESI golden (2 caches)", 66, 134),
-    ("MESI golden (3 caches)", 281, 835),
-    ("VI golden (2 caches)", 12, 18),
-    ("VI golden (3 caches)", 19, 41),
-];
+const USAGE: &str = "usage: fig3_check [--dot] [--check-threads N] [--spec PATH]...";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, USAGE).unwrap_or_else(|e| usage_error(USAGE, e));
     let dot = args.iter().any(|a| a == "--dot");
-    let one_shot = args.iter().any(|a| a == "--one-shot");
-    let threads = parse_check_threads(&args);
+    let threads = parse_check_threads(&args).unwrap_or_else(|e| usage_error(USAGE, e));
+    // `check_flags` guarantees every `--spec` is followed by its path.
     let specs: Vec<&String> = args
         .iter()
         .enumerate()
         .filter(|(_, a)| *a == "--spec")
-        .map(|(i, _)| args.get(i + 1).expect("--spec requires a path argument"))
+        .map(|(i, _)| &args[i + 1])
         .collect();
     let _stop = sigint::install();
 
@@ -104,19 +84,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            let (v, s, t) = if one_shot {
-                let resolver = spec_golden_resolver(&spec);
-                let model = spec.model();
-                let out = Checker::new(CheckerOptions::default().threads(threads))
-                    .run_shared(&model, &resolver);
-                (
-                    out.verdict(),
-                    out.stats().states_visited,
-                    out.stats().transitions,
-                )
-            } else {
-                verify_spec_golden(&spec, threads)
-            };
+            let (v, s, t) = verify_spec_golden(&spec, threads);
             let label = format!("{name} (spec)");
             println!("{label:<28} {v:>8} {s:>9} {t:>12}");
             all_ok &= v == Verdict::Success;
@@ -127,108 +95,79 @@ fn main() {
         finish(all_ok, &deviations, 0);
     }
 
-    fn check<M: verc3_mck::TransitionSystem>(
-        model: &M,
-        threads: usize,
-        one_shot: bool,
-    ) -> (Verdict, usize, usize) {
-        if one_shot {
-            verify_one_shot(model, threads)
-        } else {
-            verify(model, threads)
-        }
+    // One check per golden row, in `FIG3_GOLDEN_ROWS` order. n = 5 and 6
+    // were out of reach for the all-permutations canonicalizer (120 / 720
+    // state rebuilds per visited state); the orbit-pruning search makes them
+    // routine rows (see EXPERIMENTS.md).
+    type Check = Box<dyn Fn() -> (Verdict, usize, usize)>;
+    fn hole_free<M: TransitionSystem + 'static>(model: M, threads: usize) -> Check {
+        Box::new(move || verify(&model, &NoHoles, threads))
     }
-
-    let mut run = |label: &str, verdict: Verdict, states: usize, transitions: usize| {
-        println!("{label:<28} {verdict:>8} {states:>9} {transitions:>12}");
-        all_ok &= verdict == Verdict::Success;
-        let (_, gs, gt) = GOLDEN_ROWS
-            .iter()
-            .find(|(l, _, _)| *l == label)
-            .unwrap_or_else(|| panic!("no golden row committed for {label:?}"));
-        if states != *gs {
-            deviations.push(format!("{label}: states {states} (golden {gs})"));
-        }
-        if transitions != *gt {
-            deviations.push(format!("{label}: transitions {transitions} (golden {gt})"));
-        }
+    let msi = |config| hole_free(MsiModel::new(config), threads);
+    let msi_caches = |n_caches| {
+        msi(MsiConfig {
+            n_caches,
+            ..MsiConfig::golden()
+        })
     };
-
-    // n = 5 and 6 were out of reach for the all-permutations canonicalizer
-    // (120 / 720 state rebuilds per visited state); the orbit-pruning
-    // search makes them routine rows (see EXPERIMENTS.md).
-    let mut skipped = 0usize;
-    // SIGINT stops between models: in-flight verification finishes, the
-    // rest of the suite is skipped and counted.
-    macro_rules! model_step {
-        ($body:block) => {
-            if sigint::triggered() {
-                skipped += 1;
-            } else {
-                $body
-            }
+    let mesi = |n_caches| {
+        let config = MesiConfig {
+            n_caches,
+            ..MesiConfig::golden()
         };
-    }
-
-    for n in [2usize, 3, 4, 5, 6] {
-        model_step!({
-            let model = MsiModel::new(MsiConfig {
-                n_caches: n,
-                ..MsiConfig::golden()
-            });
-            let (v, s, t) = check(&model, threads, one_shot);
-            run(&format!("MSI golden ({n} caches)"), v, s, t);
-        });
-    }
-    model_step!({
-        let model = MsiModel::new(MsiConfig {
+        hole_free(MesiModel::new(config), threads)
+    };
+    let vi = |n_caches| {
+        let config = ViConfig {
+            n_caches,
+            ..ViConfig::golden()
+        };
+        hole_free(ViModel::new(config), threads)
+    };
+    let mut checks: Vec<Check> = [2, 3, 4, 5, 6].into_iter().map(msi_caches).collect();
+    checks.extend([
+        msi(MsiConfig {
             symmetry: false,
             ..MsiConfig::golden()
-        });
-        let (v, s, t) = check(&model, threads, one_shot);
-        run("MSI golden (3, no symmetry)", v, s, t);
-    });
-    model_step!({
-        let model = MsiModel::new(MsiConfig {
+        }),
+        msi(MsiConfig {
             data_values: true,
             ..MsiConfig::golden()
-        });
-        let (v, s, t) = check(&model, threads, one_shot);
-        run("MSI golden (3, data values)", v, s, t);
-    });
-    model_step!({
+        }),
         // The msi_xl *skeleton* under the golden candidate: all 14 holes
         // resolved to the known-correct actions must reproduce the golden
         // protocol — the fixed point the msi_xl synthesis goldens pin.
-        let (v, s, t) = verify_skeleton_golden(MsiConfig::msi_xl(), threads);
-        run("MSI-xl skeleton (golden)", v, s, t);
-    });
-    model_step!({
+        Box::new(move || verify_skeleton_golden(MsiConfig::msi_xl(), threads)),
         // The MSI-5 skeleton (MSI-small holes over five caches) under the
         // golden candidate must land exactly on the 5-cache golden space —
         // the fixed point the `table1 --n5` synthesis rows rediscover.
-        let (v, s, t) = verify_skeleton_golden(MsiConfig::msi5(), threads);
-        run("MSI-5 skeleton (golden)", v, s, t);
-    });
-    for n in [2usize, 3] {
-        model_step!({
-            let model = MesiModel::new(MesiConfig {
-                n_caches: n,
-                ..MesiConfig::golden()
-            });
-            let (v, s, t) = check(&model, threads, one_shot);
-            run(&format!("MESI golden ({n} caches)"), v, s, t);
-        });
-    }
-    for n in [2usize, 3] {
-        model_step!({
-            let model = ViModel::new(ViConfig {
-                n_caches: n,
-                ..ViConfig::golden()
-            });
-            let (v, s, t) = check(&model, threads, one_shot);
-            run(&format!("VI golden ({n} caches)"), v, s, t);
-        });
+        Box::new(move || verify_skeleton_golden(MsiConfig::msi5(), threads)),
+        mesi(2),
+        mesi(3),
+        vi(2),
+        vi(3),
+    ]);
+
+    let mut skipped = 0usize;
+    for (&(label, golden_states, golden_transitions), check) in FIG3_GOLDEN_ROWS.iter().zip(checks)
+    {
+        // SIGINT stops between models: in-flight verification finishes, the
+        // rest of the suite is skipped and counted.
+        if sigint::triggered() {
+            skipped += 1;
+            continue;
+        }
+        let (verdict, states, transitions) = check();
+        println!("{label:<28} {verdict:>8} {states:>9} {transitions:>12}");
+        all_ok &= verdict == Verdict::Success;
+        if states != golden_states {
+            deviations.push(format!("{label}: states {states} (golden {golden_states})"));
+        }
+        if transitions != golden_transitions {
+            deviations.push(format!(
+                "{label}: transitions {transitions} (golden {golden_transitions})"
+            ));
+        }
     }
 
     println!();

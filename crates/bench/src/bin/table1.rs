@@ -5,8 +5,11 @@
 //! cargo run --release -p verc3-bench --bin table1 -- [--small] [--large] [--xl]
 //!     [--n5] [--naive-large-full] [--classify] [--samples N] [--check-threads N]
 //!     [--one-shot] [--pruned-only] [--guided] [--journal DIR] [--resume]
-//!     [--deadline-secs N] [--state-budget N]
+//!     [--deadline-secs N] [--state-budget N] [--journal-fsync-every N]
+//!     [--spec PATH]...
 //! ```
+//!
+//! A flag outside that line, or an unparsable value, exits 2 before any run.
 //!
 //! By default every dispatch goes through per-worker check sessions
 //! (incremental prefix re-verification); `--one-shot` restarts the checker
@@ -52,8 +55,9 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 use verc3_bench::{
-    estimate_naive_row, machine_row_line, paper, parse_check_threads, resume_command, row_header,
-    run_spec_synthesis, run_synthesis_row_controlled, sigint, MeasuredRow, RowControls,
+    check_flags, estimate_naive_row, flag_value, machine_row_line, paper, parse_check_threads,
+    resume_command, row_header, run_spec_synthesis, run_synthesis_row_controlled, sigint,
+    usage_error, MeasuredRow, RowControls,
 };
 use verc3_core::Enumeration;
 use verc3_protocols::msi::MsiConfig;
@@ -73,14 +77,16 @@ const GOLDEN_ROWS: &[(&str, u64, Option<usize>, usize)] = &[
     ("MSI-5 1 thread, pruning", 366, Some(357), 8),
 ];
 
+const USAGE: &str = "usage: table1 [--small] [--large] [--xl] [--n5] [--naive-large-full] \
+     [--classify] [--samples N] [--check-threads N] [--one-shot] [--pruned-only] [--guided] \
+     [--journal DIR] [--resume] [--deadline-secs N] [--state-budget N] \
+     [--journal-fsync-every N] [--spec PATH]...";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, USAGE).unwrap_or_else(|e| usage_error(USAGE, e));
     let has = |f: &str| args.iter().any(|a| a == f);
-    let flag_value = |f: &str| {
-        args.iter()
-            .position(|a| a == f)
-            .and_then(|i| args.get(i + 1))
-    };
+    let value = |f: &str| flag_value::<u64>(&args, f).unwrap_or_else(|e| usage_error(USAGE, e));
     let any_size = has("--small") || has("--large") || has("--xl") || has("--n5");
     let pruned_only = has("--pruned-only");
     let small = has("--small") || !any_size;
@@ -88,28 +94,19 @@ fn main() {
     let xl = has("--xl");
     let n5 = has("--n5");
     let classify = has("--classify");
-    let samples: usize = flag_value("--samples")
-        .and_then(|v| v.parse().ok())
+    let samples = flag_value(&args, "--samples")
+        .unwrap_or_else(|e| usage_error(USAGE, e))
         .unwrap_or(200);
-    let check_threads = parse_check_threads(&args);
+    let check_threads = parse_check_threads(&args).unwrap_or_else(|e| usage_error(USAGE, e));
     let reuse_sessions = !has("--one-shot");
 
     let controls = RowControls {
-        journal_dir: flag_value("--journal").map(Into::into),
+        journal_dir: flag_value(&args, "--journal").unwrap_or_else(|e| usage_error(USAGE, e)),
         resume: has("--resume"),
         stop_flag: Some(sigint::install()),
-        deadline: flag_value("--deadline-secs")
-            .map(|v| {
-                v.parse()
-                    .expect("--deadline-secs requires a number of seconds")
-            })
-            .map(Duration::from_secs),
-        state_budget: flag_value("--state-budget")
-            .map(|v| v.parse().expect("--state-budget requires a state count")),
-        journal_fsync_every: flag_value("--journal-fsync-every").map(|v| {
-            v.parse()
-                .expect("--journal-fsync-every requires a record count")
-        }),
+        deadline: value("--deadline-secs").map(Duration::from_secs),
+        state_budget: value("--state-budget"),
+        journal_fsync_every: value("--journal-fsync-every"),
         enumeration: if has("--guided") {
             Enumeration::Guided
         } else {
@@ -121,11 +118,12 @@ fn main() {
     }
     let journaling = controls.journal_dir.is_some();
 
+    // `check_flags` guarantees every `--spec` is followed by its path.
     let spec_paths: Vec<&String> = args
         .iter()
         .enumerate()
         .filter(|(_, a)| *a == "--spec")
-        .map(|(i, _)| args.get(i + 1).expect("--spec requires a path argument"))
+        .map(|(i, _)| &args[i + 1])
         .collect();
     if !spec_paths.is_empty() {
         run_spec_rows(&spec_paths);

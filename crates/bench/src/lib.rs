@@ -385,23 +385,11 @@ pub fn row_header() -> String {
 ///
 /// `threads` is the cross-candidate axis; `check_threads` parallelizes each
 /// individual model-checker dispatch (both default to 1 in Table I proper).
-/// Dispatches go through per-worker [`verc3_mck::CheckSession`]s (the
-/// engine default); see [`run_synthesis_row_with`] to measure the
-/// per-candidate-restart baseline.
-pub fn run_synthesis_row(
-    label: &str,
-    config: MsiConfig,
-    pruning: bool,
-    threads: usize,
-    check_threads: usize,
-) -> (MeasuredRow, SynthReport) {
-    run_synthesis_row_with(label, config, pruning, threads, check_threads, true)
-}
-
-/// [`run_synthesis_row`] with explicit control over session reuse
-/// (`reuse_sessions = false` restarts the checker per candidate — the
-/// pre-session baseline the `incremental_check` bench and the
-/// `--one-shot` harness flags measure against).
+/// With `reuse_sessions` dispatches go through per-worker
+/// [`verc3_mck::CheckSession`]s (the engine default); without, every
+/// candidate is checked on a fresh session — the per-candidate-restart
+/// baseline the `incremental_check` bench and `table1 --one-shot` measure
+/// against.
 pub fn run_synthesis_row_with(
     label: &str,
     config: MsiConfig,
@@ -572,46 +560,90 @@ pub fn estimate_naive_row(
     }
 }
 
-/// Parses the shared `--check-threads N` CLI flag: absent → 1 (serial),
-/// present with anything but a positive integer → a loud usage panic (a
-/// silent serial fallback would make parallel smoke steps vacuous).
-pub fn parse_check_threads(args: &[String]) -> usize {
-    match args.iter().position(|a| a == "--check-threads") {
-        None => 1,
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .expect("--check-threads requires a positive integer argument"),
+/// Checks a command line against its `usage` line (`usage: bin [--switch]
+/// [--flag VALUE]...`): every argument must be a flag the line names, with a
+/// value exactly when the line gives it a placeholder. `Err` names the first
+/// offender, so a typo or a retired flag never runs the default path.
+pub fn check_flags(args: &[String], usage: &str) -> Result<(), String> {
+    let words: Vec<&str> = usage
+        .split_whitespace()
+        .map(|w| w.trim_matches(|c| matches!(c, '[' | ']' | '.')))
+        .collect();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(i) = words.iter().position(|w| w.starts_with("--") && w == arg) else {
+            return Err(format!("unknown argument `{arg}`"));
+        };
+        let valued = words.get(i + 1).is_some_and(|w| !w.starts_with("--"));
+        if valued && rest.next().is_none() {
+            return Err(format!("{arg} requires a value"));
+        }
+    }
+    Ok(())
+}
+
+/// Prints a malformed command line's `error` and the binary's `usage` line
+/// on stderr, then exits 2.
+pub fn usage_error(usage: &str, error: String) -> ! {
+    eprintln!("{error}\n{usage}");
+    std::process::exit(2)
+}
+
+/// The value following the first `flag`, parsed as `T`: `Ok(None)` when the
+/// flag is absent, `Err` when its value is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    match value.parse() {
+        Ok(parsed) => Ok(Some(parsed)),
+        Err(_) => Err(format!("{flag}: cannot parse `{value}`")),
     }
 }
 
-/// Verifies a complete model with the given checker thread count and
-/// reports `(verdict, states, transitions)`. The counts are
-/// thread-count-independent by the parallel checker's equivalence
-/// guarantee — which is exactly what the CI smoke step diffs. Runs through
-/// the session-backed `Checker::run` path; see [`verify_one_shot`] for the
-/// original one-shot drivers.
-pub fn verify<M: TransitionSystem>(model: &M, threads: usize) -> (Verdict, usize, usize) {
-    let out = Checker::new(CheckerOptions::default().threads(threads)).run(model);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
-    )
+/// Parses the shared `--check-threads N` CLI flag: absent → 1 (serial),
+/// present with anything but a positive integer → `Err` (a silent serial
+/// fallback would make parallel smoke steps vacuous).
+pub fn parse_check_threads(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--check-threads")? {
+        None => Ok(1),
+        Some(0) => Err("--check-threads requires a positive integer".into()),
+        Some(n) => Ok(n),
+    }
 }
 
-/// [`verify`] through the original one-shot serial/parallel drivers
-/// (`Checker::run_shared`), bypassing the session path — the independent
-/// oracle the CI session-smoke step diffs `fig3_check --one-shot` against.
-pub fn verify_one_shot<M: TransitionSystem>(model: &M, threads: usize) -> (Verdict, usize, usize) {
-    let out = Checker::new(CheckerOptions::default().threads(threads))
-        .run_shared(model, &verc3_mck::NoHoles);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
-    )
+/// Golden `(states, transitions)` for every built-in `fig3_check` row, in
+/// print order, at any `--check-threads` value; the workspace test
+/// `tests/fig3_reference.rs` holds the reference serial BFS to them too.
+pub const FIG3_GOLDEN_ROWS: &[(&str, usize, usize)] = &[
+    ("MSI golden (2 caches)", 87, 176),
+    ("MSI golden (3 caches)", 332, 977),
+    ("MSI golden (4 caches)", 1056, 4201),
+    ("MSI golden (5 caches)", 2991, 15250),
+    ("MSI golden (6 caches)", 7671, 48031),
+    ("MSI golden (3, no symmetry)", 1736, 5076),
+    ("MSI golden (3, data values)", 12287, 36476),
+    ("MSI-xl skeleton (golden)", 332, 977),
+    ("MSI-5 skeleton (golden)", 2991, 15250),
+    ("MESI golden (2 caches)", 66, 134),
+    ("MESI golden (3 caches)", 281, 835),
+    ("VI golden (2 caches)", 12, 18),
+    ("VI golden (3 caches)", 19, 41),
+];
+
+/// Verifies `model` under `resolver` with the given checker thread count
+/// and reports `(verdict, states, transitions)`. The counts are
+/// thread-count-independent by the parallel checker's equivalence
+/// guarantee — which is exactly what the CI smoke step diffs.
+pub fn verify<M: TransitionSystem>(
+    model: &M,
+    resolver: &dyn verc3_mck::SharedResolver,
+    threads: usize,
+) -> (Verdict, usize, usize) {
+    let out = Checker::new(CheckerOptions::default().threads(threads)).run_shared(model, resolver);
+    let stats = out.stats();
+    (out.verdict(), stats.states_visited, stats.transitions)
 }
 
 /// Verifies an MSI *skeleton* under the golden candidate — every hole
@@ -622,6 +654,13 @@ pub fn verify_one_shot<M: TransitionSystem>(model: &M, threads: usize) -> (Verdi
 /// rediscover; `fig3_check` uses it to pin the msi_xl workload's golden
 /// behaviour next to the hole-free models.
 pub fn verify_skeleton_golden(config: MsiConfig, threads: usize) -> (Verdict, usize, usize) {
+    let resolver = skeleton_golden_resolver(&config);
+    verify(&MsiModel::new(config), &resolver, threads)
+}
+
+/// Builds the [`FixedResolver`] answering every hole of an MSI skeleton
+/// with the known-correct protocol's action.
+pub fn skeleton_golden_resolver(config: &MsiConfig) -> FixedResolver {
     use verc3_protocols::msi::{CacheResponse, CacheState, DirResponse, DirState, DirTrack};
 
     let mut resolver = FixedResolver::new();
@@ -643,15 +682,7 @@ pub fn verify_skeleton_golden(config: MsiConfig, threads: usize) -> (Verdict, us
         resolver.assign(format!("{stem}/next"), next);
         resolver.assign(format!("{stem}/track"), track);
     }
-
-    let model = MsiModel::new(config);
-    let out =
-        Checker::new(CheckerOptions::default().threads(threads)).run_shared(&model, &resolver);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
-    )
+    resolver
 }
 
 /// Builds the [`FixedResolver`] for a spec's committed `[golden.assignment]`
@@ -675,15 +706,7 @@ pub fn spec_golden_resolver(spec: &ProtocolSpec) -> FixedResolver {
 /// assignment and reports `(verdict, states, transitions)` — the spec
 /// counterpart of [`verify_skeleton_golden`].
 pub fn verify_spec_golden(spec: &ProtocolSpec, threads: usize) -> (Verdict, usize, usize) {
-    let mut resolver = spec_golden_resolver(spec);
-    let model = spec.model();
-    let out =
-        Checker::new(CheckerOptions::default().threads(threads)).run_with(&model, &mut resolver);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
-    )
+    verify(&spec.model(), &spec_golden_resolver(spec), threads)
 }
 
 /// Diffs a measured spec verification row against the spec's `[golden]`
@@ -775,6 +798,7 @@ pub fn run_spec_synthesis(spec: &ProtocolSpec) -> (SynthReport, Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verc3_mck::NoHoles;
 
     #[test]
     fn paper_rows_are_consistent() {
@@ -806,7 +830,7 @@ mod tests {
 
     #[test]
     fn tiny_row_runs_end_to_end() {
-        let (row, report) = run_synthesis_row("tiny", MsiConfig::msi_tiny(), true, 1, 1);
+        let (row, report) = run_synthesis_row_with("tiny", MsiConfig::msi_tiny(), true, 1, 1, true);
         assert_eq!(row.holes, 3);
         assert_eq!(row.solutions, 2);
         assert_eq!(report.naive_candidate_space(), 105);
@@ -814,8 +838,8 @@ mod tests {
 
     #[test]
     fn tiny_row_is_check_thread_invariant() {
-        let (serial, _) = run_synthesis_row("tiny", MsiConfig::msi_tiny(), true, 1, 1);
-        let (par, _) = run_synthesis_row("tiny", MsiConfig::msi_tiny(), true, 1, 4);
+        let (serial, _) = run_synthesis_row_with("tiny", MsiConfig::msi_tiny(), true, 1, 1, true);
+        let (par, _) = run_synthesis_row_with("tiny", MsiConfig::msi_tiny(), true, 1, 4, true);
         assert_eq!(par.holes, serial.holes);
         assert_eq!(par.evaluated, serial.evaluated);
         assert_eq!(par.patterns, serial.patterns);
@@ -824,7 +848,8 @@ mod tests {
 
     #[test]
     fn tiny_row_is_enumeration_invariant() {
-        let (lex, lex_report) = run_synthesis_row("tiny", MsiConfig::msi_tiny(), true, 1, 1);
+        let (lex, lex_report) =
+            run_synthesis_row_with("tiny", MsiConfig::msi_tiny(), true, 1, 1, true);
         let guided_controls = RowControls {
             enumeration: Enumeration::Guided,
             ..RowControls::default()
@@ -859,37 +884,26 @@ mod tests {
     }
 
     #[test]
-    fn check_threads_flag_parses_strictly() {
+    fn flags_are_checked_strictly() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_check_threads(&args(&["--small"])), 1);
-        assert_eq!(parse_check_threads(&args(&["--check-threads", "4"])), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn check_threads_flag_rejects_garbage() {
-        let args: Vec<String> = vec!["--check-threads".into(), "abc".into()];
-        let _ = parse_check_threads(&args);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn check_threads_flag_rejects_zero() {
-        let args: Vec<String> = vec!["--check-threads".into(), "0".into()];
-        let _ = parse_check_threads(&args);
+        let check = |v: &[&str]| check_flags(&args(v), "usage: bin [--dot] [--spec PATH]...");
+        assert_eq!(check(&["--dot", "--spec", "a", "--spec", "b"]), Ok(()));
+        assert!(check(&["--dott"]).is_err() && check(&["--spec"]).is_err());
+        assert_eq!(parse_check_threads(&args(&["--check-threads", "4"])), Ok(4));
+        assert!(parse_check_threads(&args(&["--check-threads", "0"])).is_err());
     }
 
     #[test]
     fn verify_is_thread_invariant() {
         let model = MsiModel::new(MsiConfig::golden());
-        assert_eq!(verify(&model, 1), verify(&model, 4));
+        assert_eq!(verify(&model, &NoHoles, 1), verify(&model, &NoHoles, 4));
     }
 
     #[test]
     fn golden_candidate_verifies_every_skeleton() {
         // The golden candidate must be a fixed point of every named skeleton
         // (and match the hole-free golden model's state space).
-        let golden = verify(&MsiModel::new(MsiConfig::golden()), 1);
+        let golden = verify(&MsiModel::new(MsiConfig::golden()), &NoHoles, 1);
         for config in [
             MsiConfig::msi_tiny(),
             MsiConfig::msi_small(),

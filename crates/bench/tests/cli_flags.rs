@@ -1,0 +1,47 @@
+//! The harness binaries refuse malformed command lines: an unknown flag or
+//! an unparsable value exits 2 with the usage line before any work runs, so
+//! a typo or a retired flag can never silently run the default path.
+
+use std::process::{Command, Output};
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).current_dir(env!("CARGO_MANIFEST_DIR"));
+    cmd.output().expect("spawn harness binary")
+}
+
+#[test]
+fn bad_flags_exit_2_with_the_usage_line() {
+    let (fig3, table1) = (
+        env!("CARGO_BIN_EXE_fig3_check"),
+        env!("CARGO_BIN_EXE_table1"),
+    );
+    for (bin, args) in [
+        (fig3, &["--one-shot"][..]),
+        (fig3, &["--dott"]),
+        (fig3, &["--check-threads", "x"]),
+        (fig3, &["--check-threads", "0"]),
+        (fig3, &["--spec"]),
+        (table1, &["--guidd"]),
+        (table1, &["--samples", "x"]),
+        (table1, &["--deadline-secs", "soon"]),
+        (table1, &["--journal"]),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    }
+}
+
+#[test]
+fn well_formed_flags_still_run() {
+    let args = ["--check-threads", "2", "--spec", "../../specs/fig2.toml"];
+    let out = run(env!("CARGO_BIN_EXE_fig3_check"), &args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -92,7 +92,10 @@ impl HoleRegistry {
     /// library: each hole name must keep one library for the whole run, or
     /// candidate vectors and pruning patterns would silently change meaning.
     pub fn resolve_or_register(&self, spec: &HoleSpec) -> (HoleId, bool) {
-        if let Some(&id) = self.inner.read().by_name.get(spec.name()) {
+        // Release the read guard before `check_consistent` reads again: a
+        // recursive read queued behind a waiting writer deadlocks.
+        let known = self.inner.read().by_name.get(spec.name()).copied();
+        if let Some(id) = known {
             self.check_consistent(id, spec);
             return (id, false);
         }

@@ -60,9 +60,7 @@ pub use pattern::{
     PatternMode, PatternSink, PatternTable, Propagator, ReferencePatternTable, SparsePattern,
 };
 pub use report::{GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats};
-pub use resolver::{
-    assignment_delta, CandidateResolver, DiscoveryDefault, NameCache, SharedCandidateResolver,
-};
+pub use resolver::{assignment_delta, DiscoveryDefault, NameCache, SharedCandidateResolver};
 pub use shard::{
     partition_chunks, run_shard, run_sharded, run_sharded_with, ChannelExchange, FsExchange,
     PatternBatch, PatternExchange, ShardOptions, ShardReport, ShardSpec, ShardedRun, WirePattern,

@@ -1,8 +1,8 @@
 //! The candidate resolver: feeds one candidate configuration to the model
 //! checker and performs lazy hole discovery.
 //!
-//! One [`CandidateResolver`] lives for exactly one model-checking run (one
-//! candidate evaluation). It resolves hole consultations as follows:
+//! One [`SharedCandidateResolver`] lives for exactly one model-checking run
+//! (one candidate evaluation). It resolves hole consultations as follows:
 //!
 //! * hole id `< k` (inside the enumeration frontier): answer the candidate's
 //!   concrete action for it;
@@ -31,94 +31,20 @@ pub enum DiscoveryDefault {
     ActionZero,
 }
 
-/// Per-thread cache mapping hole names to registry ids — re-exported from
+/// Per-worker cache mapping hole names to registry ids — re-exported from
 /// `verc3-mck`, which also defines the seeding protocol
 /// ([`verc3_mck::SharedResolver::worker_seeded`] /
 /// [`verc3_mck::HoleResolver::take_name_cache`]) that lets a `CheckSession`
 /// carry one cache across checks.
 ///
-/// Lives longer than any single resolver: the worker thread reuses it across
-/// candidate evaluations so that, in the common case, resolving a hole does
-/// not take the registry lock at all — the lock-free fast path the paper
-/// found necessary (§II, *Parallel Synthesis*).
+/// Lives longer than any single resolver: a session re-seeds it into every
+/// check's workers so that, in the common case, resolving a hole does not
+/// take the registry lock at all — the lock-free fast path the paper found
+/// necessary (§II, *Parallel Synthesis*).
 pub use verc3_mck::NameCache;
 
-/// Hole resolver for one candidate evaluation.
-#[derive(Debug)]
-pub struct CandidateResolver<'a> {
-    registry: &'a HoleRegistry,
-    digits: &'a [u16],
-    default: DiscoveryDefault,
-    cache: &'a mut NameCache,
-    touched: Vec<(HoleId, u16)>,
-    /// Concrete resolutions since the last `begin_application` — the
-    /// per-transition consultation record the checker attributes to edges.
-    app_touches: Vec<(HoleId, u16)>,
-    discovered: usize,
-}
-
-impl<'a> CandidateResolver<'a> {
-    /// Creates a resolver for the candidate whose concrete prefix is
-    /// `digits` (one entry per hole id below the enumeration frontier).
-    pub fn new(
-        registry: &'a HoleRegistry,
-        digits: &'a [u16],
-        default: DiscoveryDefault,
-        cache: &'a mut NameCache,
-    ) -> Self {
-        CandidateResolver {
-            registry,
-            digits,
-            default,
-            cache,
-            touched: Vec::new(),
-            app_touches: Vec::new(),
-            discovered: 0,
-        }
-    }
-
-    /// Concrete `(hole, action)` resolutions handed out during the run, in
-    /// first-consultation order.
-    pub fn touched(&self) -> &[(HoleId, u16)] {
-        &self.touched
-    }
-
-    /// Consumes the resolver, returning the touched set.
-    pub fn into_touched(self) -> Vec<(HoleId, u16)> {
-        self.touched
-    }
-
-    /// Number of holes *newly discovered* during this evaluation.
-    pub fn discovered(&self) -> usize {
-        self.discovered
-    }
-
-    fn lookup(&mut self, spec: &HoleSpec) -> HoleId {
-        if let Some(&id) = self.cache.get(spec.name()) {
-            return id;
-        }
-        let (id, new) = self.registry.resolve_or_register(spec);
-        if new {
-            self.discovered += 1;
-        }
-        self.cache.insert(spec.name().to_owned(), id);
-        id
-    }
-
-    fn record(&mut self, id: HoleId, action: u16) {
-        if !self.touched.iter().any(|&(h, _)| h == id) {
-            self.touched.push((id, action));
-        }
-        if !self.app_touches.iter().any(|&(h, _)| h == id) {
-            self.app_touches.push((id, action));
-        }
-    }
-}
-
-/// The one candidate-resolution rule, shared by the serial and the
-/// thread-shareable resolver so the two can never desynchronize: holes
-/// inside the concrete prefix answer their digit; holes beyond it answer
-/// the discovery default. `Some(action)` is a concrete answer the caller
+/// The one candidate-resolution rule: holes inside the concrete prefix answer
+/// their digit; holes beyond it answer the discovery default. `Some(action)` is a concrete answer the caller
 /// must record as a touch; `None` is the wildcard.
 fn resolve_digit(
     digits: &[u16],
@@ -176,36 +102,15 @@ pub fn assignment_delta(
         .collect()
 }
 
-impl HoleResolver for CandidateResolver<'_> {
-    fn choose(&mut self, spec: &HoleSpec) -> Choice {
-        let id = self.lookup(spec);
-        match resolve_digit(self.digits, self.default, id, spec) {
-            Some(action) => {
-                self.record(id, action);
-                Choice::Action(action as usize)
-            }
-            None => Choice::Wildcard,
-        }
-    }
-
-    fn begin_application(&mut self) {
-        self.app_touches.clear();
-    }
-
-    fn application_touches(&self) -> &[(usize, u16)] {
-        &self.app_touches
-    }
-}
-
-/// Thread-shareable variant of [`CandidateResolver`] for parallel candidate
-/// checks (`SynthOptions::check_threads`).
+/// The hole resolver for one candidate evaluation, shareable across the
+/// checker's workers (`SynthOptions::check_threads`).
 ///
-/// One instance lives for exactly one model-checking run, like its serial
-/// sibling, but the parallel checker's workers each obtain their own
-/// [`HoleResolver`] through the [`SharedResolver`] trait. Choices are pure
-/// functions of the shared `(registry, digits, default)` triple, so every
-/// worker answers every hole identically — the consistency contract the
-/// parallel checker relies on. Each worker keeps:
+/// One instance lives for exactly one model-checking run; the checker's
+/// serial loop and each parallel worker obtain their own [`HoleResolver`]
+/// through the [`SharedResolver`] trait. Choices are pure functions of the
+/// shared `(registry, digits, default)` triple, so every worker answers
+/// every hole identically — the consistency contract the parallel checker
+/// relies on. Each worker keeps:
 ///
 /// * a private name→id cache (lock-free fast path; the shared registry is
 ///   consulted once per hole per worker), and
@@ -373,9 +278,9 @@ impl SessionResolver for SharedCandidateResolver<'_> {
 /// so it is reported through
 /// [`verc3_mck::HoleResolver::application_fresh_touches`] and the commit
 /// publishes the touch once the id is assigned. Anything still pending when
-/// the worker is dropped (a driver without sequence points, e.g. the
-/// one-shot serial BFS) is registered then, in this worker's consultation
-/// order.
+/// the worker is dropped (a serial check without sequence points: a one-shot
+/// check, or one that ended mid-layer) is registered then, in this worker's
+/// consultation order.
 #[derive(Debug)]
 struct WorkerCandidateResolver<'a> {
     shared: &'a SharedCandidateResolver<'a>,
@@ -550,57 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn assigned_holes_resolve_to_digits() {
-        let reg = HoleRegistry::new();
-        reg.resolve_or_register(&spec("x", 3));
-        reg.resolve_or_register(&spec("y", 2));
-        let mut cache = NameCache::default();
-        let digits = [2u16, 1u16];
-        let mut r = CandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard, &mut cache);
-        assert_eq!(r.choose(&spec("x", 3)), Choice::Action(2));
-        assert_eq!(r.choose(&spec("y", 2)), Choice::Action(1));
-        assert_eq!(r.touched(), &[(0, 2), (1, 1)]);
-    }
-
-    #[test]
-    fn unassigned_holes_follow_default() {
-        let reg = HoleRegistry::new();
-        let mut cache = NameCache::default();
-        let mut r = CandidateResolver::new(&reg, &[], DiscoveryDefault::Wildcard, &mut cache);
-        assert_eq!(r.choose(&spec("new", 2)), Choice::Wildcard);
-        assert_eq!(r.discovered(), 1);
-        assert!(
-            r.touched().is_empty(),
-            "wildcard resolutions are not touches"
-        );
-
-        let mut cache = NameCache::default();
-        let mut r = CandidateResolver::new(&reg, &[], DiscoveryDefault::ActionZero, &mut cache);
-        assert_eq!(r.choose(&spec("new", 2)), Choice::Action(0));
-        assert_eq!(r.discovered(), 0, "hole already known to the registry");
-        assert_eq!(r.touched(), &[(0, 0)]);
-    }
-
-    #[test]
-    fn cache_survives_across_resolvers() {
-        let reg = HoleRegistry::new();
-        let mut cache = NameCache::default();
-        {
-            let mut r = CandidateResolver::new(&reg, &[], DiscoveryDefault::Wildcard, &mut cache);
-            let _ = r.choose(&spec("h", 2));
-            assert_eq!(r.discovered(), 1);
-        }
-        {
-            let digits = [1u16];
-            let mut r =
-                CandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard, &mut cache);
-            assert_eq!(r.choose(&spec("h", 2)), Choice::Action(1));
-            assert_eq!(r.discovered(), 0);
-        }
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn shared_resolver_workers_agree_and_merge_touches() {
         let reg = HoleRegistry::new();
         reg.resolve_or_register(&spec("x", 3));
@@ -662,11 +516,13 @@ mod tests {
     fn touched_deduplicates_repeat_consultations() {
         let reg = HoleRegistry::new();
         reg.resolve_or_register(&spec("x", 2));
-        let mut cache = NameCache::default();
         let digits = [1u16];
-        let mut r = CandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard, &mut cache);
-        let _ = r.choose(&spec("x", 2));
-        let _ = r.choose(&spec("x", 2));
-        assert_eq!(r.touched().len(), 1);
+        let shared = SharedCandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard);
+        {
+            let mut w = shared.worker();
+            let _ = w.choose(&spec("x", 2));
+            let _ = w.choose(&spec("x", 2));
+        }
+        assert_eq!(shared.into_touched(), vec![(0, 1)]);
     }
 }

@@ -33,7 +33,7 @@ use crate::pattern::{PatternMode, PatternSink, PatternTable, Propagator, SparseP
 use crate::report::{
     GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats,
 };
-use crate::resolver::{CandidateResolver, DiscoveryDefault, NameCache, SharedCandidateResolver};
+use crate::resolver::{DiscoveryDefault, SharedCandidateResolver};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -1235,7 +1235,6 @@ fn worker_loop<'m, M: TransitionSystem>(
     session: &mut Option<CheckSession<'m, M>>,
 ) {
     let opts = shared.options;
-    let mut cache = NameCache::default();
     let mut store = if opts.pruning && opts.enumeration == Enumeration::Guided {
         LocalStore::Guided(Propagator::new())
     } else {
@@ -1293,11 +1292,11 @@ fn worker_loop<'m, M: TransitionSystem>(
 
         let completed = match &mut store {
             LocalStore::Lex { table, scratch } => run_chunk_lex(
-                model, shared, gen, lo, hi, table, scratch, session, &mut cache, &mut draft,
+                model, shared, gen, lo, hi, table, scratch, session, &mut draft,
             ),
-            LocalStore::Guided(propagator) => run_chunk_guided(
-                model, shared, gen, lo, hi, propagator, session, &mut cache, &mut draft,
-            ),
+            LocalStore::Guided(propagator) => {
+                run_chunk_guided(model, shared, gen, lo, hi, propagator, session, &mut draft)
+            }
         };
 
         gen.bank(&draft);
@@ -1342,7 +1341,6 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
     table: &mut PatternTable,
     scratch: &mut Vec<u64>,
     session: &mut Option<CheckSession<'m, M>>,
-    cache: &mut NameCache,
     draft: &mut ChunkDraft,
 ) -> bool {
     let opts = shared.options;
@@ -1384,16 +1382,7 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
             return false;
         }
 
-        evaluate_candidate(
-            model,
-            shared,
-            gen,
-            digits.to_vec(),
-            session,
-            cache,
-            table,
-            draft,
-        );
+        evaluate_candidate(model, shared, gen, digits.to_vec(), session, table, draft);
 
         if !od.advance() {
             break;
@@ -1416,7 +1405,6 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
     hi: u64,
     propagator: &mut Propagator,
     session: &mut Option<CheckSession<'m, M>>,
-    cache: &mut NameCache,
     draft: &mut ChunkDraft,
 ) -> bool {
     // The walk stays warm across chunk boundaries: with 32-candidate
@@ -1453,7 +1441,6 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
             gen,
             digits,
             session,
-            cache,
             od.propagator_mut(),
             draft,
         );
@@ -1478,14 +1465,12 @@ fn flush_idle(shared: &Shared<'_>, idle: &mut Option<ChunkDraft>) {
 /// Dispatches one candidate to the model checker and files the result —
 /// into the shared run state immediately, and into the chunk `draft` for
 /// the journal.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 fn evaluate_candidate<'m, M: TransitionSystem>(
     model: &'m M,
     shared: &Shared<'_>,
     gen: &GenShared,
     digits: Vec<u16>,
     session: &mut Option<CheckSession<'m, M>>,
-    cache: &mut NameCache,
     local_patterns: &mut dyn PatternSink,
     draft: &mut ChunkDraft,
 ) {
@@ -1498,20 +1483,17 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     };
 
     // Session dispatch resumes from the deepest checkpoint whose hole
-    // resolutions this candidate leaves unchanged; one-shot dispatch
-    // restarts from the initial states. Name → id caches are long-lived on
-    // both serial paths: the session banks its workers' caches and re-seeds
-    // them across `check` calls, the serial one-shot path reuses the
-    // synthesis worker's own. The thread-shareable resolver's touched set
+    // resolutions this candidate leaves unchanged; one-shot dispatch checks
+    // a fresh session from the initial states. The resolver's touched set
     // is hole-id-sorted so downstream consumers see thread-count-
-    // independent data. In every case the verdict and failure attribution
-    // are identical.
+    // independent data. Either way the verdict and failure attribution are
+    // identical.
+    let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
     let (outcome, touched) = if let Some(session) = session.as_mut() {
         let (before_expanded, before_reused) = {
             let s = session.stats();
             (s.states_expanded, s.states_reused)
         };
-        let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
         let outcome = session.check(&resolver);
         // Bank the session's reuse counters per candidate (a panicked check
         // resets the session, discarding its partial work — saturate).
@@ -1531,16 +1513,8 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
         touched.sort_unstable();
         touched.dedup_by_key(|pair| pair.0);
         (outcome, touched)
-    } else if shared.options.check_threads > 1 {
-        let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
-        let outcome = shared.checker.run_shared(model, &resolver);
-        let expanded = outcome.stats().states_visited as u64;
-        shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
-        draft.expanded += expanded;
-        (outcome, resolver.into_touched())
     } else {
-        let mut resolver = CandidateResolver::new(shared.registry, &digits, default, cache);
-        let outcome = shared.checker.run_with(model, &mut resolver);
+        let outcome = shared.checker.run_shared(model, &resolver);
         let expanded = outcome.stats().states_visited as u64;
         shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
         draft.expanded += expanded;

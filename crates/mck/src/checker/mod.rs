@@ -8,22 +8,31 @@
 //! the tight coupling the paper argues for over external-tool pipelines
 //! (§I–II).
 //!
-//! Two exploration drivers share one committed-state core (`SearchCore`):
+//! One exploration driver, [`CheckSession`], serves every check. It
+//! explores in layer-synchronized BFS order over one committed-state core
+//! (`SearchCore`) and expands each frontier layer one of two ways, chosen by
+//! the effective thread count ([`CheckerOptions::effective_threads`]):
 //!
-//! * the **serial** driver (this module) — a queue-driven BFS; and
-//! * the **parallel** driver (`parallel`) — a layer-synchronized BFS that
-//!   expands, canonicalizes, fingerprints, and invariant-checks each
-//!   frontier layer across a persistent worker pool against a lock-free
-//!   claim table, then *replays* the recorded layer deterministically so
-//!   that verdicts, statistics, and counterexample traces are *identical*
-//!   to the serial driver's, for any thread count.
+//! * **serially**, in place on the calling thread; or
+//! * through the **parallel engine** (`parallel`), which expands,
+//!   canonicalizes, fingerprints, and invariant-checks the layer across a
+//!   persistent worker pool against a lock-free claim table, then *replays*
+//!   the recorded layer deterministically so that verdicts, statistics, and
+//!   counterexample traces are *identical* to the serial loop's, for any
+//!   thread count.
 //!
-//! Select the parallel driver with [`CheckerOptions::threads`].
+//! The one-shot entry points ([`Checker::run`], [`Checker::run_with`],
+//! [`Checker::run_shared`]) each check once on a fresh session; the
+//! synthesis loop holds a session across candidates. The original
+//! queue-driven serial BFS survives only as the differential oracle in
+//! `reference`, compiled for tests and under the `reference` feature.
 
 mod graph;
 mod outcome;
 mod parallel;
 mod pool;
+#[cfg(any(test, feature = "reference"))]
+pub mod reference;
 mod session;
 mod trace;
 
@@ -38,8 +47,6 @@ use crate::eval::{HoleResolver, NoHoles, SharedResolver};
 use crate::hashers::{fingerprint, FnvHashMap};
 use crate::model::TransitionSystem;
 use crate::properties::Property;
-use crate::rule::RuleOutcome;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// What the checker should do when it finds a state with no enabled rules.
@@ -101,10 +108,10 @@ impl CheckerOptions {
     /// make the committed store exceed the cap is *refused* and exploration
     /// stops there, so `Stats::states_visited ≤ max_states` always holds and
     /// a refused state is never inspected (its invariants are not checked —
-    /// the verdict is `Unknown` regardless). The parallel driver
+    /// the verdict is `Unknown` regardless). The parallel engine
     /// ([`CheckerOptions::threads`]) enforces the cap at the same
     /// deterministic replay point, so committed counts and statistics remain
-    /// identical to the serial driver's at any thread count; it may still
+    /// identical to the serial loop's at any thread count; it may still
     /// *transiently* hold up to one expanded layer of parked candidate
     /// successors in memory before the replay clamps them.
     pub fn max_states(mut self, limit: usize) -> Self {
@@ -132,20 +139,21 @@ impl CheckerOptions {
         self
     }
 
-    /// Number of worker threads expanding each BFS layer (default 1: the
-    /// serial driver).
+    /// Number of worker threads expanding each BFS layer (default 1: layers
+    /// are expanded serially on the calling thread).
     ///
     /// Any thread count produces the same verdict, statistics, and
-    /// counterexample depth — the parallel driver is layer-synchronized and
-    /// commits each layer in the serial driver's deterministic order (see
-    /// `parallel`). Only [`Checker::run`] and [`Checker::run_shared`] honor
-    /// this knob; [`Checker::run_with`] takes an exclusive resolver and is
-    /// always serial.
+    /// counterexample depth — with more than one effective thread a
+    /// [`CheckSession`] expands each layer through the parallel engine, which
+    /// commits it in the serial loop's deterministic order (see `parallel`).
+    /// [`Checker::run`], [`Checker::run_shared`], and [`Checker::session`]
+    /// honor this knob; [`Checker::run_with`] takes an exclusive resolver
+    /// and always expands serially.
     ///
     /// By default the requested count is clamped to the machine's available
     /// parallelism (see [`CheckerOptions::clamp_threads`]): asking for 8
     /// threads on a 4-core box runs 4, and asking for any count on a 1-core
-    /// box runs the serial driver.
+    /// box expands serially.
     ///
     /// # Panics
     ///
@@ -174,14 +182,14 @@ impl CheckerOptions {
     ///
     /// Oversubscribing a layer-synchronized checker only adds scheduling
     /// noise, so the clamp is what production callers want; the equivalence
-    /// and stress suites disable it to exercise the parallel driver's
+    /// and stress suites disable it to exercise the parallel engine's
     /// interleavings regardless of the host's core count.
     pub fn clamp_threads(mut self, clamp: bool) -> Self {
         self.clamp_threads = clamp;
         self
     }
 
-    /// Forces the parallel driver's expansion chunk size to exactly `states`
+    /// Forces the parallel engine's expansion chunk size to exactly `states`
     /// per chunk, overriding the trajectory-based auto-tuner. A testing and
     /// benchmarking knob (e.g. 1-state chunks maximize interleaving); leave
     /// unset for real runs.
@@ -275,23 +283,18 @@ impl Checker {
     /// Verifies a complete (hole-free) model, honoring
     /// [`CheckerOptions::threads`].
     ///
-    /// This is a thin one-shot wrapper over [`Checker::session`]: it opens
-    /// a session, runs one check, and drops the session. Callers verifying
-    /// many related candidates should hold the session themselves and call
-    /// [`CheckSession::check`] repeatedly to reuse the shared exploration
-    /// prefix.
+    /// This is [`Checker::run_shared`] over [`NoHoles`]: one check on a
+    /// fresh [`CheckSession`]. Callers verifying many related candidates
+    /// should hold a session themselves and call [`CheckSession::check`]
+    /// repeatedly to reuse the shared exploration prefix.
     ///
     /// A model that consults a hole is a usage error: the [`NoHoles`]
     /// resolver panics, the panic-isolation layer catches it, and the run
     /// reports [`Verdict::Unknown`] with [`MckError::CandidatePanicked`].
-    /// Use [`Checker::run_with`] (or [`Checker::run_shared`] for parallel
-    /// runs) with an appropriate resolver for models containing holes.
+    /// Use [`Checker::run_with`] or [`Checker::run_shared`] with an
+    /// appropriate resolver for models containing holes.
     pub fn run<M: TransitionSystem>(&self, model: &M) -> Outcome<M::State> {
-        let mut session = self.session(model);
-        // The session dies right after this one check, so a kept graph can
-        // be moved out of the store instead of cloned.
-        session.detach_graph_on_finish();
-        session.check(&NoHoles)
+        self.run_shared(model, &NoHoles)
     }
 
     /// Opens a long-lived [`CheckSession`] on `model`: a reusable checker
@@ -304,7 +307,7 @@ impl Checker {
     /// check resume from the deepest shared BFS checkpoint instead of from
     /// the initial states, while remaining observationally identical —
     /// verdict, statistics, failure attribution, counterexample trace — to
-    /// a fresh one-shot run of the same candidate.
+    /// a fresh check of the same candidate.
     pub fn session<'a, M: TransitionSystem>(&self, model: &'a M) -> CheckSession<'a, M> {
         CheckSession::new(model, self.options.clone())
     }
@@ -316,9 +319,9 @@ impl Checker {
     /// soundness argument.
     ///
     /// An exclusive (`&mut`) resolver cannot be shared across workers, so
-    /// this entry point always runs the serial driver regardless of
-    /// [`CheckerOptions::threads`]; use [`Checker::run_shared`] to check in
-    /// parallel.
+    /// this entry point always expands serially, in `resolver` itself,
+    /// regardless of [`CheckerOptions::threads`]; use
+    /// [`Checker::run_shared`] to check in parallel.
     ///
     /// A panic in user protocol code (a rule, an invariant, or the resolver
     /// itself) is caught here and reported as a [`Verdict::Unknown`] outcome
@@ -328,18 +331,16 @@ impl Checker {
         model: &M,
         resolver: &mut dyn HoleResolver,
     ) -> Outcome<M::State> {
-        isolate_candidate(model.name(), || {
-            Bfs::new(model, &self.options, resolver).explore()
-        })
+        self.session(model).check_once_with(resolver)
     }
 
     /// Verifies a model through a thread-shareable resolution strategy,
-    /// honoring [`CheckerOptions::threads`].
-    ///
-    /// With `threads(1)` (the default) this is exactly [`Checker::run_with`]
-    /// over one worker resolver; with more threads the layer-synchronized
-    /// parallel driver is used, which returns bit-identical outcomes (see
-    /// `parallel`).
+    /// honoring [`CheckerOptions::threads`]: one check on a fresh
+    /// [`CheckSession`], which expands serially through one worker resolver
+    /// or, with more than one effective thread, through the parallel engine
+    /// — bit-identical outcomes either way (see `parallel`). A one-shot
+    /// check never queries [`crate::SessionResolver::assignment`], so any
+    /// [`SharedResolver`] will do.
     ///
     /// Panics in user protocol code are isolated exactly as in
     /// [`Checker::run_with`] — including panics raised inside pool workers,
@@ -349,35 +350,7 @@ impl Checker {
         model: &M,
         resolver: &dyn SharedResolver,
     ) -> Outcome<M::State> {
-        isolate_candidate(model.name(), || {
-            if self.options.effective_threads() > 1 {
-                parallel::ParallelBfs::new(model, &self.options, resolver).explore()
-            } else {
-                let mut worker = resolver.worker();
-                Bfs::new(model, &self.options, &mut *worker).explore()
-            }
-        })
-    }
-}
-
-/// Runs one candidate evaluation with panic isolation: a panic anywhere in
-/// the closure (user rule code, invariants, resolver consultations) becomes
-/// an [`Outcome::panicked`] instead of unwinding through the caller.
-///
-/// `AssertUnwindSafe` is sound here because everything the closure could
-/// have left in a broken state is owned by the closure and dropped with it
-/// (one-shot drivers build their entire search state inside the call);
-/// long-lived state is handled by [`CheckSession::check`], which resets the
-/// session on the same catch.
-pub(crate) fn isolate_candidate<S>(model: &str, f: impl FnOnce() -> Outcome<S>) -> Outcome<S> {
-    let start = Instant::now();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(outcome) => outcome,
-        Err(payload) => Outcome::panicked(
-            model,
-            start.elapsed(),
-            crate::error::panic_message(&*payload),
-        ),
+        self.session(model).check_once(resolver)
     }
 }
 
@@ -416,8 +389,8 @@ impl IdList {
 /// encodings and catches runaway stores long before the id type wraps.
 pub(super) const MAX_COMMITTED: StateId = 1 << 31;
 
-/// Adds a committed id to a fingerprint-indexed map (shared by the serial
-/// visited index and the parallel driver's shards).
+/// Adds a committed id to a fingerprint-indexed map (shared by the parallel
+/// engine's committed index and the reference driver's visited index).
 pub(super) fn insert_id(map: &mut FnvHashMap<u64, IdList>, hash: u64, id: StateId) {
     use std::collections::hash_map::Entry;
     match map.entry(hash) {
@@ -454,47 +427,26 @@ pub(super) fn remove_id(map: &mut FnvHashMap<u64, IdList>, hash: u64, id: StateI
     }
 }
 
-/// Fingerprint-indexed visited set for the serial driver.
-#[derive(Debug, Default)]
-struct VisitedIndex {
-    map: FnvHashMap<u64, IdList>,
-}
-
-impl VisitedIndex {
-    /// Finds the committed id of `state`, whose fingerprint is `hash`.
-    fn find<S: Eq>(&self, hash: u64, state: &S, states: &[S]) -> Option<StateId> {
-        self.map
-            .get(&hash)?
-            .as_slice()
-            .iter()
-            .copied()
-            .find(|&id| states[id as usize] == *state)
-    }
-
-    /// Records that `hash` now maps to the (new) committed id.
-    fn insert(&mut self, hash: u64, id: StateId) {
-        insert_id(&mut self.map, hash, id);
-    }
-}
-
 /// Consultation record of one tree edge: the `(hole id, action)` pairs the
 /// producing rule application resolved. `None` — no allocation at all — for
 /// the common hole-free edge.
 type TouchRecord = Option<Box<[(usize, u16)]>>;
 
-/// The committed exploration state shared by the serial and parallel
-/// drivers: everything keyed by [`StateId`], plus the post-exploration
-/// property analysis. Drivers differ only in how they *discover and order*
-/// states; once a state is committed here the bookkeeping is identical,
-/// which is what makes the two drivers' outcomes comparable field by field.
+/// The committed exploration state shared by the session's serial and
+/// parallel layer loops and the reference driver: everything keyed by
+/// [`StateId`], plus the post-exploration property analysis. The loops
+/// differ only in how they *discover and order* states; once a state is
+/// committed here the bookkeeping is identical, which is what makes their
+/// outcomes comparable field by field.
 pub(super) struct SearchCore<'a, M: TransitionSystem> {
     pub(super) model: &'a M,
     pub(super) options: CheckerOptions,
-    /// Whether [`SearchCore::finish`] may *move* the committed store into a
-    /// requested graph instead of cloning it. One-shot drivers (which drop
-    /// the core right after) keep the default `true`; a [`CheckSession`]
-    /// clears it because its store must survive into the next check.
-    pub(super) detach_graph: bool,
+    /// Whether the core is dropped right after this run (one-shot checks
+    /// and the reference driver) rather than reused by a [`CheckSession`]:
+    /// [`SearchCore::finish`] then *moves* the committed store into a
+    /// requested graph instead of cloning it, and the session's serial loop
+    /// skips the hole-touch logs that only a later resumption reads.
+    pub(super) one_shot: bool,
 
     pub(super) states: Vec<M::State>,
     pub(super) depth: Vec<u32>,
@@ -527,7 +479,7 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
         SearchCore {
             model,
             options,
-            detach_graph: true,
+            one_shot: true,
             states: Vec::new(),
             depth: Vec::new(),
             pred: Vec::new(),
@@ -707,9 +659,9 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
 
     /// Packages the run's result. Non-consuming, so a [`CheckSession`] can
     /// keep the core alive across checks: a requested graph is *moved* out
-    /// of the committed store when the driver is about to drop the core
-    /// ([`SearchCore::detach_graph`], the one-shot default) and cloned only
-    /// for sessions, whose store must survive into the next check.
+    /// of the committed store when the core is about to be dropped
+    /// ([`SearchCore::one_shot`]) and cloned only for reusable
+    /// sessions, whose store must survive into the next check.
     pub(super) fn finish(
         &mut self,
         start: Instant,
@@ -719,7 +671,7 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
     ) -> Outcome<M::State> {
         self.stats.states_visited = self.states.len();
         let graph = self.options.keep_graph.then(|| {
-            if self.detach_graph {
+            if self.one_shot {
                 ExploredGraph {
                     rule_names: rule_names(self.model),
                     states: std::mem::take(&mut self.states),
@@ -749,164 +701,6 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
     }
 }
 
-/// Serial exploration driver; one instance per run.
-struct Bfs<'a, M: TransitionSystem> {
-    core: SearchCore<'a, M>,
-    resolver: &'a mut dyn HoleResolver,
-    visited: VisitedIndex,
-    queue: VecDeque<StateId>,
-}
-
-impl<'a, M: TransitionSystem> Bfs<'a, M> {
-    fn new(model: &'a M, options: &'a CheckerOptions, resolver: &'a mut dyn HoleResolver) -> Self {
-        Bfs {
-            core: SearchCore::new(model, options.clone()),
-            resolver,
-            visited: VisitedIndex::default(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Inserts `state` (already canonicalized) if new; returns its id and
-    /// whether it was newly inserted — or `None` if the state is new but
-    /// admitting it would exceed [`CheckerOptions::max_states`] (the caller
-    /// must stop exploring with [`MckError::StateLimitExceeded`]).
-    fn insert(
-        &mut self,
-        state: M::State,
-        from: Option<(StateId, u32)>,
-        touches: &[(usize, u16)],
-    ) -> Option<(StateId, bool)> {
-        let hash = fingerprint(&state);
-        if let Some(id) = self.visited.find(hash, &state, &self.core.states) {
-            return Some((id, false));
-        }
-        if self.core.states.len() >= self.core.options.max_states {
-            return None;
-        }
-        let id = self.core.commit(state, from, touches);
-        self.visited.insert(hash, id);
-        self.queue.push_back(id);
-        Some((id, true))
-    }
-
-    fn explore(mut self) -> Outcome<M::State> {
-        let start = Instant::now();
-
-        let initial = self.core.model.initial_states();
-        if initial.is_empty() {
-            return self.core.finish(
-                start,
-                Verdict::Unknown,
-                None,
-                Some(MckError::NoInitialStates),
-            );
-        }
-        let mut incomplete: Option<MckError> = None;
-        let state_limit = MckError::StateLimitExceeded {
-            limit: self.core.options.max_states,
-        };
-
-        for s0 in initial {
-            let s0 = self.core.model.canonicalize(s0);
-            match self.insert(s0, None, &[]) {
-                None => return self.core.analyze(start, Some(state_limit)),
-                Some((id, true)) => {
-                    if let Some(name) = self.core.violated_invariant(id) {
-                        let failure = Failure {
-                            kind: FailureKind::InvariantViolation,
-                            property: name.to_owned(),
-                            trace: Some(self.core.trace_to(id)),
-                            touched: Some(Vec::new()),
-                        };
-                        return self
-                            .core
-                            .finish(start, Verdict::Failure, Some(failure), None);
-                    }
-                }
-                Some((_, false)) => {}
-            }
-        }
-
-        'bfs: while let Some(id) = self.queue.pop_front() {
-            self.core.stats.peak_queue = self.core.stats.peak_queue.max(self.queue.len() + 1);
-            let state = self.core.states[id as usize].clone();
-            let mut any_next = false;
-            let mut any_blocked = false;
-            // Resolutions made anywhere while expanding this state; a
-            // deadlock verdict depends on all of them (they decided that
-            // every rule declined to fire). De-duplicated by `trace_touched`.
-            let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
-
-            for (ri, rule) in self.core.model.rules().iter().enumerate() {
-                self.resolver.begin_application();
-                let outcome = rule.apply(&state, self.resolver);
-                expansion_touches.extend_from_slice(self.resolver.application_touches());
-                match outcome {
-                    RuleOutcome::Disabled => {}
-                    RuleOutcome::Blocked => {
-                        any_blocked = true;
-                        self.core.stats.wildcard_hits += 1;
-                    }
-                    RuleOutcome::Next(next) => {
-                        any_next = true;
-                        self.core.stats.transitions += 1;
-                        let next = self.core.model.canonicalize(next);
-                        let touches = self.resolver.application_touches().to_vec();
-                        let Some((nid, new)) = self.insert(next, Some((id, ri as u32)), &touches)
-                        else {
-                            // Admitting this successor would exceed the state
-                            // cap: stop here, before inspecting it, so the
-                            // committed store never outgrows `max_states`.
-                            incomplete = Some(state_limit.clone());
-                            break 'bfs;
-                        };
-                        if let Some(edges) = &mut self.core.edges {
-                            edges[id as usize].push(Edge {
-                                rule: ri as u32,
-                                target: nid,
-                            });
-                        }
-                        if new {
-                            if let Some(name) = self.core.violated_invariant(nid) {
-                                let failure = Failure {
-                                    kind: FailureKind::InvariantViolation,
-                                    property: name.to_owned(),
-                                    touched: Some(self.core.trace_touched(nid, &[])),
-                                    trace: Some(self.core.trace_to(nid)),
-                                };
-                                return self.core.finish(
-                                    start,
-                                    Verdict::Failure,
-                                    Some(failure),
-                                    None,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-
-            // A state with no successors is a deadlock — unless a wildcard
-            // aborted some branch, in which case we cannot tell (the aborted
-            // branch might have provided an exit).
-            if !any_next && !any_blocked && self.core.options.deadlock == DeadlockPolicy::Disallow {
-                let failure = Failure {
-                    kind: FailureKind::Deadlock,
-                    property: "deadlock freedom".to_owned(),
-                    touched: Some(self.core.trace_touched(id, &expansion_touches)),
-                    trace: Some(self.core.trace_to(id)),
-                };
-                return self
-                    .core
-                    .finish(start, Verdict::Failure, Some(failure), None);
-            }
-        }
-
-        self.core.analyze(start, incomplete)
-    }
-}
-
 fn is_reachable<S>(p: &Property<S>) -> bool {
     matches!(p, Property::Reachable { .. })
 }
@@ -915,54 +709,53 @@ fn rule_names<M: TransitionSystem>(model: &M) -> Vec<String> {
     model.rules().iter().map(|r| r.name().to_owned()).collect()
 }
 
-/// Shared assertion for the serial/parallel equivalence contract: used by
-/// the in-crate parallel tests (the out-of-crate property suite in
-/// `tests/checker_parallel_equivalence.rs` re-implements it over the public
-/// API).
+/// Shared assertions for the equivalence contract — every check, at any
+/// thread count, matches the reference serial BFS — used by the in-crate
+/// tests (the out-of-crate suites in `tests/` re-implement them over the
+/// public API).
 #[cfg(test)]
 pub(super) mod tests_support {
     use super::*;
 
-    /// Runs `model` serially and with `threads` workers and asserts the
-    /// outcomes are indistinguishable: verdict, full `Stats`, and failure
-    /// details (kind, property, touched set, and the whole trace).
+    /// Asserts two outcomes are indistinguishable: verdict, full `Stats`,
+    /// and failure details (kind, property, touched set, and the whole
+    /// trace).
+    pub(crate) fn assert_same_outcome<S: std::fmt::Debug>(
+        got: &Outcome<S>,
+        want: &Outcome<S>,
+        what: &str,
+    ) {
+        assert_eq!(got.verdict(), want.verdict(), "{what}: verdict");
+        assert_eq!(got.stats(), want.stats(), "{what}: stats");
+        match (got.failure(), want.failure()) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                assert_eq!(g.kind, w.kind, "{what}: failure kind");
+                assert_eq!(g.property, w.property, "{what}: property");
+                assert_eq!(g.touched, w.touched, "{what}: touched");
+                assert_eq!(
+                    format!("{:?}", g.trace),
+                    format!("{:?}", w.trace),
+                    "{what}: counterexample"
+                );
+            }
+            (g, w) => panic!("{what}: failure presence diverged: {g:?} vs {w:?}"),
+        }
+    }
+
+    /// Checks `model` at 1, 2, 4, and 8 threads under `options` (clamping
+    /// disabled, so the parallel engine runs for real on any host) and
+    /// asserts every outcome matches the reference BFS.
     pub(crate) fn assert_equivalent<M: TransitionSystem>(
         model: &M,
         resolver: &dyn SharedResolver,
-        threads: usize,
+        options: CheckerOptions,
     ) {
-        // Clamping disabled so the parallel driver is exercised for real
-        // even when the test host has fewer cores than `threads`.
-        let serial = Checker::new(CheckerOptions::default()).run_shared(model, resolver);
-        let par = Checker::new(
-            CheckerOptions::default()
-                .threads(threads)
-                .clamp_threads(false),
-        )
-        .run_shared(model, resolver);
-        assert_eq!(
-            serial.verdict(),
-            par.verdict(),
-            "verdict diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.stats(),
-            par.stats(),
-            "stats diverged at {threads} threads"
-        );
-        match (serial.failure(), par.failure()) {
-            (None, None) => {}
-            (Some(s), Some(p)) => {
-                assert_eq!(s.kind, p.kind);
-                assert_eq!(s.property, p.property);
-                assert_eq!(s.touched, p.touched);
-                assert_eq!(
-                    format!("{:?}", s.trace),
-                    format!("{:?}", p.trace),
-                    "counterexample diverged at {threads} threads"
-                );
-            }
-            (s, p) => panic!("failure presence diverged: serial={s:?} parallel={p:?}"),
+        let want = reference::Bfs::new(model, &options, &mut *resolver.worker()).explore();
+        for threads in [1, 2, 4, 8] {
+            let got = Checker::new(options.clone().threads(threads).clamp_threads(false))
+                .run_shared(model, resolver);
+            assert_same_outcome(&got, &want, &format!("{threads} threads"));
         }
     }
 }
@@ -971,6 +764,7 @@ pub(super) mod tests_support {
 mod tests {
     use super::*;
     use crate::model::ModelBuilder;
+    use crate::rule::RuleOutcome;
 
     /// Counter to 3 with wraparound; invariant `< 4` holds.
     fn wrapping_counter() -> crate::model::BuiltModel<u8> {

@@ -1,4 +1,6 @@
-//! The layer-synchronized parallel BFS engine (commit-replay architecture).
+//! The layer-synchronized parallel BFS engine (commit-replay architecture):
+//! how a [`super::CheckSession`] expands a layer when it has more than one
+//! effective thread.
 //!
 //! Parallel explicit-state exploration usually trades determinism for speed:
 //! work-stealing frontiers visit states in racy orders, so two runs (or a
@@ -20,17 +22,17 @@
 //!    and tag-collision checks. Already-committed successors resolve with a
 //!    plain lock-free hash-map read.
 //! 2. **Replay** (sequential, cheap): the recorded rule outcomes are walked
-//!    in the serial driver's exact order — layer states in commit order,
+//!    in the session's serial loop's exact order — layer states in commit order,
 //!    rules in table order — committing claimed states (already
 //!    canonicalized, fingerprinted, and invariant-checked; the replay just
 //!    moves them into the store and assigns dense [`StateId`]s), counting
 //!    statistics, and raising failures, deadlocks, and the state cap
-//!    *exactly* where the serial driver would.
+//!    *exactly* where the serial loop would.
 //!
 //! The barrier between layers is what preserves **minimal counterexamples**:
 //! no state of layer `d+1` is expanded before every state of layer `d` has
 //! been, so the first failure found is found at its minimal depth, and the
-//! replay's deterministic order picks the same witness the serial driver
+//! replay's deterministic order picks the same witness the serial loop
 //! picks. The replay no longer re-touches state bodies at all — its cost is
 //! a record walk plus arena-to-store moves — so rule application, symmetry
 //! canonicalization, fingerprinting, and invariant evaluation, which
@@ -62,8 +64,8 @@
 //! (`tests/checker_parallel_equivalence.rs`): for every model and resolver,
 //! every thread count returns the **same verdict, the same `Stats` (state,
 //! transition, depth, and queue counters), and the same counterexample
-//! trace** as the serial driver — and, for sessions, the same per-layer
-//! hole-touch logs.
+//! trace** as the reference serial BFS (`super::reference`) — and the same
+//! per-layer hole-touch logs as the session's serial loop.
 //!
 //! One deliberate, documented divergence remains outside that invariant:
 //! expansion may run (most of) a layer even when the replay will stop at a
@@ -420,11 +422,10 @@ fn invariant_name<M: TransitionSystem>(model: &M, property: usize) -> &str {
     }
 }
 
-/// The shared parallel exploration engine: the committed-state index, the
-/// per-layer claim table, the persistent worker pool, the chunk auto-tuner,
-/// and the deterministic replay. One instance serves a whole run — the
-/// one-shot [`ParallelBfs`] driver and [`super::CheckSession`] both drive
-/// their layers through it.
+/// The exploration engine of one [`super::CheckSession`]: the
+/// committed-state index, the per-layer claim table, the persistent worker
+/// pool, the chunk auto-tuner, and the deterministic replay. The session's
+/// serial loop uses only the committed index and the name-cache bank.
 pub(super) struct Engine<S> {
     /// Fingerprint → committed ids. Read lock-free by expansion workers
     /// (committed entries never change mid-layer); mutated only by the
@@ -739,15 +740,15 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         ChunkOut { recs, discoveries }
     }
 
-    /// Replays the layer's records in the serial driver's exact order:
+    /// Replays the layer's records in the serial loop's exact order:
     /// committing claims (cheap arena-to-store moves), assigning dense ids,
     /// counting statistics, registering deferred hole discoveries at their
     /// first replayed consultation, and raising failures, deadlocks, and
     /// the state cap at the same sequence points as a serial run. `Err`
     /// carries the outcome that ended the run inside this layer.
     ///
-    /// `log`, when present, collects the layer's hole-touch entries
-    /// (unsorted; sessions sort and seal them). Whatever the exit, the
+    /// `log` collects the layer's hole-touch entries (unsorted; the session
+    /// sorts and seals them). Whatever the exit, the
     /// concrete resolutions the replay consumed are reported through
     /// [`SharedResolver::note_replayed_touches`] — the replay-confirmed
     /// touched set, identical to what a serial run would have recorded.
@@ -758,15 +759,14 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
-        mut log: Option<&mut Vec<LayerTouch>>,
+        log: &mut Vec<LayerTouch>,
     ) -> Result<(), Box<Outcome<M::State>>>
     where
         M: TransitionSystem<State = S>,
         R: SharedResolver + ?Sized,
     {
         let mut replayed: Vec<(usize, u16)> = Vec::new();
-        let result =
-            self.replay_records(core, resolver, start, f0, chunks, &mut log, &mut replayed);
+        let result = self.replay_records(core, resolver, start, f0, chunks, log, &mut replayed);
         replayed.sort_unstable();
         replayed.dedup();
         resolver.note_replayed_touches(&replayed);
@@ -781,7 +781,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
-        log: &mut Option<&mut Vec<LayerTouch>>,
+        log: &mut Vec<LayerTouch>,
         replayed: &mut Vec<(usize, u16)>,
     ) -> Result<(), Box<Outcome<M::State>>>
     where
@@ -817,7 +817,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                     !rec.skipped,
                     "replay consumed a state the short-circuit skipped"
                 );
-                // What the serial driver's queue would hold when popping
+                // What a rolling BFS queue would hold when popping
                 // this state: everything committed but not yet expanded.
                 core.stats.peak_queue = core.stats.peak_queue.max(core.states.len() - (f0 + i));
 
@@ -827,34 +827,22 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
 
                 for app in rec.records {
                     for &(hole, action) in app.touches.iter() {
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push((hole, Some(action)));
-                        }
+                        log.push((hole, Some(action)));
                         replayed.push((hole, action));
                     }
                     for &wildcard in app.wildcards.iter() {
-                        match wildcard {
-                            WildcardTouch::Known(hole) => {
-                                if let Some(log) = log.as_deref_mut() {
-                                    log.push((hole, None));
-                                }
-                            }
-                            WildcardTouch::Fresh(index) => {
-                                let id = committed_id(index);
-                                if let Some(log) = log.as_deref_mut() {
-                                    log.push((id, None));
-                                }
-                            }
-                        }
+                        let hole = match wildcard {
+                            WildcardTouch::Known(hole) => hole,
+                            WildcardTouch::Fresh(index) => committed_id(index),
+                        };
+                        log.push((hole, None));
                     }
                     for &(index, action) in app.fresh.iter() {
                         // A deferred sighting answered concretely (naïve
                         // mode): the commit assigns the id, and the
                         // consultation is a replay-confirmed touch.
                         let id = committed_id(index);
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push((id, Some(action)));
-                        }
+                        log.push((id, Some(action)));
                         replayed.push((id, action));
                     }
                     expansion_touches.extend_from_slice(&app.touches);
@@ -880,7 +868,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                                         None => {
                                             // Same admission clamp — and the
                                             // same sequence point — as the
-                                            // serial driver.
+                                            // serial loop.
                                             return Err(Box::new(
                                                 core.analyze(start, Some(state_limit)),
                                             ));
@@ -937,7 +925,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
 
     /// Resolves a fresh successor reference during replay: the first
     /// occurrence moves the claimed state into the store (assigning the
-    /// next dense id, exactly as the serial driver would at this point);
+    /// next dense id, exactly as the serial loop would at this point);
     /// later occurrences — duplicates discovered concurrently within the
     /// layer — reuse the assigned id. `None` refuses admission at the
     /// [`CheckerOptions::max_states`] cap.
@@ -971,96 +959,12 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     }
 }
 
-/// One-shot layer-synchronized parallel exploration driver.
-pub(super) struct ParallelBfs<'a, M: TransitionSystem> {
-    core: SearchCore<'a, M>,
-    resolver: &'a dyn SharedResolver,
-    engine: Engine<M::State>,
-}
-
-impl<'a, M: TransitionSystem> ParallelBfs<'a, M> {
-    pub(super) fn new(
-        model: &'a M,
-        options: &'a CheckerOptions,
-        resolver: &'a dyn SharedResolver,
-    ) -> Self {
-        let engine = Engine::new(options);
-        ParallelBfs {
-            core: SearchCore::new(model, options.clone()),
-            resolver,
-            engine,
-        }
-    }
-
-    pub(super) fn explore(mut self) -> Outcome<M::State> {
-        let start = Instant::now();
-
-        let initial = self.core.model.initial_states();
-        if initial.is_empty() {
-            return self.core.finish(
-                start,
-                Verdict::Unknown,
-                None,
-                Some(MckError::NoInitialStates),
-            );
-        }
-        let state_limit = MckError::StateLimitExceeded {
-            limit: self.core.options.max_states,
-        };
-        for s0 in initial {
-            let s0 = self.core.model.canonicalize(s0);
-            let hash = fingerprint(&s0);
-            if self
-                .engine
-                .find_committed(hash, &s0, &self.core.states)
-                .is_some()
-            {
-                continue;
-            }
-            if self.core.states.len() >= self.core.options.max_states {
-                return self.core.analyze(start, Some(state_limit));
-            }
-            let id = self.core.commit(s0, None, &[]);
-            self.engine.insert_committed(hash, id);
-            if let Some(name) = self.core.violated_invariant(id) {
-                let failure = Failure {
-                    kind: FailureKind::InvariantViolation,
-                    property: name.to_owned(),
-                    trace: Some(self.core.trace_to(id)),
-                    touched: Some(Vec::new()),
-                };
-                return self
-                    .core
-                    .finish(start, Verdict::Failure, Some(failure), None);
-            }
-        }
-
-        // The committed store is layer-contiguous, so the frontier is just
-        // a range: each replay appends layer `d+1` right after layer `d`.
-        let mut f0 = 0usize;
-        loop {
-            let f1 = self.core.states.len();
-            if f0 == f1 {
-                return self.core.analyze(start, None);
-            }
-            let chunks = self.engine.expand_layer(&self.core, self.resolver, f0, f1);
-            match self
-                .engine
-                .replay_layer(&mut self.core, self.resolver, start, f0, chunks, None)
-            {
-                Ok(()) => f0 = f1,
-                Err(outcome) => return *outcome,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests_support::assert_equivalent;
     use super::*;
     use crate::checker::Checker;
-    use crate::eval::{Choice, FixedResolver, HoleSpec};
+    use crate::eval::{Choice, FixedResolver, HoleSpec, NoHoles};
     use crate::model::ModelBuilder;
 
     fn collatz_like() -> crate::model::BuiltModel<u64> {
@@ -1087,38 +991,10 @@ mod tests {
         b.finish()
     }
 
-    /// Serial vs. parallel under explicit options, field by field.
-    fn assert_options_equivalent<M: TransitionSystem>(
-        model: &M,
-        resolver: &dyn SharedResolver,
-        options: CheckerOptions,
-    ) {
-        let serial = Checker::new(options.clone().threads(1)).run_shared(model, resolver);
-        let par = Checker::new(options).run_shared(model, resolver);
-        assert_eq!(serial.verdict(), par.verdict(), "verdict diverged");
-        assert_eq!(serial.stats(), par.stats(), "stats diverged");
-        match (serial.failure(), par.failure()) {
-            (None, None) => {}
-            (Some(s), Some(p)) => {
-                assert_eq!(s.kind, p.kind);
-                assert_eq!(s.property, p.property);
-                assert_eq!(s.touched, p.touched);
-                assert_eq!(
-                    format!("{:?}", s.trace),
-                    format!("{:?}", p.trace),
-                    "counterexample diverged"
-                );
-            }
-            (s, p) => panic!("failure presence diverged: serial={s:?} parallel={p:?}"),
-        }
-    }
-
     #[test]
     fn parallel_matches_serial_on_success() {
         let m = collatz_like();
-        for threads in [2, 4, 8] {
-            assert_equivalent(&m, &crate::eval::NoHoles, threads);
-        }
+        assert_equivalent(&m, &NoHoles, CheckerOptions::default());
     }
 
     #[test]
@@ -1129,9 +1005,7 @@ mod tests {
         b.rule("fast", |&s: &u32, _| RuleOutcome::Next(s + 7));
         b.invariant("small", |&s: &u32| s < 40);
         let m = b.finish();
-        for threads in [2, 4, 8] {
-            assert_equivalent(&m, &crate::eval::NoHoles, threads);
-        }
+        assert_equivalent(&m, &NoHoles, CheckerOptions::default());
     }
 
     #[test]
@@ -1146,9 +1020,7 @@ mod tests {
             }
         });
         let m = b.finish();
-        for threads in [2, 4] {
-            assert_equivalent(&m, &crate::eval::NoHoles, threads);
-        }
+        assert_equivalent(&m, &NoHoles, CheckerOptions::default());
     }
 
     #[test]
@@ -1206,9 +1078,7 @@ mod tests {
             FixedResolver::from_pairs([("h", 1usize)]),
             FixedResolver::new(),
         ] {
-            for threads in [2, 4] {
-                assert_equivalent(&m, &resolver, threads);
-            }
+            assert_equivalent(&m, &resolver, CheckerOptions::default());
         }
     }
 
@@ -1252,25 +1122,9 @@ mod tests {
         });
         b.invariant("spread", |&s: &u32| !(s >= 40 && s % 3 == 0));
         let m = b.finish();
-        for threads in [2, 4, 8] {
-            assert_options_equivalent(
-                &m,
-                &crate::eval::NoHoles,
-                CheckerOptions::default()
-                    .allow_deadlock()
-                    .threads(threads)
-                    .clamp_threads(false),
-            );
-            assert_options_equivalent(
-                &m,
-                &crate::eval::NoHoles,
-                CheckerOptions::default()
-                    .allow_deadlock()
-                    .threads(threads)
-                    .clamp_threads(false)
-                    .chunk_states(1),
-            );
-        }
+        let options = CheckerOptions::default().allow_deadlock();
+        assert_equivalent(&m, &NoHoles, options.clone());
+        assert_equivalent(&m, &NoHoles, options.chunk_states(1));
     }
 
     #[test]
@@ -1279,14 +1133,10 @@ mod tests {
         // and a single claim stripe so every arena append contends on one
         // lock while bucket CASes race maximally.
         let m = collatz_like();
-        assert_options_equivalent(
+        assert_equivalent(
             &m,
-            &crate::eval::NoHoles,
-            CheckerOptions::default()
-                .threads(8)
-                .clamp_threads(false)
-                .chunk_states(1)
-                .claim_stripes(1),
+            &NoHoles,
+            CheckerOptions::default().chunk_states(1).claim_stripes(1),
         );
     }
 
@@ -1307,13 +1157,6 @@ mod tests {
             }
         });
         let m = b.finish();
-        assert_options_equivalent(
-            &m,
-            &crate::eval::NoHoles,
-            CheckerOptions::default()
-                .allow_deadlock()
-                .threads(4)
-                .clamp_threads(false),
-        );
+        assert_equivalent(&m, &NoHoles, CheckerOptions::default().allow_deadlock());
     }
 }

@@ -4,10 +4,11 @@
 //! pay thread-spawn latency per layer — ruinous for a synthesis loop
 //! dispatching thousands of candidate evaluations, and a measurable tax
 //! even on a single verification with hundreds of layers. Instead, the
-//! parallel engine ([`super::parallel`]) — shared by the one-shot driver
-//! and [`super::CheckSession`] — lazily creates one [`WorkerPool`] and
-//! keeps its threads parked between batches, so a layer expansion costs
-//! one condvar wake instead of a spawn.
+//! parallel engine ([`super::parallel`]) of each multi-threaded
+//! [`super::CheckSession`] lazily creates one [`WorkerPool`] and keeps its
+//! threads parked between batches — across layers and, for a held session,
+//! across checks — so a layer expansion costs one condvar wake instead of a
+//! spawn.
 //!
 //! The pool accepts **borrowing** jobs (closures over `&'scope` data) even
 //! though its threads are `'static`: [`WorkerPool::run_batch`] does not

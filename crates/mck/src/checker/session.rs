@@ -1,11 +1,15 @@
-//! Long-lived check sessions with incremental prefix re-verification.
+//! Check sessions: the checker's one exploration driver, with incremental
+//! prefix re-verification.
 //!
-//! The synthesis loop dispatches thousands of candidate evaluations against
-//! *one* model, and consecutive candidates usually differ only in
-//! late-firing holes: everything the checker would explore before the first
-//! rule application that consults a changed hole is identical between them.
-//! A one-shot [`Checker::run`] rebuilds that shared prefix from scratch on
-//! every dispatch; a [`CheckSession`] keeps it.
+//! Every check runs here. The one-shot entry points ([`Checker::run`],
+//! [`Checker::run_with`], [`Checker::run_shared`]) check once on a fresh
+//! session; the synthesis loop holds one session per worker across
+//! thousands of candidate evaluations against *one* model. Consecutive
+//! candidates usually differ only in late-firing holes: everything the
+//! checker would explore before the first rule application that consults a
+//! changed hole is identical between them. A fresh session rebuilds that
+//! shared prefix from scratch on every dispatch; a held [`CheckSession`]
+//! keeps it.
 //!
 //! ## How reuse works
 //!
@@ -32,19 +36,20 @@
 //!
 //! ## Equivalence contract
 //!
-//! Every `check` is observationally identical to a fresh one-shot run of
-//! the same model and resolver: verdict, the full [`Stats`], failure kind /
-//! property / touched attribution, the counterexample trace, and the kept
-//! graph all match bit for bit, at any [`CheckerOptions::threads`] count.
-//! The serial path replays the one-shot serial driver's exact commit and
-//! stop order (including mid-layer fail-fast); the parallel path drives its
-//! layers through the shared [`super::parallel`] engine — the same
-//! expand-then-replay discipline, persistent worker pool, claim table, and
-//! chunk auto-tuner as the one-shot parallel driver — and derives the
-//! per-layer hole-touch logs from the *replayed* records, so consultations
-//! of applications the replay discards (past a failure or the state cap)
-//! never pollute a checkpoint log. The equivalence is enforced by
-//! `tests/session_equivalence.rs`.
+//! Every `check` is observationally identical to a fresh run of the same
+//! model and resolver: verdict, the full [`Stats`], failure kind / property
+//! / touched attribution, the counterexample trace, and the kept graph all
+//! match bit for bit, at any [`CheckerOptions::threads`] count. A layer is
+//! expanded one of two ways, chosen by the effective thread count: the
+//! serial loop expands it in place, committing and stopping (including
+//! mid-layer fail-fast) in BFS order; the parallel path drives it through
+//! the [`super::parallel`] engine's expand-then-replay discipline, whose
+//! replay commits in that same order, and derives the per-layer hole-touch
+//! log from the *replayed* records, so consultations of applications the
+//! replay discards (past a failure or the state cap) never pollute a
+//! checkpoint log. Both are held to the reference serial BFS (the
+//! `reference` module) by `tests/session_equivalence.rs` and
+//! `tests/checker_parallel_equivalence.rs`.
 
 use super::parallel::{Engine, LayerTouch};
 use super::{
@@ -52,7 +57,7 @@ use super::{
     StateId, Stats, Verdict,
 };
 use crate::error::MckError;
-use crate::eval::{HoleResolver, SessionResolver, WildcardTouch};
+use crate::eval::{HoleResolver, NoHoles, SessionResolver, SharedResolver, WildcardTouch};
 use crate::model::TransitionSystem;
 use crate::rule::RuleOutcome;
 use std::time::Instant;
@@ -113,18 +118,18 @@ enum LayerResult<S> {
 
 /// A reusable checker instance over one model: owns the visited set, the
 /// committed state store, the canonical initial states, the per-layer
-/// checkpoints, and (through the shared parallel engine) a persistent
-/// worker pool when `threads > 1`.
+/// checkpoints, and (through the parallel engine) a persistent worker pool
+/// when `threads > 1`.
 ///
 /// Created by [`Checker::session`]. Checks resume from the deepest BFS
 /// checkpoint whose recorded hole resolutions the new resolver answers
 /// identically, and every check stays observationally identical to a
-/// fresh one-shot run of the same candidate.
+/// fresh run of the same candidate.
 pub struct CheckSession<'a, M: TransitionSystem> {
     core: SearchCore<'a, M>,
-    /// The shared exploration engine: visited set, committed fingerprints,
-    /// claim table, worker pool, chunk auto-tuner, and name-cache bank.
-    /// The serial path uses only its committed index and cache bank.
+    /// The exploration engine: visited set, committed fingerprints, claim
+    /// table, worker pool, chunk auto-tuner, and name-cache bank. The
+    /// serial loop uses only its committed index and cache bank.
     engine: Engine<M::State>,
     /// Effective thread count ([`CheckerOptions::effective_threads`] at
     /// session creation, or the last [`CheckSession::set_threads`]).
@@ -164,9 +169,10 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             .collect();
         let engine = Engine::new(&options);
         let mut core = SearchCore::new(model, options);
-        // The session's store must survive finish(): graphs are cloned out,
-        // never moved.
-        core.detach_graph = false;
+        // A held session's store must survive finish() (graphs are cloned
+        // out, never moved) and its layers are logged for resumption; the
+        // one-shot entry points flip this back.
+        core.one_shot = false;
         CheckSession {
             core,
             engine,
@@ -177,15 +183,6 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             last_resume: 0,
             stats: SessionStats::default(),
         }
-    }
-
-    /// Restores move-out graph semantics for a session about to be dropped
-    /// after one check ([`Checker::run`]'s one-shot wrapper): the final
-    /// outcome's graph is taken from the store instead of cloned. The
-    /// session must not be checked again afterwards when a graph was kept —
-    /// its store is gone.
-    pub(super) fn detach_graph_on_finish(&mut self) {
-        self.core.detach_graph = true;
     }
 
     /// The session's cumulative reuse counters.
@@ -246,8 +243,8 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// check's exploration as the resolver's answers allow.
     ///
     /// The outcome is bit-identical (verdict, statistics, failure
-    /// attribution, trace, graph) to a fresh one-shot run of the same
-    /// candidate — reuse is invisible except in wall-clock time and
+    /// attribution, trace, graph) to a fresh run of the same candidate —
+    /// reuse is invisible except in wall-clock time and
     /// [`CheckSession::stats`].
     ///
     /// A panic in user protocol code (a rule, an invariant, the resolver)
@@ -255,17 +252,53 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// [`MckError::CandidatePanicked`]. Because the panic may interrupt the
     /// search mid-layer, the session discards its store and checkpoints —
     /// the next check re-explores from the initial states (bit-identical to
-    /// a fresh session by the one-shot equivalence contract), and the
-    /// worker pool, claim table, and session itself remain fully usable.
+    /// a fresh session by the equivalence contract), and the worker pool,
+    /// claim table, and session itself remain fully usable.
     pub fn check(&mut self, resolver: &dyn SessionResolver) -> Outcome<M::State> {
+        self.isolated(|session, start| session.check_inner(start, resolver))
+    }
+
+    /// One check of a fresh session through a thread-shareable resolver
+    /// ([`Checker::run_shared`]). Nothing is resumed, so the resolver is
+    /// never asked for a [`SessionResolver::assignment`].
+    pub(super) fn check_once<R: SharedResolver + ?Sized>(self, resolver: &R) -> Outcome<M::State> {
+        self.once(|session, start| session.explore(start, resolver))
+    }
+
+    /// One serial check of a fresh session that expands in the caller's
+    /// exclusive resolver ([`Checker::run_with`]).
+    pub(super) fn check_once_with(self, worker: &mut dyn HoleResolver) -> Outcome<M::State> {
+        self.once(|session, start| {
+            session.drive(|s| s.run_layer_serial(start, &mut *worker, None::<&NoHoles>))
+        })
+    }
+
+    /// Runs `explore` from the initial states of a session that is dropped
+    /// right after (see [`SearchCore::one_shot`]).
+    fn once(
+        mut self,
+        explore: impl FnOnce(&mut Self, Instant) -> Outcome<M::State>,
+    ) -> Outcome<M::State> {
+        self.core.one_shot = true;
+        self.isolated(|session, start| match session.start_fresh(start) {
+            Some(outcome) => outcome,
+            None => explore(session, start),
+        })
+    }
+
+    /// Runs one check body with panic isolation: a panic becomes an
+    /// [`Outcome::panicked`] and resets the session.
+    fn isolated(
+        &mut self,
+        body: impl FnOnce(&mut Self, Instant) -> Outcome<M::State>,
+    ) -> Outcome<M::State> {
         let start = Instant::now();
         // AssertUnwindSafe: on panic every structure the interrupted check
         // could have left inconsistent (store, visited index, checkpoint
         // logs, engine claim table) is wiped by `reset` below before the
         // session can be observed again.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.check_inner(start, resolver)
-        }));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut *self, start)));
         match caught {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -282,28 +315,15 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// The panic-unsafe body of [`CheckSession::check`].
     fn check_inner(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
         self.stats.checks += 1;
-
-        if self.initial.is_empty() {
-            debug_assert!(self.core.states.is_empty());
-            return self.core.finish(
-                start,
-                Verdict::Unknown,
-                None,
-                Some(MckError::NoInitialStates),
-            );
-        }
-
         self.last_resume = 0;
         let reused = match self.resume_depth(resolver) {
             None => {
                 // First check (or the initial phase never completed): start
                 // from scratch, from the cached canonical initial states.
-                self.reset();
-                if let Some(outcome) = self.commit_initial(start) {
+                if let Some(outcome) = self.start_fresh(start) {
                     self.stats.states_expanded += self.core.states.len() as u64;
                     return outcome;
                 }
-                self.push_checkpoint(0);
                 0
             }
             Some(depth) => {
@@ -399,10 +419,20 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         });
     }
 
-    /// Commits the cached canonical initial states, mirroring the one-shot
-    /// drivers' pre-layer phase (admission clamp and initial invariant
-    /// checks included). `Some(outcome)` ends the check here.
-    fn commit_initial(&mut self, start: Instant) -> Option<Outcome<M::State>> {
+    /// Starts a check from scratch: forgets everything, commits the cached
+    /// canonical initial states (admission clamp and initial invariant
+    /// checks included), and seals them as checkpoint 0. `Some(outcome)`
+    /// ends the check here.
+    fn start_fresh(&mut self, start: Instant) -> Option<Outcome<M::State>> {
+        if self.initial.is_empty() {
+            return Some(self.core.finish(
+                start,
+                Verdict::Unknown,
+                None,
+                Some(MckError::NoInitialStates),
+            ));
+        }
+        self.reset();
         let state_limit = MckError::StateLimitExceeded {
             limit: self.core.options.max_states,
         };
@@ -434,36 +464,40 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 );
             }
         }
+        self.push_checkpoint(0);
         None
     }
 
-    /// Drives layers from the current frontier to an outcome, sealing a
-    /// checkpoint after every fully-expanded layer.
-    fn explore(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
+    /// Drives layers from the current frontier to an outcome — serially or
+    /// through the parallel engine, by the effective thread count.
+    fn explore<R: SharedResolver + ?Sized>(
+        &mut self,
+        start: Instant,
+        resolver: &R,
+    ) -> Outcome<M::State> {
         if self.threads > 1 {
-            loop {
-                let result = self.run_layer_parallel(start, resolver);
-                match result {
-                    LayerResult::Finished(outcome) => return *outcome,
-                    LayerResult::Done(touches) => self.seal_layer(touches),
-                }
+            return self.drive(|s| s.run_layer_parallel(start, resolver));
+        }
+        // One worker resolver for the whole check, seeded with the previous
+        // check's name cache and drained back when the check ends.
+        let mut worker = resolver.worker_seeded(self.engine.pop_name_cache());
+        let log = (!self.core.one_shot).then_some(resolver);
+        let outcome = self.drive(|s| s.run_layer_serial(start, &mut *worker, log));
+        self.engine.push_name_cache(worker.take_name_cache());
+        outcome
+    }
+
+    /// Expands layers with `layer` until one ends the check, sealing a
+    /// checkpoint after every fully-expanded layer.
+    fn drive(
+        &mut self,
+        mut layer: impl FnMut(&mut Self) -> LayerResult<M::State>,
+    ) -> Outcome<M::State> {
+        loop {
+            match layer(self) {
+                LayerResult::Finished(outcome) => return *outcome,
+                LayerResult::Done(touches) => self.seal_layer(touches),
             }
-        } else {
-            // One worker resolver for the whole check, exactly like the
-            // one-shot serial driver — seeded with the previous check's
-            // name cache and drained back when the check ends.
-            let mut worker = resolver.worker_seeded(self.engine.pop_name_cache());
-            let outcome = loop {
-                let result = self.run_layer_serial(start, resolver, &mut *worker);
-                match result {
-                    LayerResult::Finished(outcome) => break *outcome,
-                    LayerResult::Done(touches) => self.seal_layer(touches),
-                }
-            };
-            let cache = worker.take_name_cache();
-            drop(worker);
-            self.engine.push_name_cache(cache);
-            outcome
         }
     }
 
@@ -477,53 +511,63 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         self.push_checkpoint(frontier_end);
     }
 
-    /// Expands the frontier layer in place, in the one-shot serial driver's
-    /// exact order — including its mid-layer fail-fast behaviour — while
-    /// recording the layer's hole-touch log.
-    fn run_layer_serial(
+    /// Expands the frontier layer in place, in BFS order — including
+    /// mid-layer fail-fast.
+    ///
+    /// With `log` present the layer's hole-touch log is recorded, and the
+    /// resolver registers the worker's deferred hole discoveries at the
+    /// layer boundary (in this single worker's consultation order, which
+    /// *is* the serial order) so the log names them by id. A one-shot check
+    /// passes `None`: its checkpoints are never resumed, so it records
+    /// nothing and leaves deferred discoveries with the worker.
+    fn run_layer_serial<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
-        resolver: &dyn SessionResolver,
         worker: &mut dyn HoleResolver,
+        log: Option<&R>,
     ) -> LayerResult<M::State> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
         if f0 == f1 {
             return LayerResult::Finished(Box::new(self.core.analyze(start, None)));
         }
-        let state_limit = MckError::StateLimitExceeded {
-            limit: self.core.options.max_states,
-        };
         let mut touches_log: Vec<LayerTouch> = Vec::new();
         let mut fresh_log: Vec<u32> = Vec::new();
         let mut fresh_concrete_log: Vec<(u32, u16)> = Vec::new();
+        // Resolutions made anywhere while expanding one state; a deadlock
+        // verdict depends on all of them (they decided that every rule
+        // declined to fire).
+        let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
 
-        for i in 0..(f1 - f0) {
-            let sid = f0 + i;
-            // What the serial driver's rolling queue holds when popping this
-            // state: everything committed but not yet expanded.
+        for sid in f0..f1 {
+            // What a rolling BFS queue would hold when popping this state:
+            // everything committed but not yet expanded.
             self.core.stats.peak_queue =
                 self.core.stats.peak_queue.max(self.core.states.len() - sid);
             let state = self.core.states[sid].clone();
             let mut any_next = false;
             let mut any_blocked = false;
-            let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
+            expansion_touches.clear();
 
             for (ri, rule) in self.core.model.rules().iter().enumerate() {
                 worker.begin_application();
                 let outcome = rule.apply(&state, worker);
-                let app_touches = worker.application_touches().to_vec();
-                for &(hole, action) in &app_touches {
-                    touches_log.push((hole, Some(action)));
-                }
-                for &wildcard in worker.application_wildcards() {
-                    match wildcard {
-                        WildcardTouch::Known(hole) => touches_log.push((hole, None)),
-                        WildcardTouch::Fresh(index) => fresh_log.push(index),
+                let app_touches = worker.application_touches();
+                expansion_touches.extend_from_slice(app_touches);
+                if log.is_some() {
+                    touches_log.extend(
+                        app_touches
+                            .iter()
+                            .map(|&(hole, action)| (hole, Some(action))),
+                    );
+                    for &wildcard in worker.application_wildcards() {
+                        match wildcard {
+                            WildcardTouch::Known(hole) => touches_log.push((hole, None)),
+                            WildcardTouch::Fresh(index) => fresh_log.push(index),
+                        }
                     }
+                    fresh_concrete_log.extend_from_slice(worker.application_fresh_touches());
                 }
-                fresh_concrete_log.extend_from_slice(worker.application_fresh_touches());
-                expansion_touches.extend_from_slice(&app_touches);
 
                 match outcome {
                     RuleOutcome::Disabled => {}
@@ -541,16 +585,19 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                             Some(id) => (id, false),
                             None => {
                                 if self.core.states.len() >= self.core.options.max_states {
-                                    // Same admission clamp, same sequence
-                                    // point, as the one-shot drivers.
-                                    return LayerResult::Finished(Box::new(
-                                        self.core.analyze(start, Some(state_limit)),
-                                    ));
+                                    // The admission clamp: refuse the state
+                                    // before inspecting it, so the committed
+                                    // store never outgrows `max_states`.
+                                    let limit = self.core.options.max_states;
+                                    return LayerResult::Finished(Box::new(self.core.analyze(
+                                        start,
+                                        Some(MckError::StateLimitExceeded { limit }),
+                                    )));
                                 }
                                 let nid = self.core.commit(
                                     next,
                                     Some((sid as StateId, ri as u32)),
-                                    &app_touches,
+                                    worker.application_touches(),
                                 );
                                 self.engine.insert_committed(hash, nid);
                                 (nid, true)
@@ -582,6 +629,9 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 }
             }
 
+            // A state with no successors is a deadlock — unless a wildcard
+            // aborted some branch, in which case we cannot tell (the aborted
+            // branch might have provided an exit).
             if !any_next && !any_blocked && self.core.options.deadlock == DeadlockPolicy::Disallow {
                 let failure = Failure {
                     kind: FailureKind::Deadlock,
@@ -598,18 +648,18 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             }
         }
 
-        // Layer fully expanded: register deferred discoveries (in this
-        // single worker's consultation order, which *is* the serial order)
-        // and resolve the fresh wildcard and fresh concrete touches to their
-        // new ids.
-        let specs = worker.take_pending_discoveries();
-        if !specs.is_empty() || !fresh_log.is_empty() || !fresh_concrete_log.is_empty() {
-            let ids = resolver.commit_discoveries(&specs);
-            for &index in &fresh_log {
-                touches_log.push((ids[index as usize], None));
-            }
-            for &(index, action) in &fresh_concrete_log {
-                touches_log.push((ids[index as usize], Some(action)));
+        // Layer fully expanded: register deferred discoveries and resolve the
+        // fresh wildcard and fresh concrete touches to their new ids.
+        if let Some(resolver) = log {
+            let specs = worker.take_pending_discoveries();
+            if !specs.is_empty() || !fresh_log.is_empty() || !fresh_concrete_log.is_empty() {
+                let ids = resolver.commit_discoveries(&specs);
+                for &index in &fresh_log {
+                    touches_log.push((ids[index as usize], None));
+                }
+                for &(index, action) in &fresh_concrete_log {
+                    touches_log.push((ids[index as usize], Some(action)));
+                }
             }
         }
         touches_log.sort_unstable();
@@ -617,15 +667,14 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         LayerResult::Done(touches_log)
     }
 
-    /// Expands the frontier layer through the shared parallel engine, then
-    /// replays the records deterministically — the identical discipline to
-    /// the one-shot parallel driver, with the layer's hole-touch log
+    /// Expands the frontier layer through the parallel engine, then replays
+    /// the records deterministically, with the layer's hole-touch log
     /// derived from the *replayed* records (discarded consultations never
     /// reach a checkpoint log).
-    fn run_layer_parallel(
+    fn run_layer_parallel<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
-        resolver: &dyn SessionResolver,
+        resolver: &R,
     ) -> LayerResult<M::State> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
@@ -640,7 +689,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             start,
             f0,
             chunks,
-            Some(&mut touches_log),
+            &mut touches_log,
         ) {
             Ok(()) => {
                 touches_log.sort_unstable();
@@ -654,6 +703,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests_support::assert_same_outcome;
     use super::super::{Checker, CheckerOptions};
     use super::*;
     use crate::eval::{Choice, HoleSpec, NoHoles, SharedResolver};
@@ -762,25 +812,6 @@ mod tests {
         b.finish()
     }
 
-    fn assert_outcomes_match(session: &Outcome<u8>, fresh: &Outcome<u8>, what: &str) {
-        assert_eq!(session.verdict(), fresh.verdict(), "{what}: verdict");
-        assert_eq!(session.stats(), fresh.stats(), "{what}: stats");
-        match (session.failure(), fresh.failure()) {
-            (None, None) => {}
-            (Some(s), Some(f)) => {
-                assert_eq!(s.kind, f.kind, "{what}: failure kind");
-                assert_eq!(s.property, f.property, "{what}: property");
-                assert_eq!(s.touched, f.touched, "{what}: touched");
-                assert_eq!(
-                    format!("{:?}", s.trace),
-                    format!("{:?}", f.trace),
-                    "{what}: trace"
-                );
-            }
-            (s, f) => panic!("{what}: failure presence diverged: {s:?} vs {f:?}"),
-        }
-    }
-
     #[test]
     fn repeated_identical_checks_reuse_everything() {
         let model = layered_model();
@@ -790,7 +821,7 @@ mod tests {
         let first = session.check(&resolver);
         let expanded_after_first = session.stats().states_expanded;
         let second = session.check(&resolver);
-        assert_outcomes_match(&second, &first, "identical re-check");
+        assert_same_outcome(&second, &first, "identical re-check");
         assert_eq!(
             session.stats().states_expanded,
             expanded_after_first,
@@ -811,7 +842,7 @@ mod tests {
         let out_a = session.check(&a);
         let fresh_b = checker.session(&model).check(&b);
         let out_b = session.check(&b);
-        assert_outcomes_match(&out_b, &fresh_b, "deep-change re-check");
+        assert_same_outcome(&out_b, &fresh_b, "deep-change re-check");
         assert!(out_a.is_success());
         assert!(
             session.stats().layers_reused >= 3,
@@ -831,7 +862,7 @@ mod tests {
         assert!(out_a.is_success());
         let fresh_b = checker.session(&model).check(&b);
         let out_b = session.check(&b);
-        assert_outcomes_match(&out_b, &fresh_b, "shallow-change re-check");
+        assert_same_outcome(&out_b, &fresh_b, "shallow-change re-check");
     }
 
     #[test]
@@ -846,11 +877,11 @@ mod tests {
         let fresh_bad = checker.session(&model).check(&bad);
         let session_bad = session.check(&bad);
         assert_eq!(session_bad.verdict(), Verdict::Failure);
-        assert_outcomes_match(&session_bad, &fresh_bad, "failing candidate");
+        assert_same_outcome(&session_bad, &fresh_bad, "failing candidate");
         // And flipping back still matches a fresh success.
         let fresh_good = checker.session(&model).check(&good);
         let session_good = session.check(&good);
-        assert_outcomes_match(&session_good, &fresh_good, "back to good");
+        assert_same_outcome(&session_good, &fresh_good, "back to good");
     }
 
     #[test]
@@ -867,7 +898,7 @@ mod tests {
         let concrete = TableResolver::new(vec![Some(0), Some(0)]);
         let fresh = checker.session(&model).check(&concrete);
         let resumed = session.check(&concrete);
-        assert_outcomes_match(&resumed, &fresh, "wildcard-then-concrete");
+        assert_same_outcome(&resumed, &fresh, "wildcard-then-concrete");
         assert!(resumed.is_success());
     }
 
@@ -893,7 +924,7 @@ mod tests {
                     .session(&model)
                     .check(&resolver);
                 let reused = session.check(&resolver);
-                assert_outcomes_match(&reused, &fresh, &format!("{threads} threads {answers:?}"));
+                assert_same_outcome(&reused, &fresh, &format!("{threads} threads {answers:?}"));
             }
         }
     }
@@ -919,12 +950,12 @@ mod tests {
             .session(&model)
             .check(&bumped);
         let parallel = session.check(&bumped);
-        assert_outcomes_match(&parallel, &fresh, "after set_threads(4)");
+        assert_same_outcome(&parallel, &fresh, "after set_threads(4)");
 
         session.set_threads(1);
         assert_eq!(session.threads(), 1);
         let back = session.check(&resolver);
-        assert_outcomes_match(&back, &serial, "back to serial");
+        assert_same_outcome(&back, &serial, "back to serial");
     }
 
     #[test]

@@ -290,7 +290,7 @@ pub trait SharedResolver: Sync {
     /// replay actually consumed this layer, deduplicated by hole id. Called
     /// by parallel drivers once per replayed layer; together with
     /// [`SharedResolver::expansion_worker`] this makes a strategy's touch
-    /// log identical to what the serial driver would have recorded, even on
+    /// log identical to what the serial loop would have recorded, even on
     /// layers the replay cuts short. The default is a no-op.
     fn note_replayed_touches(&self, touches: &[(usize, u16)]) {
         let _ = touches;

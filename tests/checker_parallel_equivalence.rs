@@ -1,12 +1,15 @@
-//! Property-based equivalence tests for the parallel checker: for every
-//! model, resolver, and thread count, the layer-synchronized parallel
-//! driver must be indistinguishable from the serial driver — same verdict,
-//! same full `Stats` (states, transitions, wildcard hits, depth, and even
-//! the peak-queue counter, which the replay reconstructs exactly), and the
-//! same minimal counterexample. Mirrors `tests/synthesis_equivalence.rs`
-//! one layer down.
+//! Property-based equivalence tests for the checker: for every model,
+//! resolver, and thread count, a check — the session's serial layer loop at
+//! one thread, the layer-synchronized parallel engine above — must be
+//! indistinguishable from the reference serial BFS
+//! (`verc3::mck::checker::reference`), an independent queue-driven
+//! implementation: same verdict, same full `Stats` (states, transitions,
+//! wildcard hits, depth, and even the peak-queue counter, which both layer
+//! loops reconstruct exactly), and the same minimal counterexample. Mirrors
+//! `tests/synthesis_equivalence.rs` one layer down.
 
 use proptest::prelude::*;
+use verc3::mck::checker::reference::Bfs;
 use verc3::mck::{
     Checker, CheckerOptions, FixedResolver, GraphModel, Outcome, SharedResolver, TransitionSystem,
     Verdict,
@@ -17,34 +20,41 @@ use verc3::protocols::vi::{ViConfig, ViModel};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// The reference BFS outcome of `model` under `options`, resolving holes
+/// through one worker of `resolver`.
+fn reference<M: TransitionSystem>(
+    model: &M,
+    resolver: &dyn SharedResolver,
+    options: &CheckerOptions,
+) -> Outcome<M::State> {
+    Bfs::new(model, options, &mut *resolver.worker()).explore()
+}
+
 /// Runs `model` at every thread count and asserts all outcomes match the
-/// serial (1-thread) outcome, field by field.
+/// reference BFS outcome, field by field.
 fn assert_thread_invariant<M: TransitionSystem>(
     model: &M,
     resolver: &dyn SharedResolver,
     options: CheckerOptions,
 ) -> Verdict {
-    // `clamp_threads(false)`: the suite must exercise real multi-threaded
-    // interleavings even on single-core CI shards, where the availability
-    // clamp would silently collapse every run to the serial path.
-    let run = |threads: usize| -> Outcome<M::State> {
-        Checker::new(options.clone().threads(threads).clamp_threads(false))
-            .run_shared(model, resolver)
-    };
-    let serial = run(THREAD_COUNTS[0]);
-    for &threads in &THREAD_COUNTS[1..] {
-        let par = run(threads);
+    let want = reference(model, resolver, &options);
+    for threads in THREAD_COUNTS {
+        // `clamp_threads(false)`: the suite must exercise real multi-threaded
+        // interleavings even on single-core CI shards, where the availability
+        // clamp would silently collapse every run to the serial loop.
+        let got = Checker::new(options.clone().threads(threads).clamp_threads(false))
+            .run_shared(model, resolver);
         assert_eq!(
-            serial.verdict(),
-            par.verdict(),
+            want.verdict(),
+            got.verdict(),
             "verdict diverged at {threads} threads"
         );
         assert_eq!(
-            serial.stats(),
-            par.stats(),
+            want.stats(),
+            got.stats(),
             "stats diverged at {threads} threads"
         );
-        match (serial.failure(), par.failure()) {
+        match (want.failure(), got.failure()) {
             (None, None) => {}
             (Some(s), Some(p)) => {
                 assert_eq!(s.kind, p.kind, "failure kind at {threads} threads");
@@ -61,10 +71,10 @@ fn assert_thread_invariant<M: TransitionSystem>(
                     "counterexample trace at {threads} threads"
                 );
             }
-            (s, p) => panic!("failure presence diverged: serial={s:?} parallel={p:?}"),
+            (s, p) => panic!("failure presence diverged: reference={s:?} t{threads}={p:?}"),
         }
     }
-    serial.verdict()
+    want.verdict()
 }
 
 /// Deterministic candidate for a graph model: hole `i` gets action
@@ -120,7 +130,7 @@ proptest! {
         );
         // Admission clamping: the committed store may never outgrow the cap,
         // at any thread count (the stats equality above extends this from
-        // the serial run to all of them).
+        // the reference run to all of them).
         let out = Checker::new(CheckerOptions::default().allow_deadlock().max_states(cap))
             .run_shared(&model, &resolver);
         prop_assert!(out.stats().states_visited <= cap, "cap {cap} overshot");
@@ -180,7 +190,7 @@ fn msi_data_values_is_thread_invariant() {
 /// frontier state crosses a chunk boundary), and the claim table's stripe
 /// count forced to 1 (every parked claim contends on a single mutex). None
 /// of it may show through: verdicts, full stats, traces, and touched sets
-/// stay bit-identical to serial on success, failure, deadlock, and
+/// stay bit-identical to the reference on success, failure, deadlock, and
 /// state-capped runs alike.
 #[test]
 fn adversarial_interleavings_are_thread_invariant() {
@@ -189,19 +199,19 @@ fn adversarial_interleavings_are_thread_invariant() {
     for seed in [7u64, 77, 777, 7777] {
         let model = GraphModel::random(seed, 6, 3);
         let resolver = graph_resolver(&model, seed, seed % 16);
+        let want = reference(&model, &resolver, &CheckerOptions::default());
         for threads in [3usize, 16] {
-            let serial = Checker::new(CheckerOptions::default()).run_shared(&model, &resolver);
-            let par = Checker::new(
+            let got = Checker::new(
                 stress(CheckerOptions::default())
                     .threads(threads)
                     .clamp_threads(false),
             )
             .run_shared(&model, &resolver);
-            assert_eq!(serial.verdict(), par.verdict(), "seed {seed} t{threads}");
-            assert_eq!(serial.stats(), par.stats(), "seed {seed} t{threads}");
+            assert_eq!(want.verdict(), got.verdict(), "seed {seed} t{threads}");
+            assert_eq!(want.stats(), got.stats(), "seed {seed} t{threads}");
             assert_eq!(
-                format!("{:?}", serial.failure()),
-                format!("{:?}", par.failure()),
+                format!("{:?}", want.failure()),
+                format!("{:?}", got.failure()),
                 "seed {seed} t{threads}"
             );
         }

@@ -1,20 +1,23 @@
 //! Property-based equivalence tests for [`verc3::mck::CheckSession`]: a
 //! sequence of `session.check` calls must be observationally identical —
 //! verdict, full `Stats`, failure attribution, counterexample trace — to a
-//! fresh one-shot checker run per candidate, whatever order the candidates
-//! arrive in (shared-prefix, disjoint, or random) and at any thread count.
+//! fresh run per candidate, whatever order the candidates arrive in
+//! (shared-prefix, disjoint, or random) and at any thread count.
 //!
-//! The one-shot oracle is [`Checker::run_shared`], which still uses the
-//! original serial/parallel drivers — so these tests compare two
-//! *independent* implementations, not a driver against itself. A second
+//! The fresh-run oracle is the reference serial BFS
+//! (`verc3::mck::checker::reference`), the original queue-driven driver
+//! every production check used to run on — so these tests compare two
+//! *independent* implementations, not the session against itself. A second
 //! group holds the session-based synthesis loop
 //! ([`SynthOptions::reuse_sessions`]) bit-identical to the
-//! per-candidate-restart loop.
+//! per-candidate-restart loop, which checks each candidate on a fresh
+//! session.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use verc3::mck::{Checker, CheckerOptions, GraphModel, Outcome, Verdict};
+use verc3::mck::checker::reference::Bfs;
+use verc3::mck::{Checker, CheckerOptions, GraphModel, Outcome, SharedResolver, Verdict};
 use verc3::synth::{
     DiscoveryDefault, HoleRegistry, PatternMode, SharedCandidateResolver, SynthOptions,
     SynthReport, Synthesizer,
@@ -113,7 +116,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The core tentpole property: random models × mutated candidates ×
-    /// threads {1, 4} × shared-prefix/disjoint orders, session vs one-shot.
+    /// threads {1, 2, 4, 8} × shared-prefix/disjoint orders, session vs the
+    /// reference BFS.
     #[test]
     fn session_check_sequences_match_fresh_runs(
         seed in 0u64..10_000,
@@ -125,14 +129,14 @@ proptest! {
             let registry = HoleRegistry::new();
             let radices = register_holes(&model, &registry);
             let candidates = candidate_sequence(&radices, seq_seed, 8);
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4, 8] {
                 // Clamp off: the 4-thread leg must stay multi-threaded even
                 // on single-core CI shards.
                 let options = CheckerOptions::default().threads(threads).clamp_threads(false);
                 let mut session = Checker::new(options.clone()).session(&model);
                 for (i, digits) in candidates.iter().enumerate() {
                     let resolver = SharedCandidateResolver::new(&registry, digits, default);
-                    let fresh = Checker::new(options.clone()).run_shared(&model, &resolver);
+                    let fresh = Bfs::new(&model, &options, &mut *resolver.worker()).explore();
                     let reused = session.check(&resolver);
                     assert_outcomes_match(
                         &reused,
@@ -247,7 +251,7 @@ fn named_solutions(report: &SynthReport) -> std::collections::BTreeSet<Vec<(Stri
 
 /// Non-proptest spot check: a session sequence over the worked example at 4
 /// checker threads lands the paper's unique solution with identical stats
-/// to one-shot runs.
+/// to reference runs.
 #[test]
 fn worked_example_session_matches_one_shot_at_4_threads() {
     let model = GraphModel::worked_example();
@@ -262,7 +266,7 @@ fn worked_example_session_matches_one_shot_at_4_threads() {
     loop {
         let resolver =
             SharedCandidateResolver::new(&registry, &digits, DiscoveryDefault::ActionZero);
-        let fresh = Checker::new(options.clone()).run_shared(&model, &resolver);
+        let fresh = Bfs::new(&model, &options, &mut *resolver.worker()).explore();
         let reused = session.check(&resolver);
         assert_outcomes_match(&reused, &fresh, &format!("candidate {digits:?}"));
         // Advance the odometer (least significant digit fastest).
