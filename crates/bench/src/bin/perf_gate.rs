@@ -33,6 +33,10 @@
 //!   four shards on msi_xl (with an absolute floor: cross-shard pattern
 //!   exchange must never cost evaluations). Evaluation counts, so runner
 //!   speed divides out here too.
+//! * `BENCH_zoo.json` — the hand-written/spec wall ratio of the msi_small
+//!   golden-candidate verification (1 / `interp_overhead`), with an
+//!   absolute floor: the spec front-end may cost at most 4× hand-written
+//!   MSI on the identical state space.
 //!
 //! The parallelism gates additionally enforce an **absolute floor**
 //! (independent of the baseline, which may have been recorded on a
@@ -44,7 +48,7 @@
 //! carries the enforcement.
 //!
 //! The JSON files are the benches' own flat `[{...}, ...]` emissions; the
-//! scanner below parses exactly that shape (flat objects, string or number
+//! scanner below parses exactly that shape (flat objects, string, number or null
 //! values) so the workspace needs no serde dependency.
 
 use std::collections::HashMap;
@@ -55,13 +59,16 @@ use std::process::ExitCode;
 enum Value {
     Num(f64),
     Str(String),
+    /// `null`: a column a row does not have (e.g. a spec with no synthesis
+    /// golden in BENCH_zoo.json).
+    Null,
 }
 
 impl Value {
     fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(x) => Some(*x),
-            Value::Str(_) => None,
+            Value::Str(_) | Value::Null => None,
         }
     }
 }
@@ -128,11 +135,13 @@ fn parse_rows(path: &Path) -> Vec<Row> {
                             {
                                 s.push(chars.next().expect("peeked").1);
                             }
-                            Value::Num(
-                                s.trim()
-                                    .parse::<f64>()
-                                    .unwrap_or_else(|_| fail("non-numeric value", vi)),
-                            )
+                            match s.trim() {
+                                "null" => Value::Null,
+                                s => Value::Num(
+                                    s.parse::<f64>()
+                                        .unwrap_or_else(|_| fail("non-numeric value", vi)),
+                                ),
+                            }
                         }
                         None => fail("truncated value", vi),
                     };
@@ -254,7 +263,7 @@ fn guided_probes(rows: &[Row], strategy: &str) -> f64 {
     )
 }
 
-const GATES: [Gate; 10] = [
+const GATES: [Gate; 11] = [
     Gate {
         file: "BENCH_journal.json",
         name: "journal_overhead: unjournaled/journaled wall ratio, msi_large",
@@ -394,6 +403,22 @@ const GATES: [Gate; 10] = [
         // asserts the strict reduction; the gate pins it never regresses
         // to exchange-negative).
         floor: Some(1.0),
+        min_cores: 1,
+    },
+    Gate {
+        file: "BENCH_zoo.json",
+        name: "spec_zoo: hand-written/spec wall ratio, msi_small verification",
+        extract: |rows| {
+            let overhead = pinned(
+                rows,
+                &[("spec", Value::Str("interp_overhead".into()))],
+                "overhead",
+                "spec_zoo",
+            );
+            1.0 / overhead.max(1e-9)
+        },
+        // The spec front-end may cost at most 4x hand-written MSI.
+        floor: Some(0.25),
         min_cores: 1,
     },
 ];

@@ -3,7 +3,7 @@
 //! The parser resolves nothing: `Field(Var("CacheState"), "I")` may be an
 //! enum literal, `Index(Var("DirState"), e)` an enum cast, `Call("send", …)`
 //! a spec-level fn or a builtin. The compiler in [`crate::interp`] resolves
-//! names against the declared types and produces typed, slot-addressed IR.
+//! names against the declared types and produces typed, offset-resolved IR.
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,9 +3,10 @@
 //! Everything that can go wrong while reading a spec — malformed TOML, a
 //! syntax error in an expression, an unknown variable, a duplicate hole, a
 //! non-equivariant symmetry annotation — is reported as an [`InvalidSpec`]
-//! value. Loading never panics: panics are reserved for *runtime* type
-//! confusion inside a candidate evaluation, which the checker's
-//! panic-isolation layer already quarantines.
+//! value. Loading never panics: panics are reserved for failed *runtime*
+//! checks inside a candidate evaluation (an index out of range, `get` on
+//! `none`, int overflow), which the checker's panic-isolation layer
+//! already quarantines.
 
 use std::fmt;
 

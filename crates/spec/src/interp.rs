@@ -1,22 +1,29 @@
-//! Compiler and interpreter: raw declarations → slot-addressed IR →
+//! Compiler and evaluator: raw declarations → offset-resolved IR →
 //! [`SpecModel`], a [`TransitionSystem`] over [`SpecState`].
 //!
 //! # Compilation
 //!
-//! [`compile`] resolves every name statically — variables and locals to
-//! slots, record fields to indices, enum variants and library actions to
-//! constants, holes to registry positions — and reports unresolvable or
-//! ill-typed constructs as structured [`InvalidSpec`] errors. After a spec
-//! loads successfully, the interpreter can only fail on genuine runtime
-//! type confusion (e.g. `get(none)`), which panics; the checker's
-//! panic-isolation quarantines such candidates instead of crashing the run.
+//! The compiler resolves every name statically — variables and record
+//! fields to byte offsets in the [layout](crate::layout), locals to offsets
+//! in a per-rule byte frame, enum variants and library actions to constants,
+//! holes to registry positions — and reports unresolvable or ill-typed
+//! constructs as structured [`InvalidSpec`] errors. A place compiles to a
+//! static offset plus index × stride steps; only a place behind a multiset
+//! needs a dynamic skip. After a spec loads, the evaluator can only fail a
+//! runtime check — an array index ≥ n, an enum cast out of range, int
+//! arithmetic outside `0..=255`, a pidset pid past `DIR`, `get(none)` —
+//! and those panic; the checker's panic isolation quarantines such
+//! candidates instead of crashing the run.
 //!
 //! # Execution semantics
 //!
-//! A rule body executes against a copy-on-write next state: reads go to the
-//! pending next state once one exists, otherwise to the current state; the
-//! first mutation clones. A body that completes without mutating yields a
-//! self-loop (`Next(current)`), matching hand-written terminal rules.
+//! A rule body runs against a copy-on-write next state: reads go to the
+//! current state until the first write copies it (one memcpy into a reused
+//! buffer). A body that completes without writing yields a self-loop
+//! (`Next(current)`), matching hand-written terminal rules. Locals and
+//! temporaries live in a per-thread byte frame that is reused, not
+//! reallocated or cleared, between calls: every local is written before it
+//! is read.
 //!
 //! `require` with a false operand disables the rule. `choose` consults its
 //! hole; a wildcard sets a *blocked* flag but execution continues through
@@ -26,16 +33,20 @@
 //! [`RuleOutcome::Blocked`] at the first non-`choose` statement (or at the
 //! end of the body).
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use verc3_mck::eval::{Choice, HoleResolver, HoleSpec};
 use verc3_mck::scalarset::Symmetric;
-use verc3_mck::{Multiset, Property, Rule, RuleOutcome, TransitionSystem};
+use verc3_mck::{Property, Rule, RuleOutcome, TransitionSystem};
 
 use crate::ast::{BinOp, Expr, LValue, PathSeg, Stmt, UnOp};
 use crate::error::InvalidSpec;
+use crate::layout::{
+    copy_bytes, multi_count, multi_search, pidset_width, push_word, read_word, write_word, Laid,
+    PermProgram, Shape, SpecState,
+};
 use crate::spec::{Binder, BinderDomain, FnBody, PropKind, RawRule, RawSpec, TypeRef};
-use crate::value::{SpecState, Value};
 
 // ---- Compiled form ---------------------------------------------------------
 
@@ -45,35 +56,39 @@ pub(crate) struct CHole {
     pub spec: HoleSpec,
 }
 
-/// A compiled statement body with its local-slot count.
+/// A compiled statement body with its frame size in bytes.
 pub(crate) struct CBody {
-    pub nlocals: usize,
+    pub frame: usize,
     pub stmts: Vec<CStmt>,
 }
 
 /// One expanded rule instance: an interpolated name, a shared body, and the
-/// binder values to preload into the body's first local slots.
+/// binder values to preload into the first bytes of the body's frame.
 pub(crate) struct CRuleInstance {
     pub name: String,
     pub body: usize,
-    pub prelude: Vec<(usize, Value)>,
+    pub prelude: Vec<u8>,
 }
 
 /// A compiled property predicate.
 pub(crate) struct CProp {
     pub kind: PropKind,
     pub name: String,
-    pub nlocals: usize,
+    pub frame: usize,
     pub expr: CExpr,
 }
 
 /// The fully compiled protocol: everything [`SpecModel`] needs at runtime.
 pub(crate) struct CompiledSpec {
     pub name: String,
+    /// The largest frame any body or property needs; temporaries go
+    /// after it.
+    pub max_frame: usize,
     pub pids: usize,
     pub symmetry: bool,
     pub holes: Vec<CHole>,
     pub initial: SpecState,
+    pub perm: PermProgram,
     pub bodies: Vec<CBody>,
     pub rules: Vec<CRuleInstance>,
     pub props: Vec<CProp>,
@@ -87,81 +102,195 @@ pub(crate) enum Quant {
     Exists,
 }
 
-/// Typed, slot-addressed expressions.
+/// How an operand's value is carried.
+#[derive(Debug, Clone)]
+pub(crate) enum Width {
+    /// A scalar this many bytes wide, evaluated to a word.
+    Word(usize),
+    /// A composite of this many bytes, evaluated to an address.
+    Fixed(usize),
+    /// A composite whose size depends on a multiset inside it.
+    Var(Box<Shape>),
+}
+
+/// An operand together with how its value is carried.
+#[derive(Debug, Clone)]
+pub(crate) struct CArg {
+    pub expr: CExpr,
+    pub width: Width,
+}
+
+/// Typed, offset-resolved expressions. Scalar nodes evaluate to a word;
+/// composite nodes (`Place`, `Record`, `Some_`, `Zeros`, `Find`) to the
+/// address of their bytes.
 #[derive(Debug, Clone)]
 pub(crate) enum CExpr {
-    Bool(bool),
-    Int(u8),
-    Pid(u8),
-    EnumLit(u8, u8),
-    NoneLit,
-    Global(usize),
-    Local(usize),
-    Field(Box<CExpr>, usize),
-    IndexArr(Box<CExpr>, Box<CExpr>),
-    EnumCast(u8, u8, Box<CExpr>),
-    Unary(UnOp, Box<CExpr>),
-    Binary(BinOp, Box<CExpr>, Box<CExpr>),
-    InList(Box<CExpr>, Vec<CExpr>),
-    Record(Vec<CExpr>),
-    Some_(Box<CExpr>),
-    IsSome(Box<CExpr>),
-    IsNone(Box<CExpr>),
-    Get(Box<CExpr>),
-    Len(Box<CExpr>),
+    /// A scalar constant (bool, int, pid, enum variant, pidset bits).
+    Lit(u32),
+    /// The byte at a static offset of the state.
+    StateByte(usize),
+    /// The byte at a static offset of the frame.
+    FrameByte(usize),
+    /// A scalar of the given width at a computed address.
+    Load(Box<CAddr>, usize),
+    EnumCast(u32, Box<CExpr>),
+    Not(Box<CExpr>),
+    And(Box<CExpr>, Box<CExpr>),
+    Or(Box<CExpr>, Box<CExpr>),
+    Add(Box<CExpr>, Box<CExpr>),
+    Sub(Box<CExpr>, Box<CExpr>),
+    /// `==`, `!=` or an ordering on two words.
+    Cmp(BinOp, Box<CExpr>, Box<CExpr>),
+    /// Byte equality of two composites (`ne` negates).
+    SameBytes {
+        l: Box<CArg>,
+        r: Box<CArg>,
+        ne: bool,
+    },
+    InList(Box<CArg>, Vec<CArg>),
+    Len(Box<CExpr>, Box<Shape>),
     Card(Box<CExpr>),
     Contains(Box<CExpr>, Box<CExpr>),
     With(Box<CExpr>, Box<CExpr>),
     Without(Box<CExpr>, Box<CExpr>),
-    EmptyPidSet,
     SatSub(Box<CExpr>, Box<CExpr>),
-    Find {
-        ms: Box<CExpr>,
-        to: Box<CExpr>,
-        kind: Box<CExpr>,
-        rank: Box<CExpr>,
-        to_field: usize,
-        kind_field: usize,
-    },
     Quantifier {
         quant: Quant,
-        slot: usize,
+        off: usize,
         body: Box<CExpr>,
     },
+    /// A composite read in place.
+    Place(Box<CAddr>),
+    /// A record constructor; `size` is `None` for variable-size records.
+    Record(Vec<CArg>, Option<usize>),
+    Some_(Box<CArg>),
+    /// `none`: a zero tag and the zero fill, this many bytes in all.
+    Zeros(usize),
+    Find(Box<CFind>),
 }
 
-/// The root of an assignable place.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CPlaceBase {
-    Global(usize),
+/// `find(ms, to, kind, rank)`: the rank-th element of a multiset of
+/// records whose `to` and `kind` fields match.
+#[derive(Debug, Clone)]
+pub(crate) struct CFind {
+    ms: CExpr,
+    fields: Arc<[Shape]>,
+    to: CArg,
+    kind: CArg,
+    rank: CExpr,
+    to_field: usize,
+    kind_field: usize,
+    /// `[element size, to offset, kind offset]` when the record has a
+    /// fixed size and both selectors are one byte wide.
+    fixed: Option<[usize; 3]>,
+    /// Length of the zero fill behind a `none` result.
+    fill: usize,
+}
+
+/// An address: a root, a static displacement, then any dynamic steps.
+#[derive(Debug, Clone)]
+pub(crate) struct CAddr {
+    pub root: Root,
+    pub off: usize,
+    pub steps: Vec<Step>,
+}
+
+impl CAddr {
+    fn at(root: Root) -> Self {
+        CAddr {
+            root,
+            off: 0,
+            steps: Vec::new(),
+        }
+    }
+
+    /// Adds a static displacement: to `off` while no dynamic step precedes
+    /// it, so static places need no step list.
+    fn push_off(&mut self, k: usize) {
+        match self.steps.last_mut() {
+            None => self.off += k,
+            Some(Step::Off(j)) => *j += k,
+            Some(_) if k > 0 => self.steps.push(Step::Off(k)),
+            Some(_) => {}
+        }
+    }
+
+    /// Steps from the start of a record (or of the state) to field `idx`.
+    fn field(&mut self, fields: &[Shape], idx: usize) {
+        for f in &fields[..idx] {
+            match f.size {
+                Some(s) => self.push_off(s),
+                None => self.steps.push(Step::Over(f.clone())),
+            }
+        }
+    }
+}
+
+/// Where an address starts.
+#[derive(Debug, Clone)]
+pub(crate) enum Root {
+    /// Offset 0 of the state.
+    State,
+    /// A fixed-size local at this frame offset.
     Local(usize),
+    /// A variable-size local: the frame offset of a `u32` pointing at its
+    /// bytes further up the frame.
+    LocalVar(usize, Box<Shape>),
+    /// A constructed composite, built into the frame.
+    Value(Box<CExpr>),
 }
 
-/// One step of a compiled place path.
+/// One step of an address.
 #[derive(Debug, Clone)]
-pub(crate) enum CPath {
-    Field(usize),
-    Index(CExpr),
-}
-
-/// A compiled assignable place.
-#[derive(Debug, Clone)]
-pub(crate) struct CPlace {
-    pub base: CPlaceBase,
-    pub path: Vec<CPath>,
+pub(crate) enum Step {
+    /// A static displacement.
+    Off(usize),
+    /// `index × stride`, with `index < n` checked.
+    Index(CExpr, usize),
+    /// Skip `index` variable-size elements, with `index < n` checked.
+    IndexVar(CExpr, Box<Shape>),
+    /// Skip one variable-size value.
+    Over(Shape),
+    /// Step into an option's payload, which must be `some`.
+    Unwrap,
 }
 
 /// Compiled statements.
 #[derive(Debug, Clone)]
 pub(crate) enum CStmt {
     Require(CExpr),
-    SetLocal(usize, CExpr),
-    Choose { local: usize, hole: usize },
-    Assign { place: CPlace, value: CExpr },
-    Insert { place: CPlace, value: CExpr },
-    Remove { place: CPlace, value: CExpr },
+    /// Store into a fixed-size local at this frame offset.
+    SetLocal(usize, CArg),
+    /// Store into a variable-size local whose pointer sits at this offset.
+    SetLocalVar(usize, CArg),
+    /// `let x = find(…)` into a fixed-size local: the result is written in
+    /// place.
+    FindInto(usize, Box<CFind>),
+    Choose {
+        off: usize,
+        hole: usize,
+    },
+    Assign {
+        place: CAddr,
+        value: CArg,
+    },
+    Insert {
+        place: CAddr,
+        elem: Box<Shape>,
+        value: CArg,
+    },
+    Remove {
+        place: CAddr,
+        elem: Box<Shape>,
+        value: CArg,
+    },
     If(Vec<(CExpr, Vec<CStmt>)>, Vec<CStmt>),
-    ForPids { local: usize, body: Vec<CStmt> },
+    /// An inlined statement fn.
+    Block(Vec<CStmt>),
+    ForPids {
+        off: usize,
+        body: Vec<CStmt>,
+    },
 }
 
 // ---- Compiler --------------------------------------------------------------
@@ -169,6 +298,7 @@ pub(crate) enum CStmt {
 /// Compiles validated raw declarations into executable form.
 pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
     let n = raw.pids;
+    let records = record_shapes(&raw)?;
     let holes: Vec<CHole> = raw
         .holes
         .iter()
@@ -178,13 +308,14 @@ pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
         })
         .collect();
 
-    let initial = SpecState {
-        vars: raw
-            .vars
-            .iter()
-            .map(|(_, t)| default_value(t, &raw, n))
-            .collect(),
+    let mut shapes = Shapes {
+        records,
+        vars: Vec::new(),
+        n,
     };
+    shapes.vars = raw.vars.iter().map(|(_, t)| shapes.of(t)).collect();
+    let initial = SpecState::from_bytes(vec![0; shapes.vars.iter().map(Shape::zero_len).sum()]);
+    let perm = PermProgram::new(&shapes.vars, n);
 
     let mut bodies = Vec::new();
     let mut rules = Vec::new();
@@ -197,20 +328,21 @@ pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
             .collect();
         let body_base = bodies.len();
         for rule in &rs.rules {
-            bodies.push(compile_rule_body(&raw, &holes, rule, &binder_frame)?);
+            bodies.push(compile_rule_body(
+                &raw,
+                &shapes,
+                &holes,
+                rule,
+                &binder_frame,
+            )?);
         }
+        let patterns: Vec<String> = rs.binds.iter().map(|b| format!("{{{}}}", b.name)).collect();
         for combo in binder_combos(&rs.binds, n) {
             for (ri, rule) in rs.rules.iter().enumerate() {
-                let name = interpolate(&rule.name_template, &rs.binds, &combo, &raw);
-                let prelude = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, v)| (slot, v.clone()))
-                    .collect();
                 rules.push(CRuleInstance {
-                    name,
+                    name: interpolate(&rule.name_template, &rs.binds, &patterns, &combo, &raw),
                     body: body_base + ri,
-                    prelude,
+                    prelude: combo.clone(),
                 });
             }
         }
@@ -218,7 +350,8 @@ pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
 
     let mut props = Vec::new();
     for p in &raw.props {
-        let mut c = Compiler::new(&raw, &holes, format!("property {}", p.name));
+        let mut c = Compiler::new(&raw, &shapes, &holes, format!("property {}", p.name));
+        c.scopes.push(Vec::new());
         let (expr, ty) = c.expr(&p.expr)?;
         if !ty.compatible(&TypeRef::Bool) {
             return Err(c.type_err("property expression must be boolean"));
@@ -226,21 +359,154 @@ pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
         props.push(CProp {
             kind: p.kind,
             name: p.name.clone(),
-            nlocals: c.nlocals,
+            frame: c.frame,
             expr,
         });
     }
 
+    let max_frame = bodies
+        .iter()
+        .map(|b| b.frame)
+        .chain(props.iter().map(|p| p.frame))
+        .max()
+        .unwrap_or(0);
     Ok(CompiledSpec {
         name: raw.name.clone(),
+        max_frame,
         pids: n,
         symmetry: raw.symmetry,
         holes,
         initial,
+        perm,
         bodies,
         rules,
         props,
     })
+}
+
+/// Declared-type layouts, computed once: records, state variables, and the
+/// scalarset size.
+struct Shapes {
+    records: Vec<Shape>,
+    vars: Vec<Shape>,
+    n: usize,
+}
+
+impl Shapes {
+    fn of(&self, t: &TypeRef) -> Shape {
+        match t {
+            TypeRef::Bool | TypeRef::Int | TypeRef::Enum(_) => Shape::byte(),
+            TypeRef::Pid => Shape::pid(),
+            TypeRef::PidSet => Shape::pidset(self.n),
+            TypeRef::Record(r) => self.records[*r].clone(),
+            TypeRef::Option(inner) => Shape::opt(self.of(inner)),
+            TypeRef::Multiset(inner) => Shape::multi(self.of(inner)),
+            TypeRef::Array(inner) => Shape::array(self.of(inner), self.n),
+            // `none`'s payload: no bytes.
+            TypeRef::Unknown => Shape::record(Vec::new()),
+        }
+    }
+
+    /// `self.of(t).size`, without building the shape.
+    fn size(&self, t: &TypeRef) -> Option<usize> {
+        match t {
+            TypeRef::Bool | TypeRef::Int | TypeRef::Enum(_) | TypeRef::Pid => Some(1),
+            TypeRef::PidSet => Some(pidset_width(self.n)),
+            TypeRef::Record(r) => self.records[*r].size,
+            TypeRef::Option(inner) => self.size(inner).map(|s| s + 1),
+            TypeRef::Multiset(_) => None,
+            TypeRef::Array(inner) => self.size(inner).map(|s| s * self.n),
+            TypeRef::Unknown => Some(0),
+        }
+    }
+
+    fn width(&self, t: &TypeRef) -> Width {
+        match (t, self.size(t)) {
+            (TypeRef::PidSet, _) => Width::Word(pidset_width(self.n)),
+            (t, _) if is_scalar(t) => Width::Word(1),
+            (_, Some(s)) => Width::Fixed(s),
+            (t, None) => Width::Var(Box::new(self.of(t))),
+        }
+    }
+}
+
+fn is_scalar(t: &TypeRef) -> bool {
+    matches!(
+        t,
+        TypeRef::Bool | TypeRef::Int | TypeRef::Pid | TypeRef::PidSet | TypeRef::Enum(_)
+    )
+}
+
+fn contains_unknown(t: &TypeRef) -> bool {
+    match t {
+        TypeRef::Unknown => true,
+        TypeRef::Option(i) | TypeRef::Multiset(i) | TypeRef::Array(i) => contains_unknown(i),
+        _ => false,
+    }
+}
+
+/// The most specific type compatible with both: `none`'s payload takes the
+/// other side's.
+fn unify(a: &TypeRef, b: &TypeRef) -> TypeRef {
+    match (a, b) {
+        (TypeRef::Unknown, t) | (t, TypeRef::Unknown) => t.clone(),
+        (TypeRef::Option(x), TypeRef::Option(y)) => TypeRef::Option(Box::new(unify(x, y))),
+        _ => a.clone(),
+    }
+}
+
+/// Every record's layout, rejecting records that contain themselves: a
+/// fixed layout cannot hold them (not even behind an option, whose `none`
+/// is zero-filled).
+fn record_shapes(raw: &RawSpec) -> Result<Vec<Shape>, InvalidSpec> {
+    fn build(
+        r: usize,
+        raw: &RawSpec,
+        done: &mut Vec<Option<Shape>>,
+        visiting: &mut Vec<bool>,
+    ) -> Result<Shape, InvalidSpec> {
+        if let Some(s) = &done[r] {
+            return Ok(s.clone());
+        }
+        if visiting[r] {
+            return Err(InvalidSpec::Type {
+                context: format!("[records.{}]", raw.records[r].name),
+                message: "a record cannot contain itself".into(),
+            });
+        }
+        visiting[r] = true;
+        let mut fields = Vec::new();
+        for (_, t) in &raw.records[r].fields {
+            fields.push(of(t, raw, done, visiting)?);
+        }
+        let shape = Shape::record(fields);
+        done[r] = Some(shape.clone());
+        Ok(shape)
+    }
+    fn of(
+        t: &TypeRef,
+        raw: &RawSpec,
+        done: &mut Vec<Option<Shape>>,
+        visiting: &mut Vec<bool>,
+    ) -> Result<Shape, InvalidSpec> {
+        Ok(match t {
+            TypeRef::Record(r) => build(*r, raw, done, visiting)?,
+            TypeRef::Option(i) => Shape::opt(of(i, raw, done, visiting)?),
+            TypeRef::Multiset(i) => Shape::multi(of(i, raw, done, visiting)?),
+            TypeRef::Array(i) => Shape::array(of(i, raw, done, visiting)?, raw.pids),
+            t => Shapes {
+                records: Vec::new(),
+                vars: Vec::new(),
+                n: raw.pids,
+            }
+            .of(t),
+        })
+    }
+    let mut done = vec![None; raw.records.len()];
+    let mut visiting = vec![false; raw.records.len()];
+    (0..raw.records.len())
+        .map(|r| build(r, raw, &mut done, &mut visiting))
+        .collect()
 }
 
 fn binder_type(d: &BinderDomain) -> TypeRef {
@@ -251,23 +517,20 @@ fn binder_type(d: &BinderDomain) -> TypeRef {
     }
 }
 
-/// All binder-value combinations: first binder varies slowest, matching the
-/// outermost loop of an equivalent hand-written nest.
-fn binder_combos(binds: &[Binder], n: usize) -> Vec<Vec<Value>> {
+/// All binder-value combinations (one byte per binder): first binder varies
+/// slowest, matching the outermost loop of an equivalent hand-written nest.
+fn binder_combos(binds: &[Binder], n: usize) -> Vec<Vec<u8>> {
     let mut out = vec![Vec::new()];
     for b in binds {
-        let dom: Vec<Value> = match &b.domain {
-            BinderDomain::Pid => (0..n).map(|i| Value::Pid(i as u8)).collect(),
-            BinderDomain::Rank => (0..n).map(|i| Value::Int(i as u8)).collect(),
-            BinderDomain::EnumSubset(e, vs) => {
-                vs.iter().map(|v| Value::Enum(*e as u8, *v)).collect()
-            }
+        let dom: Vec<u8> = match &b.domain {
+            BinderDomain::Pid | BinderDomain::Rank => (0..n as u8).collect(),
+            BinderDomain::EnumSubset(_, vs) => vs.clone(),
         };
         let mut next = Vec::with_capacity(out.len() * dom.len());
         for prefix in &out {
-            for v in &dom {
+            for &v in &dom {
                 let mut p = prefix.clone();
-                p.push(v.clone());
+                p.push(v);
                 next.push(p);
             }
         }
@@ -276,72 +539,83 @@ fn binder_combos(binds: &[Binder], n: usize) -> Vec<Vec<Value>> {
     out
 }
 
-fn interpolate(template: &str, binds: &[Binder], combo: &[Value], raw: &RawSpec) -> String {
+/// Substitutes each binder's `{name}` pattern, in binder order, with its
+/// value in `combo`.
+fn interpolate(
+    template: &str,
+    binds: &[Binder],
+    patterns: &[String],
+    combo: &[u8],
+    raw: &RawSpec,
+) -> String {
     let mut name = template.to_string();
-    for (b, v) in binds.iter().zip(combo) {
-        let rendered = match v {
-            Value::Pid(i) | Value::Int(i) => i.to_string(),
-            Value::Enum(e, var) => raw.enums[*e as usize].variants[*var as usize].clone(),
-            other => format!("{other:?}"),
+    for ((b, pattern), &v) in binds.iter().zip(patterns).zip(combo) {
+        if !name.contains(pattern.as_str()) {
+            continue;
+        }
+        name = match &b.domain {
+            BinderDomain::Pid | BinderDomain::Rank => name.replace(pattern, &v.to_string()),
+            BinderDomain::EnumSubset(e, _) => {
+                name.replace(pattern, &raw.enums[*e].variants[v as usize])
+            }
         };
-        name = name.replace(&format!("{{{}}}", b.name), &rendered);
     }
     name
 }
 
 fn compile_rule_body(
     raw: &RawSpec,
+    shapes: &Shapes,
     holes: &[CHole],
     rule: &RawRule,
     binder_frame: &[(String, usize, TypeRef)],
 ) -> Result<CBody, InvalidSpec> {
-    let mut c = Compiler::new(raw, holes, format!("rule {}", rule.name_template));
-    c.nlocals = binder_frame.len();
+    let mut c = Compiler::new(raw, shapes, holes, format!("rule {}", rule.name_template));
+    c.frame = binder_frame.len();
     c.scopes.push(binder_frame.to_vec());
     let stmts = c.stmts(&rule.body)?;
     Ok(CBody {
-        nlocals: c.nlocals,
+        frame: c.frame,
         stmts,
     })
 }
 
-fn default_value(t: &TypeRef, raw: &RawSpec, n: usize) -> Value {
-    match t {
-        TypeRef::Bool => Value::Bool(false),
-        TypeRef::Int => Value::Int(0),
-        TypeRef::Pid => Value::Pid(0),
-        TypeRef::PidSet => Value::PidSet(0),
-        TypeRef::Enum(e) => Value::Enum(*e as u8, 0),
-        TypeRef::Option(_) => Value::Opt(None),
-        TypeRef::Multiset(_) => Value::Multi(Multiset::new()),
-        TypeRef::Array(elem) => Value::Array((0..n).map(|_| default_value(elem, raw, n)).collect()),
-        TypeRef::Record(r) => Value::Record(
-            raw.records[*r]
-                .fields
-                .iter()
-                .map(|(_, ft)| default_value(ft, raw, n))
-                .collect(),
-        ),
-        TypeRef::Unknown => Value::Opt(None),
+/// The address of a composite: a place's own, or the frame copy a
+/// constructor builds.
+fn place_of(e: CExpr) -> CAddr {
+    match e {
+        CExpr::Place(a) => *a,
+        other => CAddr::at(Root::Value(Box::new(other))),
+    }
+}
+
+/// A scalar read; one-byte reads at static offsets get their own nodes.
+fn load(addr: CAddr, width: usize) -> CExpr {
+    match (width, &addr.root, addr.steps.is_empty()) {
+        (1, Root::State, true) => CExpr::StateByte(addr.off),
+        (1, Root::Local(o), true) => CExpr::FrameByte(o + addr.off),
+        _ => CExpr::Load(Box::new(addr), width),
     }
 }
 
 struct Compiler<'r> {
     raw: &'r RawSpec,
+    shapes: &'r Shapes,
     holes: &'r [CHole],
     scopes: Vec<Vec<(String, usize, TypeRef)>>,
-    nlocals: usize,
+    frame: usize,
     fn_stack: Vec<String>,
     ctx: String,
 }
 
 impl<'r> Compiler<'r> {
-    fn new(raw: &'r RawSpec, holes: &'r [CHole], ctx: String) -> Self {
+    fn new(raw: &'r RawSpec, shapes: &'r Shapes, holes: &'r [CHole], ctx: String) -> Self {
         Compiler {
             raw,
+            shapes,
             holes,
             scopes: Vec::new(),
-            nlocals: 0,
+            frame: 0,
             fn_stack: Vec::new(),
             ctx,
         }
@@ -361,25 +635,69 @@ impl<'r> Compiler<'r> {
         }
     }
 
+    /// Reserves frame bytes for a fresh local (a `u32` pointer when its
+    /// type has no fixed size) without binding a name.
+    fn reserve(&mut self, ty: &TypeRef) -> usize {
+        let off = self.frame;
+        self.frame += self.shapes.size(ty).unwrap_or(4);
+        off
+    }
+
     fn alloc(&mut self, name: &str, ty: TypeRef) -> usize {
-        let slot = self.nlocals;
-        self.nlocals += 1;
+        let off = self.reserve(&ty);
+        self.bind(name, off, ty);
+        off
+    }
+
+    /// Makes `name` visible in the innermost scope.
+    fn bind(&mut self, name: &str, off: usize, ty: TypeRef) {
         self.scopes
             .last_mut()
             .expect("a scope frame is active")
-            .push((name.to_string(), slot, ty));
-        slot
+            .push((name.to_string(), off, ty));
+    }
+
+    /// `true` when `name` is a local or a state variable (checked without
+    /// cloning its type).
+    fn is_value(&self, name: &str) -> bool {
+        self.scopes
+            .iter()
+            .any(|f| f.iter().any(|(n, _, _)| n == name))
+            || self.raw.vars.iter().any(|(n, _)| n == name)
     }
 
     fn lookup_local(&self, name: &str) -> Option<(usize, TypeRef)> {
         for frame in self.scopes.iter().rev() {
-            for (n, slot, ty) in frame.iter().rev() {
+            for (n, off, ty) in frame.iter().rev() {
                 if n == name {
-                    return Some((*slot, ty.clone()));
+                    return Some((*off, ty.clone()));
                 }
             }
         }
         None
+    }
+
+    fn local_root(&self, off: usize, ty: &TypeRef) -> Root {
+        match self.shapes.size(ty) {
+            Some(_) => Root::Local(off),
+            None => Root::LocalVar(off, Box::new(self.shapes.of(ty))),
+        }
+    }
+
+    /// A store of `value` into a fresh local at `off`.
+    fn set_local(&self, off: usize, value: CExpr, ty: &TypeRef) -> CStmt {
+        let arg = self.arg(value, ty);
+        match (arg.width, arg.expr) {
+            (Width::Fixed(_), CExpr::Find(find)) => CStmt::FindInto(off, find),
+            (Width::Var(shape), expr) => CStmt::SetLocalVar(
+                off,
+                CArg {
+                    expr,
+                    width: Width::Var(shape),
+                },
+            ),
+            (width, expr) => CStmt::SetLocal(off, CArg { expr, width }),
+        }
     }
 
     fn global_idx(&self, name: &str) -> Option<(usize, TypeRef)> {
@@ -388,6 +706,12 @@ impl<'r> Compiler<'r> {
             .iter()
             .position(|(n, _)| n == name)
             .map(|i| (i, self.raw.vars[i].1.clone()))
+    }
+
+    fn var_addr(&self, v: usize) -> CAddr {
+        let mut addr = CAddr::at(Root::State);
+        addr.field(&self.shapes.vars, v);
+        addr
     }
 
     fn enum_idx(&self, name: &str) -> Option<usize> {
@@ -410,13 +734,170 @@ impl<'r> Compiler<'r> {
             .map(|(_, v)| *v)
     }
 
+    fn arg(&self, expr: CExpr, ty: &TypeRef) -> CArg {
+        CArg {
+            expr,
+            width: self.shapes.width(ty),
+        }
+    }
+
+    /// A scalar load or an in-place composite read of `addr` at type `ty`.
+    fn finish(&self, addr: CAddr, ty: &TypeRef) -> CExpr {
+        match ty {
+            TypeRef::PidSet => load(addr, pidset_width(self.shapes.n)),
+            t if is_scalar(t) => load(addr, 1),
+            _ => CExpr::Place(Box::new(addr)),
+        }
+    }
+
+    /// `true` when `base` names an enum (or, with `libs`, an action
+    /// library) rather than a value: `Enum.Variant`, `lib.action` and
+    /// `Enum[i]` are constants and casts, not places.
+    fn type_prefix(&self, base: &Expr, libs: bool) -> bool {
+        matches!(base, Expr::Var(t) if !self.is_value(t)
+            && (self.enum_idx(t).is_some() || libs && self.lib_idx(t).is_some()))
+    }
+
+    /// Compiles a place chain (variable, `.field`, `[index]`, `get`) to
+    /// one address without boxing its links; any other composite is built
+    /// into the frame.
+    fn addr_of(&mut self, e: &Expr) -> Result<(CAddr, TypeRef), InvalidSpec> {
+        match e {
+            Expr::Var(name) => {
+                if let Some((off, ty)) = self.lookup_local(name) {
+                    return Ok((CAddr::at(self.local_root(off, &ty)), ty));
+                }
+                if self.const_val(name).is_none() {
+                    if let Some((v, ty)) = self.global_idx(name) {
+                        return Ok((self.var_addr(v), ty));
+                    }
+                }
+            }
+            Expr::Field(base, fname) if !self.type_prefix(base, true) => {
+                return self.field_addr(base, fname);
+            }
+            Expr::Index(base, idx) if !self.type_prefix(base, false) => {
+                return self.index_addr(base, idx);
+            }
+            Expr::Call(name, args) if name == "get" && args.len() == 1 => {
+                return self.unwrap_of(&args[0]);
+            }
+            _ => {}
+        }
+        let (c, ty) = self.expr(e)?;
+        Ok((place_of(c), ty))
+    }
+
+    /// The address of `base.fname`, `base` being no enum or library.
+    fn field_addr(&mut self, base: &Expr, fname: &str) -> Result<(CAddr, TypeRef), InvalidSpec> {
+        let (mut addr, bty) = self.addr_of(base)?;
+        let TypeRef::Record(r) = bty else {
+            return Err(self.type_err(format!("`.{fname}` on a non-record value")));
+        };
+        let idx = self.raw.records[r]
+            .fields
+            .iter()
+            .position(|(n, _)| n == fname)
+            .ok_or_else(|| self.unknown(fname))?;
+        self.field(&mut addr, r, idx);
+        Ok((addr, self.raw.records[r].fields[idx].1.clone()))
+    }
+
+    /// The address of `base[idx]`, `base` being no enum.
+    fn index_addr(&mut self, base: &Expr, idx: &Expr) -> Result<(CAddr, TypeRef), InvalidSpec> {
+        let (mut addr, bty) = self.addr_of(base)?;
+        let TypeRef::Array(elem) = bty else {
+            return Err(self.type_err("`[…]` on a non-array value"));
+        };
+        let (ci, ity) = self.expr(idx)?;
+        if !ity.compatible(&TypeRef::Pid) && !ity.compatible(&TypeRef::Int) {
+            return Err(self.type_err("array index must be a pid or int"));
+        }
+        self.index(&mut addr, ci, &elem);
+        Ok((addr, *elem))
+    }
+
+    /// The address of `get(x)`'s payload.
+    fn unwrap_of(&mut self, x: &Expr) -> Result<(CAddr, TypeRef), InvalidSpec> {
+        let (mut addr, ty) = self.addr_of(x)?;
+        let TypeRef::Option(inner) = ty else {
+            return Err(self.type_err("`get` needs an option"));
+        };
+        addr.steps.push(Step::Unwrap);
+        Ok((addr, *inner))
+    }
+
+    /// Steps into field `idx` of record `r`.
+    fn field(&self, addr: &mut CAddr, r: usize, idx: usize) {
+        let crate::layout::Kind::Record(fields) = &self.shapes.records[r].kind else {
+            unreachable!("record shapes are records")
+        };
+        addr.field(fields, idx);
+    }
+
+    /// Steps into element `idx` of a pid-indexed array of `elem`.
+    fn index(&self, addr: &mut CAddr, idx: CExpr, elem: &TypeRef) {
+        addr.steps.push(match self.shapes.size(elem) {
+            Some(s) => Step::Index(idx, s),
+            None => Step::IndexVar(idx, Box::new(self.shapes.of(elem))),
+        });
+    }
+
+    /// Re-lays a `none`-bearing literal at a concrete type. Only literals
+    /// can have such types: `let` rejects them, so no place holds one.
+    fn retype(&self, c: CExpr, have: &TypeRef, want: &TypeRef) -> Result<CExpr, InvalidSpec> {
+        if !contains_unknown(have) || contains_unknown(want) && have == want {
+            return Ok(c);
+        }
+        match (c, have, want) {
+            (CExpr::Zeros(_), _, TypeRef::Option(inner)) => {
+                Ok(CExpr::Zeros(1 + self.shapes.of(inner).zero_len()))
+            }
+            (CExpr::Some_(arg), TypeRef::Option(hi), TypeRef::Option(wi)) => {
+                let inner = self.retype(arg.expr, hi, wi)?;
+                Ok(CExpr::Some_(Box::new(self.arg(inner, wi))))
+            }
+            // `get(none)`: the unwrap panics before any read.
+            (CExpr::Place(addr), TypeRef::Unknown, _) => Ok(self.finish(*addr, want)),
+            (c, _, TypeRef::Unknown) => Ok(c),
+            _ => Err(self.type_err("cannot infer the type of `none` here")),
+        }
+    }
+
+    /// Coerces a compile-time integer literal to a pid where a pid-typed
+    /// position expects one, and lays `none` literals out at the expected
+    /// type. Only literals coerce: a runtime `int` is not a `pid`.
+    fn coerce(
+        &self,
+        c: CExpr,
+        have: TypeRef,
+        want: &TypeRef,
+    ) -> Result<(CExpr, TypeRef), InvalidSpec> {
+        if let (CExpr::Lit(_), TypeRef::Int, TypeRef::Pid) = (&c, &have, want) {
+            return Ok((c, TypeRef::Pid));
+        }
+        if contains_unknown(&have) && have.compatible(want) {
+            return Ok((self.retype(c, &have, want)?, want.clone()));
+        }
+        Ok((c, have))
+    }
+
     // ---- Statements --------------------------------------------------------
 
     fn stmts(&mut self, body: &[Stmt]) -> Result<Vec<CStmt>, InvalidSpec> {
         self.scopes.push(Vec::new());
-        let result = body.iter().map(|s| self.stmt(s)).collect();
+        let mut out = Vec::with_capacity(body.len());
+        let result = self.stmts_into(body, &mut out);
         self.scopes.pop();
-        result
+        result.map(|()| out)
+    }
+
+    /// Compiles `body` onto the end of `out`, in the current scope.
+    fn stmts_into(&mut self, body: &[Stmt], out: &mut Vec<CStmt>) -> Result<(), InvalidSpec> {
+        for s in body {
+            out.push(self.stmt(s)?);
+        }
+        Ok(())
     }
 
     fn stmt(&mut self, s: &Stmt) -> Result<CStmt, InvalidSpec> {
@@ -430,8 +911,15 @@ impl<'r> Compiler<'r> {
             }
             Stmt::Let(name, e) => {
                 let (ce, ty) = self.expr(e)?;
-                let slot = self.alloc(name, ty);
-                Ok(CStmt::SetLocal(slot, ce))
+                if contains_unknown(&ty) {
+                    return Err(
+                        self.type_err(format!("cannot infer the type of `none` in `let {name}`"))
+                    );
+                }
+                let off = self.reserve(&ty);
+                let st = self.set_local(off, ce, &ty);
+                self.bind(name, off, ty);
+                Ok(st)
             }
             Stmt::Choose(name, hole_name) => {
                 let hole = self
@@ -439,19 +927,22 @@ impl<'r> Compiler<'r> {
                     .iter()
                     .position(|h| h.name == *hole_name)
                     .ok_or_else(|| self.unknown(hole_name))?;
-                let slot = self.alloc(name, TypeRef::Int);
-                Ok(CStmt::Choose { local: slot, hole })
+                let off = self.alloc(name, TypeRef::Int);
+                Ok(CStmt::Choose { off, hole })
             }
             Stmt::Assign(lv, e) => {
                 let (ce, vty) = self.expr(e)?;
                 let (place, pty) = self.lvalue_place(lv)?;
-                let (ce, vty) = coerce(ce, vty, &pty);
+                let (ce, vty) = self.coerce(ce, vty, &pty)?;
                 if !vty.compatible(&pty) {
                     return Err(
                         self.type_err(format!("assignment to `{}` has a mismatched type", lv.base))
                     );
                 }
-                Ok(CStmt::Assign { place, value: ce })
+                Ok(CStmt::Assign {
+                    place,
+                    value: self.arg(ce, &pty),
+                })
             }
             Stmt::If(arms, else_) => {
                 let mut carms = Vec::new();
@@ -467,13 +958,11 @@ impl<'r> Compiler<'r> {
             }
             Stmt::ForPids(name, body) => {
                 self.scopes.push(Vec::new());
-                let slot = self.alloc(name, TypeRef::Pid);
-                let cbody = body.iter().map(|s| self.stmt(s)).collect::<Result<_, _>>();
+                let off = self.alloc(name, TypeRef::Pid);
+                let mut cbody = Vec::with_capacity(body.len());
+                let result = self.stmts_into(body, &mut cbody);
                 self.scopes.pop();
-                Ok(CStmt::ForPids {
-                    local: slot,
-                    body: cbody?,
-                })
+                result.map(|()| CStmt::ForPids { off, body: cbody })
             }
             Stmt::Call(name, args) => self.stmt_call(name, args),
         }
@@ -493,10 +982,13 @@ impl<'r> Compiler<'r> {
                 if !vty.compatible(&elem) {
                     return Err(self.type_err(format!("`{name}` element type mismatch")));
                 }
+                let cv = self.retype(cv, &vty, &elem)?;
+                let value = self.arg(cv, &elem);
+                let elem = Box::new(self.shapes.of(&elem));
                 if name == "insert" {
-                    Ok(CStmt::Insert { place, value: cv })
+                    Ok(CStmt::Insert { place, elem, value })
                 } else {
-                    Ok(CStmt::Remove { place, value: cv })
+                    Ok(CStmt::Remove { place, elem, value })
                 }
             }
             _ => {
@@ -521,51 +1013,47 @@ impl<'r> Compiler<'r> {
                         args.len()
                     )));
                 }
-                // Inline: evaluate args into fresh slots in the caller's
+                // Inline: evaluate args into fresh locals in the caller's
                 // scope, then compile the body against a scope containing
                 // only the parameters (plus globals/consts, which are always
-                // visible). The slot allocator is shared, so inlined locals
+                // visible). The frame allocator is shared, so inlined locals
                 // never collide.
-                let mut out = Vec::new();
-                let mut param_frame = Vec::new();
+                let mut out = Vec::with_capacity(args.len() + body.len());
+                let mut param_frame = Vec::with_capacity(args.len());
                 self.scopes.push(Vec::new());
                 for ((pname, pty), arg) in decl.params.iter().zip(args) {
                     let (ca, aty) = self.expr(arg)?;
-                    let (ca, aty) = coerce(ca, aty, pty);
+                    let (ca, aty) = self.coerce(ca, aty, pty)?;
                     if !aty.compatible(pty) {
                         return Err(self.type_err(format!(
                             "`{name}` argument `{pname}` has a mismatched type"
                         )));
                     }
-                    let slot = self.nlocals;
-                    self.nlocals += 1;
-                    param_frame.push((pname.clone(), slot, pty.clone()));
-                    out.push(CStmt::SetLocal(slot, ca));
+                    let off = self.reserve(pty);
+                    param_frame.push((pname.clone(), off, pty.clone()));
+                    out.push(self.set_local(off, ca, pty));
                 }
                 self.scopes.pop();
-                let saved = std::mem::replace(&mut self.scopes, vec![param_frame]);
+                let saved = std::mem::replace(&mut self.scopes, vec![param_frame, Vec::new()]);
                 self.fn_stack.push(name.to_string());
-                let compiled = self.stmts(body);
+                let compiled = self.stmts_into(body, &mut out);
                 self.fn_stack.pop();
                 self.scopes = saved;
-                out.extend(compiled?);
-                // An inlined fn is a statement sequence; wrap in an `if true`
-                // so it stays a single CStmt.
-                Ok(CStmt::If(vec![(CExpr::Bool(true), out)], Vec::new()))
+                compiled.map(|()| CStmt::Block(out))
             }
         }
     }
 
-    /// Compiles an lvalue (base + path) into a place.
-    fn lvalue_place(&mut self, lv: &LValue) -> Result<(CPlace, TypeRef), InvalidSpec> {
-        let (base, mut ty) = if let Some((slot, ty)) = self.lookup_local(&lv.base) {
-            (CPlaceBase::Local(slot), ty)
-        } else if let Some((slot, ty)) = self.global_idx(&lv.base) {
-            (CPlaceBase::Global(slot), ty)
+    /// Compiles an lvalue (base + path) into an address.
+    fn lvalue_place(&mut self, lv: &LValue) -> Result<(CAddr, TypeRef), InvalidSpec> {
+        let (mut addr, mut ty) = if let Some((off, ty)) = self.lookup_local(&lv.base) {
+            let root = self.local_root(off, &ty);
+            (CAddr::at(root), ty)
+        } else if let Some((v, ty)) = self.global_idx(&lv.base) {
+            (self.var_addr(v), ty)
         } else {
             return Err(self.unknown(&lv.base));
         };
-        let mut path = Vec::new();
         for seg in &lv.path {
             match seg {
                 PathSeg::Field(fname) => {
@@ -580,7 +1068,7 @@ impl<'r> Compiler<'r> {
                         .position(|(n, _)| n == fname)
                         .ok_or_else(|| self.unknown(fname))?;
                     ty = self.raw.records[r].fields[idx].1.clone();
-                    path.push(CPath::Field(idx));
+                    self.field(&mut addr, r, idx);
                 }
                 PathSeg::Index(e) => {
                     let TypeRef::Array(elem) = ty else {
@@ -590,16 +1078,16 @@ impl<'r> Compiler<'r> {
                     if !ity.compatible(&TypeRef::Pid) && !ity.compatible(&TypeRef::Int) {
                         return Err(self.type_err("array index must be a pid or int"));
                     }
+                    self.index(&mut addr, ce, &elem);
                     ty = *elem;
-                    path.push(CPath::Index(ce));
                 }
             }
         }
-        Ok((CPlace { base, path }, ty))
+        Ok((addr, ty))
     }
 
     /// Compiles a place given in expression position (for `insert`/`remove`).
-    fn expr_place(&mut self, e: &Expr) -> Result<(CPlace, TypeRef), InvalidSpec> {
+    fn expr_place(&mut self, e: &Expr) -> Result<(CAddr, TypeRef), InvalidSpec> {
         let lv = expr_to_lvalue(e).ok_or_else(|| {
             self.type_err("expected an assignable place (variable, field, or index)")
         })?;
@@ -613,34 +1101,35 @@ impl<'r> Compiler<'r> {
             Expr::Int(i) => {
                 let v = u8::try_from(*i)
                     .map_err(|_| self.type_err(format!("integer literal {i} out of 0..=255")))?;
-                Ok((CExpr::Int(v), TypeRef::Int))
+                Ok((CExpr::Lit(v as u32), TypeRef::Int))
             }
-            Expr::Bool(b) => Ok((CExpr::Bool(*b), TypeRef::Bool)),
-            Expr::None_ => Ok((CExpr::NoneLit, TypeRef::Option(Box::new(TypeRef::Unknown)))),
-            Expr::Dir => Ok((CExpr::Pid(self.raw.pids as u8), TypeRef::Pid)),
+            Expr::Bool(b) => Ok((CExpr::Lit(*b as u32), TypeRef::Bool)),
+            Expr::None_ => Ok((CExpr::Zeros(1), TypeRef::Option(Box::new(TypeRef::Unknown)))),
+            Expr::Dir => Ok((CExpr::Lit(self.raw.pids as u32), TypeRef::Pid)),
             Expr::Var(name) => {
-                if let Some((slot, ty)) = self.lookup_local(name) {
-                    Ok((CExpr::Local(slot), ty))
+                if let Some((off, ty)) = self.lookup_local(name) {
+                    let addr = CAddr::at(self.local_root(off, &ty));
+                    Ok((self.finish(addr, &ty), ty))
                 } else if let Some(v) = self.const_val(name) {
                     let v = u8::try_from(v)
                         .map_err(|_| self.type_err(format!("const `{name}` out of 0..=255")))?;
-                    Ok((CExpr::Int(v), TypeRef::Int))
-                } else if let Some((slot, ty)) = self.global_idx(name) {
-                    Ok((CExpr::Global(slot), ty))
+                    Ok((CExpr::Lit(v as u32), TypeRef::Int))
+                } else if let Some((v, ty)) = self.global_idx(name) {
+                    Ok((self.finish(self.var_addr(v), &ty), ty))
                 } else {
                     Err(self.unknown(name))
                 }
             }
             Expr::Field(base, fname) => {
                 if let Expr::Var(tname) = base.as_ref() {
-                    if self.lookup_local(tname).is_none() && self.global_idx(tname).is_none() {
+                    if !self.is_value(tname) {
                         if let Some(eidx) = self.enum_idx(tname) {
                             let v = self.raw.enums[eidx]
                                 .variants
                                 .iter()
                                 .position(|x| x == fname)
                                 .ok_or_else(|| self.unknown(fname))?;
-                            return Ok((CExpr::EnumLit(eidx as u8, v as u8), TypeRef::Enum(eidx)));
+                            return Ok((CExpr::Lit(v as u32), TypeRef::Enum(eidx)));
                         }
                         if let Some(lidx) = self.lib_idx(tname) {
                             let v = self.raw.libs[lidx]
@@ -648,76 +1137,81 @@ impl<'r> Compiler<'r> {
                                 .iter()
                                 .position(|x| x == fname)
                                 .ok_or_else(|| self.unknown(fname))?;
-                            return Ok((CExpr::Int(v as u8), TypeRef::Int));
+                            return Ok((CExpr::Lit(v as u8 as u32), TypeRef::Int));
                         }
                     }
                 }
-                let (cb, bty) = self.expr(base)?;
-                let TypeRef::Record(r) = bty else {
-                    return Err(self.type_err(format!("`.{fname}` on a non-record value")));
-                };
-                let idx = self.raw.records[r]
-                    .fields
-                    .iter()
-                    .position(|(n, _)| n == fname)
-                    .ok_or_else(|| self.unknown(fname))?;
-                let fty = self.raw.records[r].fields[idx].1.clone();
-                Ok((CExpr::Field(Box::new(cb), idx), fty))
+                let (addr, ty) = self.field_addr(base, fname)?;
+                Ok((self.finish(addr, &ty), ty))
             }
             Expr::Index(base, idx) => {
                 if let Expr::Var(tname) = base.as_ref() {
-                    if self.lookup_local(tname).is_none() && self.global_idx(tname).is_none() {
+                    if !self.is_value(tname) {
                         if let Some(eidx) = self.enum_idx(tname) {
                             let (ci, ity) = self.expr(idx)?;
                             if !ity.compatible(&TypeRef::Int) {
                                 return Err(self.type_err("enum cast index must be an integer"));
                             }
-                            let nvars = self.raw.enums[eidx].variants.len() as u8;
-                            return Ok((
-                                CExpr::EnumCast(eidx as u8, nvars, Box::new(ci)),
-                                TypeRef::Enum(eidx),
-                            ));
+                            let nvars = self.raw.enums[eidx].variants.len() as u32;
+                            return Ok((CExpr::EnumCast(nvars, Box::new(ci)), TypeRef::Enum(eidx)));
                         }
                     }
                 }
-                let (cb, bty) = self.expr(base)?;
-                let TypeRef::Array(elem) = bty else {
-                    return Err(self.type_err("`[…]` on a non-array value"));
-                };
-                let (ci, ity) = self.expr(idx)?;
-                if !ity.compatible(&TypeRef::Pid) && !ity.compatible(&TypeRef::Int) {
-                    return Err(self.type_err("array index must be a pid or int"));
-                }
-                Ok((CExpr::IndexArr(Box::new(cb), Box::new(ci)), *elem))
+                let (addr, ty) = self.index_addr(base, idx)?;
+                Ok((self.finish(addr, &ty), ty))
             }
             Expr::Unary(UnOp::Not, inner) => {
                 let (ci, ty) = self.expr(inner)?;
                 if !ty.compatible(&TypeRef::Bool) {
                     return Err(self.type_err("`!` needs a boolean"));
                 }
-                Ok((CExpr::Unary(UnOp::Not, Box::new(ci)), TypeRef::Bool))
+                Ok((CExpr::Not(Box::new(ci)), TypeRef::Bool))
             }
             Expr::Binary(op, lhs, rhs) => {
                 let (cl, lt) = self.expr(lhs)?;
                 let (cr, rt) = self.expr(rhs)?;
-                let ty = match op {
+                match op {
                     BinOp::And | BinOp::Or => {
                         if !lt.compatible(&TypeRef::Bool) || !rt.compatible(&TypeRef::Bool) {
                             return Err(self.type_err("logical operator needs booleans"));
                         }
-                        TypeRef::Bool
+                        let (l, r) = (Box::new(cl), Box::new(cr));
+                        let c = if *op == BinOp::And {
+                            CExpr::And(l, r)
+                        } else {
+                            CExpr::Or(l, r)
+                        };
+                        Ok((c, TypeRef::Bool))
                     }
                     BinOp::Add | BinOp::Sub => {
                         if !lt.compatible(&TypeRef::Int) || !rt.compatible(&TypeRef::Int) {
                             return Err(self.type_err("arithmetic needs integers"));
                         }
-                        TypeRef::Int
+                        let (l, r) = (Box::new(cl), Box::new(cr));
+                        let c = if *op == BinOp::Add {
+                            CExpr::Add(l, r)
+                        } else {
+                            CExpr::Sub(l, r)
+                        };
+                        Ok((c, TypeRef::Int))
                     }
                     BinOp::Eq | BinOp::Ne => {
                         if !lt.compatible(&rt) {
                             return Err(self.type_err("`==`/`!=` operands have different types"));
                         }
-                        TypeRef::Bool
+                        let ty = unify(&lt, &rt);
+                        let l = self.retype(cl, &lt, &ty)?;
+                        let r = self.retype(cr, &rt, &ty)?;
+                        let c = if is_scalar(&ty) {
+                            CExpr::Cmp(*op, Box::new(l), Box::new(r))
+                        } else {
+                            CExpr::SameBytes {
+                                l: Box::new(self.arg(l, &ty)),
+                                r: Box::new(self.arg(r, &ty)),
+                                ne: *op == BinOp::Ne,
+                            }
+                        };
+                        Ok((c, TypeRef::Bool))
                     }
                     BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         let ints = lt.compatible(&TypeRef::Int) && rt.compatible(&TypeRef::Int);
@@ -725,22 +1219,32 @@ impl<'r> Compiler<'r> {
                         if !ints && !pids {
                             return Err(self.type_err("ordering needs two integers or two pids"));
                         }
-                        TypeRef::Bool
+                        Ok((CExpr::Cmp(*op, Box::new(cl), Box::new(cr)), TypeRef::Bool))
                     }
-                };
-                Ok((CExpr::Binary(*op, Box::new(cl), Box::new(cr)), ty))
+                }
             }
             Expr::InList(scrut, items) => {
                 let (cs, st) = self.expr(scrut)?;
-                let mut citems = Vec::new();
+                let mut typed = Vec::new();
+                let mut ty = st.clone();
                 for it in items {
                     let (ci, it_ty) = self.expr(it)?;
                     if !it_ty.compatible(&st) {
                         return Err(self.type_err("`in […]` item type mismatch"));
                     }
-                    citems.push(ci);
+                    ty = unify(&ty, &it_ty);
+                    typed.push((ci, it_ty));
                 }
-                Ok((CExpr::InList(Box::new(cs), citems), TypeRef::Bool))
+                let cs = self.retype(cs, &st, &ty)?;
+                let mut citems = Vec::new();
+                for (ci, it_ty) in typed {
+                    let ci = self.retype(ci, &it_ty, &ty)?;
+                    citems.push(self.arg(ci, &ty));
+                }
+                Ok((
+                    CExpr::InList(Box::new(self.arg(cs, &ty)), citems),
+                    TypeRef::Bool,
+                ))
             }
             Expr::Call(name, args) => self.expr_call(name, args),
         }
@@ -758,36 +1262,39 @@ impl<'r> Compiler<'r> {
             "some" => {
                 arity(1, self)?;
                 let (ci, ty) = self.expr(&args[0])?;
-                Ok((CExpr::Some_(Box::new(ci)), TypeRef::Option(Box::new(ty))))
+                let arg = self.arg(ci, &ty);
+                Ok((CExpr::Some_(Box::new(arg)), TypeRef::Option(Box::new(ty))))
             }
             "is_some" | "is_none" => {
                 arity(1, self)?;
-                let (ci, ty) = self.expr(&args[0])?;
+                let (addr, ty) = self.addr_of(&args[0])?;
                 if !matches!(ty, TypeRef::Option(_) | TypeRef::Unknown) {
                     return Err(self.type_err(format!("`{name}` needs an option")));
                 }
+                // The tag byte is 1 exactly when the option is `some`.
+                let tag = load(addr, 1);
                 let c = if name == "is_some" {
-                    CExpr::IsSome(Box::new(ci))
+                    tag
                 } else {
-                    CExpr::IsNone(Box::new(ci))
+                    CExpr::Not(Box::new(tag))
                 };
                 Ok((c, TypeRef::Bool))
             }
             "get" => {
                 arity(1, self)?;
-                let (ci, ty) = self.expr(&args[0])?;
-                let TypeRef::Option(inner) = ty else {
-                    return Err(self.type_err("`get` needs an option"));
-                };
-                Ok((CExpr::Get(Box::new(ci)), *inner))
+                let (addr, ty) = self.unwrap_of(&args[0])?;
+                Ok((self.finish(addr, &ty), ty))
             }
             "len" => {
                 arity(1, self)?;
                 let (ci, ty) = self.expr(&args[0])?;
-                if !matches!(ty, TypeRef::Multiset(_)) {
+                let TypeRef::Multiset(elem) = ty else {
                     return Err(self.type_err("`len` needs a multiset"));
-                }
-                Ok((CExpr::Len(Box::new(ci)), TypeRef::Int))
+                };
+                Ok((
+                    CExpr::Len(Box::new(ci), Box::new(self.shapes.of(&elem))),
+                    TypeRef::Int,
+                ))
             }
             "card" => {
                 arity(1, self)?;
@@ -804,16 +1311,17 @@ impl<'r> Compiler<'r> {
                 if !sty.compatible(&TypeRef::PidSet) || !pty.compatible(&TypeRef::Pid) {
                     return Err(self.type_err(format!("`{name}` takes (pidset, pid)")));
                 }
+                let (s, p) = (Box::new(cs), Box::new(cp));
                 let (c, ty) = match name {
-                    "contains" => (CExpr::Contains(Box::new(cs), Box::new(cp)), TypeRef::Bool),
-                    "with" => (CExpr::With(Box::new(cs), Box::new(cp)), TypeRef::PidSet),
-                    _ => (CExpr::Without(Box::new(cs), Box::new(cp)), TypeRef::PidSet),
+                    "contains" => (CExpr::Contains(s, p), TypeRef::Bool),
+                    "with" => (CExpr::With(s, p), TypeRef::PidSet),
+                    _ => (CExpr::Without(s, p), TypeRef::PidSet),
                 };
                 Ok((c, ty))
             }
             "empty_pidset" => {
                 arity(0, self)?;
-                Ok((CExpr::EmptyPidSet, TypeRef::PidSet))
+                Ok((CExpr::Lit(0), TypeRef::PidSet))
             }
             "sat_sub" => {
                 arity(2, self)?;
@@ -849,9 +1357,9 @@ impl<'r> Compiler<'r> {
                 let (to_field, to_ty) = field("to", self)?;
                 let (kind_field, kind_ty) = field("kind", self)?;
                 let (cto, tty) = self.expr(&args[1])?;
-                let (cto, tty) = coerce(cto, tty, &to_ty);
+                let (cto, tty) = self.coerce(cto, tty, &to_ty)?;
                 let (ckind, kty) = self.expr(&args[2])?;
-                let (ckind, kty) = coerce(ckind, kty, &kind_ty);
+                let (ckind, kty) = self.coerce(ckind, kty, &kind_ty)?;
                 let (crank, rty) = self.expr(&args[3])?;
                 if !tty.compatible(&to_ty) || !kty.compatible(&kind_ty) {
                     return Err(self.type_err("`find` selector type mismatch"));
@@ -859,15 +1367,30 @@ impl<'r> Compiler<'r> {
                 if !rty.compatible(&TypeRef::Int) {
                     return Err(self.type_err("`find` rank must be an integer"));
                 }
+                let record = &self.shapes.records[r];
+                let crate::layout::Kind::Record(fields) = &record.kind else {
+                    unreachable!("record shapes are records")
+                };
+                let (to, kind) = (self.arg(cto, &to_ty), self.arg(ckind, &kind_ty));
+                let fixed = match (record.size, &to.width, &kind.width) {
+                    (Some(size), Width::Word(1), Width::Word(1)) => {
+                        let at = |i: usize| fields[..i].iter().filter_map(|f| f.size).sum();
+                        Some([size, at(to_field), at(kind_field)])
+                    }
+                    _ => None,
+                };
                 Ok((
-                    CExpr::Find {
-                        ms: Box::new(cms),
-                        to: Box::new(cto),
-                        kind: Box::new(ckind),
-                        rank: Box::new(crank),
+                    CExpr::Find(Box::new(CFind {
+                        ms: cms,
+                        fields: fields.clone(),
+                        to,
+                        kind,
+                        rank: crank,
                         to_field,
                         kind_field,
-                    },
+                        fixed,
+                        fill: fields.iter().map(Shape::zero_len).sum(),
+                    })),
                     TypeRef::Option(Box::new(TypeRef::Record(r))),
                 ))
             }
@@ -879,7 +1402,7 @@ impl<'r> Compiler<'r> {
                     )));
                 };
                 self.scopes.push(Vec::new());
-                let slot = self.alloc(binder, TypeRef::Pid);
+                let off = self.alloc(binder, TypeRef::Pid);
                 let body = self.expr(&args[1]);
                 self.scopes.pop();
                 let (cb, bty) = body?;
@@ -894,7 +1417,7 @@ impl<'r> Compiler<'r> {
                 Ok((
                     CExpr::Quantifier {
                         quant,
-                        slot,
+                        off,
                         body: Box::new(cb),
                     },
                     ty,
@@ -912,15 +1435,16 @@ impl<'r> Compiler<'r> {
                     let mut cargs = Vec::new();
                     for ((fname, fty), arg) in fields.iter().zip(args) {
                         let (ca, aty) = self.expr(arg)?;
-                        let (ca, aty) = coerce(ca, aty, fty);
+                        let (ca, aty) = self.coerce(ca, aty, fty)?;
                         if !aty.compatible(fty) {
                             return Err(self.type_err(format!(
                                 "`{name}` field `{fname}` has a mismatched type"
                             )));
                         }
-                        cargs.push(ca);
+                        cargs.push(self.arg(ca, fty));
                     }
-                    return Ok((CExpr::Record(cargs), TypeRef::Record(r)));
+                    let size = self.shapes.records[r].size;
+                    return Ok((CExpr::Record(cargs, size), TypeRef::Record(r)));
                 }
                 // Expression fn: inline by substitution. The substituted body
                 // is compiled in the caller's scope, so parameters must not
@@ -961,17 +1485,6 @@ impl<'r> Compiler<'r> {
             }
         }
     }
-}
-
-/// Coerces a compile-time integer literal to a pid constant when a
-/// pid-typed position expects one. Only literals coerce: a runtime `int`
-/// is a different [`Value`] variant from a `pid`, and silently mixing them
-/// would corrupt state equality.
-fn coerce(c: CExpr, have: TypeRef, want: &TypeRef) -> (CExpr, TypeRef) {
-    if let (CExpr::Int(v), TypeRef::Int, TypeRef::Pid) = (&c, &have, want) {
-        return (CExpr::Pid(*v), TypeRef::Pid);
-    }
-    (c, have)
 }
 
 /// Reconstructs an lvalue from a place given in expression position.
@@ -1017,7 +1530,7 @@ fn subst(e: &Expr, map: &std::collections::HashMap<&str, &Expr>) -> Expr {
     }
 }
 
-// ---- Interpreter -----------------------------------------------------------
+// ---- Evaluator -------------------------------------------------------------
 
 enum Flow {
     Cont,
@@ -1025,324 +1538,628 @@ enum Flow {
     Blocked,
 }
 
-struct Env<'a> {
+/// Which buffer an address points into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Buf {
+    /// The readable state: the next state once written, else the current.
+    State,
+    /// The rule's frame: locals, then temporaries.
+    Frame,
+}
+
+/// An evaluated operand: a word, or a byte range.
+#[derive(Debug, Clone, Copy)]
+enum Ext {
+    Word(u32, usize),
+    Bytes(Buf, usize, usize),
+}
+
+/// Per-thread buffers every rule and property call reuses.
+struct Buffers {
+    frame: Vec<u8>,
+    next: Vec<u8>,
+}
+
+thread_local! {
+    static BUFFERS: RefCell<Buffers> = const {
+        RefCell::new(Buffers {
+            frame: Vec::new(),
+            next: Vec::new(),
+        })
+    };
+}
+
+fn int_value(i: i64) -> u32 {
+    assert!(
+        (0..=255).contains(&i),
+        "spec interpreter: integer {i} out of 0..=255"
+    );
+    i as u32
+}
+
+struct Exec<'a> {
     spec: &'a CompiledSpec,
-    cur: &'a SpecState,
-    ns: Option<SpecState>,
+    cur: &'a [u8],
+    next: &'a mut Vec<u8>,
+    written: bool,
+    frame: &'a mut Vec<u8>,
     blocked: bool,
 }
 
-impl Env<'_> {
-    fn state(&self) -> &SpecState {
-        self.ns.as_ref().unwrap_or(self.cur)
+impl Exec<'_> {
+    fn buf(&self, b: Buf) -> &[u8] {
+        match b {
+            Buf::State if self.written => &self.next[..],
+            Buf::State => self.cur,
+            Buf::Frame => &self.frame[..],
+        }
     }
-}
 
-fn as_bool(v: Value) -> bool {
-    match v {
-        Value::Bool(b) => b,
-        other => panic!("spec interpreter: expected bool, got {other:?}"),
+    fn bytes(&self, ext: &Ext) -> &[u8] {
+        match *ext {
+            Ext::Bytes(b, s, e) => &self.buf(b)[s..e],
+            Ext::Word(..) => unreachable!("words are not byte ranges"),
+        }
     }
-}
 
-fn as_i64(v: &Value) -> i64 {
-    match v {
-        Value::Int(i) | Value::Pid(i) => *i as i64,
-        other => panic!("spec interpreter: expected a number, got {other:?}"),
+    fn check_pid_index(&self, i: u32) -> usize {
+        let n = self.spec.pids;
+        assert!(
+            (i as usize) < n,
+            "spec interpreter: index {i} out of bounds for {n} pids"
+        );
+        i as usize
     }
-}
 
-fn as_index(v: &Value) -> usize {
-    match v {
-        Value::Int(i) | Value::Pid(i) => *i as usize,
-        other => panic!("spec interpreter: expected an index, got {other:?}"),
+    fn pidset_bit(&self, p: u32) -> u32 {
+        assert!(
+            p as usize <= self.spec.pids,
+            "spec interpreter: pid {p} is past DIR in a pidset"
+        );
+        1 << p
     }
-}
 
-fn int_value(i: i64) -> Value {
-    match u8::try_from(i) {
-        Ok(v) => Value::Int(v),
-        Err(_) => panic!("spec interpreter: integer {i} out of 0..=255"),
+    /// Makes the next state writable: the first write copies the current
+    /// state into the reused buffer.
+    fn own(&mut self) {
+        if !self.written {
+            self.next.clear();
+            self.next.extend_from_slice(self.cur);
+            self.written = true;
+        }
     }
-}
 
-fn eval(env: &Env, locals: &mut Vec<Value>, e: &CExpr) -> Value {
-    match e {
-        CExpr::Bool(b) => Value::Bool(*b),
-        CExpr::Int(i) => Value::Int(*i),
-        CExpr::Pid(p) => Value::Pid(*p),
-        CExpr::EnumLit(ty, v) => Value::Enum(*ty, *v),
-        CExpr::NoneLit => Value::Opt(None),
-        CExpr::Global(slot) => env.state().vars[*slot].clone(),
-        CExpr::Local(slot) => locals[*slot].clone(),
-        CExpr::Field(base, idx) => match eval(env, locals, base) {
-            Value::Record(mut fields) => fields.swap_remove(*idx),
-            other => panic!("spec interpreter: `.field` on {other:?}"),
-        },
-        CExpr::IndexArr(base, idx) => {
-            let i = as_index(&eval(env, locals, idx));
-            match eval(env, locals, base) {
-                Value::Array(mut items) => {
-                    assert!(i < items.len(), "spec interpreter: index {i} out of bounds");
-                    items.swap_remove(i)
+    /// Evaluates a scalar. Leaves are inlined into the caller; everything
+    /// else goes through [`Exec::word_node`].
+    #[inline(always)]
+    fn word(&mut self, e: &CExpr) -> u32 {
+        match e {
+            CExpr::Lit(v) => *v,
+            CExpr::StateByte(off) => self.buf(Buf::State)[*off] as u32,
+            CExpr::FrameByte(off) => self.frame[*off] as u32,
+            _ => self.word_node(e),
+        }
+    }
+
+    #[inline(never)]
+    fn word_node(&mut self, e: &CExpr) -> u32 {
+        match e {
+            CExpr::Load(addr, w) => {
+                let (b, off) = self.addr(addr);
+                read_word(self.buf(b), off, *w)
+            }
+            CExpr::EnumCast(nvars, inner) => {
+                let i = self.word(inner);
+                assert!(i < *nvars, "spec interpreter: enum cast {i} out of range");
+                i
+            }
+            CExpr::Not(inner) => (self.word(inner) == 0) as u32,
+            CExpr::And(l, r) => (self.word(l) != 0 && self.word(r) != 0) as u32,
+            CExpr::Or(l, r) => (self.word(l) != 0 || self.word(r) != 0) as u32,
+            CExpr::Add(l, r) => int_value(self.word(l) as i64 + self.word(r) as i64),
+            CExpr::Sub(l, r) => int_value(self.word(l) as i64 - self.word(r) as i64),
+            CExpr::Cmp(op, l, r) => {
+                let (a, b) = (self.word(l), self.word(r));
+                (match op {
+                    BinOp::Eq => a == b,
+                    BinOp::Ne => a != b,
+                    BinOp::Lt => a < b,
+                    BinOp::Le => a <= b,
+                    BinOp::Gt => a > b,
+                    _ => a >= b,
+                }) as u32
+            }
+            CExpr::SameBytes { l, r, ne } => {
+                let (a, b) = (self.extent(l), self.extent(r));
+                ((self.bytes(&a) == self.bytes(&b)) != *ne) as u32
+            }
+            CExpr::InList(scrut, items) => {
+                let s = self.extent(scrut);
+                for item in items {
+                    let i = self.extent(item);
+                    let hit = match (s, i) {
+                        (Ext::Word(a, _), Ext::Word(b, _)) => a == b,
+                        _ => self.bytes(&s) == self.bytes(&i),
+                    };
+                    if hit {
+                        return 1;
+                    }
                 }
-                other => panic!("spec interpreter: `[…]` on {other:?}"),
+                0
             }
+            CExpr::Len(ms, elem) => {
+                let (b, off) = self.val(ms);
+                int_value(multi_count(elem, self.buf(b), off).0 as i64)
+            }
+            CExpr::Card(set) => self.word(set).count_ones(),
+            CExpr::Contains(set, pid) => {
+                let p = self.word(pid);
+                let bit = self.pidset_bit(p);
+                (self.word(set) & bit != 0) as u32
+            }
+            CExpr::With(set, pid) => {
+                let p = self.word(pid);
+                let bit = self.pidset_bit(p);
+                self.word(set) | bit
+            }
+            CExpr::Without(set, pid) => {
+                let p = self.word(pid);
+                let bit = self.pidset_bit(p);
+                self.word(set) & !bit
+            }
+            CExpr::SatSub(a, b) => self.word(a).saturating_sub(self.word(b)),
+            CExpr::Quantifier { quant, off, body } => {
+                let n = self.spec.pids;
+                let mut count = 0;
+                for i in 0..n {
+                    self.frame[*off] = i as u8;
+                    if self.word(body) != 0 {
+                        count += 1;
+                    }
+                }
+                match quant {
+                    Quant::Count => count as u32,
+                    Quant::Forall => (count == n) as u32,
+                    Quant::Exists => (count > 0) as u32,
+                }
+            }
+            _ => unreachable!("composite expression in scalar position"),
         }
-        CExpr::EnumCast(ty, nvars, inner) => {
-            let i = as_i64(&eval(env, locals, inner));
-            assert!(
-                (0..*nvars as i64).contains(&i),
-                "spec interpreter: enum cast {i} out of range"
-            );
-            Value::Enum(*ty, i as u8)
+    }
+
+    /// The start of a composite's bytes. Constructors build into the frame.
+    fn val(&mut self, e: &CExpr) -> (Buf, usize) {
+        match e {
+            CExpr::Place(addr) => self.addr(addr),
+            CExpr::Zeros(len) => {
+                let start = self.frame.len();
+                self.frame.resize(start + len, 0);
+                (Buf::Frame, start)
+            }
+            CExpr::Record(fields, Some(size)) => {
+                // Reserve first: temporaries the fields build land after it.
+                let start = self.frame.len();
+                self.frame.resize(start + size, 0);
+                self.record_at(start, fields);
+                (Buf::Frame, start)
+            }
+            CExpr::Record(fields, None) => {
+                let exts: Vec<Ext> = fields.iter().map(|f| self.extent(f)).collect();
+                let start = self.frame.len();
+                exts.into_iter().for_each(|x| self.emit(x));
+                (Buf::Frame, start)
+            }
+            CExpr::Some_(inner) => {
+                let start = self.frame.len();
+                match inner.width {
+                    Width::Word(len) | Width::Fixed(len) => {
+                        self.frame.resize(start + 1 + len, 0);
+                        self.frame[start] = 1;
+                        let ext = self.extent(inner);
+                        self.write_frame(start + 1, ext);
+                        (Buf::Frame, start)
+                    }
+                    Width::Var(_) => {
+                        let ext = self.extent(inner);
+                        let start = self.frame.len();
+                        self.frame.push(1);
+                        self.emit(ext);
+                        (Buf::Frame, start)
+                    }
+                }
+            }
+            CExpr::Find(find) => {
+                let (b, found) = self.find(find);
+                let start = self.frame.len();
+                match found {
+                    Some((s, e)) => {
+                        self.frame.push(1);
+                        self.emit(Ext::Bytes(b, s, e));
+                    }
+                    None => self.frame.resize(start + 1 + find.fill, 0),
+                }
+                (Buf::Frame, start)
+            }
+            _ => unreachable!("scalar expression in composite position"),
         }
-        CExpr::Unary(UnOp::Not, inner) => Value::Bool(!as_bool(eval(env, locals, inner))),
-        CExpr::Binary(op, lhs, rhs) => match op {
-            BinOp::And => {
-                Value::Bool(as_bool(eval(env, locals, lhs)) && as_bool(eval(env, locals, rhs)))
-            }
-            BinOp::Or => {
-                Value::Bool(as_bool(eval(env, locals, lhs)) || as_bool(eval(env, locals, rhs)))
-            }
-            BinOp::Eq => Value::Bool(eval(env, locals, lhs) == eval(env, locals, rhs)),
-            BinOp::Ne => Value::Bool(eval(env, locals, lhs) != eval(env, locals, rhs)),
-            BinOp::Add => {
-                int_value(as_i64(&eval(env, locals, lhs)) + as_i64(&eval(env, locals, rhs)))
-            }
-            BinOp::Sub => {
-                int_value(as_i64(&eval(env, locals, lhs)) - as_i64(&eval(env, locals, rhs)))
-            }
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = as_i64(&eval(env, locals, lhs));
-                let r = as_i64(&eval(env, locals, rhs));
-                Value::Bool(match op {
-                    BinOp::Lt => l < r,
-                    BinOp::Le => l <= r,
-                    BinOp::Gt => l > r,
-                    _ => l >= r,
-                })
-            }
-        },
-        CExpr::InList(scrut, items) => {
-            let v = eval(env, locals, scrut);
-            Value::Bool(items.iter().any(|i| eval(env, locals, i) == v))
-        }
-        CExpr::Record(fields) => {
-            Value::Record(fields.iter().map(|f| eval(env, locals, f)).collect())
-        }
-        CExpr::Some_(inner) => Value::Opt(Some(Box::new(eval(env, locals, inner)))),
-        CExpr::IsSome(inner) => match eval(env, locals, inner) {
-            Value::Opt(o) => Value::Bool(o.is_some()),
-            other => panic!("spec interpreter: `is_some` on {other:?}"),
-        },
-        CExpr::IsNone(inner) => match eval(env, locals, inner) {
-            Value::Opt(o) => Value::Bool(o.is_none()),
-            other => panic!("spec interpreter: `is_none` on {other:?}"),
-        },
-        CExpr::Get(inner) => match eval(env, locals, inner) {
-            Value::Opt(Some(b)) => *b,
-            Value::Opt(None) => panic!("spec interpreter: `get` on `none`"),
-            other => panic!("spec interpreter: `get` on {other:?}"),
-        },
-        CExpr::Len(inner) => match eval(env, locals, inner) {
-            Value::Multi(ms) => int_value(ms.len() as i64),
-            other => panic!("spec interpreter: `len` on {other:?}"),
-        },
-        CExpr::Card(inner) => match eval(env, locals, inner) {
-            Value::PidSet(bits) => Value::Int(bits.count_ones() as u8),
-            other => panic!("spec interpreter: `card` on {other:?}"),
-        },
-        CExpr::Contains(set, pid) => {
-            let p = as_index(&eval(env, locals, pid));
-            match eval(env, locals, set) {
-                Value::PidSet(bits) => Value::Bool(bits & (1 << p) != 0),
-                other => panic!("spec interpreter: `contains` on {other:?}"),
-            }
-        }
-        CExpr::With(set, pid) => {
-            let p = as_index(&eval(env, locals, pid));
-            match eval(env, locals, set) {
-                Value::PidSet(bits) => Value::PidSet(bits | (1 << p)),
-                other => panic!("spec interpreter: `with` on {other:?}"),
-            }
-        }
-        CExpr::Without(set, pid) => {
-            let p = as_index(&eval(env, locals, pid));
-            match eval(env, locals, set) {
-                Value::PidSet(bits) => Value::PidSet(bits & !(1 << p)),
-                other => panic!("spec interpreter: `without` on {other:?}"),
-            }
-        }
-        CExpr::EmptyPidSet => Value::PidSet(0),
-        CExpr::SatSub(a, b) => {
-            let a = as_i64(&eval(env, locals, a));
-            let b = as_i64(&eval(env, locals, b));
-            int_value((a - b).max(0))
-        }
-        CExpr::Find {
+    }
+
+    /// The range of the matching element in the multiset's buffer, if any.
+    fn find(&mut self, find: &CFind) -> (Buf, Option<(usize, usize)>) {
+        let CFind {
             ms,
+            fields,
             to,
             kind,
             rank,
             to_field,
             kind_field,
-        } => {
-            let to = eval(env, locals, to);
-            let kind = eval(env, locals, kind);
-            let rank = as_index(&eval(env, locals, rank));
-            match eval(env, locals, ms) {
-                Value::Multi(items) => {
-                    let found = items
-                        .iter()
-                        .filter(|m| match m {
-                            Value::Record(fs) => fs[*to_field] == to && fs[*kind_field] == kind,
-                            other => panic!("spec interpreter: `find` over {other:?}"),
-                        })
-                        .nth(rank)
-                        .cloned();
-                    Value::Opt(found.map(Box::new))
-                }
-                other => panic!("spec interpreter: `find` on {other:?}"),
-            }
-        }
-        CExpr::Quantifier { quant, slot, body } => {
-            let mut count = 0usize;
-            for i in 0..env.spec.pids {
-                locals[*slot] = Value::Pid(i as u8);
-                if as_bool(eval(env, locals, body)) {
-                    count += 1;
-                }
-            }
-            match quant {
-                Quant::Count => int_value(count as i64),
-                Quant::Forall => Value::Bool(count == env.spec.pids),
-                Quant::Exists => Value::Bool(count > 0),
-            }
-        }
-    }
-}
-
-enum RSeg {
-    Field(usize),
-    Index(usize),
-}
-
-fn resolve_segs(env: &Env, locals: &mut Vec<Value>, path: &[CPath]) -> Vec<RSeg> {
-    path.iter()
-        .map(|p| match p {
-            CPath::Field(i) => RSeg::Field(*i),
-            CPath::Index(e) => RSeg::Index(as_index(&eval(env, locals, e))),
-        })
-        .collect()
-}
-
-fn place_mut<'a>(
-    env: &'a mut Env,
-    locals: &'a mut [Value],
-    base: CPlaceBase,
-    segs: &[RSeg],
-) -> &'a mut Value {
-    let mut v: &mut Value = match base {
-        CPlaceBase::Global(slot) => {
-            if env.ns.is_none() {
-                env.ns = Some(env.cur.clone());
-            }
-            &mut env.ns.as_mut().expect("just materialized").vars[slot]
-        }
-        CPlaceBase::Local(slot) => &mut locals[slot],
-    };
-    for seg in segs {
-        v = match (v, seg) {
-            (Value::Record(fields), RSeg::Field(i)) => &mut fields[*i],
-            (Value::Array(items), RSeg::Index(i)) => &mut items[*i],
-            (other, _) => panic!("spec interpreter: cannot descend into {other:?}"),
-        };
-    }
-    v
-}
-
-fn exec(
-    env: &mut Env,
-    locals: &mut Vec<Value>,
-    stmts: &[CStmt],
-    ctx: &mut dyn HoleResolver,
-) -> Flow {
-    for st in stmts {
-        if env.blocked && !matches!(st, CStmt::Choose { .. }) {
-            return Flow::Blocked;
-        }
-        match st {
-            CStmt::Require(e) => {
-                if !as_bool(eval(env, locals, e)) {
-                    return Flow::Disabled;
-                }
-            }
-            CStmt::SetLocal(slot, e) => {
-                let v = eval(env, locals, e);
-                locals[*slot] = v;
-            }
-            CStmt::Choose { local, hole } => match ctx.choose(&env.spec.holes[*hole].spec) {
-                Choice::Action(i) => locals[*local] = Value::Int(i as u8),
-                Choice::Wildcard => {
-                    env.blocked = true;
-                    locals[*local] = Value::Int(0);
-                }
-            },
-            CStmt::Assign { place, value } => {
-                let v = eval(env, locals, value);
-                let segs = resolve_segs(env, locals, &place.path);
-                *place_mut(env, locals, place.base, &segs) = v;
-            }
-            CStmt::Insert { place, value } => {
-                let v = eval(env, locals, value);
-                let segs = resolve_segs(env, locals, &place.path);
-                match place_mut(env, locals, place.base, &segs) {
-                    Value::Multi(ms) => ms.insert(v),
-                    other => panic!("spec interpreter: `insert` into {other:?}"),
-                }
-            }
-            CStmt::Remove { place, value } => {
-                let v = eval(env, locals, value);
-                let segs = resolve_segs(env, locals, &place.path);
-                match place_mut(env, locals, place.base, &segs) {
-                    Value::Multi(ms) => {
-                        ms.remove(&v);
+            fixed,
+            fill: _,
+        } = find;
+        let to = self.extent(to);
+        let kind = self.extent(kind);
+        let rank = self.word(rank);
+        let (b, mut o) = self.val(ms);
+        let buf = self.buf(b);
+        let mut seen = 0;
+        if let (Some([size, to_off, kind_off]), Ext::Word(t, _), Ext::Word(k, _)) =
+            (fixed, to, kind)
+        {
+            while buf[o] == 1 {
+                let s = o + 1;
+                if buf[s + to_off] as u32 == t && buf[s + kind_off] as u32 == k {
+                    if seen == rank {
+                        return (b, Some((s, s + size)));
                     }
-                    other => panic!("spec interpreter: `remove` from {other:?}"),
+                    seen += 1;
+                }
+                o = s + size;
+            }
+            return (b, None);
+        }
+        let at = |s: usize, i: usize| fields[..i].iter().fold(s, |o, f| f.skip(buf, o));
+        let hit = |at: usize, ext: &Ext| match *ext {
+            Ext::Word(v, w) => read_word(buf, at, w) == v,
+            Ext::Bytes(..) => {
+                let want = self.bytes(ext);
+                buf.get(at..at + want.len()) == Some(want)
+            }
+        };
+        while buf[o] == 1 {
+            let s = o + 1;
+            let end = at(s, fields.len());
+            if hit(at(s, *to_field), &to) && hit(at(s, *kind_field), &kind) {
+                if seen == rank {
+                    return (b, Some((s, end)));
+                }
+                seen += 1;
+            }
+            o = end;
+        }
+        (b, None)
+    }
+
+    /// Evaluates an operand to a word or a byte range.
+    fn extent(&mut self, a: &CArg) -> Ext {
+        match &a.width {
+            Width::Word(w) => Ext::Word(self.word(&a.expr), *w),
+            Width::Fixed(len) => {
+                let (b, s) = self.val(&a.expr);
+                Ext::Bytes(b, s, s + len)
+            }
+            Width::Var(shape) => {
+                let (b, s) = self.val(&a.expr);
+                Ext::Bytes(b, s, shape.skip(self.buf(b), s))
+            }
+        }
+    }
+
+    /// Appends an operand's bytes to the frame.
+    fn emit(&mut self, ext: Ext) {
+        match ext {
+            Ext::Word(v, w) => push_word(self.frame, v, w),
+            Ext::Bytes(Buf::Frame, s, e) => self.frame.extend_from_within(s..e),
+            Ext::Bytes(Buf::State, s, e) => {
+                let state = if self.written {
+                    &self.next[..]
+                } else {
+                    self.cur
+                };
+                self.frame.extend_from_slice(&state[s..e]);
+            }
+        }
+    }
+
+    /// Builds a fixed-size record at frame offset `at`.
+    fn record_at(&mut self, mut at: usize, fields: &[CArg]) {
+        for f in fields {
+            let ext = self.extent(f);
+            at = self.write_frame(at, ext);
+        }
+    }
+
+    /// Writes an operand's bytes at frame offset `at`; returns the offset
+    /// just past them.
+    fn write_frame(&mut self, at: usize, ext: Ext) -> usize {
+        match ext {
+            Ext::Word(v, w) => {
+                write_word(self.frame, at, v, w);
+                at + w
+            }
+            Ext::Bytes(Buf::Frame, s, e) => {
+                copy_in_frame(self.frame, s, e, at);
+                at + e - s
+            }
+            Ext::Bytes(Buf::State, s, e) => {
+                let state = if self.written {
+                    &self.next[..]
+                } else {
+                    self.cur
+                };
+                copy_bytes(&mut self.frame[at..at + e - s], &state[s..e]);
+                at + e - s
+            }
+        }
+    }
+
+    /// Writes an operand's bytes at offset `at` of the (owned) next state.
+    fn write_state(&mut self, at: usize, ext: Ext) {
+        match ext {
+            Ext::Word(v, w) => write_word(self.next, at, v, w),
+            Ext::Bytes(Buf::State, s, e) => self.next.copy_within(s..e, at),
+            Ext::Bytes(Buf::Frame, s, e) => {
+                copy_bytes(&mut self.next[at..at + e - s], &self.frame[s..e])
+            }
+        }
+    }
+
+    fn addr(&mut self, a: &CAddr) -> (Buf, usize) {
+        let (b, mut off) = match &a.root {
+            Root::State => (Buf::State, 0),
+            Root::Local(o) => (Buf::Frame, *o),
+            Root::LocalVar(o, _) => (Buf::Frame, read_u32(self.frame, *o)),
+            Root::Value(e) => self.val(e),
+        };
+        off += a.off;
+        for step in &a.steps {
+            match step {
+                Step::Off(k) => off += k,
+                Step::Index(idx, stride) => {
+                    let i = self.word(idx);
+                    off += self.check_pid_index(i) * stride;
+                }
+                Step::IndexVar(idx, elem) => {
+                    let i = self.word(idx);
+                    for _ in 0..self.check_pid_index(i) {
+                        off = elem.skip(self.buf(b), off);
+                    }
+                }
+                Step::Over(shape) => off = shape.skip(self.buf(b), off),
+                Step::Unwrap => {
+                    assert!(self.buf(b)[off] == 1, "spec interpreter: `get` on `none`");
+                    off += 1;
                 }
             }
-            CStmt::If(arms, else_) => {
-                let mut taken = false;
-                for (cond, body) in arms {
-                    if as_bool(eval(env, locals, cond)) {
-                        match exec(env, locals, body, ctx) {
+        }
+        (b, off)
+    }
+
+    /// Resolves a write target. State places make the next state writable;
+    /// a variable-size local about to change length first moves to the end
+    /// of the frame, so the resize shifts nothing else.
+    fn target(&mut self, place: &CAddr, resize: bool) -> (Buf, usize) {
+        match &place.root {
+            Root::State => self.own(),
+            Root::LocalVar(o, shape) if resize => {
+                let start = read_u32(self.frame, *o);
+                let end = shape.skip(self.frame, start);
+                if end != self.frame.len() {
+                    let moved = self.frame.len();
+                    self.frame.extend_from_within(start..end);
+                    write_u32(self.frame, *o, moved);
+                }
+            }
+            _ => {}
+        }
+        self.addr(place)
+    }
+
+    /// The frame range of an operand's bytes, appending them first unless
+    /// they already live in the frame; a write to the state or to a
+    /// relocated local never moves them.
+    fn detach(&mut self, ext: Ext) -> (usize, usize) {
+        if let Ext::Bytes(Buf::Frame, s, e) = ext {
+            return (s, e);
+        }
+        let start = self.frame.len();
+        self.emit(ext);
+        (start, self.frame.len())
+    }
+
+    fn assign(&mut self, place: &CAddr, value: &CArg) {
+        let ext = self.extent(value);
+        let Width::Var(shape) = &value.width else {
+            match self.target(place, false) {
+                (Buf::State, at) => self.write_state(at, ext),
+                (Buf::Frame, at) => {
+                    self.write_frame(at, ext);
+                }
+            }
+            return;
+        };
+        let (vs, ve) = self.detach(ext);
+        match self.target(place, true) {
+            (Buf::State, at) => {
+                let old_end = shape.skip(self.next, at);
+                self.next
+                    .splice(at..old_end, self.frame[vs..ve].iter().copied());
+            }
+            (Buf::Frame, at) => {
+                let old_end = shape.skip(self.frame, at);
+                let bytes = self.frame[vs..ve].to_vec();
+                self.frame.splice(at..old_end, bytes);
+            }
+        }
+    }
+
+    fn insert(&mut self, place: &CAddr, elem: &Shape, value: &CArg) {
+        let ext = self.extent(value);
+        let (vs, ve) = self.detach(ext);
+        let len = 1 + ve - vs;
+        match self.target(place, true) {
+            (Buf::State, at) => {
+                let pos = multi_search(elem, self.next, at, &self.frame[vs..ve], true);
+                let old = self.next.len();
+                self.next.resize(old + len, 0);
+                self.next.copy_within(pos..old, pos + len);
+                self.next[pos] = 1;
+                copy_bytes(&mut self.next[pos + 1..pos + len], &self.frame[vs..ve]);
+            }
+            (Buf::Frame, at) => {
+                // The multiset is the frame's tail: append, then rotate in.
+                let pos = multi_search(elem, self.frame, at, &self.frame[vs..ve], true);
+                self.frame.push(1);
+                self.frame.extend_from_within(vs..ve);
+                self.frame[pos..].rotate_right(len);
+            }
+        }
+    }
+
+    fn remove(&mut self, place: &CAddr, elem: &Shape, value: &CArg) {
+        let ext = self.extent(value);
+        let (vs, ve) = self.detach(ext);
+        let len = 1 + ve - vs;
+        let (b, at) = self.target(place, true);
+        let buf = self.buf(b);
+        let pos = multi_search(elem, buf, at, &self.frame[vs..ve], false);
+        if buf[pos] == 1 && buf.get(pos + 1..pos + len) == Some(&self.frame[vs..ve]) {
+            match b {
+                Buf::State => self.next.drain(pos..pos + len),
+                Buf::Frame => self.frame.drain(pos..pos + len),
+            };
+        }
+    }
+
+    fn exec(&mut self, stmts: &[CStmt], ctx: &mut dyn HoleResolver) -> Flow {
+        for st in stmts {
+            if self.blocked && !matches!(st, CStmt::Choose { .. }) {
+                return Flow::Blocked;
+            }
+            match st {
+                CStmt::Require(e) => {
+                    if self.word(e) == 0 {
+                        return Flow::Disabled;
+                    }
+                }
+                // A fresh local is invisible to its initializer, so a record
+                // is built straight into it.
+                CStmt::SetLocal(off, value) => match &value.expr {
+                    CExpr::Record(fields, Some(_)) => self.record_at(*off, fields),
+                    _ => {
+                        let ext = self.extent(value);
+                        self.write_frame(*off, ext);
+                    }
+                },
+                CStmt::FindInto(off, find) => match self.find(find) {
+                    (b, Some((s, e))) => {
+                        self.frame[*off] = 1;
+                        self.write_frame(off + 1, Ext::Bytes(b, s, e));
+                    }
+                    (_, None) => self.frame[*off..=off + find.fill].fill(0),
+                },
+                CStmt::SetLocalVar(off, value) => {
+                    // Always a private copy: a relocating write to another
+                    // local must never show through this one.
+                    let ext = self.extent(value);
+                    let start = self.frame.len();
+                    self.emit(ext);
+                    write_u32(self.frame, *off, start);
+                }
+                CStmt::Choose { off, hole } => {
+                    self.frame[*off] = match ctx.choose(&self.spec.holes[*hole].spec) {
+                        Choice::Action(i) => i as u8,
+                        Choice::Wildcard => {
+                            self.blocked = true;
+                            0
+                        }
+                    };
+                }
+                CStmt::Assign { place, value } => self.assign(place, value),
+                CStmt::Insert { place, elem, value } => self.insert(place, elem, value),
+                CStmt::Remove { place, elem, value } => self.remove(place, elem, value),
+                CStmt::If(arms, else_) => {
+                    let body = arms
+                        .iter()
+                        .find(|(cond, _)| self.word(cond) != 0)
+                        .map_or(else_, |(_, body)| body);
+                    match self.exec(body, ctx) {
+                        Flow::Cont => {}
+                        f => return f,
+                    }
+                }
+                CStmt::Block(body) => match self.exec(body, ctx) {
+                    Flow::Cont => {}
+                    f => return f,
+                },
+                CStmt::ForPids { off, body } => {
+                    for i in 0..self.spec.pids {
+                        self.frame[*off] = i as u8;
+                        match self.exec(body, ctx) {
                             Flow::Cont => {}
                             f => return f,
                         }
-                        taken = true;
-                        break;
-                    }
-                }
-                if !taken {
-                    match exec(env, locals, else_, ctx) {
-                        Flow::Cont => {}
-                        f => return f,
-                    }
-                }
-            }
-            CStmt::ForPids { local, body } => {
-                for i in 0..env.spec.pids {
-                    locals[*local] = Value::Pid(i as u8);
-                    match exec(env, locals, body, ctx) {
-                        Flow::Cont => {}
-                        f => return f,
                     }
                 }
             }
         }
+        Flow::Cont
     }
-    Flow::Cont
+}
+
+/// Copies `frame[s..e]` to `frame[at..]`. Locals and temporaries never
+/// overlap, so this is a plain copy.
+fn copy_in_frame(frame: &mut [u8], s: usize, e: usize, at: usize) {
+    let len = e - s;
+    if at >= e {
+        let (src, dst) = frame.split_at_mut(at);
+        copy_bytes(&mut dst[..len], &src[s..e]);
+    } else if at + len <= s {
+        let (dst, src) = frame.split_at_mut(s);
+        copy_bytes(&mut dst[at..at + len], &src[..len]);
+    } else if at != s {
+        frame.copy_within(s..e, at);
+    }
+}
+
+fn read_u32(buf: &[u8], off: usize) -> usize {
+    u32::from_le_bytes(buf[off..off + 4].try_into().expect("four bytes")) as usize
+}
+
+fn write_u32(buf: &mut [u8], off: usize, v: usize) {
+    buf[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes());
+}
+
+/// Runs `f` on an evaluator over `cur`, reusing this thread's buffers.
+fn with_exec<R>(spec: &CompiledSpec, cur: &SpecState, f: impl FnOnce(&mut Exec) -> R) -> R {
+    BUFFERS.with(|cell| {
+        let bufs = &mut *cell.borrow_mut();
+        // Every body gets the spec's largest frame, so alternating rules
+        // never re-zero it; locals are written before they are read.
+        if bufs.frame.len() < spec.max_frame {
+            bufs.frame.resize(spec.max_frame, 0);
+        }
+        bufs.frame.truncate(spec.max_frame);
+        let mut ex = Exec {
+            spec,
+            cur: cur.as_bytes(),
+            next: &mut bufs.next,
+            written: false,
+            frame: &mut bufs.frame,
+            blocked: false,
+        };
+        f(&mut ex)
+    })
 }
 
 pub(crate) fn exec_rule(
@@ -1353,44 +2170,28 @@ pub(crate) fn exec_rule(
 ) -> RuleOutcome<SpecState> {
     let inst = &spec.rules[rule];
     let body = &spec.bodies[inst.body];
-    let mut env = Env {
-        spec,
-        cur,
-        ns: None,
-        blocked: false,
-    };
-    let mut locals = vec![Value::Bool(false); body.nlocals];
-    for (slot, v) in &inst.prelude {
-        locals[*slot] = v.clone();
-    }
-    match exec(&mut env, &mut locals, &body.stmts, ctx) {
-        Flow::Disabled => RuleOutcome::Disabled,
-        Flow::Blocked => RuleOutcome::Blocked,
-        Flow::Cont => {
-            if env.blocked {
-                RuleOutcome::Blocked
-            } else {
-                RuleOutcome::Next(env.ns.take().unwrap_or_else(|| cur.clone()))
-            }
+    with_exec(spec, cur, |ex| {
+        for (slot, &v) in ex.frame.iter_mut().zip(&inst.prelude) {
+            *slot = v;
         }
-    }
+        match ex.exec(&body.stmts, ctx) {
+            Flow::Disabled => RuleOutcome::Disabled,
+            Flow::Blocked => RuleOutcome::Blocked,
+            Flow::Cont if ex.blocked => RuleOutcome::Blocked,
+            Flow::Cont if ex.written => RuleOutcome::Next(SpecState::from_bytes(ex.next.clone())),
+            Flow::Cont => RuleOutcome::Next(cur.clone()),
+        }
+    })
 }
 
 pub(crate) fn eval_prop(spec: &CompiledSpec, prop: usize, state: &SpecState) -> bool {
     let p = &spec.props[prop];
-    let env = Env {
-        spec,
-        cur: state,
-        ns: None,
-        blocked: false,
-    };
-    let mut locals = vec![Value::Bool(false); p.nlocals];
-    as_bool(eval(&env, &mut locals, &p.expr))
+    with_exec(spec, state, |ex| ex.word(&p.expr) != 0)
 }
 
 // ---- The model -------------------------------------------------------------
 
-/// A [`TransitionSystem`] interpreting a compiled spec.
+/// A [`TransitionSystem`] running a compiled spec.
 ///
 /// Rule table order, hole consultation order, property order, and (when
 /// `symmetry = true`) canonical representatives all follow the document, so
@@ -1466,18 +2267,22 @@ impl TransitionSystem for SpecModel {
     }
 
     fn canonicalize(&self, state: SpecState) -> SpecState {
-        if self.spec.symmetry {
-            // Per-thread spare buffer, exactly like the hand-written models:
-            // the expand hot loop canonicalizes without allocating.
-            thread_local! {
-                static SPARE: std::cell::RefCell<Option<SpecState>> =
-                    const { std::cell::RefCell::new(None) };
-            }
-            SPARE
-                .with(|spare| state.canonicalize_auto_with(self.spec.pids, &mut spare.borrow_mut()))
-        } else {
-            state
+        if !self.spec.symmetry {
+            return state;
         }
+        // Per-thread spare buffer, exactly like the hand-written models:
+        // the expand hot loop canonicalizes without allocating.
+        thread_local! {
+            static SPARE: RefCell<Option<SpecState>> = const { RefCell::new(None) };
+        }
+        let program = &self.spec.perm;
+        SPARE.with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let mut laid = spare.take().map(|state| Laid { program, state });
+            let canon = Laid { program, state }.canonicalize_auto_with(self.spec.pids, &mut laid);
+            *spare = laid.map(|l| l.state);
+            canon.state
+        })
     }
 
     fn properties(&self) -> &[Property<SpecState>] {
@@ -1489,7 +2294,7 @@ impl TransitionSystem for SpecModel {
 mod tests {
     use super::*;
     use crate::spec::ProtocolSpec;
-    use verc3_mck::FixedResolver;
+    use verc3_mck::{Checker, CheckerOptions, FixedResolver, NoHoles, Verdict};
 
     const COUNTER: &str = r#"
 [protocol]
@@ -1542,18 +2347,29 @@ name = "someone wins"
 expr = "is_some(winner)"
 "#;
 
-    fn rule_outcome(
+    fn apply(model: &SpecModel, name: &str, s: &SpecState) -> RuleOutcome<SpecState> {
+        apply_with(model, name, s, &mut NoHoles)
+    }
+
+    fn apply_with(
         model: &SpecModel,
         name: &str,
         s: &SpecState,
         ctx: &mut dyn HoleResolver,
     ) -> RuleOutcome<SpecState> {
-        let rule = model
+        model
             .rules()
             .iter()
             .find(|r| r.name() == name)
-            .unwrap_or_else(|| panic!("rule {name} exists"));
-        rule.apply(s, ctx)
+            .unwrap_or_else(|| panic!("rule {name} exists"))
+            .apply(s, ctx)
+    }
+
+    fn next(outcome: RuleOutcome<SpecState>) -> SpecState {
+        match outcome {
+            RuleOutcome::Next(s) => s,
+            other => panic!("expected a successor, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1561,43 +2377,40 @@ expr = "is_some(winner)"
         let spec = ProtocolSpec::from_toml_str(COUNTER).expect("loads");
         let model = spec.model();
         let init = model.initial_states().remove(0);
-        assert_eq!(init.vars, vec![Value::Int(0), Value::Opt(None)]);
+        // count: int, winner: option<pid> (tag + pid).
+        assert_eq!(init.as_bytes(), [0, 0, 0]);
 
         // Unassigned hole → Blocked; `idle` fires as a self-loop.
         let mut unassigned = FixedResolver::new();
         assert_eq!(
-            rule_outcome(&model, "bump", &init, &mut unassigned),
+            apply_with(&model, "bump", &init, &mut unassigned),
             RuleOutcome::Blocked
         );
         assert_eq!(
-            rule_outcome(&model, "idle", &init, &mut unassigned),
+            apply_with(&model, "idle", &init, &mut unassigned),
             RuleOutcome::Next(init.clone())
         );
 
         // Assigned hole → steps by two.
         let mut two = FixedResolver::new();
         two.assign("inc", 1);
-        let RuleOutcome::Next(next) = rule_outcome(&model, "bump", &init, &mut two) else {
-            panic!("bump fires");
-        };
-        assert_eq!(next.vars[0], Value::Int(2));
+        let stepped = next(apply_with(&model, "bump", &init, &mut two));
+        assert_eq!(stepped.as_bytes(), [2, 0, 0]);
         // `claim` is disabled until the counter saturates.
         assert_eq!(
-            rule_outcome(&model, "claim", &next, &mut two),
+            apply_with(&model, "claim", &stepped, &mut two),
             RuleOutcome::Disabled
         );
-        let RuleOutcome::Next(n2) = rule_outcome(&model, "bump", &next, &mut two) else {
-            panic!("bump fires");
-        };
-        let RuleOutcome::Next(n3) = rule_outcome(&model, "claim", &n2, &mut two) else {
-            panic!("claim fires");
-        };
-        assert_eq!(n3.vars[1], Value::Opt(Some(Box::new(Value::Pid(2)))));
+        let n2 = next(apply_with(&model, "bump", &stepped, &mut two));
+        let n3 = next(apply_with(&model, "claim", &n2, &mut two));
+        assert_eq!(n3.as_bytes(), [4, 1, 2], "winner = some(DIR)");
 
         // Properties evaluate.
         let props = model.properties();
         assert_eq!(props.len(), 2);
         assert_eq!(props[0].name(), "bounded");
+        assert!(!eval_prop(&spec.compiled, 1, &n2));
+        assert!(eval_prop(&spec.compiled, 1, &n3));
     }
 
     #[test]
@@ -1618,6 +2431,25 @@ expr = "is_some(winner)"
         assert!(matches!(
             ProtocolSpec::from_toml_str(&bad_type),
             Err(InvalidSpec::Type { .. })
+        ));
+
+        // A local needs a layout, and `none` alone does not give it one.
+        let untyped = COUNTER.replace("require count == 0;", "let w = none; require count == 0;");
+        assert!(matches!(
+            ProtocolSpec::from_toml_str(&untyped),
+            Err(InvalidSpec::Type { .. })
+        ));
+    }
+
+    #[test]
+    fn self_containing_records_are_rejected() {
+        let src = COUNTER.replace(
+            "[vars]",
+            "[records.Node]\nfields = [\"next: option<Node>\"]\n\n[vars]",
+        );
+        assert!(matches!(
+            ProtocolSpec::from_toml_str(&src),
+            Err(InvalidSpec::Type { context, .. }) if context == "[records.Node]"
         ));
     }
 
@@ -1713,31 +2545,17 @@ expr = "total == count(p, loaded(p)) + count(q, cells[q].v > 1) + sat_sub(total,
             "require !loaded(DIR);",
         );
         // DIR is a pid, but indexes out of bounds only if evaluated — and
-        // compile must accept it. Runtime would panic; we never fire it.
+        // compile must accept it.
         let spec = ProtocolSpec::from_toml_str(&src).expect("loads");
         let model = spec.model();
         let init = model.initial_states().remove(0);
-        let seed = model
-            .rules()
-            .iter()
-            .find(|r| r.name() == "seed")
-            .expect("seed exists");
-        let RuleOutcome::Next(next) = seed.apply(&init, &mut verc3_mck::NoHoles) else {
-            panic!("seed fires");
-        };
-        assert_eq!(
-            next.vars[0],
-            Value::Array(vec![
-                Value::Record(vec![Value::Int(2)]),
-                Value::Record(vec![Value::Int(3)]),
-                Value::Record(vec![Value::Int(0)]),
-            ])
-        );
-        assert_eq!(next.vars[1], Value::Int(5));
+        let seeded = next(apply(&model, "seed", &init));
+        // cells (3 × one int), then total.
+        assert_eq!(seeded.as_bytes(), [2, 3, 0, 5]);
         // total(5) == loaded-count(2) + >1-count(2) + sat_sub(5,5)=0 → false;
         // on the initial state 0 == 0 + 0 + 0 → true.
         assert!(eval_prop(&spec.compiled, 0, &init));
-        assert!(!eval_prop(&spec.compiled, 0, &next));
+        assert!(!eval_prop(&spec.compiled, 0, &seeded));
     }
 
     #[test]
@@ -1762,8 +2580,8 @@ done = "bool"
 name = "send"
 body = """
 require len(net) == 0;
-insert(net, Msg(Kind.Ping, 1, 0));
 insert(net, Msg(Kind.Ping, 1, 1));
+insert(net, Msg(Kind.Ping, 1, 0));
 """
 
 [[rule]]
@@ -1784,38 +2602,216 @@ expr = "len(net) <= 2"
         let spec = ProtocolSpec::from_toml_str(src).expect("loads");
         let model = spec.model();
         let init = model.initial_states().remove(0);
-        let apply = |name: &str, s: &SpecState| {
-            model
-                .rules()
-                .iter()
-                .find(|r| r.name() == name)
-                .expect("rule exists")
-                .apply(s, &mut verc3_mck::NoHoles)
-        };
-        assert_eq!(apply("recv", &init), RuleOutcome::Disabled);
-        let RuleOutcome::Next(sent) = apply("send", &init) else {
-            panic!("send fires");
-        };
-        let Value::Multi(net) = &sent.vars[0] else {
-            panic!("net is a multiset");
-        };
-        assert_eq!(net.len(), 2);
+        assert_eq!(init.as_bytes(), [0, 0], "empty net, done = false");
+        assert_eq!(apply(&model, "recv", &init), RuleOutcome::Disabled);
+        let sent = next(apply(&model, "send", &init));
+        // Elements sorted (kind, to, req), each behind a 1 byte; 0 ends.
+        assert_eq!(sent.as_bytes(), [1, 0, 1, 0, 1, 0, 1, 1, 0, 0]);
         // rank 1 selects the second matching message in canonical order
-        // (req = 1, since Msg sorts by kind, to, req).
-        let RuleOutcome::Next(recvd) = apply("recv", &sent) else {
-            panic!("recv fires");
-        };
-        let Value::Multi(net) = &recvd.vars[0] else {
-            panic!("net is a multiset");
-        };
-        assert_eq!(net.len(), 1);
-        assert_eq!(
-            net.iter().next(),
-            Some(&Value::Record(vec![
-                Value::Enum(0, 0),
-                Value::Pid(1),
-                Value::Pid(0)
-            ]))
+        // (req = 1).
+        let recvd = next(apply(&model, "recv", &sent));
+        assert_eq!(recvd.as_bytes(), [1, 0, 1, 0, 0, 1]);
+    }
+
+    /// Values whose size depends on a multiset: variable-size locals that
+    /// grow in place (`insert(q, a0)`, `q` last in the frame) or relocate
+    /// first (`remove` after `q2` was copied behind it), constructors
+    /// holding multisets, arrays of multisets, `find` over variable-size
+    /// records, and assignments that resize the state.
+    #[test]
+    fn variable_size_values_round_trip() {
+        let src = r#"
+[protocol]
+name = "nested"
+pids = 2
+symmetry = false
+
+[enums]
+K = ["A", "B"]
+
+[records.Msg]
+fields = ["kind: K", "to: pid"]
+
+[records.Bag]
+fields = ["q: multiset<Msg>", "n: int"]
+
+[records.Env]
+fields = ["payload: multiset<Msg>", "kind: K", "to: pid"]
+
+[vars]
+chans = "array[pid] of multiset<Msg>"
+b = "Bag"
+o = "option<multiset<Msg>>"
+done = "bool"
+envs = "multiset<Env>"
+
+[[rule]]
+name = "fill"
+body = """
+require !done;
+insert(chans[1], Msg(K.B, 0));
+insert(chans[1], Msg(K.A, 1));
+let a0 = Msg(K.A, 0);
+let q = chans[1];
+insert(q, a0);
+let q2 = q;
+remove(q, Msg(K.B, 0));
+b = Bag(q, len(q2));
+o = some(q2);
+b.n = b.n + 1;
+done = true;
+"""
+
+[[rule]]
+name = "wrap"
+body = """
+require done && len(envs) == 0;
+insert(envs, Env(b.q, K.A, 1));
+insert(envs, Env(chans[0], K.A, 1));
+let e = find(envs, 1, K.A, 1);
+require is_some(e);
+chans[0] = get(e).payload;
+"""
+
+[[property]]
+kind = "invariant"
+name = "distinct"
+expr = "chans[1] == chans[1] && (is_none(o) || get(o) != b.q)"
+"#;
+        let spec = ProtocolSpec::from_toml_str(src).expect("loads");
+        let model = spec.model();
+        let init = model.initial_states().remove(0);
+        assert_eq!(init.as_bytes(), [0; 8], "all defaults are zero bytes");
+        // Msg(kind, to) elements sort as [A,0] < [A,1] < [B,0].
+        let filled = next(apply(&model, "fill", &init));
+        #[rustfmt::skip]
+        assert_eq!(filled.as_bytes(), [
+            0, 1, 0, 1, 1, 1, 0, 0,             // chans: {}, {A1, B0}
+            1, 0, 0, 1, 0, 1, 0, 4,             // b: q = {A0, A1}, n = 3 + 1
+            1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0,    // o: some({A0, A1, B0})
+            1,                                  // done
+            0,                                  // envs: {}
+        ]);
+        assert!(eval_prop(&spec.compiled, 0, &filled));
+        let wrapped = next(apply(&model, "wrap", &filled));
+        #[rustfmt::skip]
+        assert_eq!(wrapped.as_bytes(), [
+            1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 0,    // chans[0] = b.q
+            1, 0, 0, 1, 0, 1, 0, 4,
+            1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0,
+            1,
+            1, 0, 0, 1,                                   // Env({}, A, 1)
+            1, 1, 0, 0, 1, 0, 1, 0, 0, 1,                 // Env({A0, A1}, A, 1)
+            0,
+        ]);
+    }
+
+    /// A spec whose rule `go` runs `body` once; the runtime checks make it
+    /// panic, never read a neighbouring field.
+    fn runtime_check_panics(body: &str) {
+        let src = format!(
+            r#"
+[protocol]
+name = "checks"
+pids = 2
+symmetry = false
+
+[enums]
+E = ["A", "B"]
+
+[records.Cell]
+fields = ["v: int"]
+
+[records.Ref]
+fields = ["p: pid"]
+
+[vars]
+cells = "array[pid] of Cell"
+n = "int"
+o = "option<pid>"
+s = "pidset"
+
+[[rule]]
+name = "go"
+body = "{body}"
+
+[[property]]
+kind = "invariant"
+name = "trivial"
+expr = "true"
+"#
         );
+        let spec = ProtocolSpec::from_toml_str(&src).expect("loads");
+        let model = spec.model();
+        let init = model.initial_states().remove(0);
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| apply(&model, "go", &init)));
+        assert!(caught.is_err(), "`{body}` must panic");
+    }
+
+    #[test]
+    fn out_of_range_index_panics() {
+        runtime_check_panics("cells[DIR].v = 1;");
+        runtime_check_panics("n = cells[n + 2].v;");
+    }
+
+    #[test]
+    fn bad_enum_cast_panics() {
+        runtime_check_panics("require E[n + 2] == E.A;");
+    }
+
+    #[test]
+    fn int_overflow_panics() {
+        runtime_check_panics("n = 255; n = n + 1;");
+        runtime_check_panics("n = n - 1;");
+    }
+
+    #[test]
+    fn get_none_panics() {
+        runtime_check_panics("require get(o) == DIR;");
+    }
+
+    #[test]
+    fn pidset_pid_past_dir_panics() {
+        runtime_check_panics("s = with(s, Ref(3).p);");
+    }
+
+    /// A pidset holds `DIR` next to every pid, also at the largest
+    /// scalarset, where n + 1 bits outgrow one byte.
+    fn dir_in_pidset(pids: usize) -> Verdict {
+        let src = format!(
+            r#"
+[protocol]
+name = "dir-in-pidset"
+pids = {pids}
+symmetry = false
+
+[vars]
+s = "pidset"
+
+[[rule]]
+name = "add-dir"
+body = "require !contains(s, DIR); s = with(s, DIR);"
+
+[[rule]]
+name = "idle"
+body = "require true;"
+
+[[property]]
+kind = "invariant"
+name = "no pid joins"
+expr = "!exists(q, contains(s, q))"
+"#
+        );
+        let spec = ProtocolSpec::from_toml_str(&src).expect("loads");
+        let out = Checker::new(CheckerOptions::default()).run(&spec.model());
+        assert_eq!(out.stats().states_visited, 2, "pids = {pids}");
+        out.verdict()
+    }
+
+    #[test]
+    fn pidset_holds_dir_at_every_scalarset_size() {
+        assert_eq!(dir_in_pidset(3), Verdict::Success);
+        assert_eq!(dir_in_pidset(8), Verdict::Success);
     }
 }

@@ -18,18 +18,20 @@
 //!    `for p in pids`, assignment, calls), compiled against the declared
 //!    types so every name/field/variant error is a structured
 //!    [`InvalidSpec`] at load time, never a panic.
-//! 3. [`value`] — the interpreted state: a structural [`value::Value`] tree
-//!    whose derived `Ord` is order-isomorphic to an equivalent hand-written
-//!    state struct, with a structural `Symmetric` implementation (pid
-//!    remapping, pid-indexed array permutation, multiset rebuild) and a
-//!    `signature` over the leading pid-indexed array so orbit
-//!    canonicalization works unchanged.
-//! 4. [`interp`] — the compiled-rule interpreter: each spec rule becomes a
-//!    [`verc3_mck::Rule`] closure over an immutable compiled program;
-//!    `choose` consults the live [`verc3_mck::HoleResolver`] exactly like
-//!    hand-written skeletons do (every hole of a rule is consulted before a
-//!    wildcard aborts the application), so lazy hole discovery, pruning
-//!    patterns and candidate enumeration are oblivious to the front-end.
+//! 3. [`layout`] — the state representation: a [`SpecState`] is one packed
+//!    byte string in declaration order, with an encoding per type whose
+//!    byte order equals the order of an equivalent hand-written state
+//!    struct, a permutation program per layout (pid remapping, pid-indexed
+//!    block moves, multiset re-sorting), and a `signature` over the leading
+//!    pid-indexed array, so orbit canonicalization works unchanged.
+//! 4. [`interp`] — the compiler lowers each validated spec to typed IR with
+//!    byte offsets and strides resolved, and each spec rule becomes a
+//!    [`verc3_mck::Rule`] closure that runs it over the state bytes with a
+//!    reused per-thread frame for locals and temporaries; `choose` consults
+//!    the live [`verc3_mck::HoleResolver`] exactly like hand-written
+//!    skeletons do (every hole of a rule is consulted before a wildcard
+//!    aborts the application), so lazy hole discovery, pruning patterns and
+//!    candidate enumeration are oblivious to the front-end.
 //!
 //! The equivariance contract: with `symmetry = true`, the first declared
 //! variable must be an `array[pid] of R` whose element record contains no
@@ -42,12 +44,12 @@
 pub mod ast;
 pub mod error;
 pub mod interp;
+pub mod layout;
 pub mod parse;
 pub mod spec;
 pub mod toml;
-pub mod value;
 
 pub use error::InvalidSpec;
 pub use interp::SpecModel;
+pub use layout::SpecState;
 pub use spec::{ProtocolSpec, SpecGolden};
-pub use value::{SpecState, Value};
