@@ -8,7 +8,9 @@
 //! The interesting number is the **interpreter overhead**: the interpreted
 //! MSI-small port runs the exact same state space as the hand-written
 //! `MsiModel` (the differential suite proves bit-identity), so the wall
-//! ratio between the two is pure interpretation cost.
+//! ratio between the two is pure interpretation cost. The two sides run
+//! in alternation, so a change in host load hits both, and the ratio is
+//! taken between their medians.
 //!
 //! Emits **BENCH_zoo.json** at the workspace root: one
 //! `(spec, states, transitions, verify_wall_ms, synth_evaluated,
@@ -24,9 +26,12 @@ use std::time::Instant;
 use verc3_bench::{
     run_spec_synthesis, spec_golden_resolver, spec_verification_deviations, verify_spec_golden,
 };
-use verc3_mck::{Checker, CheckerOptions};
+use verc3_mck::{Checker, CheckerOptions, SharedResolver, TransitionSystem};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 use verc3_spec::ProtocolSpec;
+
+/// Timed runs per side of the interpreter-overhead ratio.
+const OVERHEAD_REPS: usize = 31;
 
 /// Best-of-`reps` wall time, in milliseconds, of one thunk.
 fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
@@ -54,7 +59,6 @@ fn main() {
 
     let mut json = String::from("[\n");
     let mut first = true;
-    let mut msi_small_verify_ms = None;
     for path in &paths {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
         let spec =
@@ -65,9 +69,6 @@ fn main() {
         let devs = spec_verification_deviations(&spec, verdict, states, transitions);
         assert!(devs.is_empty(), "{name}: {}", devs.join("; "));
         println!("  {name:<12} verify: {states:>6} states {transitions:>7} transitions  {verify_ms:>8.1} ms");
-        if name == "msi_small" {
-            msi_small_verify_ms = Some(verify_ms);
-        }
 
         let synth = if spec.golden().gates_synthesis() {
             let start = Instant::now();
@@ -107,20 +108,27 @@ fn main() {
     // Interpreter overhead: the interpreted MSI-small golden-candidate
     // verification against the hand-written skeleton on the identical state
     // space (332 states / 977 transitions, proven bit-identical by the
-    // differential suite).
+    // differential suite). Both sides check an already built model through
+    // the same call; which side goes first alternates.
     let msi_spec = ProtocolSpec::from_path(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../specs/msi_small.toml"
     ))
     .expect("specs/msi_small.toml");
     let resolver = spec_golden_resolver(&msi_spec);
+    let spec_model = msi_spec.model();
     let hand = MsiModel::new(MsiConfig::msi_small());
-    let (_, hand_ms) = best_ms(3, || {
-        let out = Checker::new(CheckerOptions::default()).run_shared(&hand, &resolver);
-        assert_eq!(out.stats().states_visited, 332);
-        out
-    });
-    let spec_ms = msi_small_verify_ms.expect("msi_small is in the zoo");
+    let (mut spec_runs, mut hand_runs) = (Vec::new(), Vec::new());
+    for rep in 0..OVERHEAD_REPS {
+        for spec_side in [rep % 2 == 0, rep % 2 == 1] {
+            if spec_side {
+                spec_runs.push(check_ms(&spec_model, &resolver));
+            } else {
+                hand_runs.push(check_ms(&hand, &resolver));
+            }
+        }
+    }
+    let (spec_ms, hand_ms) = (median(spec_runs), median(hand_runs));
     let overhead = spec_ms / hand_ms.max(1e-6);
     println!("  interpreter overhead on msi_small: {spec_ms:.1} ms vs {hand_ms:.1} ms hand-written ({overhead:.1}x)");
     let _ = writeln!(
@@ -133,4 +141,23 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_zoo.json");
     std::fs::write(path, &json).expect("write BENCH_zoo.json");
     println!("wrote BENCH_zoo.json ({} spec rows)", paths.len());
+}
+
+/// Wall time, in milliseconds, of one msi_small golden-candidate check.
+fn check_ms<M: TransitionSystem>(model: &M, resolver: &dyn SharedResolver) -> f64 {
+    let start = Instant::now();
+    let out = Checker::new(CheckerOptions::default()).run_shared(model, resolver);
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(out.stats().states_visited, 332);
+    ms
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
 }

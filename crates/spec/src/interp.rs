@@ -8,8 +8,10 @@
 //! in a per-rule byte frame, enum variants and library actions to constants,
 //! holes to registry positions — and reports unresolvable or ill-typed
 //! constructs as structured [`InvalidSpec`] errors. A place compiles to a
-//! static offset plus index × stride steps; only a place behind a multiset
-//! needs a dynamic skip. After a spec loads, the evaluator can only fail a
+//! static offset plus index × stride steps; only a place behind a
+//! variable-size value needs a dynamic skip. A local bound to a bare
+//! `none` takes the type that the first later assignment to it, or typed
+//! use of it, gives. After a spec loads, the evaluator can only fail a
 //! runtime check — an array index ≥ n, an enum cast out of range, int
 //! arithmetic outside `0..=255`, a pidset pid past `DIR`, `get(none)` —
 //! and those panic; the checker's panic isolation quarantines such
@@ -34,7 +36,7 @@
 //! end of the body).
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use verc3_mck::eval::{Choice, HoleResolver, HoleSpec};
 use verc3_mck::scalarset::Symmetric;
@@ -43,8 +45,8 @@ use verc3_mck::{Property, Rule, RuleOutcome, TransitionSystem};
 use crate::ast::{BinOp, Expr, LValue, PathSeg, Stmt, UnOp};
 use crate::error::InvalidSpec;
 use crate::layout::{
-    copy_bytes, multi_count, multi_search, pidset_width, push_word, read_word, write_word, Laid,
-    PermProgram, Shape, SpecState,
+    multi_count, multi_search, pidset_width, push_word, read_word, write_word, Kind, Laid, Link,
+    PermProgram, Records, Shape, SpecState,
 };
 use crate::spec::{Binder, BinderDomain, FnBody, PropKind, RawRule, RawSpec, TypeRef};
 
@@ -92,6 +94,8 @@ pub(crate) struct CompiledSpec {
     pub bodies: Vec<CBody>,
     pub rules: Vec<CRuleInstance>,
     pub props: Vec<CProp>,
+    /// Every record's layout: keeps the targets of [`Link`]s alive.
+    pub _records: Arc<Records>,
 }
 
 /// Quantifier flavors.
@@ -127,12 +131,8 @@ pub(crate) struct CArg {
 pub(crate) enum CExpr {
     /// A scalar constant (bool, int, pid, enum variant, pidset bits).
     Lit(u32),
-    /// The byte at a static offset of the state.
-    StateByte(usize),
-    /// The byte at a static offset of the frame.
-    FrameByte(usize),
     /// A scalar of the given width at a computed address.
-    Load(Box<CAddr>, usize),
+    Load(CAddr, usize),
     EnumCast(u32, Box<CExpr>),
     Not(Box<CExpr>),
     And(Box<CExpr>, Box<CExpr>),
@@ -164,7 +164,7 @@ pub(crate) enum CExpr {
     /// A record constructor; `size` is `None` for variable-size records.
     Record(Vec<CArg>, Option<usize>),
     Some_(Box<CArg>),
-    /// `none`: a zero tag and the zero fill, this many bytes in all.
+    /// `none`: a zero tag and any zero fill, this many bytes in all.
     Zeros(usize),
     Find(Box<CFind>),
 }
@@ -174,17 +174,42 @@ pub(crate) enum CExpr {
 #[derive(Debug, Clone)]
 pub(crate) struct CFind {
     ms: CExpr,
-    fields: Arc<[Shape]>,
+    /// The element record's layout.
+    elem: Shape,
     to: CArg,
     kind: CArg,
     rank: CExpr,
-    to_field: usize,
-    kind_field: usize,
-    /// `[element size, to offset, kind offset]` when the record has a
-    /// fixed size and both selectors are one byte wide.
-    fixed: Option<[usize; 3]>,
+    to_at: FieldAt,
+    kind_at: FieldAt,
     /// Length of the zero fill behind a `none` result.
     fill: usize,
+}
+
+/// Where a field starts inside its record: a static displacement over the
+/// fixed-size fields up to the first variable-size one, then a skip over
+/// each field from there on.
+#[derive(Debug, Clone)]
+pub(crate) struct FieldAt {
+    off: usize,
+    over: Vec<Shape>,
+}
+
+impl FieldAt {
+    fn new(fields: &[Shape], idx: usize) -> Self {
+        let fixed = fields[..idx].iter().take_while(|f| f.size.is_some());
+        let first_var = fields[..idx].iter().position(|f| f.size.is_none());
+        FieldAt {
+            off: fixed.filter_map(|f| f.size).sum(),
+            over: first_var.map_or_else(Vec::new, |v| fields[v..idx].to_vec()),
+        }
+    }
+
+    /// The field's offset in the record starting at `start`.
+    fn at(&self, buf: &[u8], start: usize) -> usize {
+        self.over
+            .iter()
+            .fold(start + self.off, |o, f| f.skip(buf, o))
+    }
 }
 
 /// An address: a root, a static displacement, then any dynamic steps.
@@ -263,9 +288,6 @@ pub(crate) enum CStmt {
     SetLocal(usize, CArg),
     /// Store into a variable-size local whose pointer sits at this offset.
     SetLocalVar(usize, CArg),
-    /// `let x = find(…)` into a fixed-size local: the result is written in
-    /// place.
-    FindInto(usize, Box<CFind>),
     Choose {
         off: usize,
         hole: usize,
@@ -298,7 +320,7 @@ pub(crate) enum CStmt {
 /// Compiles validated raw declarations into executable form.
 pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
     let n = raw.pids;
-    let records = record_shapes(&raw)?;
+    let shapes = Shapes::new(&raw)?;
     let holes: Vec<CHole> = raw
         .holes
         .iter()
@@ -308,12 +330,6 @@ pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
         })
         .collect();
 
-    let mut shapes = Shapes {
-        records,
-        vars: Vec::new(),
-        n,
-    };
-    shapes.vars = raw.vars.iter().map(|(_, t)| shapes.of(t)).collect();
     let initial = SpecState::from_bytes(vec![0; shapes.vars.iter().map(Shape::zero_len).sum()]);
     let perm = PermProgram::new(&shapes.vars, n);
 
@@ -381,24 +397,49 @@ pub(crate) fn compile(raw: RawSpec) -> Result<CompiledSpec, InvalidSpec> {
         bodies,
         rules,
         props,
+        _records: shapes.records,
     })
 }
 
 /// Declared-type layouts, computed once: records, state variables, and the
 /// scalarset size.
 struct Shapes {
-    records: Vec<Shape>,
+    records: Arc<Records>,
     vars: Vec<Shape>,
     n: usize,
 }
 
 impl Shapes {
+    /// Lays out every record, then the state variables.
+    fn new(raw: &RawSpec) -> Result<Shapes, InvalidSpec> {
+        check_finite(raw)?;
+        let mut shapes = Shapes {
+            records: raw.records.iter().map(|_| OnceLock::new()).collect(),
+            vars: Vec::new(),
+            n: raw.pids,
+        };
+        for r in record_order(raw) {
+            let fields = raw.records[r].fields.iter();
+            let shape = Shape::record(fields.map(|(_, t)| shapes.of(t)).collect());
+            shapes.records[r]
+                .set(shape)
+                .expect("each record is laid out once");
+        }
+        shapes.vars = raw.vars.iter().map(|(_, t)| shapes.of(t)).collect();
+        Ok(shapes)
+    }
+
+    /// The layout of `t`. A record that is still being laid out contains
+    /// itself, and links back to its own layout.
     fn of(&self, t: &TypeRef) -> Shape {
         match t {
             TypeRef::Bool | TypeRef::Int | TypeRef::Enum(_) => Shape::byte(),
             TypeRef::Pid => Shape::pid(),
             TypeRef::PidSet => Shape::pidset(self.n),
-            TypeRef::Record(r) => self.records[*r].clone(),
+            TypeRef::Record(r) => match self.records[*r].get() {
+                Some(shape) => shape.clone(),
+                None => Shape::link(Link::new(Arc::downgrade(&self.records), *r)),
+            },
             TypeRef::Option(inner) => Shape::opt(self.of(inner)),
             TypeRef::Multiset(inner) => Shape::multi(self.of(inner)),
             TypeRef::Array(inner) => Shape::array(self.of(inner), self.n),
@@ -407,26 +448,84 @@ impl Shapes {
         }
     }
 
-    /// `self.of(t).size`, without building the shape.
-    fn size(&self, t: &TypeRef) -> Option<usize> {
-        match t {
-            TypeRef::Bool | TypeRef::Int | TypeRef::Enum(_) | TypeRef::Pid => Some(1),
-            TypeRef::PidSet => Some(pidset_width(self.n)),
-            TypeRef::Record(r) => self.records[*r].size,
-            TypeRef::Option(inner) => self.size(inner).map(|s| s + 1),
-            TypeRef::Multiset(_) => None,
-            TypeRef::Array(inner) => self.size(inner).map(|s| s * self.n),
-            TypeRef::Unknown => Some(0),
+    /// The field layouts of record `r`.
+    fn fields(&self, r: usize) -> &Arc<[Shape]> {
+        match self.records[r].get().map(|s| &s.kind) {
+            Some(Kind::Record(fields)) => fields,
+            _ => unreachable!("records are laid out before any body compiles"),
         }
     }
 
     fn width(&self, t: &TypeRef) -> Width {
-        match (t, self.size(t)) {
-            (TypeRef::PidSet, _) => Width::Word(pidset_width(self.n)),
-            (t, _) if is_scalar(t) => Width::Word(1),
-            (_, Some(s)) => Width::Fixed(s),
-            (t, None) => Width::Var(Box::new(self.of(t))),
+        match t {
+            TypeRef::PidSet => Width::Word(pidset_width(self.n)),
+            t if is_scalar(t) => Width::Word(1),
+            t => {
+                let shape = self.of(t);
+                match shape.size {
+                    Some(s) => Width::Fixed(s),
+                    None => Width::Var(Box::new(shape)),
+                }
+            }
         }
+    }
+}
+
+/// The record `t` names, under any options, multisets and arrays.
+fn named_record(t: &TypeRef) -> Option<usize> {
+    match t {
+        TypeRef::Record(r) => Some(*r),
+        TypeRef::Option(i) | TypeRef::Multiset(i) | TypeRef::Array(i) => named_record(i),
+        _ => None,
+    }
+}
+
+/// Record indices, each after every record its fields name, except one
+/// still being visited: that one contains itself.
+fn record_order(raw: &RawSpec) -> Vec<usize> {
+    fn visit(r: usize, raw: &RawSpec, seen: &mut [bool], order: &mut Vec<usize>) {
+        if std::mem::replace(&mut seen[r], true) {
+            return;
+        }
+        for (_, t) in &raw.records[r].fields {
+            if let Some(q) = named_record(t) {
+                visit(q, raw, seen, order);
+            }
+        }
+        order.push(r);
+    }
+    let mut seen = vec![false; raw.records.len()];
+    let mut order = Vec::with_capacity(raw.records.len());
+    for r in 0..raw.records.len() {
+        visit(r, raw, &mut seen, &mut order);
+    }
+    order
+}
+
+/// Rejects records without a finite value: a record may contain itself
+/// only behind an option or a multiset, whose `none` and empty values end
+/// the nesting.
+fn check_finite(raw: &RawSpec) -> Result<(), InvalidSpec> {
+    fn finite(t: &TypeRef, done: &[bool]) -> bool {
+        match t {
+            TypeRef::Record(r) => done[*r],
+            TypeRef::Array(elem) => finite(elem, done),
+            _ => true,
+        }
+    }
+    // Least fixpoint: a record is finite once all its fields are.
+    let mut done = vec![false; raw.records.len()];
+    while let Some(r) = (0..done.len())
+        .find(|&r| !done[r] && raw.records[r].fields.iter().all(|(_, t)| finite(t, &done)))
+    {
+        done[r] = true;
+    }
+    match done.iter().position(|d| !d) {
+        None => Ok(()),
+        Some(r) => Err(InvalidSpec::Type {
+            context: format!("[records.{}]", raw.records[r].name),
+            message: "a record can contain itself only behind an option or a multiset".into(),
+        }),
     }
 }
 
@@ -453,60 +552,6 @@ fn unify(a: &TypeRef, b: &TypeRef) -> TypeRef {
         (TypeRef::Option(x), TypeRef::Option(y)) => TypeRef::Option(Box::new(unify(x, y))),
         _ => a.clone(),
     }
-}
-
-/// Every record's layout, rejecting records that contain themselves: a
-/// fixed layout cannot hold them (not even behind an option, whose `none`
-/// is zero-filled).
-fn record_shapes(raw: &RawSpec) -> Result<Vec<Shape>, InvalidSpec> {
-    fn build(
-        r: usize,
-        raw: &RawSpec,
-        done: &mut Vec<Option<Shape>>,
-        visiting: &mut Vec<bool>,
-    ) -> Result<Shape, InvalidSpec> {
-        if let Some(s) = &done[r] {
-            return Ok(s.clone());
-        }
-        if visiting[r] {
-            return Err(InvalidSpec::Type {
-                context: format!("[records.{}]", raw.records[r].name),
-                message: "a record cannot contain itself".into(),
-            });
-        }
-        visiting[r] = true;
-        let mut fields = Vec::new();
-        for (_, t) in &raw.records[r].fields {
-            fields.push(of(t, raw, done, visiting)?);
-        }
-        let shape = Shape::record(fields);
-        done[r] = Some(shape.clone());
-        Ok(shape)
-    }
-    fn of(
-        t: &TypeRef,
-        raw: &RawSpec,
-        done: &mut Vec<Option<Shape>>,
-        visiting: &mut Vec<bool>,
-    ) -> Result<Shape, InvalidSpec> {
-        Ok(match t {
-            TypeRef::Record(r) => build(*r, raw, done, visiting)?,
-            TypeRef::Option(i) => Shape::opt(of(i, raw, done, visiting)?),
-            TypeRef::Multiset(i) => Shape::multi(of(i, raw, done, visiting)?),
-            TypeRef::Array(i) => Shape::array(of(i, raw, done, visiting)?, raw.pids),
-            t => Shapes {
-                records: Vec::new(),
-                vars: Vec::new(),
-                n: raw.pids,
-            }
-            .of(t),
-        })
-    }
-    let mut done = vec![None; raw.records.len()];
-    let mut visiting = vec![false; raw.records.len()];
-    (0..raw.records.len())
-        .map(|r| build(r, raw, &mut done, &mut visiting))
-        .collect()
 }
 
 fn binder_type(d: &BinderDomain) -> TypeRef {
@@ -589,15 +634,6 @@ fn place_of(e: CExpr) -> CAddr {
     }
 }
 
-/// A scalar read; one-byte reads at static offsets get their own nodes.
-fn load(addr: CAddr, width: usize) -> CExpr {
-    match (width, &addr.root, addr.steps.is_empty()) {
-        (1, Root::State, true) => CExpr::StateByte(addr.off),
-        (1, Root::Local(o), true) => CExpr::FrameByte(o + addr.off),
-        _ => CExpr::Load(Box::new(addr), width),
-    }
-}
-
 struct Compiler<'r> {
     raw: &'r RawSpec,
     shapes: &'r Shapes,
@@ -606,6 +642,9 @@ struct Compiler<'r> {
     frame: usize,
     fn_stack: Vec<String>,
     ctx: String,
+    /// `let` locals whose type waits on a later use: frame offset, and the
+    /// type the first such use gives.
+    inferring: Vec<(usize, Option<TypeRef>)>,
 }
 
 impl<'r> Compiler<'r> {
@@ -618,6 +657,7 @@ impl<'r> Compiler<'r> {
             frame: 0,
             fn_stack: Vec::new(),
             ctx,
+            inferring: Vec::new(),
         }
     }
 
@@ -639,7 +679,7 @@ impl<'r> Compiler<'r> {
     /// type has no fixed size) without binding a name.
     fn reserve(&mut self, ty: &TypeRef) -> usize {
         let off = self.frame;
-        self.frame += self.shapes.size(ty).unwrap_or(4);
+        self.frame += self.shapes.of(ty).size.unwrap_or(4);
         off
     }
 
@@ -678,25 +718,19 @@ impl<'r> Compiler<'r> {
     }
 
     fn local_root(&self, off: usize, ty: &TypeRef) -> Root {
-        match self.shapes.size(ty) {
+        let shape = self.shapes.of(ty);
+        match shape.size {
             Some(_) => Root::Local(off),
-            None => Root::LocalVar(off, Box::new(self.shapes.of(ty))),
+            None => Root::LocalVar(off, Box::new(shape)),
         }
     }
 
     /// A store of `value` into a fresh local at `off`.
     fn set_local(&self, off: usize, value: CExpr, ty: &TypeRef) -> CStmt {
         let arg = self.arg(value, ty);
-        match (arg.width, arg.expr) {
-            (Width::Fixed(_), CExpr::Find(find)) => CStmt::FindInto(off, find),
-            (Width::Var(shape), expr) => CStmt::SetLocalVar(
-                off,
-                CArg {
-                    expr,
-                    width: Width::Var(shape),
-                },
-            ),
-            (width, expr) => CStmt::SetLocal(off, CArg { expr, width }),
+        match arg.width {
+            Width::Var(_) => CStmt::SetLocalVar(off, arg),
+            _ => CStmt::SetLocal(off, arg),
         }
     }
 
@@ -744,8 +778,8 @@ impl<'r> Compiler<'r> {
     /// A scalar load or an in-place composite read of `addr` at type `ty`.
     fn finish(&self, addr: CAddr, ty: &TypeRef) -> CExpr {
         match ty {
-            TypeRef::PidSet => load(addr, pidset_width(self.shapes.n)),
-            t if is_scalar(t) => load(addr, 1),
+            TypeRef::PidSet => CExpr::Load(addr, pidset_width(self.shapes.n)),
+            t if is_scalar(t) => CExpr::Load(addr, 1),
             _ => CExpr::Place(Box::new(addr)),
         }
     }
@@ -829,29 +863,28 @@ impl<'r> Compiler<'r> {
 
     /// Steps into field `idx` of record `r`.
     fn field(&self, addr: &mut CAddr, r: usize, idx: usize) {
-        let crate::layout::Kind::Record(fields) = &self.shapes.records[r].kind else {
-            unreachable!("record shapes are records")
-        };
-        addr.field(fields, idx);
+        addr.field(self.shapes.fields(r), idx);
     }
 
     /// Steps into element `idx` of a pid-indexed array of `elem`.
     fn index(&self, addr: &mut CAddr, idx: CExpr, elem: &TypeRef) {
-        addr.steps.push(match self.shapes.size(elem) {
+        let shape = self.shapes.of(elem);
+        addr.steps.push(match shape.size {
             Some(s) => Step::Index(idx, s),
-            None => Step::IndexVar(idx, Box::new(self.shapes.of(elem))),
+            None => Step::IndexVar(idx, Box::new(shape)),
         });
     }
 
-    /// Re-lays a `none`-bearing literal at a concrete type. Only literals
-    /// can have such types: `let` rejects them, so no place holds one.
-    fn retype(&self, c: CExpr, have: &TypeRef, want: &TypeRef) -> Result<CExpr, InvalidSpec> {
+    /// Re-lays a `none`-bearing value at a more specific type: a literal,
+    /// or a read of a local whose type is still being inferred, which this
+    /// use then decides.
+    fn retype(&mut self, c: CExpr, have: &TypeRef, want: &TypeRef) -> Result<CExpr, InvalidSpec> {
         if !contains_unknown(have) || contains_unknown(want) && have == want {
             return Ok(c);
         }
         match (c, have, want) {
             (CExpr::Zeros(_), _, TypeRef::Option(inner)) => {
-                Ok(CExpr::Zeros(1 + self.shapes.of(inner).zero_len()))
+                Ok(CExpr::Zeros(Shape::opt(self.shapes.of(inner)).zero_len()))
             }
             (CExpr::Some_(arg), TypeRef::Option(hi), TypeRef::Option(wi)) => {
                 let inner = self.retype(arg.expr, hi, wi)?;
@@ -859,16 +892,37 @@ impl<'r> Compiler<'r> {
             }
             // `get(none)`: the unwrap panics before any read.
             (CExpr::Place(addr), TypeRef::Unknown, _) => Ok(self.finish(*addr, want)),
+            (CExpr::Place(addr), _, _) if self.refine(&addr, have, want) => Ok(CExpr::Place(addr)),
             (c, _, TypeRef::Unknown) => Ok(c),
             _ => Err(self.type_err("cannot infer the type of `none` here")),
         }
+    }
+
+    /// When `addr` is a whole local under inference, records the type
+    /// `want` gives it, unless an earlier use decided it or `want` says no
+    /// more than `have`, and returns `true`.
+    fn refine(&mut self, addr: &CAddr, have: &TypeRef, want: &TypeRef) -> bool {
+        let (Root::Local(off) | Root::LocalVar(off, _)) = &addr.root else {
+            return false;
+        };
+        if addr.off != 0 || !addr.steps.is_empty() {
+            return false;
+        }
+        let Some((_, found)) = self.inferring.iter_mut().find(|(o, _)| o == off) else {
+            return false;
+        };
+        let ty = unify(have, want);
+        if found.is_none() && ty != *have {
+            *found = Some(ty);
+        }
+        true
     }
 
     /// Coerces a compile-time integer literal to a pid where a pid-typed
     /// position expects one, and lays `none` literals out at the expected
     /// type. Only literals coerce: a runtime `int` is not a `pid`.
     fn coerce(
-        &self,
+        &mut self,
         c: CExpr,
         have: TypeRef,
         want: &TypeRef,
@@ -894,13 +948,14 @@ impl<'r> Compiler<'r> {
 
     /// Compiles `body` onto the end of `out`, in the current scope.
     fn stmts_into(&mut self, body: &[Stmt], out: &mut Vec<CStmt>) -> Result<(), InvalidSpec> {
-        for s in body {
-            out.push(self.stmt(s)?);
+        for (i, s) in body.iter().enumerate() {
+            out.push(self.stmt(s, &body[i + 1..])?);
         }
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<CStmt, InvalidSpec> {
+    /// Compiles `s`; `rest` is what follows it in its scope.
+    fn stmt(&mut self, s: &Stmt, rest: &[Stmt]) -> Result<CStmt, InvalidSpec> {
         match s {
             Stmt::Require(e) => {
                 let (ce, ty) = self.expr(e)?;
@@ -910,11 +965,16 @@ impl<'r> Compiler<'r> {
                 Ok(CStmt::Require(ce))
             }
             Stmt::Let(name, e) => {
-                let (ce, ty) = self.expr(e)?;
+                let (mut ce, mut ty) = self.expr(e)?;
                 if contains_unknown(&ty) {
-                    return Err(
-                        self.type_err(format!("cannot infer the type of `none` in `let {name}`"))
-                    );
+                    let init = ty.clone();
+                    while contains_unknown(&ty) {
+                        match self.infer(name, &ty, rest)? {
+                            Some(t) if t != ty => ty = t,
+                            _ => break,
+                        }
+                    }
+                    ce = self.retype(ce, &init, &ty)?;
                 }
                 let off = self.reserve(&ty);
                 let st = self.set_local(off, ce, &ty);
@@ -938,6 +998,9 @@ impl<'r> Compiler<'r> {
                     return Err(
                         self.type_err(format!("assignment to `{}` has a mismatched type", lv.base))
                     );
+                }
+                if contains_unknown(&pty) {
+                    self.refine(&place, &pty, &vty);
                 }
                 Ok(CStmt::Assign {
                     place,
@@ -1042,6 +1105,26 @@ impl<'r> Compiler<'r> {
                 compiled.map(|()| CStmt::Block(out))
             }
         }
+    }
+
+    /// Compiles `rest` with `name` bound at `ty`, a type `none` left open,
+    /// to find the type that the first assignment to it or typed use of it
+    /// gives. What this compiles is thrown away.
+    fn infer(
+        &mut self,
+        name: &str,
+        ty: &TypeRef,
+        rest: &[Stmt],
+    ) -> Result<Option<TypeRef>, InvalidSpec> {
+        let (frame, scopes) = (self.frame, self.scopes.clone());
+        let off = self.reserve(ty);
+        self.bind(name, off, ty.clone());
+        self.inferring.push((off, None));
+        let compiled = self.stmts_into(rest, &mut Vec::new());
+        let (_, found) = self.inferring.pop().expect("pushed above");
+        self.frame = frame;
+        self.scopes = scopes;
+        compiled.map(|()| found)
     }
 
     /// Compiles an lvalue (base + path) into an address.
@@ -1272,7 +1355,7 @@ impl<'r> Compiler<'r> {
                     return Err(self.type_err(format!("`{name}` needs an option")));
                 }
                 // The tag byte is 1 exactly when the option is `some`.
-                let tag = load(addr, 1);
+                let tag = CExpr::Load(addr, 1);
                 let c = if name == "is_some" {
                     tag
                 } else {
@@ -1367,29 +1450,20 @@ impl<'r> Compiler<'r> {
                 if !rty.compatible(&TypeRef::Int) {
                     return Err(self.type_err("`find` rank must be an integer"));
                 }
-                let record = &self.shapes.records[r];
-                let crate::layout::Kind::Record(fields) = &record.kind else {
-                    unreachable!("record shapes are records")
-                };
-                let (to, kind) = (self.arg(cto, &to_ty), self.arg(ckind, &kind_ty));
-                let fixed = match (record.size, &to.width, &kind.width) {
-                    (Some(size), Width::Word(1), Width::Word(1)) => {
-                        let at = |i: usize| fields[..i].iter().filter_map(|f| f.size).sum();
-                        Some([size, at(to_field), at(kind_field)])
-                    }
-                    _ => None,
-                };
+                let fields = self.shapes.fields(r);
+                let to_at = FieldAt::new(fields, to_field);
+                let kind_at = FieldAt::new(fields, kind_field);
+                let elem = self.shapes.of(&TypeRef::Record(r));
                 Ok((
                     CExpr::Find(Box::new(CFind {
                         ms: cms,
-                        fields: fields.clone(),
-                        to,
-                        kind,
+                        to: self.arg(cto, &to_ty),
+                        kind: self.arg(ckind, &kind_ty),
                         rank: crank,
-                        to_field,
-                        kind_field,
-                        fixed,
-                        fill: fields.iter().map(Shape::zero_len).sum(),
+                        to_at,
+                        kind_at,
+                        fill: elem.size.unwrap_or(0),
+                        elem,
                     })),
                     TypeRef::Option(Box::new(TypeRef::Record(r))),
                 ))
@@ -1443,7 +1517,7 @@ impl<'r> Compiler<'r> {
                         }
                         cargs.push(self.arg(ca, fty));
                     }
-                    let size = self.shapes.records[r].size;
+                    let size = self.shapes.of(&TypeRef::Record(r)).size;
                     return Ok((CExpr::Record(cargs, size), TypeRef::Record(r)));
                 }
                 // Expression fn: inline by substitution. The substituted body
@@ -1629,21 +1703,10 @@ impl Exec<'_> {
         }
     }
 
-    /// Evaluates a scalar. Leaves are inlined into the caller; everything
-    /// else goes through [`Exec::word_node`].
-    #[inline(always)]
+    /// Evaluates a scalar.
     fn word(&mut self, e: &CExpr) -> u32 {
         match e {
             CExpr::Lit(v) => *v,
-            CExpr::StateByte(off) => self.buf(Buf::State)[*off] as u32,
-            CExpr::FrameByte(off) => self.frame[*off] as u32,
-            _ => self.word_node(e),
-        }
-    }
-
-    #[inline(never)]
-    fn word_node(&mut self, e: &CExpr) -> u32 {
-        match e {
             CExpr::Load(addr, w) => {
                 let (b, off) = self.addr(addr);
                 read_word(self.buf(b), off, *w)
@@ -1786,39 +1849,12 @@ impl Exec<'_> {
 
     /// The range of the matching element in the multiset's buffer, if any.
     fn find(&mut self, find: &CFind) -> (Buf, Option<(usize, usize)>) {
-        let CFind {
-            ms,
-            fields,
-            to,
-            kind,
-            rank,
-            to_field,
-            kind_field,
-            fixed,
-            fill: _,
-        } = find;
-        let to = self.extent(to);
-        let kind = self.extent(kind);
-        let rank = self.word(rank);
-        let (b, mut o) = self.val(ms);
+        let to = self.extent(&find.to);
+        let kind = self.extent(&find.kind);
+        let rank = self.word(&find.rank);
+        let (b, mut o) = self.val(&find.ms);
         let buf = self.buf(b);
         let mut seen = 0;
-        if let (Some([size, to_off, kind_off]), Ext::Word(t, _), Ext::Word(k, _)) =
-            (fixed, to, kind)
-        {
-            while buf[o] == 1 {
-                let s = o + 1;
-                if buf[s + to_off] as u32 == t && buf[s + kind_off] as u32 == k {
-                    if seen == rank {
-                        return (b, Some((s, s + size)));
-                    }
-                    seen += 1;
-                }
-                o = s + size;
-            }
-            return (b, None);
-        }
-        let at = |s: usize, i: usize| fields[..i].iter().fold(s, |o, f| f.skip(buf, o));
         let hit = |at: usize, ext: &Ext| match *ext {
             Ext::Word(v, w) => read_word(buf, at, w) == v,
             Ext::Bytes(..) => {
@@ -1828,8 +1864,8 @@ impl Exec<'_> {
         };
         while buf[o] == 1 {
             let s = o + 1;
-            let end = at(s, fields.len());
-            if hit(at(s, *to_field), &to) && hit(at(s, *kind_field), &kind) {
+            let end = find.elem.skip(buf, s);
+            if hit(find.to_at.at(buf, s), &to) && hit(find.kind_at.at(buf, s), &kind) {
                 if seen == rank {
                     return (b, Some((s, end)));
                 }
@@ -1888,7 +1924,7 @@ impl Exec<'_> {
                 at + w
             }
             Ext::Bytes(Buf::Frame, s, e) => {
-                copy_in_frame(self.frame, s, e, at);
+                self.frame.copy_within(s..e, at);
                 at + e - s
             }
             Ext::Bytes(Buf::State, s, e) => {
@@ -1897,7 +1933,7 @@ impl Exec<'_> {
                 } else {
                     self.cur
                 };
-                copy_bytes(&mut self.frame[at..at + e - s], &state[s..e]);
+                self.frame[at..at + e - s].copy_from_slice(&state[s..e]);
                 at + e - s
             }
         }
@@ -1909,7 +1945,7 @@ impl Exec<'_> {
             Ext::Word(v, w) => write_word(self.next, at, v, w),
             Ext::Bytes(Buf::State, s, e) => self.next.copy_within(s..e, at),
             Ext::Bytes(Buf::Frame, s, e) => {
-                copy_bytes(&mut self.next[at..at + e - s], &self.frame[s..e])
+                self.next[at..at + e - s].copy_from_slice(&self.frame[s..e])
             }
         }
     }
@@ -2014,7 +2050,7 @@ impl Exec<'_> {
                 self.next.resize(old + len, 0);
                 self.next.copy_within(pos..old, pos + len);
                 self.next[pos] = 1;
-                copy_bytes(&mut self.next[pos + 1..pos + len], &self.frame[vs..ve]);
+                self.next[pos + 1..pos + len].copy_from_slice(&self.frame[vs..ve]);
             }
             (Buf::Frame, at) => {
                 // The multiset is the frame's tail: append, then rotate in.
@@ -2052,22 +2088,10 @@ impl Exec<'_> {
                         return Flow::Disabled;
                     }
                 }
-                // A fresh local is invisible to its initializer, so a record
-                // is built straight into it.
-                CStmt::SetLocal(off, value) => match &value.expr {
-                    CExpr::Record(fields, Some(_)) => self.record_at(*off, fields),
-                    _ => {
-                        let ext = self.extent(value);
-                        self.write_frame(*off, ext);
-                    }
-                },
-                CStmt::FindInto(off, find) => match self.find(find) {
-                    (b, Some((s, e))) => {
-                        self.frame[*off] = 1;
-                        self.write_frame(off + 1, Ext::Bytes(b, s, e));
-                    }
-                    (_, None) => self.frame[*off..=off + find.fill].fill(0),
-                },
+                CStmt::SetLocal(off, value) => {
+                    let ext = self.extent(value);
+                    self.write_frame(*off, ext);
+                }
                 CStmt::SetLocalVar(off, value) => {
                     // Always a private copy: a relocating write to another
                     // local must never show through this one.
@@ -2114,21 +2138,6 @@ impl Exec<'_> {
             }
         }
         Flow::Cont
-    }
-}
-
-/// Copies `frame[s..e]` to `frame[at..]`. Locals and temporaries never
-/// overlap, so this is a plain copy.
-fn copy_in_frame(frame: &mut [u8], s: usize, e: usize, at: usize) {
-    let len = e - s;
-    if at >= e {
-        let (src, dst) = frame.split_at_mut(at);
-        copy_bytes(&mut dst[..len], &src[s..e]);
-    } else if at + len <= s {
-        let (dst, src) = frame.split_at_mut(s);
-        copy_bytes(&mut dst[at..at + len], &src[..len]);
-    } else if at != s {
-        frame.copy_within(s..e, at);
     }
 }
 
@@ -2432,25 +2441,213 @@ expr = "is_some(winner)"
             ProtocolSpec::from_toml_str(&bad_type),
             Err(InvalidSpec::Type { .. })
         ));
+    }
 
-        // A local needs a layout, and `none` alone does not give it one.
-        let untyped = COUNTER.replace("require count == 0;", "let w = none; require count == 0;");
+    /// `let x = none` takes its layout from the first later assignment or
+    /// typed use; a local nothing types keeps the bare tag.
+    #[test]
+    fn let_none_takes_its_type_from_later_uses() {
+        let src = r#"
+[protocol]
+name = "search"
+pids = 3
+symmetry = false
+
+[records.Cache]
+fields = ["hit: bool"]
+
+[vars]
+caches = "array[pid] of Cache"
+found = "option<pid>"
+seen = "option<pid>"
+done = "bool"
+
+[[rule]]
+name = "mark"
+body = """
+require !done;
+caches[1].hit = true;
+caches[2].hit = true;
+done = true;
+"""
+
+[[rule]]
+name = "search"
+body = """
+require done && is_none(found);
+let x = none;
+let unused = none;
+x = none;
+for q in pids {
+  if caches[q].hit && is_none(x) { x = some(q); }
+}
+require is_some(x) && is_none(unused);
+caches[get(x)].hit = false;
+found = x;
+"""
+
+[[rule]]
+name = "copy"
+body = """
+let y = none;
+require is_some(found) && is_none(seen);
+let z = y;
+z = found;
+seen = z;
+"""
+
+[[property]]
+kind = "invariant"
+name = "trivial"
+expr = "true"
+"#;
+        let spec = ProtocolSpec::from_toml_str(src).expect("loads");
+        let model = spec.model();
+        let init = model.initial_states().remove(0);
+        assert_eq!(apply(&model, "search", &init), RuleOutcome::Disabled);
+        let marked = next(apply(&model, "mark", &init));
+        assert_eq!(marked.as_bytes(), [0, 1, 1, 0, 0, 0, 0, 1]);
+        // caches[1] is the first hit; `found = some(1)`.
+        let searched = next(apply(&model, "search", &marked));
+        assert_eq!(searched.as_bytes(), [0, 0, 1, 1, 1, 0, 0, 1]);
+        let copied = next(apply(&model, "copy", &searched));
+        assert_eq!(copied.as_bytes(), [0, 0, 1, 1, 1, 1, 1, 1]);
+
+        // Uses that disagree on the type are still an error.
+        let clash = src.replace("seen = z;", "seen = z; z = some(true);");
         assert!(matches!(
-            ProtocolSpec::from_toml_str(&untyped),
+            ProtocolSpec::from_toml_str(&clash),
             Err(InvalidSpec::Type { .. })
         ));
     }
 
+    /// A record may contain itself behind an option or a multiset; its
+    /// `none` is then the tag alone. Symmetry permutes the nested pids.
     #[test]
-    fn self_containing_records_are_rejected() {
-        let src = COUNTER.replace(
-            "[vars]",
-            "[records.Node]\nfields = [\"next: option<Node>\"]\n\n[vars]",
-        );
-        assert!(matches!(
-            ProtocolSpec::from_toml_str(&src),
-            Err(InvalidSpec::Type { context, .. }) if context == "[records.Node]"
+    fn records_may_contain_themselves_behind_an_option() {
+        let src = r#"
+[protocol]
+name = "chain"
+pids = 2
+symmetry = true
+
+[records.Slot]
+fields = ["pushed: bool"]
+
+[records.Node]
+fields = ["who: pid", "next: option<Node>", "kids: multiset<Node>"]
+
+[vars]
+slots = "array[pid] of Slot"
+top = "option<Node>"
+bag = "multiset<Node>"
+empty = "multiset<Node>"
+
+[[ruleset]]
+binds = ["p: pid"]
+
+[[ruleset.rule]]
+name = "push[{p}]"
+body = """
+require !slots[p].pushed;
+slots[p].pushed = true;
+insert(bag, Node(p, top, empty));
+top = some(Node(p, top, empty));
+"""
+
+[[rule]]
+name = "idle"
+body = "require true;"
+
+[[property]]
+kind = "invariant"
+name = "trivial"
+expr = "true"
+"#;
+        let spec = ProtocolSpec::from_toml_str(src).expect("loads");
+        let model = spec.model();
+        let init = model.initial_states().remove(0);
+        assert_eq!(init.as_bytes(), [0, 0, 0, 0, 0], "top = none is one byte");
+        let out = Checker::new(CheckerOptions::default()).run(&model);
+        assert_eq!(out.verdict(), Verdict::Success, "{:?}", out.failure());
+        // {} → {p} → {p, q}, each up to the pid permutation.
+        assert_eq!(out.stats().states_visited, 3);
+
+        let one = next(apply(&model, "push[1]", &init));
+        #[rustfmt::skip]
+        assert_eq!(one.as_bytes(), [
+            0, 1,                   // slots
+            1, 1, 0, 0,             // top = some(Node(1, none, {}))
+            1, 1, 0, 0, 0,          // bag = {Node(1, none, {})}
+            0,                      // empty
+        ]);
+        let both = next(apply(&model, "push[0]", &one));
+        #[rustfmt::skip]
+        assert_eq!(both.as_bytes(), [
+            1, 1,
+            1, 0, 1, 1, 0, 0, 0,    // top = some(Node(0, some(Node(1, none, {})), {}))
+            1, 0, 1, 1, 0, 0, 0,    // bag = {Node(0, some(…), {}),
+            1, 1, 0, 0, 0,          //        Node(1, none, {})}
+            0,
+        ]);
+        // The other push order is the same state up to swapping the pids.
+        let swapped = next(apply(
+            &model,
+            "push[1]",
+            &next(apply(&model, "push[0]", &init)),
         ));
+        assert_ne!(swapped, both);
+        assert_eq!(model.canonicalize(swapped), model.canonicalize(both));
+
+        // Without an option or a multiset in the way there is no finite
+        // value.
+        for field in ["next: Node", "next: array[pid] of Node"] {
+            let bad = src.replace("next: option<Node>", field);
+            assert!(matches!(
+                ProtocolSpec::from_toml_str(&bad),
+                Err(InvalidSpec::Type { context, .. }) if context == "[records.Node]"
+            ));
+        }
+    }
+
+    #[test]
+    fn records_may_contain_each_other() {
+        let src = r#"
+[protocol]
+name = "mutual"
+pids = 2
+symmetry = false
+
+[records.A]
+fields = ["b: option<B>", "v: int"]
+
+[records.B]
+fields = ["a: A", "who: pid"]
+
+[vars]
+x = "A"
+
+[[rule]]
+name = "wrap"
+body = """
+require x.v < 2;
+x = A(some(B(x, 1)), x.v + 1);
+"""
+
+[[property]]
+kind = "invariant"
+name = "trivial"
+expr = "true"
+"#;
+        let spec = ProtocolSpec::from_toml_str(src).expect("loads");
+        let model = spec.model();
+        let init = model.initial_states().remove(0);
+        assert_eq!(init.as_bytes(), [0, 0]);
+        let once = next(apply(&model, "wrap", &init));
+        assert_eq!(once.as_bytes(), [1, 0, 0, 1, 1]);
+        let twice = next(apply(&model, "wrap", &once));
+        assert_eq!(twice.as_bytes(), [1, 1, 0, 0, 1, 1, 1, 2]);
+        assert_eq!(apply(&model, "wrap", &twice), RuleOutcome::Disabled);
     }
 
     #[test]
@@ -2681,7 +2878,8 @@ expr = "chans[1] == chans[1] && (is_none(o) || get(o) != b.q)"
         let spec = ProtocolSpec::from_toml_str(src).expect("loads");
         let model = spec.model();
         let init = model.initial_states().remove(0);
-        assert_eq!(init.as_bytes(), [0; 8], "all defaults are zero bytes");
+        // `none` of a variable-size option is its tag alone.
+        assert_eq!(init.as_bytes(), [0; 7], "all defaults are zero bytes");
         // Msg(kind, to) elements sort as [A,0] < [A,1] < [B,0].
         let filled = next(apply(&model, "fill", &init));
         #[rustfmt::skip]

@@ -7,8 +7,9 @@
 //!   one byte each;
 //! * a `pidset` holds n + 1 bits (bit `p` for pid `p`, bit n for `DIR`),
 //!   stored big-endian in two bytes when n + 1 > 8;
-//! * `option<T>` is a tag byte (0 = none, 1 = some) followed by `T`'s bytes,
-//!   zero-filled when none;
+//! * `option<T>` is a tag byte (0 = none, 1 = some) followed by `T`'s bytes;
+//!   `none` is zero-filled to `T`'s size when `T` has a fixed size, and is
+//!   the tag alone when it does not;
 //! * records and `array[pid] of T` concatenate their fields or elements;
 //! * `multiset<T>` holds its elements in ascending order, each prefixed by
 //!   a 1 byte, then a 0 terminator.
@@ -22,8 +23,10 @@
 //! `#[derive(Ord)]`, so canonical representatives and golden counts carry
 //! over bit for bit. The all-zero encoding of a type is its default value.
 //!
-//! Types without a multiset have a fixed size; offsets past a multiset are
-//! found by skipping over it.
+//! Types without a multiset have a fixed size; offsets past a
+//! variable-size value are found by skipping over it. A record that
+//! contains itself, behind an option or a multiset, refers back to its own
+//! layout through a link.
 //!
 //! Symmetry runs on a permutation program compiled once per layout: it
 //! remaps pid bytes below n and pidset bits, moves the n blocks of
@@ -33,7 +36,7 @@
 //! leading pid-indexed array.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use verc3_mck::scalarset::{rank_keys, Symmetric, MAX_SCALARSET};
 
@@ -94,35 +97,21 @@ pub(crate) fn push_word(buf: &mut Vec<u8>, v: u32, width: usize) {
     }
 }
 
-/// Copies `src` into `dst` (equal lengths). Values are a few bytes long,
-/// so short copies use fixed-size moves instead of a `memcpy` call.
-#[inline]
-pub(crate) fn copy_bytes(dst: &mut [u8], src: &[u8]) {
-    macro_rules! fixed {
-        ($($n:literal)*) => {
-            match src.len() {
-                $($n => dst[..$n].copy_from_slice(&src[..$n]),)*
-                _ => dst.copy_from_slice(src),
-            }
-        };
-    }
-    fixed!(1 2 3 4 5 6 7 8)
-}
-
 /// The byte layout of one type. Children are shared, so clones are
 /// cheap.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Shape {
     pub kind: Kind,
-    /// Byte size, or `None` when a multiset makes the size vary.
+    /// Byte size, or `None` when a multiset or a record that contains
+    /// itself makes the size vary.
     pub size: Option<usize>,
-    /// `true` when some permutation changes the encoding: a pid or pidset
-    /// leaf, or a pid-indexed array.
+    /// `true` when some permutation may change the encoding: a pid or
+    /// pidset leaf, a pid-indexed array, or a link.
     pub variant: bool,
 }
 
 /// The type constructors a [`Shape`] distinguishes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) enum Kind {
     /// `bool`, `int` or an enum: one byte no permutation touches.
     Byte,
@@ -135,6 +124,43 @@ pub(crate) enum Kind {
     /// A pid-indexed array of `n` elements.
     Array(Arc<Shape>, usize),
     Multi(Arc<Shape>),
+    /// A record met again inside its own layout; the cycle passes through
+    /// an option or a multiset.
+    Link(Link),
+}
+
+/// Every record's layout, each set once; [`Link`]s refer back into it.
+pub(crate) type Records = [OnceLock<Shape>];
+
+/// Record `index` of a [`Records`] table. The reference is weak, so a
+/// record that contains itself makes no reference cycle: whoever holds
+/// shapes with links also holds the table.
+#[derive(Debug, Clone)]
+pub(crate) struct Link {
+    table: Weak<Records>,
+    index: usize,
+}
+
+impl Link {
+    pub fn new(table: Weak<Records>, index: usize) -> Self {
+        Link { table, index }
+    }
+
+    fn same(&self, other: &Link) -> bool {
+        Weak::ptr_eq(&self.table, &other.table) && self.index == other.index
+    }
+
+    /// The linked record's layout.
+    pub fn target(&self) -> Shape {
+        let table = self
+            .table
+            .upgrade()
+            .expect("the record table outlives its layouts");
+        table[self.index]
+            .get()
+            .expect("linked records are laid out")
+            .clone()
+    }
 }
 
 impl Shape {
@@ -162,6 +188,8 @@ impl Shape {
         }
     }
 
+    /// `none` is zero-filled to a fixed `T`'s size; before a
+    /// variable-size `T` it is the tag alone.
     pub fn opt(inner: Shape) -> Shape {
         Shape {
             size: inner.size.map(|s| s + 1),
@@ -194,31 +222,36 @@ impl Shape {
         }
     }
 
-    /// The offset just past the value starting at `off`.
-    pub fn skip(&self, buf: &[u8], off: usize) -> usize {
-        if let Some(s) = self.size {
-            return off + s;
+    /// A record that contains itself has no fixed size. Whether it holds
+    /// pids is not known while it is being laid out, so a link counts as
+    /// variant.
+    pub fn link(link: Link) -> Shape {
+        Shape {
+            size: None,
+            variant: true,
+            kind: Kind::Link(link),
         }
+    }
+
+    /// The offset just past the value starting at `off`. Every walk over
+    /// variable-size values steps through here, so the fixed-size case is
+    /// inlined into the caller.
+    #[inline]
+    pub fn skip(&self, buf: &[u8], off: usize) -> usize {
+        match self.size {
+            Some(s) => off + s,
+            None => self.skip_var(buf, off),
+        }
+    }
+
+    fn skip_var(&self, buf: &[u8], off: usize) -> usize {
         match &self.kind {
-            Kind::Opt(inner) => inner.skip(buf, off + 1),
+            Kind::Opt(inner) if buf[off] == 1 => inner.skip(buf, off + 1),
+            Kind::Opt(_) => off + 1,
             Kind::Record(fields) => fields.iter().fold(off, |o, f| f.skip(buf, o)),
             Kind::Array(elem, n) => (0..*n).fold(off, |o, _| elem.skip(buf, o)),
-            Kind::Multi(elem) => {
-                let mut o = off;
-                match elem.size {
-                    Some(s) => {
-                        while buf[o] == 1 {
-                            o += 1 + s;
-                        }
-                    }
-                    None => {
-                        while buf[o] == 1 {
-                            o = elem.skip(buf, o + 1);
-                        }
-                    }
-                }
-                o + 1
-            }
+            Kind::Multi(elem) => multi_count(elem, buf, off).1 + 1,
+            Kind::Link(link) => link.target().skip(buf, off),
             Kind::Byte | Kind::Pid | Kind::PidSet => unreachable!("scalars are fixed-size"),
         }
     }
@@ -226,10 +259,10 @@ impl Shape {
     /// Length of the type's default (all-zero) encoding.
     pub fn zero_len(&self) -> usize {
         self.size.unwrap_or_else(|| match &self.kind {
-            Kind::Opt(inner) => 1 + inner.zero_len(),
+            Kind::Opt(_) | Kind::Multi(_) => 1,
             Kind::Record(fields) => fields.iter().map(Shape::zero_len).sum(),
             Kind::Array(elem, n) => n * elem.zero_len(),
-            Kind::Multi(_) => 1,
+            Kind::Link(link) => link.target().zero_len(),
             Kind::Byte | Kind::Pid | Kind::PidSet => unreachable!("scalars are fixed-size"),
         })
     }
@@ -251,7 +284,8 @@ pub(crate) fn multi_count(elem: &Shape, buf: &[u8], off: usize) -> (usize, usize
 
 /// Where `value` goes in the multiset at `off`: the offset of the first
 /// element's tag after every element `<= value` (`upper`), or of the first
-/// element `>= value` (`!upper`). Fixed-stride elements are binary-searched.
+/// element `>= value` (`!upper`). The element count is not stored, so this
+/// is a scan that stops at the first element past the spot.
 pub(crate) fn multi_search(
     elem: &Shape,
     buf: &[u8],
@@ -259,93 +293,37 @@ pub(crate) fn multi_search(
     value: &[u8],
     upper: bool,
 ) -> usize {
-    let before = |item: &[u8]| match cmp_bytes(item, value) {
-        Ordering::Less => true,
-        Ordering::Equal => upper,
-        Ordering::Greater => false,
-    };
-    match elem.size {
-        Some(s) => {
-            let stride = s + 1;
-            let (k, _) = multi_count(elem, buf, off);
-            let (mut lo, mut hi) = (0, k);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let at = off + mid * stride + 1;
-                if before(&buf[at..at + s]) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            off + lo * stride
+    let mut o = off;
+    while buf[o] == 1 {
+        let end = elem.skip(buf, o + 1);
+        match buf[o + 1..end].cmp(value) {
+            Ordering::Less => {}
+            Ordering::Equal if upper => {}
+            _ => break,
         }
-        None => {
-            let mut o = off;
-            while buf[o] == 1 {
-                let end = elem.skip(buf, o + 1);
-                if !before(&buf[o + 1..end]) {
-                    break;
-                }
-                o = end;
-            }
-            o
-        }
+        o = end;
     }
-}
-
-/// Byte-string order, without a `memcmp` call for the few bytes an
-/// element spans.
-#[inline]
-fn cmp_bytes(a: &[u8], b: &[u8]) -> Ordering {
-    for (x, y) in a.iter().zip(b) {
-        match x.cmp(y) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    a.len().cmp(&b.len())
+    o
 }
 
 /// Sorts the 1-prefixed elements that make up `region` into ascending
-/// order.
+/// order: an insertion sort that rotates each element into place, so it
+/// needs no buffer.
 fn sort_elems(elem: &Shape, region: &mut [u8]) {
-    match elem.size {
-        Some(s) => {
-            // Insertion sort over fixed-stride chunks: permuted networks are
-            // short and mostly sorted already.
-            let stride = s + 1;
-            for a in 1..region.len() / stride {
-                let at = a * stride;
-                let mut b = a;
-                while b > 0
-                    && cmp_bytes(
-                        &region[(b - 1) * stride..b * stride],
-                        &region[at..at + stride],
-                    ) == Ordering::Greater
-                {
-                    b -= 1;
-                }
-                if b < a {
-                    region[b * stride..at + stride].rotate_right(stride);
-                }
+    let mut a = 0;
+    while a < region.len() {
+        let b = elem.skip(region, a + 1);
+        // The first earlier element greater than this one.
+        let mut at = 0;
+        while at < a {
+            let end = elem.skip(region, at + 1);
+            if region[at..end] > region[a..b] {
+                break;
             }
+            at = end;
         }
-        None => {
-            let mut ranges = Vec::new();
-            let mut o = 0;
-            while o < region.len() {
-                let end = elem.skip(region, o + 1);
-                ranges.push((o, end));
-                o = end;
-            }
-            ranges.sort_by(|a, b| region[a.0..a.1].cmp(&region[b.0..b.1]));
-            let sorted: Vec<u8> = ranges
-                .iter()
-                .flat_map(|&(a, b)| region[a..b].iter().copied())
-                .collect();
-            region.copy_from_slice(&sorted);
-        }
+        region[at..b].rotate_right(b - a);
+        a = b;
     }
 }
 
@@ -361,13 +339,20 @@ enum POp {
     Invariant(Shape),
     /// Remap the bits below n of a pidset this many bytes wide.
     PidSet(usize),
-    /// A tag byte; `none` keeps its zero fill, `some` runs `body`.
-    Opt { fill: Shape, body: Vec<POp> },
+    /// A tag byte; `none` is followed by `fill` zero bytes, `some` runs
+    /// `body`.
+    Opt { fill: usize, body: Vec<POp> },
     /// Element `i` of a pid-indexed array moves to block `perm[i]`.
     Array { elem: Shape, body: Vec<POp> },
     /// Permute every element, then restore ascending order.
     Multi { elem: Shape, body: Vec<POp> },
+    /// Run the program of the linked record at this position of the
+    /// program's links.
+    Link(usize),
 }
+
+/// The programs of linked records.
+type LinkOps = Vec<(Link, Vec<POp>)>;
 
 /// The pid-byte offsets of a fixed-size shape built from bytes, pids and
 /// records only; `None` for any other shape.
@@ -391,7 +376,7 @@ fn pid_bytes(shape: &Shape, base: usize, out: &mut Vec<usize>) -> Option<()> {
     }
 }
 
-fn compile_perm(shape: &Shape, ops: &mut Vec<POp>) {
+fn compile_perm(shape: &Shape, ops: &mut Vec<POp>, links: &mut LinkOps) {
     let mut pids = Vec::new();
     if let (Some(len), Some(())) = (shape.size, pid_bytes(shape, 0, &mut pids)) {
         match ops.last_mut() {
@@ -407,32 +392,45 @@ fn compile_perm(shape: &Shape, ops: &mut Vec<POp>) {
         ops.push(POp::Invariant(shape.clone()));
         return;
     }
-    let sub = |inner: &Shape| {
+    fn sub(inner: &Shape, links: &mut LinkOps) -> Vec<POp> {
         let mut body = Vec::new();
-        compile_perm(inner, &mut body);
+        compile_perm(inner, &mut body, links);
         body
-    };
+    }
     match &shape.kind {
         Kind::PidSet => ops.push(POp::PidSet(shape.size.expect("pidsets are fixed-size"))),
         Kind::Opt(inner) => ops.push(POp::Opt {
-            fill: (**inner).clone(),
-            body: sub(inner),
+            fill: inner.size.unwrap_or(0),
+            body: sub(inner, links),
         }),
-        Kind::Record(fields) => fields.iter().for_each(|f| compile_perm(f, ops)),
+        Kind::Record(fields) => fields.iter().for_each(|f| compile_perm(f, ops, links)),
         Kind::Array(elem, _) => ops.push(POp::Array {
             elem: (**elem).clone(),
-            body: sub(elem),
+            body: sub(elem, links),
         }),
         Kind::Multi(elem) => ops.push(POp::Multi {
             elem: (**elem).clone(),
-            body: sub(elem),
+            body: sub(elem, links),
         }),
+        Kind::Link(link) => {
+            let k = match links.iter().position(|(l, _)| l.same(link)) {
+                Some(k) => k,
+                None => {
+                    // Registered before it is compiled: the record links to
+                    // itself.
+                    links.push((link.clone(), Vec::new()));
+                    let k = links.len() - 1;
+                    links[k].1 = sub(&link.target(), links);
+                    k
+                }
+            };
+            ops.push(POp::Link(k));
+        }
         Kind::Byte | Kind::Pid => unreachable!("scalars are mapped"),
     }
 }
 
 /// Remaps the pid bytes at offsets `pids` from `at`.
-#[inline]
 fn remap(out: &mut [u8], at: usize, pids: &[usize], perm: &[u8]) {
     for &p in pids {
         let v = out[at + p];
@@ -442,90 +440,74 @@ fn remap(out: &mut [u8], at: usize, pids: &[usize], perm: &[u8]) {
     }
 }
 
-/// Rewrites `out[i..]`, an unpermuted copy of the value at
-/// `src[i + delta..]`, into its image under `perm` (with inverse `inv`);
-/// returns the offset just past the value. Permutation preserves every
-/// length, so only pid-indexed array blocks move and only multisets
-/// re-sort; everything else is patched in place.
-fn run_perm(
-    ops: &[POp],
-    src: &[u8],
-    out: &mut [u8],
-    mut i: usize,
-    delta: isize,
-    perm: &[u8],
-    inv: &[u8],
-) -> usize {
-    for op in ops {
-        match op {
-            POp::Mapped { len, pids } => {
-                remap(out, i, pids, perm);
-                i += len;
-            }
-            POp::Invariant(shape) => i = shape.skip(out, i),
-            POp::PidSet(w) => {
-                let bits = read_word(out, i, *w);
-                let mut mapped = bits & !((1u32 << perm.len()) - 1);
-                for (p, &to) in perm.iter().enumerate() {
-                    mapped |= ((bits >> p) & 1) << to;
+/// One application of a permutation program.
+struct Run<'a> {
+    src: &'a [u8],
+    perm: &'a [u8],
+    /// The inverse of `perm`.
+    inv: &'a [u8],
+    links: &'a LinkOps,
+}
+
+impl Run<'_> {
+    /// Rewrites `out[i..]`, an unpermuted copy of the value at
+    /// `src[i + delta..]`, into its image; returns the offset just past the
+    /// value. Permutation preserves every length, so only pid-indexed
+    /// array blocks move and only multisets re-sort; everything else is
+    /// patched in place.
+    fn ops(&self, ops: &[POp], out: &mut [u8], mut i: usize, delta: isize) -> usize {
+        for op in ops {
+            match op {
+                POp::Mapped { len, pids } => {
+                    remap(out, i, pids, self.perm);
+                    i += len;
                 }
-                write_word(out, i, mapped, *w);
-                i += w;
-            }
-            POp::Opt { fill, body } => {
-                i = if out[i] == 0 {
-                    fill.skip(out, i + 1)
-                } else {
-                    run_perm(body, src, out, i + 1, delta, perm, inv)
-                };
-            }
-            POp::Array { elem, body } => {
-                // Block j of the image is source block inv[j].
-                if let (Some(size), [POp::Mapped { pids, .. }]) = (elem.size, body.as_slice()) {
-                    let from0 = i.wrapping_add_signed(delta);
-                    for (j, &from) in inv.iter().enumerate() {
-                        let at = i + j * size;
-                        if from as usize != j {
-                            let a = from0 + from as usize * size;
-                            copy_bytes(&mut out[at..at + size], &src[a..a + size]);
+                POp::Invariant(shape) => i = shape.skip(out, i),
+                POp::PidSet(w) => {
+                    let bits = read_word(out, i, *w);
+                    let mut mapped = bits & !((1u32 << self.perm.len()) - 1);
+                    for (p, &to) in self.perm.iter().enumerate() {
+                        mapped |= ((bits >> p) & 1) << to;
+                    }
+                    write_word(out, i, mapped, *w);
+                    i += w;
+                }
+                POp::Opt { fill, body } => {
+                    i = if out[i] == 0 {
+                        i + 1 + fill
+                    } else {
+                        self.ops(body, out, i + 1, delta)
+                    };
+                }
+                POp::Array { elem, body } => {
+                    // Block j of the image is source block inv[j].
+                    let mut starts = [0usize; MAX_SCALARSET + 1];
+                    starts[0] = i.wrapping_add_signed(delta);
+                    for k in 0..self.perm.len() {
+                        starts[k + 1] = elem.skip(self.src, starts[k]);
+                    }
+                    for &from in self.inv {
+                        let (a, b) = (starts[from as usize], starts[from as usize + 1]);
+                        let d = a as isize - i as isize;
+                        if d != delta {
+                            out[i..i + b - a].copy_from_slice(&self.src[a..b]);
                         }
-                        remap(out, at, pids, perm);
+                        i = self.ops(body, out, i, d);
                     }
-                    i += inv.len() * size;
-                    continue;
                 }
-                let n = perm.len();
-                let mut starts = [0usize; MAX_SCALARSET + 1];
-                starts[0] = i.wrapping_add_signed(delta);
-                for k in 0..n {
-                    starts[k + 1] = elem.skip(src, starts[k]);
-                }
-                for &from in inv {
-                    let (a, b) = (starts[from as usize], starts[from as usize + 1]);
-                    let d = a as isize - i as isize;
-                    if d != delta {
-                        out[i..i + b - a].copy_from_slice(&src[a..b]);
-                    }
-                    i = run_perm(body, src, out, i, d, perm, inv);
-                }
-            }
-            POp::Multi { elem, body } => {
-                let begin = i;
-                if let (Some(size), [POp::Mapped { pids, .. }]) = (elem.size, body.as_slice()) {
+                POp::Multi { elem, body } => {
+                    let begin = i;
                     while out[i] == 1 {
-                        remap(out, i + 1, pids, perm);
-                        i += 1 + size;
+                        i = self.ops(body, out, i + 1, delta);
                     }
+                    sort_elems(elem, &mut out[begin..i]);
+                    i += 1;
                 }
-                while out[i] == 1 {
-                    i = run_perm(body, src, out, i + 1, delta, perm, inv);
-                }
-                sort_elems(elem, &mut out[begin..i]);
-                i += 1;
+                POp::Link(k) => i = self.ops(&self.links[*k].1, out, i, delta),
             }
         }
+        i
     }
-    i
 }
 
 /// A state layout's symmetry: the permutation program over its variables
@@ -534,6 +516,7 @@ fn run_perm(
 pub(crate) struct PermProgram {
     n: usize,
     ops: Vec<POp>,
+    links: LinkOps,
     /// Element shape of the first variable, when it is a pid-indexed array.
     leading: Option<Shape>,
 }
@@ -541,13 +524,19 @@ pub(crate) struct PermProgram {
 impl PermProgram {
     /// Compiles the program for a state whose variables have `vars` shapes.
     pub fn new(vars: &[Shape], n: usize) -> Self {
-        let mut ops = Vec::new();
-        vars.iter().for_each(|v| compile_perm(v, &mut ops));
+        let (mut ops, mut links) = (Vec::new(), Vec::new());
+        vars.iter()
+            .for_each(|v| compile_perm(v, &mut ops, &mut links));
         let leading = match vars.first().map(|v| &v.kind) {
             Some(Kind::Array(elem, len)) if *len == n => Some((**elem).clone()),
             _ => None,
         };
-        PermProgram { n, ops, leading }
+        PermProgram {
+            n,
+            ops,
+            links,
+            leading,
+        }
     }
 
     /// Writes the image of `src` under `perm` into `out`.
@@ -559,7 +548,13 @@ impl PermProgram {
         }
         out.clear();
         out.extend_from_slice(src);
-        let end = run_perm(&self.ops, src, out, 0, 0, perm, &inv[..perm.len()]);
+        let run = Run {
+            src,
+            perm,
+            inv: &inv[..perm.len()],
+            links: &self.links,
+        };
+        let end = run.ops(&self.ops, out, 0, 0);
         debug_assert_eq!(end, src.len(), "the program covers the whole state");
     }
 
@@ -680,40 +675,71 @@ mod tests {
     }
 
     /// A random shape; `pid_free` keeps pids, pidsets and arrays out.
-    fn shape(rng: &mut Rng, n: usize, depth: u32, pid_free: bool) -> Shape {
+    /// `keep` holds the tables of the records that contain themselves.
+    fn shape(
+        rng: &mut Rng,
+        n: usize,
+        depth: u32,
+        pid_free: bool,
+        keep: &mut Vec<Arc<Records>>,
+    ) -> Shape {
         let leaf = depth == 0 || rng.below(3) == 0;
-        match rng.below(if leaf { 3 } else { 7 }) {
+        let mut sub = |rng: &mut Rng| shape(rng, n, depth - 1, pid_free, keep);
+        match rng.below(if leaf { 3 } else { 8 }) {
             0 => Shape::byte(),
             1 if !pid_free => Shape::pid(),
             2 if !pid_free => Shape::pidset(n),
             1 | 2 => Shape::byte(),
-            3 => Shape::opt(shape(rng, n, depth - 1, pid_free)),
+            3 => Shape::opt(sub(rng)),
             4 => {
                 let k = 1 + rng.below(3);
-                Shape::record((0..k).map(|_| shape(rng, n, depth - 1, pid_free)).collect())
+                Shape::record((0..k).map(|_| sub(rng)).collect())
             }
-            5 if !pid_free => Shape::array(shape(rng, n, depth - 1, pid_free), n),
-            _ => Shape::multi(shape(rng, n, depth - 1, pid_free)),
+            5 if !pid_free => Shape::array(sub(rng), n),
+            6 => {
+                // A record holding itself behind an option or a multiset.
+                let table: Arc<Records> = Arc::from(vec![OnceLock::new()]);
+                let link = Shape::link(Link::new(Arc::downgrade(&table), 0));
+                let back = match rng.below(2) {
+                    0 => Shape::opt(link),
+                    _ => Shape::multi(link),
+                };
+                let node = Shape::record(vec![sub(rng), back]);
+                table[0].set(node.clone()).expect("a fresh table");
+                keep.push(table);
+                node
+            }
+            _ => Shape::multi(sub(rng)),
         }
     }
 
-    fn value(rng: &mut Rng, s: &Shape, n: usize) -> V {
+    /// How deep options and multisets nest in generated values.
+    const DEPTH: u32 = 4;
+
+    /// A random value; options and multisets nest at most `depth` deep.
+    fn value(rng: &mut Rng, s: &Shape, n: usize, depth: u32) -> V {
         match &s.kind {
             Kind::Byte => V::Byte(rng.below(3) as u8),
             // Pids up to and including DIR = n.
             Kind::Pid => V::Pid(rng.below(n as u64 + 1) as u8),
             Kind::PidSet => V::Set(rng.below(1 << (n + 1)) as u16),
-            Kind::Opt(inner) => match rng.below(2) {
+            Kind::Opt(inner) => match depth.min(rng.below(2) as u32) {
                 0 => V::Opt(None),
-                _ => V::Opt(Some(Box::new(value(rng, inner, n)))),
+                _ => V::Opt(Some(Box::new(value(rng, inner, n, depth - 1)))),
             },
-            Kind::Record(fields) => V::Rec(fields.iter().map(|f| value(rng, f, n)).collect()),
-            Kind::Array(elem, len) => V::Arr((0..*len).map(|_| value(rng, elem, n)).collect()),
+            Kind::Record(fields) => {
+                V::Rec(fields.iter().map(|f| value(rng, f, n, depth)).collect())
+            }
+            Kind::Array(elem, len) => {
+                V::Arr((0..*len).map(|_| value(rng, elem, n, depth)).collect())
+            }
             Kind::Multi(elem) => {
-                let mut items: Vec<V> = (0..rng.below(4)).map(|_| value(rng, elem, n)).collect();
+                let k = if depth == 0 { 0 } else { rng.below(4) };
+                let mut items: Vec<V> = (0..k).map(|_| value(rng, elem, n, depth - 1)).collect();
                 items.sort();
                 V::Multi(items)
             }
+            Kind::Link(link) => value(rng, &link.target(), n, depth),
         }
     }
 
@@ -723,7 +749,7 @@ mod tests {
             (V::Set(bits), _) => push_word(out, *bits as u32, s.size.unwrap()),
             (V::Opt(None), Kind::Opt(inner)) => {
                 out.push(0);
-                out.resize(out.len() + inner.zero_len(), 0);
+                out.resize(out.len() + inner.size.unwrap_or(0), 0);
             }
             (V::Opt(Some(x)), Kind::Opt(inner)) => {
                 out.push(1);
@@ -741,6 +767,7 @@ mod tests {
                 }
                 out.push(0);
             }
+            (v, Kind::Link(link)) => encode(v, &link.target(), out),
             _ => unreachable!("value does not fit its shape"),
         }
     }
@@ -796,16 +823,21 @@ mod tests {
     /// A random state layout (a record of variables) and a value of it.
     /// With `leading`, the first variable is a pid-indexed array with
     /// pid-free elements, as the equivariance contract requires.
-    fn state(rng: &mut Rng, n: usize, leading: bool) -> (Vec<Shape>, V) {
+    fn state(
+        rng: &mut Rng,
+        n: usize,
+        leading: bool,
+        keep: &mut Vec<Arc<Records>>,
+    ) -> (Vec<Shape>, V) {
         let mut vars = Vec::new();
         if leading {
-            vars.push(Shape::array(shape(rng, n, 2, true), n));
+            vars.push(Shape::array(shape(rng, n, 2, true, keep), n));
         }
         for _ in 0..1 + rng.below(3) {
-            vars.push(shape(rng, n, 3, false));
+            vars.push(shape(rng, n, 3, false, keep));
         }
         let whole = Shape::record(vars.clone());
-        let v = value(rng, &whole, n);
+        let v = value(rng, &whole, n, DEPTH);
         (vars, v)
     }
 
@@ -823,8 +855,9 @@ mod tests {
         fn byte_order_is_structural_order(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
             let n = 1 + rng.below(8) as usize;
-            let s = shape(&mut rng, n, 4, false);
-            let (a, b) = (value(&mut rng, &s, n), value(&mut rng, &s, n));
+            let mut keep = Vec::new();
+            let s = shape(&mut rng, n, 4, false, &mut keep);
+            let (a, b) = (value(&mut rng, &s, n, DEPTH), value(&mut rng, &s, n, DEPTH));
             let (ea, eb) = (bytes(&a, &s), bytes(&b, &s));
             prop_assert_eq!(ea.cmp(&eb), a.cmp(&b));
             prop_assert_eq!(s.skip(&ea, 0), ea.len());
@@ -836,7 +869,8 @@ mod tests {
         fn permutation_matches_the_structural_group_action(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
             let n = 1 + rng.below(8) as usize;
-            let (vars, v) = state(&mut rng, n, false);
+            let mut keep = Vec::new();
+            let (vars, v) = state(&mut rng, n, false, &mut keep);
             let whole = Shape::record(vars.clone());
             let program = PermProgram::new(&vars, n);
             let s = laid(&program, &v, &whole);
@@ -861,7 +895,8 @@ mod tests {
         fn signature_keys_are_equivariant(seed in 0u64..u64::MAX) {
             let mut rng = Rng(seed);
             let n = 1 + rng.below(8) as usize;
-            let (vars, v) = state(&mut rng, n, true);
+            let mut keep = Vec::new();
+            let (vars, v) = state(&mut rng, n, true, &mut keep);
             let whole = Shape::record(vars.clone());
             let program = PermProgram::new(&vars, n);
             let s = laid(&program, &v, &whole);

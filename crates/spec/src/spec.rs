@@ -797,17 +797,24 @@ fn parse_type(
 
 /// `true` if the type has a pid-valued leaf (pid or pidset) anywhere.
 pub(crate) fn type_contains_pid(t: &TypeRef, records: &[RecordDecl]) -> bool {
-    match t {
-        TypeRef::Bool | TypeRef::Int | TypeRef::Enum(_) | TypeRef::Unknown => false,
-        TypeRef::Pid | TypeRef::PidSet => true,
-        TypeRef::Option(inner) | TypeRef::Multiset(inner) | TypeRef::Array(inner) => {
-            type_contains_pid(inner, records)
+    // Each record is searched once, so records that contain themselves end.
+    fn search(t: &TypeRef, records: &[RecordDecl], seen: &mut [bool]) -> bool {
+        match t {
+            TypeRef::Bool | TypeRef::Int | TypeRef::Enum(_) | TypeRef::Unknown => false,
+            TypeRef::Pid | TypeRef::PidSet => true,
+            TypeRef::Option(inner) | TypeRef::Multiset(inner) | TypeRef::Array(inner) => {
+                search(inner, records, seen)
+            }
+            TypeRef::Record(r) => {
+                !std::mem::replace(&mut seen[*r], true)
+                    && records[*r]
+                        .fields
+                        .iter()
+                        .any(|(_, ft)| search(ft, records, seen))
+            }
         }
-        TypeRef::Record(r) => records[*r]
-            .fields
-            .iter()
-            .any(|(_, ft)| type_contains_pid(ft, records)),
     }
+    search(t, records, &mut vec![false; records.len()])
 }
 
 fn check_unique(context: &str, names: &[String]) -> Result<(), InvalidSpec> {
