@@ -13,9 +13,18 @@
 //! requires a ≥ 5× probe reduction — the acceptance bar the perf gate pins
 //! against the committed baseline (measured: >1000×).
 //!
+//! Guided workers also claim every run of chunks their patterns refute in
+//! one dispenser step, so a guided run's **claims** follow its active
+//! chunks (chunks with an evaluation), not the size of its space. On
+//! serial guided msi_xl the bench asserts claims ≤ 2 × (active chunks +
+//! generations) — a deterministic bound (each active chunk costs its own
+//! claim plus at most one refuted-run claim) that a regression to
+//! per-chunk claiming (67M claims) fails.
+//!
 //! Emits **BENCH_guided.json** at the workspace root: one
-//! `(workload, strategy, evaluated, patterns, solutions, probes, wall_ms)`
-//! row per (workload × strategy).
+//! `(workload, strategy, evaluated, patterns, solutions, probes, claims,
+//! active_chunks, wall_ms)` row per (workload × strategy). Probes, claims
+//! and active chunks are cost measurements, not results.
 //!
 //! ```text
 //! cargo bench -p verc3-bench --bench guided_enum
@@ -56,6 +65,15 @@ fn measure(
     (last.expect("reps >= 1"), best)
 }
 
+/// A run's chunk claims and active chunks, summed over its generations.
+fn claims_and_active(report: &SynthReport) -> (u64, u64) {
+    let gens = &report.stats().generations;
+    (
+        gens.iter().map(|g| g.claims).sum(),
+        gens.iter().map(|g| g.active_chunks).sum(),
+    )
+}
+
 fn main() {
     println!("group guided_enum");
     let workloads = [
@@ -94,11 +112,23 @@ fn main() {
             "  {workload:<10} guided       : {:>12} probes  {guided_ms:>8.1} ms  ({ratio:.1}x fewer probes)",
             guided.stats().probes
         );
+        let (claims, active) = claims_and_active(&guided);
+        println!(
+            "  {workload:<10} guided       : {claims:>12} claims  {active:>8} active chunks  \
+             (lexicographic: {} claims)",
+            claims_and_active(&lex).0
+        );
         if workload == "msi_xl" {
             assert!(
                 ratio >= XL_PROBE_REDUCTION_FLOOR,
                 "guided probe reduction on msi_xl is {ratio:.2}x, \
                  below the {XL_PROBE_REDUCTION_FLOOR}x bench floor"
+            );
+            let generations = guided.stats().generations.len() as u64;
+            assert!(
+                claims <= 2 * (active + generations),
+                "guided msi_xl made {claims} claims for {active} active chunks \
+                 over {generations} generations: refuted runs are claimed per chunk again"
             );
         }
 
@@ -106,10 +136,12 @@ fn main() {
             ("lexicographic", &lex, lex_ms),
             ("guided", &guided, guided_ms),
         ] {
+            let (claims, active) = claims_and_active(report);
             let _ = writeln!(
                 json,
                 "  {}{{\"workload\": \"{}\", \"strategy\": \"{}\", \"evaluated\": {}, \
-                 \"patterns\": {}, \"solutions\": {}, \"probes\": {}, \"wall_ms\": {:.3}}}",
+                 \"patterns\": {}, \"solutions\": {}, \"probes\": {}, \"claims\": {}, \
+                 \"active_chunks\": {}, \"wall_ms\": {:.3}}}",
                 if first { "" } else { ", " },
                 workload,
                 strategy,
@@ -117,6 +149,8 @@ fn main() {
                 report.stats().patterns,
                 report.solutions().len(),
                 report.stats().probes,
+                claims,
+                active,
                 ms,
             );
             first = false;

@@ -3,8 +3,11 @@
 //! ```text
 //! cargo run --release -p verc3-bench --bin synthd -- \
 //!     --workload msi_small --shards 4 [--no-exchange] [--no-steal] \
-//!     [--fs DIR] [--journal-dir DIR] [--json] [--check]
+//!     [--guided] [--fs DIR] [--journal-dir DIR] [--json] [--check]
 //! ```
+//!
+//! A flag outside that line, a missing or unparsable value, or an unknown
+//! workload exits 2 with the usage line before any run.
 //!
 //! Runs a workload through the shard coordinator
 //! ([`verc3_core::run_sharded_with`]): the candidate space of each
@@ -22,6 +25,10 @@
 //! per round; `--check` re-runs the workload single-process and fails
 //! (exit 1) if the merged solution set differs.
 //!
+//! `--guided` enumerates with [`verc3_core::Enumeration::Guided`] instead
+//! of the lexicographic walk: the same solutions, with refuted chunk runs
+//! claimed in one step across the shards' steal-pool slots.
+//!
 //! `--fs DIR` swaps the in-memory exchange transport for the filesystem
 //! spool ([`verc3_core::FsExchange`]): pattern batches become `.vc3b`
 //! files under `DIR`, observable (and importable) by other processes.
@@ -31,27 +38,17 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::Arc;
+use verc3_bench::{check_flags, flag_value, usage_error};
 use verc3_core::{
-    run_sharded_with, FsExchange, PatternExchange, PatternMode, ShardOptions, ShardedRun,
-    SynthOptions, SynthReport, Synthesizer,
+    run_sharded_with, Enumeration, FsExchange, PatternExchange, PatternMode, ShardOptions,
+    ShardedRun, SynthOptions, SynthReport, Synthesizer,
 };
 use verc3_mck::{GraphModel, TransitionSystem};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: synthd [--workload fig2|msi_tiny|msi_small|msi_large|msi_xl] \
-         [--shards N] [--no-exchange] [--no-steal] [--fs DIR] \
-         [--journal-dir DIR] [--json] [--check]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
-}
+const USAGE: &str = "usage: synthd [--workload fig2|msi_tiny|msi_small|msi_large|msi_xl] \
+     [--shards N] [--no-exchange] [--no-steal] [--guided] [--fs DIR] \
+     [--journal-dir DIR] [--json] [--check]";
 
 /// Sorted, name-keyed solution lines — the diffable output contract.
 fn sol_lines(report: &SynthReport) -> BTreeSet<String> {
@@ -125,25 +122,35 @@ fn run<M: TransitionSystem>(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
+    check_flags(&args, USAGE).unwrap_or_else(|e| usage_error(USAGE, e));
+    let has = |f: &str| args.iter().any(|a| a == f);
+    let text = |f: &str| flag_value::<String>(&args, f).unwrap_or_else(|e| usage_error(USAGE, e));
 
-    let workload = flag_value(&args, "--workload").unwrap_or_else(|| "msi_small".into());
-    let shards: usize = flag_value(&args, "--shards")
-        .map(|v| v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage()))
-        .unwrap_or(4);
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
+    let workload = text("--workload").unwrap_or_else(|| "msi_small".into());
+    let config = match workload.as_str() {
+        "fig2" => None,
+        "msi_tiny" => Some(MsiConfig::msi_tiny()),
+        "msi_small" => Some(MsiConfig::msi_small()),
+        "msi_large" => Some(MsiConfig::msi_large()),
+        "msi_xl" => Some(MsiConfig::msi_xl()),
+        _ => usage_error(USAGE, format!("unknown workload `{workload}`")),
+    };
+    let shards: usize = match flag_value(&args, "--shards") {
+        Ok(None) => 4,
+        Ok(Some(n)) if n > 0 => n,
+        Ok(Some(_)) => usage_error(USAGE, "--shards requires a positive integer".into()),
+        Err(e) => usage_error(USAGE, e),
+    };
+    let (json, check) = (has("--json"), has("--check"));
 
     let mut sharding = ShardOptions::default()
         .shards(shards)
-        .exchange(!args.iter().any(|a| a == "--no-exchange"))
-        .steal(!args.iter().any(|a| a == "--no-steal"));
-    if let Some(dir) = flag_value(&args, "--journal-dir") {
+        .exchange(!has("--no-exchange"))
+        .steal(!has("--no-steal"));
+    if let Some(dir) = text("--journal-dir") {
         sharding = sharding.journal_dir(dir);
     }
-    let endpoint: Option<Arc<dyn PatternExchange>> = match flag_value(&args, "--fs") {
+    let endpoint: Option<Arc<dyn PatternExchange>> = match text("--fs") {
         Some(dir) => match FsExchange::new(dir, shards) {
             Ok(fs) => Some(Arc::new(fs)),
             Err(e) => {
@@ -154,9 +161,15 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let options = SynthOptions::default().pattern_mode(PatternMode::Refined);
-    match workload.as_str() {
-        "fig2" => run(
+    let options = SynthOptions::default()
+        .pattern_mode(PatternMode::Refined)
+        .enumeration(if has("--guided") {
+            Enumeration::Guided
+        } else {
+            Enumeration::Lexicographic
+        });
+    match config {
+        None => run(
             &GraphModel::worked_example(),
             &options,
             &sharding,
@@ -164,22 +177,13 @@ fn main() -> ExitCode {
             json,
             check,
         ),
-        "msi_tiny" | "msi_small" | "msi_large" | "msi_xl" => {
-            let config = match workload.as_str() {
-                "msi_tiny" => MsiConfig::msi_tiny(),
-                "msi_small" => MsiConfig::msi_small(),
-                "msi_large" => MsiConfig::msi_large(),
-                _ => MsiConfig::msi_xl(),
-            };
-            run(
-                &MsiModel::new(config),
-                &options,
-                &sharding,
-                endpoint,
-                json,
-                check,
-            )
-        }
-        _ => usage(),
+        Some(config) => run(
+            &MsiModel::new(config),
+            &options,
+            &sharding,
+            endpoint,
+            json,
+            check,
+        ),
     }
 }

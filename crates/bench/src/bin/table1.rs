@@ -26,7 +26,10 @@
 //! instead of vetoing candidates one by one. Every number in the table is
 //! identical to the lexicographic run — the guided walk visits the same
 //! candidate sequence — only the per-candidate probe work drops (the
-//! `guided_enum` bench quantifies it). Naïve rows are unaffected (guided
+//! `guided_enum` bench quantifies it), and each run of chunks the patterns
+//! refute is claimed in one step: the "Chunk claims" section after the
+//! table prints claims against active chunks per generation, and under
+//! `--guided` the two stay close. Naïve rows are unaffected (guided
 //! enumeration requires pruning). The journal fingerprint pins the
 //! strategy, so `--resume` must repeat the original run's `--guided`.
 //!
@@ -422,6 +425,21 @@ fn main() {
                 s.check_reuse_rate() * 100.0,
             );
         }
+    }
+
+    println!();
+    println!(
+        "Chunk claims (1-thread pruned rows; dispenser operations and chunks that \
+         evaluated, per generation k — cost measurements like probes, not results):"
+    );
+    for (label, report) in &reports {
+        let gens: Vec<String> = report
+            .stats()
+            .generations
+            .iter()
+            .map(|g| format!("k={} {}/{}", g.k, g.claims, g.active_chunks))
+            .collect();
+        println!("  {label}: {}", gens.join(", "));
     }
 
     if classify {

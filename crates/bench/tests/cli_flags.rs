@@ -12,9 +12,10 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 #[test]
 fn bad_flags_exit_2_with_the_usage_line() {
-    let (fig3, table1) = (
+    let (fig3, table1, synthd) = (
         env!("CARGO_BIN_EXE_fig3_check"),
         env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_synthd"),
     );
     for (bin, args) in [
         (fig3, &["--one-shot"][..]),
@@ -26,6 +27,12 @@ fn bad_flags_exit_2_with_the_usage_line() {
         (table1, &["--samples", "x"]),
         (table1, &["--deadline-secs", "soon"]),
         (table1, &["--journal"]),
+        (synthd, &["--workload", "fig2", "--guidd"]),
+        (synthd, &["--workload", "fig2", "--json", "x"]),
+        (synthd, &["--workload", "fig9"]),
+        (synthd, &["--workload"]),
+        (synthd, &["--shards", "0"]),
+        (synthd, &["--shards", "four"]),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -44,4 +51,18 @@ fn well_formed_flags_still_run() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn synthd_runs_guided() {
+    let args = ["--workload", "fig2", "--shards", "2", "--guided", "--check"];
+    let out = run(env!("CARGO_BIN_EXE_synthd"), &args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("#check ok"), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("#sol")).count(), 1);
 }

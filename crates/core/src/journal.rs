@@ -247,7 +247,7 @@ impl Fingerprint {
 
 /// A pruning pattern as journaled and as carried on the shared pattern log
 /// (the hub's append-only log workers sync from — see [`crate::synth`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum PatternEntry {
     /// Dense prefix pattern (paper-exact mode).
     Prefix(Vec<u16>),
@@ -307,6 +307,18 @@ impl ChunkDraft {
             k,
             first,
             count: 1,
+            ..Default::default()
+        }
+    }
+
+    /// `count` chunks from `first` that learned patterns refute whole:
+    /// `skipped` candidates, nothing evaluated.
+    pub(crate) fn refuted(k: u64, first: u64, count: u64, skipped: u64) -> Self {
+        ChunkDraft {
+            k,
+            first,
+            count,
+            skipped,
             ..Default::default()
         }
     }
@@ -921,13 +933,26 @@ fn add_range(ranges: &mut Vec<(u64, u64)>, first: u64, count: u64) {
     }
 }
 
-/// `true` if chunk index `idx` falls inside the (sorted, disjoint) coverage.
-pub(crate) fn covered(ranges: &[(u64, u64)], idx: u64) -> bool {
+/// The first chunk index at or after `idx` outside the (sorted, disjoint,
+/// merged) coverage: `idx` itself, or the end of the covered range holding
+/// it — a claim steps over a whole covered range in one advance.
+pub(crate) fn uncovered_from(ranges: &[(u64, u64)], idx: u64) -> u64 {
     let pos = ranges.partition_point(|&(f, _)| f <= idx);
-    pos > 0 && {
-        let (f, c) = ranges[pos - 1];
-        idx < f + c
+    match pos.checked_sub(1).map(|p| ranges[p]) {
+        Some((f, c)) if idx < f + c => f + c,
+        _ => idx,
     }
+}
+
+/// The first covered chunk index at or after `idx` (`u64::MAX` if none).
+/// Claims never cross it, so counters seeded from the journal are never
+/// banked twice.
+pub(crate) fn next_covered(ranges: &[(u64, u64)], idx: u64) -> u64 {
+    if uncovered_from(ranges, idx) != idx {
+        return idx;
+    }
+    let pos = ranges.partition_point(|&(f, _)| f <= idx);
+    ranges.get(pos).map_or(u64::MAX, |&(f, _)| f)
 }
 
 /// Byte offsets of every valid frame boundary in a journal, starting with
@@ -1142,7 +1167,13 @@ mod tests {
         add_range(&mut r, 2, 2);
         assert_eq!(r, vec![(0, 6)]);
         add_range(&mut r, 8, 1);
-        assert!(covered(&r, 0) && covered(&r, 5) && covered(&r, 8));
-        assert!(!covered(&r, 6) && !covered(&r, 9));
+        assert_eq!(
+            [0, 5, 6, 7, 8, 9].map(|i| uncovered_from(&r, i)),
+            [6, 6, 6, 7, 9, 9]
+        );
+        assert_eq!(
+            [0, 5, 6, 7, 8, 9].map(|i| next_covered(&r, i)),
+            [0, 5, 8, 8, 8, u64::MAX]
+        );
     }
 }

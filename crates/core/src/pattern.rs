@@ -222,6 +222,48 @@ impl Bucket {
         }
     }
 
+    /// Is the sorted, conflict-free pattern `pairs` (one action per hole)
+    /// stored here? Such a pattern's encoding — an action bit at each of
+    /// its holes, no bit anywhere else — is unique, so one survivor pass
+    /// over the bitsets decides equality without a second copy of the
+    /// patterns.
+    fn contains(&self, pairs: &[(u16, u16)], scratch: &mut Vec<u64>) -> bool {
+        let n = self.len as usize;
+        let indexed = |p: &(u16, u16)| self.holes.binary_search(&p.0).is_ok();
+        if n == 0 || !pairs.iter().all(indexed) {
+            return false;
+        }
+        let blocks = n.div_ceil(64);
+        scratch.clear();
+        scratch.resize(blocks, !0u64);
+        if n % 64 != 0 {
+            scratch[blocks - 1] = (1u64 << (n % 64)) - 1;
+        }
+        let mut want = pairs.iter().peekable();
+        for (slot, &hole) in self.holes.iter().enumerate() {
+            let hi = &self.index[slot];
+            let action = want.next_if(|p| p.0 == hole).map(|p| p.1 as usize);
+            let mut live = 0u64;
+            for (word, survivors) in scratch.iter_mut().enumerate() {
+                let keep = match action {
+                    Some(a) => hi
+                        .by_action
+                        .get(a)
+                        .and_then(|v| v.get(word))
+                        .copied()
+                        .unwrap_or(0),
+                    None => !hi.constrains.get(word).copied().unwrap_or(0),
+                };
+                *survivors &= keep;
+                live |= *survivors;
+            }
+            if live == 0 {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Does any pattern in this bucket match `digits`? Only holes `≤` this
     /// bucket's index are consulted, so `digits` may be any prefix that
     /// covers them.
@@ -368,6 +410,17 @@ impl SparseIndex {
         self.buckets[max_pos].insert(pairs);
     }
 
+    /// Is the sorted, conflict-free pattern `pairs` stored?
+    fn contains(&self, pairs: &[(u16, u16)], scratch: &mut Vec<u64>) -> bool {
+        match pairs.last() {
+            None => self.has_empty,
+            Some(&(hole, _)) => self
+                .buckets
+                .get(hole as usize)
+                .is_some_and(|b| b.contains(pairs, scratch)),
+        }
+    }
+
     /// Does any pattern in bucket `bucket` match `digits`?
     fn bucket_matches(&self, bucket: usize, digits: &[u16], scratch: &mut Vec<u64>) -> bool {
         self.buckets
@@ -390,8 +443,13 @@ pub struct PatternTable {
     /// Sparse patterns, bucketed by highest mentioned hole: bucket `h`
     /// is consulted when the odometer has just fixed hole `h`.
     sparse: SparseIndex,
-    /// De-duplication of sparse inserts.
-    sparse_seen: FnvHashSet<SparsePattern>,
+    /// Sparse patterns that name one hole twice. They can never match,
+    /// and the index encodes them all alike, so they alone are
+    /// de-duplicated by value; every other pattern is looked up in the
+    /// index itself.
+    conflicting: FnvHashSet<SparsePattern>,
+    /// Bitset scratch for insert-time de-duplication.
+    scratch: Vec<u64>,
     /// Number of distinct dense prefixes inserted.
     dense_count: usize,
     /// Number of distinct sparse patterns inserted.
@@ -448,7 +506,12 @@ impl PatternTable {
     pub fn insert_sparse(&mut self, mut pairs: SparsePattern) -> bool {
         pairs.sort_unstable();
         pairs.dedup();
-        if !self.sparse_seen.insert(pairs.clone()) {
+        let fresh = if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+            self.conflicting.insert(pairs.clone())
+        } else {
+            !self.sparse.contains(&pairs, &mut self.scratch)
+        };
+        if !fresh {
             return false;
         }
         self.sparse.insert(&pairs);
@@ -1022,6 +1085,29 @@ mod tests {
         assert!(!t.prunes_subtree(&[1]));
         assert!(t.prunes_subtree(&[1, 1]));
         assert!(!t.prunes_subtree(&[1, 0]));
+    }
+
+    #[test]
+    fn sparse_dedup_reads_the_index() {
+        let mut t = PatternTable::new();
+        assert!(t.insert_sparse(vec![(3, 1), (0, 2)]));
+        assert!(
+            !t.insert_sparse(vec![(0, 2), (3, 1), (0, 2)]),
+            "same pattern"
+        );
+        // Sub- and super-patterns and other actions are distinct patterns.
+        assert!(t.insert_sparse(vec![(3, 1)]));
+        assert!(t.insert_sparse(vec![(0, 2), (1, 0), (3, 1)]));
+        assert!(t.insert_sparse(vec![(0, 1), (3, 1)]));
+        assert!(!t.insert_sparse(vec![(3, 1)]));
+        // A hole named twice: distinct by value, never equal to a
+        // conflict-free pattern on the same holes.
+        assert!(t.insert_sparse(vec![(0, 1), (0, 2), (3, 1)]));
+        assert!(t.insert_sparse(vec![(0, 0), (0, 2), (3, 1)]));
+        assert!(!t.insert_sparse(vec![(0, 2), (3, 1), (0, 1)]));
+        assert!(t.insert_sparse(vec![]));
+        assert!(!t.insert_sparse(vec![]));
+        assert_eq!(t.sparse_len(), 7);
     }
 
     #[test]

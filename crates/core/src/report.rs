@@ -137,6 +137,17 @@ pub struct GenStats {
     /// generation's candidates — the enumeration-cost metric guided mode
     /// drives down (see [`crate::Enumeration`]).
     pub probes: u64,
+    /// Chunk-dispenser operations that claimed at least one chunk. The
+    /// lexicographic walk claims one chunk per operation; guided
+    /// enumeration also claims each run of chunks its patterns refute in
+    /// one operation, so its claims follow the active chunks, not the
+    /// space. A *cost measurement* like `probes`, not a result: it depends
+    /// on the chunk size and thread count, and a resumed run counts only
+    /// its own claims.
+    pub claims: u64,
+    /// Chunks with at least one evaluation, in this process (a cost
+    /// measurement like `claims`).
+    pub active_chunks: u64,
 }
 
 /// Aggregate statistics of one synthesis run.

@@ -48,11 +48,11 @@
 //! kill-and-resume included, all merge to the single-process solution set.
 
 use crate::hole::HoleInfo;
-use crate::journal::{checksum, Dec, Enc, PatternEntry};
+use crate::journal::{self, checksum, Dec, Enc, PatternEntry};
 use crate::odometer::space_size;
 use crate::pattern::{PatternTable, SparsePattern};
 use crate::report::{GenStats, Quarantined, Solution, StopReason, SynthReport, SynthStats};
-use crate::synth::{ExchangeState, ShardOutcome, SynthOptions, Synthesizer};
+use crate::synth::{Claim, ExchangeState, ShardOutcome, SynthOptions, Synthesizer};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -475,10 +475,10 @@ impl PatternExchange for FsExchange {
 /// shard that exhausts its slot steals the tail half of the largest peer
 /// remainder, so a slice that prunes poorly (dense evaluation) is finished
 /// by the shards whose slices pruned well. Slots are tiny critical sections
-/// (a claim is one compare-and-bump under an uncontended mutex, once per
-/// chunk of candidates), and a steal moves a range between two slots
-/// without ever holding both locks, so the ranges always partition the
-/// unclaimed space — every chunk is claimed exactly once.
+/// (a claim is one compare-and-bump under an uncontended mutex), and a
+/// steal moves a range between two slots without ever holding both locks,
+/// so the ranges always partition the unclaimed space — every chunk is
+/// claimed exactly once.
 #[derive(Debug)]
 pub(crate) struct StealPool {
     slots: Vec<Mutex<(u64, u64)>>,
@@ -493,22 +493,47 @@ impl StealPool {
         }
     }
 
-    /// Claims the next chunk index for `slot`, stealing when exhausted;
-    /// `None` once no slot has stealable work left.
-    pub(crate) fn claim(&self, slot: usize) -> Option<u64> {
+    /// Claims the next chunk index for `slot` outside the journal coverage
+    /// `covered` (stepping over a whole covered range in one advance),
+    /// stealing when exhausted; `None` once no slot has stealable work
+    /// left. The claim's limit is the slot's end at claim time, or the next
+    /// covered chunk if that comes first.
+    pub(crate) fn claim(&self, slot: usize, covered: &[(u64, u64)]) -> Option<Claim> {
         loop {
             {
                 let mut s = self.slots[slot].lock();
-                if s.0 < s.1 {
-                    let idx = s.0;
-                    s.0 += 1;
-                    return Some(idx);
+                let idx = journal::uncovered_from(covered, s.0);
+                if idx < s.1 {
+                    s.0 = idx + 1;
+                    let limit = journal::next_covered(covered, idx + 1).min(s.1);
+                    return Some(Claim { idx, limit });
                 }
+                s.0 = s.1;
             }
             if !self.stealing || !self.steal_into(slot) {
                 return None;
             }
         }
+    }
+
+    /// [`crate::synth::ChunkClaims::claim_refuted`] on `slot`, under its
+    /// lock: claims `[next, min(through, end, next covered chunk))` in one
+    /// step when the slot's cursor `next` lies in `[from, through)`.
+    pub(crate) fn claim_refuted(
+        &self,
+        slot: usize,
+        from: u64,
+        through: u64,
+        covered: &[(u64, u64)],
+    ) -> Option<(u64, u64)> {
+        let mut s = self.slots[slot].lock();
+        let first = s.0;
+        let stop = through.min(s.1).min(journal::next_covered(covered, first));
+        if first < from || first >= stop {
+            return None;
+        }
+        s.0 = stop;
+        Some((first, stop - first))
     }
 
     /// Marks `slot`'s own range as consumed (a journal-resumed shard whose
@@ -988,10 +1013,7 @@ pub fn run_sharded_with<M: TransitionSystem>(
         let mut round_stats = GenStats {
             k,
             space,
-            evaluated: 0,
-            skipped_by_pruning: 0,
-            deduped: 0,
-            probes: 0,
+            ..GenStats::default()
         };
         for (spec, outcome) in specs.iter().zip(&outcomes) {
             shard_reports.push(ShardReport::from_outcome(spec, round, outcome));
@@ -999,6 +1021,8 @@ pub fn run_sharded_with<M: TransitionSystem>(
             round_stats.skipped_by_pruning += outcome.gen.skipped_by_pruning;
             round_stats.deduped += outcome.gen.deduped;
             round_stats.probes += outcome.gen.probes;
+            round_stats.claims += outcome.gen.claims;
+            round_stats.active_chunks += outcome.gen.active_chunks;
             expanded += outcome.check_expanded;
             reused += outcome.check_reused;
         }
@@ -1139,7 +1163,7 @@ mod tests {
                     let pool = Arc::clone(&pool);
                     scope.spawn(move || {
                         let mut mine = Vec::new();
-                        while let Some(idx) = pool.claim(slot) {
+                        while let Some(Claim { idx, .. }) = pool.claim(slot, &[]) {
                             mine.push(idx);
                         }
                         mine
@@ -1160,9 +1184,9 @@ mod tests {
     fn steal_pool_without_stealing_stays_in_assigned_ranges() {
         let ranges = [(0u64, 4), (4, 8)];
         let pool = StealPool::new(&ranges, false);
-        let first: Vec<u64> = std::iter::from_fn(|| pool.claim(0)).collect();
+        let first: Vec<u64> = std::iter::from_fn(|| pool.claim(0, &[]).map(|c| c.idx)).collect();
         assert_eq!(first, vec![0, 1, 2, 3]);
-        let second: Vec<u64> = std::iter::from_fn(|| pool.claim(1)).collect();
+        let second: Vec<u64> = std::iter::from_fn(|| pool.claim(1, &[]).map(|c| c.idx)).collect();
         assert_eq!(second, vec![4, 5, 6, 7]);
     }
 

@@ -29,7 +29,7 @@ use crate::candidate::CandidateVec;
 use crate::hole::{HoleId, HoleInfo, HoleRegistry};
 use crate::journal::{self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter};
 use crate::odometer::{space_size, GuidedOdometer, Odometer};
-use crate::pattern::{PatternMode, PatternSink, PatternTable, Propagator, SparsePattern};
+use crate::pattern::{PatternMode, PatternSink, PatternTable, Propagator};
 use crate::report::{
     GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats,
 };
@@ -40,6 +40,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use verc3_mck::hashers::FnvHashSet;
 use verc3_mck::{
     CheckSession, Checker, CheckerOptions, HoleSpec, MckError, TransitionSystem, Verdict,
 };
@@ -698,11 +699,13 @@ impl Synthesizer {
         };
         let chunks_total = total.max(1).div_ceil(shared.options.chunk_size);
         let gen = GenShared {
-            claims: ChunkClaims::serial(0, chunks_total),
+            dispenser: ChunkClaims::serial(0, chunks_total),
             evaluated: AtomicU64::new(ev),
             skipped: AtomicU64::new(sk),
             deduped: AtomicU64::new(dd),
             probes: AtomicU64::new(pr),
+            claims: AtomicU64::new(0),
+            active_chunks: AtomicU64::new(0),
             radices,
             total,
             k,
@@ -728,14 +731,7 @@ impl Synthesizer {
             }
         }
 
-        Ok(GenStats {
-            k,
-            space,
-            evaluated: gen.evaluated.load(Ordering::Relaxed),
-            skipped_by_pruning: gen.skipped.load(Ordering::Relaxed) as u128,
-            deduped: gen.deduped.load(Ordering::Relaxed),
-            probes: gen.probes.load(Ordering::Relaxed),
-        })
+        Ok(gen.stats(space))
     }
 
     /// Runs one shard's slice of one generation: the chunk-index range
@@ -886,7 +882,7 @@ impl Synthesizer {
             }
         }
 
-        let claims = match pool {
+        let dispenser = match pool {
             Some(pool) => ChunkClaims::Pool {
                 pool,
                 slot: spec.index,
@@ -894,11 +890,13 @@ impl Synthesizer {
             None => ChunkClaims::serial(start_chunk, end_chunk),
         };
         let gen = GenShared {
-            claims,
+            dispenser,
             evaluated: AtomicU64::new(ev),
             skipped: AtomicU64::new(sk),
             deduped: AtomicU64::new(dd),
             probes: AtomicU64::new(pr),
+            claims: AtomicU64::new(0),
+            active_chunks: AtomicU64::new(0),
             radices,
             total,
             k,
@@ -914,7 +912,7 @@ impl Synthesizer {
         if fully_covered {
             // Already covered by the resumed journal: mark the slot consumed
             // so peers do not steal and re-run chunks we can replay.
-            if let ChunkClaims::Pool { pool, slot } = &gen.claims {
+            if let ChunkClaims::Pool { pool, slot } = &gen.dispenser {
                 pool.close(*slot);
             }
         } else {
@@ -952,14 +950,7 @@ impl Synthesizer {
         let lo = start_chunk.saturating_mul(opts.chunk_size).min(total);
         let hi = end_chunk.saturating_mul(opts.chunk_size).min(total);
         Ok(ShardOutcome {
-            gen: GenStats {
-                k,
-                space: (hi.max(lo) - lo) as u128,
-                evaluated: gen.evaluated.load(Ordering::Relaxed),
-                skipped_by_pruning: gen.skipped.load(Ordering::Relaxed) as u128,
-                deduped: gen.deduped.load(Ordering::Relaxed),
-                probes: gen.probes.load(Ordering::Relaxed),
-            },
+            gen: gen.stats((hi.max(lo) - lo) as u128),
             discovered: registry.snapshot().split_off(k),
             patterns: shared.hub.locals(),
             solutions: shared.solutions.into_inner(),
@@ -1130,6 +1121,11 @@ impl Shared<'_> {
 /// serial counter over the whole generation, or a shard's slot in the
 /// cross-shard [`crate::shard::StealPool`] (whose range can shrink when a
 /// finished peer steals half of it).
+///
+/// Both kinds take the journal's coverage (`covered`: sorted, disjoint,
+/// merged chunk ranges) into every claim: [`ChunkClaims::claim`] steps over
+/// a whole covered range in one advance, and
+/// [`ChunkClaims::claim_refuted`] never crosses one.
 pub(crate) enum ChunkClaims {
     Serial {
         next: AtomicU64,
@@ -1141,6 +1137,16 @@ pub(crate) enum ChunkClaims {
     },
 }
 
+/// A claimed chunk index, and the end of the claimable run it was taken
+/// from: the dispenser's end at claim time, or the next journal-covered
+/// chunk if that comes first. The guided walk searches for the next
+/// consistent candidate up to `limit`, never past it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Claim {
+    pub idx: u64,
+    pub limit: u64,
+}
+
 impl ChunkClaims {
     pub(crate) fn serial(start: u64, end: u64) -> Self {
         ChunkClaims::Serial {
@@ -1149,26 +1155,80 @@ impl ChunkClaims {
         }
     }
 
-    /// Claims the next chunk index, or `None` when the range (and, for a
-    /// pooled shard, every stealable peer remainder) is exhausted.
-    fn claim(&self) -> Option<u64> {
+    /// Claims the next uncovered chunk index, or `None` when the range
+    /// (and, for a pooled shard, every stealable peer remainder) is
+    /// exhausted.
+    pub(crate) fn claim(&self, covered: &[(u64, u64)]) -> Option<Claim> {
         match self {
             ChunkClaims::Serial { next, end } => {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                (idx < *end).then_some(idx)
+                let mut n = next.load(Ordering::Relaxed);
+                loop {
+                    let idx = journal::uncovered_from(covered, n);
+                    if idx >= *end {
+                        return None;
+                    }
+                    match next.compare_exchange_weak(
+                        n,
+                        idx + 1,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => {
+                            let limit = journal::next_covered(covered, idx + 1).min(*end);
+                            return Some(Claim { idx, limit });
+                        }
+                        Err(current) => n = current,
+                    }
+                }
             }
-            ChunkClaims::Pool { pool, slot } => pool.claim(*slot),
+            ChunkClaims::Pool { pool, slot } => pool.claim(*slot, covered),
+        }
+    }
+
+    /// Claims, in one step, the unclaimed chunks of `[from, through)` that
+    /// directly follow the dispenser's cursor: every chunk there is refuted
+    /// by the caller's patterns, so whoever claims it only banks its skip
+    /// count. Returns the claimed `(first, count)`, or `None` when the
+    /// cursor lies outside the range. Clamped to the dispenser's current
+    /// end (a thief may have taken a pool slot's tail) and to the next
+    /// journal-covered chunk.
+    pub(crate) fn claim_refuted(
+        &self,
+        from: u64,
+        through: u64,
+        covered: &[(u64, u64)],
+    ) -> Option<(u64, u64)> {
+        match self {
+            ChunkClaims::Serial { next, end } => {
+                let mut n = next.load(Ordering::Relaxed);
+                loop {
+                    let stop = through.min(*end).min(journal::next_covered(covered, n));
+                    if n < from || n >= stop {
+                        return None;
+                    }
+                    match next.compare_exchange_weak(n, stop, Ordering::Relaxed, Ordering::Relaxed)
+                    {
+                        Ok(_) => return Some((n, stop - n)),
+                        Err(current) => n = current,
+                    }
+                }
+            }
+            ChunkClaims::Pool { pool, slot } => pool.claim_refuted(*slot, from, through, covered),
         }
     }
 }
 
 /// State shared across one generation's workers.
 struct GenShared {
-    claims: ChunkClaims,
+    dispenser: ChunkClaims,
     evaluated: AtomicU64,
     skipped: AtomicU64,
     deduped: AtomicU64,
     probes: AtomicU64,
+    /// Dispenser operations that claimed at least one chunk.
+    claims: AtomicU64,
+    /// Chunks with at least one evaluation.
+    active_chunks: AtomicU64,
     radices: Vec<u32>,
     /// The generation space as the chunk dispenser's u64 (checked against
     /// overflow by `run_generation`).
@@ -1188,6 +1248,26 @@ impl GenShared {
         self.skipped.fetch_add(draft.skipped, Ordering::Relaxed);
         self.deduped.fetch_add(draft.deduped, Ordering::Relaxed);
         self.probes.fetch_add(draft.probes, Ordering::Relaxed);
+    }
+
+    /// Candidates in the chunk range `[first, first + count)`.
+    fn candidates(&self, chunk: u64, first: u64, count: u64) -> u64 {
+        let at = |c: u64| c.saturating_mul(chunk).min(self.total.max(1));
+        at(first + count) - at(first)
+    }
+
+    /// The generation's counters over a slice of `space` candidates.
+    fn stats(&self, space: u128) -> GenStats {
+        GenStats {
+            k: self.k,
+            space,
+            evaluated: self.evaluated.load(Ordering::Relaxed),
+            skipped_by_pruning: self.skipped.load(Ordering::Relaxed) as u128,
+            deduped: self.deduped.load(Ordering::Relaxed),
+            probes: self.probes.load(Ordering::Relaxed),
+            claims: self.claims.load(Ordering::Relaxed),
+            active_chunks: self.active_chunks.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -1228,6 +1308,15 @@ impl LocalStore {
 }
 
 /// One worker's chunk-claiming evaluation loop.
+///
+/// Under guided enumeration a finished chunk's walk runs on past the chunk
+/// to the next consistent candidate `t`, searching up to the claim's
+/// [`Claim::limit`]. Every chunk wholly below `t` is refuted by this
+/// worker's own patterns — and patterns only grow — so the worker claims
+/// them all in one dispenser step and banks them as one idle run, at any
+/// thread or shard count. Nothing in the run is evaluated, so the skip
+/// count grows by exactly its candidates and serial counts are those of a
+/// chunk-by-chunk walk.
 fn worker_loop<'m, M: TransitionSystem>(
     model: &'m M,
     shared: &Shared<'_>,
@@ -1245,7 +1334,7 @@ fn worker_loop<'m, M: TransitionSystem>(
     };
     let mut log_cursor = 0usize;
     let mut chunks_until_sync = 0usize;
-    let total = gen.total;
+    let total = gen.total.max(1);
     let chunk = opts.chunk_size;
     // Worker-local run of contiguous *inactive* chunks, flushed to the
     // journal writer only when an active chunk or a claim gap breaks the
@@ -1259,17 +1348,13 @@ fn worker_loop<'m, M: TransitionSystem>(
             flush_idle(shared, &mut idle);
             return;
         }
-        let Some(idx) = gen.claims.claim() else {
+        let Some(Claim { idx, limit }) = gen.dispenser.claim(&gen.completed) else {
             flush_idle(shared, &mut idle);
             return;
         };
+        gen.claims.fetch_add(1, Ordering::Relaxed);
         let lo = idx.saturating_mul(chunk);
-        if journal::covered(&gen.completed, idx) {
-            // A previous (journaled) attempt already completed this chunk;
-            // its counters were seeded into the generation totals.
-            continue;
-        }
-        let hi = (lo + chunk).min(total.max(1));
+        let hi = lo.saturating_add(chunk).min(total);
         if opts.pruning {
             // Batched pattern-log sync: pull the shared log every
             // `sync_interval` chunks instead of at every boundary, so the
@@ -1290,41 +1375,80 @@ fn worker_loop<'m, M: TransitionSystem>(
         // resume against the same pattern-table state it started from.
         let mut draft = ChunkDraft::new(gen.k as u64, idx);
 
-        let completed = match &mut store {
-            LocalStore::Lex { table, scratch } => run_chunk_lex(
-                model, shared, gen, lo, hi, table, scratch, session, &mut draft,
+        // `through`: the guided walk's refuted bound — every chunk below it
+        // and past this one holds no consistent candidate (`None` for the
+        // lexicographic walk, which never looks past a chunk).
+        let (completed, through) = match &mut store {
+            LocalStore::Lex { table, scratch } => (
+                run_chunk_lex(
+                    model, shared, gen, lo, hi, table, scratch, session, &mut draft,
+                ),
+                None,
             ),
             LocalStore::Guided(propagator) => {
-                run_chunk_guided(model, shared, gen, lo, hi, propagator, session, &mut draft)
+                let search_end = limit.saturating_mul(chunk).min(total);
+                let next = run_chunk_guided(
+                    model, shared, gen, lo, hi, search_end, propagator, session, &mut draft,
+                );
+                // A search that ran out refutes the partial last chunk too.
+                let through = next.map(|t| if t >= search_end { limit } else { t / chunk });
+                (next.is_some(), through)
             }
         };
 
         gen.bank(&draft);
+        if draft.evaluated > 0 {
+            gen.active_chunks.fetch_add(1, Ordering::Relaxed);
+        }
         if !completed {
             // A stop request interrupted the chunk: its partial counters are
             // banked (for the report) but never journaled.
             flush_idle(shared, &mut idle);
             return;
         }
-        if draft.is_inactive() {
-            match &mut idle {
-                // Extend a contiguous idle run without touching the writer.
-                Some(run) if run.first + run.count == draft.first => {
-                    run.count += draft.count;
-                    run.skipped += draft.skipped;
-                    run.deduped += draft.deduped;
-                    run.probes += draft.probes;
-                }
-                _ => {
-                    flush_idle(shared, &mut idle);
-                    idle = Some(draft);
-                }
-            }
-        } else {
-            // Flush the idle run first so the writer can absorb it into the
-            // active record's range.
-            flush_idle(shared, &mut idle);
-            shared.journal_chunk(draft);
+        file_chunk(shared, &mut idle, draft);
+
+        if let Some((first, count)) =
+            through
+                .filter(|&through| through > idx + 1)
+                .and_then(|through| {
+                    gen.dispenser
+                        .claim_refuted(idx + 1, through, &gen.completed)
+                })
+        {
+            gen.claims.fetch_add(1, Ordering::Relaxed);
+            let run = ChunkDraft::refuted(
+                gen.k as u64,
+                first,
+                count,
+                gen.candidates(chunk, first, count),
+            );
+            gen.bank(&run);
+            file_chunk(shared, &mut idle, run);
+        }
+    }
+}
+
+/// Files a completed chunk range: an inactive one extends the worker's
+/// contiguous idle run without touching the writer; anything else flushes
+/// that run first (so the writer can absorb it into the active record's
+/// range) and is journaled at once.
+fn file_chunk(shared: &Shared<'_>, idle: &mut Option<ChunkDraft>, draft: ChunkDraft) {
+    if !draft.is_inactive() {
+        flush_idle(shared, idle);
+        shared.journal_chunk(draft);
+        return;
+    }
+    match idle {
+        Some(run) if run.first + run.count == draft.first => {
+            run.count += draft.count;
+            run.skipped += draft.skipped;
+            run.deduped += draft.deduped;
+            run.probes += draft.probes;
+        }
+        _ => {
+            flush_idle(shared, idle);
+            *idle = Some(draft);
         }
     }
 }
@@ -1391,11 +1515,13 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
     true
 }
 
-/// Guided walk over one chunk's candidate range: the propagator jumps the
-/// odometer straight to each next consistent candidate. Visits the exact
-/// candidate sequence [`run_chunk_lex`] visits against the same pattern
-/// table — only the probe cost differs. Returns `false` if a stop request
-/// interrupted the chunk.
+/// Guided walk over one chunk's candidate range `[lo, hi)`: the propagator
+/// jumps the odometer straight to each next consistent candidate. Visits
+/// the exact candidate sequence [`run_chunk_lex`] visits against the same
+/// pattern table — only the probe cost differs. The walk's last seek runs
+/// on past `hi`, up to `search_end`, and its landing index — the next
+/// consistent candidate, or `search_end` if there is none — is returned;
+/// `None` if a stop request interrupted the chunk.
 #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 fn run_chunk_guided<'m, M: TransitionSystem>(
     model: &'m M,
@@ -1403,38 +1529,50 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
     gen: &GenShared,
     lo: u64,
     hi: u64,
+    search_end: u64,
     propagator: &mut Propagator,
     session: &mut Option<CheckSession<'m, M>>,
     draft: &mut ChunkDraft,
-) -> bool {
-    // The walk stays warm across chunk boundaries: with 32-candidate
-    // chunks most chunks hold a single enumeration node, so a cold
-    // restart per chunk would pay the same from-root probe skip-counting
-    // pays and forfeit the entire guided advantage. The price is that a
-    // chunk's probe count depends on the propagator's memo — probes are a
-    // *cost measurement* (like wall time), not a result: a resumed run
-    // reproduces evaluations, patterns, and solutions bit-identically but
-    // may re-measure a slightly different probe total, since its first
-    // live chunk starts from a cold memo.
+) -> Option<u64> {
+    // The walk stays warm across chunk boundaries: most chunks hold a
+    // single enumeration node, so a cold restart per chunk would pay the
+    // same from-root probe skip-counting pays and forfeit the entire
+    // guided advantage. The price is that a chunk's probe count depends on
+    // the propagator's memo — probes are a *cost measurement* (like wall
+    // time), not a result: a resumed run reproduces evaluations, patterns,
+    // and solutions bit-identically but may re-measure a slightly
+    // different probe total, since its first live chunk starts from a cold
+    // memo.
     let probes_before = propagator.probes();
-    let mut od =
-        GuidedOdometer::over_range(gen.radices.clone(), lo as u128, hi as u128, propagator);
-    let completed = loop {
+    let mut od = GuidedOdometer::over_range(
+        gen.radices.clone(),
+        lo as u128,
+        search_end as u128,
+        propagator,
+    );
+    let next = loop {
         // The CEGIS propose step: jump past everything the learned
-        // patterns refute.
-        draft.skipped += od.seek_consistent() as u64;
-        if od.current().is_none() {
-            break true;
+        // patterns refute. Only the part of the jump inside this chunk is
+        // this chunk's skip count; the caller banks the rest.
+        let from = od.index() as u64;
+        od.seek_consistent();
+        let at = od.index() as u64;
+        draft.skipped += at.min(hi) - from;
+        if at >= hi {
+            break Some(at);
         }
         if shared.stop.load(Ordering::Acquire) {
-            break false;
+            break None;
         }
         // The graceful-stop sequence point, as in the lexicographic walk.
         if let Some(reason) = shared.stop_due() {
             shared.request_stop(reason);
-            break false;
+            break None;
         }
-        let digits = od.current().expect("candidate checked above").to_vec();
+        let digits = od
+            .current()
+            .expect("candidate below the search end")
+            .to_vec();
         evaluate_candidate(
             model,
             shared,
@@ -1444,12 +1582,10 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
             od.propagator_mut(),
             draft,
         );
-        if !od.advance() {
-            break true;
-        }
+        od.advance();
     };
     draft.probes += od.propagator_mut().probes() - probes_before;
-    completed
+    next
 }
 
 /// Hands a worker's buffered idle-chunk run to the journal writer. Chunks
@@ -1527,16 +1663,8 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     match outcome.verdict() {
         Verdict::Failure => {
             if opts.pruning {
-                pattern_added = match opts.pattern_mode {
-                    PatternMode::Exact => {
-                        let added = shared.hub.publish_prefix(&digits, local_patterns);
-                        if added {
-                            draft
-                                .patterns
-                                .push(journal::PatternEntry::Prefix(digits.clone()));
-                        }
-                        added
-                    }
+                let entry = match opts.pattern_mode {
+                    PatternMode::Exact => journal::PatternEntry::Prefix(digits.clone()),
                     PatternMode::Refined => {
                         // Prefer the checker's failure-attributed set (the
                         // paper's Cₜ: resolutions along the counterexample
@@ -1547,15 +1675,15 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
                             .failure()
                             .and_then(|f| f.touched.as_deref())
                             .unwrap_or(&touched);
-                        let pairs: SparsePattern =
-                            relevant.iter().map(|&(h, a)| (h as u16, a)).collect();
-                        let added = shared.hub.publish_sparse(pairs.clone(), local_patterns);
-                        if added {
-                            draft.patterns.push(journal::PatternEntry::Sparse(pairs));
-                        }
-                        added
+                        journal::PatternEntry::Sparse(
+                            relevant.iter().map(|&(h, a)| (h as u16, a)).collect(),
+                        )
                     }
                 };
+                pattern_added = shared.hub.publish(&entry, local_patterns);
+                if pattern_added {
+                    draft.patterns.push(entry);
+                }
             }
         }
         Verdict::Success => {
@@ -1616,8 +1744,10 @@ enum Origin {
     Foreign,
 }
 
-/// Shared pruning-pattern hub: canonical de-duplicated table plus an
-/// append-only log that workers replay into their thread-local tables.
+/// Shared pruning-pattern hub: an append-only log that workers replay into
+/// their thread-local tables, plus the de-duplication set that decides what
+/// is new. Each distinct pattern is stored once: the set's entry and the
+/// log's share one allocation.
 #[derive(Debug, Default)]
 struct PatternHub {
     inner: Mutex<HubInner>,
@@ -1625,39 +1755,51 @@ struct PatternHub {
 
 #[derive(Debug, Default)]
 struct HubInner {
-    canonical: PatternTable,
-    log: Vec<(journal::PatternEntry, Origin)>,
+    /// Every distinct pattern filed so far, sparse ones sorted and
+    /// de-duplicated as [`PatternTable::insert_sparse`] normalizes them.
+    seen: FnvHashSet<Arc<journal::PatternEntry>>,
+    log: Vec<(Arc<journal::PatternEntry>, Origin)>,
+    dense: usize,
+    sparse: usize,
+}
+
+impl HubInner {
+    /// Records `entry` as seen; returns it shared, and whether it was new.
+    fn see(&mut self, mut entry: journal::PatternEntry) -> (Arc<journal::PatternEntry>, bool) {
+        if let journal::PatternEntry::Sparse(pairs) = &mut entry {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        let entry = Arc::new(entry);
+        let fresh = self.seen.insert(Arc::clone(&entry));
+        if fresh {
+            match *entry {
+                journal::PatternEntry::Prefix(_) => self.dense += 1,
+                journal::PatternEntry::Sparse(_) => self.sparse += 1,
+            }
+        }
+        (entry, fresh)
+    }
+
+    /// Logs `entry` if it is new; returns whether it was.
+    fn file(&mut self, entry: journal::PatternEntry, origin: Origin) -> bool {
+        let (entry, fresh) = self.see(entry);
+        if fresh {
+            self.log.push((entry, origin));
+        }
+        fresh
+    }
 }
 
 impl PatternHub {
-    /// Publishes a prefix pattern; merges into `local` as well. Returns
-    /// whether the pattern was new to the shared table.
-    fn publish_prefix(&self, prefix: &[u16], local: &mut dyn PatternSink) -> bool {
-        local.merge_prefix(prefix);
-        let mut inner = self.inner.lock();
-        if inner.canonical.insert_prefix(prefix) {
-            inner.log.push((
-                journal::PatternEntry::Prefix(prefix.to_vec()),
-                Origin::Local,
-            ));
-            true
-        } else {
-            false
+    /// Publishes a pattern a worker learned; merges it into `local` as
+    /// well. Returns whether the pattern was new to the hub.
+    fn publish(&self, entry: &journal::PatternEntry, local: &mut dyn PatternSink) -> bool {
+        match entry {
+            journal::PatternEntry::Prefix(p) => local.merge_prefix(p),
+            journal::PatternEntry::Sparse(s) => local.merge_sparse(s.clone()),
         }
-    }
-
-    /// Sparse analogue of [`PatternHub::publish_prefix`].
-    fn publish_sparse(&self, pairs: SparsePattern, local: &mut dyn PatternSink) -> bool {
-        local.merge_sparse(pairs.clone());
-        let mut inner = self.inner.lock();
-        if inner.canonical.insert_sparse(pairs.clone()) {
-            inner
-                .log
-                .push((journal::PatternEntry::Sparse(pairs), Origin::Local));
-            true
-        } else {
-            false
-        }
+        self.inner.lock().file(entry.clone(), Origin::Local)
     }
 
     /// Replays log entries `[*cursor..]` into `local`, regardless of
@@ -1666,7 +1808,7 @@ impl PatternHub {
     fn sync_into(&self, local: &mut dyn PatternSink, cursor: &mut usize) {
         let inner = self.inner.lock();
         for (entry, _) in &inner.log[*cursor..] {
-            match entry {
+            match &**entry {
                 journal::PatternEntry::Prefix(p) => local.merge_prefix(p),
                 journal::PatternEntry::Sparse(s) => local.merge_sparse(s.clone()),
             }
@@ -1674,24 +1816,16 @@ impl PatternHub {
         *cursor = inner.log.len();
     }
 
-    /// Seeds the hub (before any worker starts): entries enter the
-    /// canonical table and the log, so every worker picks them up from
-    /// cursor 0 exactly as live publications. Journal-replay seeds in a
-    /// whole-space run and merged-table seeds in a shard run are both
-    /// `Foreign` (nothing to re-export); a shard resuming its *own* journal
-    /// seeds `Local`, so its pre-crash learnings still reach peers and the
-    /// coordinator.
+    /// Seeds the hub (before any worker starts): entries are marked seen
+    /// and logged, so every worker picks them up from cursor 0 exactly as
+    /// live publications. Journal-replay seeds in a whole-space run and
+    /// merged-table seeds in a shard run are both `Foreign` (nothing to
+    /// re-export); a shard resuming its *own* journal seeds `Local`, so its
+    /// pre-crash learnings still reach peers and the coordinator.
     fn seed_with(&self, entries: Vec<journal::PatternEntry>, origin: Origin) {
         let mut inner = self.inner.lock();
         for entry in entries {
-            match &entry {
-                journal::PatternEntry::Prefix(p) => {
-                    inner.canonical.insert_prefix(p);
-                }
-                journal::PatternEntry::Sparse(s) => {
-                    inner.canonical.insert_sparse(s.clone());
-                }
-            }
+            let (entry, _) = inner.see(entry);
             inner.log.push((entry, origin));
         }
     }
@@ -1700,12 +1834,12 @@ impl PatternHub {
         self.seed_with(entries, Origin::Foreign);
     }
 
-    /// Imports peer-shard patterns: new-to-this-hub entries join the
-    /// canonical table and the log as `Foreign`, from where the ordinary
-    /// worker sync merges them into every local table and propagator.
-    /// Entries referencing holes at or beyond `width` (the frontier `k`)
-    /// are dropped — no candidate in this generation constrains those
-    /// holes, and a well-formed peer at the same frontier never sends them.
+    /// Imports peer-shard patterns: new-to-this-hub entries join the log
+    /// as `Foreign`, from where the ordinary worker sync merges them into
+    /// every local table and propagator. Entries referencing holes at or
+    /// beyond `width` (the frontier `k`) are dropped — no candidate in this
+    /// generation constrains those holes, and a well-formed peer at the
+    /// same frontier never sends them.
     fn import(&self, entries: impl Iterator<Item = journal::PatternEntry>, width: usize) {
         let mut inner = self.inner.lock();
         for entry in entries {
@@ -1713,15 +1847,8 @@ impl PatternHub {
                 journal::PatternEntry::Prefix(p) => p.len() <= width,
                 journal::PatternEntry::Sparse(s) => s.iter().all(|&(h, _)| (h as usize) < width),
             };
-            if !in_range {
-                continue;
-            }
-            let added = match &entry {
-                journal::PatternEntry::Prefix(p) => inner.canonical.insert_prefix(p),
-                journal::PatternEntry::Sparse(s) => inner.canonical.insert_sparse(s.clone()),
-            };
-            if added {
-                inner.log.push((entry, Origin::Foreign));
+            if in_range {
+                inner.file(entry, Origin::Foreign);
             }
         }
     }
@@ -1729,31 +1856,29 @@ impl PatternHub {
     /// Drains `Local` log entries past `cursor` for export to peer shards.
     fn export_locals(&self, cursor: &mut usize) -> Vec<journal::PatternEntry> {
         let inner = self.inner.lock();
-        let out = inner.log[*cursor..]
-            .iter()
-            .filter(|(_, origin)| *origin == Origin::Local)
-            .map(|(entry, _)| entry.clone())
-            .collect();
+        let out = locals_of(&inner.log[*cursor..]);
         *cursor = inner.log.len();
         out
     }
 
     /// Every `Local` log entry — what a shard reports to the coordinator.
     fn locals(&self) -> Vec<journal::PatternEntry> {
-        let inner = self.inner.lock();
-        inner
-            .log
-            .iter()
-            .filter(|(_, origin)| *origin == Origin::Local)
-            .map(|(entry, _)| entry.clone())
-            .collect()
+        locals_of(&self.inner.lock().log)
     }
 
     /// Distinct `(dense prefix, sparse)` pattern counts recorded.
     fn counts(&self) -> (usize, usize) {
         let inner = self.inner.lock();
-        (inner.canonical.dense_len(), inner.canonical.sparse_len())
+        (inner.dense, inner.sparse)
     }
+}
+
+/// The `Local` entries of a hub-log slice, in log order.
+fn locals_of(log: &[(Arc<journal::PatternEntry>, Origin)]) -> Vec<journal::PatternEntry> {
+    log.iter()
+        .filter(|(_, origin)| *origin == Origin::Local)
+        .map(|(entry, _)| (**entry).clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -2072,6 +2197,136 @@ mod tests {
         let report = Synthesizer::new(SynthOptions::default().max_evaluations(3)).run(&model);
         assert!(report.stats().truncated);
         assert!(report.stats().evaluated <= 4);
+    }
+
+    /// Drains a dispenser the way workers do — claim a chunk, then maybe
+    /// claim a refuted run after it up to a pseudo-random bound — and
+    /// returns every chunk index it handed out, in claim order.
+    fn drain(claims: &ChunkClaims, covered: &[(u64, u64)], seed: u64) -> Vec<u64> {
+        let mut rng = seed;
+        let mut out = Vec::new();
+        while let Some(Claim { idx, limit }) = claims.claim(covered) {
+            assert!(idx < limit, "claim {idx} outside its limit {limit}");
+            out.push(idx);
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let through = idx + 1 + (rng >> 33) % 9;
+            if let Some((first, count)) = claims.claim_refuted(idx + 1, through, covered) {
+                assert!(count > 0 && first > idx && first + count <= through);
+                out.extend(first..first + count);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn serial_claims_step_over_covered_ranges_and_stop_at_them() {
+        let covered = [(3, 4), (10, 2)];
+        let claims = ChunkClaims::serial(0, 20);
+        assert_eq!(claims.claim(&covered), Some(Claim { idx: 0, limit: 3 }));
+        // A refuted run stops at the first covered chunk.
+        assert_eq!(claims.claim_refuted(1, 9, &covered), Some((1, 2)));
+        // The covered range [3, 7) is stepped over in one claim.
+        assert_eq!(claims.claim(&covered), Some(Claim { idx: 7, limit: 10 }));
+        // A run that does not start at the cursor claims nothing.
+        assert_eq!(claims.claim_refuted(9, 12, &covered), None);
+        assert_eq!(claims.claim_refuted(8, 12, &covered), Some((8, 2)));
+        assert_eq!(claims.claim(&covered), Some(Claim { idx: 12, limit: 20 }));
+        // Clamped to the dispenser's end.
+        assert_eq!(claims.claim_refuted(13, 99, &covered), Some((13, 7)));
+        assert_eq!(claims.claim(&covered), None);
+        assert_eq!(claims.claim_refuted(20, 99, &covered), None);
+    }
+
+    #[test]
+    fn racing_serial_claimers_bank_every_chunk_exactly_once() {
+        let covered = [(40, 25), (300, 1)];
+        let claims = ChunkClaims::serial(0, 500);
+        let mut all: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|seed| {
+                    let (claims, covered) = (&claims, &covered);
+                    scope.spawn(move || drain(claims, covered, seed))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        let expected: Vec<u64> = (0..500)
+            .filter(|&c| !(40..65).contains(&c) && c != 300)
+            .collect();
+        assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn pooled_claims_clamp_to_a_slot_a_thief_shortened() {
+        let pool = Arc::new(crate::shard::StealPool::new(&[(0, 100), (100, 100)], true));
+        let owner = ChunkClaims::Pool {
+            pool: Arc::clone(&pool),
+            slot: 0,
+        };
+        let thief = ChunkClaims::Pool {
+            pool: Arc::clone(&pool),
+            slot: 1,
+        };
+        assert_eq!(owner.claim(&[]), Some(Claim { idx: 0, limit: 100 }));
+        // Slot 1 is empty: its first claim steals the tail half [51, 100).
+        assert_eq!(
+            thief.claim(&[]),
+            Some(Claim {
+                idx: 51,
+                limit: 100
+            })
+        );
+        // The owner searched to 100, but only [1, 51) is still its own.
+        assert_eq!(owner.claim_refuted(1, 100, &[]), Some((1, 50)));
+        assert_eq!(thief.claim_refuted(52, 60, &[(55, 5)]), Some((52, 3)));
+        assert_eq!(
+            thief.claim(&[(55, 5)]),
+            Some(Claim {
+                idx: 60,
+                limit: 100
+            })
+        );
+        // The owner's slot is exhausted: it steals from the thief's tail.
+        assert_eq!(
+            owner.claim(&[]),
+            Some(Claim {
+                idx: 81,
+                limit: 100
+            })
+        );
+    }
+
+    #[test]
+    fn racing_pooled_claimers_bank_every_chunk_exactly_once() {
+        let ranges = [(0u64, 200), (200, 210), (210, 210), (210, 400)];
+        let covered = [(150, 30), (390, 10)];
+        let pool = Arc::new(crate::shard::StealPool::new(&ranges, true));
+        let mut all: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..ranges.len() * 2)
+                .map(|t| {
+                    let claims = ChunkClaims::Pool {
+                        pool: Arc::clone(&pool),
+                        slot: t % ranges.len(),
+                    };
+                    scope.spawn(move || drain(&claims, &covered, t as u64))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        let expected: Vec<u64> = (0..400)
+            .filter(|&c| !(150..180).contains(&c) && !(390..400).contains(&c))
+            .collect();
+        assert_eq!(all, expected);
     }
 
     /// Hole ids are assigned in discovery order, which differs between

@@ -28,13 +28,30 @@ fn scratch(name: &str) -> PathBuf {
     path
 }
 
+/// What a resumed run must reproduce. Of the per-generation stats, the
+/// claim and active-chunk counts are left out: a resumed run counts only
+/// its own dispenser work.
 fn fingerprint(report: &SynthReport) -> impl PartialEq + std::fmt::Debug {
     (
         report.solutions().to_vec(),
         report.quarantined().to_vec(),
         report.stats().evaluated,
         report.stats().patterns,
-        report.stats().generations.clone(),
+        report
+            .stats()
+            .generations
+            .iter()
+            .map(|g| {
+                (
+                    g.k,
+                    g.space,
+                    g.evaluated,
+                    g.skipped_by_pruning,
+                    g.deduped,
+                    g.probes,
+                )
+            })
+            .collect::<Vec<_>>(),
         report.stats().check_states_expanded + report.stats().check_states_reused,
     )
 }

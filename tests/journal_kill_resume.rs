@@ -159,6 +159,42 @@ fn parallel_journal_resumes_to_the_same_solutions_from_every_boundary() {
 }
 
 #[test]
+fn parallel_guided_journal_resumes_to_the_same_solutions_from_every_boundary() {
+    // The guided counterpart: four workers claim refuted chunk runs in one
+    // step, racing each other for the same dispenser. A resumed run must
+    // step over every journal-covered range without banking it again and
+    // must neither drop nor re-count a chunk of the runs it claims.
+    let path = scratch("msi-tiny-guided-parallel");
+    let model = MsiModel::new(MsiConfig::msi_tiny());
+    let options = SynthOptions::default()
+        .enumeration(Enumeration::Guided)
+        .pattern_mode(PatternMode::Refined)
+        .threads(4)
+        .chunk_size(8);
+    let baseline = Synthesizer::new(options.clone().journal(&path)).run(&model);
+    let full = fs::read(&path).unwrap();
+    let boundaries = record_boundaries(&path).unwrap();
+
+    for (idx, &cut) in boundaries.iter().enumerate() {
+        fs::write(&path, &full[..cut as usize]).unwrap();
+        let resumed = Synthesizer::new(options.clone().journal(&path))
+            .resume_from_journal(&model)
+            .unwrap_or_else(|e| panic!("resume at boundary {idx}: {e}"));
+        assert_eq!(resumed.solutions(), baseline.solutions(), "boundary {idx}");
+        assert_eq!(resumed.stats().stop, StopReason::Completed);
+        for (g, gen) in resumed.stats().generations.iter().enumerate() {
+            assert_eq!(
+                gen.skipped_by_pruning + gen.evaluated as u128 + gen.deduped as u128,
+                gen.space,
+                "boundary {idx}, generation {g}: chunk coverage must not \
+                 drop or double-count candidates"
+            );
+        }
+    }
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
 fn guided_runs_resume_identically_from_every_record_boundary() {
     // Guided enumeration journals the same chunk-coverage records as
     // lexicographic (the visit sequence is identical; only the probe cost
