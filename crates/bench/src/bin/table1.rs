@@ -203,10 +203,12 @@ fn main() {
 
     let mut rows: Vec<MeasuredRow> = Vec::new();
     let mut reports = Vec::new();
+    // Fully-run naïve rows, for the session-reuse summary.
+    let mut naive_reports = Vec::new();
 
     if small && !sigint::triggered() {
         if !pruned_only {
-            let (row, _) = run_synthesis_row(
+            let (row, report) = run_synthesis_row(
                 "MSI-small 1 thread, no pruning",
                 MsiConfig::msi_small(),
                 false,
@@ -215,6 +217,7 @@ fn main() {
             );
             println!("{}", row.format());
             rows.push(row);
+            naive_reports.push(("MSI-small naive", report));
         }
         let (row, report) = run_synthesis_row(
             "MSI-small 1 thread, pruning",
@@ -242,13 +245,14 @@ fn main() {
     if large && !sigint::triggered() {
         let naive_row = (!pruned_only).then(|| {
             if has("--naive-large-full") {
-                let (row, _) = run_synthesis_row(
+                let (row, report) = run_synthesis_row(
                     "MSI-large 1 thread, no pruning",
                     MsiConfig::msi_large(),
                     false,
                     1,
                     check_threads,
                 );
+                naive_reports.push(("MSI-large naive", report));
                 row
             } else {
                 estimate_naive_row(
@@ -414,15 +418,20 @@ fn main() {
 
     if reuse_sessions {
         println!();
-        println!("Session reuse (1-thread pruned rows; --one-shot disables):");
-        for (label, report) in &reports {
+        println!(
+            "Session reuse (1-thread rows run in full; --one-shot disables; a replayed check \
+             expanded nothing):"
+        );
+        for (label, report) in naive_reports.iter().chain(&reports) {
             let s = report.stats();
             println!(
                 "  {label}: {} states expanded live, {} reused from checkpoints \
-                 ({:.1}% of the one-shot work avoided)",
+                 ({:.1}% of the one-shot work avoided), {} of {} checks replayed",
                 s.check_states_expanded,
                 s.check_states_reused,
                 s.check_reuse_rate() * 100.0,
+                s.check_replays,
+                s.evaluated,
             );
         }
     }

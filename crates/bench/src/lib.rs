@@ -517,6 +517,10 @@ pub fn resume_command(bin: &str, args: &[String]) -> String {
 /// Estimates a naïve (no pruning) row by timing a uniform random sample of
 /// complete candidates and extrapolating to the full product — used for
 /// MSI-large, whose full naïve run took the paper 31 573 s.
+///
+/// Every sample is a one-shot check, so the estimate prices a
+/// per-candidate-restart sweep. A sequential sweep through check sessions
+/// costs less: most of its checks replay the previous check's ending.
 pub fn estimate_naive_row(
     label: &str,
     config: MsiConfig,

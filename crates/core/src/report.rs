@@ -196,6 +196,13 @@ pub struct SynthStats {
     /// would have repeated. Zero when
     /// [`crate::SynthOptions::reuse_sessions`] is off.
     pub check_states_reused: u64,
+    /// Dispatches whose session check replayed the previous check's ending
+    /// ([`verc3_mck::SessionStats::checks_replayed`]): every hole answer
+    /// that check consulted repeated, so nothing was expanded. A cost
+    /// measurement like [`GenStats::claims`], not a result: it is not
+    /// journaled, and a resumed run counts only its own replays. Zero when
+    /// [`crate::SynthOptions::reuse_sessions`] is off.
+    pub check_replays: u64,
 }
 
 impl SynthStats {

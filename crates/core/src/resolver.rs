@@ -278,9 +278,8 @@ impl SessionResolver for SharedCandidateResolver<'_> {
 /// so it is reported through
 /// [`verc3_mck::HoleResolver::application_fresh_touches`] and the commit
 /// publishes the touch once the id is assigned. Anything still pending when
-/// the worker is dropped (a serial check without sequence points: a one-shot
-/// check, or one that ended mid-layer) is registered then, in this worker's
-/// consultation order.
+/// the worker is dropped (a one-shot serial check, which has no sequence
+/// points) is registered then, in this worker's consultation order.
 #[derive(Debug)]
 struct WorkerCandidateResolver<'a> {
     shared: &'a SharedCandidateResolver<'a>,

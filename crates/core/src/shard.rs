@@ -928,7 +928,7 @@ pub fn run_sharded_with<M: TransitionSystem>(
     let mut quarantined: Vec<Quarantined> = Vec::new();
     let mut generations: Vec<GenStats> = Vec::new();
     let mut shard_reports: Vec<ShardReport> = Vec::new();
-    let (mut expanded, mut reused) = (0u64, 0u64);
+    let (mut expanded, mut reused, mut replays) = (0u64, 0u64, 0u64);
     let mut stop = StopReason::Completed;
     let mut prev_k = 0usize;
     let mut round = 0usize;
@@ -1025,6 +1025,7 @@ pub fn run_sharded_with<M: TransitionSystem>(
             round_stats.active_chunks += outcome.gen.active_chunks;
             expanded += outcome.check_expanded;
             reused += outcome.check_reused;
+            replays += outcome.check_replays;
         }
         // Merge in shard-index order: the merged registry extension, the
         // pattern log, and the solution list are then a pure function of
@@ -1088,6 +1089,7 @@ pub fn run_sharded_with<M: TransitionSystem>(
         quarantined: quarantined.len() as u64,
         check_states_expanded: expanded,
         check_states_reused: reused,
+        check_replays: replays,
     };
     Ok(ShardedRun {
         report: SynthReport {

@@ -326,13 +326,17 @@ impl SynthOptions {
     /// because the candidate odometer varies the latest-discovered (deepest
     /// consulted) holes fastest, consecutive candidates share a deep BFS
     /// prefix and the session resumes from the deepest unchanged
-    /// checkpoint. Every individual evaluation stays bit-identical to its
-    /// one-shot counterpart (verdict, statistics, failure attribution), so
-    /// the run log, pattern table, evaluated counts, and solution set are
-    /// unchanged — only [`SynthStats::check_states_reused`] and wall time
-    /// move. Disable to measure the per-candidate-restart baseline.
+    /// checkpoint, or replays the previous check's ending when the
+    /// candidate changes no hole that check consulted. Every individual
+    /// evaluation stays bit-identical to its one-shot counterpart (verdict,
+    /// statistics, failure attribution), so the run log, pattern table,
+    /// evaluated counts, and solution set are unchanged — only
+    /// [`SynthStats::check_states_reused`], [`SynthStats::check_replays`]
+    /// and wall time move. Disable to measure the per-candidate-restart
+    /// baseline.
     ///
     /// [`SynthStats::check_states_reused`]: crate::report::SynthStats::check_states_reused
+    /// [`SynthStats::check_replays`]: crate::report::SynthStats::check_replays
     pub fn reuse_sessions(mut self, reuse: bool) -> Self {
         self.reuse_sessions = reuse;
         self
@@ -588,6 +592,7 @@ impl Synthesizer {
             stop_reason: Mutex::new(StopReason::Completed),
             check_expanded: AtomicU64::new(expanded_seed),
             check_reused: AtomicU64::new(reused_seed),
+            check_replays: AtomicU64::new(0),
             deadline_at: opts.deadline.and_then(|d| start.checked_add(d)),
             journal: writer,
             exchange: None,
@@ -664,6 +669,7 @@ impl Synthesizer {
             quarantined: quarantined.len() as u64,
             check_states_expanded: shared.check_expanded.load(Ordering::Relaxed),
             check_states_reused: shared.check_reused.load(Ordering::Relaxed),
+            check_replays: shared.check_replays.load(Ordering::Relaxed),
         };
         Ok(SynthReport {
             model: model.name().to_owned(),
@@ -867,6 +873,7 @@ impl Synthesizer {
             stop_reason: Mutex::new(StopReason::Completed),
             check_expanded: AtomicU64::new(expanded_seed),
             check_reused: AtomicU64::new(reused_seed),
+            check_replays: AtomicU64::new(0),
             deadline_at: opts.deadline.and_then(|d| start.checked_add(d)),
             journal: writer,
             exchange,
@@ -958,6 +965,7 @@ impl Synthesizer {
             stop,
             check_expanded: shared.check_expanded.load(Ordering::Relaxed),
             check_reused: shared.check_reused.load(Ordering::Relaxed),
+            check_replays: shared.check_replays.load(Ordering::Relaxed),
         })
     }
 }
@@ -978,6 +986,7 @@ pub(crate) struct ShardOutcome {
     pub stop: StopReason,
     pub check_expanded: u64,
     pub check_reused: u64,
+    pub check_replays: u64,
 }
 
 /// Journal writes are the crash-safety contract; failing one voids it, so
@@ -1005,6 +1014,9 @@ struct Shared<'a> {
     check_expanded: AtomicU64,
     /// States inherited from session checkpoints instead of re-expanded.
     check_reused: AtomicU64,
+    /// Session checks that replayed the previous check's ending. A cost
+    /// measurement, not journaled: a resumed run counts only its own.
+    check_replays: AtomicU64,
     /// Absolute deadline derived from [`SynthOptions::deadline`].
     deadline_at: Option<Instant>,
     journal: Option<JournalWriter>,
@@ -1626,18 +1638,17 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     // identical.
     let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
     let (outcome, touched) = if let Some(session) = session.as_mut() {
-        let (before_expanded, before_reused) = {
-            let s = session.stats();
-            (s.states_expanded, s.states_reused)
-        };
+        let before = session.stats().clone();
         let outcome = session.check(&resolver);
         // Bank the session's reuse counters per candidate (a panicked check
         // resets the session, discarding its partial work — saturate).
         let after = session.stats();
-        let expanded = after.states_expanded.saturating_sub(before_expanded);
-        let reused = after.states_reused.saturating_sub(before_reused);
+        let expanded = after.states_expanded.saturating_sub(before.states_expanded);
+        let reused = after.states_reused.saturating_sub(before.states_reused);
+        let replays = after.checks_replayed - before.checks_replayed;
         shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
         shared.check_reused.fetch_add(reused, Ordering::Relaxed);
+        shared.check_replays.fetch_add(replays, Ordering::Relaxed);
         draft.expanded += expanded;
         draft.reused += reused;
         // The run's touched set is the union of live consultations and the
@@ -2189,6 +2200,22 @@ mod tests {
         );
         assert!(sessions.stats().check_reuse_rate() > 0.0);
         assert_eq!(sessions.model_name(), "fig2");
+        assert_eq!(one_shot.stats().check_replays, 0);
+
+        // The naïve sweep replays whole checks: a candidate that changes
+        // only holes the previous check never consulted expands nothing.
+        let naive = |reuse| {
+            Synthesizer::new(SynthOptions::default().pruning(false).reuse_sessions(reuse))
+                .run(&model)
+        };
+        let (one_shot, sessions) = (naive(false), naive(true));
+        assert_eq!(one_shot.stats().check_replays, 0);
+        assert!(sessions.stats().check_replays > 0);
+        assert_eq!(
+            sessions.stats().check_states_expanded + sessions.stats().check_states_reused,
+            one_shot.stats().check_states_expanded,
+        );
+        assert_eq!(sessions.solutions(), one_shot.solutions());
     }
 
     #[test]

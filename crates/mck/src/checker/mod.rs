@@ -305,9 +305,11 @@ impl Checker {
     /// [`CheckSession::check`] can be called repeatedly with different
     /// resolvers; checks that share a resolution prefix with the previous
     /// check resume from the deepest shared BFS checkpoint instead of from
-    /// the initial states, while remaining observationally identical —
-    /// verdict, statistics, failure attribution, counterexample trace — to
-    /// a fresh check of the same candidate.
+    /// the initial states (or, when every consultation of the previous
+    /// check repeats, return its outcome again), while remaining
+    /// observationally identical — verdict, statistics, failure
+    /// attribution, counterexample trace — to a fresh check of the same
+    /// candidate.
     pub fn session<'a, M: TransitionSystem>(&self, model: &'a M) -> CheckSession<'a, M> {
         CheckSession::new(model, self.options.clone())
     }

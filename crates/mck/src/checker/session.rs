@@ -34,6 +34,20 @@
 //! layer 0) the session still reuses the canonicalized initial states,
 //! which are computed exactly once per session.
 //!
+//! The same walk continues past the sealed layers into the **stop log**:
+//! the consultations the previous check made in the layer where it stopped,
+//! up to the rule application or state that stopped it, kept beside that
+//! check's **ending** (verdict, failure, incomplete reason). A stop is fixed
+//! by the same prefix as a layer: an invariant violation, a deadlock, the
+//! state cap, or the post-pass over a complete store (whose stop log is
+//! empty). So when every sealed log and the stop log repeat, the new check
+//! **replays**: it returns the stored ending with no rollback, rule
+//! application, canonicalization or visited-set churn, and leaves the store
+//! exactly as a re-run would. A synthesis sweep then pays for the
+//! candidates that change a consulted answer, not again for a stop layer
+//! the session has already explored. One-shot checks log nothing and never
+//! replay.
+//!
 //! ## Equivalence contract
 //!
 //! Every `check` is observationally identical to a fresh run of the same
@@ -78,6 +92,32 @@ struct Checkpoint {
     reach_found: Vec<bool>,
 }
 
+/// How the most recent check ended, kept so that the next check can replay
+/// it (see the module docs).
+#[derive(Debug)]
+struct Ending<S> {
+    /// Consultations made in the stop layer up to the application or state
+    /// that stopped the check (sorted, de-duplicated; empty when the
+    /// post-pass ended it over a complete store).
+    stop_log: Vec<LayerTouch>,
+    verdict: Verdict,
+    failure: Option<Failure<S>>,
+    incomplete: Option<MckError>,
+}
+
+/// Where a check starts, and afterwards how the most recent check started
+/// (what [`CheckSession::reused_touches`] reports).
+#[derive(Debug, Clone, Copy)]
+enum Resume {
+    /// From the initial states: no checkpoint exists yet.
+    Fresh,
+    /// Live from checkpoint `d`, inheriting layers `0..d`.
+    At(usize),
+    /// Nowhere: every sealed layer and the stop log repeat, so the check
+    /// returns the previous ending.
+    Replay,
+}
+
 /// Cumulative reuse counters of one [`CheckSession`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
@@ -87,10 +127,16 @@ pub struct SessionStats {
     /// actually done.
     pub states_expanded: u64,
     /// States inherited from checkpoints instead of being re-expanded — the
-    /// work a per-candidate restart would have repeated.
+    /// work a per-candidate restart would have repeated. A replayed check
+    /// inherits the whole committed store, so `states_expanded +
+    /// states_reused` always equals what one-shot checks would commit.
     pub states_reused: u64,
-    /// Fully-expanded BFS layers resumed past, summed over checks.
+    /// Fully-expanded BFS layers resumed past, summed over checks (a
+    /// replayed check counts every sealed layer).
     pub layers_reused: u64,
+    /// Checks that replayed the previous check's ending because every
+    /// consultation it made repeated: no layer was expanded at all.
+    pub checks_replayed: u64,
 }
 
 impl SessionStats {
@@ -112,8 +158,10 @@ enum LayerResult<S> {
     /// log is ready to seal into a checkpoint.
     Done(Vec<LayerTouch>),
     /// Exploration ended inside the layer (failure, state cap, or an empty
-    /// continuation) with this outcome.
-    Finished(Box<Outcome<S>>),
+    /// continuation) with this outcome; the log holds the layer's
+    /// consultations up to the stop, sorted and de-duplicated (empty for a
+    /// one-shot serial check, which logs nothing).
+    Finished(Box<Outcome<S>>, Vec<LayerTouch>),
 }
 
 /// A reusable checker instance over one model: owns the visited set, the
@@ -123,8 +171,9 @@ enum LayerResult<S> {
 ///
 /// Created by [`Checker::session`]. Checks resume from the deepest BFS
 /// checkpoint whose recorded hole resolutions the new resolver answers
-/// identically, and every check stays observationally identical to a
-/// fresh run of the same candidate.
+/// identically, or replay the previous check's ending when it answers
+/// every recorded resolution identically, and every check stays
+/// observationally identical to a fresh run of the same candidate.
 pub struct CheckSession<'a, M: TransitionSystem> {
     core: SearchCore<'a, M>,
     /// The exploration engine: visited set, committed fingerprints, claim
@@ -141,9 +190,11 @@ pub struct CheckSession<'a, M: TransitionSystem> {
     /// always exactly one entry shorter than `checkpoints` once the initial
     /// layer is committed.
     layer_touches: Vec<Vec<LayerTouch>>,
-    /// How many leading layers of `layer_touches` the most recent check
-    /// inherited from checkpoints instead of expanding live.
-    last_resume: usize,
+    /// How the most recent check ended, for the next one to replay; `None`
+    /// until a check has explored past the initial states.
+    ending: Option<Ending<M::State>>,
+    /// How the most recent check started.
+    last_resume: Resume,
     stats: SessionStats,
 }
 
@@ -180,7 +231,8 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             initial,
             checkpoints: Vec::new(),
             layer_touches: Vec::new(),
-            last_resume: 0,
+            ending: None,
+            last_resume: Resume::Fresh,
             stats: SessionStats::default(),
         }
     }
@@ -221,7 +273,8 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// The concrete `(hole, action)` resolutions consulted by the layers
     /// the most recent [`CheckSession::check`] inherited from checkpoints —
     /// consultations a fresh run of the same candidate would have made but
-    /// the session skipped. Sorted by hole id, de-duplicated.
+    /// the session skipped. After a replayed check that is every sealed
+    /// layer plus the stop log. Sorted by hole id, de-duplicated.
     ///
     /// Callers reconstructing a run's full touched set (e.g. to identify a
     /// verified solution by the holes it depends on) must union this with
@@ -229,9 +282,15 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// disjoint in coverage but agree on every answer by the checkpoint
     /// validity rule.
     pub fn reused_touches(&self) -> Vec<(usize, u16)> {
-        let mut out: Vec<(usize, u16)> = self.layer_touches[..self.last_resume]
+        let (layers, stop): (usize, &[LayerTouch]) = match (self.last_resume, &self.ending) {
+            (Resume::At(depth), _) => (depth, &[]),
+            (Resume::Replay, Some(ending)) => (self.layer_touches.len(), &ending.stop_log),
+            _ => (0, &[]),
+        };
+        let mut out: Vec<(usize, u16)> = self.layer_touches[..layers]
             .iter()
             .flatten()
+            .chain(stop)
             .filter_map(|&(hole, answer)| answer.map(|action| (hole, action)))
             .collect();
         out.sort_unstable();
@@ -315,9 +374,9 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// The panic-unsafe body of [`CheckSession::check`].
     fn check_inner(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
         self.stats.checks += 1;
-        self.last_resume = 0;
-        let reused = match self.resume_depth(resolver) {
-            None => {
+        self.last_resume = self.resume_point(resolver);
+        let reused = match self.last_resume {
+            Resume::Fresh => {
                 // First check (or the initial phase never completed): start
                 // from scratch, from the cached canonical initial states.
                 if let Some(outcome) = self.start_fresh(start) {
@@ -326,13 +385,27 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 }
                 0
             }
-            Some(depth) => {
+            Resume::At(depth) => {
                 self.rollback(depth);
-                self.last_resume = depth;
                 let reused = self.checkpoints[depth].committed;
                 self.stats.states_reused += reused as u64;
                 self.stats.layers_reused += depth as u64;
                 reused
+            }
+            Resume::Replay => {
+                self.stats.checks_replayed += 1;
+                self.stats.states_reused += self.core.states.len() as u64;
+                self.stats.layers_reused += self.layer_touches.len() as u64;
+                // The store, statistics and reachability flags are exactly
+                // what the previous check left, which is what a re-run
+                // would leave.
+                let ending = self.ending.as_ref().expect("replay without an ending");
+                return self.core.finish(
+                    start,
+                    ending.verdict,
+                    ending.failure.clone(),
+                    ending.incomplete.clone(),
+                );
             }
         };
 
@@ -341,24 +414,28 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         outcome
     }
 
-    /// The deepest checkpoint the new resolver can resume from: the first
-    /// expanded layer whose recorded consultations it answers differently
-    /// invalidates everything at and beyond it. `None` when no checkpoint
-    /// exists at all.
-    fn resume_depth(&self, resolver: &dyn SessionResolver) -> Option<usize> {
+    /// Where the new resolver's check starts, found in one walk over the
+    /// logs in exploration order: the first sealed layer whose recorded
+    /// consultations it answers differently invalidates everything at and
+    /// beyond it; past the last sealed layer the walk continues into the
+    /// previous check's stop log, and if that repeats too the check
+    /// replays.
+    fn resume_point(&self, resolver: &dyn SessionResolver) -> Resume {
         if self.checkpoints.is_empty() {
-            return None;
+            return Resume::Fresh;
         }
         debug_assert_eq!(self.checkpoints.len(), self.layer_touches.len() + 1);
-        let mut depth = 0;
-        while depth < self.layer_touches.len()
-            && self.layer_touches[depth]
-                .iter()
+        let repeats = |log: &[LayerTouch]| {
+            log.iter()
                 .all(|&(hole, answer)| resolver.assignment(hole) == answer)
-        {
-            depth += 1;
+        };
+        match self.layer_touches.iter().position(|log| !repeats(log)) {
+            Some(depth) => Resume::At(depth),
+            None => match &self.ending {
+                Some(ending) if repeats(&ending.stop_log) => Resume::Replay,
+                _ => Resume::At(self.layer_touches.len()),
+            },
         }
-        Some(depth)
     }
 
     /// Forgets everything: empty store, empty visited set, no checkpoints.
@@ -375,15 +452,17 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         self.engine.reset();
         self.checkpoints.clear();
         self.layer_touches.clear();
+        self.ending = None;
         // Stale resume depths index into the (now empty) touch log;
         // `reused_touches` right after a reset must see an empty reuse set.
-        self.last_resume = 0;
+        self.last_resume = Resume::Fresh;
     }
 
     /// Rolls the search back to `checkpoints[depth]`: truncates the
     /// committed store, evicts truncated ids from the visited set, clears
-    /// the frontier layer's (stale) edge lists, and restores the
-    /// checkpoint's statistics and reachability flags.
+    /// the frontier layer's (stale) edge lists, restores the checkpoint's
+    /// statistics and reachability flags, and drops the previous ending,
+    /// which described the store being truncated.
     fn rollback(&mut self, depth: usize) {
         let keep = self.checkpoints[depth].committed;
         self.engine.truncate_committed(keep);
@@ -406,6 +485,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             .clone_from(&self.checkpoints[depth].reach_found);
         self.checkpoints.truncate(depth + 1);
         self.layer_touches.truncate(depth);
+        self.ending = None;
     }
 
     /// Seals the current committed prefix as a checkpoint whose frontier
@@ -488,14 +568,26 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     }
 
     /// Expands layers with `layer` until one ends the check, sealing a
-    /// checkpoint after every fully-expanded layer.
+    /// checkpoint after every fully-expanded layer, and (for a held
+    /// session) keeps the ending and its stop log for the next check to
+    /// replay.
     fn drive(
         &mut self,
         mut layer: impl FnMut(&mut Self) -> LayerResult<M::State>,
     ) -> Outcome<M::State> {
         loop {
             match layer(self) {
-                LayerResult::Finished(outcome) => return *outcome,
+                LayerResult::Finished(outcome, stop_log) => {
+                    if !self.core.one_shot {
+                        self.ending = Some(Ending {
+                            stop_log,
+                            verdict: outcome.verdict,
+                            failure: outcome.failure.clone(),
+                            incomplete: outcome.incomplete.clone(),
+                        });
+                    }
+                    return *outcome;
+                }
                 LayerResult::Done(touches) => self.seal_layer(touches),
             }
         }
@@ -516,10 +608,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     ///
     /// With `log` present the layer's hole-touch log is recorded, and the
     /// resolver registers the worker's deferred hole discoveries at the
-    /// layer boundary (in this single worker's consultation order, which
-    /// *is* the serial order) so the log names them by id. A one-shot check
-    /// passes `None`: its checkpoints are never resumed, so it records
-    /// nothing and leaves deferred discoveries with the worker.
+    /// layer boundary, or at the stop when the check ends inside the layer
+    /// (in this single worker's consultation order, which *is* the serial
+    /// order), so the log names them by id. A one-shot check passes `None`:
+    /// its checkpoints are never resumed, so it records nothing and leaves
+    /// deferred discoveries with the worker.
     fn run_layer_serial<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
@@ -529,7 +622,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
         if f0 == f1 {
-            return LayerResult::Finished(Box::new(self.core.analyze(start, None)));
+            return LayerResult::Finished(Box::new(self.core.analyze(start, None)), Vec::new());
         }
         let mut touches_log: Vec<LayerTouch> = Vec::new();
         let mut fresh_log: Vec<u32> = Vec::new();
@@ -539,117 +632,125 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         // declined to fire).
         let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
 
-        for sid in f0..f1 {
-            // What a rolling BFS queue would hold when popping this state:
-            // everything committed but not yet expanded.
-            self.core.stats.peak_queue =
-                self.core.stats.peak_queue.max(self.core.states.len() - sid);
-            let state = self.core.states[sid].clone();
-            let mut any_next = false;
-            let mut any_blocked = false;
-            expansion_touches.clear();
+        let stopped = 'layer: {
+            for sid in f0..f1 {
+                // What a rolling BFS queue would hold when popping this
+                // state: everything committed but not yet expanded.
+                self.core.stats.peak_queue =
+                    self.core.stats.peak_queue.max(self.core.states.len() - sid);
+                let state = self.core.states[sid].clone();
+                let mut any_next = false;
+                let mut any_blocked = false;
+                expansion_touches.clear();
 
-            for (ri, rule) in self.core.model.rules().iter().enumerate() {
-                worker.begin_application();
-                let outcome = rule.apply(&state, worker);
-                let app_touches = worker.application_touches();
-                expansion_touches.extend_from_slice(app_touches);
-                if log.is_some() {
-                    touches_log.extend(
-                        app_touches
-                            .iter()
-                            .map(|&(hole, action)| (hole, Some(action))),
-                    );
-                    for &wildcard in worker.application_wildcards() {
-                        match wildcard {
-                            WildcardTouch::Known(hole) => touches_log.push((hole, None)),
-                            WildcardTouch::Fresh(index) => fresh_log.push(index),
+                for (ri, rule) in self.core.model.rules().iter().enumerate() {
+                    worker.begin_application();
+                    let outcome = rule.apply(&state, worker);
+                    let app_touches = worker.application_touches();
+                    expansion_touches.extend_from_slice(app_touches);
+                    if log.is_some() {
+                        touches_log.extend(
+                            app_touches
+                                .iter()
+                                .map(|&(hole, action)| (hole, Some(action))),
+                        );
+                        for &wildcard in worker.application_wildcards() {
+                            match wildcard {
+                                WildcardTouch::Known(hole) => touches_log.push((hole, None)),
+                                WildcardTouch::Fresh(index) => fresh_log.push(index),
+                            }
                         }
+                        fresh_concrete_log.extend_from_slice(worker.application_fresh_touches());
                     }
-                    fresh_concrete_log.extend_from_slice(worker.application_fresh_touches());
-                }
 
-                match outcome {
-                    RuleOutcome::Disabled => {}
-                    RuleOutcome::Blocked => {
-                        any_blocked = true;
-                        self.core.stats.wildcard_hits += 1;
-                    }
-                    RuleOutcome::Next(next) => {
-                        any_next = true;
-                        self.core.stats.transitions += 1;
-                        let next = self.core.model.canonicalize(next);
-                        let hash = fingerprint(&next);
-                        let found = self.engine.find_committed(hash, &next, &self.core.states);
-                        let (nid, new) = match found {
-                            Some(id) => (id, false),
-                            None => {
-                                if self.core.states.len() >= self.core.options.max_states {
-                                    // The admission clamp: refuse the state
-                                    // before inspecting it, so the committed
-                                    // store never outgrows `max_states`.
-                                    let limit = self.core.options.max_states;
-                                    return LayerResult::Finished(Box::new(self.core.analyze(
-                                        start,
-                                        Some(MckError::StateLimitExceeded { limit }),
-                                    )));
+                    match outcome {
+                        RuleOutcome::Disabled => {}
+                        RuleOutcome::Blocked => {
+                            any_blocked = true;
+                            self.core.stats.wildcard_hits += 1;
+                        }
+                        RuleOutcome::Next(next) => {
+                            any_next = true;
+                            self.core.stats.transitions += 1;
+                            let next = self.core.model.canonicalize(next);
+                            let hash = fingerprint(&next);
+                            let found = self.engine.find_committed(hash, &next, &self.core.states);
+                            let (nid, new) = match found {
+                                Some(id) => (id, false),
+                                None => {
+                                    if self.core.states.len() >= self.core.options.max_states {
+                                        // The admission clamp: refuse the
+                                        // state before inspecting it, so the
+                                        // committed store never outgrows
+                                        // `max_states`.
+                                        let limit = self.core.options.max_states;
+                                        break 'layer Some(self.core.analyze(
+                                            start,
+                                            Some(MckError::StateLimitExceeded { limit }),
+                                        ));
+                                    }
+                                    let nid = self.core.commit(
+                                        next,
+                                        Some((sid as StateId, ri as u32)),
+                                        worker.application_touches(),
+                                    );
+                                    self.engine.insert_committed(hash, nid);
+                                    (nid, true)
                                 }
-                                let nid = self.core.commit(
-                                    next,
-                                    Some((sid as StateId, ri as u32)),
-                                    worker.application_touches(),
-                                );
-                                self.engine.insert_committed(hash, nid);
-                                (nid, true)
+                            };
+                            if let Some(edges) = &mut self.core.edges {
+                                edges[sid].push(Edge {
+                                    rule: ri as u32,
+                                    target: nid,
+                                });
                             }
-                        };
-                        if let Some(edges) = &mut self.core.edges {
-                            edges[sid].push(Edge {
-                                rule: ri as u32,
-                                target: nid,
-                            });
-                        }
-                        if new {
-                            if let Some(name) = self.core.violated_invariant(nid) {
-                                let failure = Failure {
-                                    kind: FailureKind::InvariantViolation,
-                                    property: name.to_owned(),
-                                    touched: Some(self.core.trace_touched(nid, &[])),
-                                    trace: Some(self.core.trace_to(nid)),
-                                };
-                                return LayerResult::Finished(Box::new(self.core.finish(
-                                    start,
-                                    Verdict::Failure,
-                                    Some(failure),
-                                    None,
-                                )));
+                            if new {
+                                if let Some(name) = self.core.violated_invariant(nid) {
+                                    let failure = Failure {
+                                        kind: FailureKind::InvariantViolation,
+                                        property: name.to_owned(),
+                                        touched: Some(self.core.trace_touched(nid, &[])),
+                                        trace: Some(self.core.trace_to(nid)),
+                                    };
+                                    break 'layer Some(self.core.finish(
+                                        start,
+                                        Verdict::Failure,
+                                        Some(failure),
+                                        None,
+                                    ));
+                                }
                             }
                         }
                     }
                 }
-            }
 
-            // A state with no successors is a deadlock — unless a wildcard
-            // aborted some branch, in which case we cannot tell (the aborted
-            // branch might have provided an exit).
-            if !any_next && !any_blocked && self.core.options.deadlock == DeadlockPolicy::Disallow {
-                let failure = Failure {
-                    kind: FailureKind::Deadlock,
-                    property: "deadlock freedom".to_owned(),
-                    touched: Some(self.core.trace_touched(sid as StateId, &expansion_touches)),
-                    trace: Some(self.core.trace_to(sid as StateId)),
-                };
-                return LayerResult::Finished(Box::new(self.core.finish(
-                    start,
-                    Verdict::Failure,
-                    Some(failure),
-                    None,
-                )));
+                // A state with no successors is a deadlock — unless a
+                // wildcard aborted some branch, in which case we cannot tell
+                // (the aborted branch might have provided an exit).
+                if !any_next
+                    && !any_blocked
+                    && self.core.options.deadlock == DeadlockPolicy::Disallow
+                {
+                    let failure = Failure {
+                        kind: FailureKind::Deadlock,
+                        property: "deadlock freedom".to_owned(),
+                        touched: Some(self.core.trace_touched(sid as StateId, &expansion_touches)),
+                        trace: Some(self.core.trace_to(sid as StateId)),
+                    };
+                    break 'layer Some(self.core.finish(
+                        start,
+                        Verdict::Failure,
+                        Some(failure),
+                        None,
+                    ));
+                }
             }
-        }
+            None
+        };
 
-        // Layer fully expanded: register deferred discoveries and resolve the
-        // fresh wildcard and fresh concrete touches to their new ids.
+        // Layer expanded, or the check stopped inside it: register deferred
+        // discoveries and resolve the fresh wildcard and fresh concrete
+        // touches to their new ids.
         if let Some(resolver) = log {
             let specs = worker.take_pending_discoveries();
             if !specs.is_empty() || !fresh_log.is_empty() || !fresh_concrete_log.is_empty() {
@@ -664,13 +765,16 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         }
         touches_log.sort_unstable();
         touches_log.dedup();
-        LayerResult::Done(touches_log)
+        match stopped {
+            None => LayerResult::Done(touches_log),
+            Some(outcome) => LayerResult::Finished(Box::new(outcome), touches_log),
+        }
     }
 
     /// Expands the frontier layer through the parallel engine, then replays
-    /// the records deterministically, with the layer's hole-touch log
-    /// derived from the *replayed* records (discarded consultations never
-    /// reach a checkpoint log).
+    /// the records deterministically, with the layer's hole-touch log (or
+    /// stop log) derived from the *replayed* records (discarded
+    /// consultations never reach a checkpoint log).
     fn run_layer_parallel<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
@@ -679,24 +783,25 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
         if f0 == f1 {
-            return LayerResult::Finished(Box::new(self.core.analyze(start, None)));
+            return LayerResult::Finished(Box::new(self.core.analyze(start, None)), Vec::new());
         }
         let chunks = self.engine.expand_layer(&self.core, resolver, f0, f1);
         let mut touches_log: Vec<LayerTouch> = Vec::new();
-        match self.engine.replay_layer(
+        let replayed = self.engine.replay_layer(
             &mut self.core,
             resolver,
             start,
             f0,
             chunks,
             &mut touches_log,
-        ) {
-            Ok(()) => {
-                touches_log.sort_unstable();
-                touches_log.dedup();
-                LayerResult::Done(touches_log)
-            }
-            Err(outcome) => LayerResult::Finished(outcome),
+        );
+        // The replay fills the log in replay order up to the failing
+        // record, so a stopped layer's log is its stop log.
+        touches_log.sort_unstable();
+        touches_log.dedup();
+        match replayed {
+            Ok(()) => LayerResult::Done(touches_log),
+            Err(outcome) => LayerResult::Finished(outcome, touches_log),
         }
     }
 }
@@ -706,36 +811,58 @@ mod tests {
     use super::super::tests_support::assert_same_outcome;
     use super::super::{Checker, CheckerOptions};
     use super::*;
-    use crate::eval::{Choice, HoleSpec, NoHoles, SharedResolver};
+    use crate::eval::{Choice, HoleSpec, NameCache, NoHoles, SharedResolver};
     use crate::model::ModelBuilder;
+    use parking_lot::Mutex;
+    use std::collections::BTreeSet;
 
     /// A minimal session resolver over pre-registered holes named "h0",
     /// "h1", …: hole id = the numeric suffix, answers from a fixed table.
-    /// Tracks touches and wildcards the way the synthesis resolvers do.
-    #[derive(Debug, Clone)]
+    /// Tracks touches and wildcards the way the synthesis resolvers do,
+    /// including the run's touched set: workers publish their concrete
+    /// consultations, expansion workers leave that to the parallel replay.
+    #[derive(Debug)]
     struct TableResolver {
         answers: Vec<Option<u16>>,
+        touched: Mutex<BTreeSet<(usize, u16)>>,
     }
 
     impl TableResolver {
         fn new(answers: Vec<Option<u16>>) -> Self {
-            TableResolver { answers }
+            TableResolver {
+                answers,
+                touched: Mutex::default(),
+            }
+        }
+
+        fn table_worker(&self, publish: bool) -> Box<dyn HoleResolver + '_> {
+            Box::new(TableWorker {
+                shared: self,
+                publish,
+                touches: Vec::new(),
+                wildcards: Vec::new(),
+            })
         }
     }
 
     struct TableWorker<'a> {
         shared: &'a TableResolver,
+        publish: bool,
         touches: Vec<(usize, u16)>,
         wildcards: Vec<WildcardTouch>,
     }
 
     impl SharedResolver for TableResolver {
         fn worker(&self) -> Box<dyn HoleResolver + '_> {
-            Box::new(TableWorker {
-                shared: self,
-                touches: Vec::new(),
-                wildcards: Vec::new(),
-            })
+            self.table_worker(true)
+        }
+
+        fn expansion_worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
+            self.table_worker(false)
+        }
+
+        fn note_replayed_touches(&self, touches: &[(usize, u16)]) {
+            self.touched.lock().extend(touches.iter().copied());
         }
     }
 
@@ -756,6 +883,9 @@ mod tests {
                 Some(action) => {
                     if !self.touches.iter().any(|&(h, _)| h == id) {
                         self.touches.push((id, action));
+                    }
+                    if self.publish {
+                        self.shared.touched.lock().insert((id, action));
                     }
                     Choice::Action(action as usize)
                 }
@@ -780,9 +910,10 @@ mod tests {
         }
     }
 
-    /// A two-hole chain: hole 0 decides at depth 1, hole 1 at depth 4.
-    /// State space: 0 -> 1..=3 -> ... linear walk whose branches depend on
-    /// the holes at different depths.
+    /// A hole chain: hole 0 decides at depth 1, hole 1 at depth 4, and
+    /// hole 2 only in state 43 (reached by h1 = "w"), whose "stay" action
+    /// deadlocks it. State space: 0 -> 1..=3 -> ... linear walk whose
+    /// branches depend on the holes at different depths.
     fn layered_model() -> crate::model::BuiltModel<u8> {
         let mut b = ModelBuilder::new("layered");
         b.initial(0u8);
@@ -798,13 +929,21 @@ mod tests {
                 1..=9 => RuleOutcome::Next(s + 10),
                 11..=19 => RuleOutcome::Next(s + 10),
                 21..=29 => {
-                    let spec = HoleSpec::new("h1", ["x", "y", "z"]);
+                    let spec = HoleSpec::new("h1", ["x", "y", "z", "w"]);
                     match ctx.choose(&spec) {
                         Choice::Action(i) => RuleOutcome::Next(40 + i as u8),
                         Choice::Wildcard => RuleOutcome::Blocked,
                     }
                 }
                 40..=42 => RuleOutcome::Next(40), // quiescent cycle
+                43 => {
+                    let spec = HoleSpec::new("h2", ["stay", "leave"]);
+                    match ctx.choose(&spec) {
+                        Choice::Action(0) => RuleOutcome::Disabled,
+                        Choice::Action(_) => RuleOutcome::Next(40),
+                        Choice::Wildcard => RuleOutcome::Blocked,
+                    }
+                }
                 _ => RuleOutcome::Disabled,
             }
         });
@@ -1011,14 +1150,166 @@ mod tests {
         let options = CheckerOptions::default().allow_deadlock().keep_graph(true);
         let checker = Checker::new(options.clone());
         let mut session = checker.session(&model);
-        let resolver = TableResolver::new(vec![Some(0), Some(1)]);
         session.check(&TableResolver::new(vec![Some(0), Some(0)]));
-        let reused = session.check(&resolver);
-        let fresh = Checker::new(options).session(&model).check(&resolver);
+        // A checkpoint resume, then replays of a complete run and of a run
+        // stopped mid-layer by the violation at 42 (h2 is never consulted).
+        for (answers, replays) in [
+            (vec![Some(0), Some(1)], 0),
+            (vec![Some(0), Some(1), Some(1)], 1),
+            (vec![Some(0), Some(2)], 1),
+            (vec![Some(0), Some(2), Some(1)], 2),
+        ] {
+            let resolver = TableResolver::new(answers.clone());
+            let reused = session.check(&resolver);
+            let fresh = Checker::new(options.clone())
+                .session(&model)
+                .check(&resolver);
+            assert_eq!(session.stats().checks_replayed, replays, "{answers:?}");
+            assert_eq!(
+                reused.graph().unwrap().to_dot("m"),
+                fresh.graph().unwrap().to_dot("m"),
+                "identical graphs after checkpoint resume or replay, {answers:?}"
+            );
+        }
+    }
+
+    /// Checks `answers` on `session` and on a fresh session of the same
+    /// options, asserting equal outcomes and equal touched sets (live
+    /// consultations plus the session's reused ones against the fresh
+    /// run's), and returns whether the session replayed.
+    fn check_against_fresh(
+        session: &mut CheckSession<'_, crate::model::BuiltModel<u8>>,
+        options: &CheckerOptions,
+        answers: &[Option<u16>],
+        what: &str,
+    ) -> bool {
+        let replays_before = session.stats().checks_replayed;
+        let resolver = TableResolver::new(answers.to_vec());
+        let got = session.check(&resolver);
+        let mut got_touched = resolver.touched.into_inner();
+        got_touched.extend(session.reused_touches());
+
+        let fresh_resolver = TableResolver::new(answers.to_vec());
+        let mut fresh_session =
+            Checker::new(options.clone().threads(session.threads())).session(session.model());
+        let want = fresh_session.check(&fresh_resolver);
+        assert_same_outcome(&got, &want, what);
         assert_eq!(
-            reused.graph().unwrap().to_dot("m"),
-            fresh.graph().unwrap().to_dot("m"),
-            "identical graphs after checkpoint resume"
+            got_touched,
+            fresh_resolver.touched.into_inner(),
+            "{what}: touched set"
         );
+        session.stats().checks_replayed > replays_before
+    }
+
+    /// Every kind of stop — invariant failure, deadlock, state cap, and a
+    /// complete success — replays when the next candidate differs only in
+    /// holes the previous check never consulted.
+    #[test]
+    fn unconsulted_hole_changes_replay_every_kind_of_stop() {
+        let model = layered_model();
+        let base = CheckerOptions::default().clamp_threads(false);
+        let cases = [
+            // h1 = "z" reaches the forbidden state 42; h2 and h3 unread.
+            ("invariant", base.clone(), [0, 2, 0, 0], [0, 2, 1, 1]),
+            // h1 = "w", h2 = "stay": state 43 deadlocks; h3 unread.
+            ("deadlock", base.clone(), [0, 3, 0, 0], [0, 3, 0, 1]),
+            // The cap refuses state 21 before h1 is ever consulted.
+            (
+                "state cap",
+                base.clone().max_states(3),
+                [0, 0, 0, 0],
+                [0, 2, 1, 1],
+            ),
+            // Complete success; h2 and h3 unread.
+            ("success", base.clone(), [0, 0, 0, 0], [0, 0, 1, 1]),
+        ];
+        for threads in [1, 4] {
+            for (kind, options, first, second) in &cases {
+                let options = options.clone().threads(threads);
+                let mut session = Checker::new(options.clone()).session(&model);
+                let first: Vec<Option<u16>> = first.iter().map(|&a| Some(a)).collect();
+                let second: Vec<Option<u16>> = second.iter().map(|&a| Some(a)).collect();
+                let what = format!("{kind} at {threads} threads");
+                assert!(!check_against_fresh(&mut session, &options, &first, &what));
+                assert!(
+                    check_against_fresh(&mut session, &options, &second, &what),
+                    "{what}: an unconsulted-hole change must replay"
+                );
+                assert_eq!(
+                    session.stats().layers_reused as usize,
+                    session.layer_touches.len()
+                );
+                // Back to the first candidate: still nothing consulted
+                // changed, so it replays too.
+                assert!(check_against_fresh(&mut session, &options, &first, &what));
+            }
+        }
+    }
+
+    /// A candidate that changes only an answer the previous check consulted
+    /// in its stop layer must explore that layer again, not replay.
+    #[test]
+    fn changed_stop_layer_answers_do_not_replay() {
+        let model = layered_model();
+        let options = CheckerOptions::default().clamp_threads(false);
+        let cases = [
+            // The violation at 42 is found while expanding layer 3, which
+            // consults h1; "x" leads to success instead.
+            ("invariant", [0, 2, 0], [0, 0, 0]),
+            // The deadlock of 43 is decided in layer 4 by h2 = "stay";
+            // "leave" escapes to the quiescent cycle.
+            ("deadlock", [0, 3, 0], [0, 3, 1]),
+        ];
+        for threads in [1, 4] {
+            for (kind, first, second) in &cases {
+                let options = options.clone().threads(threads);
+                let mut session = Checker::new(options.clone()).session(&model);
+                let first: Vec<Option<u16>> = first.iter().map(|&a| Some(a)).collect();
+                let second: Vec<Option<u16>> = second.iter().map(|&a| Some(a)).collect();
+                let what = format!("{kind} at {threads} threads");
+                check_against_fresh(&mut session, &options, &first, &what);
+                let reused_before = session.stats().layers_reused;
+                assert!(
+                    !check_against_fresh(&mut session, &options, &second, &what),
+                    "{what}: a changed stop-layer answer must not replay"
+                );
+                assert!(
+                    session.stats().layers_reused > reused_before,
+                    "{what}: the sealed layers before the stop are still reused"
+                );
+            }
+        }
+    }
+
+    /// The stored ending does not depend on the thread count, so a replay
+    /// works across `set_threads` in both directions.
+    #[test]
+    fn replay_survives_set_threads() {
+        let model = layered_model();
+        let options = CheckerOptions::default().clamp_threads(false);
+        let mut session = Checker::new(options.clone()).session(&model);
+        let what = "set_threads";
+        assert!(!check_against_fresh(
+            &mut session,
+            &options,
+            &[Some(0), Some(2), Some(0)],
+            what
+        ));
+        session.set_threads(4);
+        assert!(check_against_fresh(
+            &mut session,
+            &options,
+            &[Some(0), Some(2), Some(1)],
+            what
+        ));
+        session.set_threads(1);
+        assert!(check_against_fresh(
+            &mut session,
+            &options,
+            &[Some(0), Some(2), None],
+            what
+        ));
+        assert_eq!(session.stats().checks_replayed, 2);
     }
 }

@@ -355,6 +355,94 @@ fn msi_small_session_loop_counts_are_check_thread_invariant() {
     );
 }
 
+/// Whole-check replay, on one fixed-seed sequence: under both discovery
+/// defaults and at every thread count, each check matches the reference BFS
+/// on outcome and on the run's touched set (live consultations plus the
+/// session's reused ones), and some checks of a *changed* candidate really
+/// replay — so the replay path is compared, not skipped.
+#[test]
+fn replayed_checks_match_fresh_runs() {
+    let model = GraphModel::random(4242, 6, 3);
+    for default in [DiscoveryDefault::Wildcard, DiscoveryDefault::ActionZero] {
+        let registry = HoleRegistry::new();
+        let radices = register_holes(&model, &registry);
+        let candidates = candidate_sequence(&radices, 77, 40);
+        for threads in [1usize, 2, 4, 8] {
+            let options = CheckerOptions::default()
+                .threads(threads)
+                .clamp_threads(false);
+            let mut session = Checker::new(options.clone()).session(&model);
+            let mut changed_replays = 0;
+            for (i, digits) in candidates.iter().enumerate() {
+                let replays_before = session.stats().checks_replayed;
+                let what = format!("{default:?} t{threads} step {i}");
+                let fresh_resolver = SharedCandidateResolver::new(&registry, digits, default);
+                let fresh = Bfs::new(&model, &options, &mut *fresh_resolver.worker()).explore();
+                let resolver = SharedCandidateResolver::new(&registry, digits, default);
+                let reused = session.check(&resolver);
+                assert_outcomes_match(&reused, &fresh, &what);
+                let mut touched = resolver.into_touched();
+                touched.extend(session.reused_touches());
+                touched.sort_unstable();
+                touched.dedup();
+                assert_eq!(
+                    touched,
+                    fresh_resolver.into_touched(),
+                    "{what}: touched set"
+                );
+                let replayed = session.stats().checks_replayed > replays_before;
+                if replayed && i > 0 && candidates[i - 1] != *digits {
+                    changed_replays += 1;
+                }
+            }
+            assert!(
+                changed_replays > 0,
+                "{default:?} t{threads}: the sequence must replay a changed candidate, got {:?}",
+                session.stats()
+            );
+        }
+    }
+}
+
+/// Holes first sighted in the layer where a check stops are registered at
+/// the stop, so the stop log names them and a replay still reports their
+/// naïve-mode `(hole, 0)` touches: on a fresh registry the first check of
+/// the empty candidate discovers every hole it consults, and the second
+/// replays it with the same touched set.
+#[test]
+fn replays_report_holes_first_sighted_in_the_stop_layer() {
+    for seed in 0..32 {
+        let model = GraphModel::random(seed, 6, 3);
+        for threads in [1usize, 2] {
+            let options = CheckerOptions::default()
+                .threads(threads)
+                .clamp_threads(false);
+            let registry = HoleRegistry::new();
+            let mut session = Checker::new(options).session(&model);
+            let touched = |resolver: SharedCandidateResolver<'_>, reused: Vec<(usize, u16)>| {
+                let mut touched = resolver.into_touched();
+                touched.extend(reused);
+                touched.sort_unstable();
+                touched.dedup();
+                touched
+            };
+            let first = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::ActionZero);
+            let first_outcome = session.check(&first);
+            let first_touched = touched(first, session.reused_touches());
+            let second = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::ActionZero);
+            let second_outcome = session.check(&second);
+            let what = format!("seed {seed} t{threads}");
+            assert_eq!(session.stats().checks_replayed, 1, "{what}: replays");
+            assert_outcomes_match(&second_outcome, &first_outcome, &what);
+            assert_eq!(
+                touched(second, session.reused_touches()),
+                first_touched,
+                "{what}: touched set"
+            );
+        }
+    }
+}
+
 /// Wildcard-heavy verification through a session: the three-valued verdict
 /// survives checkpoint reuse.
 #[test]

@@ -166,24 +166,29 @@ fn shared_resolver_delta_matches_free_function() {
 /// and seed the next check's worker with it (`SharedResolver::worker_seeded`
 /// / `HoleResolver::take_name_cache`), so name resolution pays the registry
 /// lock once per session, not once per check.
+///
+/// The second check answers the probe's hole differently: a check that
+/// repeats every answer of the previous one replays its ending and builds
+/// no worker at all, so only a check that explores can show the seed.
 #[test]
 fn session_reseeds_the_name_cache_across_checks() {
     use std::sync::Mutex;
     use verc3::mck::{Choice, HoleResolver, HoleSpec, NameCache, SessionResolver, SharedResolver};
 
-    /// Answers one hole ("h0" = action 0) and records the size of every
+    /// Answers one hole ("h0" = `answer`) and records the size of every
     /// seed cache it is handed.
-    #[derive(Default)]
-    struct SeedProbe {
-        seed_sizes: Mutex<Vec<usize>>,
+    struct SeedProbe<'a> {
+        answer: u16,
+        seed_sizes: &'a Mutex<Vec<usize>>,
     }
 
     struct ProbeWorker {
+        answer: u16,
         cache: NameCache,
         touches: Vec<(usize, u16)>,
     }
 
-    impl SharedResolver for SeedProbe {
+    impl SharedResolver for SeedProbe<'_> {
         fn worker(&self) -> Box<dyn HoleResolver + '_> {
             self.worker_seeded(NameCache::default())
         }
@@ -191,23 +196,24 @@ fn session_reseeds_the_name_cache_across_checks() {
         fn worker_seeded(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
             self.seed_sizes.lock().unwrap().push(seed.len());
             Box::new(ProbeWorker {
+                answer: self.answer,
                 cache: seed,
                 touches: Vec::new(),
             })
         }
     }
 
-    impl SessionResolver for SeedProbe {
+    impl SessionResolver for SeedProbe<'_> {
         fn assignment(&self, hole: usize) -> Option<u16> {
-            (hole == 0).then_some(0)
+            (hole == 0).then_some(self.answer)
         }
     }
 
     impl HoleResolver for ProbeWorker {
         fn choose(&mut self, spec: &HoleSpec) -> Choice {
             self.cache.entry(spec.name().to_owned()).or_insert(0);
-            self.touches.push((0, 0));
-            Choice::Action(0)
+            self.touches.push((0, self.answer));
+            Choice::Action(self.answer as usize)
         }
 
         fn begin_application(&mut self) {
@@ -227,7 +233,7 @@ fn session_reseeds_the_name_cache_across_checks() {
     b.initial(0u8);
     b.rule("step", |&s: &u8, ctx: &mut dyn HoleResolver| {
         if s < 4 {
-            let spec = HoleSpec::new("h0", ["a"]);
+            let spec = HoleSpec::new("h0", ["a", "b"]);
             match ctx.choose(&spec) {
                 Choice::Action(_) => RuleOutcome::Next(s + 1),
                 Choice::Wildcard => RuleOutcome::Blocked,
@@ -240,14 +246,18 @@ fn session_reseeds_the_name_cache_across_checks() {
     let model = b.finish();
 
     for threads in [1usize, 2] {
-        let probe = SeedProbe::default();
+        let seed_sizes = Mutex::new(Vec::new());
+        let probe = |answer| SeedProbe {
+            answer,
+            seed_sizes: &seed_sizes,
+        };
         let checker = Checker::new(CheckerOptions::default().allow_deadlock().threads(threads));
         let mut session = checker.session(&model);
-        let first = session.check(&probe);
-        let second = session.check(&probe);
+        let first = session.check(&probe(0));
+        let second = session.check(&probe(1));
         assert_eq!(first.verdict(), Verdict::Success);
         assert_eq!(first.stats(), second.stats());
-        let sizes = probe.seed_sizes.lock().unwrap();
+        let sizes = seed_sizes.lock().unwrap();
         assert_eq!(
             sizes[0], 0,
             "threads={threads}: the first worker starts with an empty cache"
