@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p verc3-bench --bin synthd -- \
 //!     --workload msi_small --shards 4 [--no-exchange] [--no-steal] \
-//!     [--guided] [--fs DIR] [--journal-dir DIR] [--json] [--check]
+//!     [--guided] [--fs DIR] [--journal FILE] [--json] [--check]
 //! ```
 //!
 //! A flag outside that line, a missing or unparsable value, or an unknown
@@ -32,8 +32,10 @@
 //! `--fs DIR` swaps the in-memory exchange transport for the filesystem
 //! spool ([`verc3_core::FsExchange`]): pattern batches become `.vc3b`
 //! files under `DIR`, observable (and importable) by other processes.
-//! `--journal-dir DIR` writes one crash journal per shard per round; a
-//! killed run re-invoked with the same flags resumes from those journals.
+//! `--journal FILE` writes the run's crash journal (one file for every shard
+//! and round); a killed run re-invoked with the same flags resumes from it.
+//! The journal pins the shard count: resuming with a different `--shards`
+//! fails.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -48,7 +50,7 @@ use verc3_protocols::msi::{MsiConfig, MsiModel};
 
 const USAGE: &str = "usage: synthd [--workload fig2|msi_tiny|msi_small|msi_large|msi_xl] \
      [--shards N] [--no-exchange] [--no-steal] [--guided] [--fs DIR] \
-     [--journal-dir DIR] [--json] [--check]";
+     [--journal FILE] [--json] [--check]";
 
 /// Sorted, name-keyed solution lines — the diffable output contract.
 fn sol_lines(report: &SynthReport) -> BTreeSet<String> {
@@ -67,15 +69,22 @@ fn sol_lines(report: &SynthReport) -> BTreeSet<String> {
         .collect()
 }
 
+/// Runs `model` sharded (journaled at `journal`, if given) and prints it;
+/// `check` compares against an unjournaled single-process run.
 fn run<M: TransitionSystem>(
     model: &M,
     options: &SynthOptions,
+    journal: Option<&str>,
     sharding: &ShardOptions,
     endpoint: Option<Arc<dyn PatternExchange>>,
     json: bool,
     check: bool,
 ) -> ExitCode {
-    let run: ShardedRun = match run_sharded_with(model, options, sharding, endpoint) {
+    let journaled = match journal {
+        Some(path) => options.clone().journal(path),
+        None => options.clone(),
+    };
+    let run: ShardedRun = match run_sharded_with(model, &journaled, sharding, endpoint) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("synthd: {e}");
@@ -143,13 +152,11 @@ fn main() -> ExitCode {
     };
     let (json, check) = (has("--json"), has("--check"));
 
-    let mut sharding = ShardOptions::default()
+    let sharding = ShardOptions::default()
         .shards(shards)
         .exchange(!has("--no-exchange"))
         .steal(!has("--no-steal"));
-    if let Some(dir) = text("--journal-dir") {
-        sharding = sharding.journal_dir(dir);
-    }
+    let journal = text("--journal");
     let endpoint: Option<Arc<dyn PatternExchange>> = match text("--fs") {
         Some(dir) => match FsExchange::new(dir, shards) {
             Ok(fs) => Some(Arc::new(fs)),
@@ -168,10 +175,12 @@ fn main() -> ExitCode {
         } else {
             Enumeration::Lexicographic
         });
+    let journal = journal.as_deref();
     match config {
         None => run(
             &GraphModel::worked_example(),
             &options,
+            journal,
             &sharding,
             endpoint,
             json,
@@ -180,6 +189,7 @@ fn main() -> ExitCode {
         Some(config) => run(
             &MsiModel::new(config),
             &options,
+            journal,
             &sharding,
             endpoint,
             json,

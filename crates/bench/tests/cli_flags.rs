@@ -33,6 +33,8 @@ fn bad_flags_exit_2_with_the_usage_line() {
         (synthd, &["--workload"]),
         (synthd, &["--shards", "0"]),
         (synthd, &["--shards", "four"]),
+        (synthd, &["--journal"]),
+        (synthd, &["--journal-dir", "retired"]),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -65,4 +67,36 @@ fn synthd_runs_guided() {
     );
     assert!(stdout.contains("#check ok"), "{stdout}");
     assert_eq!(stdout.lines().filter(|l| l.starts_with("#sol")).count(), 1);
+}
+
+#[test]
+fn synthd_journal_pins_the_shard_count_and_survives_check() {
+    let journal = std::env::temp_dir().join(format!("verc3-synthd-{}.vc3j", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let path = journal.to_str().expect("utf8 temp path");
+    let synthd = |shards: &str, extra: &[&str]| {
+        let mut args = vec!["--workload", "fig2", "--shards", shards, "--journal", path];
+        args.extend_from_slice(extra);
+        run(env!("CARGO_BIN_EXE_synthd"), &args)
+    };
+    // `--check`'s single-process reference run must leave the journal alone.
+    let first = synthd("2", &["--check"]);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let resumed = synthd("2", &[]);
+    assert!(resumed.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout)
+            .lines()
+            .filter(|l| l.starts_with("#sol"))
+            .count(),
+        1
+    );
+    let other = synthd("1", &[]);
+    assert_eq!(other.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&other.stderr).contains("partition"));
+    let _ = std::fs::remove_file(&journal);
 }

@@ -3,11 +3,12 @@
 //! A journal is an append-only file of CRC-framed binary records tracking a
 //! synthesis run's durable progress: which odometer chunks each generation
 //! has completed, the holes, pruning patterns, and solutions those chunks
-//! produced, and why the run stopped. A run killed at any instant — power
-//! loss, SIGKILL, a torn final write — leaves a journal whose longest valid
-//! prefix reconstructs the exact remaining candidate frontier:
-//! [`crate::Synthesizer::resume_from_journal`] replays it and continues as
-//! if the original process had never died.
+//! produced, and why the run stopped. A run writes one journal at any shard
+//! count. A run killed at any instant — power loss, SIGKILL, a torn final
+//! write — leaves a journal whose longest valid prefix reconstructs the
+//! exact remaining candidate frontier: re-invoking the run
+//! ([`crate::Synthesizer::resume_from_journal`], [`crate::run_sharded`])
+//! replays it and continues as if the original process had never died.
 //!
 //! ## Frame format
 //!
@@ -28,22 +29,31 @@
 //!   are deliberately *not* fingerprinted: a capped run may be resumed with
 //!   a higher cap and more threads.
 //! * **GenStart** — a generation (enumeration pass at frontier width `k`)
-//!   began.
-//! * **Chunk** — a contiguous range of odometer chunks completed, with its
-//!   aggregated counters and everything it learned (holes discovered,
-//!   patterns published, solutions found, candidates quarantined). Chunks
-//!   are journaled *atomically on completion*: a chunk that was in flight at
-//!   the kill leaves no trace and is simply re-run on resume, which is what
-//!   makes serial resume bit-identical — the re-run sees exactly the
-//!   pattern-table state the original attempt saw.
+//!   began, split into slices with these chunk-index ranges (one slice per
+//!   shard). The ranges pin the partition: resuming under a different shard
+//!   count fails with [`MckError::JournalCorrupt`], like a different chunk
+//!   size.
+//! * **Chunk** — a contiguous range of odometer chunks one slice completed,
+//!   with its aggregated counters and everything it learned (holes the
+//!   slice first saw, patterns published, solutions found, candidates
+//!   quarantined). Chunks are journaled *atomically on completion*: a chunk
+//!   that was in flight at the kill leaves no trace and is simply re-run on
+//!   resume, which is what makes serial resume bit-identical — the re-run
+//!   sees exactly the pattern-table state the original attempt saw.
 //! * **Stop** — the run ended, and why (see [`StopReason`]).
+//!
+//! The reader gives each (generation, slice) pair its own replay
+//! segment; a resumed run sends every segment through the same slice
+//! runner and the same merge as a live slice. Hole ids in a segment are the
+//! slice's own: the generation's frontier `0..k`, then the holes the slice
+//! first saw, in the order its records list them.
 //!
 //! Fully-pruned (“inactive”) chunks dominate large spaces; journaling each
 //! individually would dwarf the real state. The writer therefore coalesces
-//! them: pending inactive ranges merge with their neighbours and are folded
-//! into the next adjacent active chunk's record (or flushed in bulk at
-//! generation boundaries), so a serial msi-scale run journals a few records
-//! per *evaluated* chunk, not per claimed chunk.
+//! them: pending inactive ranges merge with their same-slice neighbours and
+//! are folded into the next adjacent active chunk's record (or flushed in
+//! bulk at generation boundaries), so a serial msi-scale run journals a few
+//! records per *evaluated* chunk, not per claimed chunk.
 
 use crate::hole::{HoleInfo, HoleRegistry};
 use crate::pattern::{PatternMode, SparsePattern};
@@ -53,11 +63,12 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use verc3_mck::faults;
 use verc3_mck::MckError;
 
 const MAGIC: [u8; 4] = *b"VC3J";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 const TAG_HEADER: u8 = 1;
 const TAG_GEN_START: u8 = 2;
@@ -174,21 +185,14 @@ pub(crate) fn checksum(data: &[u8]) -> u32 {
 /// The option subset a journal is only valid under (coverage is expressed in
 /// chunk indices; patterns depend on the mode; probe accounting depends on
 /// the enumeration strategy). Everything else — threads, caps, budgets — may
-/// change across a resume.
+/// change across a resume. The shard count is pinned per generation instead,
+/// by the slice ranges of each GenStart record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fingerprint {
     pub pruning: bool,
     pub pattern_mode: PatternMode,
     pub chunk_size: u64,
     pub enumeration: Enumeration,
-    /// The chunk-index range `[start, end)` a shard journal covers, `None`
-    /// for a whole-space run. Pinning the partition in the header makes
-    /// resuming a shard journal against a different partition fail fast
-    /// with [`MckError::JournalCorrupt`] instead of silently replaying the
-    /// wrong slice (coverage is recorded in absolute chunk indices, so a
-    /// journal from range A would otherwise "resume" range B by re-running
-    /// all of B and reporting A's results on top).
-    pub shard: Option<(u64, u64)>,
 }
 
 impl Fingerprint {
@@ -203,14 +207,6 @@ impl Fingerprint {
             Enumeration::Lexicographic => 0,
             Enumeration::Guided => 1,
         });
-        match self.shard {
-            None => e.u8(0),
-            Some((start, end)) => {
-                e.u8(1);
-                e.u64(start);
-                e.u64(end);
-            }
-        }
     }
 
     fn decode(d: &mut Dec<'_>) -> Option<Self> {
@@ -230,17 +226,11 @@ impl Fingerprint {
             1 => Enumeration::Guided,
             _ => return None,
         };
-        let shard = match d.u8()? {
-            0 => None,
-            1 => Some((d.u64()?, d.u64()?)),
-            _ => return None,
-        };
         Some(Fingerprint {
             pruning,
             pattern_mode,
             chunk_size,
             enumeration,
-            shard,
         })
     }
 }
@@ -278,10 +268,12 @@ fn decode_stop(code: u8) -> Option<StopReason> {
 
 /// Everything one completed odometer chunk produced — the worker's scratch
 /// record, journaled atomically when the chunk finishes. `first`/`count` are
-/// in *chunk-index* space (candidate range = `first * chunk_size ..`).
+/// in *chunk-index* space (candidate range = `first * chunk_size ..`);
+/// `slice` is the generation slice whose workers ran it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChunkDraft {
     pub k: u64,
+    pub slice: u32,
     pub first: u64,
     pub count: u64,
     pub evaluated: u64,
@@ -302,9 +294,10 @@ pub(crate) struct ChunkDraft {
 }
 
 impl ChunkDraft {
-    pub(crate) fn new(k: u64, first: u64) -> Self {
+    pub(crate) fn new(k: u64, slice: u32, first: u64) -> Self {
         ChunkDraft {
             k,
+            slice,
             first,
             count: 1,
             ..Default::default()
@@ -313,9 +306,10 @@ impl ChunkDraft {
 
     /// `count` chunks from `first` that learned patterns refute whole:
     /// `skipped` candidates, nothing evaluated.
-    pub(crate) fn refuted(k: u64, first: u64, count: u64, skipped: u64) -> Self {
+    pub(crate) fn refuted(k: u64, slice: u32, first: u64, count: u64, skipped: u64) -> Self {
         ChunkDraft {
             k,
+            slice,
             first,
             count,
             skipped,
@@ -335,10 +329,25 @@ impl ChunkDraft {
             && self.quarantined.is_empty()
     }
 
+    /// Whether `next` directly extends this range within the same slice.
+    pub(crate) fn precedes(&self, next: &ChunkDraft) -> bool {
+        self.slice == next.slice && self.first + self.count == next.first
+    }
+
+    /// Absorbs an adjacent inactive range's skip and probe counts.
+    pub(crate) fn absorb(&mut self, other: &ChunkDraft) {
+        self.first = self.first.min(other.first);
+        self.count += other.count;
+        self.skipped += other.skipped;
+        self.deduped += other.deduped;
+        self.probes += other.probes;
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut e = Enc::default();
         e.u8(TAG_CHUNK);
         e.u64(self.k);
+        e.u32(self.slice);
         e.u64(self.first);
         e.u64(self.count);
         e.u64(self.evaluated);
@@ -399,6 +408,7 @@ impl ChunkDraft {
     fn decode(d: &mut Dec<'_>) -> Option<Self> {
         let mut c = ChunkDraft {
             k: d.u64()?,
+            slice: d.u32()?,
             first: d.u64()?,
             count: d.u64()?,
             evaluated: d.u64()?,
@@ -469,34 +479,20 @@ impl ChunkDraft {
 // ---------------------------------------------------------------------------
 // Writer.
 
-/// A pending coalesced range of inactive chunks (nothing but skip and probe
-/// counts).
-struct Pending {
-    first: u64,
-    count: u64,
-    skipped: u64,
-    deduped: u64,
-    probes: u64,
-}
-
 struct WriterInner {
     file: File,
     fsync_every: u64,
     appends_since_sync: u64,
-    /// Next registry id to capture into a chunk record — holes are journaled
-    /// exactly once, in id (discovery) order, carried by whichever record
-    /// flushes first after their discovery.
-    hole_cursor: usize,
-    /// Coalesced inactive coverage of the current generation, disjoint and
+    /// Coalesced inactive coverage of the current generation: drafts with
+    /// nothing but skip and probe counts, disjoint within each slice and
     /// sorted by `first`. Lost to a kill, these cheap fully-pruned chunks
     /// are simply re-scanned on resume.
-    pending: Vec<Pending>,
-    pending_k: u64,
+    pending: Vec<ChunkDraft>,
 }
 
 /// Thread-shared append side of the journal. All methods take `&self`; the
 /// file and coalescing state live behind one mutex, so records are framed
-/// atomically even under many synthesis workers.
+/// atomically even under many synthesis workers and slices.
 pub(crate) struct JournalWriter {
     inner: Mutex<WriterInner>,
 }
@@ -515,20 +511,6 @@ impl JournalWriter {
         fingerprint: &Fingerprint,
         fsync_every: u64,
     ) -> std::io::Result<Self> {
-        Self::create_at(path, model, fingerprint, fsync_every, 0)
-    }
-
-    /// [`JournalWriter::create`] with an initial hole cursor: a shard
-    /// journal is seeded with the coordinator's baseline registry, which
-    /// every resume re-seeds from the shard spec — only holes the shard
-    /// *discovers* (ids at and beyond the cursor) belong in its records.
-    pub(crate) fn create_at(
-        path: &Path,
-        model: &str,
-        fingerprint: &Fingerprint,
-        fsync_every: u64,
-        hole_cursor: usize,
-    ) -> std::io::Result<Self> {
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -542,64 +524,70 @@ impl JournalWriter {
         fingerprint.encode(&mut e);
         write_frame(&mut file, &e.0)?;
         file.sync_data()?;
-        Ok(Self::wrap(file, fsync_every, hole_cursor))
+        Ok(Self::wrap(file, fsync_every))
     }
 
     /// Reopens a journal for appending after replay: truncates the file back
     /// to its longest valid prefix (discarding any torn final record) and
-    /// seeks to the end. `hole_cursor` is the number of holes the replay
-    /// already journaled.
-    pub(crate) fn resume(
-        path: &Path,
-        valid_len: u64,
-        hole_cursor: usize,
-        fsync_every: u64,
-    ) -> std::io::Result<Self> {
+    /// seeks to the end.
+    pub(crate) fn resume(path: &Path, valid_len: u64, fsync_every: u64) -> std::io::Result<Self> {
         let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
         file.sync_data()?;
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok(Self::wrap(file, fsync_every, hole_cursor))
+        Ok(Self::wrap(file, fsync_every))
     }
 
-    fn wrap(file: File, fsync_every: u64, hole_cursor: usize) -> Self {
+    fn wrap(file: File, fsync_every: u64) -> Self {
         JournalWriter {
             inner: Mutex::new(WriterInner {
                 file,
                 fsync_every: fsync_every.max(1),
                 appends_since_sync: 0,
-                hole_cursor,
                 pending: Vec::new(),
-                pending_k: 0,
             }),
         }
     }
 
-    /// Journals the start of a generation (always durable: a generation
-    /// boundary is where resume decides the frontier width sequence).
-    pub(crate) fn gen_start(&self, k: usize, prev_k: usize) -> std::io::Result<()> {
+    /// Journals the start of a generation and its slices' chunk ranges
+    /// (always durable: a generation boundary is where resume decides the
+    /// frontier width sequence and checks the partition).
+    pub(crate) fn gen_start(
+        &self,
+        k: usize,
+        prev_k: usize,
+        ranges: &[(u64, u64)],
+    ) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         flush_pending(&mut inner)?;
         let mut e = Enc::default();
         e.u8(TAG_GEN_START);
         e.u64(k as u64);
         e.u64(prev_k as u64);
+        e.u32(ranges.len() as u32);
+        for &(start, end) in ranges {
+            e.u64(start);
+            e.u64(end);
+        }
         write_frame(&mut inner.file, &e.0)?;
         sync_now(&mut inner)
     }
 
-    /// Journals one completed chunk. Inactive chunks are buffered and
-    /// coalesced; active chunks absorb any adjacent pending run and flush
-    /// immediately, capturing all holes discovered since the last capture.
+    /// Journals one completed chunk of the slice whose hole registry is
+    /// `registry`. Inactive chunks are buffered and coalesced; active
+    /// chunks absorb any adjacent pending run of their slice and flush
+    /// immediately, capturing the slice's holes from `journaled` (the
+    /// count of its holes already journaled, advanced here under the
+    /// writer lock so holes are recorded once, in id order).
     pub(crate) fn chunk(
         &self,
         registry: &HoleRegistry,
+        journaled: &AtomicUsize,
         mut draft: ChunkDraft,
     ) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
-        if inner.pending_k != draft.k {
+        if inner.pending.first().is_some_and(|p| p.k != draft.k) {
             flush_pending(&mut inner)?;
-            inner.pending_k = draft.k;
         }
         if draft.is_inactive() {
             merge_pending(&mut inner.pending, draft);
@@ -608,34 +596,20 @@ impl JournalWriter {
             }
             return Ok(());
         }
-        // Absorb a pending inactive run this chunk directly extends (the
+        // Absorb the pending inactive runs this chunk directly extends (the
         // common serial shape: a run of pruned chunks then an evaluated one).
-        if let Some(pos) = inner
-            .pending
-            .iter()
-            .position(|p| p.first + p.count == draft.first)
-        {
+        if let Some(pos) = inner.pending.iter().position(|p| p.precedes(&draft)) {
             let p = inner.pending.remove(pos);
-            draft.first = p.first;
-            draft.count += p.count;
-            draft.skipped += p.skipped;
-            draft.deduped += p.deduped;
-            draft.probes += p.probes;
+            draft.absorb(&p);
         }
-        if let Some(pos) = inner
-            .pending
-            .iter()
-            .position(|p| p.first == draft.first + draft.count)
-        {
+        if let Some(pos) = inner.pending.iter().position(|p| draft.precedes(p)) {
             let p = inner.pending.remove(pos);
-            draft.count += p.count;
-            draft.skipped += p.skipped;
-            draft.deduped += p.deduped;
-            draft.probes += p.probes;
+            draft.absorb(&p);
         }
         let snapshot = registry.snapshot();
-        draft.holes = snapshot.get(inner.hole_cursor..).unwrap_or(&[]).to_vec();
-        inner.hole_cursor = snapshot.len();
+        let from = journaled.load(Ordering::Relaxed);
+        draft.holes = snapshot.get(from..).unwrap_or(&[]).to_vec();
+        journaled.store(snapshot.len().max(from), Ordering::Relaxed);
         let payload = draft.encode();
         write_frame(&mut inner.file, &payload)?;
         inner.appends_since_sync += 1;
@@ -665,69 +639,26 @@ fn sync_now(inner: &mut WriterInner) -> std::io::Result<()> {
 }
 
 /// Merges an inactive chunk into the pending ranges (coalescing with both
-/// neighbours), keeping them disjoint and sorted by `first`.
-fn merge_pending(pending: &mut Vec<Pending>, draft: ChunkDraft) {
+/// same-slice neighbours), keeping them sorted by `first`.
+fn merge_pending(pending: &mut Vec<ChunkDraft>, draft: ChunkDraft) {
     let pos = pending.partition_point(|p| p.first < draft.first);
-    // Extend the predecessor if adjacent.
-    if pos > 0 && pending[pos - 1].first + pending[pos - 1].count == draft.first {
-        let p = &mut pending[pos - 1];
-        p.count += draft.count;
-        p.skipped += draft.skipped;
-        p.deduped += draft.deduped;
-        p.probes += draft.probes;
-        // The grown predecessor may now touch its successor.
-        if pos < pending.len()
-            && pending[pos - 1].first + pending[pos - 1].count == pending[pos].first
-        {
+    let joins_pred = pos > 0 && pending[pos - 1].precedes(&draft);
+    let joins_succ = pos < pending.len() && draft.precedes(&pending[pos]);
+    match (joins_pred, joins_succ) {
+        (true, true) => {
             let succ = pending.remove(pos);
-            let p = &mut pending[pos - 1];
-            p.count += succ.count;
-            p.skipped += succ.skipped;
-            p.deduped += succ.deduped;
-            p.probes += succ.probes;
+            pending[pos - 1].absorb(&draft);
+            pending[pos - 1].absorb(&succ);
         }
-        return;
+        (true, false) => pending[pos - 1].absorb(&draft),
+        (false, true) => pending[pos].absorb(&draft),
+        (false, false) => pending.insert(pos, draft),
     }
-    // Extend the successor if adjacent.
-    if pos < pending.len() && draft.first + draft.count == pending[pos].first {
-        let p = &mut pending[pos];
-        p.first = draft.first;
-        p.count += draft.count;
-        p.skipped += draft.skipped;
-        p.deduped += draft.deduped;
-        p.probes += draft.probes;
-        return;
-    }
-    pending.insert(
-        pos,
-        Pending {
-            first: draft.first,
-            count: draft.count,
-            skipped: draft.skipped,
-            deduped: draft.deduped,
-            probes: draft.probes,
-        },
-    );
 }
 
 fn flush_pending(inner: &mut WriterInner) -> std::io::Result<()> {
-    if inner.pending.is_empty() {
-        return Ok(());
-    }
-    let k = inner.pending_k;
-    let ranges = std::mem::take(&mut inner.pending);
-    for p in ranges {
-        let draft = ChunkDraft {
-            k,
-            first: p.first,
-            count: p.count,
-            skipped: p.skipped,
-            deduped: p.deduped,
-            probes: p.probes,
-            ..Default::default()
-        };
-        let payload = draft.encode();
-        write_frame(&mut inner.file, &payload)?;
+    for draft in std::mem::take(&mut inner.pending) {
+        write_frame(&mut inner.file, &draft.encode())?;
         inner.appends_since_sync += 1;
     }
     Ok(())
@@ -751,18 +682,35 @@ fn write_frame(file: &mut File, payload: &[u8]) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 // Reader.
 
+/// Replayed progress of one slice of one generation: what a live slice
+/// would have handed the merge, had it stopped where the journal does.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Segment {
+    /// Completed chunk coverage: disjoint `(first, count)` chunk-index
+    /// ranges, sorted and merged.
+    pub covered: Vec<(u64, u64)>,
+    pub evaluated: u64,
+    pub skipped: u64,
+    pub deduped: u64,
+    pub probes: u64,
+    pub expanded: u64,
+    pub reused: u64,
+    /// Holes the slice first saw, in slice-local id order (from `k` up).
+    pub holes: Vec<HoleInfo>,
+    pub patterns: Vec<PatternEntry>,
+    pub solutions: Vec<Solution>,
+    pub quarantined: Vec<Quarantined>,
+}
+
 /// Replayed progress of one generation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GenReplay {
     pub k: usize,
     pub prev_k: usize,
-    /// Completed chunk coverage: disjoint `(first, count)` chunk-index
-    /// ranges, sorted and merged.
+    /// The slices' pinned chunk-index ranges `[start, end)`.
     pub ranges: Vec<(u64, u64)>,
-    pub evaluated: u64,
-    pub skipped: u64,
-    pub deduped: u64,
-    pub probes: u64,
+    /// One replay segment per slice, in slice order.
+    pub slices: Vec<Segment>,
 }
 
 /// The state a valid journal prefix reconstructs.
@@ -773,14 +721,6 @@ pub(crate) struct JournalReplay {
     /// Generations in journal (= execution) order; the last one may be
     /// partially covered.
     pub gens: Vec<GenReplay>,
-    /// Holes in id (discovery) order.
-    pub holes: Vec<HoleInfo>,
-    pub patterns: Vec<PatternEntry>,
-    pub solutions: Vec<Solution>,
-    pub quarantined: Vec<Quarantined>,
-    pub evaluated_total: u64,
-    pub expanded: u64,
-    pub reused: u64,
     pub stop: StopReason,
     /// Byte length of the valid frame prefix (resume truncates to this).
     pub valid_len: u64,
@@ -829,13 +769,6 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
         model,
         fingerprint,
         gens: Vec::new(),
-        holes: Vec::new(),
-        patterns: Vec::new(),
-        solutions: Vec::new(),
-        quarantined: Vec::new(),
-        evaluated_total: 0,
-        expanded: 0,
-        reused: 0,
         stop: StopReason::Completed,
         valid_len: pos as u64,
     };
@@ -844,14 +777,9 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
         let mut d = Dec::new(payload);
         match d.u8() {
             Some(TAG_GEN_START) => {
-                let (Some(k), Some(prev_k)) = (d.u64(), d.u64()) else {
-                    return Err(corrupt("undecodable generation record".into()));
-                };
-                replay.gens.push(GenReplay {
-                    k: k as usize,
-                    prev_k: prev_k as usize,
-                    ..Default::default()
-                });
+                let gen = decode_gen_start(&mut d)
+                    .ok_or_else(|| corrupt("undecodable generation record".into()))?;
+                replay.gens.push(gen);
             }
             Some(TAG_CHUNK) => {
                 let Some(chunk) = ChunkDraft::decode(&mut d) else {
@@ -860,29 +788,29 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
                 // Chunks normally belong to the latest generation; after a
                 // resume-of-a-resume they may trail a Stop record, so match
                 // by frontier width from the back.
-                let Some(gen) = replay
+                let Some(seg) = replay
                     .gens
                     .iter_mut()
                     .rev()
                     .find(|g| g.k == chunk.k as usize)
+                    .and_then(|g| g.slices.get_mut(chunk.slice as usize))
                 else {
                     return Err(corrupt(format!(
-                        "chunk record for unknown generation k={}",
-                        chunk.k
+                        "chunk record for unknown generation slice k={} slice={}",
+                        chunk.k, chunk.slice
                     )));
                 };
-                gen.evaluated += chunk.evaluated;
-                gen.skipped += chunk.skipped;
-                gen.deduped += chunk.deduped;
-                gen.probes += chunk.probes;
-                add_range(&mut gen.ranges, chunk.first, chunk.count);
-                replay.evaluated_total += chunk.evaluated;
-                replay.expanded += chunk.expanded;
-                replay.reused += chunk.reused;
-                replay.holes.extend(chunk.holes);
-                replay.patterns.extend(chunk.patterns);
-                replay.solutions.extend(chunk.solutions);
-                replay.quarantined.extend(chunk.quarantined);
+                seg.evaluated += chunk.evaluated;
+                seg.skipped += chunk.skipped;
+                seg.deduped += chunk.deduped;
+                seg.probes += chunk.probes;
+                seg.expanded += chunk.expanded;
+                seg.reused += chunk.reused;
+                add_range(&mut seg.covered, chunk.first, chunk.count);
+                seg.holes.extend(chunk.holes);
+                seg.patterns.extend(chunk.patterns);
+                seg.solutions.extend(chunk.solutions);
+                seg.quarantined.extend(chunk.quarantined);
             }
             Some(TAG_STOP) => {
                 let Some(reason) = d.u8().and_then(decode_stop) else {
@@ -896,6 +824,20 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
         replay.valid_len = pos as u64;
     }
     Ok(Some(replay))
+}
+
+fn decode_gen_start(d: &mut Dec<'_>) -> Option<GenReplay> {
+    let (k, prev_k, n) = (d.u64()?, d.u64()?, d.u32()?);
+    let mut ranges = Vec::with_capacity((n as usize).min(4096));
+    for _ in 0..n {
+        ranges.push((d.u64()?, d.u64()?));
+    }
+    Some(GenReplay {
+        k: k as usize,
+        prev_k: prev_k as usize,
+        slices: vec![Segment::default(); ranges.len()],
+        ranges,
+    })
 }
 
 /// Parses the frame at `pos`, returning its payload and end offset, or
@@ -914,7 +856,7 @@ fn next_frame(data: &[u8], pos: usize) -> Option<(&[u8], usize)> {
 
 /// Inserts a `(first, count)` chunk range, keeping the list sorted, disjoint,
 /// and merged.
-fn add_range(ranges: &mut Vec<(u64, u64)>, first: u64, count: u64) {
+pub(crate) fn add_range(ranges: &mut Vec<(u64, u64)>, first: u64, count: u64) {
     let pos = ranges.partition_point(|&(f, _)| f < first);
     ranges.insert(pos, (first, count));
     // Merge around the insertion point (a single pass suffices: neighbours
@@ -989,31 +931,41 @@ mod tests {
             pattern_mode: PatternMode::Exact,
             chunk_size: 32,
             enumeration: Enumeration::Lexicographic,
-            shard: None,
         }
     }
 
     #[test]
-    fn shard_range_round_trips_in_fingerprint() {
-        let path = tmp("shard-fp");
-        let sharded = Fingerprint {
-            shard: Some((3, 17)),
-            ..fp()
-        };
-        let w = JournalWriter::create(&path, "m", &sharded, 1).unwrap();
-        w.gen_start(2, 1).unwrap();
+    fn slice_ranges_are_pinned_and_chunks_replay_into_their_slice() {
+        let path = tmp("slices");
+        let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
+        w.gen_start(2, 1, &[(0, 3), (3, 17)]).unwrap();
+        // Each slice journals the holes it first saw under its own ids.
+        let (a, b) = (HoleRegistry::new(), HoleRegistry::new());
+        for reg in [&a, &b] {
+            reg.resolve_or_register(&verc3_mck::HoleSpec::new("f0", ["x"]));
+            reg.resolve_or_register(&verc3_mck::HoleSpec::new("f1", ["x"]));
+        }
+        a.resolve_or_register(&verc3_mck::HoleSpec::new("a", ["x"]));
+        b.resolve_or_register(&verc3_mck::HoleSpec::new("b", ["x"]));
+        let (ja, jb) = (AtomicUsize::new(2), AtomicUsize::new(2));
+        let mut draft = ChunkDraft::new(2, 1, 5);
+        draft.evaluated = 2;
+        w.chunk(&b, &jb, draft).unwrap();
+        let mut draft = ChunkDraft::new(2, 0, 1);
+        draft.evaluated = 1;
+        w.chunk(&a, &ja, draft).unwrap();
         drop(w);
+
         let r = read(&path).unwrap().unwrap();
-        assert_eq!(r.fingerprint, sharded);
-        assert_ne!(r.fingerprint, fp(), "whole-space fingerprint must differ");
-        assert_ne!(
-            r.fingerprint,
-            Fingerprint {
-                shard: Some((3, 18)),
-                ..fp()
-            },
-            "a different partition must not match"
-        );
+        assert_eq!(r.gens.len(), 1);
+        assert_eq!((r.gens[0].k, r.gens[0].prev_k), (2, 1));
+        assert_eq!(r.gens[0].ranges, vec![(0, 3), (3, 17)]);
+        let names = |s: &Segment| s.holes.iter().map(|h| h.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&r.gens[0].slices[0]), ["a"]);
+        assert_eq!(names(&r.gens[0].slices[1]), ["b"]);
+        assert_eq!(r.gens[0].slices[0].covered, vec![(1, 1)]);
+        assert_eq!(r.gens[0].slices[1].covered, vec![(5, 1)]);
+        assert_eq!(r.gens[0].slices[1].evaluated, 2);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1027,10 +979,10 @@ mod tests {
     fn round_trips_records_through_the_file() {
         let path = tmp("roundtrip");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0).unwrap();
+        w.gen_start(0, 0, &[(0, 1)]).unwrap();
         let reg = HoleRegistry::new();
         reg.resolve_or_register(&verc3_mck::HoleSpec::new("h", ["a", "b"]));
-        let mut draft = ChunkDraft::new(0, 0);
+        let mut draft = ChunkDraft::new(0, 0, 0);
         draft.evaluated = 3;
         draft.skipped = 5;
         draft.patterns.push(PatternEntry::Prefix(vec![1, 2]));
@@ -1044,7 +996,7 @@ mod tests {
             digits: vec![1],
             message: "boom".into(),
         });
-        w.chunk(&reg, draft).unwrap();
+        w.chunk(&reg, &AtomicUsize::new(0), draft).unwrap();
         w.stop(StopReason::Interrupted).unwrap();
         drop(w);
 
@@ -1052,14 +1004,15 @@ mod tests {
         assert_eq!(r.model, "m");
         assert_eq!(r.fingerprint, fp());
         assert_eq!(r.gens.len(), 1);
-        assert_eq!(r.gens[0].ranges, vec![(0, 1)]);
-        assert_eq!(r.gens[0].evaluated, 3);
-        assert_eq!(r.gens[0].skipped, 5);
-        assert_eq!(r.holes.len(), 1);
-        assert_eq!(r.holes[0].name, "h");
-        assert_eq!(r.patterns.len(), 2);
-        assert_eq!(r.solutions.len(), 1);
-        assert_eq!(r.quarantined.len(), 1);
+        let seg = &r.gens[0].slices[0];
+        assert_eq!(seg.covered, vec![(0, 1)]);
+        assert_eq!(seg.evaluated, 3);
+        assert_eq!(seg.skipped, 5);
+        assert_eq!(seg.holes.len(), 1);
+        assert_eq!(seg.holes[0].name, "h");
+        assert_eq!(seg.patterns.len(), 2);
+        assert_eq!(seg.solutions.len(), 1);
+        assert_eq!(seg.quarantined.len(), 1);
         assert_eq!(r.stop, StopReason::Interrupted);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1068,7 +1021,7 @@ mod tests {
     fn torn_tail_is_discarded_not_an_error() {
         let path = tmp("torn");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0).unwrap();
+        w.gen_start(0, 0, &[(0, 1)]).unwrap();
         drop(w);
         let full = read(&path).unwrap().unwrap();
         assert_eq!(full.gens.len(), 1);
@@ -1111,21 +1064,22 @@ mod tests {
     fn inactive_chunks_coalesce_into_range_records() {
         let path = tmp("coalesce");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0).unwrap();
+        w.gen_start(0, 0, &[(0, 16)]).unwrap();
         let reg = HoleRegistry::new();
+        let journaled = AtomicUsize::new(0);
         // Inactive 0,1,2 then an active 3: one record covering 0..=3.
         for i in 0..3 {
-            let mut d = ChunkDraft::new(0, i);
+            let mut d = ChunkDraft::new(0, 0, i);
             d.skipped = 10;
-            w.chunk(&reg, d).unwrap();
+            w.chunk(&reg, &journaled, d).unwrap();
         }
-        let mut active = ChunkDraft::new(0, 3);
+        let mut active = ChunkDraft::new(0, 0, 3);
         active.evaluated = 1;
-        w.chunk(&reg, active).unwrap();
+        w.chunk(&reg, &journaled, active).unwrap();
         // A detached inactive chunk flushed at stop.
-        let mut d = ChunkDraft::new(0, 7);
+        let mut d = ChunkDraft::new(0, 0, 7);
         d.skipped = 4;
-        w.chunk(&reg, d).unwrap();
+        w.chunk(&reg, &journaled, d).unwrap();
         w.stop(StopReason::Interrupted).unwrap();
         drop(w);
 
@@ -1133,9 +1087,38 @@ mod tests {
         // header, gen_start, merged chunk, flushed pending, stop.
         assert_eq!(boundaries.len(), 5);
         let r = read(&path).unwrap().unwrap();
-        assert_eq!(r.gens[0].ranges, vec![(0, 4), (7, 1)]);
-        assert_eq!(r.gens[0].skipped, 34);
-        assert_eq!(r.gens[0].evaluated, 1);
+        let seg = &r.gens[0].slices[0];
+        assert_eq!(seg.covered, vec![(0, 4), (7, 1)]);
+        assert_eq!(seg.skipped, 34);
+        assert_eq!(seg.evaluated, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn inactive_runs_of_different_slices_never_coalesce() {
+        let path = tmp("coalesce-slices");
+        let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
+        w.gen_start(0, 0, &[(0, 2), (2, 4)]).unwrap();
+        let reg = HoleRegistry::new();
+        let journaled = AtomicUsize::new(0);
+        for (slice, first) in [(0, 0), (0, 1), (1, 2), (1, 3)] {
+            let mut d = ChunkDraft::new(0, slice, first);
+            d.skipped = 1 + slice as u64;
+            w.chunk(&reg, &journaled, d).unwrap();
+        }
+        w.stop(StopReason::Completed).unwrap();
+        drop(w);
+
+        let r = read(&path).unwrap().unwrap();
+        let segs = &r.gens[0].slices;
+        assert_eq!(
+            (segs[0].covered.clone(), segs[0].skipped),
+            (vec![(0, 2)], 2)
+        );
+        assert_eq!(
+            (segs[1].covered.clone(), segs[1].skipped),
+            (vec![(2, 2)], 4)
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1143,14 +1126,14 @@ mod tests {
     fn resume_truncates_to_the_valid_prefix() {
         let path = tmp("resume");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0).unwrap();
+        w.gen_start(0, 0, &[(0, 1)]).unwrap();
         drop(w);
         let r = read(&path).unwrap().unwrap();
         // Simulate a torn tail, then resume: the tail must be cut.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[9, 9, 9]).unwrap();
         drop(f);
-        let w = JournalWriter::resume(&path, r.valid_len, 0, 1).unwrap();
+        let w = JournalWriter::resume(&path, r.valid_len, 1).unwrap();
         w.stop(StopReason::Completed).unwrap();
         drop(w);
         let r2 = read(&path).unwrap().unwrap();

@@ -56,9 +56,9 @@ pub mod synth;
 pub use candidate::{CandidateVec, Slot};
 pub use hole::{HoleId, HoleInfo, HoleRegistry};
 pub use odometer::{space_size, GuidedOdometer, Odometer};
-pub use pattern::{
-    PatternMode, PatternSink, PatternTable, Propagator, ReferencePatternTable, SparsePattern,
-};
+#[cfg(any(test, feature = "reference"))]
+pub use pattern::ReferencePatternTable;
+pub use pattern::{PatternMode, PatternSink, PatternTable, Propagator, SparsePattern};
 pub use report::{GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats};
 pub use resolver::{assignment_delta, DiscoveryDefault, NameCache, SharedCandidateResolver};
 pub use shard::{

@@ -46,9 +46,11 @@
 //!   pattern in the bucket.
 //!
 //! Both indexes are *exact* re-encodings of the naïve scan semantics: the
-//! retained [`ReferencePatternTable`] is the executable specification, and
-//! `tests/pattern_index_differential.rs` drives randomized insert / merge /
-//! query sequences through both to keep them observationally identical.
+//! retained `ReferencePatternTable` (compiled for tests and under the
+//! `reference` feature, off the production path) is the executable
+//! specification, and `tests/pattern_index_differential.rs` drives
+//! randomized insert / merge / query sequences through both to keep them
+//! observationally identical.
 
 use verc3_mck::hashers::FnvHashSet;
 
@@ -956,7 +958,9 @@ impl PatternSink for Propagator {
 /// * the baseline of the `pattern_index` microbench, which quantifies the
 ///   scan → trie / inverted-index speedup (`BENCH_patterns.json`).
 ///
-/// Production code must use [`PatternTable`].
+/// Production code must use [`PatternTable`]; this table is compiled only
+/// for tests and under the `reference` feature.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Default, Clone)]
 pub struct ReferencePatternTable {
     /// Dense prefixes, hashed for whole-prefix probes.
@@ -969,6 +973,7 @@ pub struct ReferencePatternTable {
     inserted: usize,
 }
 
+#[cfg(any(test, feature = "reference"))]
 impl ReferencePatternTable {
     /// Creates an empty table.
     pub fn new() -> Self {

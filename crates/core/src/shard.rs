@@ -1,33 +1,44 @@
-//! Sharded synthesis: serializable odometer-range shards, cross-shard
-//! pattern exchange, and the coordinator that merges shard results into one
-//! deterministic report.
+//! Sharded synthesis: the generation loop every synthesis run goes through,
+//! serializable odometer-range shards, and cross-shard pattern exchange.
+//!
+//! ## The loop
+//!
+//! The coordinator drives lockstep rounds, one generation each. A round
+//! partitions the frontier's chunk space into one slice per shard, runs
+//! every slice through the one slice runner (`Run::round` in
+//! [`crate::synth`]: sessions, pruning, lexicographic or guided walk), and
+//! merges the slice outcomes into one [`SynthReport`]. A
+//! [`crate::Synthesizer`] is the one-shard case, with no exchange endpoint.
+//! The budget counters, the run log and the journal belong to the run, so
+//! `max_evaluations`, `deadline` and `state_budget` hold for the whole run
+//! and one journal records every slice of every round.
 //!
 //! ## Range partitioning
 //!
 //! The candidate space of one generation is partitioned in **chunk-index
 //! space** (the same unit the journal records coverage in): the coordinator
 //! splits `[0, chunks_total)` into one contiguous range per shard
-//! ([`partition_chunks`]) and each shard enumerates its slice through the
-//! ordinary synthesis worker machinery — sessions, pruning, lexicographic or
-//! guided walk, per-shard crash journal. Rounds are lockstep: every shard
-//! runs the *same* frontier (the coordinator's merged hole registry), so
-//! hole ids below the frontier mean the same thing in every shard. That
-//! single invariant is what makes the rest cheap: pruning patterns only ever
-//! reference holes below the frontier (anything deeper is a wildcard and
-//! wildcard consultations are not touches), so patterns cross shard
-//! boundaries without translation, and solution assignments merge verbatim.
+//! ([`partition_chunks`]). Rounds are lockstep: every shard runs the *same*
+//! frontier (the merged hole list), so hole ids below the frontier mean the
+//! same thing in every shard. Pruning patterns only ever reference holes
+//! below the frontier (anything deeper is a wildcard, and wildcard
+//! consultations are not touches), so patterns cross shard boundaries
+//! without translation. A slice numbers the holes it first sees itself,
+//! from `k` on; naïve mode answers such a hole with action 0 and records
+//! the touch, so a naïve solution can name one, and the merge translates
+//! those ids by hole name.
 //!
 //! ## Exchange protocol
 //!
-//! Each shard periodically (at its pattern-sync cadence) exports the
-//! patterns its own workers published since the last beat as a
-//! [`PatternBatch`] and imports every batch its peers published. Transport
-//! is a [`PatternExchange`] implementation: in-memory mailboxes
-//! ([`ChannelExchange`]) or a spool directory of atomically-renamed batch
-//! files ([`FsExchange`]) — no network dependency. Imports are merged
-//! through the same [`crate::PatternSink`] path as local inserts, so an
-//! imported pattern invalidates the guided odometer's refutation masks
-//! exactly like a locally-learned one.
+//! Each shard exports, at every chunk boundary, the patterns its own
+//! workers published since the last beat as a [`PatternBatch`] and imports
+//! every batch its peers published. Transport is a [`PatternExchange`]
+//! implementation: in-memory mailboxes ([`ChannelExchange`]) or a spool
+//! directory of atomically-renamed batch files ([`FsExchange`]) — no
+//! network dependency. Imports are merged through the same
+//! [`crate::PatternSink`] path as local inserts, so an imported pattern
+//! invalidates the guided odometer's refutation masks exactly like a
+//! locally-learned one.
 //!
 //! ## Determinism argument
 //!
@@ -37,27 +48,28 @@
 //! a candidate only decides whether a doomed candidate is evaluated or
 //! skipped — never a verdict. Every round, the union of shard slices covers
 //! the full generation space, work stealing preserves that cover (a stolen
-//! tail moves between slots atomically, and crash recovery re-runs every
-//! shard's original range against its journal), and the rounds continue
+//! tail moves between slots atomically, and a resumed round skips the
+//! journal's coverage whichever slice recorded it), and the rounds continue
 //! until no shard discovers a hole — the same fixpoint the single-process
 //! loop reaches. Schedule perturbations therefore move *evaluated counts*
 //! (and with them pattern counts and discovery order), exactly as thread
-//! counts and sync intervals already do, while the solution set — compared
-//! by hole name, since discovery order assigns ids — is a property of the
-//! space. The msi goldens pin this: 1/2/4 shards, exchange on or off,
-//! kill-and-resume included, all merge to the single-process solution set.
+//! counts already do, while the solution set — compared by hole name,
+//! since discovery order assigns ids — is a property of the space. The msi
+//! goldens pin this: 1/2/4 shards, exchange on or off, kill-and-resume
+//! included, all merge to the single-process solution set.
 
 use crate::hole::HoleInfo;
 use crate::journal::{self, checksum, Dec, Enc, PatternEntry};
-use crate::odometer::space_size;
-use crate::pattern::{PatternTable, SparsePattern};
-use crate::report::{GenStats, Quarantined, Solution, StopReason, SynthReport, SynthStats};
-use crate::synth::{Claim, ExchangeState, ShardOutcome, SynthOptions, Synthesizer};
+use crate::pattern::SparsePattern;
+use crate::report::{Quarantined, Solution, StopReason, SynthReport};
+use crate::synth::{
+    candidate_count, Claim, Enumerate, Merged, PatternLog, Round, Run, Slice, SliceOutcome,
+    SynthOptions, Synthesizer,
+};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 use verc3_mck::{MckError, TransitionSystem};
 
 // ---------------------------------------------------------------------------
@@ -243,8 +255,9 @@ pub struct ShardSpec {
     /// [`crate::Odometer::over_range`]) if it exceeds the generation's
     /// chunk count.
     pub end: u64,
-    /// Optional per-shard crash journal. An existing journal at this path
-    /// is resumed; its fingerprint pins this exact `(start, end)` partition
+    /// Optional crash journal for this slice, in the run journal format
+    /// (see [`crate::journal`]). An existing journal at this path is
+    /// resumed; its generation record pins this exact `(start, end)` range
     /// and resuming against a different one fails with
     /// [`MckError::JournalCorrupt`].
     pub journal: Option<PathBuf>,
@@ -585,8 +598,8 @@ impl StealPool {
 // Reports.
 
 /// Everything one shard produced in one round, machine-readable: the
-/// coordinator's merge input, and (via [`ShardReport::to_json`]) the
-/// per-shard progress surface `synthd` prints.
+/// per-shard progress surface `synthd` prints (via
+/// [`ShardReport::to_json`]).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// The shard's index.
@@ -609,12 +622,13 @@ pub struct ShardReport {
     /// Per-depth pattern consultations spent proposing candidates.
     pub probes: u64,
     /// Patterns this shard learned itself (imports excluded).
-    pub patterns: Vec<WirePattern>,
+    pub patterns: usize,
     /// Holes first consulted in this shard's slice, in local discovery
     /// order.
     pub discovered: Vec<HoleInfo>,
-    /// Verified candidates found in this slice (hole ids are frontier
-    /// positions, identical across shards).
+    /// Verified candidates found in this slice and new to the run. Hole
+    /// ids below `k` are frontier positions, identical across shards; ids
+    /// from `k` on index `discovered`.
     pub solutions: Vec<Solution>,
     /// Candidates quarantined after panicking the checker.
     pub quarantined: Vec<Quarantined>,
@@ -624,7 +638,7 @@ pub struct ShardReport {
     pub check_expanded: u64,
     /// Checker states reused from session checkpoints.
     pub check_reused: u64,
-    /// The shard's resumable crash journal, if one was configured.
+    /// The run's crash journal, if one was configured.
     pub journal: Option<PathBuf>,
 }
 
@@ -652,30 +666,36 @@ fn json_escape(s: &str) -> String {
 }
 
 impl ShardReport {
-    fn from_outcome(spec: &ShardSpec, round: usize, outcome: &ShardOutcome) -> Self {
+    fn new(
+        shard: usize,
+        round: usize,
+        range: (u64, u64),
+        outcome: SliceOutcome,
+        journal: Option<&Path>,
+    ) -> Self {
         ShardReport {
-            shard: spec.index,
+            shard,
             round,
-            range: (spec.start, spec.end),
-            k: spec.k(),
+            range,
+            k: outcome.gen.k,
             space: outcome.gen.space,
             evaluated: outcome.gen.evaluated,
             skipped: outcome.gen.skipped_by_pruning,
             deduped: outcome.gen.deduped,
             probes: outcome.gen.probes,
-            patterns: outcome.patterns.iter().cloned().map(Into::into).collect(),
-            discovered: outcome.discovered.clone(),
-            solutions: outcome.solutions.clone(),
-            quarantined: outcome.quarantined.clone(),
+            patterns: outcome.patterns.len(),
+            discovered: outcome.discovered,
+            solutions: outcome.solutions,
+            quarantined: outcome.quarantined,
             stop: outcome.stop,
             check_expanded: outcome.check_expanded,
             check_reused: outcome.check_reused,
-            journal: spec.journal.clone(),
+            journal: journal.map(Path::to_path_buf),
         }
     }
 
     /// One-line JSON rendering (machine-readable; solutions as
-    /// `[hole, action]` pairs in frontier-id space).
+    /// `[hole, action]` pairs in this report's hole-id space).
     pub fn to_json(&self) -> String {
         let solutions: Vec<String> = self
             .solutions
@@ -708,7 +728,7 @@ impl ShardReport {
             self.evaluated,
             self.skipped,
             self.probes,
-            self.patterns.len(),
+            self.patterns,
             discovered.join(","),
             solutions.join(","),
             self.quarantined.len(),
@@ -759,15 +779,16 @@ pub fn partition_chunks(chunks_total: u64, shards: usize) -> Vec<(u64, u64)> {
 // ---------------------------------------------------------------------------
 // Single-shard entry point.
 
-/// Runs one shard's slice of one generation and reports it. The low-level
-/// worker-process entry point: the coordinator calls this through its round
-/// loop, and an external dispatcher can call it directly with a
-/// deserialized [`ShardSpec`].
+/// Runs one shard's slice of one generation and reports it: the low-level
+/// entry point for an external dispatcher, called with a deserialized
+/// [`ShardSpec`]. It runs the same slice runner the coordinator's rounds
+/// do.
 ///
-/// `seed` is the pattern state the round starts from (the coordinator's
+/// `seed` is the pattern state the round starts from (the dispatcher's
 /// merged table); `exchange` connects the shard to live peers. With
-/// `spec.journal` set, an existing journal is resumed (fingerprint and
-/// partition checked) and a fresh one is created otherwise.
+/// `spec.journal` set, the slice writes the run journal format there: an
+/// existing journal is resumed (model, fingerprint, frontier and chunk
+/// range checked) and a fresh one is created otherwise.
 ///
 /// # Errors
 ///
@@ -781,28 +802,56 @@ pub fn run_shard<M: TransitionSystem>(
     exchange: Option<Arc<dyn PatternExchange>>,
 ) -> Result<ShardReport, MckError> {
     let synth = Synthesizer::new(options.clone());
-    let state = exchange.map(|endpoint| ExchangeState::new(endpoint, spec.index));
-    let outcome = synth.run_shard_generation(
-        model,
-        spec,
-        seed.into_iter().map(Into::into).collect(),
-        state,
-        None,
+    synth.validate()?;
+    let (replay, writer) = synth.open_journal(model.name(), spec.journal.as_deref(), true)?;
+    let mut gens = replay.map(|r| r.gens).unwrap_or_default();
+    if gens.len() > 1 {
+        return Err(MckError::JournalCorrupt {
+            reason: "shard journal does not describe one round's frontier".into(),
+        });
+    }
+    let run = Run::new(options, writer);
+    let mut patterns = PatternLog::default();
+    for pattern in seed {
+        patterns.seed(pattern.into());
+    }
+    let range = (spec.start, spec.end);
+    let (_, outcomes) = run.round(
+        Round {
+            holes: &spec.holes,
+            prev_k: spec.prev_k,
+            ranges: &[range],
+            patterns: &patterns,
+            solutions: &[],
+            replay: gens.pop(),
+            endpoint: exchange.as_ref(),
+            first_shard: spec.index,
+            steal: false,
+        },
+        &|slice| slice.enumerate(model),
     )?;
-    Ok(ShardReport::from_outcome(spec, 0, &outcome))
+    run.close_journal()?;
+    let outcome = outcomes.into_iter().next().expect("one slice per range");
+    Ok(ShardReport::new(
+        spec.index,
+        0,
+        range,
+        outcome,
+        spec.journal.as_deref(),
+    ))
 }
 
 // ---------------------------------------------------------------------------
 // Coordinator.
 
 /// Configuration for a sharded run (consuming-builder style, like
-/// [`SynthOptions`]).
+/// [`SynthOptions`], whose budgets and journal apply to the whole run at
+/// any shard count).
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
     shards: usize,
     exchange: bool,
     steal: bool,
-    journal_dir: Option<PathBuf>,
 }
 
 impl Default for ShardOptions {
@@ -811,13 +860,13 @@ impl Default for ShardOptions {
             shards: 1,
             exchange: true,
             steal: true,
-            journal_dir: None,
         }
     }
 }
 
 impl ShardOptions {
-    /// Number of shard workers (default 1).
+    /// Number of shard workers (default 1: the single-process run). Each
+    /// shard runs [`SynthOptions::threads`] synthesis workers.
     ///
     /// # Panics
     ///
@@ -855,16 +904,6 @@ impl ShardOptions {
         self.steal = enabled;
         self
     }
-
-    /// Writes one crash journal per shard per round under `dir`
-    /// (`roundNNN-shardNNN.vc3j`). With journals, a shard-worker panic is
-    /// recovered by re-running the round's shards against their journals;
-    /// re-invoking the same sharded run after a full-process kill resumes
-    /// the same way.
-    pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        self
-    }
 }
 
 /// Runs sharded synthesis to completion and returns the merged report. See
@@ -890,12 +929,14 @@ pub fn run_sharded<M: TransitionSystem>(
 /// The coordinator drives lockstep rounds, one generation each: it
 /// partitions the frontier's chunk space across `shards` workers (threads),
 /// brokers pattern exchange, lets finished shards steal from the largest
-/// remaining range, recovers panicked shards from their journals, and
-/// merges every [`ShardReport`] into one deterministic [`SynthReport`] —
-/// holes in merged discovery order, solutions deduplicated on their
-/// frontier assignments, stats summed. Rounds continue until no shard
-/// discovers a new hole (the single-process fixpoint) or a budget stop
-/// surfaces.
+/// remaining range, and merges the shard outcomes into one deterministic
+/// [`SynthReport`] — holes in merged discovery order, solutions
+/// deduplicated on their assignments, stats summed. Rounds continue until
+/// no shard discovers a new hole (the single-process fixpoint) or a budget
+/// stop surfaces. With [`SynthOptions::journal`] set, an existing journal
+/// is resumed (it must have been written at the same shard count) and a
+/// fresh one is created otherwise; a panic in a shard worker propagates,
+/// and re-invoking the run resumes it from the journal.
 ///
 /// # Errors
 ///
@@ -907,206 +948,99 @@ pub fn run_sharded_with<M: TransitionSystem>(
     sharding: &ShardOptions,
     endpoint: Option<Arc<dyn PatternExchange>>,
 ) -> Result<ShardedRun, MckError> {
-    let start = Instant::now();
-    let n = sharding.shards;
+    coordinate(model, options, sharding, endpoint, true)
+}
+
+/// The synthesis loop behind every entry point: [`run_sharded_with`], and
+/// [`Synthesizer::try_run`] and [`Synthesizer::resume_from_journal`] as
+/// its one-shard case. With `resume`, an existing journal is replayed;
+/// otherwise it is truncated.
+pub(crate) fn coordinate<M: TransitionSystem>(
+    model: &M,
+    options: &SynthOptions,
+    sharding: &ShardOptions,
+    endpoint: Option<Arc<dyn PatternExchange>>,
+    resume: bool,
+) -> Result<ShardedRun, MckError> {
+    let enumerate = |slice: &Slice<'_>| slice.enumerate(model);
+    drive(
+        model.name(),
+        options,
+        sharding,
+        endpoint,
+        resume,
+        &enumerate,
+    )
+}
+
+/// [`coordinate`] past its one model-typed step, `enumerate`.
+fn drive(
+    model: &str,
+    options: &SynthOptions,
+    sharding: &ShardOptions,
+    endpoint: Option<Arc<dyn PatternExchange>>,
+    resume: bool,
+    enumerate: &Enumerate<'_>,
+) -> Result<ShardedRun, MckError> {
     let synth = Synthesizer::new(options.clone());
-    let endpoint: Option<Arc<dyn PatternExchange>> = if sharding.exchange {
-        Some(endpoint.unwrap_or_else(|| Arc::new(ChannelExchange::new(n))))
-    } else {
-        None
+    synth.validate()?;
+    let journal = options.journal_path();
+    let (replay, writer) = synth.open_journal(model, journal, resume)?;
+    let mut journaled = replay.map(|r| r.gens).unwrap_or_default().into_iter();
+    let run = Run::new(options, writer);
+    let n = sharding.shards;
+    // A single shard has no peers: exchange only matters with an explicit
+    // endpoint someone else observes.
+    let endpoint: Option<Arc<dyn PatternExchange>> = match endpoint {
+        _ if !sharding.exchange => None,
+        Some(endpoint) => Some(endpoint),
+        None => (n > 1).then(|| Arc::new(ChannelExchange::new(n)) as _),
     };
-    if let Some(dir) = &sharding.journal_dir {
-        std::fs::create_dir_all(dir).map_err(|e| MckError::JournalCorrupt {
-            reason: format!("cannot create journal dir `{}`: {e}", dir.display()),
-        })?;
-    }
 
-    let mut holes: Vec<HoleInfo> = Vec::new();
-    let mut merged = PatternTable::new();
-    let mut merged_log: Vec<PatternEntry> = Vec::new();
-    let mut solutions: Vec<Solution> = Vec::new();
-    let mut quarantined: Vec<Quarantined> = Vec::new();
-    let mut generations: Vec<GenStats> = Vec::new();
-    let mut shard_reports: Vec<ShardReport> = Vec::new();
-    let (mut expanded, mut reused, mut replays) = (0u64, 0u64, 0u64);
-    let mut stop = StopReason::Completed;
-    let mut prev_k = 0usize;
-    let mut round = 0usize;
-
-    loop {
-        let k = holes.len();
-        let radices: Vec<u32> = holes.iter().map(|h| h.actions.len() as u32).collect();
-        let space = space_size(&radices);
-        let total: u64 = space.try_into().map_err(|_| MckError::InvalidConfig {
-            param: "candidate space",
-            reason: format!("generation space of {space} candidates exceeds the enumerable range"),
-        })?;
-        let chunks_total = total.max(1).div_ceil(options.chunk());
-        let ranges = partition_chunks(chunks_total, n);
-        let specs: Vec<ShardSpec> = ranges
-            .iter()
-            .enumerate()
-            .map(|(i, &(s, e))| ShardSpec {
-                index: i,
-                holes: holes.clone(),
+    let mut merged = Merged::default();
+    let mut shards = Vec::new();
+    let mut prev_k = 0;
+    for round in 0.. {
+        let k = merged.holes.len();
+        let (_, total) = candidate_count(&merged.holes)?;
+        let ranges = partition_chunks(total.max(1).div_ceil(options.chunk()), n);
+        let (gen, outcomes) = run.round(
+            Round {
+                holes: &merged.holes,
                 prev_k,
-                start: s,
-                end: e,
-                journal: sharding
-                    .journal_dir
-                    .as_ref()
-                    .map(|d| d.join(format!("round{round:03}-shard{i:03}.vc3j"))),
-            })
-            .collect();
-        let pool = Arc::new(StealPool::new(&ranges, sharding.steal));
-
-        type ShardRun = Result<ShardOutcome, MckError>;
-        let joined: Vec<std::thread::Result<ShardRun>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = specs
-                .iter()
-                .map(|spec| {
-                    let endpoint = endpoint.clone();
-                    let pool = Arc::clone(&pool);
-                    let seed = merged_log.clone();
-                    let synth = &synth;
-                    scope.spawn(move || {
-                        let exchange = endpoint.map(|e| ExchangeState::new(e, spec.index));
-                        synth.run_shard_generation(model, spec, seed, exchange, Some(pool))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(n);
-        let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut ok: Vec<Option<ShardOutcome>> = Vec::with_capacity(n);
-        for joined in joined {
-            match joined {
-                Ok(Ok(outcome)) => ok.push(Some(outcome)),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    panicked = Some(payload);
-                    ok.push(None);
-                }
-            }
+                ranges: &ranges,
+                patterns: &merged.patterns,
+                solutions: &merged.solutions,
+                replay: journaled.next(),
+                endpoint: endpoint.as_ref(),
+                first_shard: 0,
+                steal: sharding.steal,
+            },
+            enumerate,
+        )?;
+        // Merge in shard-index order: the merged hole list, pattern log,
+        // and solution list are then a pure function of the per-shard
+        // results, independent of worker scheduling.
+        for (shard, (outcome, &range)) in outcomes.into_iter().zip(&ranges).enumerate() {
+            merged.merge(k, &outcome);
+            shards.push(ShardReport::new(shard, round, range, outcome, journal));
         }
-        if let Some(payload) = panicked {
-            if sharding.journal_dir.is_none() {
-                // No journals, no recovery: surface the worker's panic.
-                std::panic::resume_unwind(payload);
-            }
-            // Recovery pass: re-run every shard serially against its
-            // journal, original ranges, no stealing. Healthy shards replay
-            // to full coverage instantly; chunks that moved between slots
-            // before the crash are at worst re-evaluated (verdicts are
-            // deterministic, merges deduplicate), never lost.
-            ok.clear();
-            for spec in &specs {
-                let outcome =
-                    synth.run_shard_generation(model, spec, merged_log.clone(), None, None)?;
-                ok.push(Some(outcome));
-            }
-        }
-        outcomes.extend(ok.into_iter().flatten());
-
-        let mut round_stats = GenStats {
-            k,
-            space,
-            ..GenStats::default()
-        };
-        for (spec, outcome) in specs.iter().zip(&outcomes) {
-            shard_reports.push(ShardReport::from_outcome(spec, round, outcome));
-            round_stats.evaluated += outcome.gen.evaluated;
-            round_stats.skipped_by_pruning += outcome.gen.skipped_by_pruning;
-            round_stats.deduped += outcome.gen.deduped;
-            round_stats.probes += outcome.gen.probes;
-            round_stats.claims += outcome.gen.claims;
-            round_stats.active_chunks += outcome.gen.active_chunks;
-            expanded += outcome.check_expanded;
-            reused += outcome.check_reused;
-            replays += outcome.check_replays;
-        }
-        // Merge in shard-index order: the merged registry extension, the
-        // pattern log, and the solution list are then a pure function of
-        // the per-shard results, independent of worker scheduling.
-        for outcome in outcomes {
-            for hole in outcome.discovered {
-                if !holes.iter().any(|h| h.name == hole.name) {
-                    holes.push(hole);
-                }
-            }
-            for entry in outcome.patterns {
-                let added = match &entry {
-                    PatternEntry::Prefix(p) => merged.insert_prefix(p),
-                    PatternEntry::Sparse(s) => merged.insert_sparse(s.clone()),
-                };
-                if added {
-                    merged_log.push(entry);
-                }
-            }
-            for solution in outcome.solutions {
-                if !solutions
-                    .iter()
-                    .any(|s| s.assignment == solution.assignment)
-                {
-                    solutions.push(solution);
-                }
-            }
-            for q in outcome.quarantined {
-                if !quarantined.iter().any(|x| x.digits == q.digits) {
-                    quarantined.push(q);
-                }
-            }
-            if outcome.stop != StopReason::Completed && stop == StopReason::Completed {
-                stop = outcome.stop;
-            }
-        }
-        generations.push(round_stats);
-
-        if stop != StopReason::Completed {
-            break;
-        }
-        if holes.len() == k {
+        merged.generations.push(gen);
+        if run.stop_reason() != StopReason::Completed || merged.holes.len() == k {
             break;
         }
         prev_k = k;
-        round += 1;
     }
-
-    let (dense, sparse) = (merged.dense_len(), merged.sparse_len());
-    let stats = SynthStats {
-        evaluated: generations.iter().map(|g| g.evaluated).sum(),
-        skipped_by_pruning: generations.iter().map(|g| g.skipped_by_pruning).sum(),
-        patterns: dense + sparse,
-        patterns_dense: dense,
-        patterns_sparse: sparse,
-        probes: generations.iter().map(|g| g.probes).sum(),
-        generations,
-        wall: start.elapsed(),
-        truncated: stop != StopReason::Completed,
-        stop,
-        quarantined: quarantined.len() as u64,
-        check_states_expanded: expanded,
-        check_states_reused: reused,
-        check_replays: replays,
-    };
     Ok(ShardedRun {
-        report: SynthReport {
-            model: model.name().to_owned(),
-            holes,
-            solutions,
-            stats,
-            run_log: Vec::new(),
-            quarantined,
-        },
-        shards: shard_reports,
+        report: run.finish(model, merged)?,
+        shards,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::PatternTable;
     use crate::report::SynthReport;
     use crate::synth::Enumeration;
     use std::collections::BTreeSet;
@@ -1321,6 +1255,27 @@ mod tests {
     }
 
     #[test]
+    fn shard_reports_count_the_patterns_each_shard_learned() {
+        let model = GraphModel::worked_example();
+        for shards in [1usize, 2] {
+            let run = run_sharded_with(
+                &model,
+                &SynthOptions::default(),
+                &ShardOptions::default().shards(shards).exchange(false),
+                None,
+            )
+            .unwrap();
+            let learned: usize = run.shards.iter().map(|s| s.patterns).sum();
+            // Isolated shards may learn the same pattern twice; the merge
+            // keeps it once.
+            assert!(learned >= run.report.stats().patterns, "{shards} shards");
+            if shards == 1 {
+                assert_eq!(learned, 5, "the Figure-2 run learns 5 patterns");
+            }
+        }
+    }
+
+    #[test]
     fn sharded_random_models_match_single_process() {
         for seed in 300..312 {
             let model = GraphModel::random(seed, 6, 3);
@@ -1337,6 +1292,23 @@ mod tests {
                     solution_set(&single),
                     "seed {seed} shards {shards}"
                 );
+            }
+        }
+        // Naïve mode: a slice's solutions can name holes the slice first
+        // saw, by its own ids; the merge must translate them by name.
+        for seed in [8u64, 9, 300, 301] {
+            let model = GraphModel::random(seed, 6, 3);
+            let naive = SynthOptions::default().pruning(false);
+            let single = Synthesizer::new(naive.clone()).run(&model);
+            for shards in [2usize, 4] {
+                let merged =
+                    run_sharded(&model, &naive, &ShardOptions::default().shards(shards)).unwrap();
+                assert_eq!(
+                    solution_set(&merged),
+                    solution_set(&single),
+                    "naive seed {seed} shards {shards}"
+                );
+                assert_eq!(merged.solutions().len(), single.solutions().len());
             }
         }
     }
@@ -1357,13 +1329,14 @@ mod tests {
     #[test]
     fn sharded_run_with_journals_resumes_completed_rounds() {
         let dir = tmp("journals");
+        std::fs::create_dir_all(&dir).unwrap();
         let model = GraphModel::worked_example();
-        let opts = SynthOptions::default();
-        let sharding = ShardOptions::default().shards(2).journal_dir(&dir);
+        let opts = SynthOptions::default().journal(dir.join("run.vc3j"));
+        let sharding = ShardOptions::default().shards(2);
         let first = run_sharded(&model, &opts, &sharding).unwrap();
-        // Journals exist, one per shard per round.
-        let count = std::fs::read_dir(&dir).unwrap().count();
-        assert!(count >= 2, "expected shard journals, found {count}");
+        // One journal records every shard of every round.
+        let records = journal::record_boundaries(&dir.join("run.vc3j")).unwrap();
+        assert!(records.len() > 2, "expected a populated run journal");
         // Re-running over the same journals replays coverage instead of
         // re-evaluating and reaches the identical result.
         let second = run_sharded(&model, &opts, &sharding).unwrap();
@@ -1376,6 +1349,20 @@ mod tests {
             second.stats().check_states_expanded,
             first.stats().check_states_expanded
         );
+        // The journal pins the partition: another shard count, the
+        // single-process resume included, is refused.
+        let errs = [
+            run_sharded(&model, &opts, &ShardOptions::default().shards(4)).unwrap_err(),
+            Synthesizer::new(opts.clone())
+                .resume_from_journal(&model)
+                .unwrap_err(),
+        ];
+        for err in errs {
+            assert!(
+                matches!(err, MckError::JournalCorrupt { ref reason } if reason.contains("partition")),
+                "expected partition mismatch, got: {err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,22 +22,39 @@
 //! generation's candidate range into chunks claimed by worker threads from an
 //! atomic dispenser; discoveries go through the shared [`HoleRegistry`], and
 //! pruning patterns propagate through a shared append-only log that workers
-//! sync from at chunk boundaries — so "each thread \[can\] make use of another
-//! thread's registered patterns as soon as they become available".
+//! sync from at every chunk boundary — so "each thread \[can\] make use of
+//! another thread's registered patterns as soon as they become available".
+//!
+//! ## One loop
+//!
+//! Every entry point — [`Synthesizer::try_run`],
+//! [`Synthesizer::resume_from_journal`] and [`crate::run_sharded`] — runs
+//! the same generation loop, the shard coordinator in [`crate::shard`].
+//! Each round partitions the frontier's chunk space into slices, runs every
+//! slice through one slice runner, and merges the slice outcomes into one
+//! [`SynthReport`]; a [`Synthesizer`] is the one-slice case. What belongs
+//! to the run exists once and every slice of every round shares it: the
+//! budget counters (evaluations, committed states, the deadline counted
+//! from the start of the run, the stop reason), the run log and the
+//! journal. What belongs to a slice is its own: its hole registry (the
+//! frontier, then the holes the slice first sees), its pattern hub over the
+//! run's merged patterns, and its finds.
 
 use crate::candidate::CandidateVec;
 use crate::hole::{HoleId, HoleInfo, HoleRegistry};
-use crate::journal::{self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter};
+use crate::journal::{
+    self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter, PatternEntry, Segment,
+};
 use crate::odometer::{space_size, GuidedOdometer, Odometer};
 use crate::pattern::{PatternMode, PatternSink, PatternTable, Propagator};
 use crate::report::{
     GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats,
 };
 use crate::resolver::{DiscoveryDefault, SharedCandidateResolver};
+use crate::shard::{PatternBatch, PatternExchange, ShardOptions, StealPool};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verc3_mck::hashers::FnvHashSet;
@@ -82,7 +99,6 @@ pub struct SynthOptions {
     check_threads: usize,
     checker: CheckerOptions,
     chunk_size: u64,
-    sync_interval: usize,
     max_evaluations: Option<u64>,
     record_runs: bool,
     reuse_sessions: bool,
@@ -103,7 +119,6 @@ impl Default for SynthOptions {
             check_threads: 1,
             checker: CheckerOptions::default(),
             chunk_size: 32,
-            sync_interval: 1,
             max_evaluations: None,
             record_runs: false,
             reuse_sessions: true,
@@ -268,44 +283,18 @@ impl SynthOptions {
         self.chunk_size
     }
 
-    /// How many chunks a worker processes between syncs from the shared
-    /// pattern log (default 1: sync at every chunk boundary, the eager
-    /// behaviour small workloads want).
-    ///
-    /// At msi_xl-and-beyond pattern volumes, taking the shared-log lock at
-    /// every chunk boundary serializes the workers; a larger interval
-    /// amortizes the merges at the cost of each worker pruning against a
-    /// slightly staler table. Pattern *publication* stays immediate — only
-    /// the pull side is batched — and every pattern a worker records locally
-    /// is also in its own table at once, so results (the solution set) are
-    /// unaffected at any interval; only the evaluated-candidate count can
-    /// drift, exactly as it does across thread counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`; use [`SynthOptions::try_sync_interval`] for
-    /// a structured error instead.
-    #[track_caller]
-    pub fn sync_interval(self, every: usize) -> Self {
-        self.try_sync_interval(every)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`SynthOptions::sync_interval`].
-    pub fn try_sync_interval(mut self, every: usize) -> Result<Self, MckError> {
-        if every == 0 {
-            return Err(MckError::InvalidConfig {
-                param: "sync_interval",
-                reason: "sync interval must be positive".into(),
-            });
-        }
-        self.sync_interval = every;
-        Ok(self)
+    /// The configured journal path, if any.
+    pub(crate) fn journal_path(&self) -> Option<&Path> {
+        self.journal.as_deref()
     }
 
     /// Stops the run (marking the report truncated) after this many
-    /// model-checker dispatches. A safety valve for exploratory use on
-    /// intractable skeletons.
+    /// model-checker dispatches, for the whole run, at any shard count:
+    /// every worker checks the one run-wide count before each dispatch, so
+    /// a run with `w` workers (shards × threads) stops after at most
+    /// `cap + w - 1` dispatches, and a serial run after exactly `cap`.
+    /// Journal-replayed dispatches count. A safety valve for exploratory
+    /// use on intractable skeletons.
     pub fn max_evaluations(mut self, cap: u64) -> Self {
         self.max_evaluations = Some(cap);
         self
@@ -345,11 +334,14 @@ impl SynthOptions {
     /// Writes a crash-safe progress journal to `path` (see
     /// [`crate::journal`]): completed chunk ranges, learned patterns, and
     /// found solutions are appended as CRC-framed records, so a killed run
-    /// resumes via [`Synthesizer::resume_from_journal`] with its exact
-    /// remaining candidate frontier. [`Synthesizer::try_run`] truncates any
-    /// existing file at `path`; journal I/O failures mid-run panic (the
-    /// journal *is* the crash-safety contract — continuing without it would
-    /// silently void it).
+    /// resumes via [`Synthesizer::resume_from_journal`] (or by re-invoking
+    /// [`crate::run_sharded`]) with its exact remaining candidate frontier.
+    /// A run writes this one journal at any shard count.
+    /// [`Synthesizer::try_run`] truncates any existing file at `path`.
+    /// Journal I/O failures mid-run panic, and the panic propagates out of
+    /// the run at every shard count (the journal *is* the crash-safety
+    /// contract — continuing without it would silently void it);
+    /// re-invoking the run resumes it from the journal.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
         self
@@ -386,9 +378,10 @@ impl SynthOptions {
     }
 
     /// Stops the run gracefully once this much wall-clock time has elapsed,
-    /// reporting [`StopReason::Deadline`]. Enforced at the per-candidate
-    /// dispatch sequence point, so in-flight evaluations finish and the
-    /// journal stays chunk-consistent.
+    /// for the whole run, at any shard count (counted from the start of the
+    /// run), reporting [`StopReason::Deadline`]. Enforced at the
+    /// per-candidate dispatch sequence point, so in-flight evaluations
+    /// finish and the journal stays chunk-consistent.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
@@ -396,8 +389,9 @@ impl SynthOptions {
 
     /// Stops the run gracefully once the checker has committed this many
     /// states across all dispatches (expanded live plus reused from session
-    /// checkpoints — the same total a one-shot run would expand), reporting
-    /// [`StopReason::StateBudget`].
+    /// checkpoints — the same total a one-shot run would expand), for the
+    /// whole run, at any shard count, journal-replayed dispatches included;
+    /// reports [`StopReason::StateBudget`].
     pub fn state_budget(mut self, states: u64) -> Self {
         self.state_budget = Some(states);
         self
@@ -443,22 +437,8 @@ impl Synthesizer {
     /// [`SynthOptions::journal`] is set, creates (truncating) the journal
     /// before starting.
     pub fn try_run<M: TransitionSystem>(&self, model: &M) -> Result<SynthReport, MckError> {
-        self.validate()?;
-        let writer = match &self.options.journal {
-            Some(path) => Some(
-                JournalWriter::create(
-                    path,
-                    model.name(),
-                    &self.fingerprint(),
-                    self.options.journal_fsync_every,
-                )
-                .map_err(|e| MckError::JournalCorrupt {
-                    reason: format!("cannot create `{}`: {e}", path.display()),
-                })?,
-            ),
-            None => None,
-        };
-        self.run_inner(model, None, writer)
+        crate::shard::coordinate(model, &self.options, &ShardOptions::default(), None, false)
+            .map(|run| run.report)
     }
 
     /// Resumes a killed or budget-stopped run from its progress journal
@@ -476,50 +456,24 @@ impl Synthesizer {
     /// # Errors
     ///
     /// Fails with [`MckError::JournalCorrupt`] if the journal belongs to a
-    /// different model or was written under a different fingerprint
-    /// (pruning, pattern mode, chunk size, enumeration strategy) — budgets,
-    /// caps, and thread counts may change freely between attempts.
+    /// different model, was written under a different fingerprint
+    /// (pruning, pattern mode, chunk size, enumeration strategy), or was
+    /// written by a sharded run (its generations are split into a
+    /// different number of slices) — budgets, caps, and thread counts may
+    /// change freely between attempts.
     pub fn resume_from_journal<M: TransitionSystem>(
         &self,
         model: &M,
     ) -> Result<SynthReport, MckError> {
         self.validate()?;
-        let Some(path) = self.options.journal.clone() else {
+        if self.options.journal.is_none() {
             return Err(MckError::InvalidConfig {
                 param: "journal",
                 reason: "resume_from_journal requires SynthOptions::journal".into(),
             });
-        };
-        let Some(replay) = journal::read(&path)? else {
-            return self.try_run(model);
-        };
-        if replay.model != model.name() {
-            return Err(MckError::JournalCorrupt {
-                reason: format!(
-                    "journal records model `{}`, not `{}`",
-                    replay.model,
-                    model.name()
-                ),
-            });
         }
-        if replay.fingerprint != self.fingerprint() {
-            return Err(MckError::JournalCorrupt {
-                reason: "journal was written under different options \
-                         (pruning, pattern mode, chunk size, or enumeration \
-                         strategy)"
-                    .into(),
-            });
-        }
-        let writer = JournalWriter::resume(
-            &path,
-            replay.valid_len,
-            replay.holes.len(),
-            self.options.journal_fsync_every,
-        )
-        .map_err(|e| MckError::JournalCorrupt {
-            reason: format!("cannot reopen `{}`: {e}", path.display()),
-        })?;
-        self.run_inner(model, Some(replay), Some(writer))
+        crate::shard::coordinate(model, &self.options, &ShardOptions::default(), None, true)
+            .map(|run| run.report)
     }
 
     /// The option subset a journal is only valid under.
@@ -529,12 +483,11 @@ impl Synthesizer {
             pattern_mode: self.options.pattern_mode,
             chunk_size: self.options.chunk_size,
             enumeration: self.options.enumeration,
-            shard: None,
         }
     }
 
     /// Rejects option combinations no run mode can honor.
-    fn validate(&self) -> Result<(), MckError> {
+    pub(crate) fn validate(&self) -> Result<(), MckError> {
         if self.options.enumeration == Enumeration::Guided && !self.options.pruning {
             return Err(MckError::InvalidConfig {
                 param: "enumeration",
@@ -546,447 +499,45 @@ impl Synthesizer {
         Ok(())
     }
 
-    fn run_inner<M: TransitionSystem>(
+    /// Opens the journal at `path` for a run of `model`: with `resume`, an
+    /// existing journal is checked against the model and the fingerprint
+    /// and reopened after its valid prefix; otherwise (or when there is
+    /// nothing to resume) a fresh journal is created, truncating any file
+    /// at `path`.
+    pub(crate) fn open_journal(
         &self,
-        model: &M,
-        replay: Option<JournalReplay>,
-        writer: Option<JournalWriter>,
-    ) -> Result<SynthReport, MckError> {
-        let start = Instant::now();
-        // A thread count set directly on the checker options is honored too:
-        // the effective per-dispatch parallelism is the larger of the two
-        // knobs, never a silent reset.
-        let mut opts = self.options.clone();
-        opts.check_threads = opts.check_threads.max(opts.checker.thread_count());
-        let opts = &opts;
-        let registry = HoleRegistry::new();
-        let checker = Checker::new(opts.checker.clone().threads(opts.check_threads));
-
-        // Seed everything the journal already knows. Holes replay in id
-        // (discovery) order, so the registry hands out identical ids and
-        // candidate digit vectors keep their meaning.
-        let mut queue: VecDeque<GenReplay> = VecDeque::new();
-        let (solutions, quarantined, patterns, expanded_seed, reused_seed) = match replay {
-            Some(r) => {
-                for h in &r.holes {
-                    registry
-                        .resolve_or_register(&HoleSpec::new(&h.name, h.actions.iter().cloned()));
-                }
-                queue.extend(r.gens);
-                (r.solutions, r.quarantined, r.patterns, r.expanded, r.reused)
-            }
-            None => Default::default(),
+        model: &str,
+        path: Option<&Path>,
+        resume: bool,
+    ) -> Result<(Option<JournalReplay>, Option<JournalWriter>), MckError> {
+        let Some(path) = path else {
+            return Ok((None, None));
         };
-        let evaluated_seed: u64 = queue.iter().map(|g| g.evaluated).sum();
-
-        let shared = Shared {
-            registry: &registry,
-            checker: &checker,
-            options: opts,
-            hub: PatternHub::default(),
-            solutions: Mutex::new(solutions),
-            quarantined: Mutex::new(quarantined),
-            run_log: Mutex::new(Vec::new()),
-            run_counter: AtomicU64::new(evaluated_seed),
-            stop: AtomicBool::new(false),
-            stop_reason: Mutex::new(StopReason::Completed),
-            check_expanded: AtomicU64::new(expanded_seed),
-            check_reused: AtomicU64::new(reused_seed),
-            check_replays: AtomicU64::new(0),
-            deadline_at: opts.deadline.and_then(|d| start.checked_add(d)),
-            journal: writer,
-            exchange: None,
-        };
-        shared.hub.seed(patterns);
-
-        let mut generations: Vec<GenStats> = Vec::new();
-        let (mut k, mut prev_k);
-        let mut current = match queue.pop_front() {
-            Some(g) => {
-                k = g.k;
-                prev_k = g.prev_k;
-                Some(g)
-            }
-            None => {
-                k = 0;
-                prev_k = 0;
-                if let Some(j) = &shared.journal {
-                    j.gen_start(0, 0).map_err(journal_failed)?;
-                }
-                None
-            }
-        };
-
-        loop {
-            let gen = self.run_generation(model, &shared, k, prev_k, current.take())?;
-            generations.push(gen);
-            if shared.stop.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(g) = queue.pop_front() {
-                // Follow the journal's generation sequence while it lasts —
-                // the registry already holds later generations' holes, so
-                // `len()` would skip ahead.
-                k = g.k;
-                prev_k = g.prev_k;
-                current = Some(g);
-                continue;
-            }
-            let known = registry.len();
-            if known > k {
-                prev_k = k;
-                k = known;
-                if let Some(j) = &shared.journal {
-                    j.gen_start(k, prev_k).map_err(journal_failed)?;
-                }
-            } else {
-                break;
-            }
-        }
-
-        let stop = if shared.stop.load(Ordering::Acquire) {
-            *shared.stop_reason.lock()
-        } else {
-            StopReason::Completed
-        };
-        if let Some(j) = &shared.journal {
-            j.stop(stop).map_err(journal_failed)?;
-        }
-
-        let (patterns_dense, patterns_sparse) = shared.hub.counts();
-        let quarantined = shared.quarantined.into_inner();
-        let stats = SynthStats {
-            evaluated: generations.iter().map(|g| g.evaluated).sum(),
-            skipped_by_pruning: generations.iter().map(|g| g.skipped_by_pruning).sum(),
-            patterns: patterns_dense + patterns_sparse,
-            patterns_dense,
-            patterns_sparse,
-            probes: generations.iter().map(|g| g.probes).sum(),
-            generations,
-            wall: start.elapsed(),
-            truncated: stop != StopReason::Completed,
-            stop,
-            quarantined: quarantined.len() as u64,
-            check_states_expanded: shared.check_expanded.load(Ordering::Relaxed),
-            check_states_reused: shared.check_reused.load(Ordering::Relaxed),
-            check_replays: shared.check_replays.load(Ordering::Relaxed),
-        };
-        Ok(SynthReport {
-            model: model.name().to_owned(),
-            holes: registry.snapshot(),
-            solutions: shared.solutions.into_inner(),
-            stats,
-            run_log: shared.run_log.into_inner(),
-            quarantined,
-        })
-    }
-
-    /// Runs one generation: a full enumeration pass over holes `0..k`,
-    /// skipping chunk ranges the journal already covers.
-    fn run_generation<M: TransitionSystem>(
-        &self,
-        model: &M,
-        shared: &Shared<'_>,
-        k: usize,
-        prev_k: usize,
-        replayed: Option<GenReplay>,
-    ) -> Result<GenStats, MckError> {
-        let radices = shared.registry.arities(k);
-        let space = space_size(&radices);
-        // The generation space is never larger than u64 in practice
-        // (MSI-large is ~1.2e9); fail loudly on a pathological skeleton.
-        let total: u64 = space.try_into().map_err(|_| MckError::InvalidConfig {
-            param: "candidate space",
-            reason: format!("generation space of {space} candidates exceeds the enumerable range"),
-        })?;
-        let (completed, ev, sk, dd, pr) = match replayed {
-            Some(g) => (g.ranges, g.evaluated, g.skipped, g.deduped, g.probes),
-            None => (Vec::new(), 0, 0, 0, 0),
-        };
-        let chunks_total = total.max(1).div_ceil(shared.options.chunk_size);
-        let gen = GenShared {
-            dispenser: ChunkClaims::serial(0, chunks_total),
-            evaluated: AtomicU64::new(ev),
-            skipped: AtomicU64::new(sk),
-            deduped: AtomicU64::new(dd),
-            probes: AtomicU64::new(pr),
-            claims: AtomicU64::new(0),
-            active_chunks: AtomicU64::new(0),
-            radices,
-            total,
-            k,
-            prev_k,
-            completed,
-        };
-
-        let fully_covered = matches!(gen.completed.first(), Some(&(0, c)) if c >= chunks_total);
-        if !fully_covered {
-            let threads = self
-                .options
-                .threads
-                .min(usize::try_from(space.min(64)).expect("bounded by 64"))
-                .max(1);
-            if threads == 1 {
-                worker(model, shared, &gen);
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(|| worker(model, shared, &gen));
-                    }
-                });
-            }
-        }
-
-        Ok(gen.stats(space))
-    }
-
-    /// Runs one shard's slice of one generation: the chunk-index range
-    /// `[spec.start, spec.end)` of the frontier the coordinator's merged
-    /// registry defines, through the ordinary worker machinery (sessions,
-    /// pruning, guided or lexicographic walk, per-shard journal). The
-    /// registry is seeded from `spec.holes` — the shared baseline every
-    /// peer shard starts this round from — so hole ids below the frontier
-    /// mean the same thing across all shards, which is what makes pattern
-    /// ids exchangeable and solution assignments directly mergeable.
-    ///
-    /// With `spec.journal` set, an existing journal at that path is
-    /// resumed: its fingerprint (which pins the partition — see
-    /// [`Fingerprint::shard`]) and frontier must match, its coverage is
-    /// skipped, and its recorded holes/patterns/solutions seed the run.
-    /// With `pool` set, the claim dispenser is the cross-shard steal pool
-    /// slot `spec.index` instead of the serial range.
-    pub(crate) fn run_shard_generation<M: TransitionSystem>(
-        &self,
-        model: &M,
-        spec: &crate::shard::ShardSpec,
-        seed_patterns: Vec<journal::PatternEntry>,
-        exchange: Option<ExchangeState>,
-        pool: Option<Arc<crate::shard::StealPool>>,
-    ) -> Result<ShardOutcome, MckError> {
-        self.validate()?;
-        let start = Instant::now();
-        let mut opts = self.options.clone();
-        opts.check_threads = opts.check_threads.max(opts.checker.thread_count());
-        let opts = &opts;
-        let registry = HoleRegistry::new();
-        for h in &spec.holes {
-            registry.resolve_or_register(&HoleSpec::new(&h.name, h.actions.iter().cloned()));
-        }
-        let k = spec.holes.len();
-        let radices = registry.arities(k);
-        let space = space_size(&radices);
-        let total: u64 = space.try_into().map_err(|_| MckError::InvalidConfig {
-            param: "candidate space",
-            reason: format!("generation space of {space} candidates exceeds the enumerable range"),
-        })?;
-        let chunks_total = total.max(1).div_ceil(opts.chunk_size);
-        // Clamp exactly like `Odometer::over_range`: a coordinator handing
-        // out boundary ranges must not have to re-derive the space size.
-        let end_chunk = spec.end.min(chunks_total);
-        let start_chunk = spec.start.min(end_chunk);
-        let fingerprint = Fingerprint {
-            pruning: opts.pruning,
-            pattern_mode: opts.pattern_mode,
-            chunk_size: opts.chunk_size,
-            enumeration: opts.enumeration,
-            shard: Some((spec.start, spec.end)),
-        };
-
         let corrupt = |reason: String| MckError::JournalCorrupt { reason };
-        let mut replay_gen: Option<GenReplay> = None;
-        let mut local_seed: Vec<journal::PatternEntry> = Vec::new();
-        let mut solutions: Vec<Solution> = Vec::new();
-        let mut quarantined: Vec<Quarantined> = Vec::new();
-        let (mut expanded_seed, mut reused_seed) = (0u64, 0u64);
-        let mut fresh_gen_record = true;
-        let writer = match &spec.journal {
-            Some(path) => Some(match journal::read(path)? {
-                Some(replay) => {
-                    if replay.model != model.name() {
-                        return Err(corrupt(format!(
-                            "shard journal records model `{}`, not `{}`",
-                            replay.model,
-                            model.name()
-                        )));
-                    }
-                    if replay.fingerprint != fingerprint {
-                        return Err(corrupt(
-                            "shard journal was written under a different partition \
-                             (chunk range) or different options"
-                                .into(),
-                        ));
-                    }
-                    if replay.gens.len() > 1 || replay.gens.first().is_some_and(|g| g.k != k) {
-                        return Err(corrupt(
-                            "shard journal does not describe this round's frontier".into(),
-                        ));
-                    }
-                    for h in &replay.holes {
-                        registry.resolve_or_register(&HoleSpec::new(
-                            &h.name,
-                            h.actions.iter().cloned(),
-                        ));
-                    }
-                    let w = JournalWriter::resume(
-                        path,
-                        replay.valid_len,
-                        k + replay.holes.len(),
-                        opts.journal_fsync_every,
-                    )
-                    .map_err(|e| corrupt(format!("cannot reopen `{}`: {e}", path.display())))?;
-                    fresh_gen_record = replay.gens.is_empty();
-                    replay_gen = replay.gens.into_iter().next();
-                    local_seed = replay.patterns;
-                    solutions = replay.solutions;
-                    quarantined = replay.quarantined;
-                    expanded_seed = replay.expanded;
-                    reused_seed = replay.reused;
-                    w
-                }
-                None => JournalWriter::create_at(
-                    path,
-                    model.name(),
-                    &fingerprint,
-                    opts.journal_fsync_every,
-                    k,
-                )
-                .map_err(|e| corrupt(format!("cannot create `{}`: {e}", path.display())))?,
-            }),
-            None => None,
-        };
-
-        let (completed, ev, sk, dd, pr) = match replay_gen {
-            Some(g) => (g.ranges, g.evaluated, g.skipped, g.deduped, g.probes),
-            None => (Vec::new(), 0, 0, 0, 0),
-        };
-        let checker = Checker::new(opts.checker.clone().threads(opts.check_threads));
-        let shared = Shared {
-            registry: &registry,
-            checker: &checker,
-            options: opts,
-            hub: PatternHub::default(),
-            solutions: Mutex::new(solutions),
-            quarantined: Mutex::new(quarantined),
-            run_log: Mutex::new(Vec::new()),
-            run_counter: AtomicU64::new(ev),
-            stop: AtomicBool::new(false),
-            stop_reason: Mutex::new(StopReason::Completed),
-            check_expanded: AtomicU64::new(expanded_seed),
-            check_reused: AtomicU64::new(reused_seed),
-            check_replays: AtomicU64::new(0),
-            deadline_at: opts.deadline.and_then(|d| start.checked_add(d)),
-            journal: writer,
-            exchange,
-        };
-        // Round-start merged patterns are foreign (peers have them too);
-        // this shard's own journaled patterns are local, so a resumed shard
-        // still reports and re-broadcasts its pre-crash learnings.
-        shared.hub.seed_with(seed_patterns, Origin::Foreign);
-        shared.hub.seed_with(local_seed, Origin::Local);
-        if fresh_gen_record {
-            if let Some(j) = &shared.journal {
-                j.gen_start(k, spec.prev_k).map_err(journal_failed)?;
+        let fsync_every = self.options.journal_fsync_every;
+        let replay = if resume { journal::read(path)? } else { None };
+        if let Some(replay) = replay {
+            if replay.model != model {
+                return Err(corrupt(format!(
+                    "journal records model `{}`, not `{model}`",
+                    replay.model
+                )));
             }
-        }
-
-        let dispenser = match pool {
-            Some(pool) => ChunkClaims::Pool {
-                pool,
-                slot: spec.index,
-            },
-            None => ChunkClaims::serial(start_chunk, end_chunk),
-        };
-        let gen = GenShared {
-            dispenser,
-            evaluated: AtomicU64::new(ev),
-            skipped: AtomicU64::new(sk),
-            deduped: AtomicU64::new(dd),
-            probes: AtomicU64::new(pr),
-            claims: AtomicU64::new(0),
-            active_chunks: AtomicU64::new(0),
-            radices,
-            total,
-            k,
-            prev_k: spec.prev_k,
-            completed,
-        };
-
-        let fully_covered = end_chunk <= start_chunk
-            || gen
-                .completed
-                .iter()
-                .any(|&(f, c)| f <= start_chunk && f + c >= end_chunk);
-        if fully_covered {
-            // Already covered by the resumed journal: mark the slot consumed
-            // so peers do not steal and re-run chunks we can replay.
-            if let ChunkClaims::Pool { pool, slot } = &gen.dispenser {
-                pool.close(*slot);
+            if replay.fingerprint != self.fingerprint() {
+                return Err(corrupt(
+                    "journal was written under different options (pruning, \
+                     pattern mode, chunk size, or enumeration strategy)"
+                        .into(),
+                ));
             }
-        } else {
-            let slice = (end_chunk - start_chunk).saturating_mul(opts.chunk_size);
-            let threads = self
-                .options
-                .threads
-                .min(usize::try_from(slice.min(64)).expect("bounded by 64"))
-                .max(1);
-            if threads == 1 {
-                worker(model, &shared, &gen);
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(|| worker(model, &shared, &gen));
-                    }
-                });
-            }
+            let writer = JournalWriter::resume(path, replay.valid_len, fsync_every)
+                .map_err(|e| corrupt(format!("cannot reopen `{}`: {e}", path.display())))?;
+            return Ok((Some(replay), Some(writer)));
         }
-
-        let stop = if shared.stop.load(Ordering::Acquire) {
-            *shared.stop_reason.lock()
-        } else {
-            StopReason::Completed
-        };
-        // Final exchange beat: everything learned after the last in-loop
-        // pump still reaches peers that are still enumerating.
-        if let Some(x) = &shared.exchange {
-            x.pump(&shared.hub, k);
-        }
-        if let Some(j) = &shared.journal {
-            j.stop(stop).map_err(journal_failed)?;
-        }
-
-        let lo = start_chunk.saturating_mul(opts.chunk_size).min(total);
-        let hi = end_chunk.saturating_mul(opts.chunk_size).min(total);
-        Ok(ShardOutcome {
-            gen: gen.stats((hi.max(lo) - lo) as u128),
-            discovered: registry.snapshot().split_off(k),
-            patterns: shared.hub.locals(),
-            solutions: shared.solutions.into_inner(),
-            quarantined: shared.quarantined.into_inner(),
-            stop,
-            check_expanded: shared.check_expanded.load(Ordering::Relaxed),
-            check_reused: shared.check_reused.load(Ordering::Relaxed),
-            check_replays: shared.check_replays.load(Ordering::Relaxed),
-        })
+        let writer = JournalWriter::create(path, model, &self.fingerprint(), fsync_every)
+            .map_err(|e| corrupt(format!("cannot create `{}`: {e}", path.display())))?;
+        Ok((None, Some(writer)))
     }
-}
-
-/// Everything one shard's generation pass produced, in the shared hole-id
-/// space (every pattern and solution id is below the round's frontier, so
-/// the coordinator merges without translation).
-pub(crate) struct ShardOutcome {
-    pub gen: GenStats,
-    /// Holes first consulted inside this shard's slice, in this shard's
-    /// discovery order (ids beyond the baseline frontier).
-    pub discovered: Vec<HoleInfo>,
-    /// Locally-learned patterns (journal-replayed ones included; seeded and
-    /// imported ones excluded — their origin shards report them).
-    pub patterns: Vec<journal::PatternEntry>,
-    pub solutions: Vec<Solution>,
-    pub quarantined: Vec<Quarantined>,
-    pub stop: StopReason,
-    pub check_expanded: u64,
-    pub check_reused: u64,
-    pub check_replays: u64,
 }
 
 /// Journal writes are the crash-safety contract; failing one voids it, so
@@ -997,19 +548,31 @@ fn journal_failed(e: std::io::Error) -> MckError {
     }
 }
 
-/// State shared across the whole synthesis run.
-struct Shared<'a> {
-    registry: &'a HoleRegistry,
-    checker: &'a Checker,
-    options: &'a SynthOptions,
-    hub: PatternHub,
-    solutions: Mutex<Vec<Solution>>,
-    quarantined: Mutex<Vec<Quarantined>>,
-    run_log: Mutex<Vec<RunRecord>>,
-    run_counter: AtomicU64,
-    stop: AtomicBool,
-    /// Why `stop` was raised; meaningful only once `stop` is `true`.
-    stop_reason: Mutex<StopReason>,
+/// The number of candidates over the frontier `holes`, as the chunk
+/// dispenser's u64. The generation space is never larger than u64 in
+/// practice (MSI-large is ~1.2e9); fail loudly on a pathological skeleton.
+pub(crate) fn candidate_count(holes: &[HoleInfo]) -> Result<(u128, u64), MckError> {
+    let space = space_size(&holes.iter().map(|h| h.arity() as u32).collect::<Vec<_>>());
+    let total = space.try_into().map_err(|_| MckError::InvalidConfig {
+        param: "candidate space",
+        reason: format!("generation space of {space} candidates exceeds the enumerable range"),
+    })?;
+    Ok((space, total))
+}
+
+/// State that belongs to the whole run, shared by every slice of every
+/// round: the budget counters, the stop reason, the run log and the
+/// journal. Because the counters exist once, `max_evaluations`, `deadline`
+/// and `state_budget` hold for the whole run at any shard count.
+pub(crate) struct Run {
+    options: SynthOptions,
+    checker: Checker,
+    start: Instant,
+    /// Absolute deadline derived from [`SynthOptions::deadline`].
+    deadline_at: Option<Instant>,
+    /// Model-checker dispatches, journal-replayed ones included; also
+    /// numbers the run log.
+    evaluations: AtomicU64,
     /// States committed by live checker exploration across all dispatches.
     check_expanded: AtomicU64,
     /// States inherited from session checkpoints instead of re-expanded.
@@ -1017,70 +580,41 @@ struct Shared<'a> {
     /// Session checks that replayed the previous check's ending. A cost
     /// measurement, not journaled: a resumed run counts only its own.
     check_replays: AtomicU64,
-    /// Absolute deadline derived from [`SynthOptions::deadline`].
-    deadline_at: Option<Instant>,
+    stop: AtomicBool,
+    /// Why `stop` was raised; meaningful only once `stop` is `true`.
+    stop_reason: Mutex<StopReason>,
+    run_log: Mutex<Vec<RunRecord>>,
     journal: Option<JournalWriter>,
-    /// Cross-shard pattern exchange endpoint (shard runs only).
-    exchange: Option<ExchangeState>,
 }
 
-/// A shard's connection to the cross-shard pattern exchange: the endpoint,
-/// this shard's identity on it, and the export cursor into the hub log.
-/// Pumped at the same cadence as the hub sync (every
-/// [`SynthOptions::sync_interval`] chunks), so exchange traffic stays off
-/// the chunk fast path exactly like hub pulls.
-pub(crate) struct ExchangeState {
-    pub(crate) endpoint: Arc<dyn crate::shard::PatternExchange>,
-    pub(crate) shard: usize,
-    /// Export cursor into the hub log (locally-published entries only).
-    cursor: Mutex<usize>,
-    /// Monotonic sequence number for published batches.
-    seq: AtomicU64,
-}
-
-impl ExchangeState {
-    pub(crate) fn new(endpoint: Arc<dyn crate::shard::PatternExchange>, shard: usize) -> Self {
-        ExchangeState {
-            endpoint,
-            shard,
-            cursor: Mutex::new(0),
-            seq: AtomicU64::new(0),
+impl Run {
+    pub(crate) fn new(options: &SynthOptions, journal: Option<JournalWriter>) -> Self {
+        // A thread count set directly on the checker options is honored too:
+        // the effective per-dispatch parallelism is the larger of the two
+        // knobs, never a silent reset.
+        let mut options = options.clone();
+        options.check_threads = options.check_threads.max(options.checker.thread_count());
+        let start = Instant::now();
+        Run {
+            checker: Checker::new(options.checker.clone().threads(options.check_threads)),
+            deadline_at: options.deadline.and_then(|d| start.checked_add(d)),
+            start,
+            options,
+            evaluations: AtomicU64::new(0),
+            check_expanded: AtomicU64::new(0),
+            check_reused: AtomicU64::new(0),
+            check_replays: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            stop_reason: Mutex::new(StopReason::Completed),
+            run_log: Mutex::new(Vec::new()),
+            journal,
         }
     }
 
-    /// One exchange beat: exports locally-learned patterns published since
-    /// the last beat, then imports every batch peers published since this
-    /// shard's last poll. Imports go through [`PatternHub::import`], which
-    /// files them on the hub log — workers then merge them into their local
-    /// tables and propagators via the ordinary sync path, so an imported
-    /// pattern invalidates the guided odometer's masks exactly like a local
-    /// insert. `width` is the shard's frontier `k`: entries referencing
-    /// holes at or beyond it (a malformed or stale peer batch) are dropped
-    /// on import, since no candidate in this generation constrains them.
-    fn pump(&self, hub: &PatternHub, width: usize) {
-        let batch = {
-            let mut cursor = self.cursor.lock();
-            hub.export_locals(&mut cursor)
-        };
-        if !batch.is_empty() {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            self.endpoint.publish(crate::shard::PatternBatch {
-                shard: self.shard as u32,
-                seq,
-                patterns: batch.into_iter().map(Into::into).collect(),
-            });
-        }
-        for batch in self.endpoint.poll(self.shard) {
-            hub.import(batch.patterns.into_iter().map(Into::into), width);
-        }
-    }
-}
-
-impl Shared<'_> {
     /// The graceful-stop sequence point, checked before every dispatch: the
     /// first exceeded budget wins, in external-signal-first order.
     fn stop_due(&self) -> Option<StopReason> {
-        let opts = self.options;
+        let opts = &self.options;
         if opts
             .stop_flag
             .as_ref()
@@ -1100,7 +634,7 @@ impl Shared<'_> {
         }
         if opts
             .max_evaluations
-            .is_some_and(|cap| self.run_counter.load(Ordering::Relaxed) >= cap)
+            .is_some_and(|cap| self.evaluations.load(Ordering::Relaxed) >= cap)
         {
             return Some(StopReason::MaxEvaluations);
         }
@@ -1118,35 +652,536 @@ impl Shared<'_> {
         }
     }
 
+    /// Why the run stopped: `Completed` unless a stop was raised.
+    pub(crate) fn stop_reason(&self) -> StopReason {
+        if self.stop.load(Ordering::Acquire) {
+            *self.stop_reason.lock()
+        } else {
+            StopReason::Completed
+        }
+    }
+
+    /// Runs one generation over the frontier `round.holes`: one slice per
+    /// range of `round.ranges`, each through `enumerate` (which runs
+    /// [`Slice::enumerate`] on the run's model) — inline for a single
+    /// slice, on a thread each otherwise — and returns the generation's
+    /// summed counters and the slice outcomes in slice order.
+    ///
+    /// A journaled generation must carry the same frontier and slice
+    /// ranges; its segments seed the slices (and the run's budget
+    /// counters), so a resumed generation goes through the very code a live
+    /// one does. A panic escaping a slice worker propagates out of the run.
+    pub(crate) fn round(
+        &self,
+        mut round: Round<'_>,
+        enumerate: &Enumerate<'_>,
+    ) -> Result<(GenStats, Vec<SliceOutcome>), MckError> {
+        let corrupt = |reason: &str| MckError::JournalCorrupt {
+            reason: reason.into(),
+        };
+        let k = round.holes.len();
+        let (space, total) = candidate_count(round.holes)?;
+        let chunks_total = total.max(1).div_ceil(self.options.chunk_size);
+        let segments = match round.replay.take() {
+            Some(gen) => {
+                if (gen.k, gen.prev_k) != (k, round.prev_k) {
+                    return Err(corrupt("journal does not describe this run's frontier"));
+                }
+                if gen.ranges != round.ranges {
+                    return Err(corrupt(
+                        "journal was written under a different partition (slice chunk \
+                         ranges): resume with the shard count it was written with",
+                    ));
+                }
+                gen.slices
+            }
+            None => {
+                if let Some(j) = &self.journal {
+                    j.gen_start(k, round.prev_k, round.ranges)
+                        .map_err(journal_failed)?;
+                }
+                vec![Segment::default(); round.ranges.len()]
+            }
+        };
+        // The journal's coverage of the generation, whichever slice ran a
+        // chunk: a steal can move chunks of one slice's range to another.
+        let mut covered = Vec::new();
+        for seg in &segments {
+            for &(first, count) in &seg.covered {
+                journal::add_range(&mut covered, first, count);
+            }
+            self.evaluations.fetch_add(seg.evaluated, Ordering::Relaxed);
+            self.check_expanded
+                .fetch_add(seg.expanded, Ordering::Relaxed);
+            self.check_reused.fetch_add(seg.reused, Ordering::Relaxed);
+        }
+        // Clamp exactly like `Odometer::over_range`: a dispatcher handing
+        // out boundary ranges must not have to re-derive the space size.
+        let ranges: Vec<(u64, u64)> = round
+            .ranges
+            .iter()
+            .map(|&(start, end)| {
+                let end = end.min(chunks_total);
+                (start.min(end), end)
+            })
+            .collect();
+        let pool = (ranges.len() > 1).then(|| Arc::new(StealPool::new(&ranges, round.steal)));
+        let shape = Shape {
+            radices: round.holes.iter().map(|h| h.arity() as u32).collect(),
+            total,
+            k,
+            prev_k: round.prev_k,
+            covered,
+        };
+        let slices: Vec<Slice<'_>> = segments
+            .into_iter()
+            .zip(&ranges)
+            .enumerate()
+            .map(|(i, (seg, &range))| {
+                let dispenser = match &pool {
+                    Some(pool) => ChunkClaims::Pool {
+                        pool: Arc::clone(pool),
+                        slot: i,
+                    },
+                    None => ChunkClaims::serial(range.0, range.1),
+                };
+                let exchange = round
+                    .endpoint
+                    .map(|e| ExchangeState::new(Arc::clone(e), round.first_shard + i));
+                Slice::new(self, &shape, &round, i, range, seg, dispenser, exchange)
+            })
+            .collect();
+        if let [slice] = &slices[..] {
+            enumerate(slice);
+        } else {
+            let panics: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = slices
+                    .iter()
+                    .map(|slice| scope.spawn(move || enumerate(slice)))
+                    .collect();
+                handles.into_iter().filter_map(|h| h.join().err()).collect()
+            });
+            if let Some(payload) = panics.into_iter().next() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+
+        let stop = self.stop_reason();
+        let outcomes: Vec<SliceOutcome> = slices.into_iter().map(|s| s.finish(stop)).collect();
+        let mut gen = GenStats {
+            k,
+            space,
+            ..GenStats::default()
+        };
+        for o in &outcomes {
+            gen.evaluated += o.gen.evaluated;
+            gen.skipped_by_pruning += o.gen.skipped_by_pruning;
+            gen.deduped += o.gen.deduped;
+            gen.probes += o.gen.probes;
+            gen.claims += o.gen.claims;
+            gen.active_chunks += o.gen.active_chunks;
+        }
+        Ok((gen, outcomes))
+    }
+
+    /// Journals the run's stop reason (a no-op without a journal).
+    pub(crate) fn close_journal(&self) -> Result<(), MckError> {
+        match &self.journal {
+            Some(j) => j.stop(self.stop_reason()).map_err(journal_failed),
+            None => Ok(()),
+        }
+    }
+
+    /// Ends the run: journals the stop reason and assembles the report from
+    /// the merged results.
+    pub(crate) fn finish(self, model: &str, merged: Merged) -> Result<SynthReport, MckError> {
+        self.close_journal()?;
+        let stop = self.stop_reason();
+        let generations = merged.generations;
+        let (patterns_dense, patterns_sparse) = (merged.patterns.dense, merged.patterns.sparse);
+        let stats = SynthStats {
+            evaluated: generations.iter().map(|g| g.evaluated).sum(),
+            skipped_by_pruning: generations.iter().map(|g| g.skipped_by_pruning).sum(),
+            patterns: patterns_dense + patterns_sparse,
+            patterns_dense,
+            patterns_sparse,
+            probes: generations.iter().map(|g| g.probes).sum(),
+            generations,
+            wall: self.start.elapsed(),
+            truncated: stop != StopReason::Completed,
+            stop,
+            quarantined: merged.quarantined.len() as u64,
+            check_states_expanded: self.check_expanded.load(Ordering::Relaxed),
+            check_states_reused: self.check_reused.load(Ordering::Relaxed),
+            check_replays: self.check_replays.load(Ordering::Relaxed),
+        };
+        Ok(SynthReport {
+            model: model.to_owned(),
+            holes: merged.holes,
+            solutions: merged.solutions,
+            stats,
+            run_log: self.run_log.into_inner(),
+            quarantined: merged.quarantined,
+        })
+    }
+}
+
+/// Everything the merge has accumulated: the run's results so far.
+#[derive(Debug, Default)]
+pub(crate) struct Merged {
+    /// The frontier of the next round: every hole, in merged order.
+    pub holes: Vec<HoleInfo>,
+    pub patterns: PatternLog,
+    pub solutions: Vec<Solution>,
+    pub quarantined: Vec<Quarantined>,
+    pub generations: Vec<GenStats>,
+}
+
+impl Merged {
+    /// Merges one slice's outcome of the round over frontier width `k`, in
+    /// slice order. The slice named the holes it first saw by its own ids
+    /// `k..`; they join the merged holes by name, and the slice's solutions
+    /// (which can name them in naïve mode) are translated to merged ids.
+    /// Patterns and quarantined digits only reference the frontier.
+    pub(crate) fn merge(&mut self, k: usize, outcome: &SliceOutcome) {
+        let ids: Vec<HoleId> = outcome
+            .discovered
+            .iter()
+            .map(
+                |hole| match self.holes.iter().position(|h| h.name == hole.name) {
+                    Some(id) => id,
+                    None => {
+                        self.holes.push(hole.clone());
+                        self.holes.len() - 1
+                    }
+                },
+            )
+            .collect();
+        for entry in &outcome.patterns {
+            self.patterns.file(Arc::clone(entry));
+        }
+        for solution in &outcome.solutions {
+            let mut assignment: Vec<(HoleId, u16)> = solution
+                .assignment
+                .iter()
+                .map(|&(h, a)| (if h < k { h } else { ids[h - k] }, a))
+                .collect();
+            assignment.sort_unstable();
+            if !self.solutions.iter().any(|s| s.assignment == assignment) {
+                self.solutions.push(Solution {
+                    assignment,
+                    ..solution.clone()
+                });
+            }
+        }
+        for q in &outcome.quarantined {
+            if !self.quarantined.iter().any(|x| x.digits == q.digits) {
+                self.quarantined.push(q.clone());
+            }
+        }
+    }
+}
+
+/// Runs one slice's workers against the run's model: the one step of a
+/// round that depends on the model type (see [`Slice::enumerate`]), so the
+/// loop around it is compiled once, not once per model.
+pub(crate) type Enumerate<'m> = dyn Fn(&Slice<'_>) + Sync + 'm;
+
+/// One generation as handed to [`Run::round`].
+pub(crate) struct Round<'r> {
+    /// The frontier: every hole known at round start, in merged order.
+    pub holes: &'r [HoleInfo],
+    pub prev_k: usize,
+    /// One chunk-index range `[start, end)` per slice.
+    pub ranges: &'r [(u64, u64)],
+    /// The run's merged patterns: the base of every slice's hub.
+    pub patterns: &'r PatternLog,
+    /// The run's merged solutions, which slices do not report again.
+    pub solutions: &'r [Solution],
+    /// The journal's record of this generation, when resuming.
+    pub replay: Option<GenReplay>,
+    /// Cross-slice pattern exchange; slice `i` joins as shard
+    /// `first_shard + i`.
+    pub endpoint: Option<&'r Arc<dyn PatternExchange>>,
+    pub first_shard: usize,
+    /// Whether a slice that runs dry steals from its peers' ranges.
+    pub steal: bool,
+}
+
+/// What every slice of a round shares: the frontier geometry and the
+/// journal's coverage of the generation.
+struct Shape {
+    radices: Vec<u32>,
+    /// The generation space as the chunk dispenser's u64.
+    total: u64,
+    k: usize,
+    prev_k: usize,
+    /// Chunk-index ranges the journal already covers (sorted, disjoint).
+    covered: Vec<(u64, u64)>,
+}
+
+/// Everything one slice of one generation produced. Hole ids at or beyond
+/// the frontier `k` are the slice's own and index `discovered`.
+pub(crate) struct SliceOutcome {
+    /// The slice's counters over its own candidate range.
+    pub gen: GenStats,
+    /// Holes the slice first saw, in its discovery order.
+    pub discovered: Vec<HoleInfo>,
+    /// Patterns the slice learned itself (journal-replayed ones included;
+    /// imported ones excluded — their origin slices report them).
+    pub patterns: Vec<Arc<journal::PatternEntry>>,
+    /// Solutions new to the run.
+    pub solutions: Vec<Solution>,
+    pub quarantined: Vec<Quarantined>,
+    pub stop: StopReason,
+    pub check_expanded: u64,
+    pub check_reused: u64,
+}
+
+/// One slice of one generation: a chunk-index range of the frontier's
+/// candidate space, and the state its workers share — the slice's hole
+/// registry (the frontier, then the holes the slice first sees), its
+/// pattern hub over the run's merged patterns, its finds and counters.
+pub(crate) struct Slice<'r> {
+    run: &'r Run,
+    shape: &'r Shape,
+    /// The slice's position in the generation (its journal slot).
+    index: u32,
+    range: (u64, u64),
+    registry: HoleRegistry,
+    /// How many of the registry's holes the journal already records.
+    journaled_holes: AtomicUsize,
+    hub: PatternHub<'r>,
+    merged_solutions: &'r [Solution],
+    solutions: Mutex<Vec<Solution>>,
+    quarantined: Mutex<Vec<Quarantined>>,
+    exchange: Option<ExchangeState>,
+    dispenser: ChunkClaims,
+    evaluated: AtomicU64,
+    skipped: AtomicU64,
+    deduped: AtomicU64,
+    probes: AtomicU64,
+    /// Dispenser operations that claimed at least one chunk.
+    claims: AtomicU64,
+    /// Chunks with at least one evaluation.
+    active_chunks: AtomicU64,
+    check_expanded: AtomicU64,
+    check_reused: AtomicU64,
+}
+
+impl<'r> Slice<'r> {
+    /// Seeds a slice from the round and its journal segment: the segment's
+    /// holes follow the frontier in the registry, so ids keep the meaning
+    /// the journaled patterns and solutions gave them.
+    #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
+    fn new(
+        run: &'r Run,
+        shape: &'r Shape,
+        round: &Round<'r>,
+        index: usize,
+        range: (u64, u64),
+        seg: Segment,
+        dispenser: ChunkClaims,
+        exchange: Option<ExchangeState>,
+    ) -> Self {
+        let registry = HoleRegistry::new();
+        for h in round.holes.iter().chain(&seg.holes) {
+            registry.resolve_or_register(&HoleSpec::new(&h.name, h.actions.iter().cloned()));
+        }
+        let hub = PatternHub::over(round.patterns);
+        // This slice's own journaled patterns are local, so a resumed slice
+        // still reports and re-broadcasts its pre-crash learnings.
+        hub.seed_local(seg.patterns);
+        Slice {
+            run,
+            shape,
+            index: index as u32,
+            range,
+            journaled_holes: AtomicUsize::new(registry.len()),
+            registry,
+            hub,
+            merged_solutions: round.solutions,
+            solutions: Mutex::new(seg.solutions),
+            quarantined: Mutex::new(seg.quarantined),
+            exchange,
+            dispenser,
+            evaluated: AtomicU64::new(seg.evaluated),
+            skipped: AtomicU64::new(seg.skipped),
+            deduped: AtomicU64::new(seg.deduped),
+            probes: AtomicU64::new(seg.probes),
+            claims: AtomicU64::new(0),
+            active_chunks: AtomicU64::new(0),
+            check_expanded: AtomicU64::new(seg.expanded),
+            check_reused: AtomicU64::new(seg.reused),
+        }
+    }
+
+    /// The slice's candidate range `[lo, hi)`.
+    fn candidates(&self) -> (u64, u64) {
+        let chunk = self.run.options.chunk_size;
+        let at = |c: u64| c.saturating_mul(chunk).min(self.shape.total);
+        (at(self.range.0), at(self.range.1))
+    }
+
+    /// Runs the slice's workers over every chunk of its range the journal
+    /// does not cover (and, from a steal pool, over peers' remainders).
+    pub(crate) fn enumerate<M: TransitionSystem>(&self, model: &M) {
+        let (start, end) = self.range;
+        if journal::uncovered_from(&self.shape.covered, start) >= end {
+            // Already covered by the journal: mark the slot consumed so
+            // peers do not steal and re-run chunks we can replay.
+            if let ChunkClaims::Pool { pool, slot } = &self.dispenser {
+                pool.close(*slot);
+            }
+        } else {
+            let (lo, hi) = self.candidates();
+            let threads = self
+                .run
+                .options
+                .threads
+                .min(usize::try_from((hi - lo).min(64)).expect("bounded by 64"))
+                .max(1);
+            if threads == 1 {
+                worker(model, self);
+            } else {
+                std::thread::scope(|scope| {
+                    for _ in 0..threads {
+                        scope.spawn(|| worker(model, self));
+                    }
+                });
+            }
+        }
+        // Final exchange beat: everything learned after the last in-loop
+        // pump still reaches peers that are still enumerating.
+        if let Some(x) = &self.exchange {
+            x.pump(&self.hub, self.shape.k);
+        }
+    }
+
+    fn finish(self, stop: StopReason) -> SliceOutcome {
+        let (lo, hi) = self.candidates();
+        SliceOutcome {
+            gen: GenStats {
+                k: self.shape.k,
+                space: (hi - lo) as u128,
+                evaluated: self.evaluated.into_inner(),
+                skipped_by_pruning: self.skipped.into_inner() as u128,
+                deduped: self.deduped.into_inner(),
+                probes: self.probes.into_inner(),
+                claims: self.claims.into_inner(),
+                active_chunks: self.active_chunks.into_inner(),
+            },
+            discovered: self.registry.snapshot().split_off(self.shape.k),
+            patterns: self.hub.into_locals(),
+            solutions: self.solutions.into_inner(),
+            quarantined: self.quarantined.into_inner(),
+            stop,
+            check_expanded: self.check_expanded.into_inner(),
+            check_reused: self.check_reused.into_inner(),
+        }
+    }
+
+    /// Banks a chunk's counters into the slice totals (also called for
+    /// partial chunks on a graceful stop, so the report stays accurate even
+    /// though only completed chunks are journaled).
+    fn bank(&self, draft: &ChunkDraft) {
+        self.evaluated.fetch_add(draft.evaluated, Ordering::Relaxed);
+        self.skipped.fetch_add(draft.skipped, Ordering::Relaxed);
+        self.deduped.fetch_add(draft.deduped, Ordering::Relaxed);
+        self.probes.fetch_add(draft.probes, Ordering::Relaxed);
+    }
+
+    /// Banks one dispatch's checker work, into the slice and the run.
+    fn bank_check(&self, expanded: u64, reused: u64, replays: u64) {
+        self.check_expanded.fetch_add(expanded, Ordering::Relaxed);
+        self.check_reused.fetch_add(reused, Ordering::Relaxed);
+        let run = self.run;
+        run.check_expanded.fetch_add(expanded, Ordering::Relaxed);
+        run.check_reused.fetch_add(reused, Ordering::Relaxed);
+        run.check_replays.fetch_add(replays, Ordering::Relaxed);
+    }
+
+    /// Candidates in the chunk range `[first, first + count)`.
+    fn chunk_candidates(&self, first: u64, count: u64) -> u64 {
+        let chunk = self.run.options.chunk_size;
+        let at = |c: u64| c.saturating_mul(chunk).min(self.shape.total.max(1));
+        at(first + count) - at(first)
+    }
+
     /// Journals a completed chunk (a no-op without a journal).
     fn journal_chunk(&self, draft: ChunkDraft) {
-        if let Some(j) = &self.journal {
+        if let Some(j) = &self.run.journal {
             // Workers cannot return errors through the claim loop; a failed
             // journal write voids the crash-safety contract, so fail loudly.
-            j.chunk(self.registry, draft)
+            j.chunk(&self.registry, &self.journaled_holes, draft)
                 .unwrap_or_else(|e| panic!("journal write failed: {e}"));
         }
     }
 }
 
-/// Chunk-index dispenser for one generation's workers: either a plain
-/// serial counter over the whole generation, or a shard's slot in the
-/// cross-shard [`crate::shard::StealPool`] (whose range can shrink when a
-/// finished peer steals half of it).
+/// A slice's connection to the cross-slice pattern exchange: the endpoint,
+/// this slice's identity on it, and the export cursor into the hub log.
+/// Pumped with the hub sync at every chunk boundary.
+struct ExchangeState {
+    endpoint: Arc<dyn PatternExchange>,
+    shard: usize,
+    /// Export cursor into the hub's own log (locally-published entries
+    /// only).
+    cursor: Mutex<usize>,
+    /// Monotonic sequence number for published batches.
+    seq: AtomicU64,
+}
+
+impl ExchangeState {
+    fn new(endpoint: Arc<dyn PatternExchange>, shard: usize) -> Self {
+        ExchangeState {
+            endpoint,
+            shard,
+            cursor: Mutex::new(0),
+            seq: AtomicU64::new(0),
+        }
+    }
+
+    /// One exchange beat: exports locally-learned patterns published since
+    /// the last beat, then imports every batch peers published since this
+    /// slice's last poll. Imports go through [`PatternHub::import`], which
+    /// files them on the hub log — workers then merge them into their local
+    /// tables and propagators via the ordinary sync path, so an imported
+    /// pattern invalidates the guided odometer's masks exactly like a local
+    /// insert. `width` is the frontier `k`: entries referencing holes at or
+    /// beyond it (a malformed or stale peer batch) are dropped on import,
+    /// since no candidate in this generation constrains them.
+    fn pump(&self, hub: &PatternHub<'_>, width: usize) {
+        let batch = {
+            let mut cursor = self.cursor.lock();
+            hub.export_locals(&mut cursor)
+        };
+        if !batch.is_empty() {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            self.endpoint.publish(PatternBatch {
+                shard: self.shard as u32,
+                seq,
+                patterns: batch.into_iter().map(Into::into).collect(),
+            });
+        }
+        for batch in self.endpoint.poll(self.shard) {
+            hub.import(batch.patterns.into_iter().map(Into::into), width);
+        }
+    }
+}
+
+/// Chunk-index dispenser for one slice's workers: either a plain serial
+/// counter over the slice's range (the one-slice case), or the slice's slot
+/// in the cross-slice [`StealPool`] (whose range can shrink when a finished
+/// peer steals half of it).
 ///
 /// Both kinds take the journal's coverage (`covered`: sorted, disjoint,
 /// merged chunk ranges) into every claim: [`ChunkClaims::claim`] steps over
 /// a whole covered range in one advance, and
 /// [`ChunkClaims::claim_refuted`] never crosses one.
 pub(crate) enum ChunkClaims {
-    Serial {
-        next: AtomicU64,
-        end: u64,
-    },
-    Pool {
-        pool: Arc<crate::shard::StealPool>,
-        slot: usize,
-    },
+    Serial { next: AtomicU64, end: u64 },
+    Pool { pool: Arc<StealPool>, slot: usize },
 }
 
 /// A claimed chunk index, and the end of the claimable run it was taken
@@ -1168,7 +1203,7 @@ impl ChunkClaims {
     }
 
     /// Claims the next uncovered chunk index, or `None` when the range
-    /// (and, for a pooled shard, every stealable peer remainder) is
+    /// (and, for a pooled slice, every stealable peer remainder) is
     /// exhausted.
     pub(crate) fn claim(&self, covered: &[(u64, u64)]) -> Option<Claim> {
         match self {
@@ -1230,70 +1265,18 @@ impl ChunkClaims {
     }
 }
 
-/// State shared across one generation's workers.
-struct GenShared {
-    dispenser: ChunkClaims,
-    evaluated: AtomicU64,
-    skipped: AtomicU64,
-    deduped: AtomicU64,
-    probes: AtomicU64,
-    /// Dispenser operations that claimed at least one chunk.
-    claims: AtomicU64,
-    /// Chunks with at least one evaluation.
-    active_chunks: AtomicU64,
-    radices: Vec<u32>,
-    /// The generation space as the chunk dispenser's u64 (checked against
-    /// overflow by `run_generation`).
-    total: u64,
-    k: usize,
-    prev_k: usize,
-    /// Chunk-index ranges the journal already covers (sorted, disjoint).
-    completed: Vec<(u64, u64)>,
-}
-
-impl GenShared {
-    /// Banks a chunk's counters into the generation totals (also called for
-    /// partial chunks on a graceful stop, so the report stays accurate even
-    /// though only completed chunks are journaled).
-    fn bank(&self, draft: &ChunkDraft) {
-        self.evaluated.fetch_add(draft.evaluated, Ordering::Relaxed);
-        self.skipped.fetch_add(draft.skipped, Ordering::Relaxed);
-        self.deduped.fetch_add(draft.deduped, Ordering::Relaxed);
-        self.probes.fetch_add(draft.probes, Ordering::Relaxed);
-    }
-
-    /// Candidates in the chunk range `[first, first + count)`.
-    fn candidates(&self, chunk: u64, first: u64, count: u64) -> u64 {
-        let at = |c: u64| c.saturating_mul(chunk).min(self.total.max(1));
-        at(first + count) - at(first)
-    }
-
-    /// The generation's counters over a slice of `space` candidates.
-    fn stats(&self, space: u128) -> GenStats {
-        GenStats {
-            k: self.k,
-            space,
-            evaluated: self.evaluated.load(Ordering::Relaxed),
-            skipped_by_pruning: self.skipped.load(Ordering::Relaxed) as u128,
-            deduped: self.deduped.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            claims: self.claims.load(Ordering::Relaxed),
-            active_chunks: self.active_chunks.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// One worker: opens its per-generation [`CheckSession`] (unless
 /// [`SynthOptions::reuse_sessions`] is off) and runs the chunk-claiming
 /// loop. Session reuse counters are banked per candidate (see
 /// [`evaluate_candidate`]), so interrupted runs and journal records stay
 /// accurate.
-fn worker<M: TransitionSystem>(model: &M, shared: &Shared<'_>, gen: &GenShared) {
-    let mut session = shared
+fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
+    let mut session = slice
+        .run
         .options
         .reuse_sessions
-        .then(|| shared.checker.session(model));
-    worker_loop(model, shared, gen, &mut session);
+        .then(|| slice.run.checker.session(model));
+    worker_loop(model, slice, &mut session);
 }
 
 /// A worker's thread-local pattern store. The lexicographic walker probes a
@@ -1331,11 +1314,11 @@ impl LocalStore {
 /// chunk-by-chunk walk.
 fn worker_loop<'m, M: TransitionSystem>(
     model: &'m M,
-    shared: &Shared<'_>,
-    gen: &GenShared,
+    slice: &Slice<'_>,
     session: &mut Option<CheckSession<'m, M>>,
 ) {
-    let opts = shared.options;
+    let opts = &slice.run.options;
+    let shape = slice.shape;
     let mut store = if opts.pruning && opts.enumeration == Enumeration::Guided {
         LocalStore::Guided(Propagator::new())
     } else {
@@ -1345,8 +1328,7 @@ fn worker_loop<'m, M: TransitionSystem>(
         }
     };
     let mut log_cursor = 0usize;
-    let mut chunks_until_sync = 0usize;
-    let total = gen.total.max(1);
+    let total = shape.total.max(1);
     let chunk = opts.chunk_size;
     // Worker-local run of contiguous *inactive* chunks, flushed to the
     // journal writer only when an active chunk or a claim gap breaks the
@@ -1356,51 +1338,44 @@ fn worker_loop<'m, M: TransitionSystem>(
     let mut idle: Option<ChunkDraft> = None;
 
     loop {
-        if shared.stop.load(Ordering::Acquire) {
-            flush_idle(shared, &mut idle);
+        if slice.run.stop.load(Ordering::Acquire) {
+            flush_idle(slice, &mut idle);
             return;
         }
-        let Some(Claim { idx, limit }) = gen.dispenser.claim(&gen.completed) else {
-            flush_idle(shared, &mut idle);
+        let Some(Claim { idx, limit }) = slice.dispenser.claim(&shape.covered) else {
+            flush_idle(slice, &mut idle);
             return;
         };
-        gen.claims.fetch_add(1, Ordering::Relaxed);
+        slice.claims.fetch_add(1, Ordering::Relaxed);
         let lo = idx.saturating_mul(chunk);
         let hi = lo.saturating_add(chunk).min(total);
         if opts.pruning {
-            // Batched pattern-log sync: pull the shared log every
-            // `sync_interval` chunks instead of at every boundary, so the
-            // hub lock is off the chunk fast path at large pattern volumes.
-            if chunks_until_sync == 0 {
-                if let Some(exchange) = &shared.exchange {
-                    exchange.pump(&shared.hub, gen.k);
-                }
-                shared.hub.sync_into(store.sink(), &mut log_cursor);
-                chunks_until_sync = opts.sync_interval;
+            // Pattern-log sync (and the exchange beat) at every chunk
+            // boundary: publication is immediate, and this is the pull.
+            if let Some(exchange) = &slice.exchange {
+                exchange.pump(&slice.hub, shape.k);
             }
-            chunks_until_sync -= 1;
+            slice.hub.sync_into(store.sink(), &mut log_cursor);
         }
 
         // Everything this chunk produces accumulates here and is journaled
         // atomically when the chunk completes; a chunk abandoned mid-way
         // (stop request, kill) leaves no journal trace and is re-run on
         // resume against the same pattern-table state it started from.
-        let mut draft = ChunkDraft::new(gen.k as u64, idx);
+        let mut draft = ChunkDraft::new(shape.k as u64, slice.index, idx);
 
         // `through`: the guided walk's refuted bound — every chunk below it
         // and past this one holds no consistent candidate (`None` for the
         // lexicographic walk, which never looks past a chunk).
         let (completed, through) = match &mut store {
             LocalStore::Lex { table, scratch } => (
-                run_chunk_lex(
-                    model, shared, gen, lo, hi, table, scratch, session, &mut draft,
-                ),
+                run_chunk_lex(model, slice, lo, hi, table, scratch, session, &mut draft),
                 None,
             ),
             LocalStore::Guided(propagator) => {
                 let search_end = limit.saturating_mul(chunk).min(total);
                 let next = run_chunk_guided(
-                    model, shared, gen, lo, hi, search_end, propagator, session, &mut draft,
+                    model, slice, lo, hi, search_end, propagator, session, &mut draft,
                 );
                 // A search that ran out refutes the partial last chunk too.
                 let through = next.map(|t| if t >= search_end { limit } else { t / chunk });
@@ -1408,35 +1383,37 @@ fn worker_loop<'m, M: TransitionSystem>(
             }
         };
 
-        gen.bank(&draft);
+        slice.bank(&draft);
         if draft.evaluated > 0 {
-            gen.active_chunks.fetch_add(1, Ordering::Relaxed);
+            slice.active_chunks.fetch_add(1, Ordering::Relaxed);
         }
         if !completed {
             // A stop request interrupted the chunk: its partial counters are
             // banked (for the report) but never journaled.
-            flush_idle(shared, &mut idle);
+            flush_idle(slice, &mut idle);
             return;
         }
-        file_chunk(shared, &mut idle, draft);
+        file_chunk(slice, &mut idle, draft);
 
         if let Some((first, count)) =
             through
                 .filter(|&through| through > idx + 1)
                 .and_then(|through| {
-                    gen.dispenser
-                        .claim_refuted(idx + 1, through, &gen.completed)
+                    slice
+                        .dispenser
+                        .claim_refuted(idx + 1, through, &shape.covered)
                 })
         {
-            gen.claims.fetch_add(1, Ordering::Relaxed);
+            slice.claims.fetch_add(1, Ordering::Relaxed);
             let run = ChunkDraft::refuted(
-                gen.k as u64,
+                shape.k as u64,
+                slice.index,
                 first,
                 count,
-                gen.candidates(chunk, first, count),
+                slice.chunk_candidates(first, count),
             );
-            gen.bank(&run);
-            file_chunk(shared, &mut idle, run);
+            slice.bank(&run);
+            file_chunk(slice, &mut idle, run);
         }
     }
 }
@@ -1445,21 +1422,16 @@ fn worker_loop<'m, M: TransitionSystem>(
 /// contiguous idle run without touching the writer; anything else flushes
 /// that run first (so the writer can absorb it into the active record's
 /// range) and is journaled at once.
-fn file_chunk(shared: &Shared<'_>, idle: &mut Option<ChunkDraft>, draft: ChunkDraft) {
+fn file_chunk(slice: &Slice<'_>, idle: &mut Option<ChunkDraft>, draft: ChunkDraft) {
     if !draft.is_inactive() {
-        flush_idle(shared, idle);
-        shared.journal_chunk(draft);
+        flush_idle(slice, idle);
+        slice.journal_chunk(draft);
         return;
     }
     match idle {
-        Some(run) if run.first + run.count == draft.first => {
-            run.count += draft.count;
-            run.skipped += draft.skipped;
-            run.deduped += draft.deduped;
-            run.probes += draft.probes;
-        }
+        Some(run) if run.precedes(&draft) => run.absorb(&draft),
         _ => {
-            flush_idle(shared, idle);
+            flush_idle(slice, idle);
             *idle = Some(draft);
         }
     }
@@ -1470,8 +1442,7 @@ fn file_chunk(shared: &Shared<'_>, idle: &mut Option<ChunkDraft>, draft: ChunkDr
 #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 fn run_chunk_lex<'m, M: TransitionSystem>(
     model: &'m M,
-    shared: &Shared<'_>,
-    gen: &GenShared,
+    slice: &Slice<'_>,
     lo: u64,
     hi: u64,
     table: &mut PatternTable,
@@ -1479,28 +1450,28 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
     session: &mut Option<CheckSession<'m, M>>,
     draft: &mut ChunkDraft,
 ) -> bool {
-    let opts = shared.options;
-    let mut od = Odometer::over_range(gen.radices.clone(), lo as u128, hi as u128);
+    let (run, shape) = (slice.run, slice.shape);
+    let mut od = Odometer::over_range(shape.radices.clone(), lo as u128, hi as u128);
     'candidates: while let Some(digits) = od.current() {
-        if shared.stop.load(Ordering::Acquire) {
+        if run.stop.load(Ordering::Acquire) {
             return false;
         }
         // Candidate pruning: one incremental cursor walk over all prefix
         // depths (trie descent + per-depth inverted-index probes); a hit
         // at depth `d` skips the entire subtree below it in O(1).
-        if opts.pruning {
-            let hit = table.first_pruned_depth_in(digits, gen.k, scratch);
+        if run.options.pruning {
+            let hit = table.first_pruned_depth_in(digits, shape.k, scratch);
             // The walk consults depths `0..=d` (or all `0..=k` on a miss).
             draft.probes += match hit {
                 Some(d) => d as u64 + 1,
-                None => gen.k as u64 + 1,
+                None => shape.k as u64 + 1,
             };
             if let Some(d) = hit {
                 let n = od.skip_subtree(d);
                 draft.skipped += n as u64;
                 continue 'candidates;
             }
-        } else if gen.k > gen.prev_k && digits[gen.prev_k..gen.k].iter().all(|&x| x == 0) {
+        } else if shape.k > shape.prev_k && digits[shape.prev_k..shape.k].iter().all(|&x| x == 0) {
             // Naïve mode: a candidate whose new digits are all defaults
             // is identical to one already evaluated last generation.
             draft.deduped += 1;
@@ -1513,12 +1484,12 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
         // The graceful-stop sequence point: budgets, deadlines, caps,
         // and external interrupts all take effect between dispatches,
         // never inside one.
-        if let Some(reason) = shared.stop_due() {
-            shared.request_stop(reason);
+        if let Some(reason) = run.stop_due() {
+            run.request_stop(reason);
             return false;
         }
 
-        evaluate_candidate(model, shared, gen, digits.to_vec(), session, table, draft);
+        evaluate_candidate(model, slice, digits.to_vec(), session, table, draft);
 
         if !od.advance() {
             break;
@@ -1537,8 +1508,7 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
 #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 fn run_chunk_guided<'m, M: TransitionSystem>(
     model: &'m M,
-    shared: &Shared<'_>,
-    gen: &GenShared,
+    slice: &Slice<'_>,
     lo: u64,
     hi: u64,
     search_end: u64,
@@ -1555,9 +1525,10 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
     // and solutions bit-identically but may re-measure a slightly
     // different probe total, since its first live chunk starts from a cold
     // memo.
+    let run = slice.run;
     let probes_before = propagator.probes();
     let mut od = GuidedOdometer::over_range(
-        gen.radices.clone(),
+        slice.shape.radices.clone(),
         lo as u128,
         search_end as u128,
         propagator,
@@ -1573,27 +1544,19 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
         if at >= hi {
             break Some(at);
         }
-        if shared.stop.load(Ordering::Acquire) {
+        if run.stop.load(Ordering::Acquire) {
             break None;
         }
         // The graceful-stop sequence point, as in the lexicographic walk.
-        if let Some(reason) = shared.stop_due() {
-            shared.request_stop(reason);
+        if let Some(reason) = run.stop_due() {
+            run.request_stop(reason);
             break None;
         }
         let digits = od
             .current()
             .expect("candidate below the search end")
             .to_vec();
-        evaluate_candidate(
-            model,
-            shared,
-            gen,
-            digits,
-            session,
-            od.propagator_mut(),
-            draft,
-        );
+        evaluate_candidate(model, slice, digits, session, od.propagator_mut(), draft);
         od.advance();
     };
     draft.probes += od.propagator_mut().probes() - probes_before;
@@ -1604,26 +1567,26 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
 /// that die in the buffer (process kill before the flush) simply re-run on
 /// resume with identical counts: inactive chunks publish no patterns, so
 /// their enumeration state is exactly reproduced.
-fn flush_idle(shared: &Shared<'_>, idle: &mut Option<ChunkDraft>) {
+fn flush_idle(slice: &Slice<'_>, idle: &mut Option<ChunkDraft>) {
     if let Some(run) = idle.take() {
-        shared.journal_chunk(run);
+        slice.journal_chunk(run);
     }
 }
 
 /// Dispatches one candidate to the model checker and files the result —
-/// into the shared run state immediately, and into the chunk `draft` for
-/// the journal.
+/// into the slice and run state immediately, and into the chunk `draft`
+/// for the journal.
 fn evaluate_candidate<'m, M: TransitionSystem>(
     model: &'m M,
-    shared: &Shared<'_>,
-    gen: &GenShared,
+    slice: &Slice<'_>,
     digits: Vec<u16>,
     session: &mut Option<CheckSession<'m, M>>,
     local_patterns: &mut dyn PatternSink,
     draft: &mut ChunkDraft,
 ) {
-    let opts = shared.options;
-    let known_before = shared.registry.len();
+    let run = slice.run;
+    let opts = &run.options;
+    let known_before = slice.registry.len();
     let default = if opts.pruning {
         DiscoveryDefault::Wildcard
     } else {
@@ -1636,7 +1599,7 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     // is hole-id-sorted so downstream consumers see thread-count-
     // independent data. Either way the verdict and failure attribution are
     // identical.
-    let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
+    let resolver = SharedCandidateResolver::new(&slice.registry, &digits, default);
     let (outcome, touched) = if let Some(session) = session.as_mut() {
         let before = session.stats().clone();
         let outcome = session.check(&resolver);
@@ -1645,10 +1608,11 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
         let after = session.stats();
         let expanded = after.states_expanded.saturating_sub(before.states_expanded);
         let reused = after.states_reused.saturating_sub(before.states_reused);
-        let replays = after.checks_replayed - before.checks_replayed;
-        shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
-        shared.check_reused.fetch_add(reused, Ordering::Relaxed);
-        shared.check_replays.fetch_add(replays, Ordering::Relaxed);
+        slice.bank_check(
+            expanded,
+            reused,
+            after.checks_replayed - before.checks_replayed,
+        );
         draft.expanded += expanded;
         draft.reused += reused;
         // The run's touched set is the union of live consultations and the
@@ -1661,13 +1625,13 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
         touched.dedup_by_key(|pair| pair.0);
         (outcome, touched)
     } else {
-        let outcome = shared.checker.run_shared(model, &resolver);
+        let outcome = run.checker.run_shared(model, &resolver);
         let expanded = outcome.stats().states_visited as u64;
-        shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
+        slice.bank_check(expanded, 0, 0);
         draft.expanded += expanded;
         (outcome, resolver.into_touched())
     };
-    let run = shared.run_counter.fetch_add(1, Ordering::Relaxed) + 1;
+    let number = run.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
     draft.evaluated += 1;
 
     let mut pattern_added = false;
@@ -1675,7 +1639,7 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
         Verdict::Failure => {
             if opts.pruning {
                 let entry = match opts.pattern_mode {
-                    PatternMode::Exact => journal::PatternEntry::Prefix(digits.clone()),
+                    PatternMode::Exact => PatternEntry::Prefix(digits.clone()),
                     PatternMode::Refined => {
                         // Prefer the checker's failure-attributed set (the
                         // paper's Cₜ: resolutions along the counterexample
@@ -1686,12 +1650,10 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
                             .failure()
                             .and_then(|f| f.touched.as_deref())
                             .unwrap_or(&touched);
-                        journal::PatternEntry::Sparse(
-                            relevant.iter().map(|&(h, a)| (h as u16, a)).collect(),
-                        )
+                        PatternEntry::Sparse(relevant.iter().map(|&(h, a)| (h as u16, a)).collect())
                     }
                 };
-                pattern_added = shared.hub.publish(&entry, local_patterns);
+                pattern_added = slice.hub.publish(&entry, local_patterns);
                 if pattern_added {
                     draft.patterns.push(entry);
                 }
@@ -1700,8 +1662,9 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
         Verdict::Success => {
             let mut assignment: Vec<(HoleId, u16)> = touched.clone();
             assignment.sort_unstable();
-            let mut solutions = shared.solutions.lock();
-            if !solutions.iter().any(|s| s.assignment == assignment) {
+            let known = |s: &Solution| s.assignment == assignment;
+            let mut solutions = slice.solutions.lock();
+            if !slice.merged_solutions.iter().any(known) && !solutions.iter().any(known) {
                 let solution = Solution {
                     assignment,
                     visited_states: outcome.stats().states_visited,
@@ -1721,17 +1684,17 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
                     digits: digits.clone(),
                     message: message.clone(),
                 };
-                shared.quarantined.lock().push(q.clone());
+                slice.quarantined.lock().push(q.clone());
                 draft.quarantined.push(q);
             }
         }
     }
 
     if opts.record_runs {
-        let wildcards = known_before.saturating_sub(gen.k);
-        let discovered = shared.registry.names_from(known_before);
-        shared.run_log.lock().push(RunRecord {
-            run,
+        let wildcards = known_before.saturating_sub(slice.shape.k);
+        let discovered = slice.registry.names_from(known_before);
+        run.run_log.lock().push(RunRecord {
+            run: number,
             candidate: CandidateVec::from_digits(&digits, wildcards),
             verdict: outcome.verdict(),
             pattern_added,
@@ -1740,156 +1703,182 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     }
 }
 
-/// Where a hub-log pattern came from. Only [`Origin::Local`] entries are
-/// exported over the cross-shard exchange (foreign entries either arrived
-/// *from* it or were seeded from the coordinator's merged table, so
-/// re-broadcasting them would echo forever) and reported to the coordinator
-/// at round end.
+/// Where a slice hub's pattern came from. Only [`Origin::Local`] entries
+/// are exported over the cross-slice exchange (foreign entries arrived
+/// *from* it, so re-broadcasting them would echo forever) and merged into
+/// the run's patterns at round end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Origin {
-    /// Published by this run's own workers (or replayed from this shard's
-    /// own journal after a crash).
+    /// Published by this slice's own workers (or replayed from its journal
+    /// segment after a crash).
     Local,
-    /// Seeded from a prior round's merged table, or imported from a peer
-    /// shard via the exchange.
+    /// Imported from a peer slice via the exchange.
     Foreign,
 }
 
-/// Shared pruning-pattern hub: an append-only log that workers replay into
-/// their thread-local tables, plus the de-duplication set that decides what
-/// is new. Each distinct pattern is stored once: the set's entry and the
-/// log's share one allocation.
+/// Sorts and de-duplicates a sparse pattern as
+/// [`PatternTable::insert_sparse`] normalizes it, so equal patterns hash
+/// equal.
+fn normalized(mut entry: PatternEntry) -> PatternEntry {
+    if let PatternEntry::Sparse(pairs) = &mut entry {
+        pairs.sort_unstable();
+        pairs.dedup();
+    }
+    entry
+}
+
+fn merge_into(local: &mut dyn PatternSink, entry: &PatternEntry) {
+    match entry {
+        PatternEntry::Prefix(p) => local.merge_prefix(p),
+        PatternEntry::Sparse(s) => local.merge_sparse(s.clone()),
+    }
+}
+
+/// The run's merged pruning patterns, each distinct pattern stored once, in
+/// merge order. Every slice's hub reads it as its base; the merge files the
+/// slices' own patterns into it at round end.
 #[derive(Debug, Default)]
-struct PatternHub {
+pub(crate) struct PatternLog {
+    seen: FnvHashSet<Arc<PatternEntry>>,
+    log: Vec<Arc<PatternEntry>>,
+    dense: usize,
+    sparse: usize,
+}
+
+impl PatternLog {
+    /// Files a pattern; returns whether it was new.
+    pub(crate) fn file(&mut self, entry: Arc<PatternEntry>) -> bool {
+        let fresh = self.seen.insert(Arc::clone(&entry));
+        if fresh {
+            match *entry {
+                PatternEntry::Prefix(_) => self.dense += 1,
+                PatternEntry::Sparse(_) => self.sparse += 1,
+            }
+            self.log.push(entry);
+        }
+        fresh
+    }
+
+    /// Files an entry from outside the run (a seed), normalizing it first.
+    pub(crate) fn seed(&mut self, entry: PatternEntry) {
+        self.file(Arc::new(normalized(entry)));
+    }
+}
+
+/// A slice's pruning-pattern hub: the run's merged patterns (`base`,
+/// read-only while the round runs) followed by an append-only log of what
+/// the slice learned or imported since. Workers replay both, in that order,
+/// into their thread-local tables; the de-duplication sets decide what is
+/// new. Each distinct pattern is stored once: a set's entry and its log's
+/// share one allocation, and the merge moves it into the base.
+#[derive(Debug)]
+struct PatternHub<'r> {
+    base: &'r PatternLog,
     inner: Mutex<HubInner>,
 }
 
 #[derive(Debug, Default)]
 struct HubInner {
-    /// Every distinct pattern filed so far, sparse ones sorted and
-    /// de-duplicated as [`PatternTable::insert_sparse`] normalizes them.
-    seen: FnvHashSet<Arc<journal::PatternEntry>>,
-    log: Vec<(Arc<journal::PatternEntry>, Origin)>,
-    dense: usize,
-    sparse: usize,
+    seen: FnvHashSet<Arc<PatternEntry>>,
+    log: Vec<(Arc<PatternEntry>, Origin)>,
 }
 
-impl HubInner {
-    /// Records `entry` as seen; returns it shared, and whether it was new.
-    fn see(&mut self, mut entry: journal::PatternEntry) -> (Arc<journal::PatternEntry>, bool) {
-        if let journal::PatternEntry::Sparse(pairs) = &mut entry {
-            pairs.sort_unstable();
-            pairs.dedup();
+impl<'r> PatternHub<'r> {
+    fn over(base: &'r PatternLog) -> Self {
+        PatternHub {
+            base,
+            inner: Mutex::default(),
         }
-        let entry = Arc::new(entry);
-        let fresh = self.seen.insert(Arc::clone(&entry));
-        if fresh {
-            match *entry {
-                journal::PatternEntry::Prefix(_) => self.dense += 1,
-                journal::PatternEntry::Sparse(_) => self.sparse += 1,
-            }
-        }
-        (entry, fresh)
     }
 
-    /// Logs `entry` if it is new; returns whether it was.
-    fn file(&mut self, entry: journal::PatternEntry, origin: Origin) -> bool {
-        let (entry, fresh) = self.see(entry);
+    /// Logs `entry` if neither the base nor this hub has it; returns
+    /// whether it was new.
+    fn file(&self, inner: &mut HubInner, entry: PatternEntry, origin: Origin) -> bool {
+        let entry = normalized(entry);
+        if self.base.seen.contains(&entry) {
+            return false;
+        }
+        let entry = Arc::new(entry);
+        let fresh = inner.seen.insert(Arc::clone(&entry));
         if fresh {
-            self.log.push((entry, origin));
+            inner.log.push((entry, origin));
         }
         fresh
     }
-}
 
-impl PatternHub {
     /// Publishes a pattern a worker learned; merges it into `local` as
-    /// well. Returns whether the pattern was new to the hub.
-    fn publish(&self, entry: &journal::PatternEntry, local: &mut dyn PatternSink) -> bool {
-        match entry {
-            journal::PatternEntry::Prefix(p) => local.merge_prefix(p),
-            journal::PatternEntry::Sparse(s) => local.merge_sparse(s.clone()),
-        }
-        self.inner.lock().file(entry.clone(), Origin::Local)
+    /// well. Returns whether the pattern was new to the run.
+    fn publish(&self, entry: &PatternEntry, local: &mut dyn PatternSink) -> bool {
+        merge_into(local, entry);
+        self.file(&mut self.inner.lock(), entry.clone(), Origin::Local)
     }
 
-    /// Replays log entries `[*cursor..]` into `local`, regardless of
-    /// origin: a worker's thread-local table must hold everything the hub
-    /// knows, imported patterns included.
+    /// Replays the hub from `*cursor` on — the base, then this slice's log,
+    /// regardless of origin — into `local`: a worker's thread-local table
+    /// must hold everything the hub knows, imported patterns included.
     fn sync_into(&self, local: &mut dyn PatternSink, cursor: &mut usize) {
-        let inner = self.inner.lock();
-        for (entry, _) in &inner.log[*cursor..] {
-            match &**entry {
-                journal::PatternEntry::Prefix(p) => local.merge_prefix(p),
-                journal::PatternEntry::Sparse(s) => local.merge_sparse(s.clone()),
-            }
+        let base = &self.base.log;
+        for entry in base.get(*cursor..).unwrap_or(&[]) {
+            merge_into(local, entry);
         }
-        *cursor = inner.log.len();
+        let inner = self.inner.lock();
+        let from = cursor.saturating_sub(base.len());
+        for (entry, _) in &inner.log[from..] {
+            merge_into(local, entry);
+        }
+        *cursor = base.len() + inner.log.len();
     }
 
-    /// Seeds the hub (before any worker starts): entries are marked seen
-    /// and logged, so every worker picks them up from cursor 0 exactly as
-    /// live publications. Journal-replay seeds in a whole-space run and
-    /// merged-table seeds in a shard run are both `Foreign` (nothing to
-    /// re-export); a shard resuming its *own* journal seeds `Local`, so its
-    /// pre-crash learnings still reach peers and the coordinator.
-    fn seed_with(&self, entries: Vec<journal::PatternEntry>, origin: Origin) {
+    /// Seeds the slice's journaled patterns (before any worker starts) as
+    /// `Local`, so a resumed slice still reports and re-exports them.
+    fn seed_local(&self, entries: Vec<PatternEntry>) {
         let mut inner = self.inner.lock();
         for entry in entries {
-            let (entry, _) = inner.see(entry);
-            inner.log.push((entry, origin));
+            self.file(&mut inner, entry, Origin::Local);
         }
     }
 
-    fn seed(&self, entries: Vec<journal::PatternEntry>) {
-        self.seed_with(entries, Origin::Foreign);
-    }
-
-    /// Imports peer-shard patterns: new-to-this-hub entries join the log
+    /// Imports peer-slice patterns: new-to-this-hub entries join the log
     /// as `Foreign`, from where the ordinary worker sync merges them into
     /// every local table and propagator. Entries referencing holes at or
     /// beyond `width` (the frontier `k`) are dropped — no candidate in this
     /// generation constrains those holes, and a well-formed peer at the
     /// same frontier never sends them.
-    fn import(&self, entries: impl Iterator<Item = journal::PatternEntry>, width: usize) {
+    fn import(&self, entries: impl Iterator<Item = PatternEntry>, width: usize) {
         let mut inner = self.inner.lock();
         for entry in entries {
             let in_range = match &entry {
-                journal::PatternEntry::Prefix(p) => p.len() <= width,
-                journal::PatternEntry::Sparse(s) => s.iter().all(|&(h, _)| (h as usize) < width),
+                PatternEntry::Prefix(p) => p.len() <= width,
+                PatternEntry::Sparse(s) => s.iter().all(|&(h, _)| (h as usize) < width),
             };
             if in_range {
-                inner.file(entry, Origin::Foreign);
+                self.file(&mut inner, entry, Origin::Foreign);
             }
         }
     }
 
-    /// Drains `Local` log entries past `cursor` for export to peer shards.
-    fn export_locals(&self, cursor: &mut usize) -> Vec<journal::PatternEntry> {
+    /// Drains `Local` log entries past `cursor` for export to peer slices.
+    fn export_locals(&self, cursor: &mut usize) -> Vec<PatternEntry> {
         let inner = self.inner.lock();
-        let out = locals_of(&inner.log[*cursor..]);
+        let out = inner.log[*cursor..]
+            .iter()
+            .filter(|(_, origin)| *origin == Origin::Local)
+            .map(|(entry, _)| (**entry).clone())
+            .collect();
         *cursor = inner.log.len();
         out
     }
 
-    /// Every `Local` log entry — what a shard reports to the coordinator.
-    fn locals(&self) -> Vec<journal::PatternEntry> {
-        locals_of(&self.inner.lock().log)
+    /// Every `Local` entry, in log order — what the slice hands the merge.
+    fn into_locals(self) -> Vec<Arc<PatternEntry>> {
+        self.inner
+            .into_inner()
+            .log
+            .into_iter()
+            .filter(|(_, origin)| *origin == Origin::Local)
+            .map(|(entry, _)| entry)
+            .collect()
     }
-
-    /// Distinct `(dense prefix, sparse)` pattern counts recorded.
-    fn counts(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.dense, inner.sparse)
-    }
-}
-
-/// The `Local` entries of a hub-log slice, in log order.
-fn locals_of(log: &[(Arc<journal::PatternEntry>, Origin)]) -> Vec<journal::PatternEntry> {
-    log.iter()
-        .filter(|(_, origin)| *origin == Origin::Local)
-        .map(|(entry, _)| (**entry).clone())
-        .collect()
 }
 
 #[cfg(test)]
@@ -2133,36 +2122,6 @@ mod tests {
             let par =
                 Synthesizer::new(SynthOptions::default().threads(2).check_threads(2)).run(&model);
             assert_eq!(solution_set(&par), solution_set(&seq), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sync_interval_is_result_invariant() {
-        // Serial: batching the pattern-log pull must not perturb the exact
-        // Figure-2 run (the worker's local table already holds everything it
-        // published itself).
-        let model = GraphModel::worked_example();
-        let base = Synthesizer::new(SynthOptions::default().record_runs(true)).run(&model);
-        let batched = Synthesizer::new(SynthOptions::default().record_runs(true).sync_interval(64))
-            .run(&model);
-        assert_eq!(batched.stats().evaluated, base.stats().evaluated);
-        assert_eq!(batched.stats().patterns, base.stats().patterns);
-
-        // Parallel: staler local tables may shift evaluated counts, never
-        // the solution set.
-        for seed in 500..505 {
-            let model = GraphModel::random(seed, 6, 3);
-            let seq = Synthesizer::new(SynthOptions::default()).run(&model);
-            for interval in [2usize, 16] {
-                let par =
-                    Synthesizer::new(SynthOptions::default().threads(4).sync_interval(interval))
-                        .run(&model);
-                assert_eq!(
-                    solution_set(&par),
-                    solution_set(&seq),
-                    "seed {seed} interval {interval}"
-                );
-            }
         }
     }
 

@@ -19,7 +19,9 @@ use verc3::mck::{
 };
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::journal::record_boundaries;
-use verc3::synth::{PatternMode, StopReason, SynthOptions, SynthReport, Synthesizer};
+use verc3::synth::{
+    run_sharded, PatternMode, ShardOptions, StopReason, SynthOptions, SynthReport, Synthesizer,
+};
 
 fn scratch(name: &str) -> PathBuf {
     let path =
@@ -319,6 +321,55 @@ fn a_crash_tearing_any_journal_append_is_recovered_on_resume() {
             fingerprint(&resumed),
             fingerprint(&baseline),
             "resume after tearing append {k}/{appends} diverged"
+        );
+    }
+    disarm_all();
+    let _ = fs::remove_file(&path);
+}
+
+/// The same crash contract for a sharded run: a torn append panics a slice
+/// worker, the panic propagates out of the run, and re-invoking the run
+/// resumes from its one journal to the uninterrupted result.
+#[test]
+fn a_crash_tearing_any_append_of_a_sharded_run_is_recovered_on_rerun() {
+    let _guard = faults::exclusive();
+    disarm_all();
+    let path = scratch("torn-sharded");
+    let model = verc3::mck::GraphModel::worked_example();
+    let options = SynthOptions::default().chunk_size(2).journal(&path);
+    let sharding = ShardOptions::default().shards(2);
+    let named = |r: &SynthReport| {
+        let mut sols: Vec<String> = r
+            .solutions()
+            .iter()
+            .map(|s| s.display_named(r.holes()))
+            .collect();
+        sols.sort();
+        (sols, r.holes().len())
+    };
+    let baseline = run_sharded(&model, &options, &sharding).unwrap();
+    let appends = hit_count(site::JOURNAL_APPEND);
+    assert!(
+        appends > 3,
+        "expected several journal appends, got {appends}"
+    );
+
+    for k in 0..appends {
+        disarm_all();
+        let _ = fs::remove_file(&path);
+        arm(site::JOURNAL_APPEND, k);
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            run_sharded(&model, &options, &sharding)
+        }));
+        assert!(crashed.is_err(), "append {k}: armed writer must crash");
+        disarm_all();
+        let resumed = run_sharded(&model, &options, &sharding)
+            .unwrap_or_else(|e| panic!("rerun after torn append {k}: {e}"));
+        assert_eq!(resumed.stats().stop, StopReason::Completed);
+        assert_eq!(
+            named(&resumed),
+            named(&baseline),
+            "rerun after tearing append {k}/{appends} diverged"
         );
     }
     disarm_all();

@@ -5,7 +5,9 @@
 //! each shard does — never the merged result. These suites pin that contract
 //! on the paper's protocol models: the merged solution set must be identical
 //! to a single-process run for every shard count, with and without exchange,
-//! and after a budget-interrupted run resumes from its journals.
+//! and after a budget-interrupted run resumes from its journal. One shard
+//! *is* the single-process run, report for report, and budgets hold for the
+//! whole run at every shard count.
 //!
 //! The msi-tiny and msi-small suites run everywhere; msi-large and msi-xl
 //! are `#[ignore]`d and run in release CI
@@ -13,6 +15,8 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::time::Duration;
+use verc3::mck::{GraphModel, TransitionSystem};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::{
     run_sharded, PatternMode, ShardOptions, StopReason, SynthOptions, SynthReport, Synthesizer,
@@ -85,35 +89,127 @@ fn msi_small_sharded_matches_single_process() {
     assert_sharded_matches(&model, &reference);
 }
 
-/// A budget-interrupted sharded run leaves per-shard journals behind;
-/// re-invoking the identical run resumes from them and must converge to the
-/// uninterrupted solution set (satellite: kill/resume for a sharded run).
+/// A budget-interrupted sharded run leaves its journal behind; re-invoking
+/// the identical run resumes from it and must converge to the uninterrupted
+/// solution set (satellite: kill/resume for a sharded run).
 #[test]
 fn msi_tiny_sharded_kill_and_resume_converges() {
     let model = MsiModel::new(MsiConfig::msi_tiny());
     let reference = Synthesizer::new(opts()).run(&model);
     let dir = scratch_dir("tiny");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.vc3j");
 
-    // "Kill": an evaluation budget stops each shard mid-round, after the
-    // journals have recorded partial coverage. The budget is per shard per
-    // generation, so keep it small enough to fire inside a round.
+    // "Kill": an evaluation budget stops the run mid-round, after the
+    // journal has recorded partial coverage. The budget holds for the
+    // whole run, so keep it small enough to fire inside the first rounds.
     let budget = 3;
-    let sharding = ShardOptions::default().shards(4).journal_dir(&dir);
-    let interrupted = run_sharded(&model, &opts().max_evaluations(budget), &sharding).unwrap();
+    let sharding = ShardOptions::default().shards(4);
+    let interrupted = run_sharded(
+        &model,
+        &opts().max_evaluations(budget).journal(&journal),
+        &sharding,
+    )
+    .unwrap();
     assert_eq!(
         interrupted.stats().stop,
         StopReason::MaxEvaluations,
         "budget was meant to interrupt the run mid-flight"
     );
 
-    // "Resume": the same run without the budget replays the journals and
+    // "Resume": the same run without the budget replays the journal and
     // finishes the remainder live.
-    let resumed = run_sharded(&model, &opts(), &sharding).unwrap();
+    let resumed = run_sharded(&model, &opts().journal(&journal), &sharding).unwrap();
     assert_eq!(resumed.stats().stop, StopReason::Completed);
     assert_eq!(named_solution_set(&resumed), named_solution_set(&reference));
     assert_eq!(resumed.holes().len(), reference.holes().len());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Everything a report says except wall time, in comparable form.
+fn report_view(report: &SynthReport) -> String {
+    let mut stats = report.stats().clone();
+    stats.wall = Duration::ZERO;
+    format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+        report.holes(),
+        report.solutions(),
+        stats,
+        report.run_log(),
+        report.quarantined()
+    )
+}
+
+/// One shard is the single-process run: the same holes, the same solutions
+/// with the same ids, every statistic but wall time, and the same run log.
+#[test]
+fn one_shard_is_the_single_process() {
+    fn check<M: TransitionSystem>(model: &M, options: SynthOptions) {
+        let options = options.record_runs(true);
+        let single = Synthesizer::new(options.clone()).run(model);
+        let sharded = run_sharded(model, &options, &ShardOptions::default()).unwrap();
+        assert!(!single.run_log().is_empty());
+        assert_eq!(
+            report_view(&sharded),
+            report_view(&single),
+            "{}",
+            model.name()
+        );
+    }
+    // The exact Figure-2 run log.
+    let fig2 = GraphModel::worked_example();
+    check(&fig2, SynthOptions::default());
+    let single = Synthesizer::new(SynthOptions::default().record_runs(true)).run(&fig2);
+    assert_eq!(single.run_log().len(), 10);
+    check(&MsiModel::new(MsiConfig::msi_small()), opts());
+}
+
+/// `max_evaluations` and `state_budget` hold for the whole run at every
+/// shard count: every worker checks the one run-wide count before it
+/// dispatches, so `w` workers overshoot a cap by at most `w - 1`.
+#[test]
+fn budgets_hold_for_the_whole_sharded_run() {
+    let model = MsiModel::new(MsiConfig::msi_tiny());
+    let full = Synthesizer::new(opts()).run(&model);
+    for cap in [3u64, 10] {
+        assert!(full.stats().evaluated > cap + 3, "cap {cap} must interrupt");
+        for shards in [1usize, 2, 4] {
+            let sharding = ShardOptions::default().shards(shards);
+            let report = run_sharded(&model, &opts().max_evaluations(cap), &sharding).unwrap();
+            let evaluated = report.stats().evaluated;
+            assert_eq!(report.stats().stop, StopReason::MaxEvaluations);
+            assert!(
+                (cap..cap + shards as u64).contains(&evaluated),
+                "cap {cap} at {shards} shards: {evaluated} evaluations"
+            );
+            if shards == 1 {
+                assert_eq!(evaluated, cap, "a serial run stops at exactly the cap");
+            }
+        }
+    }
+
+    // A state budget of half the full run's committed states stops every
+    // shard count before the run completes.
+    let committed =
+        |r: &SynthReport| r.stats().check_states_expanded + r.stats().check_states_reused;
+    let budget = committed(&full) / 2;
+    for shards in [1usize, 2, 4] {
+        let sharding = ShardOptions::default().shards(shards);
+        let report = run_sharded(&model, &opts().state_budget(budget), &sharding).unwrap();
+        assert_eq!(
+            report.stats().stop,
+            StopReason::StateBudget,
+            "{shards} shards"
+        );
+        assert!(committed(&report) >= budget);
+        assert!(
+            committed(&report) < committed(&full),
+            "{shards} shards committed {} of {budget}",
+            committed(&report)
+        );
+        assert!(report.stats().evaluated < full.stats().evaluated);
+    }
 }
 
 #[test]
@@ -143,14 +239,21 @@ fn msi_xl_sharded_kill_and_resume_matches_golden() {
     let reference = Synthesizer::new(opts()).run(&model);
     assert_eq!(reference.solutions().len(), 8);
     let dir = scratch_dir("xl");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.vc3j");
 
-    // Per shard per generation; small enough to fire inside a round.
+    // For the whole run; small enough to fire inside the first rounds.
     let budget = 16;
-    let sharding = ShardOptions::default().shards(4).journal_dir(&dir);
-    let interrupted = run_sharded(&model, &opts().max_evaluations(budget), &sharding).unwrap();
+    let sharding = ShardOptions::default().shards(4);
+    let interrupted = run_sharded(
+        &model,
+        &opts().max_evaluations(budget).journal(&journal),
+        &sharding,
+    )
+    .unwrap();
     assert_eq!(interrupted.stats().stop, StopReason::MaxEvaluations);
 
-    let resumed = run_sharded(&model, &opts(), &sharding).unwrap();
+    let resumed = run_sharded(&model, &opts().journal(&journal), &sharding).unwrap();
     assert_eq!(resumed.stats().stop, StopReason::Completed);
     assert_eq!(named_solution_set(&resumed), named_solution_set(&reference));
 
