@@ -1,6 +1,8 @@
 //! Guided-enumeration bench: pattern-constraint propagation driving the
-//! odometer ([`Enumeration::Guided`]) against the lexicographic
-//! skip-counting walk on the serial pruned MSI rows.
+//! odometer ([`Enumeration::Guided`], the production walk) against the
+//! lexicographic skip-counting reference walk on the serial pruned MSI
+//! rows. The reference walk is compiled through the core crate's
+//! `reference` feature.
 //!
 //! Both strategies visit the exact same candidate sequence — this bench
 //! *asserts* that the evaluated counts, pattern tables, and solution sets
@@ -32,33 +34,25 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use verc3_bench::{run_synthesis_row_controlled, RowControls};
-use verc3_core::{Enumeration, SynthReport};
-use verc3_protocols::msi::MsiConfig;
+use verc3_core::{Enumeration, PatternMode, SynthOptions, SynthReport, Synthesizer};
+use verc3_protocols::msi::{MsiConfig, MsiModel};
 
 /// The probe-reduction floor asserted on msi_xl (and pinned by the perf
 /// gate): guided must spend at most 1/5 of the lexicographic probes.
 const XL_PROBE_REDUCTION_FLOOR: f64 = 5.0;
 
-/// Runs one serial pruned row under the given strategy, returning the
-/// report and the best-of-`reps` wall time in milliseconds.
-fn measure(
-    workload: &str,
-    config: &MsiConfig,
-    strategy: Enumeration,
-    reps: usize,
-) -> (SynthReport, f64) {
-    let controls = RowControls {
-        enumeration: strategy,
-        ..RowControls::default()
-    };
+/// Runs one serial pruned row (refined patterns, as in Table I) under the
+/// given strategy, returning the report and the best-of-`reps` wall time
+/// in milliseconds.
+fn measure(config: &MsiConfig, strategy: Enumeration, reps: usize) -> (SynthReport, f64) {
+    let options = SynthOptions::default()
+        .pattern_mode(PatternMode::Refined)
+        .enumeration(strategy);
     let mut best = f64::INFINITY;
     let mut last = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let (_, report) =
-            run_synthesis_row_controlled(workload, config.clone(), true, 1, 1, true, &controls)
-                .expect("bench synthesis run");
+        let report = Synthesizer::new(options.clone()).run(&MsiModel::new(config.clone()));
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
         last = Some(report);
     }
@@ -85,8 +79,8 @@ fn main() {
     let mut json = String::from("[\n");
     let mut first = true;
     for (workload, config, reps) in workloads {
-        let (lex, lex_ms) = measure(workload, &config, Enumeration::Lexicographic, reps);
-        let (guided, guided_ms) = measure(workload, &config, Enumeration::Guided, reps);
+        let (lex, lex_ms) = measure(&config, Enumeration::Lexicographic, reps);
+        let (guided, guided_ms) = measure(&config, Enumeration::Guided, reps);
 
         // The correctness bar: guided proposes the identical candidate
         // sequence, so every paper-visible number matches bit-for-bit.

@@ -8,8 +8,11 @@
 //! a regression that makes journaling expensive (say, an fsync per record)
 //! fails CI. It also *asserts* the crash-safety contract along the way:
 //! journaling must not change evaluated counts, pattern counts, or the
-//! solution set, and may cost at most 25% wall time even on a noisy runner
-//! (the committed EXPERIMENTS.md measurement is under 2%).
+//! solution set, and may cost at most 25% wall time even on a noisy runner.
+//! The guided walk runs the row in well under half a second, so the
+//! journal's ~10 `sync_data` calls dominate its cost and the ratio swings
+//! with disk latency: seven runs on a shared 2-vCPU container read
+//! −22% to +55% (EXPERIMENTS.md, "Journal overhead").
 //!
 //! ```text
 //! cargo bench -p verc3-bench --bench journal_overhead

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p verc3-bench --bin synthd -- \
 //!     --workload msi_small --shards 4 [--no-exchange] [--no-steal] \
-//!     [--guided] [--fs DIR] [--journal FILE] [--json] [--check]
+//!     [--fs DIR] [--journal FILE] [--json] [--check]
 //! ```
 //!
 //! A flag outside that line, a missing or unparsable value, or an unknown
@@ -14,7 +14,9 @@
 //! generation is partitioned into odometer ranges across `--shards`
 //! workers, failure patterns are exchanged between shards as they are
 //! published, finished shards steal from the largest remaining range, and
-//! the per-shard reports are merged into one deterministic result.
+//! the per-shard reports are merged into one deterministic result. Every
+//! shard enumerates guided, claiming each run of refuted chunks in one
+//! step, clamped to whatever range a thief left its steal-pool slot.
 //!
 //! Output is designed for diffing: every solution is printed as a sorted
 //! `#sol` line (hole names with their chosen actions, in name order), so
@@ -24,10 +26,6 @@
 //! line per shard
 //! per round; `--check` re-runs the workload single-process and fails
 //! (exit 1) if the merged solution set differs.
-//!
-//! `--guided` enumerates with [`verc3_core::Enumeration::Guided`] instead
-//! of the lexicographic walk: the same solutions, with refuted chunk runs
-//! claimed in one step across the shards' steal-pool slots.
 //!
 //! `--fs DIR` swaps the in-memory exchange transport for the filesystem
 //! spool ([`verc3_core::FsExchange`]): pattern batches become `.vc3b`
@@ -42,14 +40,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use verc3_bench::{check_flags, flag_value, usage_error};
 use verc3_core::{
-    run_sharded_with, Enumeration, FsExchange, PatternExchange, PatternMode, ShardOptions,
-    ShardedRun, SynthOptions, SynthReport, Synthesizer,
+    run_sharded_with, FsExchange, PatternExchange, PatternMode, ShardOptions, ShardedRun,
+    SynthOptions, SynthReport, Synthesizer,
 };
 use verc3_mck::{GraphModel, TransitionSystem};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 
 const USAGE: &str = "usage: synthd [--workload fig2|msi_tiny|msi_small|msi_large|msi_xl] \
-     [--shards N] [--no-exchange] [--no-steal] [--guided] [--fs DIR] \
+     [--shards N] [--no-exchange] [--no-steal] [--fs DIR] \
      [--journal FILE] [--json] [--check]";
 
 /// Sorted, name-keyed solution lines — the diffable output contract.
@@ -168,13 +166,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let options = SynthOptions::default()
-        .pattern_mode(PatternMode::Refined)
-        .enumeration(if has("--guided") {
-            Enumeration::Guided
-        } else {
-            Enumeration::Lexicographic
-        });
+    let options = SynthOptions::default().pattern_mode(PatternMode::Refined);
     let journal = journal.as_deref();
     match config {
         None => run(

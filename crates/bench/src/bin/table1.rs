@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p verc3-bench --bin table1 -- [--small] [--large] [--xl]
 //!     [--n5] [--naive-large-full] [--classify] [--samples N] [--check-threads N]
-//!     [--one-shot] [--pruned-only] [--guided] [--journal DIR] [--resume]
+//!     [--one-shot] [--pruned-only] [--journal DIR] [--resume]
 //!     [--deadline-secs N] [--state-budget N] [--journal-fsync-every N]
 //!     [--spec PATH]...
 //! ```
@@ -13,25 +13,22 @@
 //!
 //! By default every dispatch goes through per-worker check sessions
 //! (incremental prefix re-verification); `--one-shot` restarts the checker
-//! per candidate — the pre-session baseline. Dispatch counts, patterns, and
-//! solutions are identical either way; only the expansion work and wall
+//! per candidate — the pre-session reference, which this harness compiles
+//! through the core crate's `reference` feature. Dispatch counts, patterns,
+//! and solutions are identical either way; only the expansion work and wall
 //! time move (the per-row reuse summary quantifies it).
 //!
 //! `--check-threads N` parallelizes every model-checker dispatch inside
 //! synthesis with `N` workers (orthogonal to the table's cross-candidate
 //! "4 threads" rows); dispatch counts and solutions are unaffected.
 //!
-//! `--guided` switches the pruned rows to guided enumeration: the learned
-//! pattern table drives the odometer to the next consistent assignment
-//! instead of vetoing candidates one by one. Every number in the table is
-//! identical to the lexicographic run — the guided walk visits the same
-//! candidate sequence — only the per-candidate probe work drops (the
-//! `guided_enum` bench quantifies it), and each run of chunks the patterns
-//! refute is claimed in one step: the "Chunk claims" section after the
-//! table prints claims against active chunks per generation, and under
-//! `--guided` the two stay close. Naïve rows are unaffected (guided
-//! enumeration requires pruning). The journal fingerprint pins the
-//! strategy, so `--resume` must repeat the original run's `--guided`.
+//! Every row enumerates guided: the learned pattern table drives the
+//! odometer to the next consistent assignment instead of vetoing candidates
+//! one by one, and each run of chunks the patterns refute is claimed in one
+//! step. The golden rows below were set by the lexicographic walk, which
+//! visits the same candidates; the "Chunk claims" section after the table
+//! prints claims against active chunks per generation, and the two stay
+//! close.
 //!
 //! By default both paper problem sizes run; the MSI-large naïve baseline —
 //! which took the paper 31 573 s — is extrapolated from a uniform random
@@ -62,16 +59,15 @@ use verc3_bench::{
     resume_command, row_header, run_spec_synthesis, run_synthesis_row_controlled, sigint,
     usage_error, MeasuredRow, RowControls,
 };
-use verc3_core::Enumeration;
 use verc3_protocols::msi::MsiConfig;
 use verc3_spec::ProtocolSpec;
 
 /// Golden `(evaluated, patterns, solutions)` for every *deterministic* row:
-/// the serial pruned rows (lexicographic and guided enumeration visit the
-/// identical candidate sequence, and `--check-threads`/sessions leave the
-/// dispatch counts untouched) plus the full naïve MSI-small sweep. The
-/// 4-thread rows race across candidates and the extrapolated naïve rows are
-/// sampled, so neither is pinned.
+/// the serial pruned rows (set by the lexicographic reference walk, whose
+/// candidate sequence the guided walk visits; `--check-threads`/sessions
+/// leave the dispatch counts untouched) plus the full naïve MSI-small
+/// sweep. The 4-thread rows race across candidates and the extrapolated
+/// naïve rows are sampled, so neither is pinned.
 const GOLDEN_ROWS: &[(&str, u64, Option<usize>, usize)] = &[
     ("MSI-small 1 thread, no pruning", 231_525, None, 8),
     ("MSI-small 1 thread, pruning", 366, Some(357), 8),
@@ -81,7 +77,7 @@ const GOLDEN_ROWS: &[(&str, u64, Option<usize>, usize)] = &[
 ];
 
 const USAGE: &str = "usage: table1 [--small] [--large] [--xl] [--n5] [--naive-large-full] \
-     [--classify] [--samples N] [--check-threads N] [--one-shot] [--pruned-only] [--guided] \
+     [--classify] [--samples N] [--check-threads N] [--one-shot] [--pruned-only] \
      [--journal DIR] [--resume] [--deadline-secs N] [--state-budget N] \
      [--journal-fsync-every N] [--spec PATH]...";
 
@@ -110,11 +106,6 @@ fn main() {
         deadline: value("--deadline-secs").map(Duration::from_secs),
         state_budget: value("--state-budget"),
         journal_fsync_every: value("--journal-fsync-every"),
-        enumeration: if has("--guided") {
-            Enumeration::Guided
-        } else {
-            Enumeration::Lexicographic
-        },
     };
     if let Some(dir) = &controls.journal_dir {
         std::fs::create_dir_all(dir).expect("create --journal directory");

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use verc3_core::{Enumeration, PatternMode, SynthOptions, SynthReport, Synthesizer};
+use verc3_core::{PatternMode, SynthOptions, SynthReport, Synthesizer};
 use verc3_mck::{Checker, CheckerOptions, FixedResolver, MckError, TransitionSystem, Verdict};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 use verc3_spec::ProtocolSpec;
@@ -116,10 +116,6 @@ pub struct RowControls {
     pub state_budget: Option<u64>,
     /// Journal fsync cadence override (chunk records between `fsync`s).
     pub journal_fsync_every: Option<u64>,
-    /// Enumeration strategy for the pruned rows (`--guided` selects
-    /// [`Enumeration::Guided`]). Naïve rows always enumerate
-    /// lexicographically — guided enumeration requires pruning.
-    pub enumeration: Enumeration,
 }
 
 impl RowControls {
@@ -433,9 +429,7 @@ pub fn run_synthesis_row_controlled(
         // Trace-refined patterns are the paper's stated ideal (prune on the
         // holes the failure trace touched, Cₜ); see EXPERIMENTS.md for why
         // the prefix-only variant degenerates on this protocol.
-        opts = opts
-            .pattern_mode(PatternMode::Refined)
-            .enumeration(controls.enumeration);
+        opts = opts.pattern_mode(PatternMode::Refined);
     }
     let journaled = controls.journal_path(label);
     if let Some(path) = &journaled {
@@ -848,43 +842,6 @@ mod tests {
         assert_eq!(par.evaluated, serial.evaluated);
         assert_eq!(par.patterns, serial.patterns);
         assert_eq!(par.solutions, serial.solutions);
-    }
-
-    #[test]
-    fn tiny_row_is_enumeration_invariant() {
-        let (lex, lex_report) =
-            run_synthesis_row_with("tiny", MsiConfig::msi_tiny(), true, 1, 1, true);
-        let guided_controls = RowControls {
-            enumeration: Enumeration::Guided,
-            ..RowControls::default()
-        };
-        let (guided, guided_report) = run_synthesis_row_controlled(
-            "tiny",
-            MsiConfig::msi_tiny(),
-            true,
-            1,
-            1,
-            true,
-            &guided_controls,
-        )
-        .expect("guided run");
-        assert_eq!(guided.evaluated, lex.evaluated);
-        assert_eq!(guided.patterns, lex.patterns);
-        assert_eq!(guided.solutions, lex.solutions);
-        assert!(guided_report.stats().probes <= lex_report.stats().probes);
-
-        // Naïve rows ignore the strategy knob (guided requires pruning).
-        let (naive, _) = run_synthesis_row_controlled(
-            "tiny naive",
-            MsiConfig::msi_tiny(),
-            false,
-            1,
-            1,
-            true,
-            &guided_controls,
-        )
-        .expect("naive run under a guided-strategy control set");
-        assert_eq!(naive.patterns, None);
     }
 
     #[test]

@@ -35,6 +35,9 @@ fn bad_flags_exit_2_with_the_usage_line() {
         (synthd, &["--shards", "four"]),
         (synthd, &["--journal"]),
         (synthd, &["--journal-dir", "retired"]),
+        // Retired: every run enumerates guided.
+        (table1, &["--guided"]),
+        (synthd, &["--workload", "fig2", "--guided"]),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -57,7 +60,7 @@ fn well_formed_flags_still_run() {
 
 #[test]
 fn synthd_runs_guided() {
-    let args = ["--workload", "fig2", "--shards", "2", "--guided", "--check"];
+    let args = ["--workload", "fig2", "--shards", "2", "--check"];
     let out = run(env!("CARGO_BIN_EXE_synthd"), &args);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(

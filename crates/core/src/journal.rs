@@ -204,6 +204,7 @@ impl Fingerprint {
         });
         e.u64(self.chunk_size);
         e.u8(match self.enumeration {
+            #[cfg(any(test, feature = "reference"))]
             Enumeration::Lexicographic => 0,
             Enumeration::Guided => 1,
         });
@@ -221,7 +222,10 @@ impl Fingerprint {
             _ => return None,
         };
         let chunk_size = d.u64()?;
+        // A build without the lexicographic reference walk cannot resume
+        // its journals: their header does not decode.
         let enumeration = match d.u8()? {
+            #[cfg(any(test, feature = "reference"))]
             0 => Enumeration::Lexicographic,
             1 => Enumeration::Guided,
             _ => return None,
@@ -318,8 +322,7 @@ impl ChunkDraft {
     }
 
     /// An inactive chunk produced nothing durable beyond its skip counts:
-    /// it is coalesced into a range record instead of journaled alone (and
-    /// the workers batch whole runs of them before taking the writer lock).
+    /// it is coalesced into a range record instead of journaled alone.
     pub(crate) fn is_inactive(&self) -> bool {
         self.evaluated == 0
             && self.expanded == 0
@@ -930,7 +933,7 @@ mod tests {
             pruning: true,
             pattern_mode: PatternMode::Exact,
             chunk_size: 32,
-            enumeration: Enumeration::Lexicographic,
+            enumeration: Enumeration::Guided,
         }
     }
 

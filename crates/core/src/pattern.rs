@@ -624,8 +624,7 @@ impl PatternTable {
         (0..consultable).any(|d| self.sparse.bucket_matches(d, digits, &mut scratch))
     }
 
-    /// Merges another table's prefix pattern into this one (used when worker
-    /// threads sync from the shared pattern log).
+    /// Merges another table's prefix pattern into this one.
     pub fn merge_prefix(&mut self, prefix: &[u16]) {
         self.insert_prefix(prefix);
     }
@@ -640,33 +639,6 @@ impl PatternTable {
 // ---------------------------------------------------------------------------
 // Guided enumeration: the propagating view
 // ---------------------------------------------------------------------------
-
-/// A destination for learned patterns.
-///
-/// Both the plain [`PatternTable`] and the guided-enumeration
-/// [`Propagator`] accept pattern merges; the synthesis loop's pattern hub
-/// publishes and syncs through this trait so a worker's local store can be
-/// either.
-pub trait PatternSink {
-    /// Merges a dense prefix pattern.
-    fn merge_prefix(&mut self, prefix: &[u16]);
-    /// Merges a sparse pattern (sorted by the producer).
-    fn merge_sparse(&mut self, pattern: SparsePattern);
-    /// The underlying pattern table.
-    fn table(&self) -> &PatternTable;
-}
-
-impl PatternSink for PatternTable {
-    fn merge_prefix(&mut self, prefix: &[u16]) {
-        PatternTable::merge_prefix(self, prefix);
-    }
-    fn merge_sparse(&mut self, pattern: SparsePattern) {
-        PatternTable::merge_sparse(self, pattern);
-    }
-    fn table(&self) -> &PatternTable {
-        self
-    }
-}
 
 /// Incremental pattern-constraint propagation for guided enumeration.
 ///
@@ -826,11 +798,18 @@ impl Propagator {
     /// prefix it has not seen before (≈ once per consistent internal node
     /// of the search tree), not once per refuted sibling.
     ///
+    /// While the table is empty — throughout a naïve run — nothing is
+    /// pruned and no probe is counted. The memo stays at rest until the
+    /// first pattern arrives, and patterns only grow.
+    ///
     /// # Panics
     ///
     /// Panics if `max_depth > digits.len()`.
     pub fn first_pruned_depth(&mut self, digits: &[u16], max_depth: usize) -> Option<usize> {
         assert!(max_depth <= digits.len(), "depth out of range");
+        if self.table.is_empty() {
+            return None;
+        }
         if self.stack.len() < max_depth + 1 {
             self.stack.resize(max_depth + 1, None);
             self.masks.resize(max_depth + 1, 0);
@@ -926,18 +905,6 @@ impl Propagator {
             mask |= bucket.refuted_action_mask(digits, h as u16, 64, &mut self.scratch);
         }
         mask
-    }
-}
-
-impl PatternSink for Propagator {
-    fn merge_prefix(&mut self, prefix: &[u16]) {
-        self.insert_prefix(prefix);
-    }
-    fn merge_sparse(&mut self, pattern: SparsePattern) {
-        self.insert_sparse(pattern);
-    }
-    fn table(&self) -> &PatternTable {
-        &self.table
     }
 }
 
@@ -1335,24 +1302,6 @@ mod tests {
         // ...and the refuted candidate's sibling rides the same mask free.
         assert_eq!(p.first_pruned_depth(&[0, 0, 0, 1], 4), None);
         assert_eq!(p.probes(), 6);
-    }
-
-    #[test]
-    fn pattern_sink_serves_table_and_propagator_alike() {
-        fn feed(sink: &mut dyn PatternSink) {
-            sink.merge_prefix(&[1, 1]);
-            sink.merge_sparse(vec![(0, 2)]);
-        }
-        let mut t = PatternTable::new();
-        let mut p = Propagator::new();
-        feed(&mut t);
-        feed(&mut p);
-        assert_eq!(t.len(), 2);
-        assert_eq!(p.table().len(), 2);
-        assert_eq!(
-            PatternSink::table(&t).first_pruned_depth(&[2, 1, 0], 3),
-            p.first_pruned_depth(&[2, 1, 0], 3)
-        );
     }
 
     #[test]

@@ -138,10 +138,9 @@ pub struct GenStats {
     /// drives down (see [`crate::Enumeration`]).
     pub probes: u64,
     /// Chunk-dispenser operations that claimed at least one chunk. The
-    /// lexicographic walk claims one chunk per operation; guided
-    /// enumeration also claims each run of chunks its patterns refute in
-    /// one operation, so its claims follow the active chunks, not the
-    /// space. A *cost measurement* like `probes`, not a result: it depends
+    /// guided walk claims each run of chunks its patterns refute in one
+    /// operation, so its claims follow the active chunks, not the space
+    /// (the lexicographic reference walk claims one chunk per operation). A *cost measurement* like `probes`, not a result: it depends
     /// on the chunk size and thread count, and a resumed run counts only
     /// its own claims.
     pub claims: u64,
@@ -168,10 +167,10 @@ pub struct SynthStats {
     /// the per-`(hole, action)` inverted index).
     pub patterns_sparse: usize,
     /// Total per-depth pattern-table consultations spent proposing
-    /// candidates. Lexicographic enumeration re-probes every prefix from the
-    /// root on each candidate; guided enumeration
-    /// ([`crate::Enumeration::Guided`]) re-verifies only the digits each
-    /// jump changed, so this is the metric the guided/lexicographic
+    /// candidates. Guided enumeration ([`crate::Enumeration::Guided`])
+    /// re-verifies only the digits each jump changed, where the
+    /// lexicographic reference walk re-probes every prefix from the root on
+    /// each candidate, so this is the metric the guided/lexicographic
     /// comparison gates on. Zero when pruning is off (naïve mode never
     /// consults the table).
     pub probes: u64,
@@ -193,15 +192,15 @@ pub struct SynthStats {
     pub check_states_expanded: u64,
     /// States inherited from [`verc3_mck::CheckSession`] checkpoints
     /// instead of being re-expanded — the work a per-candidate restart
-    /// would have repeated. Zero when
-    /// [`crate::SynthOptions::reuse_sessions`] is off.
+    /// would have repeated. Zero under the one-shot reference dispatch
+    /// (`SynthOptions::reuse_sessions(false)`).
     pub check_states_reused: u64,
     /// Dispatches whose session check replayed the previous check's ending
     /// ([`verc3_mck::SessionStats::checks_replayed`]): every hole answer
     /// that check consulted repeated, so nothing was expanded. A cost
     /// measurement like [`GenStats::claims`], not a result: it is not
-    /// journaled, and a resumed run counts only its own replays. Zero when
-    /// [`crate::SynthOptions::reuse_sessions`] is off.
+    /// journaled, and a resumed run counts only its own replays. Zero under
+    /// the one-shot reference dispatch.
     pub check_replays: u64,
 }
 

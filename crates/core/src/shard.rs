@@ -6,7 +6,7 @@
 //! The coordinator drives lockstep rounds, one generation each. A round
 //! partitions the frontier's chunk space into one slice per shard, runs
 //! every slice through the one slice runner (`Run::round` in
-//! [`crate::synth`]: sessions, pruning, lexicographic or guided walk), and
+//! [`crate::synth`]: sessions, pruning, the guided walk), and
 //! merges the slice outcomes into one [`SynthReport`]. A
 //! [`crate::Synthesizer`] is the one-shard case, with no exchange endpoint.
 //! The budget counters, the run log and the journal belong to the run, so
@@ -35,8 +35,8 @@
 //! every batch its peers published. Transport is a [`PatternExchange`]
 //! implementation: in-memory mailboxes ([`ChannelExchange`]) or a spool
 //! directory of atomically-renamed batch files ([`FsExchange`]) — no
-//! network dependency. Imports are merged through the same
-//! [`crate::PatternSink`] path as local inserts, so an imported pattern
+//! network dependency. Imports reach a worker's [`crate::Propagator`]
+//! through the same hub sync as local inserts, so an imported pattern
 //! invalidates the guided odometer's refutation masks exactly like a
 //! locally-learned one.
 //!
@@ -574,22 +574,26 @@ impl StealPool {
         let Some((victim, _)) = best else {
             return false;
         };
-        let (mid, end) = {
-            let mut v = self.slots[victim].lock();
-            let remaining = v.1.saturating_sub(v.0);
-            if remaining < 2 {
-                // Raced with the victim's own progress (or another thief);
-                // report success so the caller rescans.
-                return true;
-            }
-            let mid = v.0 + remaining.div_ceil(2);
-            let end = v.1;
-            v.1 = mid;
-            (mid, end)
+        // Both slots are held while the tail moves, locked in index order so
+        // that two thieves never wait on each other.
+        let (mut own, mut v) = if slot < victim {
+            let own = self.slots[slot].lock();
+            (own, self.slots[victim].lock())
+        } else {
+            let v = self.slots[victim].lock();
+            (self.slots[slot].lock(), v)
         };
-        let mut s = self.slots[slot].lock();
-        s.0 = mid;
-        s.1 = end;
+        let remaining = v.1.saturating_sub(v.0);
+        if own.0 < own.1 || remaining < 2 {
+            // Raced with another worker of this slot, which stole first, or
+            // with the victim's own progress (or another thief): report
+            // success so the caller rescans. Installing a second stolen
+            // range would overwrite the first and lose its chunks.
+            return true;
+        }
+        let mid = v.0 + remaining.div_ceil(2);
+        *own = (mid, v.1);
+        v.1 = mid;
         true
     }
 }
@@ -802,7 +806,6 @@ pub fn run_shard<M: TransitionSystem>(
     exchange: Option<Arc<dyn PatternExchange>>,
 ) -> Result<ShardReport, MckError> {
     let synth = Synthesizer::new(options.clone());
-    synth.validate()?;
     let (replay, writer) = synth.open_journal(model.name(), spec.journal.as_deref(), true)?;
     let mut gens = replay.map(|r| r.gens).unwrap_or_default();
     if gens.len() > 1 {
@@ -983,7 +986,6 @@ fn drive(
     enumerate: &Enumerate<'_>,
 ) -> Result<ShardedRun, MckError> {
     let synth = Synthesizer::new(options.clone());
-    synth.validate()?;
     let journal = options.journal_path();
     let (replay, writer) = synth.open_journal(model, journal, resume)?;
     let mut journaled = replay.map(|r| r.gens).unwrap_or_default().into_iter();

@@ -45,8 +45,10 @@ use crate::hole::{HoleId, HoleInfo, HoleRegistry};
 use crate::journal::{
     self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter, PatternEntry, Segment,
 };
-use crate::odometer::{space_size, GuidedOdometer, Odometer};
-use crate::pattern::{PatternMode, PatternSink, PatternTable, Propagator};
+#[cfg(any(test, feature = "reference"))]
+use crate::odometer::Odometer;
+use crate::odometer::{space_size, GuidedOdometer};
+use crate::pattern::{PatternMode, Propagator};
 use crate::report::{
     GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats,
 };
@@ -59,25 +61,28 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verc3_mck::hashers::FnvHashSet;
 use verc3_mck::{
-    CheckSession, Checker, CheckerOptions, HoleSpec, MckError, TransitionSystem, Verdict,
+    CheckSession, Checker, CheckerOptions, HoleSpec, MckError, Outcome, TransitionSystem, Verdict,
 };
 
 /// Candidate-enumeration strategy (see [`SynthOptions::enumeration`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Enumeration {
-    /// Walk the candidate space in lexicographic order, consulting the
-    /// pattern table from the root at every candidate and skipping matched
-    /// subtrees.
-    #[default]
-    Lexicographic,
     /// Let the learned patterns drive the walk: jump directly to the next
     /// assignment consistent with every dense prefix and sparse pattern,
     /// re-verifying only the digits each jump changed (see
-    /// [`crate::GuidedOdometer`]). Visits the exact same candidate sequence
-    /// as `Lexicographic` — solution sets, pattern tables, and run logs are
-    /// bit-identical — at a fraction of the per-depth probes
-    /// ([`crate::report::GenStats::probes`]). Requires pruning.
+    /// [`crate::GuidedOdometer`]). It visits the candidate sequence of a
+    /// lexicographic walk that skips every subtree a pattern matches, at a
+    /// fraction of that walk's per-depth probes
+    /// ([`crate::report::GenStats::probes`]). Over the empty pattern table
+    /// of a naïve run it refutes nothing and visits every candidate.
+    #[default]
     Guided,
+    /// The lexicographic reference walk: consults the pattern table from
+    /// the root at every candidate and skips matched subtrees, claiming
+    /// chunk by chunk. Compiled only for tests and under the `reference`
+    /// feature, as the differential oracle the guided walk is held to.
+    #[cfg(any(test, feature = "reference"))]
+    Lexicographic,
 }
 
 /// Configuration for a [`Synthesizer`].
@@ -101,6 +106,7 @@ pub struct SynthOptions {
     chunk_size: u64,
     max_evaluations: Option<u64>,
     record_runs: bool,
+    #[cfg(any(test, feature = "reference"))]
     reuse_sessions: bool,
     journal: Option<PathBuf>,
     journal_fsync_every: u64,
@@ -114,13 +120,14 @@ impl Default for SynthOptions {
         SynthOptions {
             pruning: true,
             pattern_mode: PatternMode::Exact,
-            enumeration: Enumeration::Lexicographic,
+            enumeration: Enumeration::Guided,
             threads: 1,
             check_threads: 1,
             checker: CheckerOptions::default(),
             chunk_size: 32,
             max_evaluations: None,
             record_runs: false,
+            #[cfg(any(test, feature = "reference"))]
             reuse_sessions: true,
             journal: None,
             journal_fsync_every: 64,
@@ -147,16 +154,11 @@ impl SynthOptions {
         self
     }
 
-    /// Selects the candidate-enumeration strategy (default
-    /// [`Enumeration::Lexicographic`]). [`Enumeration::Guided`] turns the
-    /// learned pattern table from a per-candidate veto into the proposal
-    /// mechanism itself, without changing which candidates are evaluated.
-    /// Part of the journal fingerprint: resuming requires the strategy the
-    /// journal was written with.
-    ///
-    /// Guided enumeration requires pruning — combining it with
-    /// `pruning(false)` fails at run time with
-    /// [`MckError::InvalidConfig`].
+    /// Selects the candidate-enumeration strategy. Production builds have
+    /// one, [`Enumeration::Guided`] (the default), which runs pruned and
+    /// naïve synthesis alike; tests and the `reference` feature add the
+    /// lexicographic walk it is held to. Part of the journal fingerprint:
+    /// resuming requires the strategy the journal was written with.
     pub fn enumeration(mut self, strategy: Enumeration) -> Self {
         self.enumeration = strategy;
         self
@@ -309,7 +311,10 @@ impl SynthOptions {
     }
 
     /// Dispatches candidates through per-worker [`CheckSession`]s (the
-    /// default) instead of one-shot checker runs.
+    /// default, and the only dispatch of a production build) or, with
+    /// `false`, through one-shot checker runs: the per-candidate-restart
+    /// reference, compiled only for tests and under the `reference`
+    /// feature.
     ///
     /// Each synthesis worker holds one long-lived session per generation;
     /// because the candidate odometer varies the latest-discovered (deepest
@@ -321,11 +326,11 @@ impl SynthOptions {
     /// statistics, failure attribution), so the run log, pattern table,
     /// evaluated counts, and solution set are unchanged — only
     /// [`SynthStats::check_states_reused`], [`SynthStats::check_replays`]
-    /// and wall time move. Disable to measure the per-candidate-restart
-    /// baseline.
+    /// and wall time move.
     ///
     /// [`SynthStats::check_states_reused`]: crate::report::SynthStats::check_states_reused
     /// [`SynthStats::check_replays`]: crate::report::SynthStats::check_replays
+    #[cfg(any(test, feature = "reference"))]
     pub fn reuse_sessions(mut self, reuse: bool) -> Self {
         self.reuse_sessions = reuse;
         self
@@ -350,7 +355,9 @@ impl SynthOptions {
     /// How many journaled chunk records may accumulate between `fsync`s
     /// (default 64). Generation boundaries and the final stop record always
     /// sync. Lower is more durable, higher is cheaper; at the default
-    /// cadence the journal costs msi-scale runs under 2% wall time. Note
+    /// cadence a serial msi_large run makes about ten `sync_data` calls
+    /// (creation, each generation start, one per 64 records, the stop
+    /// record), and their latency is what the journal costs. Note
     /// the cadence only bounds what an *operating-system* crash can lose —
     /// a killed process loses nothing, because every record is written to
     /// the page cache at chunk completion and survives process death.
@@ -465,7 +472,6 @@ impl Synthesizer {
         &self,
         model: &M,
     ) -> Result<SynthReport, MckError> {
-        self.validate()?;
         if self.options.journal.is_none() {
             return Err(MckError::InvalidConfig {
                 param: "journal",
@@ -484,19 +490,6 @@ impl Synthesizer {
             chunk_size: self.options.chunk_size,
             enumeration: self.options.enumeration,
         }
-    }
-
-    /// Rejects option combinations no run mode can honor.
-    pub(crate) fn validate(&self) -> Result<(), MckError> {
-        if self.options.enumeration == Enumeration::Guided && !self.options.pruning {
-            return Err(MckError::InvalidConfig {
-                param: "enumeration",
-                reason: "guided enumeration requires pruning: the learned \
-                         pattern table is what drives the jumps"
-                    .into(),
-            });
-        }
-        Ok(())
     }
 
     /// Opens the journal at `path` for a run of `model`: with `resume`, an
@@ -920,6 +913,15 @@ struct Shape {
     covered: Vec<(u64, u64)>,
 }
 
+impl Shape {
+    /// Naïve mode's dedup rule: a candidate whose new digits (holes
+    /// `prev_k..k`) are all action 0 is identical to one the previous
+    /// generation evaluated, since undiscovered holes default to action 0.
+    fn repeats_last_generation(&self, digits: &[u16]) -> bool {
+        self.k > self.prev_k && digits[self.prev_k..self.k].iter().all(|&x| x == 0)
+    }
+}
+
 /// Everything one slice of one generation produced. Hole ids at or beyond
 /// the frontier `k` are the slice's own and index `discovered`.
 pub(crate) struct SliceOutcome {
@@ -1265,97 +1267,43 @@ impl ChunkClaims {
     }
 }
 
-/// One worker: opens its per-generation [`CheckSession`] (unless
-/// [`SynthOptions::reuse_sessions`] is off) and runs the chunk-claiming
-/// loop. Session reuse counters are banked per candidate (see
-/// [`evaluate_candidate`]), so interrupted runs and journal records stay
-/// accurate.
-fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
-    let mut session = slice
-        .run
-        .options
-        .reuse_sessions
-        .then(|| slice.run.checker.session(model));
-    worker_loop(model, slice, &mut session);
-}
-
-/// A worker's thread-local pattern store. The lexicographic walker probes a
-/// plain [`PatternTable`]; the guided walker's [`Propagator`] additionally
-/// caches its trie cursor stack and candidate snapshot, which must persist
-/// across chunks to keep jump re-verification incremental.
-enum LocalStore {
-    Lex {
-        table: PatternTable,
-        /// Survivor-bitset scratch reused across every pruning probe this
-        /// worker makes: the query path allocates nothing.
-        scratch: Vec<u64>,
-    },
-    Guided(Propagator),
-}
-
-impl LocalStore {
-    fn sink(&mut self) -> &mut dyn PatternSink {
-        match self {
-            LocalStore::Lex { table, .. } => table,
-            LocalStore::Guided(propagator) => propagator,
-        }
-    }
-}
-
-/// One worker's chunk-claiming evaluation loop.
+/// One worker: opens its per-generation [`CheckSession`] and runs the
+/// chunk-claiming evaluation loop over its thread-local [`Propagator`],
+/// which holds every pattern the slice's hub does.
 ///
-/// Under guided enumeration a finished chunk's walk runs on past the chunk
-/// to the next consistent candidate `t`, searching up to the claim's
-/// [`Claim::limit`]. Every chunk wholly below `t` is refuted by this
-/// worker's own patterns — and patterns only grow — so the worker claims
-/// them all in one dispenser step and banks them as one idle run, at any
-/// thread or shard count. Nothing in the run is evaluated, so the skip
-/// count grows by exactly its candidates and serial counts are those of a
-/// chunk-by-chunk walk.
-fn worker_loop<'m, M: TransitionSystem>(
-    model: &'m M,
-    slice: &Slice<'_>,
-    session: &mut Option<CheckSession<'m, M>>,
-) {
+/// A finished chunk's walk runs on past the chunk to the next consistent
+/// candidate `t`, searching up to the claim's [`Claim::limit`]. Every chunk
+/// wholly below `t` is refuted by this worker's own patterns — and patterns
+/// only grow — so the worker claims them all in one dispenser step and
+/// journals them as one refuted run, at any thread or shard count. Nothing
+/// in the run is evaluated, so the skip count grows by exactly its
+/// candidates and serial counts are those of a chunk-by-chunk walk. Every
+/// completed range goes straight to the journal writer, which coalesces
+/// adjacent inactive ranges itself.
+fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
     let opts = &slice.run.options;
     let shape = slice.shape;
-    let mut store = if opts.pruning && opts.enumeration == Enumeration::Guided {
-        LocalStore::Guided(Propagator::new())
-    } else {
-        LocalStore::Lex {
-            table: PatternTable::new(),
-            scratch: Vec::new(),
-        }
-    };
+    let mut session = slice.run.checker.session(model);
+    let mut propagator = Propagator::new();
     let mut log_cursor = 0usize;
     let total = shape.total.max(1);
     let chunk = opts.chunk_size;
-    // Worker-local run of contiguous *inactive* chunks, flushed to the
-    // journal writer only when an active chunk or a claim gap breaks the
-    // run: on heavily-pruned generations almost every chunk is inactive,
-    // and journaling each one individually puts the writer lock on the
-    // enumeration fast path (measured ~8% wall on msi_xl).
-    let mut idle: Option<ChunkDraft> = None;
 
-    loop {
-        if slice.run.stop.load(Ordering::Acquire) {
-            flush_idle(slice, &mut idle);
-            return;
-        }
+    while !slice.run.stop.load(Ordering::Acquire) {
         let Some(Claim { idx, limit }) = slice.dispenser.claim(&shape.covered) else {
-            flush_idle(slice, &mut idle);
             return;
         };
         slice.claims.fetch_add(1, Ordering::Relaxed);
         let lo = idx.saturating_mul(chunk);
         let hi = lo.saturating_add(chunk).min(total);
+        let search_end = limit.saturating_mul(chunk).min(total);
         if opts.pruning {
             // Pattern-log sync (and the exchange beat) at every chunk
             // boundary: publication is immediate, and this is the pull.
             if let Some(exchange) = &slice.exchange {
                 exchange.pump(&slice.hub, shape.k);
             }
-            slice.hub.sync_into(store.sink(), &mut log_cursor);
+            slice.hub.sync_into(&mut propagator, &mut log_cursor);
         }
 
         // Everything this chunk produces accumulates here and is journaled
@@ -1363,23 +1311,19 @@ fn worker_loop<'m, M: TransitionSystem>(
         // (stop request, kill) leaves no journal trace and is re-run on
         // resume against the same pattern-table state it started from.
         let mut draft = ChunkDraft::new(shape.k as u64, slice.index, idx);
-
-        // `through`: the guided walk's refuted bound — every chunk below it
-        // and past this one holds no consistent candidate (`None` for the
-        // lexicographic walk, which never looks past a chunk).
-        let (completed, through) = match &mut store {
-            LocalStore::Lex { table, scratch } => (
-                run_chunk_lex(model, slice, lo, hi, table, scratch, session, &mut draft),
-                None,
+        let next = match opts.enumeration {
+            Enumeration::Guided => run_chunk_guided(
+                slice,
+                lo,
+                hi,
+                search_end,
+                &mut propagator,
+                &mut session,
+                &mut draft,
             ),
-            LocalStore::Guided(propagator) => {
-                let search_end = limit.saturating_mul(chunk).min(total);
-                let next = run_chunk_guided(
-                    model, slice, lo, hi, search_end, propagator, session, &mut draft,
-                );
-                // A search that ran out refutes the partial last chunk too.
-                let through = next.map(|t| if t >= search_end { limit } else { t / chunk });
-                (next.is_some(), through)
+            #[cfg(any(test, feature = "reference"))]
+            Enumeration::Lexicographic => {
+                run_chunk_lex(slice, lo, hi, &mut propagator, &mut session, &mut draft)
             }
         };
 
@@ -1387,22 +1331,26 @@ fn worker_loop<'m, M: TransitionSystem>(
         if draft.evaluated > 0 {
             slice.active_chunks.fetch_add(1, Ordering::Relaxed);
         }
-        if !completed {
-            // A stop request interrupted the chunk: its partial counters are
-            // banked (for the report) but never journaled.
-            flush_idle(slice, &mut idle);
-            return;
-        }
-        file_chunk(slice, &mut idle, draft);
+        // A stop request interrupted the chunk: its partial counters are
+        // banked (for the report) but never journaled.
+        let Some(next) = next else { return };
+        slice.journal_chunk(draft);
 
+        // Every chunk below `through` and past this one holds no consistent
+        // candidate; a search that ran out refutes the partial last chunk
+        // too.
+        let through = if next >= search_end {
+            limit
+        } else {
+            next / chunk
+        };
+        if through <= idx + 1 {
+            continue;
+        }
         if let Some((first, count)) =
-            through
-                .filter(|&through| through > idx + 1)
-                .and_then(|through| {
-                    slice
-                        .dispenser
-                        .claim_refuted(idx + 1, through, &shape.covered)
-                })
+            slice
+                .dispenser
+                .claim_refuted(idx + 1, through, &shape.covered)
         {
             slice.claims.fetch_add(1, Ordering::Relaxed);
             let run = ChunkDraft::refuted(
@@ -1413,107 +1361,27 @@ fn worker_loop<'m, M: TransitionSystem>(
                 slice.chunk_candidates(first, count),
             );
             slice.bank(&run);
-            file_chunk(slice, &mut idle, run);
+            slice.journal_chunk(run);
         }
     }
 }
 
-/// Files a completed chunk range: an inactive one extends the worker's
-/// contiguous idle run without touching the writer; anything else flushes
-/// that run first (so the writer can absorb it into the active record's
-/// range) and is journaled at once.
-fn file_chunk(slice: &Slice<'_>, idle: &mut Option<ChunkDraft>, draft: ChunkDraft) {
-    if !draft.is_inactive() {
-        flush_idle(slice, idle);
-        slice.journal_chunk(draft);
-        return;
-    }
-    match idle {
-        Some(run) if run.precedes(&draft) => run.absorb(&draft),
-        _ => {
-            flush_idle(slice, idle);
-            *idle = Some(draft);
-        }
-    }
-}
-
-/// Lexicographic walk over one chunk's candidate range. Returns `false` if a
-/// stop request interrupted the chunk.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site
-fn run_chunk_lex<'m, M: TransitionSystem>(
-    model: &'m M,
-    slice: &Slice<'_>,
-    lo: u64,
-    hi: u64,
-    table: &mut PatternTable,
-    scratch: &mut Vec<u64>,
-    session: &mut Option<CheckSession<'m, M>>,
-    draft: &mut ChunkDraft,
-) -> bool {
-    let (run, shape) = (slice.run, slice.shape);
-    let mut od = Odometer::over_range(shape.radices.clone(), lo as u128, hi as u128);
-    'candidates: while let Some(digits) = od.current() {
-        if run.stop.load(Ordering::Acquire) {
-            return false;
-        }
-        // Candidate pruning: one incremental cursor walk over all prefix
-        // depths (trie descent + per-depth inverted-index probes); a hit
-        // at depth `d` skips the entire subtree below it in O(1).
-        if run.options.pruning {
-            let hit = table.first_pruned_depth_in(digits, shape.k, scratch);
-            // The walk consults depths `0..=d` (or all `0..=k` on a miss).
-            draft.probes += match hit {
-                Some(d) => d as u64 + 1,
-                None => shape.k as u64 + 1,
-            };
-            if let Some(d) = hit {
-                let n = od.skip_subtree(d);
-                draft.skipped += n as u64;
-                continue 'candidates;
-            }
-        } else if shape.k > shape.prev_k && digits[shape.prev_k..shape.k].iter().all(|&x| x == 0) {
-            // Naïve mode: a candidate whose new digits are all defaults
-            // is identical to one already evaluated last generation.
-            draft.deduped += 1;
-            if !od.advance() {
-                break;
-            }
-            continue;
-        }
-
-        // The graceful-stop sequence point: budgets, deadlines, caps,
-        // and external interrupts all take effect between dispatches,
-        // never inside one.
-        if let Some(reason) = run.stop_due() {
-            run.request_stop(reason);
-            return false;
-        }
-
-        evaluate_candidate(model, slice, digits.to_vec(), session, table, draft);
-
-        if !od.advance() {
-            break;
-        }
-    }
-    true
-}
-
-/// Guided walk over one chunk's candidate range `[lo, hi)`: the propagator
-/// jumps the odometer straight to each next consistent candidate. Visits
-/// the exact candidate sequence [`run_chunk_lex`] visits against the same
-/// pattern table — only the probe cost differs. The walk's last seek runs
-/// on past `hi`, up to `search_end`, and its landing index — the next
-/// consistent candidate, or `search_end` if there is none — is returned;
-/// `None` if a stop request interrupted the chunk.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site
-fn run_chunk_guided<'m, M: TransitionSystem>(
-    model: &'m M,
+/// The walk over one chunk's candidate range `[lo, hi)`: the propagator
+/// jumps the odometer straight to each next consistent candidate, so the
+/// walk visits exactly the candidates a lexicographic walk filtered by the
+/// same pattern table visits — only the probe cost differs. A naïve run's
+/// table stays empty and refutes nothing; there a candidate that repeats
+/// one of the previous generation is deduped instead of evaluated. The
+/// walk's last seek runs on past `hi`, up to `search_end`, and its landing
+/// index — the next consistent candidate, or `search_end` if there is none
+/// — is returned; `None` if a stop request interrupted the chunk.
+fn run_chunk_guided<M: TransitionSystem>(
     slice: &Slice<'_>,
     lo: u64,
     hi: u64,
     search_end: u64,
     propagator: &mut Propagator,
-    session: &mut Option<CheckSession<'m, M>>,
+    session: &mut CheckSession<'_, M>,
     draft: &mut ChunkDraft,
 ) -> Option<u64> {
     // The walk stays warm across chunk boundaries: most chunks hold a
@@ -1525,10 +1393,10 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
     // and solutions bit-identically but may re-measure a slightly
     // different probe total, since its first live chunk starts from a cold
     // memo.
-    let run = slice.run;
+    let (run, shape) = (slice.run, slice.shape);
     let probes_before = propagator.probes();
     let mut od = GuidedOdometer::over_range(
-        slice.shape.radices.clone(),
+        shape.radices.clone(),
         lo as u128,
         search_end as u128,
         propagator,
@@ -1547,41 +1415,87 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
         if run.stop.load(Ordering::Acquire) {
             break None;
         }
-        // The graceful-stop sequence point, as in the lexicographic walk.
+        let digits = od.current().expect("candidate below the search end");
+        if !run.options.pruning && shape.repeats_last_generation(digits) {
+            draft.deduped += 1;
+            od.advance();
+            continue;
+        }
+        // The graceful-stop sequence point: budgets, deadlines, caps,
+        // and external interrupts all take effect between dispatches,
+        // never inside one.
         if let Some(reason) = run.stop_due() {
             run.request_stop(reason);
             break None;
         }
-        let digits = od
-            .current()
-            .expect("candidate below the search end")
-            .to_vec();
-        evaluate_candidate(model, slice, digits, session, od.propagator_mut(), draft);
+        let digits = digits.to_vec();
+        evaluate_candidate(slice, digits, session, od.propagator_mut(), draft);
         od.advance();
     };
     draft.probes += od.propagator_mut().probes() - probes_before;
     next
 }
 
-/// Hands a worker's buffered idle-chunk run to the journal writer. Chunks
-/// that die in the buffer (process kill before the flush) simply re-run on
-/// resume with identical counts: inactive chunks publish no patterns, so
-/// their enumeration state is exactly reproduced.
-fn flush_idle(slice: &Slice<'_>, idle: &mut Option<ChunkDraft>) {
-    if let Some(run) = idle.take() {
-        slice.journal_chunk(run);
+/// The lexicographic reference walk over one chunk's candidate range
+/// `[lo, hi)`: it probes the pattern table from the root at every candidate
+/// and skips each matched subtree. It never searches past its chunk, so it
+/// claims chunk by chunk: returns `Some(hi)`, or `None` if a stop request
+/// interrupted the chunk.
+#[cfg(any(test, feature = "reference"))]
+fn run_chunk_lex<M: TransitionSystem>(
+    slice: &Slice<'_>,
+    lo: u64,
+    hi: u64,
+    propagator: &mut Propagator,
+    session: &mut CheckSession<'_, M>,
+    draft: &mut ChunkDraft,
+) -> Option<u64> {
+    let (run, shape) = (slice.run, slice.shape);
+    let mut scratch = Vec::new();
+    let mut od = Odometer::over_range(shape.radices.clone(), lo as u128, hi as u128);
+    while let Some(digits) = od.current() {
+        if run.stop.load(Ordering::Acquire) {
+            return None;
+        }
+        if run.options.pruning {
+            // One incremental cursor walk over all prefix depths; a hit at
+            // depth `d` skips the entire subtree below it in O(1).
+            let hit = propagator
+                .table()
+                .first_pruned_depth_in(digits, shape.k, &mut scratch);
+            // The walk consults depths `0..=d` (or all `0..=k` on a miss).
+            draft.probes += hit.unwrap_or(shape.k) as u64 + 1;
+            if let Some(d) = hit {
+                draft.skipped += od.skip_subtree(d) as u64;
+                continue;
+            }
+        } else if shape.repeats_last_generation(digits) {
+            draft.deduped += 1;
+            if !od.advance() {
+                break;
+            }
+            continue;
+        }
+        if let Some(reason) = run.stop_due() {
+            run.request_stop(reason);
+            return None;
+        }
+        evaluate_candidate(slice, digits.to_vec(), session, propagator, draft);
+        if !od.advance() {
+            break;
+        }
     }
+    Some(hi)
 }
 
 /// Dispatches one candidate to the model checker and files the result —
 /// into the slice and run state immediately, and into the chunk `draft`
 /// for the journal.
-fn evaluate_candidate<'m, M: TransitionSystem>(
-    model: &'m M,
+fn evaluate_candidate<M: TransitionSystem>(
     slice: &Slice<'_>,
     digits: Vec<u16>,
-    session: &mut Option<CheckSession<'m, M>>,
-    local_patterns: &mut dyn PatternSink,
+    session: &mut CheckSession<'_, M>,
+    propagator: &mut Propagator,
     draft: &mut ChunkDraft,
 ) {
     let run = slice.run;
@@ -1592,45 +1506,8 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     } else {
         DiscoveryDefault::ActionZero
     };
-
-    // Session dispatch resumes from the deepest checkpoint whose hole
-    // resolutions this candidate leaves unchanged; one-shot dispatch checks
-    // a fresh session from the initial states. The resolver's touched set
-    // is hole-id-sorted so downstream consumers see thread-count-
-    // independent data. Either way the verdict and failure attribution are
-    // identical.
     let resolver = SharedCandidateResolver::new(&slice.registry, &digits, default);
-    let (outcome, touched) = if let Some(session) = session.as_mut() {
-        let before = session.stats().clone();
-        let outcome = session.check(&resolver);
-        // Bank the session's reuse counters per candidate (a panicked check
-        // resets the session, discarding its partial work — saturate).
-        let after = session.stats();
-        let expanded = after.states_expanded.saturating_sub(before.states_expanded);
-        let reused = after.states_reused.saturating_sub(before.states_reused);
-        slice.bank_check(
-            expanded,
-            reused,
-            after.checks_replayed - before.checks_replayed,
-        );
-        draft.expanded += expanded;
-        draft.reused += reused;
-        // The run's touched set is the union of live consultations and the
-        // consultations of the checkpoint-reused layers (which a fresh run
-        // would have made itself); both are id-sorted, answers agree by the
-        // checkpoint validity rule.
-        let mut touched = resolver.into_touched();
-        touched.extend(session.reused_touches());
-        touched.sort_unstable();
-        touched.dedup_by_key(|pair| pair.0);
-        (outcome, touched)
-    } else {
-        let outcome = run.checker.run_shared(model, &resolver);
-        let expanded = outcome.stats().states_visited as u64;
-        slice.bank_check(expanded, 0, 0);
-        draft.expanded += expanded;
-        (outcome, resolver.into_touched())
-    };
+    let (outcome, touched) = dispatch(slice, session, resolver, draft);
     let number = run.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
     draft.evaluated += 1;
 
@@ -1653,7 +1530,7 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
                         PatternEntry::Sparse(relevant.iter().map(|&(h, a)| (h as u16, a)).collect())
                     }
                 };
-                pattern_added = slice.hub.publish(&entry, local_patterns);
+                pattern_added = slice.hub.publish(&entry, propagator);
                 if pattern_added {
                     draft.patterns.push(entry);
                 }
@@ -1703,6 +1580,51 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
     }
 }
 
+/// Checks one candidate on the worker's session and banks the checker work
+/// into the slice, the run and `draft`. The session resumes from its
+/// deepest checkpoint whose hole resolutions the candidate leaves
+/// unchanged; verdict and failure attribution are those of a fresh check.
+/// Returns the outcome and the hole-id-sorted touched set: the live
+/// consultations plus those of the checkpoint-reused layers, which a fresh
+/// check would have made itself (answers agree by the checkpoint validity
+/// rule).
+fn dispatch<M: TransitionSystem>(
+    slice: &Slice<'_>,
+    session: &mut CheckSession<'_, M>,
+    resolver: SharedCandidateResolver<'_>,
+    draft: &mut ChunkDraft,
+) -> (Outcome<M::State>, Vec<(HoleId, u16)>) {
+    #[cfg(any(test, feature = "reference"))]
+    if !slice.run.options.reuse_sessions {
+        // The per-candidate-restart reference: one fresh check from the
+        // initial states, the session left untouched.
+        let outcome = slice.run.checker.run_shared(session.model(), &resolver);
+        let expanded = outcome.stats().states_visited as u64;
+        slice.bank_check(expanded, 0, 0);
+        draft.expanded += expanded;
+        return (outcome, resolver.into_touched());
+    }
+    let before = session.stats().clone();
+    let outcome = session.check(&resolver);
+    // Bank the session's reuse counters per candidate (a panicked check
+    // resets the session, discarding its partial work — saturate).
+    let after = session.stats();
+    let expanded = after.states_expanded.saturating_sub(before.states_expanded);
+    let reused = after.states_reused.saturating_sub(before.states_reused);
+    slice.bank_check(
+        expanded,
+        reused,
+        after.checks_replayed - before.checks_replayed,
+    );
+    draft.expanded += expanded;
+    draft.reused += reused;
+    let mut touched = resolver.into_touched();
+    touched.extend(session.reused_touches());
+    touched.sort_unstable();
+    touched.dedup_by_key(|pair| pair.0);
+    (outcome, touched)
+}
+
 /// Where a slice hub's pattern came from. Only [`Origin::Local`] entries
 /// are exported over the cross-slice exchange (foreign entries arrived
 /// *from* it, so re-broadcasting them would echo forever) and merged into
@@ -1717,7 +1639,7 @@ enum Origin {
 }
 
 /// Sorts and de-duplicates a sparse pattern as
-/// [`PatternTable::insert_sparse`] normalizes it, so equal patterns hash
+/// [`crate::PatternTable::insert_sparse`] normalizes it, so equal patterns hash
 /// equal.
 fn normalized(mut entry: PatternEntry) -> PatternEntry {
     if let PatternEntry::Sparse(pairs) = &mut entry {
@@ -1727,11 +1649,11 @@ fn normalized(mut entry: PatternEntry) -> PatternEntry {
     entry
 }
 
-fn merge_into(local: &mut dyn PatternSink, entry: &PatternEntry) {
+fn merge_into(local: &mut Propagator, entry: &PatternEntry) {
     match entry {
-        PatternEntry::Prefix(p) => local.merge_prefix(p),
-        PatternEntry::Sparse(s) => local.merge_sparse(s.clone()),
-    }
+        PatternEntry::Prefix(p) => local.insert_prefix(p),
+        PatternEntry::Sparse(s) => local.insert_sparse(s.clone()),
+    };
 }
 
 /// The run's merged pruning patterns, each distinct pattern stored once, in
@@ -1808,15 +1730,15 @@ impl<'r> PatternHub<'r> {
 
     /// Publishes a pattern a worker learned; merges it into `local` as
     /// well. Returns whether the pattern was new to the run.
-    fn publish(&self, entry: &PatternEntry, local: &mut dyn PatternSink) -> bool {
+    fn publish(&self, entry: &PatternEntry, local: &mut Propagator) -> bool {
         merge_into(local, entry);
         self.file(&mut self.inner.lock(), entry.clone(), Origin::Local)
     }
 
     /// Replays the hub from `*cursor` on — the base, then this slice's log,
-    /// regardless of origin — into `local`: a worker's thread-local table
-    /// must hold everything the hub knows, imported patterns included.
-    fn sync_into(&self, local: &mut dyn PatternSink, cursor: &mut usize) {
+    /// regardless of origin — into `local`: a worker's propagator must hold
+    /// everything the hub knows, imported patterns included.
+    fn sync_into(&self, local: &mut Propagator, cursor: &mut usize) {
         let base = &self.base.log;
         for entry in base.get(*cursor..).unwrap_or(&[]) {
             merge_into(local, entry);

@@ -1,9 +1,12 @@
 //! Differential tests for guided enumeration at the synthesis level: the
-//! guided walk visits the exact candidate sequence the lexicographic walk
-//! visits (probe → skip → advance at identical pattern-table states), so
-//! everything the paper reports — run logs, pattern tables, solution sets,
-//! per-generation accounting — must be bit-identical between the two
-//! strategies. Only the probe cost may differ, and only downward.
+//! guided walk, the one every production run takes, visits the exact
+//! candidate sequence the lexicographic reference walk visits (probe → skip
+//! → advance at identical pattern-table states), so everything the paper
+//! reports — run logs, pattern tables, solution sets, per-generation
+//! accounting — must be bit-identical between the two strategies, in the
+//! naïve baseline too. Only the probe cost may differ, and only downward.
+//! The reference walk is compiled through the core crate's `reference`
+//! feature.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -62,21 +65,26 @@ fn observable(report: &SynthReport) -> (Vec<String>, GenCounters, usize, usize, 
     )
 }
 
-fn run(model: &GraphModel, mode: PatternMode, strategy: Enumeration) -> SynthReport {
-    Synthesizer::new(
-        SynthOptions::default()
-            .record_runs(true)
-            .pattern_mode(mode)
-            .enumeration(strategy),
-    )
-    .run(model)
+/// The searches the walks are compared under: paper-exact patterns (0),
+/// refined patterns (1) and the naïve baseline, pruning off (2).
+fn search(kind: u8) -> SynthOptions {
+    let options = SynthOptions::default().record_runs(true);
+    match kind {
+        0 => options.pattern_mode(PatternMode::Exact),
+        1 => options.pattern_mode(PatternMode::Refined),
+        _ => options.pruning(false),
+    }
+}
+
+fn run(model: &GraphModel, options: SynthOptions, strategy: Enumeration) -> SynthReport {
+    Synthesizer::new(options.enumeration(strategy)).run(model)
 }
 
 #[test]
 fn figure_2_run_is_identical_under_guided_enumeration() {
     let model = GraphModel::worked_example();
-    let lex = run(&model, PatternMode::Exact, Enumeration::Lexicographic);
-    let guided = run(&model, PatternMode::Exact, Enumeration::Guided);
+    let lex = run(&model, search(0), Enumeration::Lexicographic);
+    let guided = run(&model, search(0), Enumeration::Guided);
 
     // The paper's numbers, under both strategies.
     assert_eq!(guided.stats().evaluated, 10);
@@ -95,19 +103,20 @@ fn figure_2_run_is_identical_under_guided_enumeration() {
 }
 
 #[test]
-fn guided_requires_pruning() {
+fn naive_figure_2_runs_the_guided_walk() {
+    // The naïve baseline takes the production walk as well: over an empty
+    // pattern table it refutes nothing, consults no pattern, and evaluates
+    // the full product.
     let model = GraphModel::worked_example();
-    let report = Synthesizer::new(
-        SynthOptions::default()
-            .pruning(false)
-            .enumeration(Enumeration::Guided),
-    )
-    .try_run(&model);
-    let err = report.expect_err("guided + naive must be rejected");
-    assert!(
-        err.to_string().contains("enumeration"),
-        "unexpected error: {err}"
-    );
+    let naive = Synthesizer::new(SynthOptions::default().pruning(false)).run(&model);
+    assert_eq!(naive.stats().evaluated, 24, "naïve: the full product");
+    assert_eq!(naive.solutions().len(), 1);
+    assert_eq!(naive.stats().probes, 0);
+    let lex = run(&model, search(2), Enumeration::Lexicographic);
+    let guided = run(&model, search(2), Enumeration::Guided);
+    assert_eq!(observable(&guided), observable(&lex));
+    assert_eq!(guided.run_table(), lex.run_table());
+    assert_eq!(solution_set(&naive), solution_set(&lex));
 }
 
 #[test]
@@ -118,7 +127,8 @@ fn msi_workloads_are_identical_under_guided_enumeration() {
     ] {
         let model = MsiModel::new(config);
         let opts = SynthOptions::default().pattern_mode(PatternMode::Refined);
-        let lex = Synthesizer::new(opts.clone()).run(&model);
+        let lex =
+            Synthesizer::new(opts.clone().enumeration(Enumeration::Lexicographic)).run(&model);
         let guided = Synthesizer::new(opts.clone().enumeration(Enumeration::Guided)).run(&model);
 
         assert_eq!(
@@ -159,7 +169,9 @@ fn msi_workloads_are_identical_under_guided_enumeration() {
 fn parallel_guided_synthesis_matches_serial_solutions() {
     for seed in [900, 901, 902] {
         let model = GraphModel::random(seed, 6, 3);
-        let serial = Synthesizer::new(SynthOptions::default()).run(&model);
+        let serial =
+            Synthesizer::new(SynthOptions::default().enumeration(Enumeration::Lexicographic))
+                .run(&model);
         let guided_par = Synthesizer::new(
             SynthOptions::default()
                 .enumeration(Enumeration::Guided)
@@ -179,20 +191,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On random models, guided enumeration reproduces the lexicographic
-    /// run bit-for-bit — run log, generation accounting, pattern counts —
-    /// in both pattern modes, while probing no more than it.
+    /// run bit-for-bit — run log, generation accounting (deduped naïve
+    /// candidates included), pattern counts — in both pattern modes and
+    /// with pruning off, while probing no more than it: not at all in the
+    /// naïve baseline, which never consults the pattern table.
     #[test]
     fn guided_reproduces_lexicographic_runs_exactly(
         seed in 0u64..10_000,
         holes in 3usize..8,
-        refined in 0u8..2,
+        kind in 0u8..3,
     ) {
         let model = GraphModel::random(seed, holes, 3);
-        let mode = if refined == 0 { PatternMode::Exact } else { PatternMode::Refined };
-        let lex = run(&model, mode, Enumeration::Lexicographic);
-        let guided = run(&model, mode, Enumeration::Guided);
+        let lex = run(&model, search(kind), Enumeration::Lexicographic);
+        let guided = run(&model, search(kind), Enumeration::Guided);
         prop_assert_eq!(observable(&guided), observable(&lex));
         prop_assert_eq!(solution_set(&guided), solution_set(&lex));
         prop_assert!(guided.stats().probes <= lex.stats().probes);
+        if kind == 2 {
+            prop_assert_eq!(lex.stats().probes, 0);
+            prop_assert_eq!(guided.stats().probes, 0);
+        }
     }
 }

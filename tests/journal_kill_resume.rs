@@ -226,37 +226,32 @@ fn guided_runs_resume_identically_from_every_record_boundary() {
 fn resume_rejects_a_journal_from_a_different_enumeration_strategy() {
     // The journal's skipped/probe accounting is only meaningful under the
     // strategy that wrote it, so the fingerprint pins the enumeration
-    // strategy — resuming a lexicographic journal under `--guided` (or the
-    // reverse) must be rejected like any other search mismatch.
+    // strategy — resuming a journal of the lexicographic reference walk
+    // under the guided walk (or the reverse) must be rejected like any
+    // other search mismatch.
     let path = scratch("enum-mismatch");
     let model = GraphModel::worked_example();
-    Synthesizer::new(SynthOptions::default().journal(&path)).run(&model);
-    let err = Synthesizer::new(
-        SynthOptions::default()
-            .enumeration(Enumeration::Guided)
-            .journal(&path),
-    )
-    .resume_from_journal(&model)
-    .expect_err("enumeration-strategy change must be rejected");
-    assert!(
-        err.to_string().contains("journal"),
-        "unexpected error: {err}"
-    );
-
+    let with = |strategy| SynthOptions::default().enumeration(strategy).journal(&path);
+    for (written, resumed) in [
+        (Enumeration::Lexicographic, Enumeration::Guided),
+        (Enumeration::Guided, Enumeration::Lexicographic),
+    ] {
+        let _ = fs::remove_file(&path);
+        Synthesizer::new(with(written)).run(&model);
+        let err = Synthesizer::new(with(resumed))
+            .resume_from_journal(&model)
+            .expect_err("an enumeration-strategy change must be rejected");
+        assert!(
+            err.to_string().contains("journal"),
+            "{written:?} resumed as {resumed:?}: unexpected error: {err}"
+        );
+    }
+    // The default walk is the guided one: its journals resume under it.
     let _ = fs::remove_file(&path);
-    Synthesizer::new(
-        SynthOptions::default()
-            .enumeration(Enumeration::Guided)
-            .journal(&path),
-    )
-    .run(&model);
-    let err = Synthesizer::new(SynthOptions::default().journal(&path))
+    Synthesizer::new(SynthOptions::default().journal(&path)).run(&model);
+    Synthesizer::new(with(Enumeration::Guided))
         .resume_from_journal(&model)
-        .expect_err("the mismatch must be rejected in both directions");
-    assert!(
-        err.to_string().contains("journal"),
-        "unexpected error: {err}"
-    );
+        .expect("a journal of the default walk resumes under the guided walk");
     let _ = fs::remove_file(&path);
 }
 
