@@ -5,7 +5,11 @@
 //! Beyond the printed table, this bench emits **BENCH_incremental.json** at
 //! the workspace root — `(workload, mode, threads, check_threads,
 //! evaluated, solutions, states_expanded, states_reused, reuse_rate,
-//! wall_ms)` rows — so future PRs can track the reuse trajectory. It also
+//! expansions_reused, expansion_reuse_rate, wall_ms)` rows — so the reuse
+//! trajectory can be tracked. `reuse_rate` is the share of the one-shot
+//! work's states inherited from session checkpoints, and
+//! `expansion_reuse_rate` the share (over the same total) of states whose
+//! expansion a live layer took from its expansion record. It also
 //! *asserts* the acceptance contract along the way: for every workload the
 //! session loop must report identical dispatch counts, pattern counts, and
 //! solution sets to the one-shot loop, while expanding **at least 30%
@@ -31,6 +35,8 @@ struct Row {
     states_expanded: u64,
     states_reused: u64,
     reuse_rate: f64,
+    expansions_reused: u64,
+    expansion_reuse_rate: f64,
     wall_ms: f64,
 }
 
@@ -56,6 +62,9 @@ fn measure(
         states_expanded: stats.check_states_expanded,
         states_reused: stats.check_states_reused,
         reuse_rate: stats.check_reuse_rate(),
+        expansions_reused: stats.check_expansions_reused,
+        expansion_reuse_rate: stats.check_expansions_reused as f64
+            / (stats.check_states_expanded + stats.check_states_reused).max(1) as f64,
         wall_ms,
     };
     (row, report)
@@ -116,10 +125,12 @@ fn main() {
         );
         println!(
             "  {workload:<10} sessions : {:>9} states expanded, {:>9} reused \
-             ({:.1}% avoided), {:>8.1} ms ({:.2}x)",
+             ({:.1}% avoided), {:>9} expansions from records ({:.1}%), {:>8.1} ms ({:.2}x)",
             sess_row.states_expanded,
             sess_row.states_reused,
             sess_row.reuse_rate * 100.0,
+            sess_row.expansions_reused,
+            sess_row.expansion_reuse_rate * 100.0,
             sess_row.wall_ms,
             base_row.wall_ms / sess_row.wall_ms.max(1e-9),
         );
@@ -147,7 +158,8 @@ fn main() {
             "  {{\"workload\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
              \"check_threads\": {}, \"evaluated\": {}, \"solutions\": {}, \
              \"states_expanded\": {}, \"states_reused\": {}, \
-             \"reuse_rate\": {:.4}, \"wall_ms\": {:.3}}}{}",
+             \"reuse_rate\": {:.4}, \"expansions_reused\": {}, \
+             \"expansion_reuse_rate\": {:.4}, \"wall_ms\": {:.3}}}{}",
             r.workload,
             r.mode,
             r.threads,
@@ -157,6 +169,8 @@ fn main() {
             r.states_expanded,
             r.states_reused,
             r.reuse_rate,
+            r.expansions_reused,
+            r.expansion_reuse_rate,
             r.wall_ms,
             if i + 1 < rows.len() { "," } else { "" },
         );

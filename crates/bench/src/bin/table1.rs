@@ -411,18 +411,20 @@ fn main() {
         println!();
         println!(
             "Session reuse (1-thread rows run in full; --one-shot disables; a replayed check \
-             expanded nothing):"
+             expanded nothing, and a reused expansion applied no rule):"
         );
         for (label, report) in naive_reports.iter().chain(&reports) {
             let s = report.stats();
             println!(
                 "  {label}: {} states expanded live, {} reused from checkpoints \
-                 ({:.1}% of the one-shot work avoided), {} of {} checks replayed",
+                 ({:.1}% of the one-shot work avoided), {} of {} checks replayed, \
+                 {} expansions taken from records",
                 s.check_states_expanded,
                 s.check_states_reused,
                 s.check_reuse_rate() * 100.0,
                 s.check_replays,
                 s.evaluated,
+                s.check_expansions_reused,
             );
         }
     }

@@ -188,7 +188,7 @@ pub struct SynthStats {
     /// [`SynthReport::quarantined`] for the details).
     pub quarantined: u64,
     /// States the checker committed by live exploration, summed over every
-    /// dispatch — the actual verification work done.
+    /// dispatch ([`verc3_mck::SessionStats::states_expanded`]).
     pub check_states_expanded: u64,
     /// States inherited from [`verc3_mck::CheckSession`] checkpoints
     /// instead of being re-expanded — the work a per-candidate restart
@@ -202,6 +202,12 @@ pub struct SynthStats {
     /// journaled, and a resumed run counts only its own replays. Zero under
     /// the one-shot reference dispatch.
     pub check_replays: u64,
+    /// States whose expansion a session check took from the state's
+    /// expansion record instead of applying the rules
+    /// ([`verc3_mck::SessionStats::expansions_reused`]), summed over every
+    /// dispatch. A cost measurement like [`SynthStats::check_replays`]: not
+    /// journaled, zero under the one-shot reference dispatch.
+    pub check_expansions_reused: u64,
 }
 
 impl SynthStats {

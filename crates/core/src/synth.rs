@@ -325,11 +325,12 @@ impl SynthOptions {
     /// evaluation stays bit-identical to its one-shot counterpart (verdict,
     /// statistics, failure attribution), so the run log, pattern table,
     /// evaluated counts, and solution set are unchanged — only
-    /// [`SynthStats::check_states_reused`], [`SynthStats::check_replays`]
-    /// and wall time move.
+    /// [`SynthStats::check_states_reused`], [`SynthStats::check_replays`],
+    /// [`SynthStats::check_expansions_reused`] and wall time move.
     ///
     /// [`SynthStats::check_states_reused`]: crate::report::SynthStats::check_states_reused
     /// [`SynthStats::check_replays`]: crate::report::SynthStats::check_replays
+    /// [`SynthStats::check_expansions_reused`]: crate::report::SynthStats::check_expansions_reused
     #[cfg(any(test, feature = "reference"))]
     pub fn reuse_sessions(mut self, reuse: bool) -> Self {
         self.reuse_sessions = reuse;
@@ -573,6 +574,9 @@ pub(crate) struct Run {
     /// Session checks that replayed the previous check's ending. A cost
     /// measurement, not journaled: a resumed run counts only its own.
     check_replays: AtomicU64,
+    /// States whose expansion a session check took from an expansion
+    /// record; not journaled either.
+    check_expansions_reused: AtomicU64,
     stop: AtomicBool,
     /// Why `stop` was raised; meaningful only once `stop` is `true`.
     stop_reason: Mutex<StopReason>,
@@ -597,6 +601,7 @@ impl Run {
             check_expanded: AtomicU64::new(0),
             check_reused: AtomicU64::new(0),
             check_replays: AtomicU64::new(0),
+            check_expansions_reused: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             stop_reason: Mutex::new(StopReason::Completed),
             run_log: Mutex::new(Vec::new()),
@@ -807,6 +812,7 @@ impl Run {
             check_states_expanded: self.check_expanded.load(Ordering::Relaxed),
             check_states_reused: self.check_reused.load(Ordering::Relaxed),
             check_replays: self.check_replays.load(Ordering::Relaxed),
+            check_expansions_reused: self.check_expansions_reused.load(Ordering::Relaxed),
         };
         Ok(SynthReport {
             model: model.to_owned(),
@@ -1093,14 +1099,17 @@ impl<'r> Slice<'r> {
         self.probes.fetch_add(draft.probes, Ordering::Relaxed);
     }
 
-    /// Banks one dispatch's checker work, into the slice and the run.
-    fn bank_check(&self, expanded: u64, reused: u64, replays: u64) {
+    /// Banks one dispatch's checker work, into the slice and the run
+    /// (replays and reused expansions into the run only).
+    fn bank_check(&self, expanded: u64, reused: u64, replays: u64, expansions_reused: u64) {
         self.check_expanded.fetch_add(expanded, Ordering::Relaxed);
         self.check_reused.fetch_add(reused, Ordering::Relaxed);
         let run = self.run;
         run.check_expanded.fetch_add(expanded, Ordering::Relaxed);
         run.check_reused.fetch_add(reused, Ordering::Relaxed);
         run.check_replays.fetch_add(replays, Ordering::Relaxed);
+        run.check_expansions_reused
+            .fetch_add(expansions_reused, Ordering::Relaxed);
     }
 
     /// Candidates in the chunk range `[first, first + count)`.
@@ -1600,7 +1609,7 @@ fn dispatch<M: TransitionSystem>(
         // initial states, the session left untouched.
         let outcome = slice.run.checker.run_shared(session.model(), &resolver);
         let expanded = outcome.stats().states_visited as u64;
-        slice.bank_check(expanded, 0, 0);
+        slice.bank_check(expanded, 0, 0, 0);
         draft.expanded += expanded;
         return (outcome, resolver.into_touched());
     }
@@ -1615,6 +1624,7 @@ fn dispatch<M: TransitionSystem>(
         expanded,
         reused,
         after.checks_replayed - before.checks_replayed,
+        after.expansions_reused - before.expansions_reused,
     );
     draft.expanded += expanded;
     draft.reused += reused;

@@ -80,31 +80,7 @@ impl<S: Debug> ExploredGraph<S> {
     /// eventually-quiescent liveness check calls it with the quiescence
     /// predicate and reports any state *outside* the returned set.
     pub fn can_reach<F: Fn(&S) -> bool>(&self, pred: F) -> Vec<bool> {
-        let n = self.states.len();
-        // Build the reverse adjacency once.
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for (src, out) in self.edges.iter().enumerate() {
-            for e in out {
-                rev[e.target as usize].push(src as StateId);
-            }
-        }
-        let mut reached = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        for (i, s) in self.states.iter().enumerate() {
-            if pred(s) {
-                reached[i] = true;
-                queue.push_back(i as StateId);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            for &p in &rev[id as usize] {
-                if !reached[p as usize] {
-                    reached[p as usize] = true;
-                    queue.push_back(p);
-                }
-            }
-        }
-        reached
+        can_reach(&self.states, &self.edges, pred)
     }
 
     /// A cheap structural fingerprint of the explored space: state and edge
@@ -142,6 +118,42 @@ impl<S: Debug> ExploredGraph<S> {
         out.push_str("}\n");
         out
     }
+}
+
+/// The backward closure behind [`ExploredGraph::can_reach`], over a state
+/// list and its edge lists (aligned by [`StateId`]) — borrowed, so the
+/// checker's post-pass runs it over its committed store without building a
+/// graph.
+pub(super) fn can_reach<S>(
+    states: &[S],
+    edges: &[Vec<Edge>],
+    pred: impl Fn(&S) -> bool,
+) -> Vec<bool> {
+    let n = states.len();
+    // Build the reverse adjacency once.
+    let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
+    for (src, out) in edges.iter().enumerate() {
+        for e in out {
+            rev[e.target as usize].push(src as StateId);
+        }
+    }
+    let mut reached = vec![false; n];
+    let mut queue = std::collections::VecDeque::new();
+    for (i, s) in states.iter().enumerate() {
+        if pred(s) {
+            reached[i] = true;
+            queue.push_back(i as StateId);
+        }
+    }
+    while let Some(id) = queue.pop_front() {
+        for &p in &rev[id as usize] {
+            if !reached[p as usize] {
+                reached[p as usize] = true;
+                queue.push_back(p);
+            }
+        }
+    }
+    reached
 }
 
 #[cfg(test)]

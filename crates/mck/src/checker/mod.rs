@@ -31,6 +31,7 @@ mod graph;
 mod outcome;
 mod parallel;
 mod pool;
+mod records;
 #[cfg(any(test, feature = "reference"))]
 pub mod reference;
 mod session;
@@ -446,8 +447,8 @@ pub(super) struct SearchCore<'a, M: TransitionSystem> {
     /// Whether the core is dropped right after this run (one-shot checks
     /// and the reference driver) rather than reused by a [`CheckSession`]:
     /// [`SearchCore::finish`] then *moves* the committed store into a
-    /// requested graph instead of cloning it, and the session's serial loop
-    /// skips the hole-touch logs that only a later resumption reads.
+    /// requested graph instead of cloning it, and the session keeps no
+    /// ending to replay.
     pub(super) one_shot: bool,
 
     pub(super) states: Vec<M::State>,
@@ -596,6 +597,41 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
         out
     }
 
+    /// Ends the check at committed state `id`, which violates the
+    /// invariant named `property`.
+    pub(super) fn invariant_failure(
+        &mut self,
+        start: Instant,
+        id: StateId,
+        property: String,
+    ) -> Outcome<M::State> {
+        let failure = Failure {
+            kind: FailureKind::InvariantViolation,
+            property,
+            touched: Some(self.trace_touched(id, &[])),
+            trace: Some(self.trace_to(id)),
+        };
+        self.finish(start, Verdict::Failure, Some(failure), None)
+    }
+
+    /// Ends the check at state `id`, which has no successor; `expansion`
+    /// holds the resolutions its expansion consulted, which decided that
+    /// every rule declined to fire.
+    pub(super) fn deadlock(
+        &mut self,
+        start: Instant,
+        id: StateId,
+        expansion: &[(usize, u16)],
+    ) -> Outcome<M::State> {
+        let failure = Failure {
+            kind: FailureKind::Deadlock,
+            property: "deadlock freedom".to_owned(),
+            touched: Some(self.trace_touched(id, expansion)),
+            trace: Some(self.trace_to(id)),
+        };
+        self.finish(start, Verdict::Failure, Some(failure), None)
+    }
+
     /// Post-exploration property analysis (reachability obligations,
     /// eventual quiescence) and verdict computation for a run that found no
     /// failure during exploration.
@@ -630,13 +666,7 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
             if let Some(edges) = &self.edges {
                 for p in self.model.properties() {
                     if let Property::EventuallyQuiescent { name, quiescent } = p {
-                        let graph = ExploredGraph {
-                            states: self.states.clone(),
-                            depth: self.depth.clone(),
-                            edges: edges.clone(),
-                            rule_names: rule_names(self.model),
-                        };
-                        let ok = graph.can_reach(|s| quiescent(s));
+                        let ok = graph::can_reach(&self.states, edges, |s| quiescent(s));
                         if let Some(bad) = ok.iter().position(|&r| !r) {
                             let failure = Failure {
                                 kind: FailureKind::QuiescenceViolation,

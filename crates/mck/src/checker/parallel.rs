@@ -76,11 +76,12 @@
 //! exceeds the cap; see [`CheckerOptions::max_states`]).
 
 use super::pool::WorkerPool;
+use super::records::{RecordDraft, Recorded, Records, Successor};
 use super::{
-    fingerprint, insert_id, remove_id, CheckerOptions, DeadlockPolicy, Edge, Failure, FailureKind,
-    IdList, MckError, Outcome, SearchCore, StateId, Verdict,
+    fingerprint, insert_id, remove_id, CheckerOptions, DeadlockPolicy, Edge, IdList, MckError,
+    Outcome, SearchCore, StateId,
 };
-use crate::eval::{NameCache, SharedResolver, WildcardTouch};
+use crate::eval::{NameCache, SessionResolver, SharedResolver, WildcardTouch};
 use crate::hashers::FnvHashMap;
 use crate::model::TransitionSystem;
 use crate::properties::Property;
@@ -383,13 +384,17 @@ pub(super) enum SuccessorRef {
 }
 
 /// Everything a worker recorded about expanding one source state.
-pub(super) struct StateRec {
-    pub(super) records: Vec<AppRecord>,
+pub(super) enum StateRec {
+    /// Expanded by applying every rule.
+    Expanded(Vec<AppRecord>),
+    /// The state's expansion record is valid under the check's answers: the
+    /// replay takes the expansion from it ([`Engine::replay_record`]).
+    Recorded,
     /// Placeholder for a state skipped by the earliest-stop short-circuit.
     /// The replay provably stops before consuming one (the deterministic
     /// witness lies at or before the minimum announced index) and asserts
     /// so.
-    pub(super) skipped: bool,
+    Skipped,
 }
 
 /// Everything one expansion chunk produced.
@@ -414,6 +419,21 @@ pub(super) fn violated_index<M: TransitionSystem>(model: &M, state: &M::State) -
     None
 }
 
+/// The id of `state` in the fingerprint index `visited` over `states`.
+fn find_id<S: Eq>(
+    visited: &FnvHashMap<u64, IdList>,
+    hash: u64,
+    state: &S,
+    states: &[S],
+) -> Option<StateId> {
+    visited
+        .get(&hash)?
+        .as_slice()
+        .iter()
+        .copied()
+        .find(|&id| states[id as usize] == *state)
+}
+
 /// Resolves a recorded violation index back to its invariant's name.
 fn invariant_name<M: TransitionSystem>(model: &M, property: usize) -> &str {
     match &model.properties()[property] {
@@ -423,9 +443,10 @@ fn invariant_name<M: TransitionSystem>(model: &M, property: usize) -> &str {
 }
 
 /// The exploration engine of one [`super::CheckSession`]: the
-/// committed-state index, the per-layer claim table, the persistent worker
-/// pool, the chunk auto-tuner, and the deterministic replay. The session's
-/// serial loop uses only the committed index and the name-cache bank.
+/// committed-state index, the expansion records, the per-layer claim table,
+/// the persistent worker pool, the chunk auto-tuner, and the deterministic
+/// replay. The session's serial loop uses only the committed index, the
+/// records, the record replay and the name-cache bank.
 pub(super) struct Engine<S> {
     /// Fingerprint → committed ids. Read lock-free by expansion workers
     /// (committed entries never change mid-layer); mutated only by the
@@ -434,6 +455,9 @@ pub(super) struct Engine<S> {
     /// Fingerprint of every committed state, aligned with the store — what
     /// lets session rollback evict truncated ids without re-hashing.
     hashes: Vec<u64>,
+    /// Expansion records of a held session's fully expanded states, and the
+    /// tail a rollback moved aside (see [`super::records`]).
+    pub(super) records: Records<S>,
     claims: ClaimTable<S>,
     /// Persistent expansion workers (`threads - 1`; the calling thread
     /// works each batch too). Built lazily on the first parallel layer and
@@ -464,6 +488,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         Engine {
             visited: FnvHashMap::default(),
             hashes: Vec::new(),
+            records: Records::default(),
             claims: ClaimTable::new(stripes),
             pool: None,
             threads,
@@ -483,33 +508,35 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// The committed id of `state`, if any. Lock-free; safe to call from
     /// expansion workers because the committed index is frozen mid-layer.
     pub(super) fn find_committed(&self, hash: u64, state: &S, states: &[S]) -> Option<StateId> {
-        self.visited
-            .get(&hash)?
-            .as_slice()
-            .iter()
-            .copied()
-            .find(|&id| states[id as usize] == *state)
+        find_id(&self.visited, hash, state, states)
     }
 
-    /// Indexes a freshly committed state.
-    pub(super) fn insert_committed(&mut self, hash: u64, id: StateId) {
+    /// Indexes a freshly committed state, which adopts the record of an
+    /// equal state a rollback moved aside.
+    pub(super) fn insert_committed(&mut self, hash: u64, id: StateId, state: &S) {
         insert_id(&mut self.visited, hash, id);
         self.hashes.push(hash);
         debug_assert_eq!(self.hashes.len() - 1, id as usize, "hash/store misaligned");
+        self.records.adopt(id, hash, state);
     }
 
-    /// Forgets every committed state with id `>= keep` (session rollback).
-    pub(super) fn truncate_committed(&mut self, keep: usize) {
+    /// Forgets every committed state with id `>= keep` (session rollback),
+    /// moving `states` — the truncated ones — aside with their fingerprints
+    /// and records until the check ends; the frontier layer starts at
+    /// `frontier`.
+    pub(super) fn truncate_committed(&mut self, keep: usize, frontier: usize, states: Vec<S>) {
         for id in keep..self.hashes.len() {
             remove_id(&mut self.visited, self.hashes[id], id as StateId);
         }
-        self.hashes.truncate(keep);
+        let hashes = self.hashes.split_off(keep);
+        self.records.rollback(keep, frontier, states, hashes);
     }
 
-    /// Forgets all committed states (session reset).
+    /// Forgets all committed states and records (session reset).
     pub(super) fn reset(&mut self) {
         self.visited.clear();
         self.hashes.clear();
+        self.records.reset();
     }
 
     /// Pops a drained name cache for seeding the next worker (empty when
@@ -551,11 +578,14 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// Expands the frontier `[f0, f1)` across the pool, retrying with a
     /// grown claim table in the (rare) case a layer outgrows it. On return
     /// the claim table holds every distinct successor first seen this
-    /// layer, invariant-checked and ready for the replay to commit.
+    /// layer, invariant-checked and ready for the replay to commit. With
+    /// `answers` (a held session's check), a state whose record is valid
+    /// under them is not expanded: the replay takes its record.
     pub(super) fn expand_layer<M, R>(
         &mut self,
         core: &SearchCore<'_, M>,
         resolver: &R,
+        answers: Option<&dyn SessionResolver>,
         f0: usize,
         f1: usize,
     ) -> Vec<ChunkOut>
@@ -569,7 +599,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         loop {
             self.claims.prepare(want);
             let attempt = Instant::now();
-            let chunks = self.run_chunks(core, resolver, f0, f1);
+            let chunks = self.run_chunks(core, resolver, answers, f0, f1);
             if !self.claims.aborted() {
                 self.last_claims = self.claims.allocated();
                 self.rate_ns = (attempt.elapsed().as_nanos() as f64 / frontier_len as f64).max(1.0);
@@ -586,6 +616,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         &self,
         core: &SearchCore<'_, M>,
         resolver: &R,
+        answers: Option<&dyn SessionResolver>,
         f0: usize,
         f1: usize,
     ) -> Vec<ChunkOut>
@@ -609,7 +640,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             return ranges
                 .iter()
                 .map(|&(lo, hi)| {
-                    self.expand_chunk(core, resolver, lo, hi, f0, &stop, watch_deadlock)
+                    self.expand_chunk(core, resolver, answers, lo, hi, f0, &stop, watch_deadlock)
                 })
                 .collect();
         };
@@ -620,8 +651,16 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             .zip(&slots)
             .map(|(&(lo, hi), slot)| {
                 Box::new(move || {
-                    *slot.lock() =
-                        Some(self.expand_chunk(core, resolver, lo, hi, f0, stop, watch_deadlock));
+                    *slot.lock() = Some(self.expand_chunk(
+                        core,
+                        resolver,
+                        answers,
+                        lo,
+                        hi,
+                        f0,
+                        stop,
+                        watch_deadlock,
+                    ));
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
@@ -633,13 +672,15 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     }
 
     /// One worker's share of a layer: apply every rule to every state in
-    /// `[lo, hi)`, probing successors against the committed index and the
-    /// claim table, recording everything the replay needs.
+    /// `[lo, hi)` that has no valid record, probing successors against the
+    /// committed index and the claim table, recording everything the replay
+    /// needs.
     #[allow(clippy::too_many_arguments)]
     fn expand_chunk<M, R>(
         &self,
         core: &SearchCore<'_, M>,
         resolver: &R,
+        answers: Option<&dyn SessionResolver>,
         lo: usize,
         hi: usize,
         f0: usize,
@@ -667,10 +708,11 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                 // A failure was announced at an earlier index: the replay
                 // provably stops before here, so this expansion would be
                 // pure wasted work.
-                recs.push(StateRec {
-                    records: Vec::new(),
-                    skipped: true,
-                });
+                recs.push(StateRec::Skipped);
+                continue;
+            }
+            if answers.is_some_and(|answers| self.records.valid(sid, answers)) {
+                recs.push(StateRec::Recorded);
                 continue;
             }
             let state = &states[sid];
@@ -728,10 +770,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             if watch_deadlock && !any_next && !any_blocked {
                 stop.fetch_min(layer_idx, Ordering::Relaxed);
             }
-            recs.push(StateRec {
-                records,
-                skipped: false,
-            });
+            recs.push(StateRec::Expanded(records));
         }
         let discoveries = worker.take_pending_discoveries();
         let cache = worker.take_name_cache();
@@ -752,10 +791,14 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// concrete resolutions the replay consumed are reported through
     /// [`SharedResolver::note_replayed_touches`] — the replay-confirmed
     /// touched set, identical to what a serial run would have recorded.
+    /// With `record` (a held session's check) every expansion the replay
+    /// consumes whole is stored as its state's expansion record.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn replay_layer<M, R>(
         &mut self,
         core: &mut SearchCore<'_, M>,
         resolver: &R,
+        record: bool,
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
@@ -766,7 +809,16 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         R: SharedResolver + ?Sized,
     {
         let mut replayed: Vec<(usize, u16)> = Vec::new();
-        let result = self.replay_records(core, resolver, start, f0, chunks, log, &mut replayed);
+        let result = self.replay_records(
+            core,
+            resolver,
+            record,
+            start,
+            f0,
+            chunks,
+            log,
+            &mut replayed,
+        );
         replayed.sort_unstable();
         replayed.dedup();
         resolver.note_replayed_touches(&replayed);
@@ -778,6 +830,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         &mut self,
         core: &mut SearchCore<'_, M>,
         resolver: &R,
+        record: bool,
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
@@ -791,6 +844,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         let state_limit = MckError::StateLimitExceeded {
             limit: core.options.max_states,
         };
+        let mut draft = RecordDraft::default();
         let mut i = 0usize;
         for chunk in chunks {
             let ChunkOut { recs, discoveries } = chunk;
@@ -813,19 +867,27 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             };
             for rec in recs {
                 let sid = (f0 + i) as StateId;
-                assert!(
-                    !rec.skipped,
-                    "replay consumed a state the short-circuit skipped"
-                );
                 // What a rolling BFS queue would hold when popping
                 // this state: everything committed but not yet expanded.
                 core.stats.peak_queue = core.stats.peak_queue.max(core.states.len() - (f0 + i));
+                i += 1;
+                let apps = match rec {
+                    StateRec::Skipped => {
+                        panic!("replay consumed a state the short-circuit skipped")
+                    }
+                    StateRec::Recorded => {
+                        self.replay_record(core, start, sid as usize, log, replayed)?;
+                        continue;
+                    }
+                    StateRec::Expanded(apps) => apps,
+                };
 
                 let mut any_next = false;
                 let mut any_blocked = false;
                 let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
+                draft.clear();
 
-                for app in rec.records {
+                for app in apps {
                     for &(hole, action) in app.touches.iter() {
                         log.push((hole, Some(action)));
                         replayed.push((hole, action));
@@ -846,11 +908,12 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                         replayed.push((id, action));
                     }
                     expansion_touches.extend_from_slice(&app.touches);
-                    match app.outcome {
-                        RecOutcome::Disabled => {}
+                    let outcome = match app.outcome {
+                        RecOutcome::Disabled => Recorded::Disabled,
                         RecOutcome::Blocked => {
                             any_blocked = true;
                             core.stats.wildcard_hits += 1;
+                            Recorded::Blocked
                         }
                         RecOutcome::Next(succ) => {
                             any_next = true;
@@ -882,43 +945,123 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                                     target: nid,
                                 });
                             }
-                            if new {
-                                if let Some(vi) = violation {
-                                    let failure = Failure {
-                                        kind: FailureKind::InvariantViolation,
-                                        property: invariant_name(core.model, vi as usize)
-                                            .to_owned(),
-                                        touched: Some(core.trace_touched(nid, &[])),
-                                        trace: Some(core.trace_to(nid)),
-                                    };
-                                    return Err(Box::new(core.finish(
-                                        start,
-                                        Verdict::Failure,
-                                        Some(failure),
-                                        None,
-                                    )));
-                                }
+                            if let (true, Some(vi)) = (new, violation) {
+                                let property = invariant_name(core.model, vi as usize).to_owned();
+                                return Err(Box::new(core.invariant_failure(start, nid, property)));
                             }
+                            Recorded::Next(nid)
                         }
+                    };
+                    if record {
+                        draft.push(app.rule, &app.touches, &app.wildcards, &app.fresh, outcome);
                     }
                 }
 
-                if !any_next && !any_blocked && core.options.deadlock == DeadlockPolicy::Disallow {
-                    let failure = Failure {
-                        kind: FailureKind::Deadlock,
-                        property: "deadlock freedom".to_owned(),
-                        touched: Some(core.trace_touched(sid, &expansion_touches)),
-                        trace: Some(core.trace_to(sid)),
-                    };
-                    return Err(Box::new(core.finish(
-                        start,
-                        Verdict::Failure,
-                        Some(failure),
-                        None,
-                    )));
+                // The expansion is complete, whatever its verdict.
+                if record {
+                    self.records.store(sid as usize, draft.finish());
                 }
-                i += 1;
+                if !any_next && !any_blocked && core.options.deadlock == DeadlockPolicy::Disallow {
+                    return Err(Box::new(core.deadlock(start, sid, &expansion_touches)));
+                }
             }
+        }
+        Ok(())
+    }
+
+    /// Takes frontier state `sid`'s expansion from its record, which
+    /// [`Records::valid`] accepted under the check's answers: the same
+    /// statistics, hole-touch log entries, replay-confirmed touches,
+    /// commits, edges, invariant checks, state cap and deadlock verdict as
+    /// applying the rules, in the same order, with no rule application,
+    /// canonicalization or hashing. A successor still in the rollback tail
+    /// is committed from there. Both layer drivers expand a recorded state
+    /// through this walk.
+    pub(super) fn replay_record<M>(
+        &mut self,
+        core: &mut SearchCore<'_, M>,
+        start: Instant,
+        sid: usize,
+        log: &mut Vec<LayerTouch>,
+        replayed: &mut Vec<(usize, u16)>,
+    ) -> Result<(), Box<Outcome<M::State>>>
+    where
+        M: TransitionSystem<State = S>,
+    {
+        // Out of its slot while walked: committing a tail state moves that
+        // state's own record into another slot.
+        let record = self.records.take(sid);
+        let walked = self.walk_record(core, start, sid, &record, log, replayed);
+        self.records.put(sid, record);
+        walked
+    }
+
+    fn walk_record<M>(
+        &mut self,
+        core: &mut SearchCore<'_, M>,
+        start: Instant,
+        sid: usize,
+        record: &super::records::Record,
+        log: &mut Vec<LayerTouch>,
+        replayed: &mut Vec<(usize, u16)>,
+    ) -> Result<(), Box<Outcome<M::State>>>
+    where
+        M: TransitionSystem<State = S>,
+    {
+        let mut any_next = false;
+        let mut any_blocked = false;
+        // The touches of an application whose successor is committed from
+        // the tail: its tree edge's attribution.
+        let mut edge_touches: Vec<(usize, u16)> = Vec::new();
+        for app in record.apps() {
+            log.extend(app.touches().map(|(hole, action)| (hole, Some(action))));
+            log.extend(app.wildcards().map(|hole| (hole, None)));
+            replayed.extend(app.touches());
+            match app.outcome {
+                Recorded::Disabled => {}
+                Recorded::Blocked => {
+                    any_blocked = true;
+                    core.stats.wildcard_hits += 1;
+                }
+                Recorded::Next(succ) => {
+                    any_next = true;
+                    core.stats.transitions += 1;
+                    let (nid, new) = match self.records.resolve(succ) {
+                        Successor::Committed(id) => (id, false),
+                        Successor::Tail(t) => {
+                            if core.states.len() >= core.options.max_states {
+                                let limit = core.options.max_states;
+                                let limit = MckError::StateLimitExceeded { limit };
+                                return Err(Box::new(core.analyze(start, Some(limit))));
+                            }
+                            let (state, hash) = self.records.take_tail(t);
+                            edge_touches.clear();
+                            edge_touches.extend(app.touches());
+                            let from = Some((sid as StateId, app.rule));
+                            let id = core.commit(state, from, &edge_touches);
+                            self.insert_committed(hash, id, &core.states[id as usize]);
+                            self.records.settle_tail(t, id);
+                            (id, true)
+                        }
+                    };
+                    if let Some(edges) = &mut core.edges {
+                        edges[sid].push(Edge {
+                            rule: app.rule,
+                            target: nid,
+                        });
+                    }
+                    if new {
+                        if let Some(name) = core.violated_invariant(nid) {
+                            let property = name.to_owned();
+                            return Err(Box::new(core.invariant_failure(start, nid, property)));
+                        }
+                    }
+                }
+            }
+        }
+        if !any_next && !any_blocked && core.options.deadlock == DeadlockPolicy::Disallow {
+            let expansion: Vec<(usize, u16)> = record.touches().collect();
+            return Err(Box::new(core.deadlock(start, sid as StateId, &expansion)));
         }
         Ok(())
     }
@@ -939,22 +1082,27 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     where
         M: TransitionSystem<State = S>,
     {
-        let (hash, state) = {
-            let parked = self.claims.claim_mut(claim);
-            if let Some(id) = parked.id {
+        let parked = self.claims.claim_mut(claim);
+        if let Some(id) = parked.id {
+            return Some((id, false));
+        }
+        let hash = parked.hash;
+        if self.records.has_tail() {
+            // Earlier in this replay a reused record may have committed this
+            // very state from the rollback tail.
+            let state = parked.state.as_ref().expect("claim committed twice");
+            if let Some(id) = find_id(&self.visited, hash, state, &core.states) {
+                parked.id = Some(id);
                 return Some((id, false));
             }
-            if core.states.len() >= core.options.max_states {
-                return None;
-            }
-            (
-                parked.hash,
-                parked.state.take().expect("claim committed twice"),
-            )
-        };
+        }
+        if core.states.len() >= core.options.max_states {
+            return None;
+        }
+        let state = parked.state.take().expect("claim committed twice");
         let id = core.commit(state, Some(from), touches);
         self.claims.claim_mut(claim).id = Some(id);
-        self.insert_committed(hash, id);
+        self.insert_committed(hash, id, &core.states[id as usize]);
         Some((id, true))
     }
 }
@@ -963,7 +1111,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
 mod tests {
     use super::super::tests_support::assert_equivalent;
     use super::*;
-    use crate::checker::Checker;
+    use crate::checker::{Checker, Verdict};
     use crate::eval::{Choice, FixedResolver, HoleSpec, NoHoles};
     use crate::model::ModelBuilder;
 

@@ -48,6 +48,23 @@
 //! the session has already explored. One-shot checks log nothing and never
 //! replay.
 //!
+//! Inside the layers a check does explore, reuse is per state. The session
+//! keeps one **expansion record** per fully expanded state (the `records`
+//! module): the rule applications that consulted a hole or did not return
+//! `Disabled`, with their concrete touches, their known-wildcard holes and
+//! their outcomes, successors named by committed id. When the new resolver
+//! answers every consultation of a frontier state's record the same way —
+//! the rule the layer logs follow — both layer drivers take the state's
+//! outcomes from the record: no rule is applied and no successor is
+//! canonicalized or hashed, but the outcomes go through the same commit
+//! path in the same order (admission clamp, edges, invariants,
+//! reachability flags, statistics, the touch and stop logs, the
+//! replay-confirmed touches). Rollback moves the truncated states aside
+//! with their records until the check returns, so a state the check
+//! commits again adopts its old record, and a record's successor still in
+//! that tail is committed from there. [`SessionStats::expansions_reused`]
+//! counts these expansions.
+//!
 //! ## Equivalence contract
 //!
 //! Every `check` is observationally identical to a fresh run of the same
@@ -66,12 +83,13 @@
 //! `tests/checker_parallel_equivalence.rs`.
 
 use super::parallel::{Engine, LayerTouch};
+use super::records::{RecordDraft, Recorded};
 use super::{
-    fingerprint, CheckerOptions, DeadlockPolicy, Edge, Failure, FailureKind, Outcome, SearchCore,
-    StateId, Stats, Verdict,
+    fingerprint, CheckerOptions, DeadlockPolicy, Edge, Failure, Outcome, SearchCore, StateId,
+    Stats, Verdict,
 };
 use crate::error::MckError;
-use crate::eval::{HoleResolver, NoHoles, SessionResolver, SharedResolver, WildcardTouch};
+use crate::eval::{HoleResolver, SessionResolver, SharedResolver, WildcardTouch};
 use crate::model::TransitionSystem;
 use crate::rule::RuleOutcome;
 use std::time::Instant;
@@ -123,8 +141,10 @@ enum Resume {
 pub struct SessionStats {
     /// Number of [`CheckSession::check`] calls completed.
     pub checks: u64,
-    /// States committed by live exploration across all checks — the work
-    /// actually done.
+    /// States committed by live exploration across all checks: by the
+    /// layers a check explored after its resume point, whether the
+    /// expansions that produced them applied the rules or were taken from
+    /// expansion records ([`SessionStats::expansions_reused`]).
     pub states_expanded: u64,
     /// States inherited from checkpoints instead of being re-expanded — the
     /// work a per-candidate restart would have repeated. A replayed check
@@ -137,6 +157,11 @@ pub struct SessionStats {
     /// Checks that replayed the previous check's ending because every
     /// consultation it made repeated: no layer was expanded at all.
     pub checks_replayed: u64,
+    /// States whose expansion a live layer took from the state's expansion
+    /// record, because every consultation the record lists repeated: no
+    /// rule was applied to them, and none of their successors was
+    /// canonicalized or hashed.
+    pub expansions_reused: u64,
 }
 
 impl SessionStats {
@@ -321,15 +346,13 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// ([`Checker::run_shared`]). Nothing is resumed, so the resolver is
     /// never asked for a [`SessionResolver::assignment`].
     pub(super) fn check_once<R: SharedResolver + ?Sized>(self, resolver: &R) -> Outcome<M::State> {
-        self.once(|session, start| session.explore(start, resolver))
+        self.once(|session, start| session.explore(start, resolver, None))
     }
 
     /// One serial check of a fresh session that expands in the caller's
     /// exclusive resolver ([`Checker::run_with`]).
     pub(super) fn check_once_with(self, worker: &mut dyn HoleResolver) -> Outcome<M::State> {
-        self.once(|session, start| {
-            session.drive(|s| s.run_layer_serial(start, &mut *worker, None::<&NoHoles>))
-        })
+        self.once(|session, start| session.drive(|s| s.run_layer_serial(start, &mut *worker, None)))
     }
 
     /// Runs `explore` from the initial states of a session that is dropped
@@ -375,7 +398,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     fn check_inner(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
         self.stats.checks += 1;
         self.last_resume = self.resume_point(resolver);
-        let reused = match self.last_resume {
+        match self.last_resume {
             Resume::Fresh => {
                 // First check (or the initial phase never completed): start
                 // from scratch, from the cached canonical initial states.
@@ -383,14 +406,17 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                     self.stats.states_expanded += self.core.states.len() as u64;
                     return outcome;
                 }
-                0
             }
             Resume::At(depth) => {
                 self.rollback(depth);
                 let reused = self.checkpoints[depth].committed;
                 self.stats.states_reused += reused as u64;
                 self.stats.layers_reused += depth as u64;
-                reused
+                let outcome = self.explore(start, resolver, Some(resolver));
+                self.engine.records.end_check();
+                self.stats.states_expanded += (self.core.states.len() - reused) as u64;
+                self.stats.expansions_reused += self.engine.records.take_reused();
+                return outcome;
             }
             Resume::Replay => {
                 self.stats.checks_replayed += 1;
@@ -407,10 +433,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                     ending.incomplete.clone(),
                 );
             }
-        };
-
-        let outcome = self.explore(start, resolver);
-        self.stats.states_expanded += (self.core.states.len() - reused) as u64;
+        }
+        // A fresh start forgets every record, and a check expands each
+        // state once: nothing is reused.
+        let outcome = self.explore(start, resolver, Some(resolver));
+        self.stats.states_expanded += self.core.states.len() as u64;
         outcome
     }
 
@@ -459,18 +486,20 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     }
 
     /// Rolls the search back to `checkpoints[depth]`: truncates the
-    /// committed store, evicts truncated ids from the visited set, clears
-    /// the frontier layer's (stale) edge lists, restores the checkpoint's
-    /// statistics and reachability flags, and drops the previous ending,
-    /// which described the store being truncated.
+    /// committed store, evicting truncated ids from the visited set and
+    /// moving the truncated states aside with their expansion records until
+    /// the check ends, clears the frontier layer's (stale) edge lists,
+    /// restores the checkpoint's statistics and reachability flags, and
+    /// drops the previous ending, which described the store being
+    /// truncated.
     fn rollback(&mut self, depth: usize) {
         let keep = self.checkpoints[depth].committed;
-        self.engine.truncate_committed(keep);
-        self.core.states.truncate(keep);
+        let frontier_start = self.checkpoints[depth].frontier_start;
+        // Free what the tail does not keep before the tail is built.
+        self.ending = None;
         self.core.depth.truncate(keep);
         self.core.pred.truncate(keep);
         self.core.edge_touches.truncate(keep);
-        let frontier_start = self.checkpoints[depth].frontier_start;
         if let Some(edges) = &mut self.core.edges {
             edges.truncate(keep);
             // The frontier layer was (at least partly) expanded by the
@@ -479,13 +508,14 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 list.clear();
             }
         }
+        let tail = self.core.states.split_off(keep);
+        self.engine.truncate_committed(keep, frontier_start, tail);
         self.core.stats = self.checkpoints[depth].stats.clone();
         self.core
             .reach_found
             .clone_from(&self.checkpoints[depth].reach_found);
         self.checkpoints.truncate(depth + 1);
         self.layer_touches.truncate(depth);
-        self.ending = None;
     }
 
     /// Seals the current committed prefix as a checkpoint whose frontier
@@ -530,18 +560,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 return Some(self.core.analyze(start, Some(state_limit)));
             }
             let id = self.core.commit(state, None, &[]);
-            self.engine.insert_committed(hash, id);
+            self.engine
+                .insert_committed(hash, id, &self.core.states[id as usize]);
             if let Some(name) = self.core.violated_invariant(id) {
-                let failure = Failure {
-                    kind: FailureKind::InvariantViolation,
-                    property: name.to_owned(),
-                    trace: Some(self.core.trace_to(id)),
-                    touched: Some(Vec::new()),
-                };
-                return Some(
-                    self.core
-                        .finish(start, Verdict::Failure, Some(failure), None),
-                );
+                let property = name.to_owned();
+                return Some(self.core.invariant_failure(start, id, property));
             }
         }
         self.push_checkpoint(0);
@@ -549,20 +572,23 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     }
 
     /// Drives layers from the current frontier to an outcome — serially or
-    /// through the parallel engine, by the effective thread count.
+    /// through the parallel engine, by the effective thread count. A held
+    /// session's check passes its resolver again as `answers`, which logs
+    /// the layers and records and reuses expansions; a one-shot check
+    /// passes `None`.
     fn explore<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
         resolver: &R,
+        answers: Option<&dyn SessionResolver>,
     ) -> Outcome<M::State> {
         if self.threads > 1 {
-            return self.drive(|s| s.run_layer_parallel(start, resolver));
+            return self.drive(|s| s.run_layer_parallel(start, resolver, answers));
         }
         // One worker resolver for the whole check, seeded with the previous
         // check's name cache and drained back when the check ends.
         let mut worker = resolver.worker_seeded(self.engine.pop_name_cache());
-        let log = (!self.core.one_shot).then_some(resolver);
-        let outcome = self.drive(|s| s.run_layer_serial(start, &mut *worker, log));
+        let outcome = self.drive(|s| s.run_layer_serial(start, &mut *worker, answers));
         self.engine.push_name_cache(worker.take_name_cache());
         outcome
     }
@@ -606,18 +632,21 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// Expands the frontier layer in place, in BFS order — including
     /// mid-layer fail-fast.
     ///
-    /// With `log` present the layer's hole-touch log is recorded, and the
-    /// resolver registers the worker's deferred hole discoveries at the
-    /// layer boundary, or at the stop when the check ends inside the layer
-    /// (in this single worker's consultation order, which *is* the serial
-    /// order), so the log names them by id. A one-shot check passes `None`:
-    /// its checkpoints are never resumed, so it records nothing and leaves
-    /// deferred discoveries with the worker.
-    fn run_layer_serial<R: SharedResolver + ?Sized>(
+    /// With `session` present (a held session's check) the layer's
+    /// hole-touch log is recorded, every state whose expansion record is
+    /// valid under `session` is expanded from the record, every other state
+    /// that expands completely leaves its record, and the resolver registers
+    /// the worker's deferred hole discoveries at the layer boundary, or at
+    /// the stop when the check ends inside the layer (in this single
+    /// worker's consultation order, which *is* the serial order), so the log
+    /// names them by id. A one-shot check passes `None`: its checkpoints are
+    /// never resumed, so it records nothing and leaves deferred discoveries
+    /// with the worker.
+    fn run_layer_serial(
         &mut self,
         start: Instant,
         worker: &mut dyn HoleResolver,
-        log: Option<&R>,
+        session: Option<&dyn SessionResolver>,
     ) -> LayerResult<M::State> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
@@ -627,6 +656,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         let mut touches_log: Vec<LayerTouch> = Vec::new();
         let mut fresh_log: Vec<u32> = Vec::new();
         let mut fresh_concrete_log: Vec<(u32, u16)> = Vec::new();
+        // Concrete resolutions of the records taken instead of expansions,
+        // which the worker never saw: reported to the resolver like a
+        // parallel replay's.
+        let mut replayed: Vec<(usize, u16)> = Vec::new();
+        let mut draft = RecordDraft::default();
         // Resolutions made anywhere while expanding one state; a deadlock
         // verdict depends on all of them (they decided that every rule
         // declined to fire).
@@ -638,17 +672,31 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 // state: everything committed but not yet expanded.
                 self.core.stats.peak_queue =
                     self.core.stats.peak_queue.max(self.core.states.len() - sid);
+                if session.is_some_and(|answers| self.engine.records.valid(sid, answers)) {
+                    let walked = self.engine.replay_record(
+                        &mut self.core,
+                        start,
+                        sid,
+                        &mut touches_log,
+                        &mut replayed,
+                    );
+                    match walked {
+                        Ok(()) => continue,
+                        Err(outcome) => break 'layer Some(*outcome),
+                    }
+                }
                 let state = self.core.states[sid].clone();
                 let mut any_next = false;
                 let mut any_blocked = false;
                 expansion_touches.clear();
+                draft.clear();
 
                 for (ri, rule) in self.core.model.rules().iter().enumerate() {
                     worker.begin_application();
                     let outcome = rule.apply(&state, worker);
                     let app_touches = worker.application_touches();
                     expansion_touches.extend_from_slice(app_touches);
-                    if log.is_some() {
+                    if session.is_some() {
                         touches_log.extend(
                             app_touches
                                 .iter()
@@ -663,11 +711,12 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                         fresh_concrete_log.extend_from_slice(worker.application_fresh_touches());
                     }
 
-                    match outcome {
-                        RuleOutcome::Disabled => {}
+                    let recorded = match outcome {
+                        RuleOutcome::Disabled => Recorded::Disabled,
                         RuleOutcome::Blocked => {
                             any_blocked = true;
                             self.core.stats.wildcard_hits += 1;
+                            Recorded::Blocked
                         }
                         RuleOutcome::Next(next) => {
                             any_next = true;
@@ -694,7 +743,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                                         Some((sid as StateId, ri as u32)),
                                         worker.application_touches(),
                                     );
-                                    self.engine.insert_committed(hash, nid);
+                                    self.engine.insert_committed(
+                                        hash,
+                                        nid,
+                                        &self.core.states[nid as usize],
+                                    );
                                     (nid, true)
                                 }
                             };
@@ -706,24 +759,30 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                             }
                             if new {
                                 if let Some(name) = self.core.violated_invariant(nid) {
-                                    let failure = Failure {
-                                        kind: FailureKind::InvariantViolation,
-                                        property: name.to_owned(),
-                                        touched: Some(self.core.trace_touched(nid, &[])),
-                                        trace: Some(self.core.trace_to(nid)),
-                                    };
-                                    break 'layer Some(self.core.finish(
-                                        start,
-                                        Verdict::Failure,
-                                        Some(failure),
-                                        None,
-                                    ));
+                                    let property = name.to_owned();
+                                    break 'layer Some(
+                                        self.core.invariant_failure(start, nid, property),
+                                    );
                                 }
                             }
+                            Recorded::Next(nid)
                         }
+                    };
+                    if session.is_some() {
+                        draft.push(
+                            ri as u32,
+                            worker.application_touches(),
+                            worker.application_wildcards(),
+                            worker.application_fresh_touches(),
+                            recorded,
+                        );
                     }
                 }
 
+                // The expansion is complete, whatever its verdict.
+                if session.is_some() {
+                    self.engine.records.store(sid, draft.finish());
+                }
                 // A state with no successors is a deadlock — unless a
                 // wildcard aborted some branch, in which case we cannot tell
                 // (the aborted branch might have provided an exit).
@@ -731,17 +790,10 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                     && !any_blocked
                     && self.core.options.deadlock == DeadlockPolicy::Disallow
                 {
-                    let failure = Failure {
-                        kind: FailureKind::Deadlock,
-                        property: "deadlock freedom".to_owned(),
-                        touched: Some(self.core.trace_touched(sid as StateId, &expansion_touches)),
-                        trace: Some(self.core.trace_to(sid as StateId)),
-                    };
-                    break 'layer Some(self.core.finish(
+                    break 'layer Some(self.core.deadlock(
                         start,
-                        Verdict::Failure,
-                        Some(failure),
-                        None,
+                        sid as StateId,
+                        &expansion_touches,
                     ));
                 }
             }
@@ -750,8 +802,8 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
 
         // Layer expanded, or the check stopped inside it: register deferred
         // discoveries and resolve the fresh wildcard and fresh concrete
-        // touches to their new ids.
-        if let Some(resolver) = log {
+        // touches to their new ids, and report the records' touches.
+        if let Some(resolver) = session {
             let specs = worker.take_pending_discoveries();
             if !specs.is_empty() || !fresh_log.is_empty() || !fresh_concrete_log.is_empty() {
                 let ids = resolver.commit_discoveries(&specs);
@@ -762,6 +814,9 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                     touches_log.push((ids[index as usize], Some(action)));
                 }
             }
+            replayed.sort_unstable();
+            replayed.dedup();
+            resolver.note_replayed_touches(&replayed);
         }
         touches_log.sort_unstable();
         touches_log.dedup();
@@ -774,22 +829,28 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// Expands the frontier layer through the parallel engine, then replays
     /// the records deterministically, with the layer's hole-touch log (or
     /// stop log) derived from the *replayed* records (discarded
-    /// consultations never reach a checkpoint log).
+    /// consultations never reach a checkpoint log). A held session's check
+    /// (`answers` present) takes the expansions of states with valid
+    /// records from the records and records the rest.
     fn run_layer_parallel<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
         resolver: &R,
+        answers: Option<&dyn SessionResolver>,
     ) -> LayerResult<M::State> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
         if f0 == f1 {
             return LayerResult::Finished(Box::new(self.core.analyze(start, None)), Vec::new());
         }
-        let chunks = self.engine.expand_layer(&self.core, resolver, f0, f1);
+        let chunks = self
+            .engine
+            .expand_layer(&self.core, resolver, answers, f0, f1);
         let mut touches_log: Vec<LayerTouch> = Vec::new();
         let replayed = self.engine.replay_layer(
             &mut self.core,
             resolver,
+            answers.is_some(),
             start,
             f0,
             chunks,
@@ -1311,5 +1372,254 @@ mod tests {
             what
         ));
         assert_eq!(session.stats().checks_replayed, 2);
+    }
+
+    /// Three branches whose expansions consult different holes, so a check
+    /// that changes one hole re-expands some states of a layer and takes
+    /// the others from their expansion records:
+    ///
+    /// * `0 -> 1, 2, 3`;
+    /// * `1 -> 10 + h0`, and also `-> 13` when h0 = "b";
+    /// * `2 -> 20 + h1`; `3 -> 30, 31`;
+    /// * `10..=13 -> 40` by h3 = "a", or the forbidden 99 by h3 = "b";
+    /// * `20..=22 -> 41`; `30 -> 44` by h2 = "leave", deadlocked by "stay";
+    /// * `31, 40..=44 -> 45 -> 45`.
+    ///
+    /// Layer 1 is ids 1–3 and, under h0 = "a", layer 2 is `10, 20, 30, 31`.
+    fn branching_model() -> crate::model::BuiltModel<u8> {
+        fn pick(ctx: &mut dyn HoleResolver, hole: &str, actions: &[&str]) -> Choice {
+            ctx.choose(&HoleSpec::new(hole, actions.iter().copied()))
+        }
+        let mut b = ModelBuilder::new("branching");
+        b.initial(0u8);
+        for (i, target) in [1u8, 2, 3].into_iter().enumerate() {
+            b.rule(format!("fan{i}"), move |&s: &u8, _| {
+                if s == 0 {
+                    RuleOutcome::Next(target)
+                } else {
+                    RuleOutcome::Disabled
+                }
+            });
+        }
+        b.rule("step", |&s: &u8, ctx| {
+            let next = |choice: Choice, base: u8| match choice {
+                Choice::Action(i) => RuleOutcome::Next(base + i as u8),
+                Choice::Wildcard => RuleOutcome::Blocked,
+            };
+            match s {
+                1 => next(pick(ctx, "h0", &["a", "b", "c"]), 10),
+                2 => next(pick(ctx, "h1", &["a", "b", "c"]), 20),
+                3 => RuleOutcome::Next(30),
+                10..=13 => match pick(ctx, "h3", &["a", "b"]) {
+                    Choice::Action(0) => RuleOutcome::Next(40),
+                    Choice::Action(_) => RuleOutcome::Next(99),
+                    Choice::Wildcard => RuleOutcome::Blocked,
+                },
+                20..=22 => RuleOutcome::Next(41),
+                30 => match pick(ctx, "h2", &["stay", "leave"]) {
+                    Choice::Action(0) => RuleOutcome::Disabled,
+                    Choice::Action(_) => RuleOutcome::Next(44),
+                    Choice::Wildcard => RuleOutcome::Blocked,
+                },
+                31 | 40..=45 => RuleOutcome::Next(45),
+                _ => RuleOutcome::Disabled,
+            }
+        });
+        b.rule("twin", |&s: &u8, ctx| match s {
+            1 => match pick(ctx, "h0", &["a", "b", "c"]) {
+                Choice::Action(1) => RuleOutcome::Next(13),
+                Choice::Action(_) => RuleOutcome::Disabled,
+                Choice::Wildcard => RuleOutcome::Blocked,
+            },
+            3 => RuleOutcome::Next(31),
+            _ => RuleOutcome::Disabled,
+        });
+        b.invariant("not forbidden", |&s: &u8| s != 99);
+        b.finish()
+    }
+
+    const A: Option<u16> = Some(0);
+    const B: Option<u16> = Some(1);
+    const C: Option<u16> = Some(2);
+    /// Deadlocks state 30 as h2, reaches 40 as h3.
+    const STAY: Option<u16> = Some(0);
+    /// Leaves state 30 as h2, reaches 99 as h3.
+    const LEAVE: Option<u16> = Some(1);
+
+    /// Runs `checks` on one session of [`branching_model`] at 1 and 4
+    /// threads, each against a fresh session ([`check_against_fresh`]), and
+    /// returns, per thread count, how many expansions each check took from
+    /// records.
+    fn reuse_per_check(options: &CheckerOptions, checks: &[Vec<Option<u16>>]) -> Vec<Vec<u64>> {
+        let model = branching_model();
+        [1, 4]
+            .iter()
+            .map(|&threads| {
+                let options = options.clone().threads(threads).clamp_threads(false);
+                let mut session = Checker::new(options.clone()).session(&model);
+                checks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, answers)| {
+                        let before = session.stats().expansions_reused;
+                        let what = format!("check {i} {answers:?} at {threads} threads");
+                        check_against_fresh(&mut session, &options, answers, &what);
+                        session.stats().expansions_reused - before
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Asserts the same per-check reuse at every thread count and returns
+    /// it.
+    fn thread_invariant_reuse(options: &CheckerOptions, checks: &[Vec<Option<u16>>]) -> Vec<u64> {
+        let per_threads = reuse_per_check(options, checks);
+        assert_eq!(per_threads[0], per_threads[1], "reuse depends on threads");
+        per_threads[0].clone()
+    }
+
+    /// A record never names a violating successor: committing one stops
+    /// the check before the expansion completes. So the violation sits one
+    /// step below a state a reused record committed, and its trace and
+    /// touched set run through that record's edge (1 -> 10 under h0).
+    #[test]
+    fn invariant_violation_below_a_state_a_record_committed() {
+        let options = CheckerOptions::default();
+        let reuse = thread_invariant_reuse(
+            &options,
+            &[
+                vec![A, A, LEAVE, STAY],
+                // h1 reopens layer 1: state 1's record commits 10 from the
+                // tail, and 10 itself, re-expanded under h3 = "b", reaches 99.
+                vec![A, B, LEAVE, LEAVE],
+            ],
+        );
+        assert_eq!(reuse, [0, 2], "states 1 and 3 reuse their records");
+    }
+
+    #[test]
+    fn deadlock_decided_from_a_record() {
+        let options = CheckerOptions::default();
+        let reuse = thread_invariant_reuse(
+            &options,
+            &[
+                // State 30 deadlocks after 10 and 20 expand.
+                vec![A, A, STAY, STAY],
+                // h3 turns wildcard: 10 blocks, 20 and the deadlocked 30
+                // come from their records.
+                vec![A, A, STAY, None],
+            ],
+        );
+        assert_eq!(reuse, [0, 2]);
+    }
+
+    #[test]
+    fn state_cap_hit_while_committing_a_reused_successor() {
+        // Layers 0 and 1 fill the cap of 8 exactly under h0 = "a"; under
+        // h0 = "b" state 1 commits two successors, so state 3's record
+        // meets the cap at its second successor.
+        let options = CheckerOptions::default().max_states(8);
+        let reuse = thread_invariant_reuse(
+            &options,
+            &[vec![A, A, LEAVE, STAY], vec![B, A, LEAVE, STAY]],
+        );
+        assert_eq!(reuse, [0, 2], "states 2 and 3 reuse their records");
+    }
+
+    #[test]
+    fn records_replay_blocked_applications() {
+        let options = CheckerOptions::default();
+        let reuse = thread_invariant_reuse(
+            &options,
+            &[
+                // h1 wildcard: state 2's record holds a blocked application.
+                vec![A, None, LEAVE, STAY],
+                // Changing h0 reopens layer 1; state 2 still blocks.
+                vec![C, None, LEAVE, STAY],
+            ],
+        );
+        assert!(
+            reuse[1] >= 2,
+            "states 2 and 3 reuse their records: {reuse:?}"
+        );
+    }
+
+    #[test]
+    fn a_known_wildcard_that_turns_concrete_invalidates_its_record() {
+        let model = branching_model();
+        let blocked = TableResolver::new(vec![A, None, LEAVE, STAY]);
+        let concrete = TableResolver::new(vec![A, A, LEAVE, STAY]);
+        for threads in [1, 4] {
+            let options = CheckerOptions::default()
+                .threads(threads)
+                .clamp_threads(false);
+            let mut session = Checker::new(options.clone()).session(&model);
+            check_against_fresh(&mut session, &options, &blocked.answers, "wildcard h1");
+            assert!(session.engine.records.valid(2, &blocked));
+            assert!(
+                !session.engine.records.valid(2, &concrete),
+                "state 2 consulted h1 as a wildcard"
+            );
+            assert!(session.engine.records.valid(3, &concrete));
+            let before = session.stats().expansions_reused;
+            check_against_fresh(&mut session, &options, &concrete.answers, "concrete h1");
+            // Layer 1 reuses states 1 and 3, layer 2 reuses 10, 30 and 31
+            // around the new 20, and layer 3 reuses 40, 44 and 45 around
+            // the new 41.
+            assert_eq!(session.stats().expansions_reused - before, 8);
+        }
+    }
+
+    #[test]
+    fn a_check_after_a_stop_mid_frontier_rebuilds_the_dropped_tail() {
+        let options = CheckerOptions::default();
+        let reuse = thread_invariant_reuse(
+            &options,
+            &[
+                vec![A, A, LEAVE, STAY],
+                // Reopens layer 2: 10 and 20 come from their records, 30
+                // deadlocks live before 31 is reached. The tail states 44
+                // and 45 are dropped with the records naming them.
+                vec![A, A, STAY, STAY],
+                // Reopens layer 2 again: 10 and 20 come from their records,
+                // 30 and 31 expand, and so do 40 and 41, whose records
+                // named the dropped 45; 44 and 45 are committed anew.
+                vec![A, A, LEAVE, STAY],
+            ],
+        );
+        assert_eq!(reuse, [0, 2, 2]);
+    }
+
+    #[test]
+    fn kept_graph_is_identical_after_record_reuse() {
+        let model = branching_model();
+        for threads in [1, 4] {
+            let options = CheckerOptions::default()
+                .keep_graph(true)
+                .threads(threads)
+                .clamp_threads(false);
+            let mut session = Checker::new(options.clone()).session(&model);
+            for h in [
+                [A, A, LEAVE, STAY],
+                [A, B, LEAVE, STAY],
+                [C, B, LEAVE, STAY],
+                [C, B, STAY, STAY],
+                [A, A, LEAVE, STAY],
+            ] {
+                let resolver = TableResolver::new(h.to_vec());
+                let reused = session.check(&resolver);
+                let fresh = Checker::new(options.clone())
+                    .session(&model)
+                    .check(&resolver);
+                assert_same_outcome(&reused, &fresh, &format!("{h:?}"));
+                assert_eq!(
+                    reused.graph().unwrap().to_dot("m"),
+                    fresh.graph().unwrap().to_dot("m"),
+                    "identical graphs after record reuse, {h:?} at {threads} threads"
+                );
+            }
+            assert!(session.stats().expansions_reused > 0);
+        }
     }
 }

@@ -459,3 +459,90 @@ fn unknown_verdicts_survive_session_reuse() {
     assert_eq!(second.verdict(), Verdict::Unknown);
     assert_eq!(first.stats(), second.stats());
 }
+
+/// Expansion records, on fixed-seed sequences of mutated candidates: under
+/// both discovery defaults and at every thread count each check matches the
+/// reference BFS on outcome and touched set, every thread count takes the
+/// same expansions from records, and some live layers do take expansions
+/// from records — so the record path is compared, not skipped. The random
+/// graph models cover wildcard consultations and deferred discoveries; the
+/// MSI skeleton has wide layers whose states consult different holes.
+#[test]
+fn reused_expansions_match_fresh_runs() {
+    use verc3::protocols::msi::{MsiConfig, MsiModel};
+    fn sweep<M: verc3::mck::TransitionSystem>(
+        model: &M,
+        registry: &HoleRegistry,
+        candidates: &[Vec<u16>],
+        default: DiscoveryDefault,
+        what: &str,
+    ) -> u64 {
+        let mut reused_by_threads = Vec::new();
+        for threads in [1usize, 2, 4, 8] {
+            let options = CheckerOptions::default()
+                .threads(threads)
+                .clamp_threads(false);
+            let mut session = Checker::new(options.clone()).session(model);
+            for (i, digits) in candidates.iter().enumerate() {
+                let what = format!("{what} {default:?} t{threads} step {i}");
+                let fresh_resolver = SharedCandidateResolver::new(registry, digits, default);
+                let fresh = Bfs::new(model, &options, &mut *fresh_resolver.worker()).explore();
+                let resolver = SharedCandidateResolver::new(registry, digits, default);
+                let reused = session.check(&resolver);
+                assert_outcomes_match(&reused, &fresh, &what);
+                let mut touched = resolver.into_touched();
+                touched.extend(session.reused_touches());
+                touched.sort_unstable();
+                touched.dedup();
+                assert_eq!(
+                    touched,
+                    fresh_resolver.into_touched(),
+                    "{what}: touched set"
+                );
+            }
+            reused_by_threads.push(session.stats().expansions_reused);
+        }
+        assert!(
+            reused_by_threads.iter().all(|&n| n == reused_by_threads[0]),
+            "{what} {default:?}: reused expansions depend on threads: {reused_by_threads:?}"
+        );
+        reused_by_threads[0]
+    }
+
+    // The random graphs are chains with one state per layer, so only their
+    // deeper layers, committed again after a rollback, can reuse.
+    let mut reused = 0;
+    for (seed, seq_seed) in [(4242, 77), (7, 3)] {
+        let model = GraphModel::random(seed, 6, 3);
+        for default in [DiscoveryDefault::Wildcard, DiscoveryDefault::ActionZero] {
+            let registry = HoleRegistry::new();
+            let radices = register_holes(&model, &registry);
+            let candidates = candidate_sequence(&radices, seq_seed, 40);
+            let what = format!("random-{seed}");
+            reused += sweep(&model, &registry, &candidates, default, &what);
+        }
+    }
+    assert!(
+        reused > 0,
+        "no random-graph expansion was taken from a record"
+    );
+
+    // MSI-small's eight holes, registered by a first wildcard check; then
+    // mutated candidates over them.
+    let model = MsiModel::new(MsiConfig::msi_small());
+    for default in [DiscoveryDefault::Wildcard, DiscoveryDefault::ActionZero] {
+        let registry = HoleRegistry::new();
+        let mut session = Checker::new(CheckerOptions::default()).session(&model);
+        for k in 0..16 {
+            let digits = vec![0u16; registry.len().min(k)];
+            session.check(&SharedCandidateResolver::new(&registry, &digits, default));
+        }
+        let radices = registry.arities(registry.len());
+        let candidates = candidate_sequence(&radices, 11, 12);
+        let reused = sweep(&model, &registry, &candidates, default, "msi_small");
+        assert!(
+            reused > 0,
+            "msi_small {default:?}: no expansion was taken from a record"
+        );
+    }
+}
