@@ -423,7 +423,7 @@ pub fn run_synthesis_row_controlled(
     let mut opts = SynthOptions::default()
         .pruning(pruning)
         .threads(threads)
-        .check_threads(check_threads)
+        .checker(CheckerOptions::default().threads(check_threads))
         .reuse_sessions(reuse_sessions);
     if pruning {
         // Trace-refined patterns are the paper's stated ideal (prune on the

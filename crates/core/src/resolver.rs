@@ -103,7 +103,7 @@ pub fn assignment_delta(
 }
 
 /// The hole resolver for one candidate evaluation, shareable across the
-/// checker's workers (`SynthOptions::check_threads`).
+/// checker's workers (the thread count of `SynthOptions::checker`).
 ///
 /// One instance lives for exactly one model-checking run; the checker's
 /// serial loop and each parallel worker obtain their own [`HoleResolver`]

@@ -101,7 +101,6 @@ pub struct SynthOptions {
     pattern_mode: PatternMode,
     enumeration: Enumeration,
     threads: usize,
-    check_threads: usize,
     checker: CheckerOptions,
     chunk_size: u64,
     max_evaluations: Option<u64>,
@@ -122,7 +121,6 @@ impl Default for SynthOptions {
             pattern_mode: PatternMode::Exact,
             enumeration: Enumeration::Guided,
             threads: 1,
-            check_threads: 1,
             checker: CheckerOptions::default(),
             chunk_size: 32,
             max_evaluations: None,
@@ -187,67 +185,40 @@ impl SynthOptions {
         Ok(self)
     }
 
-    /// Number of checker worker threads *per candidate evaluation*
-    /// (default 1): the second parallelism axis, orthogonal to
-    /// [`SynthOptions::threads`].
+    /// Model-checker options used for every candidate evaluation.
     ///
+    /// Their thread count ([`CheckerOptions::threads`], default 1) is the
+    /// number of checker worker threads *per candidate evaluation*: the
+    /// second parallelism axis, orthogonal to [`SynthOptions::threads`].
     /// Cross-candidate threads scale with the width of the candidate space;
     /// per-check threads scale with the size of a single candidate's state
     /// space, and are the only axis that helps when few candidates are in
     /// flight (small generations, the pruning-dense tail of a run, or plain
     /// golden-model verification). The two compose — `threads(t)` workers
-    /// each drive `check_threads(c)` checker workers, so budget `t * c`
-    /// against the available cores.
+    /// each drive `c` checker workers, so budget `t * c` against the
+    /// available cores.
     ///
     /// Every individual evaluation is verdict-, statistics-, and
     /// failure-attribution-identical to its serial counterpart (the
-    /// parallel checker's commit-replay step guarantees it). The
-    /// equivalence extends to **all resolver effects** in both discovery
-    /// modes: expansion workers consult through provisional handles whose
-    /// touches stay thread-local, and only the records the replay step
-    /// commits publish hole touches, failure attributions, and first
-    /// discoveries — in replay order, the serial driver's within-layer
-    /// consultation order. This covers the naïve baseline
-    /// (`pruning(false)`) too: its fresh `(hole, action 0)` consultations
-    /// are answered from the deferred pending list and committed at the
-    /// same replay sequence point, so neither mode registers racily.
-    /// Speculative work that replay discards (rule applications past a
-    /// failing state's short-circuit point, chunks of an aborted
-    /// claim-table attempt) leaves no trace, so the ordered hole table,
-    /// the per-run `discovered` logs, and the touched sets feeding
+    /// parallel checker's commit walk guarantees it). The equivalence
+    /// extends to **all resolver effects** in both discovery modes:
+    /// expansion workers consult through provisional handles whose touches
+    /// stay thread-local, and only the applications the walk commits
+    /// publish hole touches, failure attributions, and first discoveries —
+    /// in walk order, the serial driver's within-layer consultation order.
+    /// This covers the naïve baseline (`pruning(false)`) too: its fresh
+    /// `(hole, action 0)` consultations are answered from the deferred
+    /// pending list and committed at the same sequence point, so neither
+    /// mode registers racily. Speculative work the walk discards (rule
+    /// applications past a failing state's short-circuit point, chunks of
+    /// an aborted claim-table attempt) leaves no trace, so the ordered hole
+    /// table, the per-run `discovered` logs, and the touched sets feeding
     /// [`PatternMode::Refined`] are a pure function of the candidate
-    /// sequence, independent of worker interleaving: the exact Figure-2
-    /// run log survives `check_threads(4)`
-    /// (`fig2_is_exact_under_parallel_checks`; full run-log and registry
-    /// equality on failing and state-capped runs is pinned by
-    /// `check_threads_match_serial_resolver_effects` below — which covers
-    /// naïve mode as well — and `tests/session_equivalence.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`; use [`SynthOptions::try_check_threads`]
-    /// for a structured error instead.
-    #[track_caller]
-    pub fn check_threads(self, threads: usize) -> Self {
-        self.try_check_threads(threads)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`SynthOptions::check_threads`].
-    pub fn try_check_threads(mut self, threads: usize) -> Result<Self, MckError> {
-        if threads == 0 {
-            return Err(MckError::InvalidConfig {
-                param: "check_threads",
-                reason: "at least one checker thread is required".into(),
-            });
-        }
-        self.check_threads = threads;
-        Ok(self)
-    }
-
-    /// Model-checker options used for every candidate evaluation. A thread
-    /// count set here and [`SynthOptions::check_threads`] combine by
-    /// maximum — setting either one is enough to parallelize dispatches.
+    /// sequence, independent of worker interleaving: the exact Figure-2 run
+    /// log survives 4 checker threads (`fig2_is_exact_under_parallel_checks`;
+    /// full run-log and registry equality on failing and state-capped runs
+    /// is pinned by `check_threads_match_serial_resolver_effects` below —
+    /// which covers naïve mode as well — and `tests/session_equivalence.rs`).
     pub fn checker(mut self, options: CheckerOptions) -> Self {
         self.checker = options;
         self
@@ -586,14 +557,10 @@ pub(crate) struct Run {
 
 impl Run {
     pub(crate) fn new(options: &SynthOptions, journal: Option<JournalWriter>) -> Self {
-        // A thread count set directly on the checker options is honored too:
-        // the effective per-dispatch parallelism is the larger of the two
-        // knobs, never a silent reset.
-        let mut options = options.clone();
-        options.check_threads = options.check_threads.max(options.checker.thread_count());
+        let options = options.clone();
         let start = Instant::now();
         Run {
-            checker: Checker::new(options.checker.clone().threads(options.check_threads)),
+            checker: Checker::new(options.checker.clone()),
             deadline_at: options.deadline.and_then(|d| start.checked_add(d)),
             start,
             options,
@@ -1945,7 +1912,8 @@ mod tests {
         // count, so even the paper's exact Figure-2 run log is preserved.
         let model = GraphModel::worked_example();
         let serial = Synthesizer::new(SynthOptions::default().record_runs(true)).run(&model);
-        let par = Synthesizer::new(SynthOptions::default().record_runs(true).check_threads(4))
+        let checker = CheckerOptions::default().threads(4);
+        let par = Synthesizer::new(SynthOptions::default().record_runs(true).checker(checker))
             .run(&model);
         assert_eq!(par.stats().evaluated, serial.stats().evaluated);
         assert_eq!(par.stats().patterns, serial.stats().patterns);
@@ -1964,8 +1932,9 @@ mod tests {
             let model = GraphModel::random(seed, 6, 3);
             for mode in [PatternMode::Exact, PatternMode::Refined] {
                 let seq = Synthesizer::new(SynthOptions::default().pattern_mode(mode)).run(&model);
+                let checker = CheckerOptions::default().threads(4);
                 let par =
-                    Synthesizer::new(SynthOptions::default().pattern_mode(mode).check_threads(4))
+                    Synthesizer::new(SynthOptions::default().pattern_mode(mode).checker(checker))
                         .run(&model);
                 assert_eq!(
                     par.stats().evaluated,
@@ -2014,6 +1983,7 @@ mod tests {
                         let run = |threads: usize| {
                             let checker = CheckerOptions::default()
                                 .max_states(max_states)
+                                .threads(threads)
                                 .clamp_threads(false);
                             Synthesizer::new(
                                 SynthOptions::default()
@@ -2021,8 +1991,7 @@ mod tests {
                                     .pruning(pruning)
                                     .pattern_mode(PatternMode::Refined)
                                     .reuse_sessions(reuse)
-                                    .checker(checker)
-                                    .check_threads(threads),
+                                    .checker(checker),
                             )
                             .run(&model)
                         };
@@ -2051,8 +2020,9 @@ mod tests {
         for seed in 400..405 {
             let model = GraphModel::random(seed, 6, 3);
             let seq = Synthesizer::new(SynthOptions::default()).run(&model);
+            let checker = CheckerOptions::default().threads(2);
             let par =
-                Synthesizer::new(SynthOptions::default().threads(2).check_threads(2)).run(&model);
+                Synthesizer::new(SynthOptions::default().threads(2).checker(checker)).run(&model);
             assert_eq!(solution_set(&par), solution_set(&seq), "seed {seed}");
         }
     }

@@ -16,10 +16,12 @@
 //! * **serially**, in place on the calling thread; or
 //! * through the **parallel engine** (`parallel`), which expands,
 //!   canonicalizes, fingerprints, and invariant-checks the layer across a
-//!   persistent worker pool against a lock-free claim table, then *replays*
-//!   the recorded layer deterministically so that verdicts, statistics, and
-//!   counterexample traces are *identical* to the serial loop's, for any
-//!   thread count.
+//!   persistent worker pool against a lock-free claim table, writing each
+//!   state's expansion as a record draft.
+//!
+//! Either way every expansion is committed by one deterministic walk, so
+//! verdicts, statistics, and counterexample traces are *identical* for any
+//! thread count.
 //!
 //! The one-shot entry points ([`Checker::run`], [`Checker::run_with`],
 //! [`Checker::run_shared`]) each check once on a fresh session; the
@@ -82,7 +84,9 @@ pub struct CheckerOptions {
     keep_graph: bool,
     threads: usize,
     clamp_threads: bool,
+    #[cfg(any(test, feature = "reference"))]
     pub(super) chunk_states: Option<usize>,
+    #[cfg(any(test, feature = "reference"))]
     pub(super) claim_stripes: Option<usize>,
 }
 
@@ -94,7 +98,9 @@ impl Default for CheckerOptions {
             keep_graph: false,
             threads: 1,
             clamp_threads: true,
+            #[cfg(any(test, feature = "reference"))]
             chunk_states: None,
+            #[cfg(any(test, feature = "reference"))]
             claim_stripes: None,
         }
     }
@@ -109,12 +115,11 @@ impl CheckerOptions {
     /// make the committed store exceed the cap is *refused* and exploration
     /// stops there, so `Stats::states_visited ≤ max_states` always holds and
     /// a refused state is never inspected (its invariants are not checked —
-    /// the verdict is `Unknown` regardless). The parallel engine
-    /// ([`CheckerOptions::threads`]) enforces the cap at the same
-    /// deterministic replay point, so committed counts and statistics remain
-    /// identical to the serial loop's at any thread count; it may still
-    /// *transiently* hold up to one expanded layer of parked candidate
-    /// successors in memory before the replay clamps them.
+    /// the verdict is `Unknown` regardless). Every expansion is committed
+    /// through one walk, which enforces the cap at the same deterministic
+    /// point at any [`CheckerOptions::threads`] count; the parallel engine
+    /// may still *transiently* hold up to one expanded layer of parked
+    /// candidate successors in memory before the walk clamps them.
     pub fn max_states(mut self, limit: usize) -> Self {
         self.max_states = limit;
         self
@@ -188,62 +193,6 @@ impl CheckerOptions {
     pub fn clamp_threads(mut self, clamp: bool) -> Self {
         self.clamp_threads = clamp;
         self
-    }
-
-    /// Forces the parallel engine's expansion chunk size to exactly `states`
-    /// per chunk, overriding the trajectory-based auto-tuner. A testing and
-    /// benchmarking knob (e.g. 1-state chunks maximize interleaving); leave
-    /// unset for real runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states == 0`; see [`CheckerOptions::try_chunk_states`] for
-    /// the fallible variant.
-    #[track_caller]
-    pub fn chunk_states(self, states: usize) -> Self {
-        self.try_chunk_states(states)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`CheckerOptions::chunk_states`]: rejects `0`
-    /// with [`MckError::InvalidConfig`] instead of panicking.
-    pub fn try_chunk_states(mut self, states: usize) -> Result<Self, MckError> {
-        if states == 0 {
-            return Err(MckError::InvalidConfig {
-                param: "chunk_states",
-                reason: "chunks must hold at least one state".into(),
-            });
-        }
-        self.chunk_states = Some(states);
-        Ok(self)
-    }
-
-    /// Forces the claim-table stripe count (rounded up to a power of two,
-    /// capped at 256). A testing knob — a single stripe serializes all
-    /// claim-arena appends, maximizing contention; leave unset to size from
-    /// the thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes == 0`; see [`CheckerOptions::try_claim_stripes`]
-    /// for the fallible variant.
-    #[track_caller]
-    pub fn claim_stripes(self, stripes: usize) -> Self {
-        self.try_claim_stripes(stripes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`CheckerOptions::claim_stripes`]: rejects `0`
-    /// with [`MckError::InvalidConfig`] instead of panicking.
-    pub fn try_claim_stripes(mut self, stripes: usize) -> Result<Self, MckError> {
-        if stripes == 0 {
-            return Err(MckError::InvalidConfig {
-                param: "claim_stripes",
-                reason: "at least one claim stripe is required".into(),
-            });
-        }
-        self.claim_stripes = Some(stripes);
-        Ok(self)
     }
 
     /// The configured worker-thread count (as requested, before clamping).
@@ -388,9 +337,10 @@ impl IdList {
 }
 
 /// Ceiling on committed [`StateId`]s, asserted by [`SearchCore::commit`]:
-/// keeps the top bit of the 32-bit id space free as headroom for auxiliary
-/// encodings and catches runaway stores long before the id type wraps.
-pub(super) const MAX_COMMITTED: StateId = 1 << 31;
+/// keeps the top two bits of the 32-bit id space free for the successor
+/// words of expansion records (`records`) and catches runaway stores long
+/// before the id type wraps.
+pub(super) const MAX_COMMITTED: StateId = 1 << 30;
 
 /// Adds a committed id to a fingerprint-indexed map (shared by the parallel
 /// engine's committed index and the reference driver's visited index).
@@ -595,6 +545,18 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
         out.sort_unstable();
         out.dedup_by_key(|pair| pair.0);
         out
+    }
+
+    /// The admission clamp: refuses a new state at the cap before it is
+    /// inspected, so the committed store never outgrows
+    /// [`CheckerOptions::max_states`].
+    pub(super) fn admit(&mut self, start: Instant) -> Result<(), Box<Outcome<M::State>>> {
+        if self.states.len() < self.options.max_states {
+            return Ok(());
+        }
+        let limit = self.options.max_states;
+        let limit = MckError::StateLimitExceeded { limit };
+        Err(Box::new(self.analyze(start, Some(limit))))
     }
 
     /// Ends the check at committed state `id`, which violates the

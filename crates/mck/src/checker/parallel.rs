@@ -1,93 +1,95 @@
-//! The layer-synchronized parallel BFS engine (commit-replay architecture):
-//! how a [`super::CheckSession`] expands a layer when it has more than one
-//! effective thread.
+//! The layer-synchronized parallel BFS engine, and the one walk that
+//! commits every expansion of a [`super::CheckSession`].
 //!
 //! Parallel explicit-state exploration usually trades determinism for speed:
 //! work-stealing frontiers visit states in racy orders, so two runs (or a
-//! parallel and a serial run) report different statistics and — worse —
-//! different counterexamples. This engine keeps the speed and discards the
-//! race, following the layer-synchronized discipline of Stern & Dill's
-//! parallel Murϕ, with all per-state work pushed into the parallel phase:
+//! parallel and a serial run) report different statistics and different
+//! counterexamples. This engine keeps the speed and discards the race,
+//! following the layer-synchronized discipline of Stern & Dill's parallel
+//! Murϕ, with all per-state work pushed into the parallel phase:
 //!
 //! 1. **Expand** (parallel): the current BFS layer is split into chunks
-//!    whose size is auto-tuned from the previous layer's measured expansion
-//!    rate (see [`Engine::chunk_size`]), executed by a persistent
-//!    [`WorkerPool`]. Each worker applies every rule to its states (through
-//!    its own expansion resolver obtained via
-//!    [`SharedResolver::expansion_worker`]), canonicalizes successors,
-//!    fingerprints them, **evaluates their invariants**, and probes them
-//!    against a lock-free open-addressing [`ClaimTable`]: a CAS on an
-//!    `AtomicU64` bucket claims an unseen state, and the full state bodies
-//!    live in striped mutex-protected arenas touched only on claim creation
-//!    and tag-collision checks. Already-committed successors resolve with a
-//!    plain lock-free hash-map read.
-//! 2. **Replay** (sequential, cheap): the recorded rule outcomes are walked
-//!    in the session's serial loop's exact order — layer states in commit order,
-//!    rules in table order — committing claimed states (already
-//!    canonicalized, fingerprinted, and invariant-checked; the replay just
-//!    moves them into the store and assigns dense [`StateId`]s), counting
-//!    statistics, and raising failures, deadlocks, and the state cap
-//!    *exactly* where the serial loop would.
+//!    sized from the previous layer's measured expansion rate (see
+//!    [`Engine::chunk_size`]) and run by a persistent [`WorkerPool`]. Each
+//!    worker applies every rule to its states through its own expansion
+//!    resolver ([`SharedResolver::expansion_worker`]), canonicalizes and
+//!    fingerprints successors, **evaluates their invariants**, and probes
+//!    them against a lock-free [`ClaimTable`] (a CAS on an `AtomicU64`
+//!    bucket claims an unseen state, whose body lives in a striped arena).
+//!    It writes each state's expansion as a record **draft** (`records`):
+//!    successors named by committed id or by claim, holes first sighted in
+//!    the chunk by chunk-local index.
+//! 2. **Walk** (sequential, cheap): the drafts are committed application
+//!    by application ([`Engine::step`]) in the serial order — layer states
+//!    in commit order, rules in table order — moving claimed states into
+//!    the store, counting statistics, logging consultations, and raising
+//!    failures, deadlocks and the state cap *exactly* where the serial
+//!    order does.
+//!
+//! The same walk takes a state's expansion from its stored record, and the
+//! session's serial schedule commits each application it applies in place
+//! through the same step: admission clamp, commit, edge, invariants,
+//! statistics, logs and the deadlock verdict exist once. One effective
+//! thread keeps the in-place schedule because it is measurably faster
+//! there (EXPERIMENTS.md, "One record, one walk").
 //!
 //! The barrier between layers is what preserves **minimal counterexamples**:
 //! no state of layer `d+1` is expanded before every state of layer `d` has
 //! been, so the first failure found is found at its minimal depth, and the
-//! replay's deterministic order picks the same witness the serial loop
-//! picks. The replay no longer re-touches state bodies at all — its cost is
-//! a record walk plus arena-to-store moves — so rule application, symmetry
-//! canonicalization, fingerprinting, and invariant evaluation, which
-//! dominate, all scale with the worker count.
+//! walk's deterministic order picks the serial witness. The walk never
+//! touches state bodies except to move claims into the store, so rule
+//! application, symmetry canonicalization, fingerprinting, and invariant
+//! evaluation, which dominate, all scale with the worker count.
 //!
 //! Three further mechanisms keep the determinism tax down:
 //!
 //! * **Earliest-stop short-circuit**: a worker that claims a violating
-//!   successor (or sees a deadlocked state) publishes the state's
-//!   within-layer index to a relaxed atomic via `fetch_min`; workers skip
-//!   states beyond the smallest announced index. The replay stops at or
-//!   before that index — the serial witness is always at the *minimum*
-//!   announced position or earlier — so skipped work is provably unobserved.
-//! * **Replay-gated resolver effects**: expansion workers consult the
-//!   resolver provisionally ([`SharedResolver::expansion_worker`]); the
-//!   concrete resolutions the replay actually consumes are reported once per
-//!   layer through [`SharedResolver::note_replayed_touches`], and deferred
-//!   hole discoveries register at their first replayed consultation, in
-//!   serial order. Applications the replay discards (past a failure or the
-//!   state cap) therefore never leak into touched sets, hole registries, or
-//!   pattern publications.
+//!   successor, sees a deadlocked state or catches a panic publishes the
+//!   state's within-layer index via `fetch_min`; workers skip states beyond
+//!   the smallest announced index. The walk stops at or before that index,
+//!   so skipped work is provably unobserved, and a caught panic resumes
+//!   only if the walk reaches the application it ended.
+//! * **Walk-gated resolver effects**: the concrete resolutions the walk
+//!   consumes are reported once per layer through
+//!   [`SharedResolver::note_replayed_touches`], and the deferred hole
+//!   discoveries it reached register at the layer end, in walk order.
+//!   Applications the walk never reaches (past a stop) therefore never
+//!   leak into touched sets, hole registries, or pattern publications.
 //! * **Abort-and-grow**: the claim table is sized from the previous layer's
 //!   claim count; if a layer outgrows it, workers abort at state
-//!   boundaries, the attempt's records are discarded, and the layer is
+//!   boundaries, the attempt's drafts are discarded, and the layer is
 //!   re-expanded against a larger table — a rare, contention-free
 //!   alternative to resizing a lock-free table mid-flight.
 //!
 //! The result is a strong invariant, asserted by the equivalence suite
-//! (`tests/checker_parallel_equivalence.rs`): for every model and resolver,
-//! every thread count returns the **same verdict, the same `Stats` (state,
-//! transition, depth, and queue counters), and the same counterexample
-//! trace** as the reference serial BFS (`super::reference`) — and the same
-//! per-layer hole-touch logs as the session's serial loop.
-//!
-//! One deliberate, documented divergence remains outside that invariant:
-//! expansion may run (most of) a layer even when the replay will stop at a
-//! failure or the state cap partway through it, so up to one layer of
-//! claimed successor states may be held *transiently* in the claim arenas
-//! beyond `max_states` before the replay's admission clamp discards them
-//! (the committed store — and therefore `Stats.states_visited` — never
-//! exceeds the cap; see [`CheckerOptions::max_states`]).
+//! (`tests/checker_parallel_equivalence.rs`): every thread count returns the
+//! **same verdict, the same `Stats`, and the same counterexample trace** as
+//! the reference serial BFS (`super::reference`), and the same per-layer
+//! hole-touch logs as the session's serial schedule. Outside it: expansion
+//! may run most of a layer past the point where the walk stops, so up to one
+//! layer of claimed successors may be held *transiently* beyond `max_states`
+//! before the walk's admission clamp discards them (the committed store
+//! never exceeds the cap; see [`CheckerOptions::max_states`]).
 
 use super::pool::WorkerPool;
-use super::records::{RecordDraft, Recorded, Records, Successor};
-use super::{
-    fingerprint, insert_id, remove_id, CheckerOptions, DeadlockPolicy, Edge, IdList, MckError,
-    Outcome, SearchCore, StateId,
+use super::records::{
+    app_len, expansion_touches, known_touches, push_app, touches, wildcards, Record, Records,
+    Successor, BLOCKED, CLAIM, DISABLED, FRESH, HELD, PANICKED,
 };
-use crate::eval::{NameCache, SessionResolver, SharedResolver, WildcardTouch};
+use super::{
+    fingerprint, insert_id, remove_id, CheckerOptions, DeadlockPolicy, Edge, IdList, Outcome,
+    SearchCore, StateId,
+};
+use crate::eval::{HoleSpec, NameCache, SessionResolver, SharedResolver};
 use crate::hashers::FnvHashMap;
 use crate::model::TransitionSystem;
 use crate::properties::Property;
 use crate::rule::RuleOutcome;
 use parking_lot::Mutex;
+use std::any::Any;
+use std::cell::Cell;
 use std::hash::Hash;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -122,16 +124,16 @@ const TARGET_CHUNK_NANOS: f64 = 200_000.0;
 const SOLO_LAYER_NANOS: f64 = 100_000.0;
 
 /// A state claimed during expansion, parked in a stripe arena until the
-/// replay commits it. Immutable after publication except for `state` and
-/// `id`, which only the single-threaded replay touches.
+/// walk commits it. Immutable after publication except for `state` and
+/// `id`, which only the single-threaded walk touches.
 pub(super) struct Claim<S> {
     hash: u64,
-    /// The claimed state; taken when the replay commits it.
+    /// The claimed state; taken when the walk commits it.
     state: Option<S>,
-    /// The committed id, once the replay assigns one.
+    /// The committed id, once the walk assigns one.
     id: Option<StateId>,
     /// Index (into the model's property list) of the first invariant this
-    /// state violates, evaluated by the claiming worker so the replay never
+    /// state violates, evaluated by the claiming worker so the walk never
     /// re-inspects state bodies.
     violation: Option<u32>,
 }
@@ -139,7 +141,7 @@ pub(super) struct Claim<S> {
 /// Result of probing one not-yet-committed successor against the claim
 /// table (committed states are resolved before the table is consulted).
 pub(super) enum ClaimProbe {
-    /// The state is claimed (by this probe or an earlier one); the replay
+    /// The state is claimed (by this probe or an earlier one); the walk
     /// resolves the reference to a dense id.
     Fresh { claim: u32, violation: Option<u32> },
     /// The table ran out of budget; the layer attempt must be discarded and
@@ -243,7 +245,7 @@ impl<S: Clone + Eq> ClaimTable<S> {
         (parked.hash == hash && parked.state.as_ref() == Some(state)).then_some(parked.violation)
     }
 
-    /// Exclusive access to a claim during the (single-threaded) replay.
+    /// Exclusive access to a claim during the (single-threaded) walk.
     fn claim_mut(&mut self, claim: u32) -> &mut Claim<S> {
         let (stripe, slot) = Self::unpack(claim);
         &mut self.stripes[stripe].get_mut()[slot]
@@ -290,8 +292,9 @@ impl<S: Clone + Eq> ClaimTable<S> {
                             let slot = stripe.len();
                             assert!(
                                 slot < SLOT_MASK as usize,
-                                "claim stripe overflow ({slot} claims in one stripe); \
-                                 raise CheckerOptions::claim_stripes"
+                                "claim stripe overflow: {slot} new states of one layer \
+                                 hashed to one of {} claim stripes",
+                                self.stripes.len()
                             );
                             stripe.push(Claim {
                                 hash,
@@ -347,62 +350,178 @@ impl<S: Clone + Eq> ClaimTable<S> {
     }
 }
 
-/// One rule application worth remembering: anything that fired, blocked, or
-/// consulted a hole. Plain disabled guards with no consultations — the
-/// overwhelming majority — leave no record.
-pub(super) struct AppRecord {
-    pub(super) rule: u32,
-    /// Concrete hole resolutions this application consulted.
-    pub(super) touches: Box<[(usize, u16)]>,
-    /// Wildcard consultations (known holes, or deferred first sightings as
-    /// indices into the chunk's discovery list).
-    pub(super) wildcards: Box<[WildcardTouch]>,
-    /// Concrete resolutions of deferred first sightings, as `(index into the
-    /// chunk's discovery list, action)` — the concrete sibling of
-    /// [`WildcardTouch::Fresh`], produced by resolvers whose discovery
-    /// default is a real action.
-    pub(super) fresh: Box<[(u32, u16)]>,
-    pub(super) outcome: RecOutcome,
-}
-
-pub(super) enum RecOutcome {
-    /// Guard false, but holes were consulted (a deadlock verdict — and a
-    /// session touch log — depends on these resolutions too).
-    Disabled,
-    /// Hit a wildcard hole; branch aborted.
-    Blocked,
-    /// Fired, producing this successor.
-    Next(SuccessorRef),
-}
-
-pub(super) enum SuccessorRef {
-    /// Already committed under this id before the layer began.
-    Known(StateId),
-    /// First seen this layer: parked in the claim table, invariants already
-    /// evaluated by the claiming worker.
-    Fresh { claim: u32, violation: Option<u32> },
-}
-
-/// Everything a worker recorded about expanding one source state.
-pub(super) enum StateRec {
-    /// Expanded by applying every rule.
-    Expanded(Vec<AppRecord>),
+/// How a chunk's worker left one frontier state for the walk.
+#[derive(Clone, Copy)]
+enum Drafted {
+    /// Expanded by applying every rule: its draft ends at this word of the
+    /// chunk's drafts.
+    Draft(usize),
     /// The state's expansion record is valid under the check's answers: the
-    /// replay takes the expansion from it ([`Engine::replay_record`]).
+    /// walk takes the expansion from it ([`Engine::walk_record`]).
     Recorded,
-    /// Placeholder for a state skipped by the earliest-stop short-circuit.
-    /// The replay provably stops before consuming one (the deterministic
-    /// witness lies at or before the minimum announced index) and asserts
-    /// so.
+    /// Skipped by the earliest-stop short-circuit. The walk provably stops
+    /// before reaching one (the deterministic witness lies at or before the
+    /// minimum announced index) and asserts so.
     Skipped,
 }
 
+/// A panic a worker caught while expanding a state, kept for the walk.
+struct Panicked {
+    payload: Box<dyn Any + Send>,
+    /// Whether it struck while the worker evaluated the invariants of a
+    /// state it claimed, which the serial order does after the admission
+    /// clamp.
+    claiming: bool,
+}
+
 /// Everything one expansion chunk produced.
+#[derive(Default)]
 pub(super) struct ChunkOut {
-    pub(super) recs: Vec<StateRec>,
+    states: Vec<Drafted>,
+    /// The drafts of the expanded states, back to back.
+    words: Vec<u32>,
+    /// The claim references the drafts' [`CLAIM`] successor words index.
+    claims: Vec<u32>,
     /// Hole specs first sighted by this chunk's worker, in consultation
-    /// order; registered lazily at their first *replayed* consultation.
-    pub(super) discoveries: Vec<crate::eval::HoleSpec>,
+    /// order: what the drafts' [`FRESH`] hole words index.
+    discoveries: Vec<HoleSpec>,
+    /// The panic that ended the chunk's last draft.
+    panic: Option<Panicked>,
+}
+
+/// What a walked expansion's words name besides the store and the rollback
+/// tail: a chunk's claims and caught panic, or the serial schedule's new
+/// successor in hand.
+pub(super) struct Refs<'c, S> {
+    claims: &'c [u32],
+    panic: Option<Panicked>,
+    /// The [`HELD`] successor and its fingerprint.
+    pub(super) held: Option<(S, u64)>,
+}
+
+impl<S> Refs<'_, S> {
+    /// Names nothing beyond the store and the tail.
+    pub(super) fn none() -> Self {
+        Refs {
+            claims: &[],
+            panic: None,
+            held: None,
+        }
+    }
+}
+
+/// The per-layer state of the one walk that commits expansions (see the
+/// module docs): the layer's hole-touch log, the replay-confirmed touches,
+/// the deferred discoveries the walk reached, and the flags of the state it
+/// is expanding.
+#[derive(Default)]
+pub(super) struct Walk {
+    /// Whether the walk logs the layer and stores records: a held session's
+    /// check.
+    pub(super) session: bool,
+    log: Vec<LayerTouch>,
+    replayed: Vec<(usize, u16)>,
+    /// Deferred discoveries to register at the layer end, in walk order.
+    specs: Vec<HoleSpec>,
+    /// Where the current discovery scope (a chunk, or the serial worker's
+    /// layer) starts in `specs`, and how many of its discoveries the walk
+    /// reached: always a prefix, because a scope numbers its discoveries in
+    /// consultation order, which the walk follows.
+    scope: u32,
+    reached: u32,
+    /// Walked consultations of deferred discoveries: position in `specs`
+    /// and answer.
+    fresh: Vec<(u32, Option<u16>)>,
+    any_next: bool,
+    any_blocked: bool,
+    any_fresh: bool,
+    /// The touches of an application whose successor is committed: its
+    /// tree edge's attribution.
+    edge: Vec<(usize, u16)>,
+}
+
+impl Walk {
+    pub(super) fn new(session: bool) -> Self {
+        Walk {
+            session,
+            ..Walk::default()
+        }
+    }
+
+    /// Starts the expansion of frontier state `sid`.
+    pub(super) fn begin_state<M: TransitionSystem>(
+        &mut self,
+        core: &mut SearchCore<'_, M>,
+        sid: usize,
+    ) {
+        // What a rolling BFS queue would hold when popping this state:
+        // everything committed but not yet expanded.
+        core.stats.peak_queue = core.stats.peak_queue.max(core.states.len() - sid);
+        (self.any_next, self.any_blocked, self.any_fresh) = (false, false, false);
+    }
+
+    #[inline]
+    fn log_app(&mut self, app: &[u32]) {
+        for (hole, action) in touches(app) {
+            self.note(hole, Some(action));
+        }
+        for &hole in wildcards(app) {
+            self.note(hole, None);
+        }
+    }
+
+    #[inline]
+    fn note(&mut self, hole: u32, answer: Option<u16>) {
+        if hole & FRESH != 0 {
+            let index = hole & !FRESH;
+            self.any_fresh = true;
+            self.reached = self.reached.max(index + 1);
+            self.fresh.push((self.scope + index, answer));
+        } else if self.session {
+            self.log.push((hole as usize, answer));
+        }
+    }
+
+    /// Ends a discovery scope whose worker sighted `specs`: the ones the
+    /// walk reached register at the layer end.
+    pub(super) fn end_scope(&mut self, mut specs: Vec<HoleSpec>) {
+        specs.truncate(self.reached as usize);
+        self.scope += specs.len() as u32;
+        self.specs.append(&mut specs);
+        self.reached = 0;
+    }
+
+    /// Ends the layer, expanded or stopped inside: registers the reached
+    /// discoveries in walk order, which is the serial order, names their
+    /// consultations by id, and reports the replay-confirmed touches, all
+    /// through `resolver` (`None`: a one-shot serial check, whose worker
+    /// registers its own discoveries). Returns the layer's sorted,
+    /// de-duplicated hole-touch log (empty unless a held session's check).
+    pub(super) fn end_layer<R: SharedResolver + ?Sized>(
+        mut self,
+        resolver: Option<&R>,
+    ) -> Vec<LayerTouch> {
+        if let Some(resolver) = resolver {
+            if !self.specs.is_empty() {
+                let ids = resolver.commit_discoveries(&self.specs);
+                for &(at, answer) in &self.fresh {
+                    let id = ids[at as usize];
+                    if self.session {
+                        self.log.push((id, answer));
+                    }
+                    if let Some(action) = answer {
+                        self.replayed.push((id, action));
+                    }
+                }
+            }
+            self.replayed.sort_unstable();
+            self.replayed.dedup();
+            resolver.note_replayed_touches(&self.replayed);
+        }
+        self.log.sort_unstable();
+        self.log.dedup();
+        self.log
+    }
 }
 
 /// Index (into the model's property list) of the first invariant `state`
@@ -444,13 +563,13 @@ fn invariant_name<M: TransitionSystem>(model: &M, property: usize) -> &str {
 
 /// The exploration engine of one [`super::CheckSession`]: the
 /// committed-state index, the expansion records, the per-layer claim table,
-/// the persistent worker pool, the chunk auto-tuner, and the deterministic
-/// replay. The session's serial loop uses only the committed index, the
-/// records, the record replay and the name-cache bank.
+/// the persistent worker pool, the chunk auto-tuner, and the walk. The
+/// session's serial schedule uses only the committed index, the records,
+/// the walk and the name-cache bank.
 pub(super) struct Engine<S> {
     /// Fingerprint → committed ids. Read lock-free by expansion workers
     /// (committed entries never change mid-layer); mutated only by the
-    /// single-threaded replay and the serial session path.
+    /// single-threaded walk and the initial states' commit.
     visited: FnvHashMap<u64, IdList>,
     /// Fingerprint of every committed state, aligned with the store — what
     /// lets session rollback evict truncated ids without re-hashing.
@@ -465,6 +584,7 @@ pub(super) struct Engine<S> {
     /// ([`super::CheckSession::set_threads`]).
     pool: Option<WorkerPool>,
     threads: usize,
+    #[cfg(any(test, feature = "reference"))]
     chunk_override: Option<usize>,
     /// Measured expansion cost per frontier state (ns), trailing one layer;
     /// drives [`Engine::chunk_size`].
@@ -480,18 +600,20 @@ pub(super) struct Engine<S> {
 impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     pub(super) fn new(options: &CheckerOptions) -> Self {
         let threads = options.effective_threads();
+        let stripes = (threads * 8).clamp(16, MAX_STRIPES);
+        #[cfg(any(test, feature = "reference"))]
         let stripes = options
             .claim_stripes
-            .unwrap_or_else(|| (threads * 8).clamp(16, MAX_STRIPES))
-            .clamp(1, MAX_STRIPES)
-            .next_power_of_two();
+            .unwrap_or(stripes)
+            .clamp(1, MAX_STRIPES);
         Engine {
             visited: FnvHashMap::default(),
             hashes: Vec::new(),
             records: Records::default(),
-            claims: ClaimTable::new(stripes),
+            claims: ClaimTable::new(stripes.next_power_of_two()),
             pool: None,
             threads,
+            #[cfg(any(test, feature = "reference"))]
             chunk_override: options.chunk_states,
             rate_ns: 1000.0,
             last_claims: 0,
@@ -563,8 +685,11 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// chunks per thread (load balance) and never more than sixteen (cap
     /// the dispatch churn). Tiny layers stay inline as one chunk.
     fn chunk_size(&self, len: usize) -> usize {
-        if let Some(n) = self.chunk_override {
-            return n.max(1);
+        #[cfg(any(test, feature = "reference"))]
+        {
+            if let Some(n) = self.chunk_override {
+                return n.max(1);
+            }
         }
         if self.threads <= 1 || self.rate_ns * len as f64 <= SOLO_LAYER_NANOS {
             return len.max(1);
@@ -574,13 +699,12 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         let churn = len.div_ceil(self.threads * 16);
         ideal.min(balance).max(churn).max(1)
     }
-
     /// Expands the frontier `[f0, f1)` across the pool, retrying with a
     /// grown claim table in the (rare) case a layer outgrows it. On return
     /// the claim table holds every distinct successor first seen this
-    /// layer, invariant-checked and ready for the replay to commit. With
+    /// layer, invariant-checked and ready for the walk to commit. With
     /// `answers` (a held session's check), a state whose record is valid
-    /// under them is not expanded: the replay takes its record.
+    /// under them is not expanded: the walk takes its record.
     pub(super) fn expand_layer<M, R>(
         &mut self,
         core: &SearchCore<'_, M>,
@@ -671,10 +795,11 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             .collect()
     }
 
-    /// One worker's share of a layer: apply every rule to every state in
-    /// `[lo, hi)` that has no valid record, probing successors against the
-    /// committed index and the claim table, recording everything the replay
-    /// needs.
+    /// One worker's share of a layer: drafts the expansion of every state
+    /// in `[lo, hi)` that has no valid record, probing successors against
+    /// the committed index and the claim table. A panic is caught per
+    /// state and ends that state's draft ([`PANICKED`]), so it surfaces
+    /// only if the walk reaches it.
     #[allow(clippy::too_many_arguments)]
     fn expand_chunk<M, R>(
         &self,
@@ -692,12 +817,10 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         R: SharedResolver + ?Sized,
     {
         crate::faults::probe_panic(crate::faults::site::EXPAND_CHUNK);
-        let states = &core.states;
         let model = core.model;
         let mut worker = resolver.expansion_worker(self.pop_name_cache());
-        let mut recs = Vec::with_capacity(hi - lo);
-
-        'states: for sid in lo..hi {
+        let mut out = ChunkOut::default();
+        for sid in lo..hi {
             if self.claims.aborted() {
                 // Another worker (or we, below) overflowed the claim table:
                 // the whole attempt is discarded, stop early.
@@ -705,405 +828,344 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             }
             let layer_idx = sid - f0;
             if layer_idx > stop.load(Ordering::Relaxed) {
-                // A failure was announced at an earlier index: the replay
+                // A stop was announced at an earlier index: the walk
                 // provably stops before here, so this expansion would be
                 // pure wasted work.
-                recs.push(StateRec::Skipped);
+                out.states.push(Drafted::Skipped);
                 continue;
             }
             if answers.is_some_and(|answers| self.records.valid(sid, answers)) {
-                recs.push(StateRec::Recorded);
+                out.states.push(Drafted::Recorded);
                 continue;
             }
-            let state = &states[sid];
-            let mut records = Vec::new();
-            let mut any_next = false;
-            let mut any_blocked = false;
-            for (ri, rule) in model.rules().iter().enumerate() {
-                worker.begin_application();
-                let rule_outcome = rule.apply(state, &mut *worker);
-                let touches = worker.application_touches();
-                let wildcards = worker.application_wildcards();
-                let fresh = worker.application_fresh_touches();
-                let outcome = match rule_outcome {
-                    RuleOutcome::Disabled
-                        if touches.is_empty() && wildcards.is_empty() && fresh.is_empty() =>
-                    {
-                        continue
-                    }
-                    RuleOutcome::Disabled => RecOutcome::Disabled,
-                    RuleOutcome::Blocked => {
-                        any_blocked = true;
-                        RecOutcome::Blocked
-                    }
-                    RuleOutcome::Next(next) => {
-                        any_next = true;
-                        let next = model.canonicalize(next);
-                        let hash = fingerprint(&next);
-                        let succ = match self.find_committed(hash, &next, states) {
-                            Some(id) => SuccessorRef::Known(id),
-                            None => {
-                                let probe =
-                                    self.claims.probe(hash, next, &|s| violated_index(model, s));
-                                match probe {
-                                    ClaimProbe::Aborted => break 'states,
+            let (mut rule, mut done) = (0, out.words.len());
+            let claiming = Cell::new(false);
+            let violated = |s: &S| {
+                claiming.set(true);
+                let violation = violated_index(model, s);
+                claiming.set(false);
+                violation
+            };
+            // AssertUnwindSafe: after a panic the worker resolver is only
+            // drained, and the words are cut back to the last whole
+            // application.
+            let expanded = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut exits = false;
+                for (ri, r) in model.rules().iter().enumerate() {
+                    rule = ri;
+                    worker.begin_application();
+                    let word = match r.apply(&core.states[sid], &mut *worker) {
+                        RuleOutcome::Disabled => DISABLED,
+                        RuleOutcome::Blocked => {
+                            exits = true;
+                            BLOCKED
+                        }
+                        RuleOutcome::Next(next) => {
+                            exits = true;
+                            let next = model.canonicalize(next);
+                            let hash = fingerprint(&next);
+                            match self.find_committed(hash, &next, &core.states) {
+                                Some(id) => id,
+                                None => match self.claims.probe(hash, next, &violated) {
+                                    ClaimProbe::Aborted => return None,
                                     ClaimProbe::Fresh { claim, violation } => {
                                         if violation.is_some() {
                                             stop.fetch_min(layer_idx, Ordering::Relaxed);
                                         }
-                                        SuccessorRef::Fresh { claim, violation }
+                                        let index = out.claims.len() as u32;
+                                        assert!(index < HELD - CLAIM, "too many claims in a chunk");
+                                        out.claims.push(claim);
+                                        CLAIM | index
                                     }
-                                }
+                                },
                             }
-                        };
-                        RecOutcome::Next(succ)
+                        }
+                    };
+                    push_app(
+                        &mut out.words,
+                        ri,
+                        worker.application_touches(),
+                        worker.application_wildcards(),
+                        worker.application_fresh_touches(),
+                        word,
+                    );
+                    done = out.words.len();
+                }
+                Some(exits)
+            }));
+            match expanded {
+                Ok(None) => break,
+                Ok(Some(exits)) => {
+                    if watch_deadlock && !exits {
+                        stop.fetch_min(layer_idx, Ordering::Relaxed);
                     }
-                };
-                records.push(AppRecord {
-                    rule: ri as u32,
-                    touches: touches.into(),
-                    wildcards: wildcards.into(),
-                    fresh: fresh.into(),
-                    outcome,
-                });
+                }
+                Err(payload) => {
+                    out.words.truncate(done);
+                    out.words.extend([rule as u32, PANICKED, 0]);
+                    let claiming = claiming.get();
+                    out.panic = Some(Panicked { payload, claiming });
+                    stop.fetch_min(layer_idx, Ordering::Relaxed);
+                }
             }
-            if watch_deadlock && !any_next && !any_blocked {
-                stop.fetch_min(layer_idx, Ordering::Relaxed);
-            }
-            recs.push(StateRec::Expanded(records));
+            out.states.push(Drafted::Draft(out.words.len()));
         }
-        let discoveries = worker.take_pending_discoveries();
+        out.discoveries = worker.take_pending_discoveries();
         let cache = worker.take_name_cache();
         drop(worker);
         self.push_name_cache(cache);
-        ChunkOut { recs, discoveries }
+        out
     }
 
-    /// Replays the layer's records in the serial loop's exact order:
-    /// committing claims (cheap arena-to-store moves), assigning dense ids,
-    /// counting statistics, registering deferred hole discoveries at their
-    /// first replayed consultation, and raising failures, deadlocks, and
-    /// the state cap at the same sequence points as a serial run. `Err`
-    /// carries the outcome that ended the run inside this layer.
-    ///
-    /// `log` collects the layer's hole-touch entries (unsorted; the session
-    /// sorts and seals them). Whatever the exit, the
-    /// concrete resolutions the replay consumed are reported through
-    /// [`SharedResolver::note_replayed_touches`] — the replay-confirmed
-    /// touched set, identical to what a serial run would have recorded.
-    /// With `record` (a held session's check) every expansion the replay
-    /// consumes whole is stored as its state's expansion record.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn replay_layer<M, R>(
+    /// Walks the layer's drafts chunk by chunk — states in commit order,
+    /// rules in table order, the serial order — committing every
+    /// expansion through [`Engine::step`]. `Err` carries the outcome that
+    /// ended the check inside the layer.
+    pub(super) fn walk_layer<M>(
         &mut self,
         core: &mut SearchCore<'_, M>,
-        resolver: &R,
-        record: bool,
+        walk: &mut Walk,
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
-        log: &mut Vec<LayerTouch>,
-    ) -> Result<(), Box<Outcome<M::State>>>
+    ) -> Result<(), Box<Outcome<S>>>
     where
         M: TransitionSystem<State = S>,
-        R: SharedResolver + ?Sized,
     {
-        let mut replayed: Vec<(usize, u16)> = Vec::new();
-        let result = self.replay_records(
-            core,
-            resolver,
-            record,
-            start,
-            f0,
-            chunks,
-            log,
-            &mut replayed,
-        );
-        replayed.sort_unstable();
-        replayed.dedup();
-        resolver.note_replayed_touches(&replayed);
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn replay_records<M, R>(
-        &mut self,
-        core: &mut SearchCore<'_, M>,
-        resolver: &R,
-        record: bool,
-        start: Instant,
-        f0: usize,
-        chunks: Vec<ChunkOut>,
-        log: &mut Vec<LayerTouch>,
-        replayed: &mut Vec<(usize, u16)>,
-    ) -> Result<(), Box<Outcome<M::State>>>
-    where
-        M: TransitionSystem<State = S>,
-        R: SharedResolver + ?Sized,
-    {
-        let state_limit = MckError::StateLimitExceeded {
-            limit: core.options.max_states,
-        };
-        let mut draft = RecordDraft::default();
-        let mut i = 0usize;
-        for chunk in chunks {
-            let ChunkOut { recs, discoveries } = chunk;
-            // First-replayed-consultation registration ids, per discovery.
-            // Registration order across the layer equals serial consultation
-            // order — the replay *is* the sequence point.
-            let mut discovered: Vec<Option<usize>> = vec![None; discoveries.len()];
-            let mut committed_id = |index: u32| -> usize {
-                let slot = &mut discovered[index as usize];
-                match *slot {
-                    Some(id) => id,
-                    None => {
-                        let id = resolver
-                            .commit_discoveries(std::slice::from_ref(&discoveries[index as usize]))
-                            [0];
-                        *slot = Some(id);
-                        id
-                    }
-                }
+        let mut sid = f0;
+        for mut chunk in chunks {
+            let mut refs = Refs {
+                claims: &chunk.claims,
+                panic: chunk.panic.take(),
+                held: None,
             };
-            for rec in recs {
-                let sid = (f0 + i) as StateId;
-                // What a rolling BFS queue would hold when popping
-                // this state: everything committed but not yet expanded.
-                core.stats.peak_queue = core.stats.peak_queue.max(core.states.len() - (f0 + i));
-                i += 1;
-                let apps = match rec {
-                    StateRec::Skipped => {
-                        panic!("replay consumed a state the short-circuit skipped")
+            let (mut from, mut walked) = (0, Ok(()));
+            for &drafted in &chunk.states {
+                walk.begin_state(core, sid);
+                walked = match drafted {
+                    Drafted::Skipped => {
+                        panic!("the walk reached a state the short-circuit skipped")
                     }
-                    StateRec::Recorded => {
-                        self.replay_record(core, start, sid as usize, log, replayed)?;
-                        continue;
+                    Drafted::Recorded => self.walk_record(core, walk, start, sid),
+                    Drafted::Draft(to) => {
+                        let words = &mut chunk.words[from..to];
+                        from = to;
+                        self.walk_expansion(core, walk, start, sid, words, &mut refs, true)
                     }
-                    StateRec::Expanded(apps) => apps,
                 };
-
-                let mut any_next = false;
-                let mut any_blocked = false;
-                let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
-                draft.clear();
-
-                for app in apps {
-                    for &(hole, action) in app.touches.iter() {
-                        log.push((hole, Some(action)));
-                        replayed.push((hole, action));
-                    }
-                    for &wildcard in app.wildcards.iter() {
-                        let hole = match wildcard {
-                            WildcardTouch::Known(hole) => hole,
-                            WildcardTouch::Fresh(index) => committed_id(index),
-                        };
-                        log.push((hole, None));
-                    }
-                    for &(index, action) in app.fresh.iter() {
-                        // A deferred sighting answered concretely (naïve
-                        // mode): the commit assigns the id, and the
-                        // consultation is a replay-confirmed touch.
-                        let id = committed_id(index);
-                        log.push((id, Some(action)));
-                        replayed.push((id, action));
-                    }
-                    expansion_touches.extend_from_slice(&app.touches);
-                    let outcome = match app.outcome {
-                        RecOutcome::Disabled => Recorded::Disabled,
-                        RecOutcome::Blocked => {
-                            any_blocked = true;
-                            core.stats.wildcard_hits += 1;
-                            Recorded::Blocked
-                        }
-                        RecOutcome::Next(succ) => {
-                            any_next = true;
-                            core.stats.transitions += 1;
-                            let (nid, new, violation) = match succ {
-                                SuccessorRef::Known(id) => (id, false, None),
-                                SuccessorRef::Fresh { claim, violation } => {
-                                    match self.commit_fresh(
-                                        core,
-                                        claim,
-                                        (sid, app.rule),
-                                        &app.touches,
-                                    ) {
-                                        Some((id, new)) => (id, new, violation),
-                                        None => {
-                                            // Same admission clamp — and the
-                                            // same sequence point — as the
-                                            // serial loop.
-                                            return Err(Box::new(
-                                                core.analyze(start, Some(state_limit)),
-                                            ));
-                                        }
-                                    }
-                                }
-                            };
-                            if let Some(edges) = &mut core.edges {
-                                edges[sid as usize].push(Edge {
-                                    rule: app.rule,
-                                    target: nid,
-                                });
-                            }
-                            if let (true, Some(vi)) = (new, violation) {
-                                let property = invariant_name(core.model, vi as usize).to_owned();
-                                return Err(Box::new(core.invariant_failure(start, nid, property)));
-                            }
-                            Recorded::Next(nid)
-                        }
-                    };
-                    if record {
-                        draft.push(app.rule, &app.touches, &app.wildcards, &app.fresh, outcome);
-                    }
-                }
-
-                // The expansion is complete, whatever its verdict.
-                if record {
-                    self.records.store(sid as usize, draft.finish());
-                }
-                if !any_next && !any_blocked && core.options.deadlock == DeadlockPolicy::Disallow {
-                    return Err(Box::new(core.deadlock(start, sid, &expansion_touches)));
+                sid += 1;
+                if walked.is_err() {
+                    break;
                 }
             }
+            walk.end_scope(chunk.discoveries);
+            walked?;
         }
         Ok(())
     }
 
     /// Takes frontier state `sid`'s expansion from its record, which
-    /// [`Records::valid`] accepted under the check's answers: the same
-    /// statistics, hole-touch log entries, replay-confirmed touches,
-    /// commits, edges, invariant checks, state cap and deadlock verdict as
-    /// applying the rules, in the same order, with no rule application,
-    /// canonicalization or hashing. A successor still in the rollback tail
-    /// is committed from there. Both layer drivers expand a recorded state
-    /// through this walk.
-    pub(super) fn replay_record<M>(
+    /// [`Records::valid`] accepted under the check's answers: the walk of a
+    /// draft, with no rule application, canonicalization or hashing.
+    pub(super) fn walk_record<M>(
         &mut self,
         core: &mut SearchCore<'_, M>,
+        walk: &mut Walk,
         start: Instant,
         sid: usize,
-        log: &mut Vec<LayerTouch>,
-        replayed: &mut Vec<(usize, u16)>,
-    ) -> Result<(), Box<Outcome<M::State>>>
+    ) -> Result<(), Box<Outcome<S>>>
     where
         M: TransitionSystem<State = S>,
     {
         // Out of its slot while walked: committing a tail state moves that
         // state's own record into another slot.
-        let record = self.records.take(sid);
-        let walked = self.walk_record(core, start, sid, &record, log, replayed);
+        let mut record = self.records.take(sid);
+        let walked = self.walk_expansion(
+            core,
+            walk,
+            start,
+            sid,
+            &mut record.0,
+            &mut Refs::none(),
+            false,
+        );
         self.records.put(sid, record);
         walked
     }
 
-    fn walk_record<M>(
+    /// Walks one expansion application by application, reporting its
+    /// concrete touches as replay-confirmed, then ends the state.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_expansion<M>(
         &mut self,
         core: &mut SearchCore<'_, M>,
+        walk: &mut Walk,
         start: Instant,
         sid: usize,
-        record: &super::records::Record,
-        log: &mut Vec<LayerTouch>,
-        replayed: &mut Vec<(usize, u16)>,
-    ) -> Result<(), Box<Outcome<M::State>>>
+        words: &mut [u32],
+        refs: &mut Refs<'_, S>,
+        store: bool,
+    ) -> Result<(), Box<Outcome<S>>>
     where
         M: TransitionSystem<State = S>,
     {
-        let mut any_next = false;
-        let mut any_blocked = false;
-        // The touches of an application whose successor is committed from
-        // the tail: its tree edge's attribution.
-        let mut edge_touches: Vec<(usize, u16)> = Vec::new();
-        for app in record.apps() {
-            log.extend(app.touches().map(|(hole, action)| (hole, Some(action))));
-            log.extend(app.wildcards().map(|hole| (hole, None)));
-            replayed.extend(app.touches());
-            match app.outcome {
-                Recorded::Disabled => {}
-                Recorded::Blocked => {
-                    any_blocked = true;
-                    core.stats.wildcard_hits += 1;
-                }
-                Recorded::Next(succ) => {
-                    any_next = true;
-                    core.stats.transitions += 1;
-                    let (nid, new) = match self.records.resolve(succ) {
-                        Successor::Committed(id) => (id, false),
-                        Successor::Tail(t) => {
-                            if core.states.len() >= core.options.max_states {
-                                let limit = core.options.max_states;
-                                let limit = MckError::StateLimitExceeded { limit };
-                                return Err(Box::new(core.analyze(start, Some(limit))));
-                            }
-                            let (state, hash) = self.records.take_tail(t);
-                            edge_touches.clear();
-                            edge_touches.extend(app.touches());
-                            let from = Some((sid as StateId, app.rule));
-                            let id = core.commit(state, from, &edge_touches);
-                            self.insert_committed(hash, id, &core.states[id as usize]);
-                            self.records.settle_tail(t, id);
-                            (id, true)
-                        }
-                    };
-                    if let Some(edges) = &mut core.edges {
-                        edges[sid].push(Edge {
-                            rule: app.rule,
-                            target: nid,
-                        });
-                    }
-                    if new {
-                        if let Some(name) = core.violated_invariant(nid) {
-                            let property = name.to_owned();
-                            return Err(Box::new(core.invariant_failure(start, nid, property)));
-                        }
-                    }
-                }
-            }
+        let mut at = 0;
+        while at < words.len() {
+            let len = app_len(&words[at..]);
+            let app = &mut words[at..at + len];
+            walk.replayed.extend(known_touches(app));
+            self.step(core, walk, start, sid, app, refs)?;
+            at += app.len();
         }
-        if !any_next && !any_blocked && core.options.deadlock == DeadlockPolicy::Disallow {
-            let expansion: Vec<(usize, u16)> = record.touches().collect();
-            return Err(Box::new(core.deadlock(start, sid as StateId, &expansion)));
+        self.end_state(core, walk, start, sid, words, store)
+    }
+
+    /// Commits one rule application of state `sid`, in the serial order's
+    /// steps: the hole-touch log, statistics, the successor's admission
+    /// clamp, commit and edge, its invariants, and the stop. The successor
+    /// word is renamed to the successor's id.
+    pub(super) fn step<M>(
+        &mut self,
+        core: &mut SearchCore<'_, M>,
+        walk: &mut Walk,
+        start: Instant,
+        sid: usize,
+        app: &mut [u32],
+        refs: &mut Refs<'_, S>,
+    ) -> Result<(), Box<Outcome<S>>>
+    where
+        M: TransitionSystem<State = S>,
+    {
+        walk.log_app(app);
+        match app[1] {
+            DISABLED => {}
+            BLOCKED => {
+                walk.any_blocked = true;
+                core.stats.wildcard_hits += 1;
+            }
+            PANICKED => {
+                let panicked = refs
+                    .panic
+                    .take()
+                    .expect("a panicked draft without its panic");
+                if panicked.claiming {
+                    core.stats.transitions += 1;
+                    core.admit(start)?;
+                }
+                std::panic::resume_unwind(panicked.payload);
+            }
+            word => {
+                walk.any_next = true;
+                core.stats.transitions += 1;
+                let rule = app[0];
+                // A claim's invariants were judged by its worker; any other
+                // new successor's are judged here.
+                let (id, violation) = match self.successor(&core.states, word, refs) {
+                    Successor::Committed(id) => (id, None),
+                    new => {
+                        core.admit(start)?;
+                        let (state, hash, claim, tail) = match new {
+                            Successor::Committed(_) => unreachable!("not a new successor"),
+                            Successor::Tail(t) => {
+                                let (state, hash) = self.records.take_tail(t);
+                                (state, hash, None, Some(t))
+                            }
+                            Successor::Claim(claim) => {
+                                let parked = self.claims.claim_mut(claim);
+                                let state = parked.state.take().expect("claim committed twice");
+                                (state, parked.hash, Some(claim), None)
+                            }
+                            Successor::Held => {
+                                let held = refs.held.take();
+                                let (state, hash) =
+                                    held.expect("a held successor without its state");
+                                (state, hash, None, None)
+                            }
+                        };
+                        walk.edge.clear();
+                        walk.edge.extend(known_touches(app));
+                        let id = core.commit(state, Some((sid as StateId, rule)), &walk.edge);
+                        self.insert_committed(hash, id, &core.states[id as usize]);
+                        if let Some(t) = tail {
+                            self.records.settle_tail(t, id);
+                        }
+                        let violation = match claim {
+                            Some(claim) => {
+                                let parked = self.claims.claim_mut(claim);
+                                parked.id = Some(id);
+                                let violation = parked.violation;
+                                violation
+                                    .map(|pi| invariant_name(core.model, pi as usize).to_owned())
+                            }
+                            None => core.violated_invariant(id).map(str::to_owned),
+                        };
+                        (id, violation)
+                    }
+                };
+                if let Some(edges) = &mut core.edges {
+                    edges[sid].push(Edge { rule, target: id });
+                }
+                if let Some(property) = violation {
+                    return Err(Box::new(core.invariant_failure(start, id, property)));
+                }
+                app[1] = id;
+            }
         }
         Ok(())
     }
 
-    /// Resolves a fresh successor reference during replay: the first
-    /// occurrence moves the claimed state into the store (assigning the
-    /// next dense id, exactly as the serial loop would at this point);
-    /// later occurrences — duplicates discovered concurrently within the
-    /// layer — reuse the assigned id. `None` refuses admission at the
-    /// [`CheckerOptions::max_states`] cap.
-    fn commit_fresh<M>(
+    /// Where successor word `word` points: a committed id, a tail state, a
+    /// claim not committed yet, or the serial schedule's state in hand.
+    fn successor(&mut self, states: &[S], word: u32, refs: &Refs<'_, S>) -> Successor {
+        if word == HELD {
+            return Successor::Held;
+        }
+        if word < CLAIM {
+            return self.records.resolve(word);
+        }
+        let claim = refs.claims[(word & !CLAIM) as usize];
+        let parked = self.claims.claim_mut(claim);
+        if parked.id.is_none() && self.records.has_tail() {
+            // Earlier in this walk a stored record may have committed this
+            // very state from the rollback tail.
+            let state = parked.state.as_ref().expect("claim committed twice");
+            parked.id = find_id(&self.visited, parked.hash, state, states);
+        }
+        match parked.id {
+            Some(id) => Successor::Committed(id),
+            None => Successor::Claim(claim),
+        }
+    }
+
+    /// Ends the expansion of state `sid`, whose words are `words`: with
+    /// `store` (a draft) a held session's check stores it as the state's
+    /// record, unless it consulted a deferred discovery; then the deadlock
+    /// verdict.
+    pub(super) fn end_state<M>(
         &mut self,
         core: &mut SearchCore<'_, M>,
-        claim: u32,
-        from: (StateId, u32),
-        touches: &[(usize, u16)],
-    ) -> Option<(StateId, bool)>
+        walk: &Walk,
+        start: Instant,
+        sid: usize,
+        words: &[u32],
+        store: bool,
+    ) -> Result<(), Box<Outcome<S>>>
     where
         M: TransitionSystem<State = S>,
     {
-        let parked = self.claims.claim_mut(claim);
-        if let Some(id) = parked.id {
-            return Some((id, false));
+        if store && walk.session {
+            let record = (!walk.any_fresh).then(|| Record(words.into()));
+            self.records.store(sid, record);
         }
-        let hash = parked.hash;
-        if self.records.has_tail() {
-            // Earlier in this replay a reused record may have committed this
-            // very state from the rollback tail.
-            let state = parked.state.as_ref().expect("claim committed twice");
-            if let Some(id) = find_id(&self.visited, hash, state, &core.states) {
-                parked.id = Some(id);
-                return Some((id, false));
-            }
+        // A state with no successors is a deadlock — unless a wildcard
+        // aborted some branch, in which case we cannot tell (the aborted
+        // branch might have provided an exit).
+        if !walk.any_next && !walk.any_blocked && core.options.deadlock == DeadlockPolicy::Disallow
+        {
+            let expansion = expansion_touches(words);
+            return Err(Box::new(core.deadlock(start, sid as StateId, &expansion)));
         }
-        if core.states.len() >= core.options.max_states {
-            return None;
-        }
-        let state = parked.state.take().expect("claim committed twice");
-        let id = core.commit(state, Some(from), touches);
-        self.claims.claim_mut(claim).id = Some(id);
-        self.insert_committed(hash, id, &core.states[id as usize]);
-        Some((id, true))
+        Ok(())
     }
 }
 
@@ -1112,6 +1174,7 @@ mod tests {
     use super::super::tests_support::assert_equivalent;
     use super::*;
     use crate::checker::{Checker, Verdict};
+    use crate::error::MckError;
     use crate::eval::{Choice, FixedResolver, HoleSpec, NoHoles};
     use crate::model::ModelBuilder;
 
@@ -1286,6 +1349,65 @@ mod tests {
             &NoHoles,
             CheckerOptions::default().chunk_states(1).claim_stripes(1),
         );
+    }
+
+    /// `step` (s < 3 → s + 1) and `bad` (1 → 9) from 0, with `never 9`:
+    /// state 1's `bad` ends the check before any later rule of state 1.
+    fn stopping_at_nine() -> ModelBuilder<u8> {
+        let mut b = ModelBuilder::new("stops at nine");
+        b.initial(0u8);
+        b.rule("step", |&s: &u8, _| match s {
+            0..=2 => RuleOutcome::Next(s + 1),
+            _ => RuleOutcome::Disabled,
+        });
+        b.rule("bad", |&s: &u8, _| match s {
+            1 => RuleOutcome::Next(9),
+            _ => RuleOutcome::Disabled,
+        });
+        b.invariant("never 9", |&s: &u8| s != 9);
+        b
+    }
+
+    /// Adds `late` (`from` → 7) and an invariant that panics on 7.
+    fn judging_seven(b: &mut ModelBuilder<u8>, from: u8) {
+        b.rule("late", move |&s: &u8, _| match s {
+            _ if s == from => RuleOutcome::Next(7),
+            _ => RuleOutcome::Disabled,
+        });
+        b.invariant("judged", |&s: &u8| {
+            assert_ne!(s, 7, "judged 7");
+            true
+        });
+    }
+
+    /// A panic the serial order never reaches (a later rule of the state
+    /// whose expansion stops the check, or an invariant of a successor such
+    /// a rule produces) changes no verdict at any thread count: workers
+    /// apply every rule of a state, so they catch the panic and the walk
+    /// stops before it.
+    #[test]
+    fn a_panic_past_the_stop_changes_no_verdict() {
+        let mut b = stopping_at_nine();
+        b.rule("boom", |&s: &u8, _| {
+            assert_ne!(s, 1, "boom");
+            RuleOutcome::Disabled
+        });
+        assert_equivalent(&b.finish(), &NoHoles, CheckerOptions::default());
+
+        let mut b = stopping_at_nine();
+        judging_seven(&mut b, 1);
+        assert_equivalent(&b.finish(), &NoHoles, CheckerOptions::default());
+
+        // The serial order refuses 7 at the cap before judging it.
+        let mut b = ModelBuilder::new("judged at the cap");
+        b.initial(0u8);
+        b.rule("step", |&s: &u8, _| match s {
+            0 => RuleOutcome::Next(1),
+            _ => RuleOutcome::Disabled,
+        });
+        judging_seven(&mut b, 0);
+        let capped = CheckerOptions::default().max_states(2);
+        assert_equivalent(&b.finish(), &NoHoles, capped);
     }
 
     #[test]

@@ -1,261 +1,200 @@
-//! Expansion records: what a held [`super::CheckSession`] keeps about each
-//! fully expanded state, so that a later check can take the state's
-//! successors from the record instead of applying the rules again.
+//! Expansion records: the one representation of a state's expansion, and
+//! what a held [`super::CheckSession`] keeps of it.
 //!
 //! Expanding a state is a deterministic function of the state and of the
 //! hole answers its rule applications consulted. A record lists every rule
 //! application of one expansion that consulted a hole or did not return
-//! `Disabled` — its rule, its concrete touches, its known-wildcard holes and
-//! its outcome, with successors named by committed id. When the new check's
-//! resolver answers every consultation of a record the same way
-//! ([`Records::valid`], the rule the session's layer logs follow), each
-//! recorded application would consult the same holes and return the same
-//! outcome, and every application the record omits consulted nothing and
-//! returned `Disabled` — so the record *is* the expansion.
+//! `Disabled`: its rule, its concrete touches, its wildcard holes and its
+//! outcome word, packed into `u32` words (see [`push_app`]). Every
+//! expansion is written in this format and committed by the one walk of
+//! the `parallel` module, whichever way it was produced:
+//!
+//! * a parallel worker writes a **draft** per state, naming each successor
+//!   by committed id or by claim ([`CLAIM`]) and each hole first sighted in
+//!   its chunk by a chunk-local index ([`FRESH`]);
+//! * the serial schedule writes each application of a state it expands in
+//!   place and walks it at once, its new successor in hand ([`HELD`]);
+//! * a held session walks a **stored record** instead of expanding a state
+//!   whose record is valid under the new answers ([`Records::valid`]): each
+//!   recorded application would consult the same holes and return the same
+//!   outcome, and every application the record omits consulted nothing and
+//!   returned `Disabled`, so the record *is* the expansion.
+//!
+//! The walk renames each successor word it commits to the successor's id,
+//! so a held session stores a walked draft as it stands. An expansion that
+//! consulted a hole first sighted in its layer (which has no id yet) is
+//! never stored, and neither is one that a stop cut short. One-shot checks
+//! store nothing.
 //!
 //! Rollback moves the truncated store aside as the **tail**: its states,
 //! fingerprints and records, each under its tail index. Every reference to a
-//! truncated id is retagged at that point to name its tail index (the top bit
-//! of [`StateId`], which [`super::MAX_COMMITTED`] keeps free). A state the
-//! check commits again adopts its old record ([`Records::adopt`]), and a
-//! reused record's tail successor not yet committed again is committed
-//! straight from the tail ([`Records::take_tail`]), with no rule application,
-//! canonicalization or hashing. When the check returns, [`Records::end_check`]
-//! renames every tail reference whose state was committed again and drops
-//! each record that still names the tail, together with the tail itself — so
-//! between checks every record names ids of the current store.
-//!
-//! An expansion that consulted a hole first sighted in it (a deferred
-//! discovery, which has no id yet) is never recorded, and neither is one that
-//! a stop cut short. One-shot checks record nothing.
+//! truncated id is retagged at that point to name its tail index
+//! ([`Successor::Tail`]). A state the check commits again adopts its old
+//! record ([`Records::adopt`]), and a reused record's tail successor not yet
+//! committed again is committed straight from the tail
+//! ([`Records::take_tail`]), with no rule application, canonicalization or
+//! hashing. When the check returns, [`Records::end_check`] renames every
+//! tail reference whose state was committed again and drops each record
+//! that still names the tail, together with the tail itself — so between
+//! checks every record names ids of the current store.
 
 use super::{insert_id, remove_id, IdList, StateId, MAX_COMMITTED};
 use crate::eval::{SessionResolver, WildcardTouch};
 use crate::hashers::FnvHashMap;
 
-/// A successor reference with this bit set names a tail index, not an id.
-const TAIL: StateId = MAX_COMMITTED;
+/// Outcome word of an application whose guard was false after consulting a
+/// hole.
+pub(super) const DISABLED: u32 = u32::MAX;
+/// Outcome word of an application that hit a wildcard hole.
+pub(super) const BLOCKED: u32 = u32::MAX - 1;
+/// Outcome word that ends a worker's draft whose expansion panicked.
+pub(super) const PANICKED: u32 = u32::MAX - 2;
+/// Successor word of the new state the serial schedule holds in hand.
+pub(super) const HELD: u32 = u32::MAX - 3;
+/// Successor word tag of a tail index (stored records only); ids stay below
+/// it ([`MAX_COMMITTED`]).
+const TAIL: u32 = 0b10 << 30;
+/// Successor word tag of an index into a worker chunk's claims (drafts
+/// only), up to [`HELD`].
+pub(super) const CLAIM: u32 = 0b11 << 30;
+/// Hole word tag of a chunk-local discovery index (drafts only).
+pub(super) const FRESH: u32 = 1 << 31;
 
-/// The id of a tail state not committed again yet.
-const UNCOMMITTED: StateId = StateId::MAX;
-
-/// The outcome of one recorded rule application.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Recorded {
-    /// Guard false after consulting a hole.
-    Disabled,
-    /// Hit a wildcard hole; branch aborted.
-    Blocked,
-    /// Fired, producing the state with this id (or, between a rollback and
-    /// the end of the check, this tagged tail index).
-    Next(StateId),
-}
-
-/// The outcome words of `Disabled` and `Blocked`; any other outcome word is
-/// a successor reference. Successor references stay below both, because
-/// tail indices stay below the store's [`MAX_COMMITTED`] ceiling.
-const DISABLED: u32 = u32::MAX;
-const BLOCKED: u32 = u32::MAX - 1;
-
-impl Recorded {
-    fn encode(self) -> u32 {
-        match self {
-            Recorded::Disabled => DISABLED,
-            Recorded::Blocked => BLOCKED,
-            Recorded::Next(succ) => succ,
-        }
-    }
-
-    fn decode(word: u32) -> Self {
-        match word {
-            DISABLED => Recorded::Disabled,
-            BLOCKED => Recorded::Blocked,
-            succ => Recorded::Next(succ),
-        }
-    }
-}
-
-/// Words per application header: rule, outcome, and the ends of the
-/// application's runs of touches and wildcards (16 bits each).
+/// Words per application header: rule, outcome, and the counts of the
+/// application's touches and wildcards (16 bits each).
 const HEADER: usize = 3;
 
-/// The expansion record of one state, packed into one allocation of words:
-/// the number `n` of recorded applications, then `n` application headers in
-/// rule order ([`HEADER`]), then every concrete touch as a `(hole, action)`
-/// word pair, then every known-wildcard hole — each list application after
-/// application.
-#[derive(Debug)]
-pub(super) struct Record(Box<[u32]>);
-
-/// One recorded application, as [`Record::apps`] yields it.
-pub(super) struct App<'r> {
-    pub(super) rule: u32,
-    pub(super) outcome: Recorded,
-    /// `(hole, action)` word pairs.
-    touches: &'r [u32],
-    /// Known-wildcard holes.
-    wildcards: &'r [u32],
-}
-
-impl App<'_> {
-    /// The application's concrete consultations.
-    pub(super) fn touches(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
-        pairs(self.touches)
-    }
-
-    /// The application's known-wildcard holes.
-    pub(super) fn wildcards(&self) -> impl Iterator<Item = usize> + '_ {
-        self.wildcards.iter().map(|&hole| hole as usize)
-    }
-}
-
-fn pairs(words: &[u32]) -> impl Iterator<Item = (usize, u16)> + '_ {
-    words
-        .chunks_exact(2)
-        .map(|pair| (pair[0] as usize, pair[1] as u16))
-}
-
-impl Record {
-    fn headers(&self) -> impl Iterator<Item = &[u32]> {
-        let n = self.0[0] as usize;
-        self.0[1..1 + n * HEADER].chunks_exact(HEADER)
-    }
-
-    /// The record's touch words and wildcard words.
-    fn consultations(&self) -> (&[u32], &[u32]) {
-        let n = self.0[0] as usize;
-        let ends = if n == 0 { 0 } else { self.0[n * HEADER] };
-        let touches_at = 1 + n * HEADER;
-        let wildcards_at = touches_at + 2 * (ends & 0xffff) as usize;
-        (&self.0[touches_at..wildcards_at], &self.0[wildcards_at..])
-    }
-
-    /// The recorded applications in rule order.
-    pub(super) fn apps(&self) -> impl Iterator<Item = App<'_>> {
-        let (touches, wildcards) = self.consultations();
-        let (mut t0, mut w0) = (0, 0);
-        self.headers().map(move |header| {
-            let t1 = 2 * (header[2] & 0xffff) as usize;
-            let w1 = (header[2] >> 16) as usize;
-            let app = App {
-                rule: header[0],
-                outcome: Recorded::decode(header[1]),
-                touches: &touches[t0..t1],
-                wildcards: &wildcards[w0..w1],
-            };
-            (t0, w0) = (t1, w1);
-            app
-        })
-    }
-
-    /// Every concrete consultation of the expansion: what a deadlock
-    /// verdict on the state depends on.
-    pub(super) fn touches(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
-        pairs(self.consultations().0)
-    }
-
-    /// Rewrites every successor reference through `rename`; `false` (the
-    /// record must be dropped) if `rename` cannot name one.
-    fn rename(&mut self, mut rename: impl FnMut(StateId) -> Option<StateId>) -> bool {
-        let n = self.0[0] as usize;
-        for header in self.0[1..1 + n * HEADER].chunks_exact_mut(HEADER) {
-            if let Recorded::Next(succ) = Recorded::decode(header[1]) {
-                match rename(succ) {
-                    Some(id) => header[1] = id,
-                    None => return false,
-                }
-            }
-        }
-        true
-    }
-}
-
-/// A record under construction, filled application by application while a
-/// state is expanded by its rules.
-#[derive(Debug, Default)]
-pub(super) struct RecordDraft {
-    headers: Vec<u32>,
-    touches: Vec<u32>,
-    wildcards: Vec<u32>,
-    /// A deferred first sighting was consulted, or a hole id or a run does
-    /// not fit the packing: nothing to record.
-    unrecordable: bool,
-}
-
-impl RecordDraft {
-    /// Starts the draft of a new expansion.
-    pub(super) fn clear(&mut self) {
-        self.headers.clear();
-        self.touches.clear();
-        self.wildcards.clear();
-        self.unrecordable = false;
-    }
-
-    /// Adds one rule application with its consultations, as the resolver
-    /// reported them. A `Disabled` application that consulted nothing is
-    /// left out.
-    pub(super) fn push(
-        &mut self,
-        rule: u32,
-        touches: &[(usize, u16)],
-        wildcards: &[WildcardTouch],
-        fresh: &[(u32, u16)],
-        outcome: Recorded,
-    ) {
-        let consulted = !touches.is_empty() || !wildcards.is_empty() || !fresh.is_empty();
-        if matches!(outcome, Recorded::Disabled) && !consulted {
-            return;
-        }
-        self.unrecordable |= !fresh.is_empty();
-        for &(hole, action) in touches {
-            self.touches
-                .extend([word(hole, &mut self.unrecordable), u32::from(action)]);
-        }
-        for &wildcard in wildcards {
-            match wildcard {
-                WildcardTouch::Known(hole) => {
-                    self.wildcards.push(word(hole, &mut self.unrecordable));
-                }
-                WildcardTouch::Fresh(_) => self.unrecordable = true,
-            }
-        }
-        let (t, w) = (self.touches.len() / 2, self.wildcards.len());
-        self.unrecordable |= t > 0xffff || w > 0xffff;
-        self.headers
-            .extend([rule, outcome.encode(), (t | w << 16) as u32]);
-    }
-
-    /// The finished record, or `None` if the expansion is unrecordable.
-    pub(super) fn finish(&self) -> Option<Record> {
-        if self.unrecordable {
-            return None;
-        }
-        let mut words =
-            Vec::with_capacity(1 + self.headers.len() + self.touches.len() + self.wildcards.len());
-        words.push((self.headers.len() / HEADER) as u32);
-        words.extend_from_slice(&self.headers);
-        words.extend_from_slice(&self.touches);
-        words.extend_from_slice(&self.wildcards);
-        Some(Record(words.into_boxed_slice()))
-    }
-}
-
-/// A hole id as a record word; one beyond `u32` makes the draft
-/// unrecordable.
-fn word(hole: usize, unrecordable: &mut bool) -> u32 {
-    u32::try_from(hole).unwrap_or_else(|_| {
-        *unrecordable = true;
-        0
-    })
-}
-
-/// Where a record's successor reference points in the current check.
+/// Where an application's successor word points.
 pub(super) enum Successor {
     /// A state of the current store.
     Committed(StateId),
     /// A tail state not committed again yet, by tail index.
     Tail(usize),
+    /// A claim of the layer's claim table not committed yet, by reference.
+    Claim(u32),
+    /// The new state in the serial schedule's hand.
+    Held,
 }
+
+/// Appends one rule application to `words`: the header, every concrete
+/// touch as a `(hole, action)` word pair, then every wildcard hole, with
+/// deferred discoveries [`FRESH`]-tagged. A `Disabled` application that
+/// consulted nothing is left out (`false`).
+#[inline]
+pub(super) fn push_app(
+    words: &mut Vec<u32>,
+    rule: usize,
+    touches: &[(usize, u16)],
+    wildcards: &[WildcardTouch],
+    fresh: &[(u32, u16)],
+    outcome: u32,
+) -> bool {
+    if outcome == DISABLED && touches.is_empty() && wildcards.is_empty() && fresh.is_empty() {
+        return false;
+    }
+    let (t, w) = (touches.len() + fresh.len(), wildcards.len());
+    assert!(
+        t <= 0xffff && w <= 0xffff,
+        "a rule application consulted more than 65,535 holes"
+    );
+    words.extend([rule as u32, outcome, (t | w << 16) as u32]);
+    for &(hole, action) in touches {
+        words.extend([hole_word(hole), u32::from(action)]);
+    }
+    for &(index, action) in fresh {
+        words.extend([FRESH | index, u32::from(action)]);
+    }
+    words.extend(wildcards.iter().map(|&wildcard| match wildcard {
+        WildcardTouch::Known(hole) => hole_word(hole),
+        WildcardTouch::Fresh(index) => FRESH | index,
+    }));
+    true
+}
+
+#[inline]
+fn hole_word(hole: usize) -> u32 {
+    assert!(
+        hole < FRESH as usize,
+        "hole id {hole} does not fit a record"
+    );
+    hole as u32
+}
+
+/// The length in words of the application starting at `words[0]`.
+#[inline]
+pub(super) fn app_len(words: &[u32]) -> usize {
+    HEADER + 2 * (words[2] & 0xffff) as usize + (words[2] >> 16) as usize
+}
+
+/// One application's `(hole word, action)` touches.
+#[inline]
+pub(super) fn touches(app: &[u32]) -> impl Iterator<Item = (u32, u16)> + '_ {
+    let t = (app[2] & 0xffff) as usize;
+    app[HEADER..HEADER + 2 * t]
+        .chunks_exact(2)
+        .map(|pair| (pair[0], pair[1] as u16))
+}
+
+/// One application's wildcard hole words.
+#[inline]
+pub(super) fn wildcards(app: &[u32]) -> &[u32] {
+    &app[HEADER + 2 * (app[2] & 0xffff) as usize..]
+}
+
+/// The applications of a record or draft, in rule order.
+#[inline]
+fn apps(words: &[u32]) -> impl Iterator<Item = &[u32]> {
+    let mut rest = words;
+    std::iter::from_fn(move || {
+        (!rest.is_empty()).then(|| {
+            let (app, tail) = rest.split_at(app_len(rest));
+            rest = tail;
+            app
+        })
+    })
+}
+
+/// One application's concrete touches of holes with ids.
+#[inline]
+pub(super) fn known_touches(app: &[u32]) -> impl Iterator<Item = (usize, u16)> + '_ {
+    touches(app)
+        .filter(|&(hole, _)| hole & FRESH == 0)
+        .map(|(hole, action)| (hole as usize, action))
+}
+
+/// Every concrete touch of a hole with an id in an expansion: what a
+/// deadlock verdict on the state depends on.
+pub(super) fn expansion_touches(words: &[u32]) -> Vec<(usize, u16)> {
+    apps(words).flat_map(known_touches).collect()
+}
+
+/// The stored expansion record of one state: its walked draft, every
+/// successor named by id or (between a rollback and the end of the check)
+/// by tail index.
+#[derive(Debug)]
+pub(super) struct Record(pub(super) Box<[u32]>);
+
+impl Record {
+    /// Rewrites every successor word through `rename`; `false` (the record
+    /// must be dropped) if `rename` cannot name one.
+    fn rename(&mut self, mut rename: impl FnMut(StateId) -> Option<StateId>) -> bool {
+        let mut at = 0;
+        while at < self.0.len() {
+            let word = self.0[at + 1];
+            if word < HELD {
+                match rename(word) {
+                    Some(id) => self.0[at + 1] = id,
+                    None => return false,
+                }
+            }
+            at += app_len(&self.0[at..]);
+        }
+        true
+    }
+}
+
+/// The id of a tail state not committed again yet.
+const UNCOMMITTED: StateId = StateId::MAX;
 
 /// The truncated store of the current check's rollback, kept until the
 /// check returns.
@@ -312,16 +251,17 @@ impl<S> Default for Records<S> {
 impl<S: Eq> Records<S> {
     /// Whether state `sid` has a record whose every consultation `answers`
     /// answers the same way: then the record is the state's expansion under
-    /// `answers`. The one validity rule of both layer drivers.
+    /// `answers`. The one validity rule of both layer schedules.
     pub(super) fn valid(&self, sid: usize, answers: &dyn SessionResolver) -> bool {
         let Some(Some(record)) = self.slots.get(sid) else {
             return false;
         };
-        let (touches, wildcards) = record.consultations();
-        pairs(touches).all(|(hole, action)| answers.assignment(hole) == Some(action))
-            && wildcards
-                .iter()
-                .all(|&hole| answers.assignment(hole as usize).is_none())
+        apps(&record.0).all(|app| {
+            touches(app).all(|(hole, action)| answers.assignment(hole as usize) == Some(action))
+                && wildcards(app)
+                    .iter()
+                    .all(|&hole| answers.assignment(hole as usize).is_none())
+        })
     }
 
     /// Stores the record of a completed expansion of state `sid`.
@@ -345,12 +285,12 @@ impl<S: Eq> Records<S> {
         self.slots[sid] = Some(record);
     }
 
-    /// Where successor reference `succ` points now.
-    pub(super) fn resolve(&self, succ: StateId) -> Successor {
-        if succ & TAIL == 0 {
-            return Successor::Committed(succ);
+    /// Where a stored record's successor word points now.
+    pub(super) fn resolve(&self, word: StateId) -> Successor {
+        if word < MAX_COMMITTED {
+            return Successor::Committed(word);
         }
-        let t = (succ & !TAIL) as usize;
+        let t = (word & !TAIL) as usize;
         match self.tail.ids[t] {
             UNCOMMITTED => Successor::Tail(t),
             id => Successor::Committed(id),
@@ -397,7 +337,7 @@ impl<S: Eq> Records<S> {
     }
 
     /// Whether a rollback tail is held: only then can a state committed
-    /// during a parallel replay equal one of that layer's claims.
+    /// during a walk equal one of that layer's claims.
     pub(super) fn has_tail(&self) -> bool {
         !self.tail.ids.is_empty()
     }
@@ -453,9 +393,9 @@ impl<S: Eq> Records<S> {
         let from = tail.frontier.min(self.slots.len());
         for slot in &mut self.slots[from..] {
             let keep = slot.as_mut().is_some_and(|record| {
-                record.rename(|succ| match succ & TAIL {
-                    0 => Some(succ),
-                    _ => Some(tail.ids[(succ & !TAIL) as usize]).filter(|&id| id != UNCOMMITTED),
+                record.rename(|word| match word {
+                    _ if word < MAX_COMMITTED => Some(word),
+                    _ => Some(tail.ids[(word & !TAIL) as usize]).filter(|&id| id != UNCOMMITTED),
                 })
             });
             if !keep {

@@ -1,5 +1,8 @@
 //! The reference serial BFS: the original queue-driven exploration driver,
-//! kept off the production path as the differential oracle.
+//! kept off the production path as the differential oracle — and the
+//! parallel engine's stress hooks ([`CheckerOptions::chunk_states`],
+//! [`CheckerOptions::claim_stripes`]), which only the equivalence and
+//! fault-injection suites set.
 //!
 //! Production checks all run through [`super::CheckSession`]'s layer loops.
 //! This driver shares only the committed-state core ([`SearchCore`]) with
@@ -19,6 +22,62 @@ use crate::model::TransitionSystem;
 use crate::rule::RuleOutcome;
 use std::collections::VecDeque;
 use std::time::Instant;
+
+impl CheckerOptions {
+    /// Forces the parallel engine's expansion chunk size to exactly `states`
+    /// per chunk, overriding the trajectory-based auto-tuner (1-state chunks
+    /// maximize interleaving). A test hook.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states == 0`; see [`CheckerOptions::try_chunk_states`] for
+    /// the fallible variant.
+    #[track_caller]
+    pub fn chunk_states(self, states: usize) -> Self {
+        self.try_chunk_states(states)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`CheckerOptions::chunk_states`]: rejects `0`
+    /// with [`MckError::InvalidConfig`] instead of panicking.
+    pub fn try_chunk_states(mut self, states: usize) -> Result<Self, MckError> {
+        if states == 0 {
+            return Err(MckError::InvalidConfig {
+                param: "chunk_states",
+                reason: "chunks must hold at least one state".into(),
+            });
+        }
+        self.chunk_states = Some(states);
+        Ok(self)
+    }
+
+    /// Forces the claim-table stripe count (rounded up to a power of two,
+    /// capped at 256; a single stripe serializes all claim-arena appends,
+    /// maximizing contention). A test hook.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stripes == 0`; see [`CheckerOptions::try_claim_stripes`]
+    /// for the fallible variant.
+    #[track_caller]
+    pub fn claim_stripes(self, stripes: usize) -> Self {
+        self.try_claim_stripes(stripes)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`CheckerOptions::claim_stripes`]: rejects `0`
+    /// with [`MckError::InvalidConfig`] instead of panicking.
+    pub fn try_claim_stripes(mut self, stripes: usize) -> Result<Self, MckError> {
+        if stripes == 0 {
+            return Err(MckError::InvalidConfig {
+                param: "claim_stripes",
+                reason: "at least one claim stripe is required".into(),
+            });
+        }
+        self.claim_stripes = Some(stripes);
+        Ok(self)
+    }
+}
 
 /// Fingerprint-indexed visited set for the serial driver.
 #[derive(Debug, Default)]

@@ -51,45 +51,42 @@
 //! Inside the layers a check does explore, reuse is per state. The session
 //! keeps one **expansion record** per fully expanded state (the `records`
 //! module): the rule applications that consulted a hole or did not return
-//! `Disabled`, with their concrete touches, their known-wildcard holes and
-//! their outcomes, successors named by committed id. When the new resolver
-//! answers every consultation of a frontier state's record the same way —
-//! the rule the layer logs follow — both layer drivers take the state's
-//! outcomes from the record: no rule is applied and no successor is
-//! canonicalized or hashed, but the outcomes go through the same commit
-//! path in the same order (admission clamp, edges, invariants,
-//! reachability flags, statistics, the touch and stop logs, the
-//! replay-confirmed touches). Rollback moves the truncated states aside
-//! with their records until the check returns, so a state the check
-//! commits again adopts its old record, and a record's successor still in
-//! that tail is committed from there. [`SessionStats::expansions_reused`]
-//! counts these expansions.
+//! `Disabled`, with their touches, wildcard holes and outcomes, successors
+//! named by committed id. When the new resolver answers every consultation
+//! of a frontier state's record the same way — the rule the layer logs
+//! follow — the state's expansion is walked from the record: no rule is
+//! applied and no successor is canonicalized or hashed. Rollback moves the
+//! truncated states aside with their records until the check returns, so a
+//! state the check commits again adopts its old record, and a record's
+//! successor still in that tail is committed from there.
+//! [`SessionStats::expansions_reused`] counts these expansions.
+//!
+//! ## One walk, two schedules
+//!
+//! Every expansion is committed by the one walk of the [`super::parallel`]
+//! module, in BFS order. The effective thread count picks how its words
+//! are produced: at one thread the serial schedule applies each rule in
+//! place and walks the application at once (measurably faster than
+//! drafting a whole state first), so it applies no rule past the
+//! application that stops the check; with more threads the parallel engine
+//! drafts the layer and walks the drafts, so consultations past a stop
+//! never reach a checkpoint log.
 //!
 //! ## Equivalence contract
 //!
 //! Every `check` is observationally identical to a fresh run of the same
 //! model and resolver: verdict, the full [`Stats`], failure kind / property
 //! / touched attribution, the counterexample trace, and the kept graph all
-//! match bit for bit, at any [`CheckerOptions::threads`] count. A layer is
-//! expanded one of two ways, chosen by the effective thread count: the
-//! serial loop expands it in place, committing and stopping (including
-//! mid-layer fail-fast) in BFS order; the parallel path drives it through
-//! the [`super::parallel`] engine's expand-then-replay discipline, whose
-//! replay commits in that same order, and derives the per-layer hole-touch
-//! log from the *replayed* records, so consultations of applications the
-//! replay discards (past a failure or the state cap) never pollute a
-//! checkpoint log. Both are held to the reference serial BFS (the
-//! `reference` module) by `tests/session_equivalence.rs` and
+//! match bit for bit, at any [`CheckerOptions::threads`] count. Both
+//! schedules are held to the reference serial BFS (the `reference` module)
+//! by `tests/session_equivalence.rs` and
 //! `tests/checker_parallel_equivalence.rs`.
 
-use super::parallel::{Engine, LayerTouch};
-use super::records::{RecordDraft, Recorded};
-use super::{
-    fingerprint, CheckerOptions, DeadlockPolicy, Edge, Failure, Outcome, SearchCore, StateId,
-    Stats, Verdict,
-};
+use super::parallel::{Engine, LayerTouch, Refs, Walk};
+use super::records::{push_app, BLOCKED, DISABLED, HELD};
+use super::{fingerprint, CheckerOptions, Failure, Outcome, SearchCore, Stats, Verdict};
 use crate::error::MckError;
-use crate::eval::{HoleResolver, SessionResolver, SharedResolver, WildcardTouch};
+use crate::eval::{HoleResolver, SessionResolver, SharedResolver};
 use crate::model::TransitionSystem;
 use crate::rule::RuleOutcome;
 use std::time::Instant;
@@ -177,17 +174,10 @@ impl SessionStats {
     }
 }
 
-/// Result of driving one BFS layer.
-enum LayerResult<S> {
-    /// The layer was fully expanded; its (sorted, de-duplicated) hole-touch
-    /// log is ready to seal into a checkpoint.
-    Done(Vec<LayerTouch>),
-    /// Exploration ended inside the layer (failure, state cap, or an empty
-    /// continuation) with this outcome; the log holds the layer's
-    /// consultations up to the stop, sorted and de-duplicated (empty for a
-    /// one-shot serial check, which logs nothing).
-    Finished(Box<Outcome<S>>, Vec<LayerTouch>),
-}
+/// How one layer ended: `Err` carries the outcome of a check that stopped
+/// inside it. Either way the layer's hole-touch log comes along, sorted and
+/// de-duplicated: the log to seal, or the stop log.
+type Layer<S> = (Result<(), Box<Outcome<S>>>, Vec<LayerTouch>);
 
 /// A reusable checker instance over one model: owns the visited set, the
 /// committed state store, the canonical initial states, the per-layer
@@ -352,7 +342,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// One serial check of a fresh session that expands in the caller's
     /// exclusive resolver ([`Checker::run_with`]).
     pub(super) fn check_once_with(self, worker: &mut dyn HoleResolver) -> Outcome<M::State> {
-        self.once(|session, start| session.drive(|s| s.run_layer_serial(start, &mut *worker, None)))
+        self.once(|session, start| {
+            session.drive(start, |s, f0, f1| {
+                s.run_layer_serial(start, f0, f1, &mut *worker, None)
+            })
+        })
     }
 
     /// Runs `explore` from the initial states of a session that is dropped
@@ -543,9 +537,6 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             ));
         }
         self.reset();
-        let state_limit = MckError::StateLimitExceeded {
-            limit: self.core.options.max_states,
-        };
         for i in 0..self.initial.len() {
             let state = self.initial[i].clone();
             let hash = fingerprint(&state);
@@ -556,8 +547,8 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             {
                 continue;
             }
-            if self.core.states.len() >= self.core.options.max_states {
-                return Some(self.core.analyze(start, Some(state_limit)));
+            if let Err(outcome) = self.core.admit(start) {
+                return Some(*outcome);
             }
             let id = self.core.commit(state, None, &[]);
             self.engine
@@ -583,287 +574,177 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         answers: Option<&dyn SessionResolver>,
     ) -> Outcome<M::State> {
         if self.threads > 1 {
-            return self.drive(|s| s.run_layer_parallel(start, resolver, answers));
+            return self.drive(start, |s, f0, f1| {
+                s.run_layer_parallel(start, f0, f1, resolver, answers)
+            });
         }
         // One worker resolver for the whole check, seeded with the previous
         // check's name cache and drained back when the check ends.
         let mut worker = resolver.worker_seeded(self.engine.pop_name_cache());
-        let outcome = self.drive(|s| s.run_layer_serial(start, &mut *worker, answers));
+        let outcome = self.drive(start, |s, f0, f1| {
+            s.run_layer_serial(start, f0, f1, &mut *worker, answers)
+        });
         self.engine.push_name_cache(worker.take_name_cache());
         outcome
     }
 
-    /// Expands layers with `layer` until one ends the check, sealing a
+    /// Expands frontier layers `[f0, f1)` with `layer` until one ends the
+    /// check (an empty frontier ends it in the post-pass), sealing a
     /// checkpoint after every fully-expanded layer, and (for a held
     /// session) keeps the ending and its stop log for the next check to
     /// replay.
     fn drive(
         &mut self,
-        mut layer: impl FnMut(&mut Self) -> LayerResult<M::State>,
+        start: Instant,
+        mut layer: impl FnMut(&mut Self, usize, usize) -> Layer<M::State>,
     ) -> Outcome<M::State> {
         loop {
-            match layer(self) {
-                LayerResult::Finished(outcome, stop_log) => {
-                    if !self.core.one_shot {
-                        self.ending = Some(Ending {
-                            stop_log,
-                            verdict: outcome.verdict,
-                            failure: outcome.failure.clone(),
-                            incomplete: outcome.incomplete.clone(),
-                        });
-                    }
-                    return *outcome;
-                }
-                LayerResult::Done(touches) => self.seal_layer(touches),
+            let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
+            let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
+            let (walked, log) = if f0 == f1 {
+                (Err(Box::new(self.core.analyze(start, None))), Vec::new())
+            } else {
+                layer(self, f0, f1)
+            };
+            let Err(outcome) = walked else {
+                self.layer_touches.push(log);
+                self.push_checkpoint(f1);
+                continue;
+            };
+            if !self.core.one_shot {
+                self.ending = Some(Ending {
+                    stop_log: log,
+                    verdict: outcome.verdict,
+                    failure: outcome.failure.clone(),
+                    incomplete: outcome.incomplete.clone(),
+                });
             }
+            return *outcome;
         }
     }
 
-    fn seal_layer(&mut self, touches: Vec<LayerTouch>) {
-        let frontier_end = self
-            .checkpoints
-            .last()
-            .expect("sealed without base")
-            .committed;
-        self.layer_touches.push(touches);
-        self.push_checkpoint(frontier_end);
-    }
-
-    /// Expands the frontier layer in place, in BFS order — including
-    /// mid-layer fail-fast.
+    /// Expands frontier layer `[f0, f1)` in place, in BFS order: each rule
+    /// application is committed through the walk's step as soon as it is
+    /// applied, so the check stops (including mid-layer fail-fast) with no
+    /// rule applied past the application that stops it. A state whose
+    /// expansion record is valid under `session` (a held session's check)
+    /// is walked from the record instead.
     ///
-    /// With `session` present (a held session's check) the layer's
-    /// hole-touch log is recorded, every state whose expansion record is
-    /// valid under `session` is expanded from the record, every other state
-    /// that expands completely leaves its record, and the resolver registers
-    /// the worker's deferred hole discoveries at the layer boundary, or at
-    /// the stop when the check ends inside the layer (in this single
-    /// worker's consultation order, which *is* the serial order), so the log
-    /// names them by id. A one-shot check passes `None`: its checkpoints are
-    /// never resumed, so it records nothing and leaves deferred discoveries
-    /// with the worker.
+    /// The single worker numbers its deferred discoveries in its
+    /// consultation order, which *is* the serial order; a held session's
+    /// check registers them at the layer end (or at the stop) through
+    /// `session`, so the log names them by id. A one-shot check leaves them
+    /// with the worker, logs nothing and records nothing.
     fn run_layer_serial(
         &mut self,
         start: Instant,
+        f0: usize,
+        f1: usize,
         worker: &mut dyn HoleResolver,
         session: Option<&dyn SessionResolver>,
-    ) -> LayerResult<M::State> {
-        let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
-        let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
-        if f0 == f1 {
-            return LayerResult::Finished(Box::new(self.core.analyze(start, None)), Vec::new());
-        }
-        let mut touches_log: Vec<LayerTouch> = Vec::new();
-        let mut fresh_log: Vec<u32> = Vec::new();
-        let mut fresh_concrete_log: Vec<(u32, u16)> = Vec::new();
-        // Concrete resolutions of the records taken instead of expansions,
-        // which the worker never saw: reported to the resolver like a
-        // parallel replay's.
-        let mut replayed: Vec<(usize, u16)> = Vec::new();
-        let mut draft = RecordDraft::default();
-        // Resolutions made anywhere while expanding one state; a deadlock
-        // verdict depends on all of them (they decided that every rule
-        // declined to fire).
-        let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
-
-        let stopped = 'layer: {
-            for sid in f0..f1 {
-                // What a rolling BFS queue would hold when popping this
-                // state: everything committed but not yet expanded.
-                self.core.stats.peak_queue =
-                    self.core.stats.peak_queue.max(self.core.states.len() - sid);
-                if session.is_some_and(|answers| self.engine.records.valid(sid, answers)) {
-                    let walked = self.engine.replay_record(
-                        &mut self.core,
-                        start,
-                        sid,
-                        &mut touches_log,
-                        &mut replayed,
-                    );
-                    match walked {
-                        Ok(()) => continue,
-                        Err(outcome) => break 'layer Some(*outcome),
-                    }
-                }
-                let state = self.core.states[sid].clone();
-                let mut any_next = false;
-                let mut any_blocked = false;
-                expansion_touches.clear();
-                draft.clear();
-
-                for (ri, rule) in self.core.model.rules().iter().enumerate() {
-                    worker.begin_application();
-                    let outcome = rule.apply(&state, worker);
-                    let app_touches = worker.application_touches();
-                    expansion_touches.extend_from_slice(app_touches);
-                    if session.is_some() {
-                        touches_log.extend(
-                            app_touches
-                                .iter()
-                                .map(|&(hole, action)| (hole, Some(action))),
-                        );
-                        for &wildcard in worker.application_wildcards() {
-                            match wildcard {
-                                WildcardTouch::Known(hole) => touches_log.push((hole, None)),
-                                WildcardTouch::Fresh(index) => fresh_log.push(index),
-                            }
-                        }
-                        fresh_concrete_log.extend_from_slice(worker.application_fresh_touches());
-                    }
-
-                    let recorded = match outcome {
-                        RuleOutcome::Disabled => Recorded::Disabled,
-                        RuleOutcome::Blocked => {
-                            any_blocked = true;
-                            self.core.stats.wildcard_hits += 1;
-                            Recorded::Blocked
-                        }
-                        RuleOutcome::Next(next) => {
-                            any_next = true;
-                            self.core.stats.transitions += 1;
-                            let next = self.core.model.canonicalize(next);
-                            let hash = fingerprint(&next);
-                            let found = self.engine.find_committed(hash, &next, &self.core.states);
-                            let (nid, new) = match found {
-                                Some(id) => (id, false),
-                                None => {
-                                    if self.core.states.len() >= self.core.options.max_states {
-                                        // The admission clamp: refuse the
-                                        // state before inspecting it, so the
-                                        // committed store never outgrows
-                                        // `max_states`.
-                                        let limit = self.core.options.max_states;
-                                        break 'layer Some(self.core.analyze(
-                                            start,
-                                            Some(MckError::StateLimitExceeded { limit }),
-                                        ));
-                                    }
-                                    let nid = self.core.commit(
-                                        next,
-                                        Some((sid as StateId, ri as u32)),
-                                        worker.application_touches(),
-                                    );
-                                    self.engine.insert_committed(
-                                        hash,
-                                        nid,
-                                        &self.core.states[nid as usize],
-                                    );
-                                    (nid, true)
-                                }
-                            };
-                            if let Some(edges) = &mut self.core.edges {
-                                edges[sid].push(Edge {
-                                    rule: ri as u32,
-                                    target: nid,
-                                });
-                            }
-                            if new {
-                                if let Some(name) = self.core.violated_invariant(nid) {
-                                    let property = name.to_owned();
-                                    break 'layer Some(
-                                        self.core.invariant_failure(start, nid, property),
-                                    );
-                                }
-                            }
-                            Recorded::Next(nid)
-                        }
-                    };
-                    if session.is_some() {
-                        draft.push(
-                            ri as u32,
-                            worker.application_touches(),
-                            worker.application_wildcards(),
-                            worker.application_fresh_touches(),
-                            recorded,
-                        );
-                    }
-                }
-
-                // The expansion is complete, whatever its verdict.
-                if session.is_some() {
-                    self.engine.records.store(sid, draft.finish());
-                }
-                // A state with no successors is a deadlock — unless a
-                // wildcard aborted some branch, in which case we cannot tell
-                // (the aborted branch might have provided an exit).
-                if !any_next
-                    && !any_blocked
-                    && self.core.options.deadlock == DeadlockPolicy::Disallow
-                {
-                    break 'layer Some(self.core.deadlock(
-                        start,
-                        sid as StateId,
-                        &expansion_touches,
-                    ));
-                }
+    ) -> Layer<M::State> {
+        let mut walk = Walk::new(session.is_some());
+        let mut draft: Vec<u32> = Vec::new();
+        let mut walked = Ok(());
+        for sid in f0..f1 {
+            walk.begin_state(&mut self.core, sid);
+            walked = if session.is_some_and(|answers| self.engine.records.valid(sid, answers)) {
+                self.engine
+                    .walk_record(&mut self.core, &mut walk, start, sid)
+            } else {
+                self.expand_in_place(start, sid, worker, &mut walk, &mut draft)
+            };
+            if walked.is_err() {
+                break;
             }
-            None
-        };
-
-        // Layer expanded, or the check stopped inside it: register deferred
-        // discoveries and resolve the fresh wildcard and fresh concrete
-        // touches to their new ids, and report the records' touches.
-        if let Some(resolver) = session {
-            let specs = worker.take_pending_discoveries();
-            if !specs.is_empty() || !fresh_log.is_empty() || !fresh_concrete_log.is_empty() {
-                let ids = resolver.commit_discoveries(&specs);
-                for &index in &fresh_log {
-                    touches_log.push((ids[index as usize], None));
-                }
-                for &(index, action) in &fresh_concrete_log {
-                    touches_log.push((ids[index as usize], Some(action)));
-                }
-            }
-            replayed.sort_unstable();
-            replayed.dedup();
-            resolver.note_replayed_touches(&replayed);
         }
-        touches_log.sort_unstable();
-        touches_log.dedup();
-        match stopped {
-            None => LayerResult::Done(touches_log),
-            Some(outcome) => LayerResult::Finished(Box::new(outcome), touches_log),
+        if session.is_some() {
+            walk.end_scope(worker.take_pending_discoveries());
         }
+        (walked, walk.end_layer(session))
     }
 
-    /// Expands the frontier layer through the parallel engine, then replays
-    /// the records deterministically, with the layer's hole-touch log (or
-    /// stop log) derived from the *replayed* records (discarded
-    /// consultations never reach a checkpoint log). A held session's check
-    /// (`answers` present) takes the expansions of states with valid
-    /// records from the records and records the rest.
+    /// Applies every rule to frontier state `sid` on the calling thread,
+    /// writing each application into `draft` and walking it at once.
+    fn expand_in_place(
+        &mut self,
+        start: Instant,
+        sid: usize,
+        worker: &mut dyn HoleResolver,
+        walk: &mut Walk,
+        draft: &mut Vec<u32>,
+    ) -> Result<(), Box<Outcome<M::State>>> {
+        let model = self.core.model;
+        let state = self.core.states[sid].clone();
+        let mut refs = Refs::none();
+        draft.clear();
+        for (ri, rule) in model.rules().iter().enumerate() {
+            worker.begin_application();
+            let word = match rule.apply(&state, worker) {
+                RuleOutcome::Disabled => DISABLED,
+                RuleOutcome::Blocked => BLOCKED,
+                RuleOutcome::Next(next) => {
+                    let next = model.canonicalize(next);
+                    let hash = fingerprint(&next);
+                    match self.engine.find_committed(hash, &next, &self.core.states) {
+                        Some(id) => id,
+                        None => {
+                            refs.held = Some((next, hash));
+                            HELD
+                        }
+                    }
+                }
+            };
+            // Only a held session's check logs wildcards and discoveries.
+            let (wildcards, fresh) = if walk.session {
+                (
+                    worker.application_wildcards(),
+                    worker.application_fresh_touches(),
+                )
+            } else {
+                (&[][..], &[][..])
+            };
+            let at = draft.len();
+            if push_app(
+                draft,
+                ri,
+                worker.application_touches(),
+                wildcards,
+                fresh,
+                word,
+            ) {
+                let app = &mut draft[at..];
+                self.engine
+                    .step(&mut self.core, walk, start, sid, app, &mut refs)?;
+            }
+        }
+        self.engine
+            .end_state(&mut self.core, walk, start, sid, draft, true)
+    }
+
+    /// Expands frontier layer `[f0, f1)` through the parallel engine, whose
+    /// workers draft it, then walks the drafts in the serial order; the
+    /// layer's hole-touch log (or stop log) comes from the walk, so
+    /// consultations the walk never reaches (past a stop) never reach a
+    /// checkpoint log. A held session's check (`answers` present) takes the
+    /// expansions of states with valid records from the records and records
+    /// the rest.
     fn run_layer_parallel<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
+        f0: usize,
+        f1: usize,
         resolver: &R,
         answers: Option<&dyn SessionResolver>,
-    ) -> LayerResult<M::State> {
-        let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
-        let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
-        if f0 == f1 {
-            return LayerResult::Finished(Box::new(self.core.analyze(start, None)), Vec::new());
-        }
+    ) -> Layer<M::State> {
         let chunks = self
             .engine
             .expand_layer(&self.core, resolver, answers, f0, f1);
-        let mut touches_log: Vec<LayerTouch> = Vec::new();
-        let replayed = self.engine.replay_layer(
-            &mut self.core,
-            resolver,
-            answers.is_some(),
-            start,
-            f0,
-            chunks,
-            &mut touches_log,
-        );
-        // The replay fills the log in replay order up to the failing
-        // record, so a stopped layer's log is its stop log.
-        touches_log.sort_unstable();
-        touches_log.dedup();
-        match replayed {
-            Ok(()) => LayerResult::Done(touches_log),
-            Err(outcome) => LayerResult::Finished(outcome, touches_log),
-        }
+        let mut walk = Walk::new(answers.is_some());
+        let walked = self
+            .engine
+            .walk_layer(&mut self.core, &mut walk, start, f0, chunks);
+        (walked, walk.end_layer(Some(resolver)))
     }
 }
 
@@ -872,7 +753,7 @@ mod tests {
     use super::super::tests_support::assert_same_outcome;
     use super::super::{Checker, CheckerOptions};
     use super::*;
-    use crate::eval::{Choice, HoleSpec, NameCache, NoHoles, SharedResolver};
+    use crate::eval::{Choice, HoleSpec, NameCache, NoHoles, SharedResolver, WildcardTouch};
     use crate::model::ModelBuilder;
     use parking_lot::Mutex;
     use std::collections::BTreeSet;
@@ -881,7 +762,7 @@ mod tests {
     /// "h1", …: hole id = the numeric suffix, answers from a fixed table.
     /// Tracks touches and wildcards the way the synthesis resolvers do,
     /// including the run's touched set: workers publish their concrete
-    /// consultations, expansion workers leave that to the parallel replay.
+    /// consultations, expansion workers leave that to the walk.
     #[derive(Debug)]
     struct TableResolver {
         answers: Vec<Option<u16>>,

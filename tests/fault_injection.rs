@@ -252,8 +252,7 @@ fn an_injected_chunk_panic_mid_synthesis_quarantines_one_candidate() {
     // engine, so keep the checker from clamping back to the serial path.
     let options = SynthOptions::default()
         .pattern_mode(PatternMode::Refined)
-        .check_threads(2)
-        .checker(CheckerOptions::default().clamp_threads(false));
+        .checker(CheckerOptions::default().threads(2).clamp_threads(false));
     let clean = Synthesizer::new(options.clone()).run(&model);
     let hits = hit_count(site::EXPAND_CHUNK);
     assert!(hits > 0, "parallel checks must hit the chunk probe");

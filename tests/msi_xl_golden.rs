@@ -11,9 +11,9 @@
 //! * the **serial run is fully deterministic** — evaluated dispatches,
 //!   pattern count, run-log shape, and the exact solution displays are
 //!   golden values;
-//! * `check_threads` parallelizes inside each dispatch and is
+//! * the checker's thread count parallelizes inside each dispatch and is
 //!   equivalence-guaranteed, so the serial counts must be **bit-identical**
-//!   at any `check_threads`;
+//!   at any checker thread count;
 //! * cross-candidate `threads` make pattern-propagation timing racy, so
 //!   evaluated/pattern counts legitimately drift (the paper's own Table I
 //!   shows 855 vs 825 for 1 vs 4 threads) — but the **solution set and its
@@ -21,6 +21,7 @@
 //!   the correctness golden.
 
 use std::collections::BTreeSet;
+use verc3::mck::CheckerOptions;
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::{PatternMode, SynthOptions, SynthReport, Synthesizer};
 
@@ -38,7 +39,7 @@ fn run_xl(threads: usize, check_threads: usize, record: bool) -> SynthReport {
         SynthOptions::default()
             .pattern_mode(PatternMode::Refined)
             .threads(threads)
-            .check_threads(check_threads)
+            .checker(CheckerOptions::default().threads(check_threads))
             .record_runs(record),
     )
     .run(&model)

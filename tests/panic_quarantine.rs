@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use verc3::mck::{BuiltModel, Choice, HoleSpec, ModelBuilder, RuleOutcome};
+use verc3::mck::{BuiltModel, CheckerOptions, Choice, HoleSpec, ModelBuilder, RuleOutcome};
 use verc3::synth::{StopReason, SynthOptions, SynthReport, Synthesizer};
 
 /// A two-hole model whose first hole's action 0 (`boom`) panics inside the
@@ -108,7 +108,7 @@ fn quarantine_is_identical_across_thread_counts_and_dispatch_modes() {
                 let report = Synthesizer::new(
                     SynthOptions::default()
                         .threads(threads)
-                        .check_threads(check_threads)
+                        .checker(CheckerOptions::default().threads(check_threads))
                         .reuse_sessions(reuse),
                 )
                 .run(&panicky_model());

@@ -180,8 +180,7 @@ proptest! {
             let par = Synthesizer::new(
                 SynthOptions::default()
                     .threads(threads)
-                    .check_threads(check_threads)
-                    .checker(CheckerOptions::default().clamp_threads(false)),
+                    .checker(CheckerOptions::default().threads(check_threads).clamp_threads(false)),
             )
             .run(&model);
             assert_eq!(
@@ -201,8 +200,7 @@ proptest! {
         let run = || {
             Synthesizer::new(
                 SynthOptions::default()
-                    .check_threads(4)
-                    .checker(CheckerOptions::default().clamp_threads(false)),
+                    .checker(CheckerOptions::default().threads(4).clamp_threads(false)),
             )
             .run(&model)
         };
@@ -317,10 +315,11 @@ fn msi_small_session_loop_matches_one_shot_with_30_percent_fewer_expansions() {
     let baseline = named_solutions(&sessions);
     for (threads, check_threads) in [(1, 4), (4, 1), (4, 4)] {
         let par = Synthesizer::new(
-            opts()
-                .threads(threads)
-                .check_threads(check_threads)
-                .checker(CheckerOptions::default().clamp_threads(false)),
+            opts().threads(threads).checker(
+                CheckerOptions::default()
+                    .threads(check_threads)
+                    .clamp_threads(false),
+            ),
         )
         .run(&model);
         assert_eq!(
@@ -331,7 +330,7 @@ fn msi_small_session_loop_matches_one_shot_with_30_percent_fewer_expansions() {
     }
 }
 
-/// `check_threads` under sessions preserves the serial loop's exact counts
+/// Parallel checking under sessions preserves the serial loop's exact counts
 /// (the checker equivalence guarantee composed with checkpoint reuse).
 #[test]
 fn msi_small_session_loop_counts_are_check_thread_invariant() {
@@ -339,12 +338,9 @@ fn msi_small_session_loop_counts_are_check_thread_invariant() {
     let model = MsiModel::new(MsiConfig::msi_small());
     let opts = || SynthOptions::default().pattern_mode(PatternMode::Refined);
     let serial = Synthesizer::new(opts()).run(&model);
-    let par = Synthesizer::new(
-        opts()
-            .check_threads(4)
-            .checker(CheckerOptions::default().clamp_threads(false)),
-    )
-    .run(&model);
+    let par =
+        Synthesizer::new(opts().checker(CheckerOptions::default().threads(4).clamp_threads(false)))
+            .run(&model);
     assert_eq!(par.stats().evaluated, serial.stats().evaluated);
     assert_eq!(par.stats().patterns, serial.stats().patterns);
     assert_eq!(named_solutions(&par), named_solutions(&serial));

@@ -185,16 +185,17 @@ fn spec_msi_synthesis_run_log_is_bit_identical() {
     assert_reports_identical(opts, "serial");
 }
 
-/// Parallel checking preserves the equivalence: `check_threads(4)` under a
+/// Parallel checking preserves the equivalence: 4 checker threads under a
 /// single synthesis worker keeps the run log deterministic, and it must
 /// still match the hand-written model's.
 #[test]
 fn spec_msi_synthesis_is_bit_identical_under_parallel_checks() {
-    let mut opts = synth_opts().record_runs(true).check_threads(4);
+    let checker = CheckerOptions::default().threads(4);
+    let mut opts = synth_opts().record_runs(true).checker(checker);
     if cfg!(debug_assertions) {
         opts = opts.max_evaluations(40);
     }
-    assert_reports_identical(opts, "check_threads(4)");
+    assert_reports_identical(opts, "4 checker threads");
 }
 
 /// Release-only: the complete synthesis run reproduces the paper's Table 1
