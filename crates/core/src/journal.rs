@@ -1,4 +1,5 @@
-//! Crash-safe synthesis progress journal.
+//! Crash-safe synthesis progress journal, and the one byte codec of this
+//! crate.
 //!
 //! A journal is an append-only file of CRC-framed binary records tracking a
 //! synthesis run's durable progress: which odometer chunks each generation
@@ -17,6 +18,18 @@
 //! the first frame that is short, fails its CRC, or does not decode — a torn
 //! final record is expected after a crash, never an error — and resuming
 //! truncates the file back to the valid prefix before appending.
+//!
+//! ## One codec
+//!
+//! Every byte format of this crate is written and read here: journal
+//! records, and the cross-shard exchange's [`crate::PatternBatch`] (a
+//! `.vc3b` spool file is one frame holding magic `VC3B`, the publishing
+//! shard, its sequence number and a pattern list). Both go through the same
+//! frame writer and parser and the same pattern-list codec. Every
+//! length-prefixed list decodes through one helper that reserves at most
+//! 4096 entries up front, so a forged length in a CRC-valid record fails
+//! to decode — [`MckError::JournalCorrupt`] — instead of allocating what
+//! the prefix claims.
 //!
 //! ## Records
 //!
@@ -58,6 +71,7 @@
 use crate::hole::{HoleInfo, HoleRegistry};
 use crate::pattern::{PatternMode, SparsePattern};
 use crate::report::{Quarantined, Solution, StopReason};
+use crate::shard::PatternBatch;
 use crate::synth::Enumeration;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -69,6 +83,7 @@ use verc3_mck::MckError;
 
 const MAGIC: [u8; 4] = *b"VC3J";
 const VERSION: u32 = 4;
+const BATCH_MAGIC: [u8; 4] = *b"VC3B";
 
 const TAG_HEADER: u8 = 1;
 const TAG_GEN_START: u8 = 2;
@@ -78,6 +93,10 @@ const TAG_STOP: u8 = 4;
 /// Flush the pending inactive-range buffer once it holds this many disjoint
 /// ranges (bounds both writer memory and the coverage lost to a kill).
 const MAX_PENDING: usize = 64;
+
+/// The most entries a decoder reserves for one length-prefixed list before
+/// it has read them: the prefix is untrusted, even in a CRC-valid record.
+const MAX_RESERVE: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3), table built at compile time.
@@ -116,67 +135,168 @@ fn crc32(data: &[u8]) -> u32 {
 // Payload codec: hand-rolled little-endian, no external dependencies.
 
 #[derive(Default)]
-pub(crate) struct Enc(pub(crate) Vec<u8>);
+struct Enc(Vec<u8>);
 
 impl Enc {
-    pub(crate) fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
-    pub(crate) fn u16(&mut self, v: u16) {
+    fn u16(&mut self, v: u16) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn str(&mut self, s: &str) {
+    fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
+    /// A `u32` length prefix, then `item` for each of `items`.
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u32(items.len() as u32);
+        for x in items {
+            item(self, x);
+        }
+    }
 }
 
-pub(crate) struct Dec<'a> {
+struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Dec { buf, pos: 0 }
     }
-    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let out = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(out)
     }
-    pub(crate) fn u8(&mut self) -> Option<u8> {
+    fn u8(&mut self) -> Option<u8> {
         Some(self.bytes(1)?[0])
     }
-    pub(crate) fn u16(&mut self) -> Option<u16> {
+    fn u16(&mut self) -> Option<u16> {
         Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
     }
-    pub(crate) fn u32(&mut self) -> Option<u32> {
+    fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
     }
-    pub(crate) fn u64(&mut self) -> Option<u64> {
+    fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
-    pub(crate) fn str(&mut self) -> Option<String> {
+    fn str(&mut self) -> Option<String> {
         let n = self.u32()? as usize;
         String::from_utf8(self.bytes(n)?.to_vec()).ok()
     }
-    pub(crate) fn done(&self) -> bool {
+    /// The inverse of [`Enc::list`]. Reserves at most [`MAX_RESERVE`]
+    /// entries up front, so a forged length fails on the missing bytes
+    /// instead of allocating what it claims.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.u32()?;
+        let mut out = Vec::with_capacity((n as usize).min(MAX_RESERVE));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
+    }
+    fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
 
-/// CRC32 (IEEE 802.3) over `data` — shared with the shard wire format,
-/// which frames pattern batches exactly like journal records.
-pub(crate) fn checksum(data: &[u8]) -> u32 {
-    crc32(data)
+/// Frames `payload` as `[len][crc32][payload]`: one journal record, or one
+/// pattern batch.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 8);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Parses the frame at `pos`, returning its payload and end offset, or
+/// `None` if the remaining bytes are short, torn, or fail the CRC.
+fn next_frame(data: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+    let len_bytes = data.get(pos..pos + 4)?;
+    let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
+    let crc_bytes = data.get(pos + 4..pos + 8)?;
+    let crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
+    let end = (pos + 8).checked_add(len)?;
+    let payload = data.get(pos + 8..end)?;
+    if crc32(payload) != crc {
+        return None;
+    }
+    Some((payload, end))
+}
+
+fn encode_patterns(e: &mut Enc, patterns: &[PatternEntry]) {
+    e.list(patterns, |e, p| match p {
+        PatternEntry::Prefix(digits) => {
+            e.u8(0);
+            e.list(digits, |e, &d| e.u16(d));
+        }
+        PatternEntry::Sparse(pairs) => {
+            e.u8(1);
+            e.list(pairs, |e, &(h, a)| {
+                e.u16(h);
+                e.u16(a);
+            });
+        }
+    });
+}
+
+fn decode_patterns(d: &mut Dec<'_>) -> Option<Vec<PatternEntry>> {
+    d.list(|d| match d.u8()? {
+        0 => Some(PatternEntry::Prefix(d.list(Dec::u16)?)),
+        1 => Some(PatternEntry::Sparse(
+            d.list(|d| Some((d.u16()?, d.u16()?)))?,
+        )),
+        _ => None,
+    })
+}
+
+/// Serializes a pattern batch as one frame (see [`PatternBatch::to_bytes`]).
+pub(crate) fn encode_batch(batch: &PatternBatch) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.0.extend_from_slice(&BATCH_MAGIC);
+    e.u32(batch.shard);
+    e.u64(batch.seq);
+    encode_patterns(&mut e, &batch.patterns);
+    frame(&e.0)
+}
+
+/// Deserializes one frame written by [`encode_batch`], which must span
+/// `bytes` exactly (see [`PatternBatch::from_bytes`]).
+pub(crate) fn decode_batch(bytes: &[u8]) -> Result<PatternBatch, MckError> {
+    let corrupt = |what: &str| MckError::JournalCorrupt {
+        reason: format!("undecodable pattern batch {what}"),
+    };
+    let payload = match next_frame(bytes, 0) {
+        Some((payload, end)) if end == bytes.len() => payload,
+        _ => return Err(corrupt("frame")),
+    };
+    let mut d = Dec::new(payload);
+    if d.bytes(4) != Some(&BATCH_MAGIC) {
+        return Err(corrupt("magic"));
+    }
+    let (Some(shard), Some(seq)) = (d.u32(), d.u64()) else {
+        return Err(corrupt("header"));
+    };
+    let patterns = decode_patterns(&mut d).ok_or_else(|| corrupt("entry"))?;
+    if !d.done() {
+        return Err(corrupt("(trailing bytes)"));
+    }
+    Ok(PatternBatch {
+        shard,
+        seq,
+        patterns,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -239,11 +359,15 @@ impl Fingerprint {
     }
 }
 
-/// A pruning pattern as journaled and as carried on the shared pattern log
-/// (the hub's append-only log workers sync from — see [`crate::synth`]).
+/// A pruning pattern as journaled, as carried on the shared pattern log
+/// (the hub's append-only log workers sync from — see [`crate::synth`]),
+/// and as exchanged between shards in a [`PatternBatch`]. Hole ids are
+/// positions in the generation's frontier (the coordinator's merged
+/// registry), which every slice of the round agrees on by construction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum PatternEntry {
-    /// Dense prefix pattern (paper-exact mode).
+pub enum PatternEntry {
+    /// Dense prefix pattern over frontier digits `0..len` (paper-exact
+    /// pruning mode).
     Prefix(Vec<u16>),
     /// Sparse `(hole, action)` pattern (refined mode).
     Sparse(SparsePattern),
@@ -359,57 +483,28 @@ impl ChunkDraft {
         e.u64(self.probes);
         e.u64(self.expanded);
         e.u64(self.reused);
-        e.u32(self.holes.len() as u32);
-        for h in &self.holes {
+        e.list(&self.holes, |e, h| {
             e.str(&h.name);
-            e.u32(h.actions.len() as u32);
-            for a in &h.actions {
-                e.str(a);
-            }
-        }
-        e.u32(self.patterns.len() as u32);
-        for p in &self.patterns {
-            match p {
-                PatternEntry::Prefix(digits) => {
-                    e.u8(0);
-                    e.u32(digits.len() as u32);
-                    for &d in digits {
-                        e.u16(d);
-                    }
-                }
-                PatternEntry::Sparse(pairs) => {
-                    e.u8(1);
-                    e.u32(pairs.len() as u32);
-                    for &(h, a) in pairs {
-                        e.u16(h);
-                        e.u16(a);
-                    }
-                }
-            }
-        }
-        e.u32(self.solutions.len() as u32);
-        for s in &self.solutions {
-            e.u32(s.assignment.len() as u32);
-            for &(h, a) in &s.assignment {
+            e.list(&h.actions, |e, a| e.str(a));
+        });
+        encode_patterns(&mut e, &self.patterns);
+        e.list(&self.solutions, |e, s| {
+            e.list(&s.assignment, |e, &(h, a)| {
                 e.u64(h as u64);
                 e.u16(a);
-            }
+            });
             e.u64(s.visited_states as u64);
             e.u64(s.transitions as u64);
-        }
-        e.u32(self.quarantined.len() as u32);
-        for q in &self.quarantined {
-            e.u32(q.digits.len() as u32);
-            for &d in &q.digits {
-                e.u16(d);
-            }
+        });
+        e.list(&self.quarantined, |e, q| {
+            e.list(&q.digits, |e, &d| e.u16(d));
             e.str(&q.message);
-        }
+        });
         e.0
     }
 
     fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        let mut c = ChunkDraft {
+        Some(ChunkDraft {
             k: d.u64()?,
             slice: d.u32()?,
             first: d.u64()?,
@@ -420,62 +515,27 @@ impl ChunkDraft {
             probes: d.u64()?,
             expanded: d.u64()?,
             reused: d.u64()?,
-            ..Default::default()
-        };
-        for _ in 0..d.u32()? {
-            let name = d.str()?;
-            let mut actions = Vec::new();
-            for _ in 0..d.u32()? {
-                actions.push(d.str()?);
-            }
-            c.holes.push(HoleInfo { name, actions });
-        }
-        for _ in 0..d.u32()? {
-            match d.u8()? {
-                0 => {
-                    let n = d.u32()?;
-                    let mut digits = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        digits.push(d.u16()?);
-                    }
-                    c.patterns.push(PatternEntry::Prefix(digits));
-                }
-                1 => {
-                    let n = d.u32()?;
-                    let mut pairs = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        pairs.push((d.u16()?, d.u16()?));
-                    }
-                    c.patterns.push(PatternEntry::Sparse(pairs));
-                }
-                _ => return None,
-            }
-        }
-        for _ in 0..d.u32()? {
-            let n = d.u32()?;
-            let mut assignment = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let h = d.u64()? as usize;
-                assignment.push((h, d.u16()?));
-            }
-            c.solutions.push(Solution {
-                assignment,
-                visited_states: d.u64()? as usize,
-                transitions: d.u64()? as usize,
-            });
-        }
-        for _ in 0..d.u32()? {
-            let n = d.u32()?;
-            let mut digits = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                digits.push(d.u16()?);
-            }
-            c.quarantined.push(Quarantined {
-                digits,
-                message: d.str()?,
-            });
-        }
-        Some(c)
+            holes: d.list(|d| {
+                Some(HoleInfo {
+                    name: d.str()?,
+                    actions: d.list(Dec::str)?,
+                })
+            })?,
+            patterns: decode_patterns(d)?,
+            solutions: d.list(|d| {
+                Some(Solution {
+                    assignment: d.list(|d| Some((d.u64()? as usize, d.u16()?)))?,
+                    visited_states: d.u64()? as usize,
+                    transitions: d.u64()? as usize,
+                })
+            })?,
+            quarantined: d.list(|d| {
+                Some(Quarantined {
+                    digits: d.list(Dec::u16)?,
+                    message: d.str()?,
+                })
+            })?,
+        })
     }
 }
 
@@ -567,11 +627,10 @@ impl JournalWriter {
         e.u8(TAG_GEN_START);
         e.u64(k as u64);
         e.u64(prev_k as u64);
-        e.u32(ranges.len() as u32);
-        for &(start, end) in ranges {
+        e.list(ranges, |e, &(start, end)| {
             e.u64(start);
             e.u64(end);
-        }
+        });
         write_frame(&mut inner.file, &e.0)?;
         sync_now(&mut inner)
     }
@@ -668,10 +727,7 @@ fn flush_pending(inner: &mut WriterInner) -> std::io::Result<()> {
 }
 
 fn write_frame(file: &mut File, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    let frame = frame(payload);
     if faults::fires(faults::site::JOURNAL_APPEND) {
         // Injected torn write: half the frame reaches the disk, then the
         // process "dies". Readers must discard the fragment.
@@ -830,31 +886,14 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
 }
 
 fn decode_gen_start(d: &mut Dec<'_>) -> Option<GenReplay> {
-    let (k, prev_k, n) = (d.u64()?, d.u64()?, d.u32()?);
-    let mut ranges = Vec::with_capacity((n as usize).min(4096));
-    for _ in 0..n {
-        ranges.push((d.u64()?, d.u64()?));
-    }
+    let (k, prev_k) = (d.u64()?, d.u64()?);
+    let ranges = d.list(|d| Some((d.u64()?, d.u64()?)))?;
     Some(GenReplay {
         k: k as usize,
         prev_k: prev_k as usize,
         slices: vec![Segment::default(); ranges.len()],
         ranges,
     })
-}
-
-/// Parses the frame at `pos`, returning its payload and end offset, or
-/// `None` if the remaining bytes are short, torn, or fail the CRC.
-fn next_frame(data: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let len_bytes = data.get(pos..pos + 4)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-    let crc_bytes = data.get(pos + 4..pos + 8)?;
-    let crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    let payload = data.get(pos + 8..pos + 8 + len)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, pos + 8 + len))
 }
 
 /// Inserts a `(first, count)` chunk range, keeping the list sorted, disjoint,
@@ -1053,12 +1092,7 @@ mod tests {
     fn foreign_file_is_rejected() {
         let path = tmp("foreign");
         // A CRC-valid frame that is not a header.
-        let payload = b"\x09not-ours";
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        std::fs::write(&path, &frame).unwrap();
+        std::fs::write(&path, frame(b"\x09not-ours")).unwrap();
         assert!(matches!(read(&path), Err(MckError::JournalCorrupt { .. })));
         std::fs::remove_file(&path).unwrap();
     }
@@ -1143,6 +1177,67 @@ mod tests {
         assert_eq!(r2.stop, StopReason::Completed);
         assert_eq!(r2.gens.len(), 1);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A CRC-valid chunk record whose one solution declares 2^32 − 1
+    /// assignment pairs, after the header and first generation start of a
+    /// default Figure 2 run: resuming reports the journal corrupt instead
+    /// of reserving the 64 GiB the prefix claims.
+    #[test]
+    fn a_forged_length_prefix_is_corrupt_not_an_allocation() {
+        let path = tmp("forged");
+        let model = verc3_mck::GraphModel::worked_example();
+        let w = JournalWriter::create(&path, model.name(), &fp(), 1).unwrap();
+        w.gen_start(0, 0, &[(0, 1)]).unwrap();
+        drop(w);
+        // Tag, k and slice; then first, count, evaluated, skipped, deduped,
+        // probes, expanded and reused.
+        let mut e = Enc::default();
+        e.u8(TAG_CHUNK);
+        e.u64(0);
+        e.u32(0);
+        for v in [0, 1, 1, 0, 0, 0, 0, 0] {
+            e.u64(v);
+        }
+        e.u32(0); // holes
+        e.u32(0); // patterns
+        e.u32(1); // solutions
+        e.u32(u32::MAX); // the forged assignment length, then one pair
+        e.u64(0);
+        e.u16(1);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&frame(&e.0)).unwrap();
+        drop(f);
+
+        let err = crate::Synthesizer::new(crate::SynthOptions::default().journal(&path))
+            .resume_from_journal(&model)
+            .unwrap_err();
+        assert!(
+            matches!(err, MckError::JournalCorrupt { ref reason } if reason.contains("chunk")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The same forgery in a pattern batch: a list of 2^32 − 1 patterns,
+    /// and one prefix pattern of 2^32 − 1 digits.
+    #[test]
+    fn a_forged_batch_length_is_corrupt_not_an_allocation() {
+        for (patterns, digits) in [(u32::MAX, 1), (1, u32::MAX)] {
+            let mut e = Enc::default();
+            e.0.extend_from_slice(&BATCH_MAGIC);
+            e.u32(0); // shard
+            e.u64(0); // seq
+            e.u32(patterns);
+            e.u8(0);
+            e.u32(digits);
+            e.u16(1);
+            let err = PatternBatch::from_bytes(&frame(&e.0)).unwrap_err();
+            assert!(
+                matches!(err, MckError::JournalCorrupt { ref reason } if reason.contains("entry")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -714,39 +714,14 @@ impl Propagator {
         Propagator::default()
     }
 
-    /// Wraps an existing table (e.g. one seeded from a resumed journal).
-    pub fn from_table(table: PatternTable) -> Self {
-        Propagator {
-            table,
-            ..Propagator::default()
-        }
-    }
-
     /// The underlying pattern table.
     pub fn table(&self) -> &PatternTable {
         &self.table
     }
 
-    /// Consumes the propagator, returning the table.
-    pub fn into_table(self) -> PatternTable {
-        self.table
-    }
-
     /// Per-depth pattern consultations performed so far.
     pub fn probes(&self) -> u64 {
         self.probes
-    }
-
-    /// Forgets the incremental-walk memo (table and probe counter stay):
-    /// the next [`Propagator::first_pruned_depth`] verifies from the root.
-    ///
-    /// Probe answers never depend on the memo — only their cost does — so
-    /// this is for callers that want a walk's probe count independent of
-    /// what the propagator examined before (e.g. a measurement that must
-    /// not be skewed by a previous workload's warm state).
-    pub fn reset_walk(&mut self) {
-        self.verified = 0;
-        self.coherent = 0;
     }
 
     /// Records a dense prefix pattern; returns `true` if new.

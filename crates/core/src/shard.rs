@@ -1,5 +1,5 @@
 //! Sharded synthesis: the generation loop every synthesis run goes through,
-//! serializable odometer-range shards, and cross-shard pattern exchange.
+//! odometer-range shards, and cross-shard pattern exchange.
 //!
 //! ## The loop
 //!
@@ -32,7 +32,9 @@
 //!
 //! Each shard exports, at every chunk boundary, the patterns its own
 //! workers published since the last beat as a [`PatternBatch`] and imports
-//! every batch its peers published. Transport is a [`PatternExchange`]
+//! every batch its peers published. A batch carries the hub's own
+//! [`PatternEntry`] and is framed and encoded by the journal's codec
+//! ([`crate::journal`]). Transport is a [`PatternExchange`]
 //! implementation: in-memory mailboxes ([`ChannelExchange`]) or a spool
 //! directory of atomically-renamed batch files ([`FsExchange`]) — no
 //! network dependency. Imports reach a worker's [`crate::Propagator`]
@@ -59,12 +61,11 @@
 //! included, all merge to the single-process solution set.
 
 use crate::hole::HoleInfo;
-use crate::journal::{self, checksum, Dec, Enc, PatternEntry};
-use crate::pattern::SparsePattern;
+use crate::journal::{self, PatternEntry};
 use crate::report::{Quarantined, Solution, StopReason, SynthReport};
 use crate::synth::{
-    candidate_count, Claim, Enumerate, Merged, PatternLog, Round, Run, Slice, SliceOutcome,
-    SynthOptions, Synthesizer,
+    candidate_count, Claim, Enumerate, Merged, Round, Run, Slice, SliceOutcome, SynthOptions,
+    Synthesizer,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -74,107 +75,6 @@ use verc3_mck::{MckError, TransitionSystem};
 
 // ---------------------------------------------------------------------------
 // Wire format.
-
-const BATCH_MAGIC: [u8; 4] = *b"VC3B";
-const SPEC_MAGIC: [u8; 4] = *b"VC3S";
-
-/// A pruning pattern in cross-shard wire form. Hole ids are positions in
-/// the round's shared frontier (the coordinator's merged registry), which
-/// every peer shard agrees on by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WirePattern {
-    /// Dense prefix pattern over frontier digits `0..len` (paper-exact
-    /// pruning mode).
-    Prefix(Vec<u16>),
-    /// Sparse `(hole, action)` pattern (refined mode).
-    Sparse(SparsePattern),
-}
-
-impl From<PatternEntry> for WirePattern {
-    fn from(entry: PatternEntry) -> Self {
-        match entry {
-            PatternEntry::Prefix(p) => WirePattern::Prefix(p),
-            PatternEntry::Sparse(s) => WirePattern::Sparse(s),
-        }
-    }
-}
-
-impl From<WirePattern> for PatternEntry {
-    fn from(wire: WirePattern) -> Self {
-        match wire {
-            WirePattern::Prefix(p) => PatternEntry::Prefix(p),
-            WirePattern::Sparse(s) => PatternEntry::Sparse(s),
-        }
-    }
-}
-
-fn enc_pattern(e: &mut Enc, p: &WirePattern) {
-    match p {
-        WirePattern::Prefix(digits) => {
-            e.u8(0);
-            e.u32(digits.len() as u32);
-            for &d in digits {
-                e.u16(d);
-            }
-        }
-        WirePattern::Sparse(pairs) => {
-            e.u8(1);
-            e.u32(pairs.len() as u32);
-            for &(h, a) in pairs {
-                e.u16(h);
-                e.u16(a);
-            }
-        }
-    }
-}
-
-fn dec_pattern(d: &mut Dec<'_>) -> Option<WirePattern> {
-    match d.u8()? {
-        0 => {
-            let n = d.u32()? as usize;
-            let mut digits = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                digits.push(d.u16()?);
-            }
-            Some(WirePattern::Prefix(digits))
-        }
-        1 => {
-            let n = d.u32()? as usize;
-            let mut pairs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                pairs.push((d.u16()?, d.u16()?));
-            }
-            Some(WirePattern::Sparse(pairs))
-        }
-        _ => None,
-    }
-}
-
-/// Frames a payload exactly like a journal record: `[len][crc32][payload]`.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Inverse of [`frame`]: checks length and CRC, returns the payload.
-fn unframe(bytes: &[u8]) -> Option<&[u8]> {
-    let len = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?);
-    let payload = bytes.get(8..8 + len)?;
-    if bytes.len() != 8 + len || checksum(payload) != crc {
-        return None;
-    }
-    Some(payload)
-}
-
-fn corrupt(what: &str) -> MckError {
-    MckError::JournalCorrupt {
-        reason: format!("undecodable {what}"),
-    }
-}
 
 /// A batch of patterns one shard publishes to its peers: the cross-shard
 /// exchange's wire unit.
@@ -186,21 +86,14 @@ pub struct PatternBatch {
     /// de-duplicate by their own delivery identity, not by `seq`).
     pub seq: u64,
     /// The patterns, in publication order.
-    pub patterns: Vec<WirePattern>,
+    pub patterns: Vec<PatternEntry>,
 }
 
 impl PatternBatch {
-    /// Serializes the batch as one CRC-framed record.
+    /// Serializes the batch as one CRC-framed record, through the
+    /// journal's frame and pattern-list codec (see [`crate::journal`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.0.extend_from_slice(&BATCH_MAGIC);
-        e.u32(self.shard);
-        e.u64(self.seq);
-        e.u32(self.patterns.len() as u32);
-        for p in &self.patterns {
-            enc_pattern(&mut e, p);
-        }
-        frame(e.0)
+        journal::encode_batch(self)
     }
 
     /// Deserializes a batch written by [`PatternBatch::to_bytes`].
@@ -210,123 +103,7 @@ impl PatternBatch {
     /// Fails with [`MckError::JournalCorrupt`] on a short, torn, or
     /// CRC-failing record, a wrong magic, or an undecodable payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, MckError> {
-        let payload = unframe(bytes).ok_or_else(|| corrupt("pattern batch frame"))?;
-        let mut d = Dec::new(payload);
-        if d.bytes(4) != Some(&BATCH_MAGIC) {
-            return Err(corrupt("pattern batch magic"));
-        }
-        let (Some(shard), Some(seq), Some(n)) = (d.u32(), d.u64(), d.u32()) else {
-            return Err(corrupt("pattern batch header"));
-        };
-        let mut patterns = Vec::with_capacity((n as usize).min(4096));
-        for _ in 0..n {
-            patterns.push(dec_pattern(&mut d).ok_or_else(|| corrupt("pattern batch entry"))?);
-        }
-        if !d.done() {
-            return Err(corrupt("pattern batch (trailing bytes)"));
-        }
-        Ok(PatternBatch {
-            shard,
-            seq,
-            patterns,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard specification.
-
-/// One shard's assignment for one round: the shared baseline registry, the
-/// frontier geometry, and the chunk-index range to enumerate. Serializable
-/// ([`ShardSpec::to_bytes`]) so a coordinator can hand ranges to worker
-/// processes over any byte transport.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// This shard's index (also its steal-pool slot and exchange identity).
-    pub index: usize,
-    /// The shared baseline registry: every hole known at round start, in
-    /// merged discovery order. The frontier `k` is `holes.len()`.
-    pub holes: Vec<HoleInfo>,
-    /// The previous round's frontier width.
-    pub prev_k: usize,
-    /// First chunk index of this shard's range.
-    pub start: u64,
-    /// One past the last chunk index of this shard's range. Clamped (like
-    /// [`crate::Odometer::over_range`]) if it exceeds the generation's
-    /// chunk count.
-    pub end: u64,
-    /// Optional crash journal for this slice, in the run journal format
-    /// (see [`crate::journal`]). An existing journal at this path is
-    /// resumed; its generation record pins this exact `(start, end)` range
-    /// and resuming against a different one fails with
-    /// [`MckError::JournalCorrupt`].
-    pub journal: Option<PathBuf>,
-}
-
-impl ShardSpec {
-    /// The round's frontier width (the number of baseline holes).
-    pub fn k(&self) -> usize {
-        self.holes.len()
-    }
-
-    /// Serializes the spec (journal path excluded — it is host-local
-    /// runtime configuration, not part of the assignment).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.0.extend_from_slice(&SPEC_MAGIC);
-        e.u32(self.index as u32);
-        e.u64(self.prev_k as u64);
-        e.u64(self.start);
-        e.u64(self.end);
-        e.u32(self.holes.len() as u32);
-        for h in &self.holes {
-            e.str(&h.name);
-            e.u32(h.actions.len() as u32);
-            for a in &h.actions {
-                e.str(a);
-            }
-        }
-        frame(e.0)
-    }
-
-    /// Deserializes a spec written by [`ShardSpec::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`MckError::JournalCorrupt`] on a short, torn, or
-    /// CRC-failing record, a wrong magic, or an undecodable payload.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, MckError> {
-        let payload = unframe(bytes).ok_or_else(|| corrupt("shard spec frame"))?;
-        let mut d = Dec::new(payload);
-        if d.bytes(4) != Some(&SPEC_MAGIC) {
-            return Err(corrupt("shard spec magic"));
-        }
-        let (Some(index), Some(prev_k), Some(start), Some(end), Some(n)) =
-            (d.u32(), d.u64(), d.u64(), d.u64(), d.u32())
-        else {
-            return Err(corrupt("shard spec header"));
-        };
-        let mut holes = Vec::with_capacity((n as usize).min(4096));
-        for _ in 0..n {
-            let name = d.str().ok_or_else(|| corrupt("shard spec hole"))?;
-            let m = d.u32().ok_or_else(|| corrupt("shard spec hole"))?;
-            let mut actions = Vec::with_capacity((m as usize).min(4096));
-            for _ in 0..m {
-                actions.push(d.str().ok_or_else(|| corrupt("shard spec action"))?);
-            }
-            holes.push(HoleInfo { name, actions });
-        }
-        if !d.done() {
-            return Err(corrupt("shard spec (trailing bytes)"));
-        }
-        Ok(ShardSpec {
-            index: index as usize,
-            holes,
-            prev_k: prev_k as usize,
-            start,
-            end,
-            journal: None,
-        })
+        journal::decode_batch(bytes)
     }
 }
 
@@ -781,70 +558,6 @@ pub fn partition_chunks(chunks_total: u64, shards: usize) -> Vec<(u64, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Single-shard entry point.
-
-/// Runs one shard's slice of one generation and reports it: the low-level
-/// entry point for an external dispatcher, called with a deserialized
-/// [`ShardSpec`]. It runs the same slice runner the coordinator's rounds
-/// do.
-///
-/// `seed` is the pattern state the round starts from (the dispatcher's
-/// merged table); `exchange` connects the shard to live peers. With
-/// `spec.journal` set, the slice writes the run journal format there: an
-/// existing journal is resumed (model, fingerprint, frontier and chunk
-/// range checked) and a fresh one is created otherwise.
-///
-/// # Errors
-///
-/// Fails with [`MckError::InvalidConfig`] on invalid options and
-/// [`MckError::JournalCorrupt`] on a journal/partition mismatch.
-pub fn run_shard<M: TransitionSystem>(
-    model: &M,
-    options: &SynthOptions,
-    spec: &ShardSpec,
-    seed: Vec<WirePattern>,
-    exchange: Option<Arc<dyn PatternExchange>>,
-) -> Result<ShardReport, MckError> {
-    let synth = Synthesizer::new(options.clone());
-    let (replay, writer) = synth.open_journal(model.name(), spec.journal.as_deref(), true)?;
-    let mut gens = replay.map(|r| r.gens).unwrap_or_default();
-    if gens.len() > 1 {
-        return Err(MckError::JournalCorrupt {
-            reason: "shard journal does not describe one round's frontier".into(),
-        });
-    }
-    let run = Run::new(options, writer);
-    let mut patterns = PatternLog::default();
-    for pattern in seed {
-        patterns.seed(pattern.into());
-    }
-    let range = (spec.start, spec.end);
-    let (_, outcomes) = run.round(
-        Round {
-            holes: &spec.holes,
-            prev_k: spec.prev_k,
-            ranges: &[range],
-            patterns: &patterns,
-            solutions: &[],
-            replay: gens.pop(),
-            endpoint: exchange.as_ref(),
-            first_shard: spec.index,
-            steal: false,
-        },
-        &|slice| slice.enumerate(model),
-    )?;
-    run.close_journal()?;
-    let outcome = outcomes.into_iter().next().expect("one slice per range");
-    Ok(ShardReport::new(
-        spec.index,
-        0,
-        range,
-        outcome,
-        spec.journal.as_deref(),
-    ))
-}
-
-// ---------------------------------------------------------------------------
 // Coordinator.
 
 /// Configuration for a sharded run (consuming-builder style, like
@@ -1015,7 +728,6 @@ fn drive(
                 solutions: &merged.solutions,
                 replay: journaled.next(),
                 endpoint: endpoint.as_ref(),
-                first_shard: 0,
                 steal: sharding.steal,
             },
             enumerate,
@@ -1134,13 +846,27 @@ mod tests {
             shard: 3,
             seq: 42,
             patterns: vec![
-                WirePattern::Prefix(vec![]),
-                WirePattern::Prefix(vec![0, 2, 1]),
-                WirePattern::Sparse(vec![]),
-                WirePattern::Sparse(vec![(0, 1), (5, 0)]),
+                PatternEntry::Prefix(vec![]),
+                PatternEntry::Prefix(vec![0, 2, 1]),
+                PatternEntry::Sparse(vec![]),
+                PatternEntry::Sparse(vec![(0, 1), (5, 0)]),
             ],
         };
         let bytes = batch.to_bytes();
+        // The `.vc3b` format is a spool contract between processes: these
+        // bytes are pinned. Frame `[len][crc32]`, then magic `VC3B`, shard,
+        // seq, and the journal's pattern-list encoding.
+        #[rustfmt::skip]
+        let pinned: [u8; 62] = [
+            54, 0, 0, 0, 91, 21, 127, 89,
+            86, 67, 51, 66, 3, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0,
+            4, 0, 0, 0,
+            0, 0, 0, 0, 0,
+            0, 3, 0, 0, 0, 0, 0, 2, 0, 1, 0,
+            1, 0, 0, 0, 0,
+            1, 2, 0, 0, 0, 0, 0, 1, 0, 5, 0, 0, 0,
+        ];
+        assert_eq!(bytes, pinned);
         assert_eq!(PatternBatch::from_bytes(&bytes).unwrap(), batch);
 
         let mut flipped = bytes.clone();
@@ -1157,43 +883,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_spec_round_trips() {
-        let spec = ShardSpec {
-            index: 2,
-            holes: vec![
-                HoleInfo {
-                    name: "n1->n2".into(),
-                    actions: vec!["A".into(), "B".into()],
-                },
-                HoleInfo {
-                    name: "weird \"name\"".into(),
-                    actions: vec!["x".into()],
-                },
-            ],
-            prev_k: 1,
-            start: 10,
-            end: 20,
-            journal: Some(PathBuf::from("ignored")),
-        };
-        let back = ShardSpec::from_bytes(&spec.to_bytes()).unwrap();
-        assert_eq!(back.index, spec.index);
-        assert_eq!(back.holes, spec.holes);
-        assert_eq!(back.prev_k, spec.prev_k);
-        assert_eq!((back.start, back.end), (spec.start, spec.end));
-        assert_eq!(
-            back.journal, None,
-            "journal path is host-local, not serialized"
-        );
-        assert!(ShardSpec::from_bytes(&spec.to_bytes()[1..]).is_err());
-    }
-
-    #[test]
     fn channel_exchange_broadcasts_to_peers_only() {
         let ex = ChannelExchange::new(3);
         let batch = PatternBatch {
             shard: 1,
             seq: 0,
-            patterns: vec![WirePattern::Prefix(vec![1])],
+            patterns: vec![PatternEntry::Prefix(vec![1])],
         };
         ex.publish(batch.clone());
         assert_eq!(ex.poll(0), vec![batch.clone()]);
@@ -1209,7 +904,7 @@ mod tests {
         let batch = PatternBatch {
             shard: 0,
             seq: 7,
-            patterns: vec![WirePattern::Sparse(vec![(2, 1)])],
+            patterns: vec![PatternEntry::Sparse(vec![(2, 1)])],
         };
         a.publish(batch.clone());
         // A different instance over the same spool (another process's view).
@@ -1369,56 +1064,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_journal_pins_partition_range() {
-        let dir = tmp("partition-pin");
-        std::fs::create_dir_all(&dir).unwrap();
-        let model = GraphModel::worked_example();
-        let single = Synthesizer::new(SynthOptions::default()).run(&model);
-        let holes = single.holes().to_vec();
-        let journal = dir.join("shard.vc3j");
-        let spec = ShardSpec {
-            index: 0,
-            holes: holes.clone(),
-            prev_k: 0,
-            start: 0,
-            end: 1,
-            journal: Some(journal.clone()),
-        };
-        run_shard(&model, &SynthOptions::default(), &spec, Vec::new(), None).unwrap();
-        // Same range resumes fine.
-        run_shard(&model, &SynthOptions::default(), &spec, Vec::new(), None).unwrap();
-        // A different range against the same journal must fail fast.
-        let other = ShardSpec {
-            start: 1,
-            end: 2,
-            ..spec
-        };
-        let err =
-            run_shard(&model, &SynthOptions::default(), &other, Vec::new(), None).unwrap_err();
-        assert!(
-            matches!(err, MckError::JournalCorrupt { ref reason } if reason.contains("partition")),
-            "expected partition mismatch, got: {err}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn import_via_exchange_equals_direct_insert() {
         // Differential: patterns imported through the exchange path must
         // leave the pattern table answering queries exactly like direct
         // inserts of the same patterns.
         let patterns = vec![
-            WirePattern::Prefix(vec![1, 0]),
-            WirePattern::Sparse(vec![(0, 1), (3, 2)]),
-            WirePattern::Prefix(vec![0, 0, 1, 2]),
+            PatternEntry::Prefix(vec![1, 0]),
+            PatternEntry::Sparse(vec![(0, 1), (3, 2)]),
+            PatternEntry::Prefix(vec![0, 0, 1, 2]),
         ];
         let mut direct = PatternTable::new();
         for p in &patterns {
             match p {
-                WirePattern::Prefix(d) => {
+                PatternEntry::Prefix(d) => {
                     direct.insert_prefix(d);
                 }
-                WirePattern::Sparse(s) => {
+                PatternEntry::Sparse(s) => {
                     direct.insert_sparse(s.clone());
                 }
             }
@@ -1432,7 +1093,7 @@ mod tests {
         .to_bytes();
         let mut routed = PatternTable::new();
         for p in PatternBatch::from_bytes(&bytes).unwrap().patterns {
-            match PatternEntry::from(p) {
+            match p {
                 PatternEntry::Prefix(d) => {
                     routed.insert_prefix(&d);
                 }

@@ -224,20 +224,24 @@ impl SynthOptions {
         self
     }
 
-    /// Number of candidates a worker claims per dispensing step. Part of
-    /// the journal fingerprint: resuming requires the same chunk size the
-    /// journal was written with.
+    /// Number of candidates a worker claims per dispensing step (default
+    /// 32). Part of the journal fingerprint: resuming requires the same
+    /// chunk size the journal was written with. Results do not depend on
+    /// it (`tests/chunk_size_sweep.rs`), so it is a test hook, compiled
+    /// only for tests and under the `reference` feature.
     ///
     /// # Panics
     ///
     /// Panics if `size == 0`; use [`SynthOptions::try_chunk_size`] for a
     /// structured error instead.
+    #[cfg(any(test, feature = "reference"))]
     #[track_caller]
     pub fn chunk_size(self, size: u64) -> Self {
         self.try_chunk_size(size).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible form of [`SynthOptions::chunk_size`].
+    #[cfg(any(test, feature = "reference"))]
     pub fn try_chunk_size(mut self, size: u64) -> Result<Self, MckError> {
         if size == 0 {
             return Err(MckError::InvalidConfig {
@@ -646,7 +650,6 @@ impl Run {
         };
         let k = round.holes.len();
         let (space, total) = candidate_count(round.holes)?;
-        let chunks_total = total.max(1).div_ceil(self.options.chunk_size);
         let segments = match round.replay.take() {
             Some(gen) => {
                 if (gen.k, gen.prev_k) != (k, round.prev_k) {
@@ -680,17 +683,8 @@ impl Run {
                 .fetch_add(seg.expanded, Ordering::Relaxed);
             self.check_reused.fetch_add(seg.reused, Ordering::Relaxed);
         }
-        // Clamp exactly like `Odometer::over_range`: a dispatcher handing
-        // out boundary ranges must not have to re-derive the space size.
-        let ranges: Vec<(u64, u64)> = round
-            .ranges
-            .iter()
-            .map(|&(start, end)| {
-                let end = end.min(chunks_total);
-                (start.min(end), end)
-            })
-            .collect();
-        let pool = (ranges.len() > 1).then(|| Arc::new(StealPool::new(&ranges, round.steal)));
+        let pool =
+            (round.ranges.len() > 1).then(|| Arc::new(StealPool::new(round.ranges, round.steal)));
         let shape = Shape {
             radices: round.holes.iter().map(|h| h.arity() as u32).collect(),
             total,
@@ -700,7 +694,7 @@ impl Run {
         };
         let slices: Vec<Slice<'_>> = segments
             .into_iter()
-            .zip(&ranges)
+            .zip(round.ranges)
             .enumerate()
             .map(|(i, (seg, &range))| {
                 let dispenser = match &pool {
@@ -710,9 +704,7 @@ impl Run {
                     },
                     None => ChunkClaims::serial(range.0, range.1),
                 };
-                let exchange = round
-                    .endpoint
-                    .map(|e| ExchangeState::new(Arc::clone(e), round.first_shard + i));
+                let exchange = round.endpoint.map(|e| ExchangeState::new(Arc::clone(e), i));
                 Slice::new(self, &shape, &round, i, range, seg, dispenser, exchange)
             })
             .collect();
@@ -749,19 +741,13 @@ impl Run {
         Ok((gen, outcomes))
     }
 
-    /// Journals the run's stop reason (a no-op without a journal).
-    pub(crate) fn close_journal(&self) -> Result<(), MckError> {
-        match &self.journal {
-            Some(j) => j.stop(self.stop_reason()).map_err(journal_failed),
-            None => Ok(()),
-        }
-    }
-
     /// Ends the run: journals the stop reason and assembles the report from
     /// the merged results.
     pub(crate) fn finish(self, model: &str, merged: Merged) -> Result<SynthReport, MckError> {
-        self.close_journal()?;
         let stop = self.stop_reason();
+        if let Some(j) = &self.journal {
+            j.stop(stop).map_err(journal_failed)?;
+        }
         let generations = merged.generations;
         let (patterns_dense, patterns_sparse) = (merged.patterns.dense, merged.patterns.sparse);
         let stats = SynthStats {
@@ -866,10 +852,8 @@ pub(crate) struct Round<'r> {
     pub solutions: &'r [Solution],
     /// The journal's record of this generation, when resuming.
     pub replay: Option<GenReplay>,
-    /// Cross-slice pattern exchange; slice `i` joins as shard
-    /// `first_shard + i`.
+    /// Cross-slice pattern exchange; slice `i` joins as shard `i`.
     pub endpoint: Option<&'r Arc<dyn PatternExchange>>,
-    pub first_shard: usize,
     /// Whether a slice that runs dry steals from its peers' ranges.
     pub steal: bool,
 }
@@ -1139,11 +1123,11 @@ impl ExchangeState {
             self.endpoint.publish(PatternBatch {
                 shard: self.shard as u32,
                 seq,
-                patterns: batch.into_iter().map(Into::into).collect(),
+                patterns: batch,
             });
         }
         for batch in self.endpoint.poll(self.shard) {
-            hub.import(batch.patterns.into_iter().map(Into::into), width);
+            hub.import(batch.patterns, width);
         }
     }
 }
@@ -1645,22 +1629,15 @@ pub(crate) struct PatternLog {
 }
 
 impl PatternLog {
-    /// Files a pattern; returns whether it was new.
-    pub(crate) fn file(&mut self, entry: Arc<PatternEntry>) -> bool {
-        let fresh = self.seen.insert(Arc::clone(&entry));
-        if fresh {
+    /// Files a pattern unless the log already has it.
+    pub(crate) fn file(&mut self, entry: Arc<PatternEntry>) {
+        if self.seen.insert(Arc::clone(&entry)) {
             match *entry {
                 PatternEntry::Prefix(_) => self.dense += 1,
                 PatternEntry::Sparse(_) => self.sparse += 1,
             }
             self.log.push(entry);
         }
-        fresh
-    }
-
-    /// Files an entry from outside the run (a seed), normalizing it first.
-    pub(crate) fn seed(&mut self, entry: PatternEntry) {
-        self.file(Arc::new(normalized(entry)));
     }
 }
 
@@ -1743,7 +1720,7 @@ impl<'r> PatternHub<'r> {
     /// beyond `width` (the frontier `k`) are dropped — no candidate in this
     /// generation constrains those holes, and a well-formed peer at the
     /// same frontier never sends them.
-    fn import(&self, entries: impl Iterator<Item = PatternEntry>, width: usize) {
+    fn import(&self, entries: Vec<PatternEntry>, width: usize) {
         let mut inner = self.inner.lock();
         for entry in entries {
             let in_range = match &entry {

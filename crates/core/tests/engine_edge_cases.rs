@@ -132,19 +132,3 @@ fn report_display_is_complete() {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
     }
 }
-
-/// Chunk sizes do not affect results, only scheduling.
-#[test]
-fn chunk_size_is_result_invariant() {
-    let model = GraphModel::worked_example();
-    let baseline = Synthesizer::new(SynthOptions::default()).run(&model);
-    for chunk in [1u64, 2, 7, 1000] {
-        let report = Synthesizer::new(SynthOptions::default().chunk_size(chunk)).run(&model);
-        assert_eq!(
-            report.stats().evaluated,
-            baseline.stats().evaluated,
-            "chunk {chunk}"
-        );
-        assert_eq!(report.solutions().len(), baseline.solutions().len());
-    }
-}

@@ -195,11 +195,6 @@ impl CheckerOptions {
         self
     }
 
-    /// The configured worker-thread count (as requested, before clamping).
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// The thread count a run will actually use: the requested count,
     /// clamped to `std::thread::available_parallelism()` unless
     /// [`CheckerOptions::clamp_threads`] is disabled.

@@ -472,12 +472,6 @@ impl<R: HoleResolver> RecordingResolver<R> {
     pub fn touched(&self) -> impl Iterator<Item = &str> {
         self.touched.iter().map(String::as_str)
     }
-
-    /// Consumes the decorator, returning the inner resolver and the set of
-    /// consulted hole names.
-    pub fn into_parts(self) -> (R, std::collections::BTreeSet<String>) {
-        (self.inner, self.touched)
-    }
 }
 
 impl<R: HoleResolver> HoleResolver for RecordingResolver<R> {

@@ -4,12 +4,18 @@
 //! serial guided run at chunk sizes 32, 1 024 and 32 768 gives the same
 //! report: evaluated and skipped counts, patterns, solutions, per-generation
 //! accounting and the full run log. Only the cost measurements (probes,
-//! claims, active chunks) may differ.
+//! claims, active chunks) may differ. Figure 2, at the default options, is
+//! swept over chunk sizes small enough to split its generations: 1, 2, 7,
+//! 32 and 1 000.
 //!
-//! msi_small runs in the default suite; msi_large and msi_xl are
-//! release-profile workloads behind `#[ignore]`
+//! `SynthOptions::chunk_size` is a test hook (tests and the `reference`
+//! feature only): this suite is why no production caller needs it.
+//!
+//! Figure 2 and msi_small run in the default suite; msi_large and msi_xl
+//! are release-profile workloads behind `#[ignore]`
 //! (`cargo test --release -q --test chunk_size_sweep -- --ignored`).
 
+use verc3::mck::{GraphModel, TransitionSystem};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::{Enumeration, PatternMode, SynthOptions, SynthReport, Synthesizer};
 
@@ -56,21 +62,19 @@ fn observable(report: &SynthReport) -> Observable {
     }
 }
 
-fn run(config: &MsiConfig, chunk_size: u64) -> SynthReport {
-    Synthesizer::new(
-        SynthOptions::default()
-            .pattern_mode(PatternMode::Refined)
-            .enumeration(Enumeration::Guided)
-            .chunk_size(chunk_size)
-            .record_runs(true),
-    )
-    .run(&MsiModel::new(config.clone()))
-}
-
-/// Runs the sweep and returns the reports, asserting identical observables
-/// and the golden `(evaluated, patterns, solutions)`.
-fn sweep(config: MsiConfig, golden: (u64, usize, usize)) -> Vec<SynthReport> {
-    let reports: Vec<SynthReport> = CHUNK_SIZES.iter().map(|&c| run(&config, c)).collect();
+/// Runs `model` serially at every chunk size and returns the reports,
+/// asserting identical observables and the golden `(evaluated, patterns,
+/// solutions)`.
+fn sweep<M: TransitionSystem>(
+    model: &M,
+    options: SynthOptions,
+    chunk_sizes: &[u64],
+    golden: (u64, usize, usize),
+) -> Vec<SynthReport> {
+    let reports: Vec<SynthReport> = chunk_sizes
+        .iter()
+        .map(|&c| Synthesizer::new(options.clone().chunk_size(c).record_runs(true)).run(model))
+        .collect();
     let base = observable(&reports[0]);
     assert_eq!(
         (
@@ -80,10 +84,18 @@ fn sweep(config: MsiConfig, golden: (u64, usize, usize)) -> Vec<SynthReport> {
         ),
         golden
     );
-    for (chunk, report) in CHUNK_SIZES.iter().zip(&reports).skip(1) {
+    for (chunk, report) in chunk_sizes.iter().zip(&reports).skip(1) {
         assert_eq!(observable(report), base, "chunk size {chunk}");
     }
     reports
+}
+
+/// The MSI sweep: refined patterns, guided enumeration, [`CHUNK_SIZES`].
+fn sweep_msi(config: MsiConfig, golden: (u64, usize, usize)) -> Vec<SynthReport> {
+    let options = SynthOptions::default()
+        .pattern_mode(PatternMode::Refined)
+        .enumeration(Enumeration::Guided);
+    sweep(&MsiModel::new(config), options, &CHUNK_SIZES, golden)
 }
 
 /// The bound the refuted-run claim guarantees a serial run: each chunk
@@ -102,8 +114,17 @@ fn assert_claims_follow_active_chunks(report: &SynthReport) {
 }
 
 #[test]
+fn figure_2_reports_are_chunk_size_invariant() {
+    let model = GraphModel::worked_example();
+    let chunk_sizes = [32, 1, 2, 7, 1_000];
+    for report in sweep(&model, SynthOptions::default(), &chunk_sizes, (10, 5, 1)) {
+        assert_claims_follow_active_chunks(&report);
+    }
+}
+
+#[test]
 fn msi_small_reports_are_chunk_size_invariant() {
-    for report in sweep(MsiConfig::msi_small(), (366, 357, 8)) {
+    for report in sweep_msi(MsiConfig::msi_small(), (366, 357, 8)) {
         assert_claims_follow_active_chunks(&report);
     }
 }
@@ -111,7 +132,7 @@ fn msi_small_reports_are_chunk_size_invariant() {
 #[test]
 #[ignore = "release-profile workload; run with --ignored"]
 fn msi_large_reports_are_chunk_size_invariant() {
-    for report in sweep(MsiConfig::msi_large(), (1_057, 1_046, 8)) {
+    for report in sweep_msi(MsiConfig::msi_large(), (1_057, 1_046, 8)) {
         assert_claims_follow_active_chunks(&report);
     }
 }
@@ -119,7 +140,7 @@ fn msi_large_reports_are_chunk_size_invariant() {
 #[test]
 #[ignore = "release-profile workload; run with --ignored"]
 fn msi_xl_reports_are_chunk_size_invariant() {
-    for report in sweep(MsiConfig::msi_xl(), (3_176, 3_165, 8)) {
+    for report in sweep_msi(MsiConfig::msi_xl(), (3_176, 3_165, 8)) {
         assert_claims_follow_active_chunks(&report);
     }
 }

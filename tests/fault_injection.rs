@@ -322,14 +322,36 @@ fn a_crash_tearing_any_journal_append_is_recovered_on_resume() {
 /// The same crash contract for a sharded run: a torn append panics a slice
 /// worker, the panic propagates out of the run, and re-invoking the run
 /// resumes from its one journal to the uninterrupted result.
+///
+/// Every append is torn in turn with exchange and stealing off: each
+/// slice's appends then follow from its range and the round's merged
+/// patterns, so the count taken on the clean run is reached by every armed
+/// run. With exchange and stealing on, the count varies between runs, so
+/// that configuration tears only the first two appends, the header and the
+/// first generation start, which every run makes.
 #[test]
 fn a_crash_tearing_any_append_of_a_sharded_run_is_recovered_on_rerun() {
     let _guard = faults::exclusive();
+    let fixed = ShardOptions::default()
+        .shards(2)
+        .exchange(false)
+        .steal(false);
+    let appends = tear_sharded_appends(&fixed, None);
+    assert!(
+        appends > 3,
+        "expected several journal appends, got {appends}"
+    );
+    tear_sharded_appends(&ShardOptions::default().shards(2), Some(2));
+}
+
+/// Tears journal append `k` of a 2-shard Figure 2 run for every `k` below
+/// `limit` (default: the append count of a clean run), reruns, and checks
+/// the rerun against the clean run. Returns the clean run's append count.
+fn tear_sharded_appends(sharding: &ShardOptions, limit: Option<u64>) -> u64 {
     disarm_all();
     let path = scratch("torn-sharded");
     let model = verc3::mck::GraphModel::worked_example();
     let options = SynthOptions::default().chunk_size(2).journal(&path);
-    let sharding = ShardOptions::default().shards(2);
     let named = |r: &SynthReport| {
         let mut sols: Vec<String> = r
             .solutions()
@@ -339,23 +361,17 @@ fn a_crash_tearing_any_append_of_a_sharded_run_is_recovered_on_rerun() {
         sols.sort();
         (sols, r.holes().len())
     };
-    let baseline = run_sharded(&model, &options, &sharding).unwrap();
+    let baseline = run_sharded(&model, &options, sharding).unwrap();
     let appends = hit_count(site::JOURNAL_APPEND);
-    assert!(
-        appends > 3,
-        "expected several journal appends, got {appends}"
-    );
 
-    for k in 0..appends {
+    for k in 0..limit.unwrap_or(appends) {
         disarm_all();
         let _ = fs::remove_file(&path);
         arm(site::JOURNAL_APPEND, k);
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            run_sharded(&model, &options, &sharding)
-        }));
+        let crashed = catch_unwind(AssertUnwindSafe(|| run_sharded(&model, &options, sharding)));
         assert!(crashed.is_err(), "append {k}: armed writer must crash");
         disarm_all();
-        let resumed = run_sharded(&model, &options, &sharding)
+        let resumed = run_sharded(&model, &options, sharding)
             .unwrap_or_else(|e| panic!("rerun after torn append {k}: {e}"));
         assert_eq!(resumed.stats().stop, StopReason::Completed);
         assert_eq!(
@@ -366,6 +382,7 @@ fn a_crash_tearing_any_append_of_a_sharded_run_is_recovered_on_rerun() {
     }
     disarm_all();
     let _ = fs::remove_file(&path);
+    appends
 }
 
 proptest! {
