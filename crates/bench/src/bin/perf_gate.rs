@@ -29,10 +29,6 @@
 //!   must spend ≥ 5× fewer per-depth pattern probes than skip-counting).
 //!   Probe counts are deterministic, so this ratio is immune to runner
 //!   jitter entirely.
-//! * `BENCH_shard.json` — the isolated-vs-exchanging evaluation ratio of
-//!   four shards on msi_xl (with an absolute floor: cross-shard pattern
-//!   exchange must never cost evaluations). Evaluation counts, so runner
-//!   speed divides out here too.
 //! * `BENCH_zoo.json` — the hand-written/spec wall ratio of the msi_small
 //!   golden-candidate verification (1 / `interp_overhead`), with an
 //!   absolute floor: the spec front-end may cost at most 4× hand-written
@@ -236,20 +232,6 @@ fn session_wall_ms(rows: &[Row], workload: &str, check_threads: f64) -> f64 {
     )
 }
 
-/// Pinned `evaluated` of one `BENCH_shard.json` msi_xl row.
-fn shard_evaluated(rows: &[Row], shards: f64, exchange: &str) -> f64 {
-    pinned(
-        rows,
-        &[
-            ("workload", Value::Str("msi_xl".into())),
-            ("shards", Value::Num(shards)),
-            ("exchange", Value::Str(exchange.into())),
-        ],
-        "evaluated",
-        "shard_scaling",
-    )
-}
-
 /// Pinned `probes` of one `BENCH_guided.json` row.
 fn guided_probes(rows: &[Row], strategy: &str) -> f64 {
     pinned(
@@ -263,7 +245,7 @@ fn guided_probes(rows: &[Row], strategy: &str) -> f64 {
     )
 }
 
-const GATES: [Gate; 11] = [
+const GATES: [Gate; 10] = [
     Gate {
         file: "BENCH_journal.json",
         name: "journal_overhead: unjournaled/journaled wall ratio, msi_large",
@@ -389,20 +371,6 @@ const GATES: [Gate; 11] = [
         // Deterministic counts, not wall times: guided enumeration must
         // spend at least 5x fewer per-depth probes than skip-counting.
         floor: Some(5.0),
-        min_cores: 1,
-    },
-    Gate {
-        file: "BENCH_shard.json",
-        name: "shard_scaling: isolated/exchanging eval ratio, 4 shards, msi_xl",
-        extract: |rows| {
-            shard_evaluated(rows, 4.0, "off") / shard_evaluated(rows, 4.0, "on").max(1.0)
-        },
-        // Evaluation counts, not wall times: cross-shard pattern exchange
-        // must never cost evaluations — four exchanging shards evaluate at
-        // most as many candidates as four isolated shards (the bench
-        // asserts the strict reduction; the gate pins it never regresses
-        // to exchange-negative).
-        floor: Some(1.0),
         min_cores: 1,
     },
     Gate {

@@ -28,16 +28,22 @@ fn bad_flags_exit_2_with_the_usage_line() {
         (table1, &["--deadline-secs", "soon"]),
         (table1, &["--journal"]),
         (synthd, &["--workload", "fig2", "--guidd"]),
-        (synthd, &["--workload", "fig2", "--json", "x"]),
+        (synthd, &["--workload", "fig2", "--check", "x"]),
         (synthd, &["--workload", "fig9"]),
         (synthd, &["--workload"]),
-        (synthd, &["--shards", "0"]),
-        (synthd, &["--shards", "four"]),
+        (synthd, &["--threads", "0"]),
+        (synthd, &["--threads", "four"]),
         (synthd, &["--journal"]),
         (synthd, &["--journal-dir", "retired"]),
         // Retired: every run enumerates guided.
         (table1, &["--guided"]),
         (synthd, &["--workload", "fig2", "--guided"]),
+        // Retired with in-process sharding: `--threads` runs in parallel.
+        (synthd, &["--workload", "fig2", "--shards", "2"]),
+        (synthd, &["--workload", "fig2", "--no-exchange"]),
+        (synthd, &["--workload", "fig2", "--no-steal"]),
+        (synthd, &["--workload", "fig2", "--fs", "spool"]),
+        (synthd, &["--workload", "fig2", "--json"]),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -60,7 +66,7 @@ fn well_formed_flags_still_run() {
 
 #[test]
 fn synthd_runs_guided() {
-    let args = ["--workload", "fig2", "--shards", "2", "--check"];
+    let args = ["--workload", "fig2", "--threads", "2", "--check"];
     let out = run(env!("CARGO_BIN_EXE_synthd"), &args);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -72,34 +78,36 @@ fn synthd_runs_guided() {
     assert_eq!(stdout.lines().filter(|l| l.starts_with("#sol")).count(), 1);
 }
 
+/// A journal records coverage, not which worker covered it: one written at
+/// `--threads 4` resumes at `--threads 1`, and `--check`'s serial reference
+/// run leaves it alone.
 #[test]
-fn synthd_journal_pins_the_shard_count_and_survives_check() {
+fn synthd_journal_resumes_at_another_thread_count_and_survives_check() {
     let journal = std::env::temp_dir().join(format!("verc3-synthd-{}.vc3j", std::process::id()));
     let _ = std::fs::remove_file(&journal);
     let path = journal.to_str().expect("utf8 temp path");
-    let synthd = |shards: &str, extra: &[&str]| {
-        let mut args = vec!["--workload", "fig2", "--shards", shards, "--journal", path];
-        args.extend_from_slice(extra);
+    let synthd = |threads: &str| {
+        let args = [
+            "--workload",
+            "fig2",
+            "--threads",
+            threads,
+            "--journal",
+            path,
+            "--check",
+        ];
         run(env!("CARGO_BIN_EXE_synthd"), &args)
     };
-    // `--check`'s single-process reference run must leave the journal alone.
-    let first = synthd("2", &["--check"]);
-    assert!(
-        first.status.success(),
-        "{}",
-        String::from_utf8_lossy(&first.stderr)
-    );
-    let resumed = synthd("2", &[]);
-    assert!(resumed.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&resumed.stdout)
-            .lines()
-            .filter(|l| l.starts_with("#sol"))
-            .count(),
-        1
-    );
-    let other = synthd("1", &[]);
-    assert_eq!(other.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&other.stderr).contains("partition"));
+    for threads in ["4", "1"] {
+        let out = synthd(threads);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "--threads {threads}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("#check ok"), "{stdout}");
+        assert_eq!(stdout.lines().filter(|l| l.starts_with("#sol")).count(), 1);
+    }
     let _ = std::fs::remove_file(&journal);
 }

@@ -1,7 +1,7 @@
 //! Kill-and-resume smoke tests over the real `table1` and `synthd`
 //! binaries: SIGKILL a journaled msi_xl run mid-run, resume it, and diff the
 //! resumed result against an uninterrupted golden run — table1's
-//! machine-readable pruned row, and the sharded run's `#sol` block.
+//! machine-readable pruned row, and a 4-thread run's `#sol` block.
 //!
 //! These are the end-to-end complement of the in-process crash tests
 //! (`tests/journal_kill_resume.rs` at the workspace root): a *process*
@@ -122,11 +122,11 @@ fn a_sigkilled_xl_run_resumes_to_the_golden_row() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// `synthd --workload msi_xl --shards 4 --journal FILE`, run to completion:
+/// `synthd --workload msi_xl --threads 4 --journal FILE`, run to completion:
 /// its `#run` line and its sorted `#sol` block.
 fn synthd_to_completion(journal: &Path) -> (String, Vec<String>) {
     let out = Command::new(env!("CARGO_BIN_EXE_synthd"))
-        .args(["--workload", "msi_xl", "--shards", "4", "--journal"])
+        .args(["--workload", "msi_xl", "--threads", "4", "--journal"])
         .arg(journal)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
@@ -153,13 +153,13 @@ fn synthd_to_completion(journal: &Path) -> (String, Vec<String>) {
 
 #[test]
 #[ignore = "release-scale (~60 s): run explicitly, the CI fault-matrix job does"]
-fn a_sigkilled_sharded_xl_run_resumes_to_the_golden_solutions() {
+fn a_sigkilled_parallel_xl_run_resumes_to_the_golden_solutions() {
     let scratch =
-        std::env::temp_dir().join(format!("verc3-kill-resume-shards-{}", std::process::id()));
+        std::env::temp_dir().join(format!("verc3-kill-resume-threads-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("scratch dir");
 
-    // Golden: one uninterrupted journaled 4-shard run.
+    // Golden: one uninterrupted journaled 4-thread run.
     let golden_journal = scratch.join("golden.vc3j");
     let (golden_run, golden) = synthd_to_completion(&golden_journal);
     assert!(golden_run.contains("stop=completed"), "{golden_run}");
@@ -171,7 +171,7 @@ fn a_sigkilled_sharded_xl_run_resumes_to_the_golden_solutions() {
     // Victim: the same invocation, SIGKILLed halfway through its journal.
     let victim_journal = scratch.join("victim.vc3j");
     let victim = Command::new(env!("CARGO_BIN_EXE_synthd"))
-        .args(["--workload", "msi_xl", "--shards", "4", "--journal"])
+        .args(["--workload", "msi_xl", "--threads", "4", "--journal"])
         .arg(&victim_journal)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .stdout(Stdio::null())
@@ -180,7 +180,7 @@ fn a_sigkilled_sharded_xl_run_resumes_to_the_golden_solutions() {
         .expect("spawn victim synthd");
     kill_when_grown(victim, &victim_journal, full_len / 2);
 
-    // Re-invoking the run resumes its journal and merges to the same
+    // Re-invoking the run resumes its journal and reaches the same
     // solutions.
     let (resumed_run, resumed) = synthd_to_completion(&victim_journal);
     assert!(resumed_run.contains("stop=completed"), "{resumed_run}");

@@ -4,12 +4,13 @@
 //! A journal is an append-only file of CRC-framed binary records tracking a
 //! synthesis run's durable progress: which odometer chunks each generation
 //! has completed, the holes, pruning patterns, and solutions those chunks
-//! produced, and why the run stopped. A run writes one journal at any shard
-//! count. A run killed at any instant — power loss, SIGKILL, a torn final
-//! write — leaves a journal whose longest valid prefix reconstructs the
-//! exact remaining candidate frontier: re-invoking the run
-//! ([`crate::Synthesizer::resume_from_journal`], [`crate::run_sharded`])
-//! replays it and continues as if the original process had never died.
+//! produced, and why the run stopped. A run killed at any instant — power
+//! loss, SIGKILL, a torn final write — leaves a journal whose longest valid
+//! prefix reconstructs the exact remaining candidate frontier: re-invoking
+//! the run ([`crate::Synthesizer::resume_from_journal`]) replays it and
+//! continues as if the original process had never died. The journal
+//! records which chunks are covered, not which worker covered them, so a
+//! run may resume at any thread count.
 //!
 //! ## Frame format
 //!
@@ -21,11 +22,8 @@
 //!
 //! ## One codec
 //!
-//! Every byte format of this crate is written and read here: journal
-//! records, and the cross-shard exchange's [`crate::PatternBatch`] (a
-//! `.vc3b` spool file is one frame holding magic `VC3B`, the publishing
-//! shard, its sequence number and a pattern list). Both go through the same
-//! frame writer and parser and the same pattern-list codec. Every
+//! Every byte format of this crate is written and read here, through one
+//! frame writer and parser and one pattern-list codec. Every
 //! length-prefixed list decodes through one helper that reserves at most
 //! 4096 entries up front, so a forged length in a CRC-valid record fails
 //! to decode — [`MckError::JournalCorrupt`] — instead of allocating what
@@ -42,36 +40,36 @@
 //!   are deliberately *not* fingerprinted: a capped run may be resumed with
 //!   a higher cap and more threads.
 //! * **GenStart** — a generation (enumeration pass at frontier width `k`)
-//!   began, split into slices with these chunk-index ranges (one slice per
-//!   shard). The ranges pin the partition: resuming under a different shard
-//!   count fails with [`MckError::JournalCorrupt`], like a different chunk
-//!   size.
-//! * **Chunk** — a contiguous range of odometer chunks one slice completed,
-//!   with its aggregated counters and everything it learned (holes the
-//!   slice first saw, patterns published, solutions found, candidates
-//!   quarantined). Chunks are journaled *atomically on completion*: a chunk
-//!   that was in flight at the kill leaves no trace and is simply re-run on
-//!   resume, which is what makes serial resume bit-identical — the re-run
-//!   sees exactly the pattern-table state the original attempt saw.
+//!   began over the chunk range `[0, chunks)`. The record keeps format 4's
+//!   list of ranges, which always holds this one range.
+//! * **Chunk** — a contiguous range of odometer chunks the generation
+//!   completed, with its aggregated counters and everything it learned
+//!   (holes first seen, patterns published, solutions found, candidates
+//!   quarantined). Its slice index, a format 4 field, is always 0. Chunks
+//!   are journaled *atomically on completion*: a chunk that was in flight
+//!   at the kill leaves no trace and is simply re-run on resume, which is
+//!   what makes serial resume bit-identical — the re-run sees exactly the
+//!   pattern-table state the original attempt saw.
 //! * **Stop** — the run ended, and why (see [`StopReason`]).
 //!
-//! The reader gives each (generation, slice) pair its own replay
-//! segment; a resumed run sends every segment through the same slice
-//! runner and the same merge as a live slice. Hole ids in a segment are the
-//! slice's own: the generation's frontier `0..k`, then the holes the slice
-//! first saw, in the order its records list them.
+//! The reader gives each generation one replay; a resumed run sends it
+//! through the same generation runner and the same merge as a live
+//! generation. Hole ids in a replay are the generation's: the frontier
+//! `0..k`, then the holes its workers first saw, in the order its records
+//! list them. A journal written by a sharded run of an older build — a
+//! generation of several ranges, or a chunk of a nonzero slice — is
+//! refused as corrupt.
 //!
 //! Fully-pruned (“inactive”) chunks dominate large spaces; journaling each
 //! individually would dwarf the real state. The writer therefore coalesces
-//! them: pending inactive ranges merge with their same-slice neighbours and
-//! are folded into the next adjacent active chunk's record (or flushed in
-//! bulk at generation boundaries), so a serial msi-scale run journals a few
-//! records per *evaluated* chunk, not per claimed chunk.
+//! them: pending inactive ranges merge with their neighbours and are folded
+//! into the next adjacent active chunk's record (or flushed in bulk at
+//! generation boundaries), so a serial msi-scale run journals a few records
+//! per *evaluated* chunk, not per claimed chunk.
 
 use crate::hole::{HoleInfo, HoleRegistry};
 use crate::pattern::{PatternMode, SparsePattern};
 use crate::report::{Quarantined, Solution, StopReason};
-use crate::shard::PatternBatch;
 use crate::synth::Enumeration;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -83,7 +81,6 @@ use verc3_mck::MckError;
 
 const MAGIC: [u8; 4] = *b"VC3J";
 const VERSION: u32 = 4;
-const BATCH_MAGIC: [u8; 4] = *b"VC3B";
 
 const TAG_HEADER: u8 = 1;
 const TAG_GEN_START: u8 = 2;
@@ -210,8 +207,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Frames `payload` as `[len][crc32][payload]`: one journal record, or one
-/// pattern batch.
+/// Frames `payload` as `[len][crc32][payload]`: one journal record.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -261,52 +257,13 @@ fn decode_patterns(d: &mut Dec<'_>) -> Option<Vec<PatternEntry>> {
     })
 }
 
-/// Serializes a pattern batch as one frame (see [`PatternBatch::to_bytes`]).
-pub(crate) fn encode_batch(batch: &PatternBatch) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.0.extend_from_slice(&BATCH_MAGIC);
-    e.u32(batch.shard);
-    e.u64(batch.seq);
-    encode_patterns(&mut e, &batch.patterns);
-    frame(&e.0)
-}
-
-/// Deserializes one frame written by [`encode_batch`], which must span
-/// `bytes` exactly (see [`PatternBatch::from_bytes`]).
-pub(crate) fn decode_batch(bytes: &[u8]) -> Result<PatternBatch, MckError> {
-    let corrupt = |what: &str| MckError::JournalCorrupt {
-        reason: format!("undecodable pattern batch {what}"),
-    };
-    let payload = match next_frame(bytes, 0) {
-        Some((payload, end)) if end == bytes.len() => payload,
-        _ => return Err(corrupt("frame")),
-    };
-    let mut d = Dec::new(payload);
-    if d.bytes(4) != Some(&BATCH_MAGIC) {
-        return Err(corrupt("magic"));
-    }
-    let (Some(shard), Some(seq)) = (d.u32(), d.u64()) else {
-        return Err(corrupt("header"));
-    };
-    let patterns = decode_patterns(&mut d).ok_or_else(|| corrupt("entry"))?;
-    if !d.done() {
-        return Err(corrupt("(trailing bytes)"));
-    }
-    Ok(PatternBatch {
-        shard,
-        seq,
-        patterns,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Record types.
 
 /// The option subset a journal is only valid under (coverage is expressed in
 /// chunk indices; patterns depend on the mode; probe accounting depends on
 /// the enumeration strategy). Everything else — threads, caps, budgets — may
-/// change across a resume. The shard count is pinned per generation instead,
-/// by the slice ranges of each GenStart record.
+/// change across a resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fingerprint {
     pub pruning: bool,
@@ -359,13 +316,11 @@ impl Fingerprint {
     }
 }
 
-/// A pruning pattern as journaled, as carried on the shared pattern log
-/// (the hub's append-only log workers sync from — see [`crate::synth`]),
-/// and as exchanged between shards in a [`PatternBatch`]. Hole ids are
-/// positions in the generation's frontier (the coordinator's merged
-/// registry), which every slice of the round agrees on by construction.
+/// A pruning pattern as journaled and as carried on a generation's pattern
+/// hub (the append-only log workers sync from — see [`crate::synth`]).
+/// Hole ids are positions in the generation's frontier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PatternEntry {
+pub(crate) enum PatternEntry {
     /// Dense prefix pattern over frontier digits `0..len` (paper-exact
     /// pruning mode).
     Prefix(Vec<u16>),
@@ -396,12 +351,10 @@ fn decode_stop(code: u8) -> Option<StopReason> {
 
 /// Everything one completed odometer chunk produced — the worker's scratch
 /// record, journaled atomically when the chunk finishes. `first`/`count` are
-/// in *chunk-index* space (candidate range = `first * chunk_size ..`);
-/// `slice` is the generation slice whose workers ran it.
+/// in *chunk-index* space (candidate range = `first * chunk_size ..`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChunkDraft {
     pub k: u64,
-    pub slice: u32,
     pub first: u64,
     pub count: u64,
     pub evaluated: u64,
@@ -422,10 +375,9 @@ pub(crate) struct ChunkDraft {
 }
 
 impl ChunkDraft {
-    pub(crate) fn new(k: u64, slice: u32, first: u64) -> Self {
+    pub(crate) fn new(k: u64, first: u64) -> Self {
         ChunkDraft {
             k,
-            slice,
             first,
             count: 1,
             ..Default::default()
@@ -434,10 +386,9 @@ impl ChunkDraft {
 
     /// `count` chunks from `first` that learned patterns refute whole:
     /// `skipped` candidates, nothing evaluated.
-    pub(crate) fn refuted(k: u64, slice: u32, first: u64, count: u64, skipped: u64) -> Self {
+    pub(crate) fn refuted(k: u64, first: u64, count: u64, skipped: u64) -> Self {
         ChunkDraft {
             k,
-            slice,
             first,
             count,
             skipped,
@@ -456,9 +407,9 @@ impl ChunkDraft {
             && self.quarantined.is_empty()
     }
 
-    /// Whether `next` directly extends this range within the same slice.
+    /// Whether `next` directly extends this range.
     pub(crate) fn precedes(&self, next: &ChunkDraft) -> bool {
-        self.slice == next.slice && self.first + self.count == next.first
+        self.first + self.count == next.first
     }
 
     /// Absorbs an adjacent inactive range's skip and probe counts.
@@ -474,7 +425,7 @@ impl ChunkDraft {
         let mut e = Enc::default();
         e.u8(TAG_CHUNK);
         e.u64(self.k);
-        e.u32(self.slice);
+        e.u32(0); // the slice index of format 4
         e.u64(self.first);
         e.u64(self.count);
         e.u64(self.evaluated);
@@ -503,10 +454,12 @@ impl ChunkDraft {
         e.0
     }
 
-    fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        Some(ChunkDraft {
-            k: d.u64()?,
-            slice: d.u32()?,
+    /// Decodes a chunk record's payload past its tag, with the slice index
+    /// it lists.
+    fn decode(d: &mut Dec<'_>) -> Option<(Self, u32)> {
+        let (k, slice) = (d.u64()?, d.u32()?);
+        let draft = ChunkDraft {
+            k,
             first: d.u64()?,
             count: d.u64()?,
             evaluated: d.u64()?,
@@ -535,7 +488,8 @@ impl ChunkDraft {
                     message: d.str()?,
                 })
             })?,
-        })
+        };
+        Some((draft, slice))
     }
 }
 
@@ -547,15 +501,15 @@ struct WriterInner {
     fsync_every: u64,
     appends_since_sync: u64,
     /// Coalesced inactive coverage of the current generation: drafts with
-    /// nothing but skip and probe counts, disjoint within each slice and
-    /// sorted by `first`. Lost to a kill, these cheap fully-pruned chunks
-    /// are simply re-scanned on resume.
+    /// nothing but skip and probe counts, disjoint and sorted by `first`.
+    /// Lost to a kill, these cheap fully-pruned chunks are simply
+    /// re-scanned on resume.
     pending: Vec<ChunkDraft>,
 }
 
 /// Thread-shared append side of the journal. All methods take `&self`; the
 /// file and coalescing state live behind one mutex, so records are framed
-/// atomically even under many synthesis workers and slices.
+/// atomically even under many synthesis workers.
 pub(crate) struct JournalWriter {
     inner: Mutex<WriterInner>,
 }
@@ -612,22 +566,18 @@ impl JournalWriter {
         }
     }
 
-    /// Journals the start of a generation and its slices' chunk ranges
-    /// (always durable: a generation boundary is where resume decides the
-    /// frontier width sequence and checks the partition).
-    pub(crate) fn gen_start(
-        &self,
-        k: usize,
-        prev_k: usize,
-        ranges: &[(u64, u64)],
-    ) -> std::io::Result<()> {
+    /// Journals the start of a generation over `chunks` chunks (always
+    /// durable: a generation boundary is where resume decides the frontier
+    /// width sequence).
+    pub(crate) fn gen_start(&self, k: usize, prev_k: usize, chunks: u64) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         flush_pending(&mut inner)?;
         let mut e = Enc::default();
         e.u8(TAG_GEN_START);
         e.u64(k as u64);
         e.u64(prev_k as u64);
-        e.list(ranges, |e, &(start, end)| {
+        // Format 4's list of chunk ranges, which holds this one range.
+        e.list(&[(0, chunks)], |e, &(start, end)| {
             e.u64(start);
             e.u64(end);
         });
@@ -635,12 +585,12 @@ impl JournalWriter {
         sync_now(&mut inner)
     }
 
-    /// Journals one completed chunk of the slice whose hole registry is
-    /// `registry`. Inactive chunks are buffered and coalesced; active
-    /// chunks absorb any adjacent pending run of their slice and flush
-    /// immediately, capturing the slice's holes from `journaled` (the
-    /// count of its holes already journaled, advanced here under the
-    /// writer lock so holes are recorded once, in id order).
+    /// Journals one completed chunk of the generation whose hole registry
+    /// is `registry`. Inactive chunks are buffered and coalesced; active
+    /// chunks absorb any adjacent pending run and flush immediately,
+    /// capturing the registry's holes from `journaled` (the count of its
+    /// holes already journaled, advanced here under the writer lock so
+    /// holes are recorded once, in id order).
     pub(crate) fn chunk(
         &self,
         registry: &HoleRegistry,
@@ -701,7 +651,7 @@ fn sync_now(inner: &mut WriterInner) -> std::io::Result<()> {
 }
 
 /// Merges an inactive chunk into the pending ranges (coalescing with both
-/// same-slice neighbours), keeping them sorted by `first`.
+/// neighbours), keeping them sorted by `first`.
 fn merge_pending(pending: &mut Vec<ChunkDraft>, draft: ChunkDraft) {
     let pos = pending.partition_point(|p| p.first < draft.first);
     let joins_pred = pos > 0 && pending[pos - 1].precedes(&draft);
@@ -741,10 +691,14 @@ fn write_frame(file: &mut File, payload: &[u8]) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 // Reader.
 
-/// Replayed progress of one slice of one generation: what a live slice
-/// would have handed the merge, had it stopped where the journal does.
+/// Replayed progress of one generation: what a live generation would have
+/// handed the merge, had it stopped where the journal does.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Segment {
+pub(crate) struct GenReplay {
+    pub k: usize,
+    pub prev_k: usize,
+    /// The generation's chunk count.
+    pub chunks: u64,
     /// Completed chunk coverage: disjoint `(first, count)` chunk-index
     /// ranges, sorted and merged.
     pub covered: Vec<(u64, u64)>,
@@ -754,22 +708,11 @@ pub(crate) struct Segment {
     pub probes: u64,
     pub expanded: u64,
     pub reused: u64,
-    /// Holes the slice first saw, in slice-local id order (from `k` up).
+    /// Holes the generation first saw, in id order (from `k` up).
     pub holes: Vec<HoleInfo>,
     pub patterns: Vec<PatternEntry>,
     pub solutions: Vec<Solution>,
     pub quarantined: Vec<Quarantined>,
-}
-
-/// Replayed progress of one generation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GenReplay {
-    pub k: usize,
-    pub prev_k: usize,
-    /// The slices' pinned chunk-index ranges `[start, end)`.
-    pub ranges: Vec<(u64, u64)>,
-    /// One replay segment per slice, in slice order.
-    pub slices: Vec<Segment>,
 }
 
 /// The state a valid journal prefix reconstructs.
@@ -791,7 +734,8 @@ pub(crate) struct JournalReplay {
 /// file is missing, empty, or its very first frame is torn (a crash during
 /// creation) — in which case the caller starts fresh. A journal whose header
 /// decodes but is not ours (wrong magic or unsupported version) is an error,
-/// as is a CRC-valid record that fails to decode.
+/// as is a CRC-valid record that fails to decode or that a sharded run of
+/// an older build wrote.
 pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
     let data = match std::fs::read(path) {
         Ok(data) => data,
@@ -836,14 +780,34 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
         let mut d = Dec::new(payload);
         match d.u8() {
             Some(TAG_GEN_START) => {
-                let gen = decode_gen_start(&mut d)
-                    .ok_or_else(|| corrupt("undecodable generation record".into()))?;
-                replay.gens.push(gen);
+                let (k, prev_k) = (d.u64(), d.u64());
+                let ranges = d.list(|d| Some((d.u64()?, d.u64()?)));
+                let (Some(k), Some(prev_k), Some(ranges)) = (k, prev_k, ranges) else {
+                    return Err(corrupt("undecodable generation record".into()));
+                };
+                let &[(0, chunks)] = &ranges[..] else {
+                    return Err(corrupt(format!(
+                        "generation record lists the chunk ranges {ranges:?}, not one \
+                         range from chunk 0: a sharded run of an older build wrote it"
+                    )));
+                };
+                replay.gens.push(GenReplay {
+                    k: k as usize,
+                    prev_k: prev_k as usize,
+                    chunks,
+                    ..GenReplay::default()
+                });
             }
             Some(TAG_CHUNK) => {
-                let Some(chunk) = ChunkDraft::decode(&mut d) else {
+                let Some((chunk, slice)) = ChunkDraft::decode(&mut d) else {
                     return Err(corrupt("undecodable chunk record".into()));
                 };
+                if slice != 0 {
+                    return Err(corrupt(format!(
+                        "chunk record names slice {slice}: a sharded run of an older \
+                         build wrote it"
+                    )));
+                }
                 // Chunks normally belong to the latest generation; after a
                 // resume-of-a-resume they may trail a Stop record, so match
                 // by frontier width from the back.
@@ -852,11 +816,10 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
                     .iter_mut()
                     .rev()
                     .find(|g| g.k == chunk.k as usize)
-                    .and_then(|g| g.slices.get_mut(chunk.slice as usize))
                 else {
                     return Err(corrupt(format!(
-                        "chunk record for unknown generation slice k={} slice={}",
-                        chunk.k, chunk.slice
+                        "chunk record for unknown generation k={}",
+                        chunk.k
                     )));
                 };
                 seg.evaluated += chunk.evaluated;
@@ -883,17 +846,6 @@ pub(crate) fn read(path: &Path) -> Result<Option<JournalReplay>, MckError> {
         replay.valid_len = pos as u64;
     }
     Ok(Some(replay))
-}
-
-fn decode_gen_start(d: &mut Dec<'_>) -> Option<GenReplay> {
-    let (k, prev_k) = (d.u64()?, d.u64()?);
-    let ranges = d.list(|d| Some((d.u64()?, d.u64()?)))?;
-    Some(GenReplay {
-        k: k as usize,
-        prev_k: prev_k as usize,
-        slices: vec![Segment::default(); ranges.len()],
-        ranges,
-    })
 }
 
 /// Inserts a `(first, count)` chunk range, keeping the list sorted, disjoint,
@@ -957,6 +909,8 @@ pub fn record_boundaries(path: &Path) -> std::io::Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SynthOptions, Synthesizer};
+    use verc3_mck::{GraphModel, HoleSpec};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -976,39 +930,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slice_ranges_are_pinned_and_chunks_replay_into_their_slice() {
-        let path = tmp("slices");
-        let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(2, 1, &[(0, 3), (3, 17)]).unwrap();
-        // Each slice journals the holes it first saw under its own ids.
-        let (a, b) = (HoleRegistry::new(), HoleRegistry::new());
-        for reg in [&a, &b] {
-            reg.resolve_or_register(&verc3_mck::HoleSpec::new("f0", ["x"]));
-            reg.resolve_or_register(&verc3_mck::HoleSpec::new("f1", ["x"]));
-        }
-        a.resolve_or_register(&verc3_mck::HoleSpec::new("a", ["x"]));
-        b.resolve_or_register(&verc3_mck::HoleSpec::new("b", ["x"]));
-        let (ja, jb) = (AtomicUsize::new(2), AtomicUsize::new(2));
-        let mut draft = ChunkDraft::new(2, 1, 5);
-        draft.evaluated = 2;
-        w.chunk(&b, &jb, draft).unwrap();
-        let mut draft = ChunkDraft::new(2, 0, 1);
-        draft.evaluated = 1;
-        w.chunk(&a, &ja, draft).unwrap();
-        drop(w);
+    /// Appends `payload` to the journal at `path` as one CRC-valid frame.
+    fn append(path: &Path, payload: &[u8]) {
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(&frame(payload)).unwrap();
+    }
 
-        let r = read(&path).unwrap().unwrap();
-        assert_eq!(r.gens.len(), 1);
-        assert_eq!((r.gens[0].k, r.gens[0].prev_k), (2, 1));
-        assert_eq!(r.gens[0].ranges, vec![(0, 3), (3, 17)]);
-        let names = |s: &Segment| s.holes.iter().map(|h| h.name.clone()).collect::<Vec<_>>();
-        assert_eq!(names(&r.gens[0].slices[0]), ["a"]);
-        assert_eq!(names(&r.gens[0].slices[1]), ["b"]);
-        assert_eq!(r.gens[0].slices[0].covered, vec![(1, 1)]);
-        assert_eq!(r.gens[0].slices[1].covered, vec![(5, 1)]);
-        assert_eq!(r.gens[0].slices[1].evaluated, 2);
-        std::fs::remove_file(&path).unwrap();
+    fn assert_corrupt(err: &MckError, cause: &str) {
+        assert!(
+            matches!(err, MckError::JournalCorrupt { reason } if reason.contains(cause)),
+            "expected a corrupt journal naming `{cause}`, got: {err}"
+        );
     }
 
     #[test]
@@ -1017,14 +949,80 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// Format 4 keeps its slice fields: a generation record lists the one
+    /// range `[0, chunks)`, and a chunk record names slice 0.
+    #[test]
+    fn records_keep_the_format_4_slice_fields() {
+        let path = tmp("format4");
+        let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
+        w.gen_start(2, 1, 17).unwrap();
+        let mut draft = ChunkDraft::new(2, 5);
+        draft.evaluated = 1;
+        w.chunk(&HoleRegistry::new(), &AtomicUsize::new(0), draft)
+            .unwrap();
+        drop(w);
+        let data = std::fs::read(&path).unwrap();
+        let (_, header_end) = next_frame(&data, 0).unwrap();
+        let (gen, gen_end) = next_frame(&data, header_end).unwrap();
+        let mut e = Enc::default();
+        e.u8(TAG_GEN_START);
+        for v in [2, 1] {
+            e.u64(v);
+        }
+        e.u32(1);
+        for v in [0, 17] {
+            e.u64(v);
+        }
+        assert_eq!(gen, &e.0[..]);
+        let (chunk, _) = next_frame(&data, gen_end).unwrap();
+        assert_eq!(chunk[0], TAG_CHUNK);
+        assert_eq!(chunk[9..13], [0, 0, 0, 0], "slice index");
+        let r = read(&path).unwrap().unwrap();
+        assert_eq!(
+            (r.gens[0].k, r.gens[0].prev_k, r.gens[0].chunks),
+            (2, 1, 17)
+        );
+        assert_eq!(r.gens[0].covered, vec![(5, 1)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A journal a sharded run of an older build wrote is refused, naming
+    /// the cause: a generation split into two chunk ranges, or a chunk
+    /// record of slice 1.
+    #[test]
+    fn journals_of_sharded_runs_are_refused() {
+        let path = tmp("sharded");
+        drop(JournalWriter::create(&path, "m", &fp(), 1).unwrap());
+        let mut e = Enc::default();
+        e.u8(TAG_GEN_START);
+        e.u64(2);
+        e.u64(1);
+        e.list(&[(0u64, 3u64), (3, 17)], |e, &(start, end)| {
+            e.u64(start);
+            e.u64(end);
+        });
+        append(&path, &e.0);
+        assert_corrupt(&read(&path).unwrap_err(), "sharded run");
+
+        let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
+        w.gen_start(0, 0, 1).unwrap();
+        drop(w);
+        let mut chunk = ChunkDraft::new(0, 0).encode();
+        // Tag and k, then the slice index.
+        chunk[9..13].copy_from_slice(&1u32.to_le_bytes());
+        append(&path, &chunk);
+        assert_corrupt(&read(&path).unwrap_err(), "slice 1");
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn round_trips_records_through_the_file() {
         let path = tmp("roundtrip");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0, &[(0, 1)]).unwrap();
+        w.gen_start(0, 0, 1).unwrap();
         let reg = HoleRegistry::new();
-        reg.resolve_or_register(&verc3_mck::HoleSpec::new("h", ["a", "b"]));
-        let mut draft = ChunkDraft::new(0, 0, 0);
+        reg.resolve_or_register(&HoleSpec::new("h", ["a", "b"]));
+        let mut draft = ChunkDraft::new(0, 0);
         draft.evaluated = 3;
         draft.skipped = 5;
         draft.patterns.push(PatternEntry::Prefix(vec![1, 2]));
@@ -1046,15 +1044,15 @@ mod tests {
         assert_eq!(r.model, "m");
         assert_eq!(r.fingerprint, fp());
         assert_eq!(r.gens.len(), 1);
-        let seg = &r.gens[0].slices[0];
-        assert_eq!(seg.covered, vec![(0, 1)]);
-        assert_eq!(seg.evaluated, 3);
-        assert_eq!(seg.skipped, 5);
-        assert_eq!(seg.holes.len(), 1);
-        assert_eq!(seg.holes[0].name, "h");
-        assert_eq!(seg.patterns.len(), 2);
-        assert_eq!(seg.solutions.len(), 1);
-        assert_eq!(seg.quarantined.len(), 1);
+        let gen = &r.gens[0];
+        assert_eq!(gen.covered, vec![(0, 1)]);
+        assert_eq!(gen.evaluated, 3);
+        assert_eq!(gen.skipped, 5);
+        assert_eq!(gen.holes.len(), 1);
+        assert_eq!(gen.holes[0].name, "h");
+        assert_eq!(gen.patterns.len(), 2);
+        assert_eq!(gen.solutions.len(), 1);
+        assert_eq!(gen.quarantined.len(), 1);
         assert_eq!(r.stop, StopReason::Interrupted);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1063,7 +1061,7 @@ mod tests {
     fn torn_tail_is_discarded_not_an_error() {
         let path = tmp("torn");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0, &[(0, 1)]).unwrap();
+        w.gen_start(0, 0, 1).unwrap();
         drop(w);
         let full = read(&path).unwrap().unwrap();
         assert_eq!(full.gens.len(), 1);
@@ -1101,20 +1099,20 @@ mod tests {
     fn inactive_chunks_coalesce_into_range_records() {
         let path = tmp("coalesce");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0, &[(0, 16)]).unwrap();
+        w.gen_start(0, 0, 16).unwrap();
         let reg = HoleRegistry::new();
         let journaled = AtomicUsize::new(0);
         // Inactive 0,1,2 then an active 3: one record covering 0..=3.
         for i in 0..3 {
-            let mut d = ChunkDraft::new(0, 0, i);
+            let mut d = ChunkDraft::new(0, i);
             d.skipped = 10;
             w.chunk(&reg, &journaled, d).unwrap();
         }
-        let mut active = ChunkDraft::new(0, 0, 3);
+        let mut active = ChunkDraft::new(0, 3);
         active.evaluated = 1;
         w.chunk(&reg, &journaled, active).unwrap();
         // A detached inactive chunk flushed at stop.
-        let mut d = ChunkDraft::new(0, 0, 7);
+        let mut d = ChunkDraft::new(0, 7);
         d.skipped = 4;
         w.chunk(&reg, &journaled, d).unwrap();
         w.stop(StopReason::Interrupted).unwrap();
@@ -1124,38 +1122,10 @@ mod tests {
         // header, gen_start, merged chunk, flushed pending, stop.
         assert_eq!(boundaries.len(), 5);
         let r = read(&path).unwrap().unwrap();
-        let seg = &r.gens[0].slices[0];
-        assert_eq!(seg.covered, vec![(0, 4), (7, 1)]);
-        assert_eq!(seg.skipped, 34);
-        assert_eq!(seg.evaluated, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn inactive_runs_of_different_slices_never_coalesce() {
-        let path = tmp("coalesce-slices");
-        let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0, &[(0, 2), (2, 4)]).unwrap();
-        let reg = HoleRegistry::new();
-        let journaled = AtomicUsize::new(0);
-        for (slice, first) in [(0, 0), (0, 1), (1, 2), (1, 3)] {
-            let mut d = ChunkDraft::new(0, slice, first);
-            d.skipped = 1 + slice as u64;
-            w.chunk(&reg, &journaled, d).unwrap();
-        }
-        w.stop(StopReason::Completed).unwrap();
-        drop(w);
-
-        let r = read(&path).unwrap().unwrap();
-        let segs = &r.gens[0].slices;
-        assert_eq!(
-            (segs[0].covered.clone(), segs[0].skipped),
-            (vec![(0, 2)], 2)
-        );
-        assert_eq!(
-            (segs[1].covered.clone(), segs[1].skipped),
-            (vec![(2, 2)], 4)
-        );
+        let gen = &r.gens[0];
+        assert_eq!(gen.covered, vec![(0, 4), (7, 1)]);
+        assert_eq!(gen.skipped, 34);
+        assert_eq!(gen.evaluated, 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1163,7 +1133,7 @@ mod tests {
     fn resume_truncates_to_the_valid_prefix() {
         let path = tmp("resume");
         let w = JournalWriter::create(&path, "m", &fp(), 1).unwrap();
-        w.gen_start(0, 0, &[(0, 1)]).unwrap();
+        w.gen_start(0, 0, 1).unwrap();
         drop(w);
         let r = read(&path).unwrap().unwrap();
         // Simulate a torn tail, then resume: the tail must be cut.
@@ -1186,9 +1156,9 @@ mod tests {
     #[test]
     fn a_forged_length_prefix_is_corrupt_not_an_allocation() {
         let path = tmp("forged");
-        let model = verc3_mck::GraphModel::worked_example();
+        let model = GraphModel::worked_example();
         let w = JournalWriter::create(&path, model.name(), &fp(), 1).unwrap();
-        w.gen_start(0, 0, &[(0, 1)]).unwrap();
+        w.gen_start(0, 0, 1).unwrap();
         drop(w);
         // Tag, k and slice; then first, count, evaluated, skipped, deduped,
         // probes, expanded and reused.
@@ -1205,39 +1175,107 @@ mod tests {
         e.u32(u32::MAX); // the forged assignment length, then one pair
         e.u64(0);
         e.u16(1);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&frame(&e.0)).unwrap();
-        drop(f);
+        append(&path, &e.0);
 
-        let err = crate::Synthesizer::new(crate::SynthOptions::default().journal(&path))
+        let err = Synthesizer::new(SynthOptions::default().journal(&path))
             .resume_from_journal(&model)
             .unwrap_err();
-        assert!(
-            matches!(err, MckError::JournalCorrupt { ref reason } if reason.contains("chunk")),
-            "{err}"
-        );
+        assert_corrupt(&err, "chunk");
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The same forgery in a pattern batch: a list of 2^32 − 1 patterns,
-    /// and one prefix pattern of 2^32 − 1 digits.
-    #[test]
-    fn a_forged_batch_length_is_corrupt_not_an_allocation() {
-        for (patterns, digits) in [(u32::MAX, 1), (1, u32::MAX)] {
-            let mut e = Enc::default();
-            e.0.extend_from_slice(&BATCH_MAGIC);
-            e.u32(0); // shard
-            e.u64(0); // seq
-            e.u32(patterns);
-            e.u8(0);
-            e.u32(digits);
-            e.u16(1);
-            let err = PatternBatch::from_bytes(&frame(&e.0)).unwrap_err();
-            assert!(
-                matches!(err, MckError::JournalCorrupt { ref reason } if reason.contains("entry")),
-                "{err}"
-            );
+    /// Resumes the default Figure 2 run from a journal whose first
+    /// generation (frontier width 0) holds one CRC-valid chunk record,
+    /// `draft`, listing `holes` as first seen: the error resuming returns.
+    fn resume_figure_2_over(name: &str, holes: &[(&str, &[&str])], draft: ChunkDraft) -> MckError {
+        let path = tmp(name);
+        let model = GraphModel::worked_example();
+        let w = JournalWriter::create(&path, model.name(), &fp(), 1).unwrap();
+        w.gen_start(0, 0, 1).unwrap();
+        drop(w);
+        let holes = holes.iter().map(|&(name, actions)| HoleInfo {
+            name: name.into(),
+            actions: actions.iter().map(|&a| a.into()).collect(),
+        });
+        append(
+            &path,
+            &ChunkDraft {
+                holes: holes.collect(),
+                ..draft
+            }
+            .encode(),
+        );
+        let err = Synthesizer::new(SynthOptions::default().journal(&path))
+            .resume_from_journal(&model)
+            .unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        err
+    }
+
+    const HOLE_1: (&str, &[&str]) = ("1", &["A", "B", "C"]);
+
+    fn evaluated() -> ChunkDraft {
+        ChunkDraft {
+            evaluated: 1,
+            ..ChunkDraft::new(0, 0)
         }
+    }
+
+    fn solving(assignment: Vec<(usize, u16)>) -> ChunkDraft {
+        let mut draft = evaluated();
+        draft.solutions.push(Solution {
+            assignment,
+            visited_states: 1,
+            transitions: 0,
+        });
+        draft
+    }
+
+    #[test]
+    fn a_forged_hole_list_is_corrupt_not_a_panic() {
+        let err = resume_figure_2_over("hole-twice", &[HOLE_1, HOLE_1], evaluated());
+        assert_corrupt(&err, "lists a hole twice");
+        let err = resume_figure_2_over("hole-without-actions", &[("1", &[])], evaluated());
+        assert_corrupt(&err, "lists a hole without actions");
+    }
+
+    #[test]
+    fn a_forged_solution_hole_is_corrupt_not_a_panic() {
+        let err = resume_figure_2_over("solution-hole", &[], solving(vec![(7, 0)]));
+        assert_corrupt(&err, "solution naming an unknown hole");
+    }
+
+    #[test]
+    fn a_forged_solution_action_is_corrupt_not_a_panic() {
+        let err = resume_figure_2_over("solution-action", &[HOLE_1], solving(vec![(0, 3)]));
+        assert_corrupt(&err, "solution naming an unknown hole or action");
+    }
+
+    #[test]
+    fn a_forged_sparse_pattern_hole_is_corrupt() {
+        let mut draft = evaluated();
+        draft.patterns.push(PatternEntry::Sparse(vec![(0, 1)]));
+        let err = resume_figure_2_over("sparse-hole", &[HOLE_1], draft);
+        assert_corrupt(&err, "pattern outside its frontier");
+    }
+
+    #[test]
+    fn a_forged_prefix_pattern_length_is_corrupt() {
+        let mut draft = evaluated();
+        draft.patterns.push(PatternEntry::Prefix(vec![1]));
+        let err = resume_figure_2_over("prefix-length", &[], draft);
+        assert_corrupt(&err, "pattern outside its frontier");
+    }
+
+    #[test]
+    fn a_forged_quarantine_width_is_corrupt() {
+        let mut draft = evaluated();
+        draft.quarantined.push(Quarantined {
+            digits: vec![1],
+            message: "boom".into(),
+        });
+        let err = resume_figure_2_over("quarantine-width", &[], draft);
+        assert_corrupt(&err, "candidate of another width");
     }
 
     #[test]

@@ -50,20 +50,14 @@ pub mod odometer;
 pub mod pattern;
 pub mod report;
 pub mod resolver;
-pub mod shard;
 pub mod synth;
 
 pub use candidate::{CandidateVec, Slot};
 pub use hole::{HoleId, HoleInfo, HoleRegistry};
-pub use journal::PatternEntry;
 pub use odometer::{space_size, GuidedOdometer, Odometer};
 #[cfg(any(test, feature = "reference"))]
 pub use pattern::ReferencePatternTable;
 pub use pattern::{PatternMode, PatternTable, Propagator, SparsePattern};
 pub use report::{GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats};
 pub use resolver::{assignment_delta, DiscoveryDefault, NameCache, SharedCandidateResolver};
-pub use shard::{
-    partition_chunks, run_sharded, run_sharded_with, ChannelExchange, FsExchange, PatternBatch,
-    PatternExchange, ShardOptions, ShardReport, ShardedRun,
-};
 pub use synth::{Enumeration, SynthOptions, Synthesizer};

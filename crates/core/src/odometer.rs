@@ -47,9 +47,9 @@ impl Odometer {
     /// Out-of-bounds ranges are **clamped**, not rejected: `end` saturates
     /// at the space size and `start` at the (clamped) `end`, so an inverted
     /// or past-the-end range simply produces an exhausted walker. This is
-    /// the contract sharded dispatch needs — a coordinator partitioning a
-    /// space it knows only approximately (work-stealing splits, resumed
-    /// shard plans) must be able to hand out boundary ranges without every
+    /// the contract range dispatch needs — a dispenser splitting a space it
+    /// knows only in chunk units (work-stealing splits, a final partial
+    /// chunk) must be able to hand out boundary ranges without every
     /// consumer re-deriving the exact space size. The degenerate shapes are
     /// all well-defined:
     ///
@@ -223,8 +223,7 @@ impl<'p> GuidedOdometer<'p> {
     }
 
     /// Creates a guided walker over the half-open linear range
-    /// `[start, end)` — the sharded-dispatch form the synthesis loop's
-    /// chunk claiming uses.
+    /// `[start, end)` — the form the synthesis loop's chunk claiming uses.
     ///
     /// # Panics
     ///
@@ -545,9 +544,9 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Range boundary contract: sharded dispatch hands out ranges a
-    // coordinator computed, so every degenerate shape must clamp into a
-    // well-defined walker instead of asserting.
+    // Range boundary contract: chunk dispatch hands out ranges a dispenser
+    // computed, so every degenerate shape must clamp into a well-defined
+    // walker instead of asserting.
 
     #[test]
     fn over_range_with_start_equal_to_end_is_exhausted() {

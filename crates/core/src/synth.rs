@@ -18,32 +18,31 @@
 //! 5. The run ends when a generation completes without discovering holes.
 //!    Verified candidates are reported as solutions.
 //!
-//! Parallel synthesis (paper §II, *Parallel Synthesis*) splits each
-//! generation's candidate range into chunks claimed by worker threads from an
-//! atomic dispenser; discoveries go through the shared [`HoleRegistry`], and
-//! pruning patterns propagate through a shared append-only log that workers
-//! sync from at every chunk boundary — so "each thread \[can\] make use of
-//! another thread's registered patterns as soon as they become available".
+//! Parallel synthesis (paper §II, *Parallel Synthesis*) runs a generation
+//! on worker threads that share its one [`HoleRegistry`] and one pattern
+//! hub. The generation's chunk space is split into one contiguous slot per
+//! worker, and a worker that drains its slot steals the tail half of the
+//! largest remaining one. Pruning patterns propagate through the hub's
+//! append-only log, which workers sync from at every chunk boundary — so
+//! "each thread \[can\] make use of another thread's registered patterns as
+//! soon as they become available". A serial run is the one-slot case.
 //!
 //! ## One loop
 //!
-//! Every entry point — [`Synthesizer::try_run`],
-//! [`Synthesizer::resume_from_journal`] and [`crate::run_sharded`] — runs
-//! the same generation loop, the shard coordinator in [`crate::shard`].
-//! Each round partitions the frontier's chunk space into slices, runs every
-//! slice through one slice runner, and merges the slice outcomes into one
-//! [`SynthReport`]; a [`Synthesizer`] is the one-slice case. What belongs
-//! to the run exists once and every slice of every round shares it: the
+//! Both entry points, [`Synthesizer::try_run`] and
+//! [`Synthesizer::resume_from_journal`], run the same generation loop. What
+//! belongs to the run exists once and every generation shares it: the
 //! budget counters (evaluations, committed states, the deadline counted
 //! from the start of the run, the stop reason), the run log and the
-//! journal. What belongs to a slice is its own: its hole registry (the
-//! frontier, then the holes the slice first sees), its pattern hub over the
-//! run's merged patterns, and its finds.
+//! journal. What belongs to a generation exists once per generation, shared
+//! by its workers: the hole registry (the frontier, then the holes the
+//! workers first see), the pattern hub over the run's patterns, the chunk
+//! dispenser and the finds.
 
 use crate::candidate::CandidateVec;
 use crate::hole::{HoleId, HoleInfo, HoleRegistry};
 use crate::journal::{
-    self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter, PatternEntry, Segment,
+    self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter, PatternEntry,
 };
 #[cfg(any(test, feature = "reference"))]
 use crate::odometer::Odometer;
@@ -53,9 +52,9 @@ use crate::report::{
     GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats,
 };
 use crate::resolver::{DiscoveryDefault, SharedCandidateResolver};
-use crate::shard::{PatternBatch, PatternExchange, ShardOptions, StealPool};
 use parking_lot::Mutex;
-use std::path::{Path, PathBuf};
+use std::collections::HashSet;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -164,6 +163,16 @@ impl SynthOptions {
 
     /// Number of worker threads evaluating candidates (default 1).
     ///
+    /// Every generation splits its chunk space into one contiguous slot per
+    /// worker, and a worker that drains its slot steals the tail half of the
+    /// largest remaining one. The workers share the generation's hole
+    /// registry and pattern hub, so a pattern one worker learns prunes every
+    /// worker's candidates from its next chunk on. The solution set does not
+    /// depend on the count; evaluated counts do, since a worker may evaluate
+    /// a doomed candidate before a peer's pattern reaches it. The journal
+    /// records which chunks are covered, not which worker covered them, so
+    /// a run may resume at any thread count.
+    ///
     /// # Panics
     ///
     /// Panics if `threads == 0`; use [`SynthOptions::try_threads`] for a
@@ -253,23 +262,11 @@ impl SynthOptions {
         Ok(self)
     }
 
-    /// The configured chunk size: the shard coordinator partitions the
-    /// generation space in chunk-index units, so it needs the same value
-    /// the workers claim by.
-    pub(crate) fn chunk(&self) -> u64 {
-        self.chunk_size
-    }
-
-    /// The configured journal path, if any.
-    pub(crate) fn journal_path(&self) -> Option<&Path> {
-        self.journal.as_deref()
-    }
-
     /// Stops the run (marking the report truncated) after this many
-    /// model-checker dispatches, for the whole run, at any shard count:
-    /// every worker checks the one run-wide count before each dispatch, so
-    /// a run with `w` workers (shards × threads) stops after at most
-    /// `cap + w - 1` dispatches, and a serial run after exactly `cap`.
+    /// model-checker dispatches, for the whole run: every worker checks the
+    /// one run-wide count before each dispatch, so a run with `t` threads
+    /// stops after at most `cap + t - 1` dispatches, and a serial run after
+    /// exactly `cap`.
     /// Journal-replayed dispatches count. A safety valve for exploratory
     /// use on intractable skeletons.
     pub fn max_evaluations(mut self, cap: u64) -> Self {
@@ -315,12 +312,11 @@ impl SynthOptions {
     /// Writes a crash-safe progress journal to `path` (see
     /// [`crate::journal`]): completed chunk ranges, learned patterns, and
     /// found solutions are appended as CRC-framed records, so a killed run
-    /// resumes via [`Synthesizer::resume_from_journal`] (or by re-invoking
-    /// [`crate::run_sharded`]) with its exact remaining candidate frontier.
-    /// A run writes this one journal at any shard count.
+    /// resumes via [`Synthesizer::resume_from_journal`], at any thread count,
+    /// with its exact remaining candidate frontier.
     /// [`Synthesizer::try_run`] truncates any existing file at `path`.
     /// Journal I/O failures mid-run panic, and the panic propagates out of
-    /// the run at every shard count (the journal *is* the crash-safety
+    /// the run at every thread count (the journal *is* the crash-safety
     /// contract — continuing without it would silently void it);
     /// re-invoking the run resumes it from the journal.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
@@ -361,10 +357,10 @@ impl SynthOptions {
     }
 
     /// Stops the run gracefully once this much wall-clock time has elapsed,
-    /// for the whole run, at any shard count (counted from the start of the
-    /// run), reporting [`StopReason::Deadline`]. Enforced at the
-    /// per-candidate dispatch sequence point, so in-flight evaluations
-    /// finish and the journal stays chunk-consistent.
+    /// counted from the start of the run, reporting
+    /// [`StopReason::Deadline`]. Enforced at the per-candidate dispatch
+    /// sequence point, so in-flight evaluations finish and the journal
+    /// stays chunk-consistent.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
@@ -373,8 +369,8 @@ impl SynthOptions {
     /// Stops the run gracefully once the checker has committed this many
     /// states across all dispatches (expanded live plus reused from session
     /// checkpoints — the same total a one-shot run would expand), for the
-    /// whole run, at any shard count, journal-replayed dispatches included;
-    /// reports [`StopReason::StateBudget`].
+    /// whole run, journal-replayed dispatches included; reports
+    /// [`StopReason::StateBudget`].
     pub fn state_budget(mut self, states: u64) -> Self {
         self.state_budget = Some(states);
         self
@@ -420,8 +416,7 @@ impl Synthesizer {
     /// [`SynthOptions::journal`] is set, creates (truncating) the journal
     /// before starting.
     pub fn try_run<M: TransitionSystem>(&self, model: &M) -> Result<SynthReport, MckError> {
-        crate::shard::coordinate(model, &self.options, &ShardOptions::default(), None, false)
-            .map(|run| run.report)
+        self.synthesize(model, false)
     }
 
     /// Resumes a killed or budget-stopped run from its progress journal
@@ -434,16 +429,18 @@ impl Synthesizer {
     /// serial resumed run is bit-identical (evaluated counts, pattern
     /// counts, solution set) to one that was never interrupted. A missing
     /// or empty journal simply starts fresh, so the same invocation works
-    /// for the first attempt and every retry.
+    /// for the first attempt and every retry. The journal records which
+    /// chunks are covered, not which worker covered them, so budgets, caps
+    /// and thread counts may change freely between attempts.
     ///
     /// # Errors
     ///
     /// Fails with [`MckError::JournalCorrupt`] if the journal belongs to a
     /// different model, was written under a different fingerprint
-    /// (pruning, pattern mode, chunk size, enumeration strategy), or was
-    /// written by a sharded run (its generations are split into a
-    /// different number of slices) — budgets, caps, and thread counts may
-    /// change freely between attempts.
+    /// (pruning, pattern mode, chunk size, enumeration strategy), names a
+    /// hole, action or candidate width outside the generation that records
+    /// it, or was written by a sharded run of an older build (its
+    /// generations list more than one chunk range).
     pub fn resume_from_journal<M: TransitionSystem>(
         &self,
         model: &M,
@@ -454,8 +451,44 @@ impl Synthesizer {
                 reason: "resume_from_journal requires SynthOptions::journal".into(),
             });
         }
-        crate::shard::coordinate(model, &self.options, &ShardOptions::default(), None, true)
-            .map(|run| run.report)
+        self.synthesize(model, true)
+    }
+
+    /// The synthesis loop behind both entry points. With `resume`, an
+    /// existing journal is replayed; otherwise it is truncated.
+    fn synthesize<M: TransitionSystem>(
+        &self,
+        model: &M,
+        resume: bool,
+    ) -> Result<SynthReport, MckError> {
+        let enumerate = |gen: &Generation<'_>| gen.enumerate(model);
+        self.drive(model.name(), resume, &enumerate)
+    }
+
+    /// [`Synthesizer::synthesize`] past its one model-typed step,
+    /// `enumerate`: one generation per frontier, until a generation
+    /// discovers no hole or a budget stops the run.
+    fn drive(
+        &self,
+        model: &str,
+        resume: bool,
+        enumerate: &Enumerate<'_>,
+    ) -> Result<SynthReport, MckError> {
+        let (replay, writer) = self.open_journal(model, resume)?;
+        let mut journaled = replay.map(|r| r.gens).unwrap_or_default().into_iter();
+        let run = Run::new(&self.options, writer);
+        let mut merged = Merged::default();
+        let mut prev_k = 0;
+        loop {
+            let k = merged.holes.len();
+            let outcome = run.generation(&merged, prev_k, journaled.next(), enumerate)?;
+            merged.merge(outcome);
+            if run.stop_reason() != StopReason::Completed || merged.holes.len() == k {
+                break;
+            }
+            prev_k = k;
+        }
+        run.finish(model, merged)
     }
 
     /// The option subset a journal is only valid under.
@@ -468,18 +501,17 @@ impl Synthesizer {
         }
     }
 
-    /// Opens the journal at `path` for a run of `model`: with `resume`, an
+    /// Opens the configured journal for a run of `model`: with `resume`, an
     /// existing journal is checked against the model and the fingerprint
     /// and reopened after its valid prefix; otherwise (or when there is
     /// nothing to resume) a fresh journal is created, truncating any file
-    /// at `path`.
-    pub(crate) fn open_journal(
+    /// at the path.
+    fn open_journal(
         &self,
         model: &str,
-        path: Option<&Path>,
         resume: bool,
     ) -> Result<(Option<JournalReplay>, Option<JournalWriter>), MckError> {
-        let Some(path) = path else {
+        let Some(path) = self.options.journal.as_deref() else {
             return Ok((None, None));
         };
         let corrupt = |reason: String| MckError::JournalCorrupt { reason };
@@ -520,20 +552,62 @@ fn journal_failed(e: std::io::Error) -> MckError {
 /// The number of candidates over the frontier `holes`, as the chunk
 /// dispenser's u64. The generation space is never larger than u64 in
 /// practice (MSI-large is ~1.2e9); fail loudly on a pathological skeleton.
-pub(crate) fn candidate_count(holes: &[HoleInfo]) -> Result<(u128, u64), MckError> {
+fn candidate_count(holes: &[HoleInfo]) -> Result<u64, MckError> {
     let space = space_size(&holes.iter().map(|h| h.arity() as u32).collect::<Vec<_>>());
-    let total = space.try_into().map_err(|_| MckError::InvalidConfig {
+    space.try_into().map_err(|_| MckError::InvalidConfig {
         param: "candidate space",
         reason: format!("generation space of {space} candidates exceeds the enumerable range"),
-    })?;
-    Ok((space, total))
+    })
 }
 
-/// State that belongs to the whole run, shared by every slice of every
-/// round: the budget counters, the stop reason, the run log and the
+/// Refuses a journaled generation whose records do not fit it, before any
+/// of them reaches a registry, a propagator or the report. Over frontier
+/// `0..k`, the journal's holes must be new, distinct and have actions; its
+/// solutions may name the frontier and those holes; its patterns and
+/// quarantined candidates only the frontier.
+fn check_replay(replay: &GenReplay, frontier: &[HoleInfo]) -> Result<(), MckError> {
+    let k = frontier.len();
+    let holes: Vec<&HoleInfo> = frontier.iter().chain(&replay.holes).collect();
+    let fits = |h: usize, a: u16, width: usize| h < width && usize::from(a) < holes[h].arity();
+    let refuse = |what: &str| {
+        Err(MckError::JournalCorrupt {
+            reason: format!("journal generation at frontier width {k} {what}"),
+        })
+    };
+    let mut names = HashSet::new();
+    if !holes.iter().all(|h| names.insert(h.name.as_str())) {
+        return refuse("lists a hole twice");
+    }
+    if replay.holes.iter().any(|h| h.actions.is_empty()) {
+        return refuse("lists a hole without actions");
+    }
+    let solutions_fit = replay
+        .solutions
+        .iter()
+        .all(|s| s.assignment.iter().all(|&(h, a)| fits(h, a, holes.len())));
+    if !solutions_fit {
+        return refuse("has a solution naming an unknown hole or action");
+    }
+    let patterns_fit = replay.patterns.iter().all(|p| match p {
+        PatternEntry::Prefix(digits) => {
+            digits.len() <= k && digits.iter().enumerate().all(|(h, &a)| fits(h, a, k))
+        }
+        PatternEntry::Sparse(pairs) => pairs.iter().all(|&(h, a)| fits(h.into(), a, k)),
+    });
+    if !patterns_fit {
+        return refuse("has a pattern outside its frontier");
+    }
+    if replay.quarantined.iter().any(|q| q.digits.len() != k) {
+        return refuse("quarantines a candidate of another width");
+    }
+    Ok(())
+}
+
+/// State that belongs to the whole run, shared by every generation and its
+/// workers: the budget counters, the stop reason, the run log and the
 /// journal. Because the counters exist once, `max_evaluations`, `deadline`
-/// and `state_budget` hold for the whole run at any shard count.
-pub(crate) struct Run {
+/// and `state_budget` hold for the whole run at any thread count.
+struct Run {
     options: SynthOptions,
     checker: Checker,
     start: Instant,
@@ -560,7 +634,7 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    pub(crate) fn new(options: &SynthOptions, journal: Option<JournalWriter>) -> Self {
+    fn new(options: &SynthOptions, journal: Option<JournalWriter>) -> Self {
         let options = options.clone();
         let start = Instant::now();
         Run {
@@ -622,7 +696,7 @@ impl Run {
     }
 
     /// Why the run stopped: `Completed` unless a stop was raised.
-    pub(crate) fn stop_reason(&self) -> StopReason {
+    fn stop_reason(&self) -> StopReason {
         if self.stop.load(Ordering::Acquire) {
             *self.stop_reason.lock()
         } else {
@@ -630,120 +704,56 @@ impl Run {
         }
     }
 
-    /// Runs one generation over the frontier `round.holes`: one slice per
-    /// range of `round.ranges`, each through `enumerate` (which runs
-    /// [`Slice::enumerate`] on the run's model) — inline for a single
-    /// slice, on a thread each otherwise — and returns the generation's
-    /// summed counters and the slice outcomes in slice order.
+    /// Runs one generation over the frontier `merged.holes` through
+    /// `enumerate` (which runs [`Generation::enumerate`] on the run's
+    /// model) and returns what it produced.
     ///
-    /// A journaled generation must carry the same frontier and slice
-    /// ranges; its segments seed the slices (and the run's budget
-    /// counters), so a resumed generation goes through the very code a live
-    /// one does. A panic escaping a slice worker propagates out of the run.
-    pub(crate) fn round(
+    /// A journaled generation must describe the same frontier and chunk
+    /// count, and its records must fit that frontier ([`check_replay`]);
+    /// they seed the generation (and the run's budget counters), so a
+    /// resumed generation goes through the very code a live one does. A
+    /// panic escaping a worker propagates out of the run.
+    fn generation(
         &self,
-        mut round: Round<'_>,
+        merged: &Merged,
+        prev_k: usize,
+        replay: Option<GenReplay>,
         enumerate: &Enumerate<'_>,
-    ) -> Result<(GenStats, Vec<SliceOutcome>), MckError> {
-        let corrupt = |reason: &str| MckError::JournalCorrupt {
-            reason: reason.into(),
-        };
-        let k = round.holes.len();
-        let (space, total) = candidate_count(round.holes)?;
-        let segments = match round.replay.take() {
-            Some(gen) => {
-                if (gen.k, gen.prev_k) != (k, round.prev_k) {
-                    return Err(corrupt("journal does not describe this run's frontier"));
+    ) -> Result<GenOutcome, MckError> {
+        let k = merged.holes.len();
+        let total = candidate_count(&merged.holes)?;
+        let chunks = total.max(1).div_ceil(self.options.chunk_size);
+        let replay = match replay {
+            Some(replay) => {
+                if (replay.k, replay.prev_k, replay.chunks) != (k, prev_k, chunks) {
+                    return Err(MckError::JournalCorrupt {
+                        reason: "journal does not describe this run's frontier".into(),
+                    });
                 }
-                if gen.ranges != round.ranges {
-                    return Err(corrupt(
-                        "journal was written under a different partition (slice chunk \
-                         ranges): resume with the shard count it was written with",
-                    ));
-                }
-                gen.slices
+                check_replay(&replay, &merged.holes)?;
+                replay
             }
             None => {
                 if let Some(j) = &self.journal {
-                    j.gen_start(k, round.prev_k, round.ranges)
-                        .map_err(journal_failed)?;
+                    j.gen_start(k, prev_k, chunks).map_err(journal_failed)?;
                 }
-                vec![Segment::default(); round.ranges.len()]
+                GenReplay::default()
             }
         };
-        // The journal's coverage of the generation, whichever slice ran a
-        // chunk: a steal can move chunks of one slice's range to another.
-        let mut covered = Vec::new();
-        for seg in &segments {
-            for &(first, count) in &seg.covered {
-                journal::add_range(&mut covered, first, count);
-            }
-            self.evaluations.fetch_add(seg.evaluated, Ordering::Relaxed);
-            self.check_expanded
-                .fetch_add(seg.expanded, Ordering::Relaxed);
-            self.check_reused.fetch_add(seg.reused, Ordering::Relaxed);
-        }
-        let pool =
-            (round.ranges.len() > 1).then(|| Arc::new(StealPool::new(round.ranges, round.steal)));
-        let shape = Shape {
-            radices: round.holes.iter().map(|h| h.arity() as u32).collect(),
-            total,
-            k,
-            prev_k: round.prev_k,
-            covered,
-        };
-        let slices: Vec<Slice<'_>> = segments
-            .into_iter()
-            .zip(round.ranges)
-            .enumerate()
-            .map(|(i, (seg, &range))| {
-                let dispenser = match &pool {
-                    Some(pool) => ChunkClaims::Pool {
-                        pool: Arc::clone(pool),
-                        slot: i,
-                    },
-                    None => ChunkClaims::serial(range.0, range.1),
-                };
-                let exchange = round.endpoint.map(|e| ExchangeState::new(Arc::clone(e), i));
-                Slice::new(self, &shape, &round, i, range, seg, dispenser, exchange)
-            })
-            .collect();
-        if let [slice] = &slices[..] {
-            enumerate(slice);
-        } else {
-            let panics: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = slices
-                    .iter()
-                    .map(|slice| scope.spawn(move || enumerate(slice)))
-                    .collect();
-                handles.into_iter().filter_map(|h| h.join().err()).collect()
-            });
-            if let Some(payload) = panics.into_iter().next() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-
-        let stop = self.stop_reason();
-        let outcomes: Vec<SliceOutcome> = slices.into_iter().map(|s| s.finish(stop)).collect();
-        let mut gen = GenStats {
-            k,
-            space,
-            ..GenStats::default()
-        };
-        for o in &outcomes {
-            gen.evaluated += o.gen.evaluated;
-            gen.skipped_by_pruning += o.gen.skipped_by_pruning;
-            gen.deduped += o.gen.deduped;
-            gen.probes += o.gen.probes;
-            gen.claims += o.gen.claims;
-            gen.active_chunks += o.gen.active_chunks;
-        }
-        Ok((gen, outcomes))
+        self.evaluations
+            .fetch_add(replay.evaluated, Ordering::Relaxed);
+        self.check_expanded
+            .fetch_add(replay.expanded, Ordering::Relaxed);
+        self.check_reused
+            .fetch_add(replay.reused, Ordering::Relaxed);
+        let gen = Generation::new(self, merged, prev_k, total, chunks, replay);
+        enumerate(&gen);
+        Ok(gen.finish())
     }
 
     /// Ends the run: journals the stop reason and assembles the report from
     /// the merged results.
-    pub(crate) fn finish(self, model: &str, merged: Merged) -> Result<SynthReport, MckError> {
+    fn finish(self, model: &str, merged: Merged) -> Result<SynthReport, MckError> {
         let stop = self.stop_reason();
         if let Some(j) = &self.journal {
             j.stop(stop).map_err(journal_failed)?;
@@ -778,144 +788,72 @@ impl Run {
     }
 }
 
-/// Everything the merge has accumulated: the run's results so far.
+/// The run's results so far, and the next generation's inputs.
 #[derive(Debug, Default)]
-pub(crate) struct Merged {
-    /// The frontier of the next round: every hole, in merged order.
-    pub holes: Vec<HoleInfo>,
-    pub patterns: PatternLog,
-    pub solutions: Vec<Solution>,
-    pub quarantined: Vec<Quarantined>,
-    pub generations: Vec<GenStats>,
+struct Merged {
+    /// The frontier of the next generation: every hole, in discovery order.
+    holes: Vec<HoleInfo>,
+    patterns: PatternLog,
+    solutions: Vec<Solution>,
+    quarantined: Vec<Quarantined>,
+    generations: Vec<GenStats>,
 }
 
 impl Merged {
-    /// Merges one slice's outcome of the round over frontier width `k`, in
-    /// slice order. The slice named the holes it first saw by its own ids
-    /// `k..`; they join the merged holes by name, and the slice's solutions
-    /// (which can name them in naïve mode) are translated to merged ids.
-    /// Patterns and quarantined digits only reference the frontier.
-    pub(crate) fn merge(&mut self, k: usize, outcome: &SliceOutcome) {
-        let ids: Vec<HoleId> = outcome
-            .discovered
-            .iter()
-            .map(
-                |hole| match self.holes.iter().position(|h| h.name == hole.name) {
-                    Some(id) => id,
-                    None => {
-                        self.holes.push(hole.clone());
-                        self.holes.len() - 1
-                    }
-                },
-            )
-            .collect();
-        for entry in &outcome.patterns {
-            self.patterns.file(Arc::clone(entry));
+    /// Appends one generation's outcome. Its holes follow the frontier in
+    /// its registry, so every id it hands over already means the same hole
+    /// here; its solutions and quarantined candidates are new to the run.
+    fn merge(&mut self, outcome: GenOutcome) {
+        self.holes.extend(outcome.discovered);
+        for entry in outcome.patterns {
+            self.patterns.file(entry);
         }
-        for solution in &outcome.solutions {
-            let mut assignment: Vec<(HoleId, u16)> = solution
-                .assignment
-                .iter()
-                .map(|&(h, a)| (if h < k { h } else { ids[h - k] }, a))
-                .collect();
-            assignment.sort_unstable();
-            if !self.solutions.iter().any(|s| s.assignment == assignment) {
-                self.solutions.push(Solution {
-                    assignment,
-                    ..solution.clone()
-                });
-            }
-        }
-        for q in &outcome.quarantined {
-            if !self.quarantined.iter().any(|x| x.digits == q.digits) {
-                self.quarantined.push(q.clone());
-            }
-        }
+        self.solutions.extend(outcome.solutions);
+        self.quarantined.extend(outcome.quarantined);
+        self.generations.push(outcome.gen);
     }
 }
 
-/// Runs one slice's workers against the run's model: the one step of a
-/// round that depends on the model type (see [`Slice::enumerate`]), so the
-/// loop around it is compiled once, not once per model.
-pub(crate) type Enumerate<'m> = dyn Fn(&Slice<'_>) + Sync + 'm;
+/// Runs one generation's workers against the run's model: the one step of
+/// the loop that depends on the model type (see [`Generation::enumerate`]),
+/// so the loop around it is compiled once, not once per model.
+type Enumerate<'m> = dyn Fn(&Generation<'_>) + Sync + 'm;
 
-/// One generation as handed to [`Run::round`].
-pub(crate) struct Round<'r> {
-    /// The frontier: every hole known at round start, in merged order.
-    pub holes: &'r [HoleInfo],
-    pub prev_k: usize,
-    /// One chunk-index range `[start, end)` per slice.
-    pub ranges: &'r [(u64, u64)],
-    /// The run's merged patterns: the base of every slice's hub.
-    pub patterns: &'r PatternLog,
-    /// The run's merged solutions, which slices do not report again.
-    pub solutions: &'r [Solution],
-    /// The journal's record of this generation, when resuming.
-    pub replay: Option<GenReplay>,
-    /// Cross-slice pattern exchange; slice `i` joins as shard `i`.
-    pub endpoint: Option<&'r Arc<dyn PatternExchange>>,
-    /// Whether a slice that runs dry steals from its peers' ranges.
-    pub steal: bool,
+/// Everything one generation produced.
+struct GenOutcome {
+    gen: GenStats,
+    /// Holes the generation first saw, in discovery order.
+    discovered: Vec<HoleInfo>,
+    /// Patterns the generation learned, journal-replayed ones included.
+    patterns: Vec<Arc<PatternEntry>>,
+    /// Solutions new to the run.
+    solutions: Vec<Solution>,
+    quarantined: Vec<Quarantined>,
 }
 
-/// What every slice of a round shares: the frontier geometry and the
-/// journal's coverage of the generation.
-struct Shape {
+/// One generation: the frontier's candidate space, claimed chunk by chunk
+/// from one steal pool, and the state its workers share — the hole
+/// registry (the frontier, then the holes the workers first see), the
+/// pattern hub over the run's patterns, the finds and the counters.
+struct Generation<'r> {
+    run: &'r Run,
     radices: Vec<u32>,
-    /// The generation space as the chunk dispenser's u64.
+    /// The generation's candidate count.
     total: u64,
     k: usize,
     prev_k: usize,
     /// Chunk-index ranges the journal already covers (sorted, disjoint).
     covered: Vec<(u64, u64)>,
-}
-
-impl Shape {
-    /// Naïve mode's dedup rule: a candidate whose new digits (holes
-    /// `prev_k..k`) are all action 0 is identical to one the previous
-    /// generation evaluated, since undiscovered holes default to action 0.
-    fn repeats_last_generation(&self, digits: &[u16]) -> bool {
-        self.k > self.prev_k && digits[self.prev_k..self.k].iter().all(|&x| x == 0)
-    }
-}
-
-/// Everything one slice of one generation produced. Hole ids at or beyond
-/// the frontier `k` are the slice's own and index `discovered`.
-pub(crate) struct SliceOutcome {
-    /// The slice's counters over its own candidate range.
-    pub gen: GenStats,
-    /// Holes the slice first saw, in its discovery order.
-    pub discovered: Vec<HoleInfo>,
-    /// Patterns the slice learned itself (journal-replayed ones included;
-    /// imported ones excluded — their origin slices report them).
-    pub patterns: Vec<Arc<journal::PatternEntry>>,
-    /// Solutions new to the run.
-    pub solutions: Vec<Solution>,
-    pub quarantined: Vec<Quarantined>,
-    pub stop: StopReason,
-    pub check_expanded: u64,
-    pub check_reused: u64,
-}
-
-/// One slice of one generation: a chunk-index range of the frontier's
-/// candidate space, and the state its workers share — the slice's hole
-/// registry (the frontier, then the holes the slice first sees), its
-/// pattern hub over the run's merged patterns, its finds and counters.
-pub(crate) struct Slice<'r> {
-    run: &'r Run,
-    shape: &'r Shape,
-    /// The slice's position in the generation (its journal slot).
-    index: u32,
-    range: (u64, u64),
     registry: HoleRegistry,
     /// How many of the registry's holes the journal already records.
     journaled_holes: AtomicUsize,
     hub: PatternHub<'r>,
-    merged_solutions: &'r [Solution],
+    /// The run's solutions from earlier generations, not reported again.
+    known_solutions: &'r [Solution],
     solutions: Mutex<Vec<Solution>>,
     quarantined: Mutex<Vec<Quarantined>>,
-    exchange: Option<ExchangeState>,
-    dispenser: ChunkClaims,
+    /// The chunk dispenser: one slot per worker.
+    pool: StealPool,
     evaluated: AtomicU64,
     skipped: AtomicU64,
     deduped: AtomicU64,
@@ -924,105 +862,71 @@ pub(crate) struct Slice<'r> {
     claims: AtomicU64,
     /// Chunks with at least one evaluation.
     active_chunks: AtomicU64,
-    check_expanded: AtomicU64,
-    check_reused: AtomicU64,
 }
 
-impl<'r> Slice<'r> {
-    /// Seeds a slice from the round and its journal segment: the segment's
-    /// holes follow the frontier in the registry, so ids keep the meaning
-    /// the journaled patterns and solutions gave them.
-    #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
+impl<'r> Generation<'r> {
+    /// Seeds a generation from the run's results and its journal replay:
+    /// the replay's holes follow the frontier in the registry, so ids keep
+    /// the meaning the journaled patterns and solutions gave them. The
+    /// chunk space is split into one slot per worker.
     fn new(
         run: &'r Run,
-        shape: &'r Shape,
-        round: &Round<'r>,
-        index: usize,
-        range: (u64, u64),
-        seg: Segment,
-        dispenser: ChunkClaims,
-        exchange: Option<ExchangeState>,
+        merged: &'r Merged,
+        prev_k: usize,
+        total: u64,
+        chunks: u64,
+        replay: GenReplay,
     ) -> Self {
         let registry = HoleRegistry::new();
-        for h in round.holes.iter().chain(&seg.holes) {
+        for h in merged.holes.iter().chain(&replay.holes) {
             registry.resolve_or_register(&HoleSpec::new(&h.name, h.actions.iter().cloned()));
         }
-        let hub = PatternHub::over(round.patterns);
-        // This slice's own journaled patterns are local, so a resumed slice
-        // still reports and re-broadcasts its pre-crash learnings.
-        hub.seed_local(seg.patterns);
-        Slice {
+        let workers = run
+            .options
+            .threads
+            .min(usize::try_from(total.min(64)).expect("bounded by 64"))
+            .max(1);
+        Generation {
             run,
-            shape,
-            index: index as u32,
-            range,
+            radices: merged.holes.iter().map(|h| h.arity() as u32).collect(),
+            total,
+            k: merged.holes.len(),
+            prev_k,
+            covered: replay.covered,
             journaled_holes: AtomicUsize::new(registry.len()),
             registry,
-            hub,
-            merged_solutions: round.solutions,
-            solutions: Mutex::new(seg.solutions),
-            quarantined: Mutex::new(seg.quarantined),
-            exchange,
-            dispenser,
-            evaluated: AtomicU64::new(seg.evaluated),
-            skipped: AtomicU64::new(seg.skipped),
-            deduped: AtomicU64::new(seg.deduped),
-            probes: AtomicU64::new(seg.probes),
+            hub: PatternHub::new(&merged.patterns, replay.patterns),
+            known_solutions: &merged.solutions,
+            solutions: Mutex::new(replay.solutions),
+            quarantined: Mutex::new(replay.quarantined),
+            pool: StealPool::new(&partition_chunks(chunks, workers)),
+            evaluated: AtomicU64::new(replay.evaluated),
+            skipped: AtomicU64::new(replay.skipped),
+            deduped: AtomicU64::new(replay.deduped),
+            probes: AtomicU64::new(replay.probes),
             claims: AtomicU64::new(0),
             active_chunks: AtomicU64::new(0),
-            check_expanded: AtomicU64::new(seg.expanded),
-            check_reused: AtomicU64::new(seg.reused),
         }
     }
 
-    /// The slice's candidate range `[lo, hi)`.
-    fn candidates(&self) -> (u64, u64) {
-        let chunk = self.run.options.chunk_size;
-        let at = |c: u64| c.saturating_mul(chunk).min(self.shape.total);
-        (at(self.range.0), at(self.range.1))
-    }
-
-    /// Runs the slice's workers over every chunk of its range the journal
-    /// does not cover (and, from a steal pool, over peers' remainders).
-    pub(crate) fn enumerate<M: TransitionSystem>(&self, model: &M) {
-        let (start, end) = self.range;
-        if journal::uncovered_from(&self.shape.covered, start) >= end {
-            // Already covered by the journal: mark the slot consumed so
-            // peers do not steal and re-run chunks we can replay.
-            if let ChunkClaims::Pool { pool, slot } = &self.dispenser {
-                pool.close(*slot);
-            }
-        } else {
-            let (lo, hi) = self.candidates();
-            let threads = self
-                .run
-                .options
-                .threads
-                .min(usize::try_from((hi - lo).min(64)).expect("bounded by 64"))
-                .max(1);
-            if threads == 1 {
-                worker(model, self);
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(|| worker(model, self));
-                    }
-                });
-            }
-        }
-        // Final exchange beat: everything learned after the last in-loop
-        // pump still reaches peers that are still enumerating.
-        if let Some(x) = &self.exchange {
-            x.pump(&self.hub, self.shape.k);
+    /// Runs one worker per pool slot — inline for a single slot, on a
+    /// thread each otherwise — over every chunk the journal does not cover.
+    fn enumerate<M: TransitionSystem>(&self, model: &M) {
+        match self.pool.slots.len() {
+            1 => worker(model, self, 0),
+            workers => std::thread::scope(|scope| {
+                for slot in 0..workers {
+                    scope.spawn(move || worker(model, self, slot));
+                }
+            }),
         }
     }
 
-    fn finish(self, stop: StopReason) -> SliceOutcome {
-        let (lo, hi) = self.candidates();
-        SliceOutcome {
+    fn finish(self) -> GenOutcome {
+        GenOutcome {
             gen: GenStats {
-                k: self.shape.k,
-                space: (hi - lo) as u128,
+                k: self.k,
+                space: self.total.into(),
                 evaluated: self.evaluated.into_inner(),
                 skipped_by_pruning: self.skipped.into_inner() as u128,
                 deduped: self.deduped.into_inner(),
@@ -1030,17 +934,21 @@ impl<'r> Slice<'r> {
                 claims: self.claims.into_inner(),
                 active_chunks: self.active_chunks.into_inner(),
             },
-            discovered: self.registry.snapshot().split_off(self.shape.k),
-            patterns: self.hub.into_locals(),
+            discovered: self.registry.snapshot().split_off(self.k),
+            patterns: self.hub.into_log(),
             solutions: self.solutions.into_inner(),
             quarantined: self.quarantined.into_inner(),
-            stop,
-            check_expanded: self.check_expanded.into_inner(),
-            check_reused: self.check_reused.into_inner(),
         }
     }
 
-    /// Banks a chunk's counters into the slice totals (also called for
+    /// Naïve mode's dedup rule: a candidate whose new digits (holes
+    /// `prev_k..k`) are all action 0 is identical to one the previous
+    /// generation evaluated, since undiscovered holes default to action 0.
+    fn repeats_last_generation(&self, digits: &[u16]) -> bool {
+        self.k > self.prev_k && digits[self.prev_k..self.k].iter().all(|&x| x == 0)
+    }
+
+    /// Banks a chunk's counters into the generation totals (also called for
     /// partial chunks on a graceful stop, so the report stays accurate even
     /// though only completed chunks are journaled).
     fn bank(&self, draft: &ChunkDraft) {
@@ -1050,11 +958,8 @@ impl<'r> Slice<'r> {
         self.probes.fetch_add(draft.probes, Ordering::Relaxed);
     }
 
-    /// Banks one dispatch's checker work, into the slice and the run
-    /// (replays and reused expansions into the run only).
+    /// Banks one dispatch's checker work into the run.
     fn bank_check(&self, expanded: u64, reused: u64, replays: u64, expansions_reused: u64) {
-        self.check_expanded.fetch_add(expanded, Ordering::Relaxed);
-        self.check_reused.fetch_add(reused, Ordering::Relaxed);
         let run = self.run;
         run.check_expanded.fetch_add(expanded, Ordering::Relaxed);
         run.check_reused.fetch_add(reused, Ordering::Relaxed);
@@ -1066,7 +971,7 @@ impl<'r> Slice<'r> {
     /// Candidates in the chunk range `[first, first + count)`.
     fn chunk_candidates(&self, first: u64, count: u64) -> u64 {
         let chunk = self.run.options.chunk_size;
-        let at = |c: u64| c.saturating_mul(chunk).min(self.shape.total.max(1));
+        let at = |c: u64| c.saturating_mul(chunk).min(self.total.max(1));
         at(first + count) - at(first)
     }
 
@@ -1081,199 +986,187 @@ impl<'r> Slice<'r> {
     }
 }
 
-/// A slice's connection to the cross-slice pattern exchange: the endpoint,
-/// this slice's identity on it, and the export cursor into the hub log.
-/// Pumped with the hub sync at every chunk boundary.
-struct ExchangeState {
-    endpoint: Arc<dyn PatternExchange>,
-    shard: usize,
-    /// Export cursor into the hub's own log (locally-published entries
-    /// only).
-    cursor: Mutex<usize>,
-    /// Monotonic sequence number for published batches.
-    seq: AtomicU64,
+/// Splits `[0, chunks)` into `slots` contiguous balanced ranges (the first
+/// `chunks % slots` ranges are one chunk longer). Ranges may be empty when
+/// there are fewer chunks than slots.
+fn partition_chunks(chunks: u64, slots: usize) -> Vec<(u64, u64)> {
+    let n = slots as u64;
+    let (base, rem) = (chunks / n, chunks % n);
+    let mut cursor = 0u64;
+    (0..n)
+        .map(|i| {
+            let start = cursor;
+            cursor += base + u64::from(i < rem);
+            (start, cursor)
+        })
+        .collect()
 }
 
-impl ExchangeState {
-    fn new(endpoint: Arc<dyn PatternExchange>, shard: usize) -> Self {
-        ExchangeState {
-            endpoint,
-            shard,
-            cursor: Mutex::new(0),
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    /// One exchange beat: exports locally-learned patterns published since
-    /// the last beat, then imports every batch peers published since this
-    /// slice's last poll. Imports go through [`PatternHub::import`], which
-    /// files them on the hub log — workers then merge them into their local
-    /// tables and propagators via the ordinary sync path, so an imported
-    /// pattern invalidates the guided odometer's masks exactly like a local
-    /// insert. `width` is the frontier `k`: entries referencing holes at or
-    /// beyond it (a malformed or stale peer batch) are dropped on import,
-    /// since no candidate in this generation constrains them.
-    fn pump(&self, hub: &PatternHub<'_>, width: usize) {
-        let batch = {
-            let mut cursor = self.cursor.lock();
-            hub.export_locals(&mut cursor)
-        };
-        if !batch.is_empty() {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            self.endpoint.publish(PatternBatch {
-                shard: self.shard as u32,
-                seq,
-                patterns: batch,
-            });
-        }
-        for batch in self.endpoint.poll(self.shard) {
-            hub.import(batch.patterns, width);
-        }
-    }
-}
-
-/// Chunk-index dispenser for one slice's workers: either a plain serial
-/// counter over the slice's range (the one-slice case), or the slice's slot
-/// in the cross-slice [`StealPool`] (whose range can shrink when a finished
-/// peer steals half of it).
+/// A generation's chunk dispenser: one `(next, end)` slot per worker. A
+/// worker that drains its slot steals the tail half of the largest
+/// remaining one, so a share that prunes poorly (dense evaluation) is
+/// finished by the workers whose shares pruned well. A claim is one
+/// compare-and-bump under an uncontended mutex, and a steal moves a tail
+/// between two slots under both locks, so the slots always partition the
+/// unclaimed space — every chunk is claimed exactly once. A serial run has
+/// one slot and never steals.
 ///
-/// Both kinds take the journal's coverage (`covered`: sorted, disjoint,
-/// merged chunk ranges) into every claim: [`ChunkClaims::claim`] steps over
-/// a whole covered range in one advance, and
-/// [`ChunkClaims::claim_refuted`] never crosses one.
-pub(crate) enum ChunkClaims {
-    Serial { next: AtomicU64, end: u64 },
-    Pool { pool: Arc<StealPool>, slot: usize },
+/// Every claim takes the journal's coverage (`covered`: sorted, disjoint,
+/// merged chunk ranges) into account: [`StealPool::claim`] steps over a
+/// whole covered range in one advance, and [`StealPool::claim_refuted`]
+/// never crosses one.
+#[derive(Debug)]
+struct StealPool {
+    slots: Vec<Mutex<(u64, u64)>>,
 }
 
 /// A claimed chunk index, and the end of the claimable run it was taken
-/// from: the dispenser's end at claim time, or the next journal-covered
-/// chunk if that comes first. The guided walk searches for the next
-/// consistent candidate up to `limit`, never past it.
+/// from: the slot's end at claim time, or the next journal-covered chunk if
+/// that comes first. The guided walk searches for the next consistent
+/// candidate up to `limit`, never past it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Claim {
-    pub idx: u64,
-    pub limit: u64,
+struct Claim {
+    idx: u64,
+    limit: u64,
 }
 
-impl ChunkClaims {
-    pub(crate) fn serial(start: u64, end: u64) -> Self {
-        ChunkClaims::Serial {
-            next: AtomicU64::new(start),
-            end,
+impl StealPool {
+    fn new(ranges: &[(u64, u64)]) -> Self {
+        StealPool {
+            slots: ranges.iter().map(|&r| Mutex::new(r)).collect(),
         }
     }
 
-    /// Claims the next uncovered chunk index, or `None` when the range
-    /// (and, for a pooled slice, every stealable peer remainder) is
-    /// exhausted.
-    pub(crate) fn claim(&self, covered: &[(u64, u64)]) -> Option<Claim> {
-        match self {
-            ChunkClaims::Serial { next, end } => {
-                let mut n = next.load(Ordering::Relaxed);
-                loop {
-                    let idx = journal::uncovered_from(covered, n);
-                    if idx >= *end {
-                        return None;
-                    }
-                    match next.compare_exchange_weak(
-                        n,
-                        idx + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            let limit = journal::next_covered(covered, idx + 1).min(*end);
-                            return Some(Claim { idx, limit });
-                        }
-                        Err(current) => n = current,
-                    }
+    /// Claims the next chunk index for `slot` outside the journal coverage
+    /// `covered`, stealing when the slot is drained; `None` once no slot
+    /// has stealable work left.
+    fn claim(&self, slot: usize, covered: &[(u64, u64)]) -> Option<Claim> {
+        loop {
+            {
+                let mut s = self.slots[slot].lock();
+                let idx = journal::uncovered_from(covered, s.0);
+                if idx < s.1 {
+                    s.0 = idx + 1;
+                    let limit = journal::next_covered(covered, idx + 1).min(s.1);
+                    return Some(Claim { idx, limit });
                 }
+                s.0 = s.1;
             }
-            ChunkClaims::Pool { pool, slot } => pool.claim(*slot, covered),
+            if !self.steal_into(slot) {
+                return None;
+            }
         }
     }
 
     /// Claims, in one step, the unclaimed chunks of `[from, through)` that
-    /// directly follow the dispenser's cursor: every chunk there is refuted
-    /// by the caller's patterns, so whoever claims it only banks its skip
-    /// count. Returns the claimed `(first, count)`, or `None` when the
-    /// cursor lies outside the range. Clamped to the dispenser's current
-    /// end (a thief may have taken a pool slot's tail) and to the next
-    /// journal-covered chunk.
-    pub(crate) fn claim_refuted(
+    /// directly follow `slot`'s cursor: every chunk there is refuted by the
+    /// caller's patterns, so whoever claims it only banks its skip count.
+    /// Returns the claimed `(first, count)`, or `None` when the cursor lies
+    /// outside the range. Clamped to the slot's current end (a thief may
+    /// have taken its tail) and to the next journal-covered chunk.
+    fn claim_refuted(
         &self,
+        slot: usize,
         from: u64,
         through: u64,
         covered: &[(u64, u64)],
     ) -> Option<(u64, u64)> {
-        match self {
-            ChunkClaims::Serial { next, end } => {
-                let mut n = next.load(Ordering::Relaxed);
-                loop {
-                    let stop = through.min(*end).min(journal::next_covered(covered, n));
-                    if n < from || n >= stop {
-                        return None;
-                    }
-                    match next.compare_exchange_weak(n, stop, Ordering::Relaxed, Ordering::Relaxed)
-                    {
-                        Ok(_) => return Some((n, stop - n)),
-                        Err(current) => n = current,
-                    }
-                }
-            }
-            ChunkClaims::Pool { pool, slot } => pool.claim_refuted(*slot, from, through, covered),
+        let mut s = self.slots[slot].lock();
+        let first = s.0;
+        let stop = through.min(s.1).min(journal::next_covered(covered, first));
+        if first < from || first >= stop {
+            return None;
         }
+        s.0 = stop;
+        Some((first, stop - first))
+    }
+
+    /// Moves the tail half of the largest peer remainder into `slot`.
+    /// Returns `false` when nothing is stealable (remainders of at least 2
+    /// chunks only — splitting a single chunk would just migrate it).
+    fn steal_into(&self, slot: usize) -> bool {
+        let mut best: Option<(usize, u64)> = None;
+        for (i, m) in self.slots.iter().enumerate() {
+            if i == slot {
+                continue;
+            }
+            let s = m.lock();
+            let remaining = s.1.saturating_sub(s.0);
+            if remaining >= 2 && best.map_or(true, |(_, r)| remaining > r) {
+                best = Some((i, remaining));
+            }
+        }
+        let Some((victim, _)) = best else {
+            return false;
+        };
+        // Both slots are held while the tail moves, locked in index order so
+        // that two thieves never wait on each other.
+        let (mut own, mut v) = if slot < victim {
+            let own = self.slots[slot].lock();
+            (own, self.slots[victim].lock())
+        } else {
+            let v = self.slots[victim].lock();
+            (self.slots[slot].lock(), v)
+        };
+        let remaining = v.1.saturating_sub(v.0);
+        if own.0 < own.1 || remaining < 2 {
+            // Raced with another worker of this slot, which stole first, or
+            // with the victim's own progress (or another thief): report
+            // success so the caller rescans. Installing a second stolen
+            // range would overwrite the first and lose its chunks.
+            return true;
+        }
+        let mid = v.0 + remaining.div_ceil(2);
+        *own = (mid, v.1);
+        v.1 = mid;
+        true
     }
 }
 
 /// One worker: opens its per-generation [`CheckSession`] and runs the
-/// chunk-claiming evaluation loop over its thread-local [`Propagator`],
-/// which holds every pattern the slice's hub does.
+/// chunk-claiming evaluation loop on its pool `slot`, over its
+/// thread-local [`Propagator`], which holds every pattern the generation's
+/// hub does.
 ///
 /// A finished chunk's walk runs on past the chunk to the next consistent
 /// candidate `t`, searching up to the claim's [`Claim::limit`]. Every chunk
 /// wholly below `t` is refuted by this worker's own patterns — and patterns
 /// only grow — so the worker claims them all in one dispenser step and
-/// journals them as one refuted run, at any thread or shard count. Nothing
-/// in the run is evaluated, so the skip count grows by exactly its
-/// candidates and serial counts are those of a chunk-by-chunk walk. Every
-/// completed range goes straight to the journal writer, which coalesces
-/// adjacent inactive ranges itself.
-fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
-    let opts = &slice.run.options;
-    let shape = slice.shape;
-    let mut session = slice.run.checker.session(model);
+/// journals them as one refuted run, at any thread count. Nothing in the
+/// run is evaluated, so the skip count grows by exactly its candidates and
+/// serial counts are those of a chunk-by-chunk walk. Every completed range
+/// goes straight to the journal writer, which coalesces adjacent inactive
+/// ranges itself.
+fn worker<M: TransitionSystem>(model: &M, gen: &Generation<'_>, slot: usize) {
+    let opts = &gen.run.options;
+    let mut session = gen.run.checker.session(model);
     let mut propagator = Propagator::new();
     let mut log_cursor = 0usize;
-    let total = shape.total.max(1);
+    let total = gen.total.max(1);
     let chunk = opts.chunk_size;
 
-    while !slice.run.stop.load(Ordering::Acquire) {
-        let Some(Claim { idx, limit }) = slice.dispenser.claim(&shape.covered) else {
+    while !gen.run.stop.load(Ordering::Acquire) {
+        let Some(Claim { idx, limit }) = gen.pool.claim(slot, &gen.covered) else {
             return;
         };
-        slice.claims.fetch_add(1, Ordering::Relaxed);
+        gen.claims.fetch_add(1, Ordering::Relaxed);
         let lo = idx.saturating_mul(chunk);
         let hi = lo.saturating_add(chunk).min(total);
         let search_end = limit.saturating_mul(chunk).min(total);
         if opts.pruning {
-            // Pattern-log sync (and the exchange beat) at every chunk
-            // boundary: publication is immediate, and this is the pull.
-            if let Some(exchange) = &slice.exchange {
-                exchange.pump(&slice.hub, shape.k);
-            }
-            slice.hub.sync_into(&mut propagator, &mut log_cursor);
+            // Pattern-log sync at every chunk boundary: publication is
+            // immediate, and this is the pull.
+            gen.hub.sync_into(&mut propagator, &mut log_cursor);
         }
 
         // Everything this chunk produces accumulates here and is journaled
         // atomically when the chunk completes; a chunk abandoned mid-way
         // (stop request, kill) leaves no journal trace and is re-run on
         // resume against the same pattern-table state it started from.
-        let mut draft = ChunkDraft::new(shape.k as u64, slice.index, idx);
+        let mut draft = ChunkDraft::new(gen.k as u64, idx);
         let next = match opts.enumeration {
             Enumeration::Guided => run_chunk_guided(
-                slice,
+                gen,
                 lo,
                 hi,
                 search_end,
@@ -1283,18 +1176,18 @@ fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
             ),
             #[cfg(any(test, feature = "reference"))]
             Enumeration::Lexicographic => {
-                run_chunk_lex(slice, lo, hi, &mut propagator, &mut session, &mut draft)
+                run_chunk_lex(gen, lo, hi, &mut propagator, &mut session, &mut draft)
             }
         };
 
-        slice.bank(&draft);
+        gen.bank(&draft);
         if draft.evaluated > 0 {
-            slice.active_chunks.fetch_add(1, Ordering::Relaxed);
+            gen.active_chunks.fetch_add(1, Ordering::Relaxed);
         }
         // A stop request interrupted the chunk: its partial counters are
         // banked (for the report) but never journaled.
         let Some(next) = next else { return };
-        slice.journal_chunk(draft);
+        gen.journal_chunk(draft);
 
         // Every chunk below `through` and past this one holds no consistent
         // candidate; a search that ran out refutes the partial last chunk
@@ -1307,21 +1200,16 @@ fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
         if through <= idx + 1 {
             continue;
         }
-        if let Some((first, count)) =
-            slice
-                .dispenser
-                .claim_refuted(idx + 1, through, &shape.covered)
-        {
-            slice.claims.fetch_add(1, Ordering::Relaxed);
+        if let Some((first, count)) = gen.pool.claim_refuted(slot, idx + 1, through, &gen.covered) {
+            gen.claims.fetch_add(1, Ordering::Relaxed);
             let run = ChunkDraft::refuted(
-                shape.k as u64,
-                slice.index,
+                gen.k as u64,
                 first,
                 count,
-                slice.chunk_candidates(first, count),
+                gen.chunk_candidates(first, count),
             );
-            slice.bank(&run);
-            slice.journal_chunk(run);
+            gen.bank(&run);
+            gen.journal_chunk(run);
         }
     }
 }
@@ -1336,7 +1224,7 @@ fn worker<M: TransitionSystem>(model: &M, slice: &Slice<'_>) {
 /// index — the next consistent candidate, or `search_end` if there is none
 /// — is returned; `None` if a stop request interrupted the chunk.
 fn run_chunk_guided<M: TransitionSystem>(
-    slice: &Slice<'_>,
+    gen: &Generation<'_>,
     lo: u64,
     hi: u64,
     search_end: u64,
@@ -1353,10 +1241,10 @@ fn run_chunk_guided<M: TransitionSystem>(
     // and solutions bit-identically but may re-measure a slightly
     // different probe total, since its first live chunk starts from a cold
     // memo.
-    let (run, shape) = (slice.run, slice.shape);
+    let run = gen.run;
     let probes_before = propagator.probes();
     let mut od = GuidedOdometer::over_range(
-        shape.radices.clone(),
+        gen.radices.clone(),
         lo as u128,
         search_end as u128,
         propagator,
@@ -1376,7 +1264,7 @@ fn run_chunk_guided<M: TransitionSystem>(
             break None;
         }
         let digits = od.current().expect("candidate below the search end");
-        if !run.options.pruning && shape.repeats_last_generation(digits) {
+        if !run.options.pruning && gen.repeats_last_generation(digits) {
             draft.deduped += 1;
             od.advance();
             continue;
@@ -1389,7 +1277,7 @@ fn run_chunk_guided<M: TransitionSystem>(
             break None;
         }
         let digits = digits.to_vec();
-        evaluate_candidate(slice, digits, session, od.propagator_mut(), draft);
+        evaluate_candidate(gen, digits, session, od.propagator_mut(), draft);
         od.advance();
     };
     draft.probes += od.propagator_mut().probes() - probes_before;
@@ -1403,16 +1291,16 @@ fn run_chunk_guided<M: TransitionSystem>(
 /// interrupted the chunk.
 #[cfg(any(test, feature = "reference"))]
 fn run_chunk_lex<M: TransitionSystem>(
-    slice: &Slice<'_>,
+    gen: &Generation<'_>,
     lo: u64,
     hi: u64,
     propagator: &mut Propagator,
     session: &mut CheckSession<'_, M>,
     draft: &mut ChunkDraft,
 ) -> Option<u64> {
-    let (run, shape) = (slice.run, slice.shape);
+    let run = gen.run;
     let mut scratch = Vec::new();
-    let mut od = Odometer::over_range(shape.radices.clone(), lo as u128, hi as u128);
+    let mut od = Odometer::over_range(gen.radices.clone(), lo as u128, hi as u128);
     while let Some(digits) = od.current() {
         if run.stop.load(Ordering::Acquire) {
             return None;
@@ -1422,14 +1310,14 @@ fn run_chunk_lex<M: TransitionSystem>(
             // depth `d` skips the entire subtree below it in O(1).
             let hit = propagator
                 .table()
-                .first_pruned_depth_in(digits, shape.k, &mut scratch);
+                .first_pruned_depth_in(digits, gen.k, &mut scratch);
             // The walk consults depths `0..=d` (or all `0..=k` on a miss).
-            draft.probes += hit.unwrap_or(shape.k) as u64 + 1;
+            draft.probes += hit.unwrap_or(gen.k) as u64 + 1;
             if let Some(d) = hit {
                 draft.skipped += od.skip_subtree(d) as u64;
                 continue;
             }
-        } else if shape.repeats_last_generation(digits) {
+        } else if gen.repeats_last_generation(digits) {
             draft.deduped += 1;
             if !od.advance() {
                 break;
@@ -1440,7 +1328,7 @@ fn run_chunk_lex<M: TransitionSystem>(
             run.request_stop(reason);
             return None;
         }
-        evaluate_candidate(slice, digits.to_vec(), session, propagator, draft);
+        evaluate_candidate(gen, digits.to_vec(), session, propagator, draft);
         if !od.advance() {
             break;
         }
@@ -1449,25 +1337,25 @@ fn run_chunk_lex<M: TransitionSystem>(
 }
 
 /// Dispatches one candidate to the model checker and files the result —
-/// into the slice and run state immediately, and into the chunk `draft`
-/// for the journal.
+/// into the generation and run state immediately, and into the chunk
+/// `draft` for the journal.
 fn evaluate_candidate<M: TransitionSystem>(
-    slice: &Slice<'_>,
+    gen: &Generation<'_>,
     digits: Vec<u16>,
     session: &mut CheckSession<'_, M>,
     propagator: &mut Propagator,
     draft: &mut ChunkDraft,
 ) {
-    let run = slice.run;
+    let run = gen.run;
     let opts = &run.options;
-    let known_before = slice.registry.len();
+    let known_before = gen.registry.len();
     let default = if opts.pruning {
         DiscoveryDefault::Wildcard
     } else {
         DiscoveryDefault::ActionZero
     };
-    let resolver = SharedCandidateResolver::new(&slice.registry, &digits, default);
-    let (outcome, touched) = dispatch(slice, session, resolver, draft);
+    let resolver = SharedCandidateResolver::new(&gen.registry, &digits, default);
+    let (outcome, touched) = dispatch(gen, session, resolver, draft);
     let number = run.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
     draft.evaluated += 1;
 
@@ -1490,7 +1378,7 @@ fn evaluate_candidate<M: TransitionSystem>(
                         PatternEntry::Sparse(relevant.iter().map(|&(h, a)| (h as u16, a)).collect())
                     }
                 };
-                pattern_added = slice.hub.publish(&entry, propagator);
+                pattern_added = gen.hub.publish(&entry, propagator);
                 if pattern_added {
                     draft.patterns.push(entry);
                 }
@@ -1500,8 +1388,8 @@ fn evaluate_candidate<M: TransitionSystem>(
             let mut assignment: Vec<(HoleId, u16)> = touched.clone();
             assignment.sort_unstable();
             let known = |s: &Solution| s.assignment == assignment;
-            let mut solutions = slice.solutions.lock();
-            if !slice.merged_solutions.iter().any(known) && !solutions.iter().any(known) {
+            let mut solutions = gen.solutions.lock();
+            if !gen.known_solutions.iter().any(known) && !solutions.iter().any(known) {
                 let solution = Solution {
                     assignment,
                     visited_states: outcome.stats().states_visited,
@@ -1521,15 +1409,15 @@ fn evaluate_candidate<M: TransitionSystem>(
                     digits: digits.clone(),
                     message: message.clone(),
                 };
-                slice.quarantined.lock().push(q.clone());
+                gen.quarantined.lock().push(q.clone());
                 draft.quarantined.push(q);
             }
         }
     }
 
     if opts.record_runs {
-        let wildcards = known_before.saturating_sub(slice.shape.k);
-        let discovered = slice.registry.names_from(known_before);
+        let wildcards = known_before.saturating_sub(gen.k);
+        let discovered = gen.registry.names_from(known_before);
         run.run_log.lock().push(RunRecord {
             run: number,
             candidate: CandidateVec::from_digits(&digits, wildcards),
@@ -1541,26 +1429,25 @@ fn evaluate_candidate<M: TransitionSystem>(
 }
 
 /// Checks one candidate on the worker's session and banks the checker work
-/// into the slice, the run and `draft`. The session resumes from its
-/// deepest checkpoint whose hole resolutions the candidate leaves
-/// unchanged; verdict and failure attribution are those of a fresh check.
-/// Returns the outcome and the hole-id-sorted touched set: the live
-/// consultations plus those of the checkpoint-reused layers, which a fresh
-/// check would have made itself (answers agree by the checkpoint validity
-/// rule).
+/// into the run and `draft`. The session resumes from its deepest
+/// checkpoint whose hole resolutions the candidate leaves unchanged;
+/// verdict and failure attribution are those of a fresh check. Returns the
+/// outcome and the hole-id-sorted touched set: the live consultations plus
+/// those of the checkpoint-reused layers, which a fresh check would have
+/// made itself (answers agree by the checkpoint validity rule).
 fn dispatch<M: TransitionSystem>(
-    slice: &Slice<'_>,
+    gen: &Generation<'_>,
     session: &mut CheckSession<'_, M>,
     resolver: SharedCandidateResolver<'_>,
     draft: &mut ChunkDraft,
 ) -> (Outcome<M::State>, Vec<(HoleId, u16)>) {
     #[cfg(any(test, feature = "reference"))]
-    if !slice.run.options.reuse_sessions {
+    if !gen.run.options.reuse_sessions {
         // The per-candidate-restart reference: one fresh check from the
         // initial states, the session left untouched.
-        let outcome = slice.run.checker.run_shared(session.model(), &resolver);
+        let outcome = gen.run.checker.run_shared(session.model(), &resolver);
         let expanded = outcome.stats().states_visited as u64;
-        slice.bank_check(expanded, 0, 0, 0);
+        gen.bank_check(expanded, 0, 0, 0);
         draft.expanded += expanded;
         return (outcome, resolver.into_touched());
     }
@@ -1571,7 +1458,7 @@ fn dispatch<M: TransitionSystem>(
     let after = session.stats();
     let expanded = after.states_expanded.saturating_sub(before.states_expanded);
     let reused = after.states_reused.saturating_sub(before.states_reused);
-    slice.bank_check(
+    gen.bank_check(
         expanded,
         reused,
         after.checks_replayed - before.checks_replayed,
@@ -1584,19 +1471,6 @@ fn dispatch<M: TransitionSystem>(
     touched.sort_unstable();
     touched.dedup_by_key(|pair| pair.0);
     (outcome, touched)
-}
-
-/// Where a slice hub's pattern came from. Only [`Origin::Local`] entries
-/// are exported over the cross-slice exchange (foreign entries arrived
-/// *from* it, so re-broadcasting them would echo forever) and merged into
-/// the run's patterns at round end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// Published by this slice's own workers (or replayed from its journal
-    /// segment after a crash).
-    Local,
-    /// Imported from a peer slice via the exchange.
-    Foreign,
 }
 
 /// Sorts and de-duplicates a sparse pattern as
@@ -1617,11 +1491,10 @@ fn merge_into(local: &mut Propagator, entry: &PatternEntry) {
     };
 }
 
-/// The run's merged pruning patterns, each distinct pattern stored once, in
-/// merge order. Every slice's hub reads it as its base; the merge files the
-/// slices' own patterns into it at round end.
+/// Pruning patterns, each distinct pattern stored once, in filing order:
+/// the run's patterns, and what one generation learned on top of them.
 #[derive(Debug, Default)]
-pub(crate) struct PatternLog {
+struct PatternLog {
     seen: FnvHashSet<Arc<PatternEntry>>,
     log: Vec<Arc<PatternEntry>>,
     dense: usize,
@@ -1629,131 +1502,79 @@ pub(crate) struct PatternLog {
 }
 
 impl PatternLog {
-    /// Files a pattern unless the log already has it.
-    pub(crate) fn file(&mut self, entry: Arc<PatternEntry>) {
-        if self.seen.insert(Arc::clone(&entry)) {
+    /// Files a pattern unless the log already has it; returns whether it
+    /// was new.
+    fn file(&mut self, entry: Arc<PatternEntry>) -> bool {
+        let fresh = self.seen.insert(Arc::clone(&entry));
+        if fresh {
             match *entry {
                 PatternEntry::Prefix(_) => self.dense += 1,
                 PatternEntry::Sparse(_) => self.sparse += 1,
             }
             self.log.push(entry);
         }
+        fresh
     }
 }
 
-/// A slice's pruning-pattern hub: the run's merged patterns (`base`,
-/// read-only while the round runs) followed by an append-only log of what
-/// the slice learned or imported since. Workers replay both, in that order,
-/// into their thread-local tables; the de-duplication sets decide what is
-/// new. Each distinct pattern is stored once: a set's entry and its log's
-/// share one allocation, and the merge moves it into the base.
+/// A generation's pruning-pattern hub: the run's patterns (`base`,
+/// read-only while the generation runs) followed by the log of what the
+/// generation learned since, journal-replayed patterns first. Workers
+/// replay both, in that order, into their thread-local propagators. Each
+/// distinct pattern is stored once: a set's entry and its log's share one
+/// allocation, and the merge moves it into the run's log.
 #[derive(Debug)]
 struct PatternHub<'r> {
     base: &'r PatternLog,
-    inner: Mutex<HubInner>,
-}
-
-#[derive(Debug, Default)]
-struct HubInner {
-    seen: FnvHashSet<Arc<PatternEntry>>,
-    log: Vec<(Arc<PatternEntry>, Origin)>,
+    learned: Mutex<PatternLog>,
 }
 
 impl<'r> PatternHub<'r> {
-    fn over(base: &'r PatternLog) -> Self {
-        PatternHub {
+    /// A hub over `base`, seeded with the generation's journaled patterns
+    /// before any worker starts.
+    fn new(base: &'r PatternLog, journaled: Vec<PatternEntry>) -> Self {
+        let hub = PatternHub {
             base,
-            inner: Mutex::default(),
+            learned: Mutex::default(),
+        };
+        for entry in journaled {
+            hub.file(&mut hub.learned.lock(), entry);
         }
+        hub
     }
 
     /// Logs `entry` if neither the base nor this hub has it; returns
     /// whether it was new.
-    fn file(&self, inner: &mut HubInner, entry: PatternEntry, origin: Origin) -> bool {
+    fn file(&self, learned: &mut PatternLog, entry: PatternEntry) -> bool {
         let entry = normalized(entry);
-        if self.base.seen.contains(&entry) {
-            return false;
-        }
-        let entry = Arc::new(entry);
-        let fresh = inner.seen.insert(Arc::clone(&entry));
-        if fresh {
-            inner.log.push((entry, origin));
-        }
-        fresh
+        !self.base.seen.contains(&entry) && learned.file(Arc::new(entry))
     }
 
     /// Publishes a pattern a worker learned; merges it into `local` as
     /// well. Returns whether the pattern was new to the run.
     fn publish(&self, entry: &PatternEntry, local: &mut Propagator) -> bool {
         merge_into(local, entry);
-        self.file(&mut self.inner.lock(), entry.clone(), Origin::Local)
+        self.file(&mut self.learned.lock(), entry.clone())
     }
 
-    /// Replays the hub from `*cursor` on — the base, then this slice's log,
-    /// regardless of origin — into `local`: a worker's propagator must hold
-    /// everything the hub knows, imported patterns included.
+    /// Replays the hub from `*cursor` on — the base, then the generation's
+    /// log — into `local`.
     fn sync_into(&self, local: &mut Propagator, cursor: &mut usize) {
         let base = &self.base.log;
         for entry in base.get(*cursor..).unwrap_or(&[]) {
             merge_into(local, entry);
         }
-        let inner = self.inner.lock();
+        let learned = self.learned.lock();
         let from = cursor.saturating_sub(base.len());
-        for (entry, _) in &inner.log[from..] {
+        for entry in &learned.log[from..] {
             merge_into(local, entry);
         }
-        *cursor = base.len() + inner.log.len();
+        *cursor = base.len() + learned.log.len();
     }
 
-    /// Seeds the slice's journaled patterns (before any worker starts) as
-    /// `Local`, so a resumed slice still reports and re-exports them.
-    fn seed_local(&self, entries: Vec<PatternEntry>) {
-        let mut inner = self.inner.lock();
-        for entry in entries {
-            self.file(&mut inner, entry, Origin::Local);
-        }
-    }
-
-    /// Imports peer-slice patterns: new-to-this-hub entries join the log
-    /// as `Foreign`, from where the ordinary worker sync merges them into
-    /// every local table and propagator. Entries referencing holes at or
-    /// beyond `width` (the frontier `k`) are dropped — no candidate in this
-    /// generation constrains those holes, and a well-formed peer at the
-    /// same frontier never sends them.
-    fn import(&self, entries: Vec<PatternEntry>, width: usize) {
-        let mut inner = self.inner.lock();
-        for entry in entries {
-            let in_range = match &entry {
-                PatternEntry::Prefix(p) => p.len() <= width,
-                PatternEntry::Sparse(s) => s.iter().all(|&(h, _)| (h as usize) < width),
-            };
-            if in_range {
-                self.file(&mut inner, entry, Origin::Foreign);
-            }
-        }
-    }
-
-    /// Drains `Local` log entries past `cursor` for export to peer slices.
-    fn export_locals(&self, cursor: &mut usize) -> Vec<PatternEntry> {
-        let inner = self.inner.lock();
-        let out = inner.log[*cursor..]
-            .iter()
-            .filter(|(_, origin)| *origin == Origin::Local)
-            .map(|(entry, _)| (**entry).clone())
-            .collect();
-        *cursor = inner.log.len();
-        out
-    }
-
-    /// Every `Local` entry, in log order — what the slice hands the merge.
-    fn into_locals(self) -> Vec<Arc<PatternEntry>> {
-        self.inner
-            .into_inner()
-            .log
-            .into_iter()
-            .filter(|(_, origin)| *origin == Origin::Local)
-            .map(|(entry, _)| entry)
-            .collect()
+    /// Every pattern the generation learned, in log order.
+    fn into_log(self) -> Vec<Arc<PatternEntry>> {
+        self.learned.into_inner().log
     }
 }
 
@@ -1879,6 +1700,16 @@ mod tests {
                 solution_set(&seq),
                 "seed {seed}: parallel must find the same solutions"
             );
+        }
+        // Naïve mode: a solution can name holes first seen in its own
+        // generation, which racing workers register in any order.
+        for seed in [8u64, 9, 300, 301] {
+            let model = GraphModel::random(seed, 6, 3);
+            let naive = SynthOptions::default().pruning(false);
+            let seq = Synthesizer::new(naive.clone()).run(&model);
+            let par = Synthesizer::new(naive.threads(4)).run(&model);
+            assert_eq!(solution_set(&par), solution_set(&seq), "naive seed {seed}");
+            assert_eq!(par.solutions().len(), seq.solutions().len());
         }
     }
 
@@ -2064,20 +1895,20 @@ mod tests {
         assert!(report.stats().evaluated <= 4);
     }
 
-    /// Drains a dispenser the way workers do — claim a chunk, then maybe
-    /// claim a refuted run after it up to a pseudo-random bound — and
+    /// Drains `slot` of a pool the way a worker does — claim a chunk, then
+    /// maybe claim a refuted run after it up to a pseudo-random bound — and
     /// returns every chunk index it handed out, in claim order.
-    fn drain(claims: &ChunkClaims, covered: &[(u64, u64)], seed: u64) -> Vec<u64> {
+    fn drain(pool: &StealPool, slot: usize, covered: &[(u64, u64)], seed: u64) -> Vec<u64> {
         let mut rng = seed;
         let mut out = Vec::new();
-        while let Some(Claim { idx, limit }) = claims.claim(covered) {
+        while let Some(Claim { idx, limit }) = pool.claim(slot, covered) {
             assert!(idx < limit, "claim {idx} outside its limit {limit}");
             out.push(idx);
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let through = idx + 1 + (rng >> 33) % 9;
-            if let Some((first, count)) = claims.claim_refuted(idx + 1, through, covered) {
+            if let Some((first, count)) = pool.claim_refuted(slot, idx + 1, through, covered) {
                 assert!(count > 0 && first > idx && first + count <= through);
                 out.extend(first..first + count);
             }
@@ -2086,33 +1917,53 @@ mod tests {
     }
 
     #[test]
-    fn serial_claims_step_over_covered_ranges_and_stop_at_them() {
-        let covered = [(3, 4), (10, 2)];
-        let claims = ChunkClaims::serial(0, 20);
-        assert_eq!(claims.claim(&covered), Some(Claim { idx: 0, limit: 3 }));
-        // A refuted run stops at the first covered chunk.
-        assert_eq!(claims.claim_refuted(1, 9, &covered), Some((1, 2)));
-        // The covered range [3, 7) is stepped over in one claim.
-        assert_eq!(claims.claim(&covered), Some(Claim { idx: 7, limit: 10 }));
-        // A run that does not start at the cursor claims nothing.
-        assert_eq!(claims.claim_refuted(9, 12, &covered), None);
-        assert_eq!(claims.claim_refuted(8, 12, &covered), Some((8, 2)));
-        assert_eq!(claims.claim(&covered), Some(Claim { idx: 12, limit: 20 }));
-        // Clamped to the dispenser's end.
-        assert_eq!(claims.claim_refuted(13, 99, &covered), Some((13, 7)));
-        assert_eq!(claims.claim(&covered), None);
-        assert_eq!(claims.claim_refuted(20, 99, &covered), None);
+    fn partition_covers_space_with_balanced_contiguous_ranges() {
+        for chunks in [0u64, 1, 2, 3, 7, 64, 1000, 1001] {
+            for slots in [1usize, 2, 3, 4, 7, 13] {
+                let ranges = partition_chunks(chunks, slots);
+                assert_eq!(ranges.len(), slots);
+                let mut cursor = 0;
+                for &(s, e) in &ranges {
+                    assert_eq!(s, cursor, "ranges must be contiguous");
+                    assert!(s <= e);
+                    cursor = e;
+                }
+                assert_eq!(cursor, chunks, "ranges must cover the space");
+                let lens: Vec<u64> = ranges.iter().map(|&(s, e)| e - s).collect();
+                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(max - min <= 1, "ranges must be balanced");
+            }
+        }
     }
 
     #[test]
-    fn racing_serial_claimers_bank_every_chunk_exactly_once() {
+    fn one_slot_claims_step_over_covered_ranges_and_stop_at_them() {
+        let covered = [(3, 4), (10, 2)];
+        let pool = StealPool::new(&[(0, 20)]);
+        assert_eq!(pool.claim(0, &covered), Some(Claim { idx: 0, limit: 3 }));
+        // A refuted run stops at the first covered chunk.
+        assert_eq!(pool.claim_refuted(0, 1, 9, &covered), Some((1, 2)));
+        // The covered range [3, 7) is stepped over in one claim.
+        assert_eq!(pool.claim(0, &covered), Some(Claim { idx: 7, limit: 10 }));
+        // A run that does not start at the cursor claims nothing.
+        assert_eq!(pool.claim_refuted(0, 9, 12, &covered), None);
+        assert_eq!(pool.claim_refuted(0, 8, 12, &covered), Some((8, 2)));
+        assert_eq!(pool.claim(0, &covered), Some(Claim { idx: 12, limit: 20 }));
+        // Clamped to the slot's end.
+        assert_eq!(pool.claim_refuted(0, 13, 99, &covered), Some((13, 7)));
+        assert_eq!(pool.claim(0, &covered), None);
+        assert_eq!(pool.claim_refuted(0, 20, 99, &covered), None);
+    }
+
+    #[test]
+    fn racing_claimers_of_one_slot_bank_every_chunk_exactly_once() {
         let covered = [(40, 25), (300, 1)];
-        let claims = ChunkClaims::serial(0, 500);
+        let pool = StealPool::new(&[(0, 500)]);
         let mut all: Vec<u64> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|seed| {
-                    let (claims, covered) = (&claims, &covered);
-                    scope.spawn(move || drain(claims, covered, seed))
+                    let (pool, covered) = (&pool, &covered);
+                    scope.spawn(move || drain(pool, 0, covered, seed))
                 })
                 .collect();
             handles
@@ -2128,30 +1979,22 @@ mod tests {
     }
 
     #[test]
-    fn pooled_claims_clamp_to_a_slot_a_thief_shortened() {
-        let pool = Arc::new(crate::shard::StealPool::new(&[(0, 100), (100, 100)], true));
-        let owner = ChunkClaims::Pool {
-            pool: Arc::clone(&pool),
-            slot: 0,
-        };
-        let thief = ChunkClaims::Pool {
-            pool: Arc::clone(&pool),
-            slot: 1,
-        };
-        assert_eq!(owner.claim(&[]), Some(Claim { idx: 0, limit: 100 }));
+    fn claims_clamp_to_a_slot_a_thief_shortened() {
+        let pool = StealPool::new(&[(0, 100), (100, 100)]);
+        assert_eq!(pool.claim(0, &[]), Some(Claim { idx: 0, limit: 100 }));
         // Slot 1 is empty: its first claim steals the tail half [51, 100).
         assert_eq!(
-            thief.claim(&[]),
+            pool.claim(1, &[]),
             Some(Claim {
                 idx: 51,
                 limit: 100
             })
         );
         // The owner searched to 100, but only [1, 51) is still its own.
-        assert_eq!(owner.claim_refuted(1, 100, &[]), Some((1, 50)));
-        assert_eq!(thief.claim_refuted(52, 60, &[(55, 5)]), Some((52, 3)));
+        assert_eq!(pool.claim_refuted(0, 1, 100, &[]), Some((1, 50)));
+        assert_eq!(pool.claim_refuted(1, 52, 60, &[(55, 5)]), Some((52, 3)));
         assert_eq!(
-            thief.claim(&[(55, 5)]),
+            pool.claim(1, &[(55, 5)]),
             Some(Claim {
                 idx: 60,
                 limit: 100
@@ -2159,7 +2002,7 @@ mod tests {
         );
         // The owner's slot is exhausted: it steals from the thief's tail.
         assert_eq!(
-            owner.claim(&[]),
+            pool.claim(0, &[]),
             Some(Claim {
                 idx: 81,
                 limit: 100
@@ -2168,30 +2011,38 @@ mod tests {
     }
 
     #[test]
-    fn racing_pooled_claimers_bank_every_chunk_exactly_once() {
-        let ranges = [(0u64, 200), (200, 210), (210, 210), (210, 400)];
-        let covered = [(150, 30), (390, 10)];
-        let pool = Arc::new(crate::shard::StealPool::new(&ranges, true));
-        let mut all: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..ranges.len() * 2)
-                .map(|t| {
-                    let claims = ChunkClaims::Pool {
-                        pool: Arc::clone(&pool),
-                        slot: t % ranges.len(),
-                    };
-                    scope.spawn(move || drain(&claims, &covered, t as u64))
-                })
+    fn racing_slots_claim_every_chunk_exactly_once() {
+        // Uneven ranges and more claimants than work force heavy stealing.
+        for (ranges, covered) in [
+            (
+                vec![(0u64, 100), (100, 101), (101, 101), (101, 160)],
+                vec![],
+            ),
+            (
+                vec![(0, 200), (200, 210), (210, 210), (210, 400)],
+                vec![(150, 30), (390, 10)],
+            ),
+        ] {
+            let (pool, slots) = (StealPool::new(&ranges), ranges.len());
+            let mut all: Vec<u64> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..slots * 2)
+                    .map(|t| {
+                        let (pool, covered) = (&pool, &covered);
+                        scope.spawn(move || drain(pool, t % slots, covered, t as u64))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+            all.sort_unstable();
+            let end = ranges.last().unwrap().1;
+            let expected: Vec<u64> = (0..end)
+                .filter(|&c| !covered.iter().any(|&(f, n)| (f..f + n).contains(&c)))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        all.sort_unstable();
-        let expected: Vec<u64> = (0..400)
-            .filter(|&c| !(150..180).contains(&c) && !(390..400).contains(&c))
-            .collect();
-        assert_eq!(all, expected);
+            assert_eq!(all, expected, "ranges {ranges:?}");
+        }
     }
 
     /// Hole ids are assigned in discovery order, which differs between

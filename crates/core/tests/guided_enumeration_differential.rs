@@ -123,7 +123,7 @@ proptest! {
     }
 
     /// Guided == exhaustive-then-filter on an arbitrary sub-range — the
-    /// sharded dispatch shape, where a chunk's walk starts mid-space.
+    /// chunk dispatch shape, where a chunk's walk starts mid-space.
     #[test]
     fn guided_walk_respects_arbitrary_ranges(
         radices in prop::collection::vec(1u32..5, 1..6),

@@ -19,9 +19,7 @@ use verc3::mck::{
 };
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::journal::record_boundaries;
-use verc3::synth::{
-    run_sharded, PatternMode, ShardOptions, StopReason, SynthOptions, SynthReport, Synthesizer,
-};
+use verc3::synth::{PatternMode, StopReason, SynthOptions, SynthReport, Synthesizer};
 
 fn scratch(name: &str) -> PathBuf {
     let path =
@@ -319,39 +317,22 @@ fn a_crash_tearing_any_journal_append_is_recovered_on_resume() {
     let _ = fs::remove_file(&path);
 }
 
-/// The same crash contract for a sharded run: a torn append panics a slice
-/// worker, the panic propagates out of the run, and re-invoking the run
-/// resumes from its one journal to the uninterrupted result.
-///
-/// Every append is torn in turn with exchange and stealing off: each
-/// slice's appends then follow from its range and the round's merged
-/// patterns, so the count taken on the clean run is reached by every armed
-/// run. With exchange and stealing on, the count varies between runs, so
-/// that configuration tears only the first two appends, the header and the
-/// first generation start, which every run makes.
+/// The same crash contract for a parallel run: a torn append panics the
+/// run, and resuming from its journal reaches the uninterrupted solutions.
+/// A parallel run's append count varies between runs, so an append index
+/// counted on a clean run may never be reached by an armed one: this tears
+/// only the first two appends, the header and the first generation start,
+/// which every run makes. The serial sweep above tears every append.
 #[test]
-fn a_crash_tearing_any_append_of_a_sharded_run_is_recovered_on_rerun() {
+fn a_crash_tearing_the_first_appends_of_a_parallel_run_is_recovered_on_resume() {
     let _guard = faults::exclusive();
-    let fixed = ShardOptions::default()
-        .shards(2)
-        .exchange(false)
-        .steal(false);
-    let appends = tear_sharded_appends(&fixed, None);
-    assert!(
-        appends > 3,
-        "expected several journal appends, got {appends}"
-    );
-    tear_sharded_appends(&ShardOptions::default().shards(2), Some(2));
-}
-
-/// Tears journal append `k` of a 2-shard Figure 2 run for every `k` below
-/// `limit` (default: the append count of a clean run), reruns, and checks
-/// the rerun against the clean run. Returns the clean run's append count.
-fn tear_sharded_appends(sharding: &ShardOptions, limit: Option<u64>) -> u64 {
     disarm_all();
-    let path = scratch("torn-sharded");
+    let path = scratch("torn-parallel");
     let model = verc3::mck::GraphModel::worked_example();
-    let options = SynthOptions::default().chunk_size(2).journal(&path);
+    let options = SynthOptions::default()
+        .threads(2)
+        .chunk_size(2)
+        .journal(&path);
     let named = |r: &SynthReport| {
         let mut sols: Vec<String> = r
             .solutions()
@@ -361,28 +342,29 @@ fn tear_sharded_appends(sharding: &ShardOptions, limit: Option<u64>) -> u64 {
         sols.sort();
         (sols, r.holes().len())
     };
-    let baseline = run_sharded(&model, &options, sharding).unwrap();
-    let appends = hit_count(site::JOURNAL_APPEND);
+    let baseline = Synthesizer::new(options.clone()).run(&model);
 
-    for k in 0..limit.unwrap_or(appends) {
+    for k in 0..2 {
         disarm_all();
         let _ = fs::remove_file(&path);
         arm(site::JOURNAL_APPEND, k);
-        let crashed = catch_unwind(AssertUnwindSafe(|| run_sharded(&model, &options, sharding)));
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            Synthesizer::new(options.clone()).run(&model)
+        }));
         assert!(crashed.is_err(), "append {k}: armed writer must crash");
         disarm_all();
-        let resumed = run_sharded(&model, &options, sharding)
-            .unwrap_or_else(|e| panic!("rerun after torn append {k}: {e}"));
+        let resumed = Synthesizer::new(options.clone())
+            .resume_from_journal(&model)
+            .unwrap_or_else(|e| panic!("resume after torn append {k}: {e}"));
         assert_eq!(resumed.stats().stop, StopReason::Completed);
         assert_eq!(
             named(&resumed),
             named(&baseline),
-            "rerun after tearing append {k}/{appends} diverged"
+            "resume after tearing append {k} diverged"
         );
     }
     disarm_all();
     let _ = fs::remove_file(&path);
-    appends
 }
 
 proptest! {

@@ -3,6 +3,7 @@
 //! uninterrupted run bit-for-bit (solutions, pattern counts, evaluation
 //! totals), and budget-stopped runs must resume to the same final state.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -124,74 +125,92 @@ fn fig2_resumes_identically_from_every_record_boundary() {
     );
 }
 
-#[test]
-fn parallel_journal_resumes_to_the_same_solutions_from_every_boundary() {
-    // A parallel run's evaluated/skipped split is a race between workers
-    // publishing patterns (two *uninterrupted* 4-thread runs already
-    // disagree on it), so kill/resume bit-identity is a serial guarantee.
-    // What parallel resume must preserve: the solution set, and the
-    // per-generation accounting identity skipped + evaluated + deduped =
-    // space — which fails if resume re-runs or drops a covered chunk.
-    let path = scratch("fig2-parallel");
-    let model = GraphModel::worked_example();
-    let options = SynthOptions::default().threads(4).chunk_size(2);
-    let baseline = Synthesizer::new(options.clone().journal(&path)).run(&model);
+/// Solution assignments keyed by hole *name*: hole ids follow discovery
+/// order, which racing workers decide.
+fn named_solutions(report: &SynthReport) -> BTreeSet<Vec<(String, u16)>> {
+    report
+        .solutions()
+        .iter()
+        .map(|s| {
+            let mut named: Vec<(String, u16)> = s
+                .assignment
+                .iter()
+                .map(|&(h, a)| (report.holes()[h].name.clone(), a))
+                .collect();
+            named.sort();
+            named
+        })
+        .collect()
+}
+
+/// Runs `options` (a 4-thread run) journaled to completion, then cuts the
+/// journal at every record boundary and resumes it at 1, 2 and 4 threads.
+///
+/// A parallel run's evaluated/skipped split is a race between workers
+/// publishing patterns (two *uninterrupted* 4-thread runs already disagree
+/// on it), so kill/resume bit-identity is a serial guarantee. What parallel
+/// resume must preserve, at any thread count: the solution set, and the
+/// per-generation accounting identity skipped + evaluated + deduped =
+/// space — which fails if resume re-runs or drops a covered chunk. The
+/// journal records coverage, not which worker's slot a chunk came from, so
+/// the thread count may change across the cut.
+fn assert_parallel_resume_at_every_boundary<M: TransitionSystem>(
+    model: &M,
+    options: &SynthOptions,
+    name: &str,
+) {
+    let path = scratch(name);
+    let baseline = Synthesizer::new(options.clone().journal(&path)).run(model);
     let full = fs::read(&path).unwrap();
     let boundaries = record_boundaries(&path).unwrap();
 
     for (idx, &cut) in boundaries.iter().enumerate() {
-        fs::write(&path, &full[..cut as usize]).unwrap();
-        let resumed = Synthesizer::new(options.clone().journal(&path))
-            .resume_from_journal(&model)
-            .unwrap_or_else(|e| panic!("resume at boundary {idx}: {e}"));
-        assert_eq!(resumed.solutions(), baseline.solutions(), "boundary {idx}");
-        assert_eq!(resumed.stats().stop, StopReason::Completed);
-        for (g, gen) in resumed.stats().generations.iter().enumerate() {
+        for threads in [1usize, 2, 4] {
+            fs::write(&path, &full[..cut as usize]).unwrap();
+            let resumed = Synthesizer::new(options.clone().threads(threads).journal(&path))
+                .resume_from_journal(model)
+                .unwrap_or_else(|e| panic!("resume at boundary {idx}, {threads} threads: {e}"));
+            let at = format!("boundary {idx}, {threads} threads");
             assert_eq!(
-                gen.skipped_by_pruning + gen.evaluated as u128 + gen.deduped as u128,
-                gen.space,
-                "boundary {idx}, generation {g}: chunk coverage must not \
-                 drop or double-count candidates"
+                named_solutions(&resumed),
+                named_solutions(&baseline),
+                "{at}"
             );
+            assert_eq!(resumed.solutions().len(), baseline.solutions().len());
+            assert_eq!(resumed.stats().stop, StopReason::Completed);
+            for (g, gen) in resumed.stats().generations.iter().enumerate() {
+                assert_eq!(
+                    gen.skipped_by_pruning + gen.evaluated as u128 + gen.deduped as u128,
+                    gen.space,
+                    "{at}, generation {g}: chunk coverage must not drop or \
+                     double-count candidates"
+                );
+            }
         }
     }
     let _ = fs::remove_file(&path);
 }
 
 #[test]
+fn parallel_journal_resumes_to_the_same_solutions_from_every_boundary() {
+    let model = GraphModel::worked_example();
+    let options = SynthOptions::default().threads(4).chunk_size(2);
+    assert_parallel_resume_at_every_boundary(&model, &options, "fig2-parallel");
+}
+
+#[test]
 fn parallel_guided_journal_resumes_to_the_same_solutions_from_every_boundary() {
     // The guided counterpart: four workers claim refuted chunk runs in one
-    // step, racing each other for the same dispenser. A resumed run must
+    // step, racing each other across steal-pool slots. A resumed run must
     // step over every journal-covered range without banking it again and
     // must neither drop nor re-count a chunk of the runs it claims.
-    let path = scratch("msi-tiny-guided-parallel");
     let model = MsiModel::new(MsiConfig::msi_tiny());
     let options = SynthOptions::default()
         .enumeration(Enumeration::Guided)
         .pattern_mode(PatternMode::Refined)
         .threads(4)
         .chunk_size(8);
-    let baseline = Synthesizer::new(options.clone().journal(&path)).run(&model);
-    let full = fs::read(&path).unwrap();
-    let boundaries = record_boundaries(&path).unwrap();
-
-    for (idx, &cut) in boundaries.iter().enumerate() {
-        fs::write(&path, &full[..cut as usize]).unwrap();
-        let resumed = Synthesizer::new(options.clone().journal(&path))
-            .resume_from_journal(&model)
-            .unwrap_or_else(|e| panic!("resume at boundary {idx}: {e}"));
-        assert_eq!(resumed.solutions(), baseline.solutions(), "boundary {idx}");
-        assert_eq!(resumed.stats().stop, StopReason::Completed);
-        for (g, gen) in resumed.stats().generations.iter().enumerate() {
-            assert_eq!(
-                gen.skipped_by_pruning + gen.evaluated as u128 + gen.deduped as u128,
-                gen.space,
-                "boundary {idx}, generation {g}: chunk coverage must not \
-                 drop or double-count candidates"
-            );
-        }
-    }
-    let _ = fs::remove_file(&path);
+    assert_parallel_resume_at_every_boundary(&model, &options, "msi-tiny-guided-parallel");
 }
 
 #[test]
