@@ -59,5 +59,5 @@ pub use odometer::{space_size, GuidedOdometer, Odometer};
 pub use pattern::ReferencePatternTable;
 pub use pattern::{PatternMode, PatternTable, Propagator, SparsePattern};
 pub use report::{GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats};
-pub use resolver::{assignment_delta, DiscoveryDefault, NameCache, SharedCandidateResolver};
+pub use resolver::{DiscoveryDefault, NameCache, SharedCandidateResolver};
 pub use synth::{Enumeration, SynthOptions, Synthesizer};

@@ -12,13 +12,14 @@
 //!   baseline mode ("the default action substituted, such that the model
 //!   checker may continue").
 //!
-//! The resolver also records every *concrete* resolution it hands out (the
-//! "touched" set): failures prune based on it in refined-pattern mode, and
-//! solutions are identified by it (holes never consulted by a successful
-//! run are genuine don't-cares).
+//! The resolver only answers. Which holes a run consulted — the "touched"
+//! set that failures prune on in refined-pattern mode and that identifies a
+//! solution (holes never consulted by a successful run are genuine
+//! don't-cares) — is read from the check session's logs
+//! ([`verc3_mck::CheckSession::touched`]), which record every consultation
+//! the checker's walk committed.
 
 use crate::hole::{HoleId, HoleRegistry};
-use parking_lot::Mutex;
 use verc3_mck::hashers::FnvHashMap;
 use verc3_mck::{Choice, HoleResolver, HoleSpec, SessionResolver, SharedResolver, WildcardTouch};
 
@@ -33,7 +34,7 @@ pub enum DiscoveryDefault {
 
 /// Per-worker cache mapping hole names to registry ids — re-exported from
 /// `verc3-mck`, which also defines the seeding protocol
-/// ([`verc3_mck::SharedResolver::worker_seeded`] /
+/// ([`verc3_mck::SharedResolver::worker`] /
 /// [`verc3_mck::HoleResolver::take_name_cache`]) that lets a `CheckSession`
 /// carry one cache across checks.
 ///
@@ -44,24 +45,12 @@ pub enum DiscoveryDefault {
 pub use verc3_mck::NameCache;
 
 /// The one candidate-resolution rule: holes inside the concrete prefix answer
-/// their digit; holes beyond it answer the discovery default. `Some(action)` is a concrete answer the caller
-/// must record as a touch; `None` is the wildcard.
-fn resolve_digit(
-    digits: &[u16],
-    default: DiscoveryDefault,
-    id: HoleId,
-    spec: &HoleSpec,
-) -> Option<u16> {
-    if id < digits.len() {
-        let action = digits[id];
-        debug_assert!(
-            (action as usize) < spec.arity(),
-            "candidate digit {action} out of range for hole `{}`",
-            spec.name()
-        );
-        Some(action)
-    } else {
-        default_answer(default)
+/// their digit; holes beyond it answer the discovery default. `Some(action)`
+/// is a concrete answer; `None` is the wildcard.
+fn resolve_digit(digits: &[u16], default: DiscoveryDefault, id: HoleId) -> Option<u16> {
+    match digits.get(id) {
+        Some(&action) => Some(action),
+        None => default_answer(default),
     }
 }
 
@@ -73,70 +62,27 @@ fn default_answer(default: DiscoveryDefault) -> Option<u16> {
     }
 }
 
-/// The changed-holes delta between two candidate prefixes under one
-/// discovery default: every hole id (over a registry of `known` holes)
-/// whose resolution under `digits` differs from its resolution under
-/// `prev` — exactly the consultations that invalidate a
-/// [`verc3_mck::CheckSession`] checkpoint when moving from candidate
-/// `prev` to candidate `digits`.
-///
-/// Because the odometer varies the *least* significant (latest-discovered)
-/// holes fastest, consecutive candidates produce deltas concentrated at
-/// high hole ids — which are consulted deepest in the BFS, so consecutive
-/// checks resume from deep checkpoints.
-pub fn assignment_delta(
-    digits: &[u16],
-    prev: &[u16],
-    default: DiscoveryDefault,
-    known: usize,
-) -> Vec<HoleId> {
-    let answer = |d: &[u16], id: usize| {
-        if id < d.len() {
-            Some(d[id])
-        } else {
-            default_answer(default)
-        }
-    };
-    (0..known.max(digits.len()).max(prev.len()))
-        .filter(|&id| answer(digits, id) != answer(prev, id))
-        .collect()
-}
-
 /// The hole resolver for one candidate evaluation, shareable across the
 /// checker's workers (the thread count of `SynthOptions::checker`).
 ///
 /// One instance lives for exactly one model-checking run; the checker's
-/// serial loop and each parallel worker obtain their own [`HoleResolver`]
-/// through the [`SharedResolver`] trait. Choices are pure functions of the
+/// serial schedule and each parallel chunk obtain their own [`HoleResolver`]
+/// through [`SharedResolver::worker`]. Choices are pure functions of the
 /// shared `(registry, digits, default)` triple, so every worker answers
 /// every hole identically — the consistency contract the parallel checker
 /// relies on. Each worker keeps:
 ///
 /// * a private name→id cache (lock-free fast path; the shared registry is
-///   consulted once per hole per worker), and
-/// * a private per-application touch log, feeding the checker's per-edge
-///   `Cₜ` attribution without cross-thread traffic.
-///
-/// Concrete resolutions are merged into one shared touched set (first touch
-/// per hole per worker takes a short lock; repeats stay thread-local).
-/// [`SharedCandidateResolver::into_touched`] returns it sorted by hole id —
-/// resolutions are deterministic, so the *set* is thread-count-independent
-/// even though consultation order is not.
-///
-/// Under the parallel checker's expand-then-replay discipline, workers
-/// obtained via [`SharedResolver::expansion_worker`] are *provisional*: they
-/// resolve identically but publish nothing to the shared touched set, because
-/// some recorded applications are later discarded by the replay (past a
-/// failure or the state cap) and must not leak into pruning patterns. The
-/// replay reports the consultations it actually consumed through
-/// [`SharedResolver::note_replayed_touches`] once per layer, which merges
-/// them here — so `into_touched` equals a serial run's touched set exactly.
+///   consulted once per hole per worker, or per session when the session
+///   seeds it), and
+/// * a private per-application consultation log, feeding the checker's
+///   per-edge `Cₜ` attribution and its layer logs without cross-thread
+///   traffic.
 #[derive(Debug)]
 pub struct SharedCandidateResolver<'a> {
     registry: &'a HoleRegistry,
     digits: &'a [u16],
     default: DiscoveryDefault,
-    touched: Mutex<Vec<(HoleId, u16)>>,
 }
 
 impl<'a> SharedCandidateResolver<'a> {
@@ -147,43 +93,22 @@ impl<'a> SharedCandidateResolver<'a> {
             registry,
             digits,
             default,
-            touched: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Consumes the resolver, returning the union of all workers' concrete
-    /// resolutions, sorted by hole id.
-    pub fn into_touched(self) -> Vec<(HoleId, u16)> {
-        let mut touched = self.touched.into_inner();
-        touched.sort_unstable();
-        touched
-    }
-
-    /// The hole ids this candidate resolves differently from `prev` (same
-    /// registry, same default); see [`assignment_delta`].
-    pub fn delta_from(&self, prev: &[u16]) -> Vec<HoleId> {
-        assignment_delta(self.digits, prev, self.default, self.registry.len())
     }
 }
 
 impl SharedResolver for SharedCandidateResolver<'_> {
-    fn worker(&self) -> Box<dyn HoleResolver + '_> {
-        self.worker_seeded(NameCache::default())
-    }
-
-    /// Seeds the worker's name → id fast path with a cache drained from an
-    /// earlier worker over the same registry — how a session-held
-    /// [`verc3_mck::CheckSession`] avoids re-paying the registry lock for
-    /// every hole name on every check. Registry ids are stable for the
-    /// registry's lifetime, so a stale entry cannot exist; only caches from
-    /// a *different* registry would be wrong, which the `worker_seeded`
-    /// contract forbids.
-    fn worker_seeded(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
+    /// A worker whose name → id fast path starts from `seed`, a cache
+    /// drained from an earlier worker over the same registry — how a
+    /// session-held [`verc3_mck::CheckSession`] avoids re-paying the
+    /// registry lock for every hole name on every check. Registry ids are
+    /// stable for the registry's lifetime, so a stale entry cannot exist;
+    /// only caches from a *different* registry would be wrong, which the
+    /// seeding contract forbids.
+    fn worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
         Box::new(WorkerCandidateResolver {
             shared: self,
             cache: seed,
-            publish_touches: true,
-            seen: Vec::new(),
             app_touches: Vec::new(),
             app_wildcards: Vec::new(),
             app_fresh: Vec::new(),
@@ -192,60 +117,13 @@ impl SharedResolver for SharedCandidateResolver<'_> {
         })
     }
 
-    /// A provisional worker for the parallel checker's expansion phase: it
-    /// answers every consultation exactly like [`SharedResolver::worker`]
-    /// but contributes nothing to the shared touched set — the replay
-    /// reports what it actually consumed via
-    /// [`SharedResolver::note_replayed_touches`].
-    fn expansion_worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
-        Box::new(WorkerCandidateResolver {
-            shared: self,
-            cache: seed,
-            publish_touches: false,
-            seen: Vec::new(),
-            app_touches: Vec::new(),
-            app_wildcards: Vec::new(),
-            app_fresh: Vec::new(),
-            pending: Vec::new(),
-            pending_idx: FnvHashMap::default(),
-        })
-    }
-
-    /// Merges the replay-confirmed concrete resolutions of one layer into
-    /// the shared touched set (first mention of a hole wins, as with eager
-    /// worker publication — the resolutions are deterministic, so there is
-    /// nothing to disagree about).
-    fn note_replayed_touches(&self, touches: &[(usize, u16)]) {
-        if touches.is_empty() {
-            return;
-        }
-        let mut touched = self.touched.lock();
-        for &(hole, action) in touches {
-            if !touched.iter().any(|&(h, _)| h == hole) {
-                touched.push((hole, action));
-            }
-        }
-    }
-
-    /// Registers deferred discoveries in the driver's serial order. In naïve
-    /// (`ActionZero`) mode every deferred sighting was a *concrete*
-    /// consultation whose touch could not be recorded at choose time (no id
-    /// existed yet), so the commit also merges the `(id, default)` touches
-    /// into the shared touched set — first mention wins, as everywhere else.
+    /// Registers deferred discoveries in the order given: the walk's serial
+    /// order.
     fn commit_discoveries(&self, specs: &[HoleSpec]) -> Vec<usize> {
-        let ids: Vec<usize> = specs
+        specs
             .iter()
             .map(|spec| self.registry.resolve_or_register(spec).0)
-            .collect();
-        if let Some(action) = default_answer(self.default) {
-            let mut touched = self.touched.lock();
-            for &id in &ids {
-                if !touched.iter().any(|&(h, _)| h == id) {
-                    touched.push((id, action));
-                }
-            }
-        }
-        ids
+            .collect()
     }
 }
 
@@ -256,11 +134,7 @@ impl SessionResolver for SharedCandidateResolver<'_> {
     /// session recorded is registered by construction, and its answer
     /// within one generation depends only on the candidate prefix.
     fn assignment(&self, hole: usize) -> Option<u16> {
-        if hole < self.digits.len() {
-            Some(self.digits[hole])
-        } else {
-            default_answer(self.default)
-        }
+        resolve_digit(self.digits, self.default, hole)
     }
 }
 
@@ -269,29 +143,20 @@ impl SessionResolver for SharedCandidateResolver<'_> {
 /// First sightings of unknown holes are **deferred** in both discovery
 /// modes: the worker answers the discovery default immediately (correct — a
 /// fresh hole is necessarily beyond the frontier) but parks the spec in a
-/// pending list instead of registering it, so the exploration driver can
-/// commit all workers' discoveries at a deterministic sequence point in
+/// pending list instead of registering it, so the checker's walk can
+/// commit the discoveries it reached at a deterministic sequence point in
 /// serial order ([`SharedResolver::commit_discoveries`]). In wildcard
 /// (pruning) mode the consultation is reported as a
 /// [`WildcardTouch::Fresh`]; in naïve (`ActionZero`) mode the concrete
-/// `(hole, 0)` resolution cannot be recorded as a touch yet (no id exists),
-/// so it is reported through
-/// [`verc3_mck::HoleResolver::application_fresh_touches`] and the commit
-/// publishes the touch once the id is assigned. Anything still pending when
-/// the worker is dropped (a one-shot serial check, which has no sequence
-/// points) is registered then, in this worker's consultation order.
+/// `(hole, 0)` resolution cannot be reported as a touch yet (no id exists),
+/// so it goes through
+/// [`verc3_mck::HoleResolver::application_fresh_touches`] and the walk
+/// logs it under the id the commit assigns. A spec never drained is never
+/// registered.
 #[derive(Debug)]
 struct WorkerCandidateResolver<'a> {
     shared: &'a SharedCandidateResolver<'a>,
     cache: NameCache,
-    /// Whether concrete resolutions are published to the shared touched set
-    /// as they happen. `true` for ordinary workers; `false` for expansion
-    /// workers, whose consultations are provisional until the replay
-    /// confirms them ([`SharedResolver::note_replayed_touches`]).
-    publish_touches: bool,
-    /// Holes this worker has already resolved concretely (locally deduped
-    /// mirror of its contributions to the shared touched set).
-    seen: Vec<(HoleId, u16)>,
     app_touches: Vec<(HoleId, u16)>,
     app_wildcards: Vec<WildcardTouch>,
     /// Concrete resolutions of not-yet-registered holes since the last
@@ -306,15 +171,6 @@ struct WorkerCandidateResolver<'a> {
 
 impl WorkerCandidateResolver<'_> {
     fn record(&mut self, id: HoleId, action: u16) {
-        if !self.seen.iter().any(|&(h, _)| h == id) {
-            self.seen.push((id, action));
-            if self.publish_touches {
-                let mut touched = self.shared.touched.lock();
-                if !touched.iter().any(|&(h, _)| h == id) {
-                    touched.push((id, action));
-                }
-            }
-        }
         if !self.app_touches.iter().any(|&(h, _)| h == id) {
             self.app_touches.push((id, action));
         }
@@ -346,8 +202,13 @@ impl HoleResolver for WorkerCandidateResolver<'_> {
             },
         };
         match id {
-            Some(id) => match resolve_digit(self.shared.digits, self.shared.default, id, spec) {
+            Some(id) => match resolve_digit(self.shared.digits, self.shared.default, id) {
                 Some(action) => {
+                    debug_assert!(
+                        (action as usize) < spec.arity(),
+                        "candidate digit {action} out of range for hole `{}`",
+                        spec.name()
+                    );
                     self.record(id, action);
                     Choice::Action(action as usize)
                 }
@@ -412,39 +273,6 @@ impl HoleResolver for WorkerCandidateResolver<'_> {
     }
 }
 
-impl Drop for WorkerCandidateResolver<'_> {
-    /// Backstop for drivers without drain points: whatever is still pending
-    /// registers now, in this worker's consultation order — which for a
-    /// single-worker (serial) run *is* the serial discovery order.
-    ///
-    /// During a panic unwind the pending specs are dropped instead: they
-    /// are speculative discoveries of an evaluation that never completed,
-    /// and registering them from unwinding workers would make the registry
-    /// order depend on which worker happened to crash first.
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
-        }
-        let fresh_touch = if self.publish_touches {
-            default_answer(self.shared.default)
-        } else {
-            None
-        };
-        for spec in self.pending.drain(..) {
-            let (id, _) = self.shared.registry.resolve_or_register(&spec);
-            // Naïve-mode sightings are concrete consultations: a publishing
-            // worker owes the shared touched set their `(id, 0)` touches,
-            // exactly as the serial resolver would have recorded them.
-            if let Some(action) = fresh_touch {
-                let mut touched = self.shared.touched.lock();
-                if !touched.iter().any(|&(h, _)| h == id) {
-                    touched.push((id, action));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,74 +282,95 @@ mod tests {
     }
 
     #[test]
-    fn shared_resolver_workers_agree_and_merge_touches() {
+    fn workers_answer_identically() {
         let reg = HoleRegistry::new();
         reg.resolve_or_register(&spec("x", 3));
         reg.resolve_or_register(&spec("y", 2));
         let digits = [2u16, 1u16];
         let shared = SharedCandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard);
-        {
-            let mut w1 = shared.worker();
-            let mut w2 = shared.worker();
-            w1.begin_application();
-            assert_eq!(w1.choose(&spec("x", 3)), Choice::Action(2));
-            assert_eq!(w1.application_touches(), &[(0, 2)]);
-            // A second worker resolves the same hole identically; the shared
-            // touched set records it once.
-            assert_eq!(w2.choose(&spec("x", 3)), Choice::Action(2));
-            assert_eq!(w2.choose(&spec("y", 2)), Choice::Action(1));
-            // Lazy discovery through a worker registers on the shared
-            // registry; the wildcard answer is not a touch.
-            assert_eq!(w1.choose(&spec("z", 2)), Choice::Wildcard);
-        }
-        assert_eq!(reg.len(), 3);
-        assert_eq!(shared.into_touched(), vec![(0, 2), (1, 1)]);
+        let mut w1 = shared.worker(NameCache::default());
+        let mut w2 = shared.worker(NameCache::default());
+        w1.begin_application();
+        w2.begin_application();
+        assert_eq!(w1.choose(&spec("x", 3)), Choice::Action(2));
+        assert_eq!(w1.application_touches(), &[(0, 2)]);
+        // A second worker resolves the same holes identically, and each
+        // worker logs only its own consultations.
+        assert_eq!(w2.choose(&spec("x", 3)), Choice::Action(2));
+        assert_eq!(w2.choose(&spec("y", 2)), Choice::Action(1));
+        assert_eq!(w2.application_touches(), &[(0, 2), (1, 1)]);
+        assert_eq!(w1.application_touches(), &[(0, 2)]);
+        // The session's assignment query gives the same answers.
+        assert_eq!(shared.assignment(0), Some(2));
+        assert_eq!(shared.assignment(1), Some(1));
+        assert_eq!(shared.assignment(2), None);
     }
 
     #[test]
-    fn shared_resolver_action_zero_default() {
+    fn a_first_sighting_stays_unregistered_until_committed() {
+        let reg = HoleRegistry::new();
+        reg.resolve_or_register(&spec("x", 2));
+        let shared = SharedCandidateResolver::new(&reg, &[1], DiscoveryDefault::Wildcard);
+        let mut w1 = shared.worker(NameCache::default());
+        let mut w2 = shared.worker(NameCache::default());
+        w1.begin_application();
+        // A wildcard answer to a parked spec, numbered by first sighting;
+        // a repeat sighting reuses the parked spec.
+        assert_eq!(w1.choose(&spec("z", 2)), Choice::Wildcard);
+        assert_eq!(w1.choose(&spec("w", 2)), Choice::Wildcard);
+        assert_eq!(w1.choose(&spec("z", 2)), Choice::Wildcard);
+        assert_eq!(
+            w1.application_wildcards(),
+            &[WildcardTouch::Fresh(0), WildcardTouch::Fresh(1)]
+        );
+        assert!(w1.application_touches().is_empty());
+        assert_eq!(w2.choose(&spec("w", 2)), Choice::Wildcard);
+        assert_eq!(reg.len(), 1, "sightings alone register nothing");
+        // Dropping a worker registers nothing either: only a commit does,
+        // in the order given, one id per spec.
+        let (first, second) = (w1.take_pending_discoveries(), w2.take_pending_discoveries());
+        drop((w1, w2));
+        assert_eq!(reg.len(), 1);
+        let specs: Vec<HoleSpec> = first.into_iter().chain(second).collect();
+        assert_eq!(shared.commit_discoveries(&specs), vec![1, 2, 2]);
+        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.lookup("z"), Some(1));
+        // A registered hole beyond the frontier is a known wildcard.
+        let mut w = shared.worker(NameCache::default());
+        assert_eq!(w.choose(&spec("w", 2)), Choice::Wildcard);
+        assert_eq!(w.application_wildcards(), &[WildcardTouch::Known(2)]);
+    }
+
+    #[test]
+    fn action_zero_reports_first_sightings_as_fresh_touches() {
         let reg = HoleRegistry::new();
         let shared = SharedCandidateResolver::new(&reg, &[], DiscoveryDefault::ActionZero);
-        {
-            let mut w = shared.worker();
-            assert_eq!(w.choose(&spec("fresh", 4)), Choice::Action(0));
-        }
-        assert_eq!(shared.into_touched(), vec![(0, 0)]);
+        let mut w = shared.worker(NameCache::default());
+        w.begin_application();
+        assert_eq!(w.choose(&spec("fresh", 4)), Choice::Action(0));
+        assert_eq!(w.application_fresh_touches(), &[(0, 0)]);
+        assert!(w.application_touches().is_empty());
+        assert_eq!(reg.len(), 0);
+        let ids = shared.commit_discoveries(&w.take_pending_discoveries());
+        assert_eq!(ids, vec![0]);
+        // Once registered, the same hole is an ordinary concrete touch.
+        let mut w = shared.worker(NameCache::default());
+        assert_eq!(w.choose(&spec("fresh", 4)), Choice::Action(0));
+        assert_eq!(w.application_touches(), &[(0, 0)]);
     }
 
     #[test]
-    fn expansion_workers_do_not_publish_touches() {
-        let reg = HoleRegistry::new();
-        reg.resolve_or_register(&spec("x", 3));
-        reg.resolve_or_register(&spec("y", 2));
-        let digits = [2u16, 1u16];
-        let shared = SharedCandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard);
-        {
-            let mut w = shared.expansion_worker(NameCache::default());
-            w.begin_application();
-            assert_eq!(w.choose(&spec("x", 3)), Choice::Action(2));
-            assert_eq!(w.choose(&spec("y", 2)), Choice::Action(1));
-            // Provisional: identical answers and per-application records...
-            assert_eq!(w.application_touches(), &[(0, 2), (1, 1)]);
-        }
-        // ...but nothing in the shared touched set until the replay
-        // confirms which consultations it consumed.
-        shared.note_replayed_touches(&[(0, 2)]);
-        shared.note_replayed_touches(&[(0, 2), (1, 1)]);
-        assert_eq!(shared.into_touched(), vec![(0, 2), (1, 1)]);
-    }
-
-    #[test]
-    fn touched_deduplicates_repeat_consultations() {
+    fn application_touches_deduplicate_repeat_consultations() {
         let reg = HoleRegistry::new();
         reg.resolve_or_register(&spec("x", 2));
         let digits = [1u16];
         let shared = SharedCandidateResolver::new(&reg, &digits, DiscoveryDefault::Wildcard);
-        {
-            let mut w = shared.worker();
-            let _ = w.choose(&spec("x", 2));
-            let _ = w.choose(&spec("x", 2));
-        }
-        assert_eq!(shared.into_touched(), vec![(0, 1)]);
+        let mut w = shared.worker(NameCache::default());
+        w.begin_application();
+        let _ = w.choose(&spec("x", 2));
+        let _ = w.choose(&spec("x", 2));
+        assert_eq!(w.application_touches(), &[(0, 1)]);
+        w.begin_application();
+        assert!(w.application_touches().is_empty());
     }
 }

@@ -40,7 +40,7 @@
 //! dispenser and the finds.
 
 use crate::candidate::CandidateVec;
-use crate::hole::{HoleId, HoleInfo, HoleRegistry};
+use crate::hole::{HoleInfo, HoleRegistry};
 use crate::journal::{
     self, ChunkDraft, Fingerprint, GenReplay, JournalReplay, JournalWriter, PatternEntry,
 };
@@ -210,17 +210,17 @@ impl SynthOptions {
     /// Every individual evaluation is verdict-, statistics-, and
     /// failure-attribution-identical to its serial counterpart (the
     /// parallel checker's commit walk guarantees it). The equivalence
-    /// extends to **all resolver effects** in both discovery modes:
-    /// expansion workers consult through provisional handles whose touches
-    /// stay thread-local, and only the applications the walk commits
-    /// publish hole touches, failure attributions, and first discoveries —
-    /// in walk order, the serial driver's within-layer consultation order.
-    /// This covers the naïve baseline (`pruning(false)`) too: its fresh
-    /// `(hole, action 0)` consultations are answered from the deferred
-    /// pending list and committed at the same sequence point, so neither
-    /// mode registers racily. Speculative work the walk discards (rule
-    /// applications past a failing state's short-circuit point, chunks of
-    /// an aborted claim-table attempt) leaves no trace, so the ordered hole
+    /// extends to **all resolver effects** in both discovery modes: workers
+    /// only answer, and only the applications the walk commits reach the
+    /// session's consultation logs (where the touched set is read),
+    /// failure attributions, and first discoveries — in walk order, the
+    /// serial schedule's within-layer consultation order. This covers the
+    /// naïve baseline (`pruning(false)`) too: its fresh `(hole, action 0)`
+    /// consultations are answered from the deferred pending list and
+    /// committed at the same sequence point, so neither mode registers
+    /// racily. Speculative work the walk discards (rule applications past
+    /// a failing state's short-circuit point, chunks of an aborted
+    /// claim-table attempt) leaves no trace, so the ordered hole
     /// table, the per-run `discovered` logs, and the touched sets feeding
     /// [`PatternMode::Refined`] are a pure function of the candidate
     /// sequence, independent of worker interleaving: the exact Figure-2 run
@@ -284,7 +284,7 @@ impl SynthOptions {
 
     /// Dispatches candidates through per-worker [`CheckSession`]s (the
     /// default, and the only dispatch of a production build) or, with
-    /// `false`, through one-shot checker runs: the per-candidate-restart
+    /// `false`, each through a fresh session: the per-candidate-restart
     /// reference, compiled only for tests and under the `reference`
     /// feature.
     ///
@@ -1355,7 +1355,7 @@ fn evaluate_candidate<M: TransitionSystem>(
         DiscoveryDefault::ActionZero
     };
     let resolver = SharedCandidateResolver::new(&gen.registry, &digits, default);
-    let (outcome, touched) = dispatch(gen, session, resolver, draft);
+    let outcome = dispatch(gen, session, &resolver, draft);
     let number = run.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
     draft.evaluated += 1;
 
@@ -1371,10 +1371,14 @@ fn evaluate_candidate<M: TransitionSystem>(
                         // trace); fall back to everything this run consulted
                         // for whole-space failures (unreachable goals,
                         // quiescence), where only full agreement is sound.
-                        let relevant = outcome
-                            .failure()
-                            .and_then(|f| f.touched.as_deref())
-                            .unwrap_or(&touched);
+                        let consulted;
+                        let relevant = match outcome.failure().and_then(|f| f.touched.as_deref()) {
+                            Some(trace) => trace,
+                            None => {
+                                consulted = session.touched();
+                                &consulted
+                            }
+                        };
                         PatternEntry::Sparse(relevant.iter().map(|&(h, a)| (h as u16, a)).collect())
                     }
                 };
@@ -1385,8 +1389,8 @@ fn evaluate_candidate<M: TransitionSystem>(
             }
         }
         Verdict::Success => {
-            let mut assignment: Vec<(HoleId, u16)> = touched.clone();
-            assignment.sort_unstable();
+            // A solution is identified by the holes its run consulted.
+            let assignment = session.touched();
             let known = |s: &Solution| s.assignment == assignment;
             let mut solutions = gen.solutions.lock();
             if !gen.known_solutions.iter().any(known) && !solutions.iter().any(known) {
@@ -1431,28 +1435,22 @@ fn evaluate_candidate<M: TransitionSystem>(
 /// Checks one candidate on the worker's session and banks the checker work
 /// into the run and `draft`. The session resumes from its deepest
 /// checkpoint whose hole resolutions the candidate leaves unchanged;
-/// verdict and failure attribution are those of a fresh check. Returns the
-/// outcome and the hole-id-sorted touched set: the live consultations plus
-/// those of the checkpoint-reused layers, which a fresh check would have
-/// made itself (answers agree by the checkpoint validity rule).
+/// verdict and failure attribution are those of a fresh check, and
+/// [`CheckSession::touched`] then holds what the check consulted.
 fn dispatch<M: TransitionSystem>(
     gen: &Generation<'_>,
     session: &mut CheckSession<'_, M>,
-    resolver: SharedCandidateResolver<'_>,
+    resolver: &SharedCandidateResolver<'_>,
     draft: &mut ChunkDraft,
-) -> (Outcome<M::State>, Vec<(HoleId, u16)>) {
+) -> Outcome<M::State> {
     #[cfg(any(test, feature = "reference"))]
     if !gen.run.options.reuse_sessions {
-        // The per-candidate-restart reference: one fresh check from the
-        // initial states, the session left untouched.
-        let outcome = gen.run.checker.run_shared(session.model(), &resolver);
-        let expanded = outcome.stats().states_visited as u64;
-        gen.bank_check(expanded, 0, 0, 0);
-        draft.expanded += expanded;
-        return (outcome, resolver.into_touched());
+        // The per-candidate-restart reference: every check on a fresh
+        // session, from the initial states.
+        *session = gen.run.checker.session(session.model());
     }
     let before = session.stats().clone();
-    let outcome = session.check(&resolver);
+    let outcome = session.check(resolver);
     // Bank the session's reuse counters per candidate (a panicked check
     // resets the session, discarding its partial work — saturate).
     let after = session.stats();
@@ -1466,11 +1464,7 @@ fn dispatch<M: TransitionSystem>(
     );
     draft.expanded += expanded;
     draft.reused += reused;
-    let mut touched = resolver.into_touched();
-    touched.extend(session.reused_touches());
-    touched.sort_unstable();
-    touched.dedup_by_key(|pair| pair.0);
-    (outcome, touched)
+    outcome
 }
 
 /// Sorts and de-duplicates a sparse pattern as

@@ -268,7 +268,8 @@ impl Checker {
     /// An exclusive (`&mut`) resolver cannot be shared across workers, so
     /// this entry point always expands serially, in `resolver` itself,
     /// regardless of [`CheckerOptions::threads`]; use
-    /// [`Checker::run_shared`] to check in parallel.
+    /// [`Checker::run_shared`] to check in parallel, or with a resolver
+    /// that defers hole discoveries, which only that entry point commits.
     ///
     /// A panic in user protocol code (a rule, an invariant, or the resolver
     /// itself) is caught here and reported as a [`Verdict::Unknown`] outcome
@@ -285,9 +286,11 @@ impl Checker {
     /// honoring [`CheckerOptions::threads`]: one check on a fresh
     /// [`CheckSession`], which expands serially through one worker resolver
     /// or, with more than one effective thread, through the parallel engine
-    /// — bit-identical outcomes either way (see `parallel`). A one-shot
-    /// check never queries [`crate::SessionResolver::assignment`], so any
-    /// [`SharedResolver`] will do.
+    /// — bit-identical outcomes either way (see `parallel`), and either way
+    /// the holes a deferring resolver first sights register at each layer
+    /// end, in the serial order. A one-shot check never queries
+    /// [`crate::SessionResolver::assignment`], so any [`SharedResolver`]
+    /// will do.
     ///
     /// Panics in user protocol code are isolated exactly as in
     /// [`Checker::run_with`] — including panics raised inside pool workers,
@@ -705,6 +708,7 @@ fn rule_names<M: TransitionSystem>(model: &M) -> Vec<String> {
 #[cfg(test)]
 pub(super) mod tests_support {
     use super::*;
+    use crate::eval::NameCache;
 
     /// Asserts two outcomes are indistinguishable: verdict, full `Stats`,
     /// and failure details (kind, property, touched set, and the whole
@@ -740,7 +744,9 @@ pub(super) mod tests_support {
         resolver: &dyn SharedResolver,
         options: CheckerOptions,
     ) {
-        let want = reference::Bfs::new(model, &options, &mut *resolver.worker()).explore();
+        let want =
+            reference::Bfs::new(model, &options, &mut *resolver.worker(NameCache::default()))
+                .explore();
         for threads in [1, 2, 4, 8] {
             let got = Checker::new(options.clone().threads(threads).clamp_threads(false))
                 .run_shared(model, resolver);

@@ -11,8 +11,8 @@
 //! 1. **Expand** (parallel): the current BFS layer is split into chunks
 //!    sized from the previous layer's measured expansion rate (see
 //!    [`Engine::chunk_size`]) and run by a persistent [`WorkerPool`]. Each
-//!    worker applies every rule to its states through its own expansion
-//!    resolver ([`SharedResolver::expansion_worker`]), canonicalizes and
+//!    worker applies every rule to its states through its own worker
+//!    resolver ([`SharedResolver::worker`]), canonicalizes and
 //!    fingerprints successors, **evaluates their invariants**, and probes
 //!    them against a lock-free [`ClaimTable`] (a CAS on an `AtomicU64`
 //!    bucket claims an unseen state, whose body lives in a striped arena).
@@ -49,10 +49,10 @@
 //!   the smallest announced index. The walk stops at or before that index,
 //!   so skipped work is provably unobserved, and a caught panic resumes
 //!   only if the walk reaches the application it ended.
-//! * **Walk-gated resolver effects**: the concrete resolutions the walk
-//!   consumes are reported once per layer through
-//!   [`SharedResolver::note_replayed_touches`], and the deferred hole
-//!   discoveries it reached register at the layer end, in walk order.
+//! * **Walk-gated resolver effects**: workers only answer; the deferred
+//!   hole discoveries the walk reached register at the layer end, in walk
+//!   order, and a held session's layer log holds the consultations the
+//!   walk committed, which is where a check's touched set is read from.
 //!   Applications the walk never reaches (past a stop) therefore never
 //!   leak into touched sets, hole registries, or pattern publications.
 //! * **Abort-and-grow**: the claim table is sized from the previous layer's
@@ -411,16 +411,14 @@ impl<S> Refs<'_, S> {
 }
 
 /// The per-layer state of the one walk that commits expansions (see the
-/// module docs): the layer's hole-touch log, the replay-confirmed touches,
-/// the deferred discoveries the walk reached, and the flags of the state it
-/// is expanding.
+/// module docs): the layer's hole-touch log, the deferred discoveries the
+/// walk reached, and the flags of the state it is expanding.
 #[derive(Default)]
 pub(super) struct Walk {
     /// Whether the walk logs the layer and stores records: a held session's
     /// check.
     pub(super) session: bool,
     log: Vec<LayerTouch>,
-    replayed: Vec<(usize, u16)>,
     /// Deferred discoveries to register at the layer end, in walk order.
     specs: Vec<HoleSpec>,
     /// Where the current discovery scope (a chunk, or the serial worker's
@@ -429,8 +427,8 @@ pub(super) struct Walk {
     /// consultation order, which the walk follows.
     scope: u32,
     reached: u32,
-    /// Walked consultations of deferred discoveries: position in `specs`
-    /// and answer.
+    /// Walked consultations of deferred discoveries, logged once they have
+    /// ids: position in `specs` and answer.
     fresh: Vec<(u32, Option<u16>)>,
     any_next: bool,
     any_blocked: bool,
@@ -476,7 +474,9 @@ impl Walk {
             let index = hole & !FRESH;
             self.any_fresh = true;
             self.reached = self.reached.max(index + 1);
-            self.fresh.push((self.scope + index, answer));
+            if self.session {
+                self.fresh.push((self.scope + index, answer));
+            }
         } else if self.session {
             self.log.push((hole as usize, answer));
         }
@@ -492,31 +492,19 @@ impl Walk {
     }
 
     /// Ends the layer, expanded or stopped inside: registers the reached
-    /// discoveries in walk order, which is the serial order, names their
-    /// consultations by id, and reports the replay-confirmed touches, all
-    /// through `resolver` (`None`: a one-shot serial check, whose worker
-    /// registers its own discoveries). Returns the layer's sorted,
-    /// de-duplicated hole-touch log (empty unless a held session's check).
-    pub(super) fn end_layer<R: SharedResolver + ?Sized>(
-        mut self,
-        resolver: Option<&R>,
-    ) -> Vec<LayerTouch> {
-        if let Some(resolver) = resolver {
-            if !self.specs.is_empty() {
-                let ids = resolver.commit_discoveries(&self.specs);
-                for &(at, answer) in &self.fresh {
-                    let id = ids[at as usize];
-                    if self.session {
-                        self.log.push((id, answer));
-                    }
-                    if let Some(action) = answer {
-                        self.replayed.push((id, action));
-                    }
-                }
-            }
-            self.replayed.sort_unstable();
-            self.replayed.dedup();
-            resolver.note_replayed_touches(&self.replayed);
+    /// discoveries in walk order, which is the serial order, through
+    /// `resolver` (`None` only for an exclusive resolver, which cannot
+    /// defer), and logs their consultations by id. Returns the layer's
+    /// sorted, de-duplicated hole-touch log (empty unless a held session's
+    /// check).
+    pub(super) fn end_layer(mut self, resolver: Option<&dyn SharedResolver>) -> Vec<LayerTouch> {
+        if let Some(resolver) = resolver.filter(|_| !self.specs.is_empty()) {
+            let ids = resolver.commit_discoveries(&self.specs);
+            let named = self
+                .fresh
+                .iter()
+                .map(|&(at, answer)| (ids[at as usize], answer));
+            self.log.extend(named);
         }
         self.log.sort_unstable();
         self.log.dedup();
@@ -705,17 +693,16 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// layer, invariant-checked and ready for the walk to commit. With
     /// `answers` (a held session's check), a state whose record is valid
     /// under them is not expanded: the walk takes its record.
-    pub(super) fn expand_layer<M, R>(
+    pub(super) fn expand_layer<M>(
         &mut self,
         core: &SearchCore<'_, M>,
-        resolver: &R,
+        resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
         f0: usize,
         f1: usize,
     ) -> Vec<ChunkOut>
     where
         M: TransitionSystem<State = S>,
-        R: SharedResolver + ?Sized,
     {
         self.ensure_pool();
         let frontier_len = f1 - f0;
@@ -736,17 +723,16 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         }
     }
 
-    fn run_chunks<M, R>(
+    fn run_chunks<M>(
         &self,
         core: &SearchCore<'_, M>,
-        resolver: &R,
+        resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
         f0: usize,
         f1: usize,
     ) -> Vec<ChunkOut>
     where
         M: TransitionSystem<State = S>,
-        R: SharedResolver + ?Sized,
     {
         // Within-layer index every state past which workers may stop once a
         // failure is announced (`usize::MAX` = none announced).
@@ -801,10 +787,10 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// state and ends that state's draft ([`PANICKED`]), so it surfaces
     /// only if the walk reaches it.
     #[allow(clippy::too_many_arguments)]
-    fn expand_chunk<M, R>(
+    fn expand_chunk<M>(
         &self,
         core: &SearchCore<'_, M>,
-        resolver: &R,
+        resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
         lo: usize,
         hi: usize,
@@ -814,11 +800,10 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     ) -> ChunkOut
     where
         M: TransitionSystem<State = S>,
-        R: SharedResolver + ?Sized,
     {
         crate::faults::probe_panic(crate::faults::site::EXPAND_CHUNK);
         let model = core.model;
-        let mut worker = resolver.expansion_worker(self.pop_name_cache());
+        let mut worker = resolver.worker(self.pop_name_cache());
         let mut out = ChunkOut::default();
         for sid in lo..hi {
             if self.claims.aborted() {
@@ -993,8 +978,8 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         walked
     }
 
-    /// Walks one expansion application by application, reporting its
-    /// concrete touches as replay-confirmed, then ends the state.
+    /// Walks one expansion application by application, then ends the
+    /// state.
     #[allow(clippy::too_many_arguments)]
     fn walk_expansion<M>(
         &mut self,
@@ -1013,7 +998,6 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         while at < words.len() {
             let len = app_len(&words[at..]);
             let app = &mut words[at..at + len];
-            walk.replayed.extend(known_touches(app));
             self.step(core, walk, start, sid, app, refs)?;
             at += app.len();
         }

@@ -48,6 +48,13 @@
 //! the session has already explored. One-shot checks log nothing and never
 //! replay.
 //!
+//! The same logs answer what the most recent check consulted: a check's
+//! sealed layer logs and its stop log hold every consultation it made or
+//! inherited, and [`CheckSession::touched`] reads the concrete ones from
+//! them. The synthesizer identifies a solution by that set and prunes on
+//! it when no trace attributes a failure, so resolvers keep no record of
+//! their own.
+//!
 //! Inside the layers a check does explore, reuse is per state. The session
 //! keeps one **expansion record** per fully expanded state (the `records`
 //! module): the rule applications that consulted a hole or did not return
@@ -120,8 +127,7 @@ struct Ending<S> {
     incomplete: Option<MckError>,
 }
 
-/// Where a check starts, and afterwards how the most recent check started
-/// (what [`CheckSession::reused_touches`] reports).
+/// Where a check starts.
 #[derive(Debug, Clone, Copy)]
 enum Resume {
     /// From the initial states: no checkpoint exists yet.
@@ -208,8 +214,6 @@ pub struct CheckSession<'a, M: TransitionSystem> {
     /// How the most recent check ended, for the next one to replay; `None`
     /// until a check has explored past the initial states.
     ending: Option<Ending<M::State>>,
-    /// How the most recent check started.
-    last_resume: Resume,
     stats: SessionStats,
 }
 
@@ -247,7 +251,6 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             checkpoints: Vec::new(),
             layer_touches: Vec::new(),
             ending: None,
-            last_resume: Resume::Fresh,
             stats: SessionStats::default(),
         }
     }
@@ -258,7 +261,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     }
 
     /// The model this session explores.
-    pub fn model(&self) -> &M {
+    pub fn model(&self) -> &'a M {
         self.core.model
     }
 
@@ -285,24 +288,22 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         self.engine.set_threads(self.threads);
     }
 
-    /// The concrete `(hole, action)` resolutions consulted by the layers
-    /// the most recent [`CheckSession::check`] inherited from checkpoints —
-    /// consultations a fresh run of the same candidate would have made but
-    /// the session skipped. After a replayed check that is every sealed
-    /// layer plus the stop log. Sorted by hole id, de-duplicated.
+    /// The concrete `(hole, action)` resolutions the most recent
+    /// [`CheckSession::check`] consulted — the run's *touched* set, which
+    /// identifies a solution by the holes it depends on and bounds a
+    /// failure no trace attributes. Read from the session's logs: every
+    /// sealed layer's and the stop log. Sorted by hole id, one pair per
+    /// hole; empty after a check that panicked or ended among the initial
+    /// states.
     ///
-    /// Callers reconstructing a run's full touched set (e.g. to identify a
-    /// verified solution by the holes it depends on) must union this with
-    /// the resolver's live consultation log; the two partitions are
-    /// disjoint in coverage but agree on every answer by the checkpoint
-    /// validity rule.
-    pub fn reused_touches(&self) -> Vec<(usize, u16)> {
-        let (layers, stop): (usize, &[LayerTouch]) = match (self.last_resume, &self.ending) {
-            (Resume::At(depth), _) => (depth, &[]),
-            (Resume::Replay, Some(ending)) => (self.layer_touches.len(), &ending.stop_log),
-            _ => (0, &[]),
-        };
-        let mut out: Vec<(usize, u16)> = self.layer_touches[..layers]
+    /// The logs cover the whole check however it ran: the layers it
+    /// explored were logged by its walk, up to the application that stopped
+    /// it, and the layers it inherited or replayed were logged by an
+    /// earlier check with the answers this one gives (the resume rule).
+    pub fn touched(&self) -> Vec<(usize, u16)> {
+        let stop = self.ending.as_ref().map_or(&[][..], |e| &e.stop_log[..]);
+        let mut out: Vec<(usize, u16)> = self
+            .layer_touches
             .iter()
             .flatten()
             .chain(stop)
@@ -335,16 +336,17 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// One check of a fresh session through a thread-shareable resolver
     /// ([`Checker::run_shared`]). Nothing is resumed, so the resolver is
     /// never asked for a [`SessionResolver::assignment`].
-    pub(super) fn check_once<R: SharedResolver + ?Sized>(self, resolver: &R) -> Outcome<M::State> {
+    pub(super) fn check_once(self, resolver: &dyn SharedResolver) -> Outcome<M::State> {
         self.once(|session, start| session.explore(start, resolver, None))
     }
 
     /// One serial check of a fresh session that expands in the caller's
-    /// exclusive resolver ([`Checker::run_with`]).
+    /// exclusive resolver ([`Checker::run_with`]), which cannot defer a
+    /// discovery: no shared resolver registers any.
     pub(super) fn check_once_with(self, worker: &mut dyn HoleResolver) -> Outcome<M::State> {
         self.once(|session, start| {
             session.drive(start, |s, f0, f1| {
-                s.run_layer_serial(start, f0, f1, &mut *worker, None)
+                s.run_layer_serial(start, f0, f1, &mut *worker, None, None)
             })
         })
     }
@@ -391,8 +393,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// The panic-unsafe body of [`CheckSession::check`].
     fn check_inner(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
         self.stats.checks += 1;
-        self.last_resume = self.resume_point(resolver);
-        match self.last_resume {
+        match self.resume_point(resolver) {
             Resume::Fresh => {
                 // First check (or the initial phase never completed): start
                 // from scratch, from the cached canonical initial states.
@@ -474,9 +475,6 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         self.checkpoints.clear();
         self.layer_touches.clear();
         self.ending = None;
-        // Stale resume depths index into the (now empty) touch log;
-        // `reused_touches` right after a reset must see an empty reuse set.
-        self.last_resume = Resume::Fresh;
     }
 
     /// Rolls the search back to `checkpoints[depth]`: truncates the
@@ -567,10 +565,10 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// session's check passes its resolver again as `answers`, which logs
     /// the layers and records and reuses expansions; a one-shot check
     /// passes `None`.
-    fn explore<R: SharedResolver + ?Sized>(
+    fn explore(
         &mut self,
         start: Instant,
-        resolver: &R,
+        resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
     ) -> Outcome<M::State> {
         if self.threads > 1 {
@@ -580,9 +578,9 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         }
         // One worker resolver for the whole check, seeded with the previous
         // check's name cache and drained back when the check ends.
-        let mut worker = resolver.worker_seeded(self.engine.pop_name_cache());
+        let mut worker = resolver.worker(self.engine.pop_name_cache());
         let outcome = self.drive(start, |s, f0, f1| {
-            s.run_layer_serial(start, f0, f1, &mut *worker, answers)
+            s.run_layer_serial(start, f0, f1, &mut *worker, Some(resolver), answers)
         });
         self.engine.push_name_cache(worker.take_name_cache());
         outcome
@@ -631,16 +629,19 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// is walked from the record instead.
     ///
     /// The single worker numbers its deferred discoveries in its
-    /// consultation order, which *is* the serial order; a held session's
-    /// check registers them at the layer end (or at the stop) through
-    /// `session`, so the log names them by id. A one-shot check leaves them
-    /// with the worker, logs nothing and records nothing.
+    /// consultation order, which *is* the serial order, and the walk
+    /// registers the ones it reached at the layer end (or at the stop)
+    /// through `resolver`, the worker's shared resolver; a held session's
+    /// check (`session` present) also logs them by id. Only
+    /// [`Checker::run_with`] passes no shared resolver: its exclusive one
+    /// cannot defer.
     fn run_layer_serial(
         &mut self,
         start: Instant,
         f0: usize,
         f1: usize,
         worker: &mut dyn HoleResolver,
+        resolver: Option<&dyn SharedResolver>,
         session: Option<&dyn SessionResolver>,
     ) -> Layer<M::State> {
         let mut walk = Walk::new(session.is_some());
@@ -658,10 +659,10 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 break;
             }
         }
-        if session.is_some() {
+        if resolver.is_some() {
             walk.end_scope(worker.take_pending_discoveries());
         }
-        (walked, walk.end_layer(session))
+        (walked, walk.end_layer(resolver))
     }
 
     /// Applies every rule to frontier state `sid` on the calling thread,
@@ -695,22 +696,13 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                     }
                 }
             };
-            // Only a held session's check logs wildcards and discoveries.
-            let (wildcards, fresh) = if walk.session {
-                (
-                    worker.application_wildcards(),
-                    worker.application_fresh_touches(),
-                )
-            } else {
-                (&[][..], &[][..])
-            };
             let at = draft.len();
             if push_app(
                 draft,
                 ri,
                 worker.application_touches(),
-                wildcards,
-                fresh,
+                worker.application_wildcards(),
+                worker.application_fresh_touches(),
                 word,
             ) {
                 let app = &mut draft[at..];
@@ -729,12 +721,12 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// checkpoint log. A held session's check (`answers` present) takes the
     /// expansions of states with valid records from the records and records
     /// the rest.
-    fn run_layer_parallel<R: SharedResolver + ?Sized>(
+    fn run_layer_parallel(
         &mut self,
         start: Instant,
         f0: usize,
         f1: usize,
-        resolver: &R,
+        resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
     ) -> Layer<M::State> {
         let chunks = self
@@ -750,6 +742,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::reference::Bfs;
     use super::super::tests_support::assert_same_outcome;
     use super::super::{Checker, CheckerOptions};
     use super::*;
@@ -760,51 +753,38 @@ mod tests {
 
     /// A minimal session resolver over pre-registered holes named "h0",
     /// "h1", …: hole id = the numeric suffix, answers from a fixed table.
-    /// Tracks touches and wildcards the way the synthesis resolvers do,
-    /// including the run's touched set: workers publish their concrete
-    /// consultations, expansion workers leave that to the walk.
+    /// Tracks touches and wildcards the way the synthesis resolvers do, and
+    /// collects every concrete answer any of its workers hands out — the
+    /// touched-set oracle of a reference run, which stops where the serial
+    /// order does.
     #[derive(Debug)]
     struct TableResolver {
         answers: Vec<Option<u16>>,
-        touched: Mutex<BTreeSet<(usize, u16)>>,
+        answered: Mutex<BTreeSet<(usize, u16)>>,
     }
 
     impl TableResolver {
         fn new(answers: Vec<Option<u16>>) -> Self {
             TableResolver {
                 answers,
-                touched: Mutex::default(),
+                answered: Mutex::default(),
             }
-        }
-
-        fn table_worker(&self, publish: bool) -> Box<dyn HoleResolver + '_> {
-            Box::new(TableWorker {
-                shared: self,
-                publish,
-                touches: Vec::new(),
-                wildcards: Vec::new(),
-            })
         }
     }
 
     struct TableWorker<'a> {
         shared: &'a TableResolver,
-        publish: bool,
         touches: Vec<(usize, u16)>,
         wildcards: Vec<WildcardTouch>,
     }
 
     impl SharedResolver for TableResolver {
-        fn worker(&self) -> Box<dyn HoleResolver + '_> {
-            self.table_worker(true)
-        }
-
-        fn expansion_worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
-            self.table_worker(false)
-        }
-
-        fn note_replayed_touches(&self, touches: &[(usize, u16)]) {
-            self.touched.lock().extend(touches.iter().copied());
+        fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
+            Box::new(TableWorker {
+                shared: self,
+                touches: Vec::new(),
+                wildcards: Vec::new(),
+            })
         }
     }
 
@@ -826,9 +806,7 @@ mod tests {
                     if !self.touches.iter().any(|&(h, _)| h == id) {
                         self.touches.push((id, action));
                     }
-                    if self.publish {
-                        self.shared.touched.lock().insert((id, action));
-                    }
+                    self.shared.answered.lock().insert((id, action));
                     Choice::Action(action as usize)
                 }
                 None => {
@@ -1115,10 +1093,10 @@ mod tests {
         }
     }
 
-    /// Checks `answers` on `session` and on a fresh session of the same
-    /// options, asserting equal outcomes and equal touched sets (live
-    /// consultations plus the session's reused ones against the fresh
-    /// run's), and returns whether the session replayed.
+    /// Checks `answers` on `session` and in the reference BFS, asserting
+    /// equal outcomes and that [`CheckSession::touched`] holds exactly the
+    /// concrete answers the reference run handed out, and returns whether
+    /// the session replayed.
     fn check_against_fresh(
         session: &mut CheckSession<'_, crate::model::BuiltModel<u8>>,
         options: &CheckerOptions,
@@ -1126,19 +1104,19 @@ mod tests {
         what: &str,
     ) -> bool {
         let replays_before = session.stats().checks_replayed;
-        let resolver = TableResolver::new(answers.to_vec());
-        let got = session.check(&resolver);
-        let mut got_touched = resolver.touched.into_inner();
-        got_touched.extend(session.reused_touches());
+        let got = session.check(&TableResolver::new(answers.to_vec()));
 
-        let fresh_resolver = TableResolver::new(answers.to_vec());
-        let mut fresh_session =
-            Checker::new(options.clone().threads(session.threads())).session(session.model());
-        let want = fresh_session.check(&fresh_resolver);
+        let oracle = TableResolver::new(answers.to_vec());
+        let want = Bfs::new(
+            session.model(),
+            options,
+            &mut *oracle.worker(NameCache::default()),
+        )
+        .explore();
         assert_same_outcome(&got, &want, what);
         assert_eq!(
-            got_touched,
-            fresh_resolver.touched.into_inner(),
+            session.touched(),
+            Vec::from_iter(oracle.answered.into_inner()),
             "{what}: touched set"
         );
         session.stats().checks_replayed > replays_before

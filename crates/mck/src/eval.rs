@@ -11,11 +11,18 @@
 //! * During synthesis, `verc3-core` supplies a resolver backed by the current
 //!   *candidate configuration vector*. Holes are **discovered lazily**: the
 //!   first time the model checker executes a rule containing an unknown hole,
-//!   the resolver registers it. Until a later candidate assigns it a concrete
-//!   action, the hole resolves to [`Choice::Wildcard`], which instructs the
-//!   rule to return [`crate::RuleOutcome::Blocked`] — aborting that execution
-//!   branch exactly as the paper prescribes, and producing the third
-//!   verification verdict, *unknown*.
+//!   the resolver answers it and parks its spec, and the checker registers
+//!   it at the end of the layer, in the serial order
+//!   ([`SharedResolver::commit_discoveries`]). Until a later candidate
+//!   assigns it a concrete action, the hole resolves to [`Choice::Wildcard`],
+//!   which instructs the rule to return [`crate::RuleOutcome::Blocked`] —
+//!   aborting that execution branch exactly as the paper prescribes, and
+//!   producing the third verification verdict, *unknown*.
+//!
+//! Resolvers answer; they do not keep score. Which holes a check consulted,
+//! and with what answers, is read from the walk that committed the check:
+//! per rule application (the `Cₜ` of a counterexample edge) and, for a held
+//! session, per check ([`crate::CheckSession::touched`]).
 //!
 //! Holes are identified by name. The same [`HoleSpec`] value should be reused
 //! across invocations (store it in the model), both for speed — resolvers may
@@ -33,8 +40,8 @@ use std::fmt;
 /// that create workers repeatedly over one hole namespace (most notably
 /// [`crate::checker::CheckSession`], which builds a fresh worker per
 /// `check`/chunk) drain it back via [`HoleResolver::take_name_cache`] and
-/// re-seed the next worker through [`SharedResolver::worker_seeded`], so
-/// the per-name lock is paid once per *session*, not once per check.
+/// seed the next worker with it through [`SharedResolver::worker`], so the
+/// per-name lock is paid once per *session*, not once per check.
 ///
 /// Keyed with the checker's deterministic FNV hasher: the cache sits on the
 /// per-rule-application hot path, where SipHash on short hole names is
@@ -195,9 +202,14 @@ pub trait HoleResolver {
 
     /// The wildcard resolutions handed out since the last
     /// [`HoleResolver::begin_application`], for resolvers that track
-    /// consultations (see [`WildcardTouch`]). The default — no tracking —
-    /// is correct for hole-free models and for one-shot checking, where
-    /// nothing ever asks which holes went unanswered.
+    /// consultations (see [`WildcardTouch`]). A resolver that defers
+    /// discoveries must report its wildcard answers to them here (and its
+    /// concrete ones through [`HoleResolver::application_fresh_touches`]):
+    /// the checker registers only the discoveries its walk reached. The
+    /// default — no tracking — suits hole-free models and one-shot checks
+    /// through resolvers that never defer; a held session needs every
+    /// wildcard answer to know which checkpoints a later concrete answer
+    /// invalidates.
     fn application_wildcards(&self) -> &[WildcardTouch] {
         &[]
     }
@@ -222,15 +234,16 @@ pub trait HoleResolver {
     ///
     /// Exploration drivers call this at a deterministic sequence point (the
     /// end of a worker's chunk, or a layer boundary) and forward the
-    /// concatenated, serially-ordered spec lists to
-    /// [`SharedResolver::commit_discoveries`]. Resolvers that register
-    /// eagerly (the default) always return an empty list.
+    /// concatenated, serially-ordered spec lists, cut to the discoveries
+    /// their walk reached, to [`SharedResolver::commit_discoveries`].
+    /// Resolvers that register eagerly (the default) always return an
+    /// empty list.
     fn take_pending_discoveries(&mut self) -> Vec<HoleSpec> {
         Vec::new()
     }
 
     /// Surrenders this worker's hole name → id cache so the driver can seed
-    /// a future worker with it (see [`SharedResolver::worker_seeded`]).
+    /// a future worker with it (see [`SharedResolver::worker`]).
     /// Resolvers without a name cache — the default — return an empty map.
     fn take_name_cache(&mut self) -> NameCache {
         NameCache::default()
@@ -240,13 +253,14 @@ pub trait HoleResolver {
 /// A hole-resolution strategy that can serve several checker worker threads
 /// at once.
 ///
-/// The parallel checker ([`crate::CheckerOptions::threads`]) cannot hand one
-/// `&mut dyn HoleResolver` to every worker; instead it asks a shared,
-/// immutable strategy for one [`HoleResolver`] *per worker* via
+/// The checker cannot hand one `&mut dyn HoleResolver` to every worker of
+/// the parallel engine ([`crate::CheckerOptions::threads`]); instead it asks
+/// a shared, immutable strategy for one [`HoleResolver`] *per worker* via
 /// [`SharedResolver::worker`]. Each worker resolver keeps its own
 /// per-application touch log (the `begin_application` /
 /// `application_touches` protocol stays single-threaded), while the choices
-/// themselves come from shared state.
+/// themselves come from shared state. The strategy keeps no record of what
+/// was consulted: the checker's walk logs the consultations it commits.
 ///
 /// Implementations must be **consistent**: every worker resolver must answer
 /// every hole identically for the whole run, exactly as the determinism
@@ -254,47 +268,19 @@ pub trait HoleResolver {
 /// makes the parallel exploration's verdict independent of thread
 /// interleaving.
 pub trait SharedResolver: Sync {
-    /// Creates the resolver one worker thread will use for the run.
-    fn worker(&self) -> Box<dyn HoleResolver + '_>;
-
-    /// Like [`SharedResolver::worker`], but seeds the worker with a hole
-    /// name → id cache previously drained via
-    /// [`HoleResolver::take_name_cache`] — the amortization loop that lets
-    /// a [`crate::checker::CheckSession`] reuse one cache across `check`
-    /// calls instead of re-resolving every hole name per check.
+    /// Creates the resolver one worker will use, seeded with a hole name →
+    /// id cache an earlier worker surrendered through
+    /// [`HoleResolver::take_name_cache`] (empty for the first) — the
+    /// amortization loop that lets a [`crate::checker::CheckSession`] reuse
+    /// one cache across `check` calls instead of re-resolving every hole
+    /// name per check.
     ///
-    /// The seed must come from a resolver over the **same hole namespace**
+    /// The seed comes from a resolver over the **same hole namespace**
     /// (same ids for the same names); a `CheckSession` already requires
     /// this of the resolvers passed to successive checks, since its
     /// checkpoint logs are keyed by raw hole id. Strategies without a name
-    /// cache — the default — ignore the seed.
-    fn worker_seeded(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
-        let _ = seed;
-        self.worker()
-    }
-
-    /// Like [`SharedResolver::worker_seeded`], but for the *expansion phase*
-    /// of a parallel driver, where every consultation is provisional until
-    /// the sequential replay confirms it. Strategies that log consultations
-    /// should return a worker that does **not** publish its touches into any
-    /// shared log — the driver reports the replay-confirmed set through
-    /// [`SharedResolver::note_replayed_touches`] instead, so applications
-    /// the replay discards (past a failure or a `max_states` clamp) never
-    /// leak into pruning-pattern publications. The default — fine for
-    /// strategies without shared logs — is `worker_seeded`.
-    fn expansion_worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
-        self.worker_seeded(seed)
-    }
-
-    /// Reports the concrete `(hole id, action)` resolutions the sequential
-    /// replay actually consumed this layer, deduplicated by hole id. Called
-    /// by parallel drivers once per replayed layer; together with
-    /// [`SharedResolver::expansion_worker`] this makes a strategy's touch
-    /// log identical to what the serial loop would have recorded, even on
-    /// layers the replay cuts short. The default is a no-op.
-    fn note_replayed_touches(&self, touches: &[(usize, u16)]) {
-        let _ = touches;
-    }
+    /// cache ignore it.
+    fn worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_>;
 
     /// Registers the deferred discoveries drained from this strategy's
     /// workers (see [`HoleResolver::take_pending_discoveries`]), in the
@@ -347,7 +333,7 @@ pub trait SessionResolver: SharedResolver {
 pub struct NoHoles;
 
 impl SharedResolver for NoHoles {
-    fn worker(&self) -> Box<dyn HoleResolver + '_> {
+    fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
         Box::new(NoHoles)
     }
 }
@@ -425,7 +411,7 @@ impl FixedResolver {
 impl SharedResolver for FixedResolver {
     /// Each worker gets a clone; a `FixedResolver` never changes its answers,
     /// so clones are trivially consistent.
-    fn worker(&self) -> Box<dyn HoleResolver + '_> {
+    fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
         Box::new(self.clone())
     }
 }
@@ -444,40 +430,6 @@ impl HoleResolver for FixedResolver {
             }
             None => self.fallback,
         }
-    }
-}
-
-/// Resolver decorator that records which holes were consulted.
-///
-/// The synthesis engine's *refined pruning* mode (an extension of the paper's
-/// scheme, see `verc3-core::pattern`) uses the recorded set to prune on the
-/// holes that actually participated in a failure, mirroring the paper's key
-/// insight that a minimal error trace rarely touches every hole.
-#[derive(Debug)]
-pub struct RecordingResolver<R> {
-    inner: R,
-    touched: std::collections::BTreeSet<String>,
-}
-
-impl<R: HoleResolver> RecordingResolver<R> {
-    /// Wraps `inner`, recording every hole name it is asked to resolve.
-    pub fn new(inner: R) -> Self {
-        RecordingResolver {
-            inner,
-            touched: Default::default(),
-        }
-    }
-
-    /// The names of all holes consulted so far, in sorted order.
-    pub fn touched(&self) -> impl Iterator<Item = &str> {
-        self.touched.iter().map(String::as_str)
-    }
-}
-
-impl<R: HoleResolver> HoleResolver for RecordingResolver<R> {
-    fn choose(&mut self, hole: &HoleSpec) -> Choice {
-        self.touched.insert(hole.name().to_owned());
-        self.inner.choose(hole)
     }
 }
 
@@ -511,18 +463,6 @@ mod tests {
         assert_eq!(r.choose(&spec), Choice::Wildcard);
         r.fallback = Choice::Action(0);
         assert_eq!(r.choose(&spec), Choice::Action(0));
-    }
-
-    #[test]
-    fn recording_resolver_tracks_names() {
-        let mut r = RecordingResolver::new(FixedResolver::from_pairs([("x", 0usize)]));
-        let x = HoleSpec::new("x", ["a"]);
-        let y = HoleSpec::new("y", ["a"]);
-        let _ = r.choose(&x);
-        let _ = r.choose(&y);
-        let _ = r.choose(&x);
-        let touched: Vec<_> = r.touched().collect();
-        assert_eq!(touched, vec!["x", "y"]);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub use checker::{
 };
 pub use error::MckError;
 pub use eval::{
-    Choice, FixedResolver, HoleResolver, HoleSpec, NameCache, NoHoles, RecordingResolver,
-    SessionResolver, SharedResolver, WildcardTouch,
+    Choice, FixedResolver, HoleResolver, HoleSpec, NameCache, NoHoles, SessionResolver,
+    SharedResolver, WildcardTouch,
 };
 pub use graph_model::{GraphModel, GraphModelBuilder};
 pub use model::{BuiltModel, ModelBuilder, TransitionSystem};

@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 use verc3::mck::checker::reference::Bfs;
 use verc3::mck::{
-    Checker, CheckerOptions, FixedResolver, GraphModel, Outcome, SharedResolver, TransitionSystem,
-    Verdict,
+    Checker, CheckerOptions, FixedResolver, GraphModel, NameCache, Outcome, SharedResolver,
+    TransitionSystem, Verdict,
 };
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
@@ -27,7 +27,7 @@ fn reference<M: TransitionSystem>(
     resolver: &dyn SharedResolver,
     options: &CheckerOptions,
 ) -> Outcome<M::State> {
-    Bfs::new(model, options, &mut *resolver.worker()).explore()
+    Bfs::new(model, options, &mut *resolver.worker(NameCache::default())).explore()
 }
 
 /// Runs `model` at every thread count and asserts all outcomes match the

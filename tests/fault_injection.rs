@@ -15,7 +15,8 @@ use std::path::PathBuf;
 use verc3::mck::faults::{self, arm, disarm_all, hit_count, site};
 use verc3::mck::{
     BuiltModel, Checker, CheckerOptions, Choice, FixedResolver, HoleResolver, HoleSpec, MckError,
-    ModelBuilder, Outcome, RuleOutcome, SessionResolver, SharedResolver, Verdict, WildcardTouch,
+    ModelBuilder, NameCache, Outcome, RuleOutcome, SessionResolver, SharedResolver, Verdict,
+    WildcardTouch,
 };
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::journal::record_boundaries;
@@ -93,7 +94,7 @@ struct OneHoleWorker<'a> {
 }
 
 impl SharedResolver for OneHole {
-    fn worker(&self) -> Box<dyn HoleResolver + '_> {
+    fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
         Box::new(OneHoleWorker {
             shared: self,
             touches: Vec::new(),

@@ -7,21 +7,99 @@
 //! The fresh-run oracle is the reference serial BFS
 //! (`verc3::mck::checker::reference`), the original queue-driven driver
 //! every production check used to run on — so these tests compare two
-//! *independent* implementations, not the session against itself. A second
-//! group holds the session-based synthesis loop
-//! ([`SynthOptions::reuse_sessions`]) bit-identical to the
+//! *independent* implementations, not the session against itself. A check's
+//! touched set ([`CheckSession::touched`], read from the session's logs) is
+//! held to the concrete answers the reference run handed out, recorded by
+//! name around its worker. A second group holds the session-based synthesis
+//! loop ([`SynthOptions::reuse_sessions`]) bit-identical to the
 //! per-candidate-restart loop, which checks each candidate on a fresh
 //! session.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use verc3::mck::checker::reference::Bfs;
-use verc3::mck::{Checker, CheckerOptions, GraphModel, Outcome, SharedResolver, Verdict};
+use verc3::mck::{
+    CheckSession, Checker, CheckerOptions, Choice, GraphModel, HoleResolver, HoleSpec, NameCache,
+    Outcome, SharedResolver, TransitionSystem, Verdict, WildcardTouch,
+};
 use verc3::synth::{
     DiscoveryDefault, HoleRegistry, PatternMode, SharedCandidateResolver, SynthOptions,
     SynthReport, Synthesizer,
 };
+
+/// The touched-set oracle: a reference BFS worker that records every
+/// concrete answer it hands out, by hole name. It forwards every other
+/// [`HoleResolver`] method, so the reference run's attribution is the
+/// wrapped worker's own.
+struct NamedAnswers<'a> {
+    inner: Box<dyn HoleResolver + 'a>,
+    answered: BTreeSet<(String, u16)>,
+}
+
+impl HoleResolver for NamedAnswers<'_> {
+    fn choose(&mut self, hole: &HoleSpec) -> Choice {
+        let choice = self.inner.choose(hole);
+        if let Choice::Action(action) = choice {
+            self.answered
+                .insert((hole.name().to_owned(), action as u16));
+        }
+        choice
+    }
+
+    fn begin_application(&mut self) {
+        self.inner.begin_application();
+    }
+
+    fn application_touches(&self) -> &[(usize, u16)] {
+        self.inner.application_touches()
+    }
+
+    fn application_wildcards(&self) -> &[WildcardTouch] {
+        self.inner.application_wildcards()
+    }
+
+    fn application_fresh_touches(&self) -> &[(u32, u16)] {
+        self.inner.application_fresh_touches()
+    }
+
+    fn take_pending_discoveries(&mut self) -> Vec<HoleSpec> {
+        self.inner.take_pending_discoveries()
+    }
+
+    fn take_name_cache(&mut self) -> NameCache {
+        self.inner.take_name_cache()
+    }
+}
+
+/// The reference BFS run of `model` under one worker of `resolver`, and the
+/// concrete answers it handed out by hole name.
+fn reference_run<M: TransitionSystem>(
+    model: &M,
+    options: &CheckerOptions,
+    resolver: &SharedCandidateResolver<'_>,
+) -> (Outcome<M::State>, BTreeSet<(String, u16)>) {
+    let mut worker = NamedAnswers {
+        inner: resolver.worker(NameCache::default()),
+        answered: BTreeSet::new(),
+    };
+    let outcome = Bfs::new(model, options, &mut worker).explore();
+    (outcome, worker.answered)
+}
+
+/// The session's touched set after its latest check, by hole name.
+fn named_touched<M: TransitionSystem>(
+    session: &CheckSession<'_, M>,
+    registry: &HoleRegistry,
+) -> BTreeSet<(String, u16)> {
+    let names = registry.names_from(0);
+    session
+        .touched()
+        .into_iter()
+        .map(|(hole, action)| (names[hole].clone(), action))
+        .collect()
+}
 
 fn assert_outcomes_match<S: std::fmt::Debug>(session: &Outcome<S>, fresh: &Outcome<S>, what: &str) {
     assert_eq!(session.verdict(), fresh.verdict(), "{what}: verdict");
@@ -136,7 +214,7 @@ proptest! {
                 let mut session = Checker::new(options.clone()).session(&model);
                 for (i, digits) in candidates.iter().enumerate() {
                     let resolver = SharedCandidateResolver::new(&registry, digits, default);
-                    let fresh = Bfs::new(&model, &options, &mut *resolver.worker()).explore();
+                    let fresh = Bfs::new(&model, &options, &mut *resolver.worker(NameCache::default())).explore();
                     let reused = session.check(&resolver);
                     assert_outcomes_match(
                         &reused,
@@ -264,7 +342,12 @@ fn worked_example_session_matches_one_shot_at_4_threads() {
     loop {
         let resolver =
             SharedCandidateResolver::new(&registry, &digits, DiscoveryDefault::ActionZero);
-        let fresh = Bfs::new(&model, &options, &mut *resolver.worker()).explore();
+        let fresh = Bfs::new(
+            &model,
+            &options,
+            &mut *resolver.worker(NameCache::default()),
+        )
+        .explore();
         let reused = session.check(&resolver);
         assert_outcomes_match(&reused, &fresh, &format!("candidate {digits:?}"));
         // Advance the odometer (least significant digit fastest).
@@ -353,9 +436,8 @@ fn msi_small_session_loop_counts_are_check_thread_invariant() {
 
 /// Whole-check replay, on one fixed-seed sequence: under both discovery
 /// defaults and at every thread count, each check matches the reference BFS
-/// on outcome and on the run's touched set (live consultations plus the
-/// session's reused ones), and some checks of a *changed* candidate really
-/// replay — so the replay path is compared, not skipped.
+/// on outcome and on the run's touched set, and some checks of a *changed*
+/// candidate really replay — so the replay path is compared, not skipped.
 #[test]
 fn replayed_checks_match_fresh_runs() {
     let model = GraphModel::random(4242, 6, 3);
@@ -372,18 +454,13 @@ fn replayed_checks_match_fresh_runs() {
             for (i, digits) in candidates.iter().enumerate() {
                 let replays_before = session.stats().checks_replayed;
                 let what = format!("{default:?} t{threads} step {i}");
-                let fresh_resolver = SharedCandidateResolver::new(&registry, digits, default);
-                let fresh = Bfs::new(&model, &options, &mut *fresh_resolver.worker()).explore();
                 let resolver = SharedCandidateResolver::new(&registry, digits, default);
+                let (fresh, answered) = reference_run(&model, &options, &resolver);
                 let reused = session.check(&resolver);
                 assert_outcomes_match(&reused, &fresh, &what);
-                let mut touched = resolver.into_touched();
-                touched.extend(session.reused_touches());
-                touched.sort_unstable();
-                touched.dedup();
                 assert_eq!(
-                    touched,
-                    fresh_resolver.into_touched(),
+                    named_touched(&session, &registry),
+                    answered,
                     "{what}: touched set"
                 );
                 let replayed = session.stats().checks_replayed > replays_before;
@@ -403,8 +480,9 @@ fn replayed_checks_match_fresh_runs() {
 /// Holes first sighted in the layer where a check stops are registered at
 /// the stop, so the stop log names them and a replay still reports their
 /// naïve-mode `(hole, 0)` touches: on a fresh registry the first check of
-/// the empty candidate discovers every hole it consults, and the second
-/// replays it with the same touched set.
+/// the empty candidate discovers every hole it consults, and both it and
+/// the second check, which replays it, report exactly the reference run's
+/// answers.
 #[test]
 fn replays_report_holes_first_sighted_in_the_stop_layer() {
     for seed in 0..32 {
@@ -414,29 +492,64 @@ fn replays_report_holes_first_sighted_in_the_stop_layer() {
                 .threads(threads)
                 .clamp_threads(false);
             let registry = HoleRegistry::new();
-            let mut session = Checker::new(options).session(&model);
-            let touched = |resolver: SharedCandidateResolver<'_>, reused: Vec<(usize, u16)>| {
-                let mut touched = resolver.into_touched();
-                touched.extend(reused);
-                touched.sort_unstable();
-                touched.dedup();
-                touched
-            };
+            let mut session = Checker::new(options.clone()).session(&model);
+            let what = format!("seed {seed} t{threads}");
             let first = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::ActionZero);
+            let (_, answered) = reference_run(&model, &options, &first);
             let first_outcome = session.check(&first);
-            let first_touched = touched(first, session.reused_touches());
+            assert_eq!(
+                named_touched(&session, &registry),
+                answered,
+                "{what}: first touched set"
+            );
             let second = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::ActionZero);
             let second_outcome = session.check(&second);
-            let what = format!("seed {seed} t{threads}");
             assert_eq!(session.stats().checks_replayed, 1, "{what}: replays");
             assert_outcomes_match(&second_outcome, &first_outcome, &what);
             assert_eq!(
-                touched(second, session.reused_touches()),
-                first_touched,
-                "{what}: touched set"
+                named_touched(&session, &registry),
+                answered,
+                "{what}: replayed touched set"
             );
         }
     }
+}
+
+/// A one-shot check registers the holes it first sights in the order a held
+/// session's first check does, at every thread count: on a fresh registry,
+/// [`Checker::run_shared`] of the empty naïve candidate leaves the same
+/// ordered hole table, and the same outcome, as [`CheckSession::check`] —
+/// and both match the serial order.
+#[test]
+fn one_shot_checks_register_first_sightings_like_a_held_session() {
+    use verc3::protocols::msi::{MsiConfig, MsiModel};
+    fn compare<M: TransitionSystem>(model: &M, what: &str) {
+        let mut serial: Option<Vec<String>> = None;
+        for threads in [1usize, 2, 4] {
+            let what = format!("{what} t{threads}");
+            let checker = Checker::new(
+                CheckerOptions::default()
+                    .threads(threads)
+                    .clamp_threads(false),
+            );
+            let (one_shot, held) = (HoleRegistry::new(), HoleRegistry::new());
+            let naive = |registry| {
+                SharedCandidateResolver::new(registry, &[], DiscoveryDefault::ActionZero)
+            };
+            let once = checker.run_shared(model, &naive(&one_shot));
+            let first = checker.session(model).check(&naive(&held));
+            assert_outcomes_match(&once, &first, &what);
+            assert!(!held.is_empty(), "{what}: the check must discover holes");
+            let order = held.names_from(0);
+            assert_eq!(one_shot.names_from(0), order, "{what}: registration order");
+            let serial = serial.get_or_insert_with(|| order.clone());
+            assert_eq!(&order, serial, "{what}: serial registration order");
+        }
+    }
+    for seed in 0..16 {
+        compare(&GraphModel::random(seed, 6, 3), &format!("random-{seed}"));
+    }
+    compare(&MsiModel::new(MsiConfig::msi_small()), "msi_small");
 }
 
 /// Wildcard-heavy verification through a session: the three-valued verdict
@@ -481,18 +594,13 @@ fn reused_expansions_match_fresh_runs() {
             let mut session = Checker::new(options.clone()).session(model);
             for (i, digits) in candidates.iter().enumerate() {
                 let what = format!("{what} {default:?} t{threads} step {i}");
-                let fresh_resolver = SharedCandidateResolver::new(registry, digits, default);
-                let fresh = Bfs::new(model, &options, &mut *fresh_resolver.worker()).explore();
                 let resolver = SharedCandidateResolver::new(registry, digits, default);
+                let (fresh, answered) = reference_run(model, &options, &resolver);
                 let reused = session.check(&resolver);
                 assert_outcomes_match(&reused, &fresh, &what);
-                let mut touched = resolver.into_touched();
-                touched.extend(session.reused_touches());
-                touched.sort_unstable();
-                touched.dedup();
                 assert_eq!(
-                    touched,
-                    fresh_resolver.into_touched(),
+                    named_touched(&session, registry),
+                    answered,
                     "{what}: touched set"
                 );
             }

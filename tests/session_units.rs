@@ -1,6 +1,7 @@
 //! Unit-level regressions for the session-based checker API: the
 //! initial-states contract (computed once per session), model naming
-//! through outcomes and reports, and the resolver delta query.
+//! through outcomes and reports, and the name cache a session carries
+//! across checks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use verc3::mck::{
@@ -9,7 +10,7 @@ use verc3::mck::{
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::protocols::vi::{ViConfig, ViModel};
-use verc3::synth::{assignment_delta, DiscoveryDefault, SynthOptions, Synthesizer};
+use verc3::synth::{SynthOptions, Synthesizer};
 
 /// A hand-rolled `TransitionSystem` that counts how often the checker asks
 /// for its initial states — and deliberately does *not* override `name`,
@@ -126,45 +127,9 @@ fn built_models_and_reports_are_named() {
     assert!(report.to_string().contains("MSI-3c skeleton (8 holes)"));
 }
 
-#[test]
-fn assignment_delta_flags_exactly_the_changed_holes() {
-    let w = DiscoveryDefault::Wildcard;
-    // Identical candidates: empty delta.
-    assert_eq!(
-        assignment_delta(&[1, 2, 0], &[1, 2, 0], w, 3),
-        Vec::<usize>::new()
-    );
-    // Last digit changed: only the deepest hole invalidates.
-    assert_eq!(assignment_delta(&[1, 2, 1], &[1, 2, 0], w, 3), vec![2]);
-    // Prefix grew: the newly concrete holes changed from their default.
-    assert_eq!(assignment_delta(&[1, 2, 0], &[1], w, 3), vec![1, 2]);
-    // Growing with the *default answer itself* is no change in naïve mode…
-    let z = DiscoveryDefault::ActionZero;
-    assert_eq!(assignment_delta(&[1, 0], &[1], z, 2), Vec::<usize>::new());
-    // …but is a wildcard→concrete flip in pruning mode.
-    assert_eq!(assignment_delta(&[1, 0], &[1], w, 2), vec![1]);
-    // Registry knows more holes than either prefix: unchanged defaults.
-    assert_eq!(assignment_delta(&[1], &[0], w, 5), vec![0]);
-}
-
-#[test]
-fn shared_resolver_delta_matches_free_function() {
-    use verc3::mck::HoleSpec;
-    use verc3::synth::{HoleRegistry, SharedCandidateResolver};
-    let registry = HoleRegistry::new();
-    for i in 0..4 {
-        registry.resolve_or_register(&HoleSpec::new(format!("h{i}"), ["a", "b", "c"]));
-    }
-    let digits = [2u16, 1, 0];
-    let resolver = SharedCandidateResolver::new(&registry, &digits, DiscoveryDefault::Wildcard);
-    assert_eq!(resolver.delta_from(&[2, 1, 1]), vec![2]);
-    assert_eq!(resolver.delta_from(&[2, 1, 0]), Vec::<usize>::new());
-    assert_eq!(resolver.delta_from(&[0, 1]), vec![0, 2]);
-}
-
 /// The session must drain a worker's hole name → id cache when a check ends
-/// and seed the next check's worker with it (`SharedResolver::worker_seeded`
-/// / `HoleResolver::take_name_cache`), so name resolution pays the registry
+/// and seed the next check's worker with it (`SharedResolver::worker` /
+/// `HoleResolver::take_name_cache`), so name resolution pays the registry
 /// lock once per session, not once per check.
 ///
 /// The second check answers the probe's hole differently: a check that
@@ -189,11 +154,7 @@ fn session_reseeds_the_name_cache_across_checks() {
     }
 
     impl SharedResolver for SeedProbe<'_> {
-        fn worker(&self) -> Box<dyn HoleResolver + '_> {
-            self.worker_seeded(NameCache::default())
-        }
-
-        fn worker_seeded(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
+        fn worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
             self.seed_sizes.lock().unwrap().push(seed.len());
             Box::new(ProbeWorker {
                 answer: self.answer,
