@@ -146,7 +146,7 @@ fn main() {
 /// Wall time, in milliseconds, of one msi_small golden-candidate check.
 fn check_ms<M: TransitionSystem>(model: &M, resolver: &dyn SharedResolver) -> f64 {
     let start = Instant::now();
-    let out = Checker::new(CheckerOptions::default()).run_shared(model, resolver);
+    let out = Checker::new(CheckerOptions::default()).run_with(model, resolver);
     let ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(out.stats().states_visited, 332);
     ms

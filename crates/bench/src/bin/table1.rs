@@ -81,6 +81,18 @@ const USAGE: &str = "usage: table1 [--small] [--large] [--xl] [--n5] [--naive-la
      [--journal DIR] [--resume] [--deadline-secs N] [--state-budget N] \
      [--journal-fsync-every N] [--spec PATH]...";
 
+/// The value of count flag `flag`, which must be positive when present:
+/// zero samples would divide by zero, and a zero fsync interval would be
+/// refused only once the rows have started printing.
+fn positive<T: std::str::FromStr + From<u8> + PartialEq>(args: &[String], flag: &str) -> Option<T> {
+    match flag_value::<T>(args, flag).unwrap_or_else(|e| usage_error(USAGE, e)) {
+        Some(n) if n == T::from(0) => {
+            usage_error(USAGE, format!("{flag} requires a positive integer"))
+        }
+        n => n,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_flags(&args, USAGE).unwrap_or_else(|e| usage_error(USAGE, e));
@@ -93,9 +105,7 @@ fn main() {
     let xl = has("--xl");
     let n5 = has("--n5");
     let classify = has("--classify");
-    let samples = flag_value(&args, "--samples")
-        .unwrap_or_else(|e| usage_error(USAGE, e))
-        .unwrap_or(200);
+    let samples = positive(&args, "--samples").unwrap_or(200);
     let check_threads = parse_check_threads(&args).unwrap_or_else(|e| usage_error(USAGE, e));
     let reuse_sessions = !has("--one-shot");
 
@@ -105,7 +115,7 @@ fn main() {
         stop_flag: Some(sigint::install()),
         deadline: value("--deadline-secs").map(Duration::from_secs),
         state_budget: value("--state-budget"),
-        journal_fsync_every: value("--journal-fsync-every"),
+        journal_fsync_every: positive(&args, "--journal-fsync-every"),
     };
     if let Some(dir) = &controls.journal_dir {
         std::fs::create_dir_all(dir).expect("create --journal directory");

@@ -537,7 +537,7 @@ pub fn estimate_naive_row(
         for (name, arity) in &space {
             resolver.assign(name.clone(), rng.gen_range(0..*arity));
         }
-        let outcome = checker.run_with(&model, &mut resolver);
+        let outcome = checker.run_with(&model, &resolver);
         if outcome.verdict() == Verdict::Success {
             solutions += 1;
         }
@@ -639,7 +639,7 @@ pub fn verify<M: TransitionSystem>(
     resolver: &dyn verc3_mck::SharedResolver,
     threads: usize,
 ) -> (Verdict, usize, usize) {
-    let out = Checker::new(CheckerOptions::default().threads(threads)).run_shared(model, resolver);
+    let out = Checker::new(CheckerOptions::default().threads(threads)).run_with(model, resolver);
     let stats = out.stats();
     (out.verdict(), stats.states_visited, stats.transitions)
 }

@@ -25,6 +25,8 @@ fn bad_flags_exit_2_with_the_usage_line() {
         (fig3, &["--spec"]),
         (table1, &["--guidd"]),
         (table1, &["--samples", "x"]),
+        (table1, &["--samples", "0"]),
+        (table1, &["--journal-fsync-every", "0"]),
         (table1, &["--deadline-secs", "soon"]),
         (table1, &["--journal"]),
         (synthd, &["--workload", "fig2", "--guidd"]),

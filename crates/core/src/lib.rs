@@ -6,9 +6,10 @@
 //! checker (`verc3-mck`), built around three ideas:
 //!
 //! * **Lazy hole discovery** ([`HoleRegistry`]) — synthesis starts from the
-//!   empty candidate; holes register themselves the first time the model
-//!   checker executes a rule that consults them, so unreachable holes never
-//!   enter the search space.
+//!   empty candidate; the embedded checker registers each hole the first
+//!   time it executes a rule that consults it, so unreachable holes never
+//!   enter the search space. The checker does all of that bookkeeping: the
+//!   candidate's resolver ([`SharedCandidateResolver`]) only answers.
 //! * **Wildcard generations** ([`Synthesizer`]) — the candidate vector is a
 //!   concrete prefix plus a wildcard suffix; wildcards abort execution
 //!   branches, and the concrete frontier only grows when a full enumeration
@@ -59,5 +60,5 @@ pub use odometer::{space_size, GuidedOdometer, Odometer};
 pub use pattern::ReferencePatternTable;
 pub use pattern::{PatternMode, PatternTable, Propagator, SparsePattern};
 pub use report::{GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats};
-pub use resolver::{DiscoveryDefault, NameCache, SharedCandidateResolver};
+pub use resolver::{DiscoveryDefault, SharedCandidateResolver};
 pub use synth::{Enumeration, SynthOptions, Synthesizer};

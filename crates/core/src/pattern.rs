@@ -623,17 +623,6 @@ impl PatternTable {
         let consultable = digits.len().min(self.sparse.buckets.len());
         (0..consultable).any(|d| self.sparse.bucket_matches(d, digits, &mut scratch))
     }
-
-    /// Merges another table's prefix pattern into this one.
-    pub fn merge_prefix(&mut self, prefix: &[u16]) {
-        self.insert_prefix(prefix);
-    }
-
-    /// Sparse analogue of [`PatternTable::merge_prefix`].
-    pub fn merge_sparse(&mut self, pattern: SparsePattern) {
-        // Already sorted by the producer; insert_sparse re-sorts defensively.
-        self.insert_sparse(pattern);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1002,16 +991,6 @@ impl ReferencePatternTable {
                     .all(|&(p, a)| (p as usize) < digits.len() && digits[p as usize] == a)
             })
     }
-
-    /// Merge entry point mirroring [`PatternTable::merge_prefix`].
-    pub fn merge_prefix(&mut self, prefix: &[u16]) {
-        self.insert_prefix(prefix);
-    }
-
-    /// Merge entry point mirroring [`PatternTable::merge_sparse`].
-    pub fn merge_sparse(&mut self, pattern: SparsePattern) {
-        self.insert_sparse(pattern);
-    }
 }
 
 #[cfg(test)]
@@ -1107,12 +1086,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_counts_new_only() {
+    fn repeated_inserts_count_once() {
         let mut t = PatternTable::new();
-        t.merge_prefix(&[1]);
-        t.merge_prefix(&[1]);
-        t.merge_sparse(vec![(0, 1)]);
-        t.merge_sparse(vec![(0, 1)]);
+        t.insert_prefix(&[1]);
+        t.insert_prefix(&[1]);
+        t.insert_sparse(vec![(0, 1)]);
+        t.insert_sparse(vec![(0, 1)]);
         assert_eq!(t.len(), 2);
     }
 

@@ -210,15 +210,15 @@ impl SynthOptions {
     /// Every individual evaluation is verdict-, statistics-, and
     /// failure-attribution-identical to its serial counterpart (the
     /// parallel checker's commit walk guarantees it). The equivalence
-    /// extends to **all resolver effects** in both discovery modes: workers
-    /// only answer, and only the applications the walk commits reach the
-    /// session's consultation logs (where the touched set is read),
-    /// failure attributions, and first discoveries — in walk order, the
-    /// serial schedule's within-layer consultation order. This covers the
-    /// naïve baseline (`pruning(false)`) too: its fresh `(hole, action 0)`
-    /// consultations are answered from the deferred pending list and
-    /// committed at the same sequence point, so neither mode registers
-    /// racily. Speculative work the walk discards (rule applications past
+    /// extends to **all hole effects** in both discovery modes: the
+    /// checker's consultants only look holes up and park first sightings,
+    /// and only the applications the walk commits reach the session's
+    /// consultation logs (where the touched set is read), failure
+    /// attributions, and first discoveries — in walk order, the serial
+    /// schedule's within-layer consultation order. This covers the naïve
+    /// baseline (`pruning(false)`) too: its fresh `(hole, action 0)`
+    /// consultations are parked and registered at the same sequence point,
+    /// so neither mode registers racily. Speculative work the walk discards (rule applications past
     /// a failing state's short-circuit point, chunks of an aborted
     /// claim-table attempt) leaves no trace, so the ordered hole
     /// table, the per-run `discovered` logs, and the touched sets feeding
@@ -1139,7 +1139,7 @@ impl StealPool {
 /// ranges itself.
 fn worker<M: TransitionSystem>(model: &M, gen: &Generation<'_>, slot: usize) {
     let opts = &gen.run.options;
-    let mut session = gen.run.checker.session(model);
+    let mut session = gen.run.checker.session(model, &gen.registry);
     let mut propagator = Propagator::new();
     let mut log_cursor = 0usize;
     let total = gen.total.max(1);
@@ -1223,13 +1223,13 @@ fn worker<M: TransitionSystem>(model: &M, gen: &Generation<'_>, slot: usize) {
 /// walk's last seek runs on past `hi`, up to `search_end`, and its landing
 /// index — the next consistent candidate, or `search_end` if there is none
 /// — is returned; `None` if a stop request interrupted the chunk.
-fn run_chunk_guided<M: TransitionSystem>(
-    gen: &Generation<'_>,
+fn run_chunk_guided<'s, M: TransitionSystem>(
+    gen: &'s Generation<'_>,
     lo: u64,
     hi: u64,
     search_end: u64,
     propagator: &mut Propagator,
-    session: &mut CheckSession<'_, M>,
+    session: &mut CheckSession<'s, M>,
     draft: &mut ChunkDraft,
 ) -> Option<u64> {
     // The walk stays warm across chunk boundaries: most chunks hold a
@@ -1290,12 +1290,12 @@ fn run_chunk_guided<M: TransitionSystem>(
 /// claims chunk by chunk: returns `Some(hi)`, or `None` if a stop request
 /// interrupted the chunk.
 #[cfg(any(test, feature = "reference"))]
-fn run_chunk_lex<M: TransitionSystem>(
-    gen: &Generation<'_>,
+fn run_chunk_lex<'s, M: TransitionSystem>(
+    gen: &'s Generation<'_>,
     lo: u64,
     hi: u64,
     propagator: &mut Propagator,
-    session: &mut CheckSession<'_, M>,
+    session: &mut CheckSession<'s, M>,
     draft: &mut ChunkDraft,
 ) -> Option<u64> {
     let run = gen.run;
@@ -1339,10 +1339,10 @@ fn run_chunk_lex<M: TransitionSystem>(
 /// Dispatches one candidate to the model checker and files the result —
 /// into the generation and run state immediately, and into the chunk
 /// `draft` for the journal.
-fn evaluate_candidate<M: TransitionSystem>(
-    gen: &Generation<'_>,
+fn evaluate_candidate<'s, M: TransitionSystem>(
+    gen: &'s Generation<'_>,
     digits: Vec<u16>,
-    session: &mut CheckSession<'_, M>,
+    session: &mut CheckSession<'s, M>,
     propagator: &mut Propagator,
     draft: &mut ChunkDraft,
 ) {
@@ -1354,7 +1354,7 @@ fn evaluate_candidate<M: TransitionSystem>(
     } else {
         DiscoveryDefault::ActionZero
     };
-    let resolver = SharedCandidateResolver::new(&gen.registry, &digits, default);
+    let resolver = SharedCandidateResolver::new(&digits, default);
     let outcome = dispatch(gen, session, &resolver, draft);
     let number = run.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
     draft.evaluated += 1;
@@ -1437,9 +1437,9 @@ fn evaluate_candidate<M: TransitionSystem>(
 /// checkpoint whose hole resolutions the candidate leaves unchanged;
 /// verdict and failure attribution are those of a fresh check, and
 /// [`CheckSession::touched`] then holds what the check consulted.
-fn dispatch<M: TransitionSystem>(
-    gen: &Generation<'_>,
-    session: &mut CheckSession<'_, M>,
+fn dispatch<'s, M: TransitionSystem>(
+    gen: &'s Generation<'_>,
+    session: &mut CheckSession<'s, M>,
     resolver: &SharedCandidateResolver<'_>,
     draft: &mut ChunkDraft,
 ) -> Outcome<M::State> {
@@ -1447,7 +1447,7 @@ fn dispatch<M: TransitionSystem>(
     if !gen.run.options.reuse_sessions {
         // The per-candidate-restart reference: every check on a fresh
         // session, from the initial states.
-        *session = gen.run.checker.session(session.model());
+        *session = gen.run.checker.session(session.model(), &gen.registry);
     }
     let before = session.stats().clone();
     let outcome = session.check(resolver);

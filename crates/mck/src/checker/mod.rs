@@ -23,11 +23,18 @@
 //! verdicts, statistics, and counterexample traces are *identical* for any
 //! thread count.
 //!
-//! The one-shot entry points ([`Checker::run`], [`Checker::run_with`],
-//! [`Checker::run_shared`]) each check once on a fresh session; the
-//! synthesis loop holds a session across candidates. The original
-//! queue-driven serial BFS survives only as the differential oracle in
-//! `reference`, compiled for tests and under the `reference` feature.
+//! Every rule application in either schedule consults its holes through the
+//! checker's own consultant ([`crate::eval`]), which looks holes up in the
+//! session's [`HoleRegistry`], tracks what each application consulted and
+//! asks the caller's [`SharedResolver`] only for the answers; the walk
+//! registers first sightings at each layer end, in the serial order.
+//!
+//! The one-shot entry points ([`Checker::run`], [`Checker::run_with`]) each
+//! check once on a fresh session over a private registry; the synthesis
+//! loop holds a session across candidates, over its generation's registry.
+//! The original queue-driven serial BFS survives only as the differential
+//! oracle in `reference`, compiled for tests and under the `reference`
+//! feature.
 
 mod graph;
 mod outcome;
@@ -46,10 +53,11 @@ pub use session::{CheckSession, SessionStats};
 pub use trace::{Trace, TraceStep};
 
 use crate::error::MckError;
-use crate::eval::{HoleResolver, NoHoles, SharedResolver};
+use crate::eval::{NoHoles, SharedResolver};
 use crate::hashers::{fingerprint, FnvHashMap};
 use crate::model::TransitionSystem;
 use crate::properties::Property;
+use crate::registry::HoleRegistry;
 use std::time::Instant;
 
 /// What the checker should do when it finds a state with no enabled rules.
@@ -152,9 +160,7 @@ impl CheckerOptions {
     /// counterexample depth — with more than one effective thread a
     /// [`CheckSession`] expands each layer through the parallel engine, which
     /// commits it in the serial loop's deterministic order (see `parallel`).
-    /// [`Checker::run`], [`Checker::run_shared`], and [`Checker::session`]
-    /// honor this knob; [`Checker::run_with`] takes an exclusive resolver
-    /// and always expands serially.
+    /// A session's thread count is fixed when it opens.
     ///
     /// By default the requested count is clamped to the machine's available
     /// parallelism (see [`CheckerOptions::clamp_threads`]): asking for 8
@@ -228,24 +234,25 @@ impl Checker {
     /// Verifies a complete (hole-free) model, honoring
     /// [`CheckerOptions::threads`].
     ///
-    /// This is [`Checker::run_shared`] over [`NoHoles`]: one check on a
-    /// fresh [`CheckSession`]. Callers verifying many related candidates
-    /// should hold a session themselves and call [`CheckSession::check`]
+    /// This is [`Checker::run_with`] over [`NoHoles`]: one check on a fresh
+    /// [`CheckSession`]. Callers verifying many related candidates should
+    /// hold a session themselves and call [`CheckSession::check`]
     /// repeatedly to reuse the shared exploration prefix.
     ///
     /// A model that consults a hole is a usage error: the [`NoHoles`]
     /// resolver panics, the panic-isolation layer catches it, and the run
     /// reports [`Verdict::Unknown`] with [`MckError::CandidatePanicked`].
-    /// Use [`Checker::run_with`] or [`Checker::run_shared`] with an
-    /// appropriate resolver for models containing holes.
+    /// Use [`Checker::run_with`] with an appropriate resolver for models
+    /// containing holes.
     pub fn run<M: TransitionSystem>(&self, model: &M) -> Outcome<M::State> {
-        self.run_shared(model, &NoHoles)
+        self.run_with(model, &NoHoles)
     }
 
-    /// Opens a long-lived [`CheckSession`] on `model`: a reusable checker
-    /// instance owning the visited set, the state store, the canonical
-    /// initial states, and (for [`CheckerOptions::threads`] `> 1`) a
-    /// persistent worker pool.
+    /// Opens a long-lived [`CheckSession`] on `model` over `registry`, the
+    /// table its hole ids refer to: a reusable checker instance owning the
+    /// visited set, the state store, the canonical initial states, and (for
+    /// [`CheckerOptions::threads`] `> 1`) a persistent worker pool. The
+    /// session registers the holes its checks first sight into `registry`.
     ///
     /// [`CheckSession::check`] can be called repeatedly with different
     /// resolvers; checks that share a resolution prefix with the previous
@@ -255,52 +262,40 @@ impl Checker {
     /// observationally identical — verdict, statistics, failure
     /// attribution, counterexample trace — to a fresh check of the same
     /// candidate.
-    pub fn session<'a, M: TransitionSystem>(&self, model: &'a M) -> CheckSession<'a, M> {
-        CheckSession::new(model, self.options.clone())
+    pub fn session<'a, M: TransitionSystem>(
+        &self,
+        model: &'a M,
+        registry: &'a HoleRegistry,
+    ) -> CheckSession<'a, M> {
+        CheckSession::new(model, self.options.clone(), registry)
     }
 
-    /// Verifies a model, resolving holes through `resolver`.
+    /// Verifies a model, resolving holes through `resolver`, honoring
+    /// [`CheckerOptions::threads`]: one check on a fresh [`CheckSession`]
+    /// over a private [`HoleRegistry`], serially or through the parallel
+    /// engine — bit-identical outcomes either way (see `parallel`). A
+    /// one-shot check never queries [`crate::SessionResolver::assignment`],
+    /// so any [`SharedResolver`] will do.
     ///
     /// Wildcard resolutions abort their branch and (absent a failure) demote
     /// the verdict to [`Verdict::Unknown`]; see the crate docs for the full
-    /// soundness argument.
-    ///
-    /// An exclusive (`&mut`) resolver cannot be shared across workers, so
-    /// this entry point always expands serially, in `resolver` itself,
-    /// regardless of [`CheckerOptions::threads`]; use
-    /// [`Checker::run_shared`] to check in parallel, or with a resolver
-    /// that defers hole discoveries, which only that entry point commits.
+    /// soundness argument. A failure's touched set names holes by their ids
+    /// in the private registry, which numbers holes in discovery order; an
+    /// edge produced in the layer where its hole was first sighted carries
+    /// none of them.
     ///
     /// A panic in user protocol code (a rule, an invariant, or the resolver
     /// itself) is caught here and reported as a [`Verdict::Unknown`] outcome
-    /// carrying [`MckError::CandidatePanicked`]; the checker stays usable.
+    /// carrying [`MckError::CandidatePanicked`] — including panics raised
+    /// inside pool workers, which the pool collects and re-raises on this
+    /// thread after the batch.
     pub fn run_with<M: TransitionSystem>(
-        &self,
-        model: &M,
-        resolver: &mut dyn HoleResolver,
-    ) -> Outcome<M::State> {
-        self.session(model).check_once_with(resolver)
-    }
-
-    /// Verifies a model through a thread-shareable resolution strategy,
-    /// honoring [`CheckerOptions::threads`]: one check on a fresh
-    /// [`CheckSession`], which expands serially through one worker resolver
-    /// or, with more than one effective thread, through the parallel engine
-    /// — bit-identical outcomes either way (see `parallel`), and either way
-    /// the holes a deferring resolver first sights register at each layer
-    /// end, in the serial order. A one-shot check never queries
-    /// [`crate::SessionResolver::assignment`], so any [`SharedResolver`]
-    /// will do.
-    ///
-    /// Panics in user protocol code are isolated exactly as in
-    /// [`Checker::run_with`] — including panics raised inside pool workers,
-    /// which the pool collects and re-raises on this thread after the batch.
-    pub fn run_shared<M: TransitionSystem>(
         &self,
         model: &M,
         resolver: &dyn SharedResolver,
     ) -> Outcome<M::State> {
-        self.session(model).check_once(resolver)
+        self.session(model, &HoleRegistry::new())
+            .check_once(resolver)
     }
 }
 
@@ -708,7 +703,6 @@ fn rule_names<M: TransitionSystem>(model: &M) -> Vec<String> {
 #[cfg(test)]
 pub(super) mod tests_support {
     use super::*;
-    use crate::eval::NameCache;
 
     /// Asserts two outcomes are indistinguishable: verdict, full `Stats`,
     /// and failure details (kind, property, touched set, and the whole
@@ -744,12 +738,10 @@ pub(super) mod tests_support {
         resolver: &dyn SharedResolver,
         options: CheckerOptions,
     ) {
-        let want =
-            reference::Bfs::new(model, &options, &mut *resolver.worker(NameCache::default()))
-                .explore();
+        let want = reference::Bfs::new(model, &options, resolver, &HoleRegistry::new()).explore();
         for threads in [1, 2, 4, 8] {
             let got = Checker::new(options.clone().threads(threads).clamp_threads(false))
-                .run_shared(model, resolver);
+                .run_with(model, resolver);
             assert_same_outcome(&got, &want, &format!("{threads} threads"));
         }
     }
@@ -933,15 +925,15 @@ mod tests {
         let m = b.finish();
 
         // Wildcard: branch aborted, verdict unknown even though no failure.
-        let mut wild = FixedResolver::new();
-        let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &mut wild);
+        let wild = FixedResolver::new();
+        let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &wild);
         assert_eq!(out.verdict(), Verdict::Unknown);
         assert_eq!(out.stats().wildcard_hits, 1);
         assert_eq!(out.stats().states_visited, 1);
 
         // Concrete choice: fully explored.
-        let mut fixed = FixedResolver::from_pairs([("h", 1usize)]);
-        let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &mut fixed);
+        let fixed = FixedResolver::from_pairs([("h", 1usize)]);
+        let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &fixed);
         assert_eq!(out.verdict(), Verdict::Success);
         assert_eq!(out.stats().states_visited, 2);
     }
@@ -964,7 +956,7 @@ mod tests {
         let m = b.finish();
         // State 0 has no successor, but only because the hole is wildcard:
         // must NOT be reported as deadlock.
-        let out = Checker::new(CheckerOptions::default()).run_with(&m, &mut FixedResolver::new());
+        let out = Checker::new(CheckerOptions::default()).run_with(&m, &FixedResolver::new());
         assert_eq!(out.verdict(), Verdict::Unknown);
     }
 

@@ -11,11 +11,11 @@
 //! 1. **Expand** (parallel): the current BFS layer is split into chunks
 //!    sized from the previous layer's measured expansion rate (see
 //!    [`Engine::chunk_size`]) and run by a persistent [`WorkerPool`]. Each
-//!    worker applies every rule to its states through its own worker
-//!    resolver ([`SharedResolver::worker`]), canonicalizes and
-//!    fingerprints successors, **evaluates their invariants**, and probes
-//!    them against a lock-free [`ClaimTable`] (a CAS on an `AtomicU64`
-//!    bucket claims an unseen state, whose body lives in a striped arena).
+//!    worker applies every rule to its states through its own consultant
+//!    ([`crate::eval`]), canonicalizes and fingerprints successors,
+//!    **evaluates their invariants**, and probes them against a lock-free
+//!    [`ClaimTable`] (a CAS on an `AtomicU64` bucket claims an unseen
+//!    state, whose body lives in a striped arena).
 //!    It writes each state's expansion as a record **draft** (`records`):
 //!    successors named by committed id or by claim, holes first sighted in
 //!    the chunk by chunk-local index.
@@ -49,12 +49,13 @@
 //!   the smallest announced index. The walk stops at or before that index,
 //!   so skipped work is provably unobserved, and a caught panic resumes
 //!   only if the walk reaches the application it ended.
-//! * **Walk-gated resolver effects**: workers only answer; the deferred
-//!   hole discoveries the walk reached register at the layer end, in walk
-//!   order, and a held session's layer log holds the consultations the
-//!   walk committed, which is where a check's touched set is read from.
-//!   Applications the walk never reaches (past a stop) therefore never
-//!   leak into touched sets, hole registries, or pattern publications.
+//! * **Walk-gated hole effects**: a chunk's consultant only looks holes up
+//!   and parks its first sightings; the first sightings the walk reached
+//!   register at the layer end, in walk order, and a held session's layer
+//!   log holds the consultations the walk committed, which is where a
+//!   check's touched set is read from. Applications the walk never reaches
+//!   (past a stop) therefore never leak into touched sets, hole
+//!   registries, or pattern publications.
 //! * **Abort-and-grow**: the claim table is sized from the previous layer's
 //!   claim count; if a layer outgrows it, workers abort at state
 //!   boundaries, the attempt's drafts are discarded, and the layer is
@@ -80,10 +81,11 @@ use super::{
     fingerprint, insert_id, remove_id, CheckerOptions, DeadlockPolicy, Edge, IdList, Outcome,
     SearchCore, StateId,
 };
-use crate::eval::{HoleSpec, NameCache, SessionResolver, SharedResolver};
+use crate::eval::{Consultant, HoleSpec, NameCache, SessionResolver, SharedResolver};
 use crate::hashers::FnvHashMap;
 use crate::model::TransitionSystem;
 use crate::properties::Property;
+use crate::registry::HoleRegistry;
 use crate::rule::RuleOutcome;
 use parking_lot::Mutex;
 use std::any::Any;
@@ -382,7 +384,7 @@ pub(super) struct ChunkOut {
     words: Vec<u32>,
     /// The claim references the drafts' [`CLAIM`] successor words index.
     claims: Vec<u32>,
-    /// Hole specs first sighted by this chunk's worker, in consultation
+    /// Hole specs first sighted by this chunk's consultant, in consultation
     /// order: what the drafts' [`FRESH`] hole words index.
     discoveries: Vec<HoleSpec>,
     /// The panic that ended the chunk's last draft.
@@ -421,10 +423,11 @@ pub(super) struct Walk {
     log: Vec<LayerTouch>,
     /// Deferred discoveries to register at the layer end, in walk order.
     specs: Vec<HoleSpec>,
-    /// Where the current discovery scope (a chunk, or the serial worker's
-    /// layer) starts in `specs`, and how many of its discoveries the walk
-    /// reached: always a prefix, because a scope numbers its discoveries in
-    /// consultation order, which the walk follows.
+    /// Where the current discovery scope (a chunk, or the serial
+    /// consultant's layer) starts in `specs`, and how many of its
+    /// discoveries the walk reached: always a prefix, because a scope
+    /// numbers its discoveries in consultation order, which the walk
+    /// follows.
     scope: u32,
     reached: u32,
     /// Walked consultations of deferred discoveries, logged once they have
@@ -482,8 +485,8 @@ impl Walk {
         }
     }
 
-    /// Ends a discovery scope whose worker sighted `specs`: the ones the
-    /// walk reached register at the layer end.
+    /// Ends a discovery scope whose consultant first sighted `specs`: the
+    /// ones the walk reached register at the layer end.
     pub(super) fn end_scope(&mut self, mut specs: Vec<HoleSpec>) {
         specs.truncate(self.reached as usize);
         self.scope += specs.len() as u32;
@@ -492,14 +495,17 @@ impl Walk {
     }
 
     /// Ends the layer, expanded or stopped inside: registers the reached
-    /// discoveries in walk order, which is the serial order, through
-    /// `resolver` (`None` only for an exclusive resolver, which cannot
-    /// defer), and logs their consultations by id. Returns the layer's
+    /// discoveries into `registry` in walk order, which is the serial
+    /// order, and logs their consultations by id. Returns the layer's
     /// sorted, de-duplicated hole-touch log (empty unless a held session's
     /// check).
-    pub(super) fn end_layer(mut self, resolver: Option<&dyn SharedResolver>) -> Vec<LayerTouch> {
-        if let Some(resolver) = resolver.filter(|_| !self.specs.is_empty()) {
-            let ids = resolver.commit_discoveries(&self.specs);
+    pub(super) fn end_layer(mut self, registry: &HoleRegistry) -> Vec<LayerTouch> {
+        if !self.specs.is_empty() {
+            let ids: Vec<usize> = self
+                .specs
+                .iter()
+                .map(|spec| registry.resolve_or_register(spec).0)
+                .collect();
             let named = self
                 .fresh
                 .iter()
@@ -567,9 +573,7 @@ pub(super) struct Engine<S> {
     pub(super) records: Records<S>,
     claims: ClaimTable<S>,
     /// Persistent expansion workers (`threads - 1`; the calling thread
-    /// works each batch too). Built lazily on the first parallel layer and
-    /// rebuilt whenever the effective thread count changes
-    /// ([`super::CheckSession::set_threads`]).
+    /// works each batch too), built on the first parallel layer.
     pool: Option<WorkerPool>,
     threads: usize,
     #[cfg(any(test, feature = "reference"))]
@@ -579,10 +583,10 @@ pub(super) struct Engine<S> {
     rate_ns: f64,
     /// Claims allocated by the previous layer; sizes the next claim table.
     last_claims: usize,
-    /// Hole name → id caches drained from finished workers and re-seeded
-    /// into later ones, so name resolution hits the shared registry once
-    /// per run (or per session) rather than once per chunk.
-    name_caches: Mutex<Vec<NameCache>>,
+    /// Hole name → id caches drained from finished consultants and
+    /// re-seeded into later ones, so name resolution hits the registry once
+    /// per session rather than once per chunk or check.
+    pub(super) name_caches: Mutex<Vec<NameCache>>,
 }
 
 impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
@@ -607,12 +611,6 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             last_claims: 0,
             name_caches: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Retargets the engine to a new effective thread count; a stale pool
-    /// is torn down and rebuilt on the next parallel layer.
-    pub(super) fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// The committed id of `state`, if any. Lock-free; safe to call from
@@ -649,22 +647,15 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         self.records.reset();
     }
 
-    /// Pops a drained name cache for seeding the next worker (empty when
-    /// none is banked).
+    /// Pops a drained name cache for seeding the next consultant (empty
+    /// when none is banked).
     pub(super) fn pop_name_cache(&self) -> NameCache {
         self.name_caches.lock().pop().unwrap_or_default()
     }
 
-    /// Banks a finished worker's name cache for the next worker.
+    /// Banks a finished consultant's name cache for the next one.
     pub(super) fn push_name_cache(&self, cache: NameCache) {
         self.name_caches.lock().push(cache);
-    }
-
-    fn ensure_pool(&mut self) {
-        let want = self.threads.saturating_sub(1);
-        if self.pool.as_ref().map(WorkerPool::workers) != Some(want) {
-            self.pool = (want > 0).then(|| WorkerPool::new(want));
-        }
     }
 
     /// States per expansion chunk for a frontier of `len`, tuned from the
@@ -696,6 +687,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     pub(super) fn expand_layer<M>(
         &mut self,
         core: &SearchCore<'_, M>,
+        registry: &HoleRegistry,
         resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
         f0: usize,
@@ -704,21 +696,23 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     where
         M: TransitionSystem<State = S>,
     {
-        self.ensure_pool();
+        let threads = self.threads;
+        self.pool
+            .get_or_insert_with(|| WorkerPool::new(threads - 1));
         let frontier_len = f1 - f0;
         let mut want = (4 * self.last_claims.max(frontier_len)).max(256);
         loop {
             self.claims.prepare(want);
             let attempt = Instant::now();
-            let chunks = self.run_chunks(core, resolver, answers, f0, f1);
+            let chunks = self.run_chunks(core, registry, resolver, answers, f0, f1);
             if !self.claims.aborted() {
                 self.last_claims = self.claims.allocated();
                 self.rate_ns = (attempt.elapsed().as_nanos() as f64 / frontier_len as f64).max(1.0);
                 return chunks;
             }
             // The attempt (records, discoveries, claims) is discarded
-            // wholesale and the layer re-expanded — deferred resolver
-            // consultations make the retry invisible to everything else.
+            // wholesale and the layer re-expanded — deferred registration
+            // makes the retry invisible to everything else.
             want = self.claims.capacity() * 4;
         }
     }
@@ -726,6 +720,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     fn run_chunks<M>(
         &self,
         core: &SearchCore<'_, M>,
+        registry: &HoleRegistry,
         resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
         f0: usize,
@@ -750,7 +745,17 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             return ranges
                 .iter()
                 .map(|&(lo, hi)| {
-                    self.expand_chunk(core, resolver, answers, lo, hi, f0, &stop, watch_deadlock)
+                    self.expand_chunk(
+                        core,
+                        registry,
+                        resolver,
+                        answers,
+                        lo,
+                        hi,
+                        f0,
+                        &stop,
+                        watch_deadlock,
+                    )
                 })
                 .collect();
         };
@@ -763,6 +768,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                 Box::new(move || {
                     *slot.lock() = Some(self.expand_chunk(
                         core,
+                        registry,
                         resolver,
                         answers,
                         lo,
@@ -790,6 +796,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     fn expand_chunk<M>(
         &self,
         core: &SearchCore<'_, M>,
+        registry: &HoleRegistry,
         resolver: &dyn SharedResolver,
         answers: Option<&dyn SessionResolver>,
         lo: usize,
@@ -803,7 +810,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     {
         crate::faults::probe_panic(crate::faults::site::EXPAND_CHUNK);
         let model = core.model;
-        let mut worker = resolver.worker(self.pop_name_cache());
+        let mut consultant = Consultant::new(registry, resolver, self.pop_name_cache());
         let mut out = ChunkOut::default();
         for sid in lo..hi {
             if self.claims.aborted() {
@@ -831,15 +838,13 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                 claiming.set(false);
                 violation
             };
-            // AssertUnwindSafe: after a panic the worker resolver is only
-            // drained, and the words are cut back to the last whole
-            // application.
+            // AssertUnwindSafe: after a panic the consultant is only drained,
+            // and the words are cut back to the last whole application.
             let expanded = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let mut exits = false;
                 for (ri, r) in model.rules().iter().enumerate() {
                     rule = ri;
-                    worker.begin_application();
-                    let word = match r.apply(&core.states[sid], &mut *worker) {
+                    let word = match consultant.apply(r, &core.states[sid]) {
                         RuleOutcome::Disabled => DISABLED,
                         RuleOutcome::Blocked => {
                             exits = true;
@@ -869,9 +874,9 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
                     push_app(
                         &mut out.words,
                         ri,
-                        worker.application_touches(),
-                        worker.application_wildcards(),
-                        worker.application_fresh_touches(),
+                        &consultant.touches,
+                        &consultant.wildcards,
+                        &consultant.fresh,
                         word,
                     );
                     done = out.words.len();
@@ -895,10 +900,8 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
             }
             out.states.push(Drafted::Draft(out.words.len()));
         }
-        out.discoveries = worker.take_pending_discoveries();
-        let cache = worker.take_name_cache();
-        drop(worker);
-        self.push_name_cache(cache);
+        out.discoveries = consultant.take_pending();
+        self.push_name_cache(consultant.into_cache());
         out
     }
 

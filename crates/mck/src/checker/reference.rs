@@ -5,20 +5,26 @@
 //! fault-injection suites set.
 //!
 //! Production checks all run through [`super::CheckSession`]'s layer loops.
-//! This driver shares only the committed-state core ([`SearchCore`]) with
-//! them and discovers states with its own queue and visited index, so the
-//! equivalence suites compare two independent exploration loops rather than
-//! one loop against itself. Compiled only for tests and under the
-//! `reference` feature.
+//! This driver shares only the committed-state core ([`SearchCore`]) and the
+//! consultant its rules receive ([`crate::eval`]) with them, and discovers
+//! states with its own queue and visited index, so the equivalence suites
+//! compare two independent exploration loops rather than one loop against
+//! itself. It registers first sightings by the walk's rule, written a
+//! second time: a layer's first sightings register in consultation order
+//! when the first state of the next depth is popped, and those of the
+//! layer a check stops in when it stops — so the equivalence suites can
+//! compare the two drivers' attribution and hole tables. Compiled only for
+//! tests and under the `reference` feature.
 
 use super::{
     fingerprint, insert_id, CheckerOptions, DeadlockPolicy, Edge, Failure, FailureKind, IdList,
     Outcome, SearchCore, StateId, Verdict,
 };
 use crate::error::MckError;
-use crate::eval::HoleResolver;
+use crate::eval::{Consultant, SharedResolver};
 use crate::hashers::FnvHashMap;
 use crate::model::TransitionSystem;
+use crate::registry::HoleRegistry;
 use crate::rule::RuleOutcome;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -108,7 +114,8 @@ impl VisitedIndex {
 /// in user protocol code unwinds through [`Bfs::explore`].
 pub struct Bfs<'a, M: TransitionSystem> {
     core: SearchCore<'a, M>,
-    resolver: &'a mut dyn HoleResolver,
+    registry: &'a HoleRegistry,
+    consultant: Consultant<'a>,
     visited: VisitedIndex,
     queue: VecDeque<StateId>,
 }
@@ -124,15 +131,18 @@ impl<M: TransitionSystem> std::fmt::Debug for Bfs<'_, M> {
 
 impl<'a, M: TransitionSystem> Bfs<'a, M> {
     /// Prepares a run of `model` under `options` (the thread, chunk, and
-    /// stripe knobs are ignored), resolving holes through `resolver`.
+    /// stripe knobs are ignored), answering holes through `resolver` and
+    /// registering first sightings into `registry`.
     pub fn new(
         model: &'a M,
         options: &'a CheckerOptions,
-        resolver: &'a mut dyn HoleResolver,
+        resolver: &'a dyn SharedResolver,
+        registry: &'a HoleRegistry,
     ) -> Self {
         Bfs {
             core: SearchCore::new(model, options.clone()),
-            resolver,
+            registry,
+            consultant: Consultant::new(registry, resolver, Default::default()),
             visited: VisitedIndex::default(),
             queue: VecDeque::new(),
         }
@@ -161,8 +171,22 @@ impl<'a, M: TransitionSystem> Bfs<'a, M> {
         Some((id, true))
     }
 
-    /// Explores the model to an outcome.
+    /// Explores the model to an outcome, then registers the first
+    /// sightings of the layer it ended in.
     pub fn explore(mut self) -> Outcome<M::State> {
+        let outcome = self.search();
+        self.register();
+        outcome
+    }
+
+    /// Registers the consultant's first sightings, in consultation order.
+    fn register(&mut self) {
+        for spec in self.consultant.take_pending() {
+            self.registry.resolve_or_register(&spec);
+        }
+    }
+
+    fn search(&mut self) -> Outcome<M::State> {
         let start = Instant::now();
 
         let initial = self.core.model.initial_states();
@@ -200,7 +224,12 @@ impl<'a, M: TransitionSystem> Bfs<'a, M> {
             }
         }
 
+        let mut depth = 0;
         'bfs: while let Some(id) = self.queue.pop_front() {
+            if self.core.depth[id as usize] > depth {
+                depth = self.core.depth[id as usize];
+                self.register();
+            }
             self.core.stats.peak_queue = self.core.stats.peak_queue.max(self.queue.len() + 1);
             let state = self.core.states[id as usize].clone();
             let mut any_next = false;
@@ -211,9 +240,8 @@ impl<'a, M: TransitionSystem> Bfs<'a, M> {
             let mut expansion_touches: Vec<(usize, u16)> = Vec::new();
 
             for (ri, rule) in self.core.model.rules().iter().enumerate() {
-                self.resolver.begin_application();
-                let outcome = rule.apply(&state, self.resolver);
-                expansion_touches.extend_from_slice(self.resolver.application_touches());
+                let outcome = self.consultant.apply(rule, &state);
+                expansion_touches.extend_from_slice(&self.consultant.touches);
                 match outcome {
                     RuleOutcome::Disabled => {}
                     RuleOutcome::Blocked => {
@@ -224,7 +252,7 @@ impl<'a, M: TransitionSystem> Bfs<'a, M> {
                         any_next = true;
                         self.core.stats.transitions += 1;
                         let next = self.core.model.canonicalize(next);
-                        let touches = self.resolver.application_touches().to_vec();
+                        let touches = self.consultant.touches.clone();
                         let Some((nid, new)) = self.insert(next, Some((id, ri as u32)), &touches)
                         else {
                             // Admitting this successor would exceed the state

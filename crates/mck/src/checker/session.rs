@@ -2,9 +2,12 @@
 //! prefix re-verification.
 //!
 //! Every check runs here. The one-shot entry points ([`Checker::run`],
-//! [`Checker::run_with`], [`Checker::run_shared`]) check once on a fresh
-//! session; the synthesis loop holds one session per worker across
-//! thousands of candidate evaluations against *one* model. Consecutive
+//! [`Checker::run_with`]) check once on a fresh session over a private
+//! hole registry; the synthesis loop holds one session per worker across
+//! thousands of candidate evaluations against *one* model, over its
+//! generation's registry. A session is opened over the registry its hole
+//! ids refer to, so every check of a session, every checkpoint log and
+//! every record speaks one hole namespace by construction. Consecutive
 //! candidates usually differ only in late-firing holes: everything the
 //! checker would explore before the first rule application that consults a
 //! changed hole is identical between them. A fresh session rebuilds that
@@ -52,8 +55,10 @@
 //! sealed layer logs and its stop log hold every consultation it made or
 //! inherited, and [`CheckSession::touched`] reads the concrete ones from
 //! them. The synthesizer identifies a solution by that set and prunes on
-//! it when no trace attributes a failure, so resolvers keep no record of
-//! their own.
+//! it when no trace attributes a failure. Rules consult holes through the
+//! checker's consultant ([`crate::eval`]), one per check in the serial
+//! schedule and one per chunk in the parallel engine, whose name caches
+//! the session banks across chunks and checks.
 //!
 //! Inside the layers a check does explore, reuse is per state. The session
 //! keeps one **expansion record** per fully expanded state (the `records`
@@ -93,8 +98,9 @@ use super::parallel::{Engine, LayerTouch, Refs, Walk};
 use super::records::{push_app, BLOCKED, DISABLED, HELD};
 use super::{fingerprint, CheckerOptions, Failure, Outcome, SearchCore, Stats, Verdict};
 use crate::error::MckError;
-use crate::eval::{HoleResolver, SessionResolver, SharedResolver};
+use crate::eval::{Consultant, SessionResolver, SharedResolver};
 use crate::model::TransitionSystem;
+use crate::registry::HoleRegistry;
 use crate::rule::RuleOutcome;
 use std::time::Instant;
 
@@ -197,12 +203,15 @@ type Layer<S> = (Result<(), Box<Outcome<S>>>, Vec<LayerTouch>);
 /// observationally identical to a fresh run of the same candidate.
 pub struct CheckSession<'a, M: TransitionSystem> {
     core: SearchCore<'a, M>,
+    /// The table every hole id of this session refers to; the walk
+    /// registers first sightings here.
+    registry: &'a HoleRegistry,
     /// The exploration engine: visited set, committed fingerprints, claim
     /// table, worker pool, chunk auto-tuner, and name-cache bank. The
     /// serial loop uses only its committed index and cache bank.
     engine: Engine<M::State>,
     /// Effective thread count ([`CheckerOptions::effective_threads`] at
-    /// session creation, or the last [`CheckSession::set_threads`]).
+    /// session creation).
     threads: usize,
     /// Canonicalized initial states, computed once at session creation.
     initial: Vec<M::State>,
@@ -230,7 +239,7 @@ impl<M: TransitionSystem> std::fmt::Debug for CheckSession<'_, M> {
 }
 
 impl<'a, M: TransitionSystem> CheckSession<'a, M> {
-    pub(super) fn new(model: &'a M, options: CheckerOptions) -> Self {
+    pub(super) fn new(model: &'a M, options: CheckerOptions, registry: &'a HoleRegistry) -> Self {
         let threads = options.effective_threads();
         let initial: Vec<M::State> = model
             .initial_states()
@@ -245,6 +254,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         core.one_shot = false;
         CheckSession {
             core,
+            registry,
             engine,
             threads,
             initial,
@@ -263,29 +273,6 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// The model this session explores.
     pub fn model(&self) -> &'a M {
         self.core.model
-    }
-
-    /// The *effective* thread count the next check will use: the requested
-    /// [`CheckerOptions::threads`] after the availability clamp
-    /// ([`CheckerOptions::clamp_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Retargets the session to a new thread count before the next
-    /// [`CheckSession::check`]. The worker pool is rebuilt to match (on the
-    /// next parallel layer) instead of silently keeping its old size;
-    /// checkpoints and the committed store are unaffected — thread count
-    /// never changes what a check observes, only how fast it runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads > 0, "at least one checker thread is required");
-        self.core.options.threads = threads;
-        self.threads = self.core.options.effective_threads();
-        self.engine.set_threads(self.threads);
     }
 
     /// The concrete `(hole, action)` resolutions the most recent
@@ -333,34 +320,15 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         self.isolated(|session, start| session.check_inner(start, resolver))
     }
 
-    /// One check of a fresh session through a thread-shareable resolver
-    /// ([`Checker::run_shared`]). Nothing is resumed, so the resolver is
-    /// never asked for a [`SessionResolver::assignment`].
-    pub(super) fn check_once(self, resolver: &dyn SharedResolver) -> Outcome<M::State> {
-        self.once(|session, start| session.explore(start, resolver, None))
-    }
-
-    /// One serial check of a fresh session that expands in the caller's
-    /// exclusive resolver ([`Checker::run_with`]), which cannot defer a
-    /// discovery: no shared resolver registers any.
-    pub(super) fn check_once_with(self, worker: &mut dyn HoleResolver) -> Outcome<M::State> {
-        self.once(|session, start| {
-            session.drive(start, |s, f0, f1| {
-                s.run_layer_serial(start, f0, f1, &mut *worker, None, None)
-            })
-        })
-    }
-
-    /// Runs `explore` from the initial states of a session that is dropped
-    /// right after (see [`SearchCore::one_shot`]).
-    fn once(
-        mut self,
-        explore: impl FnOnce(&mut Self, Instant) -> Outcome<M::State>,
-    ) -> Outcome<M::State> {
+    /// One check of a fresh session, which is dropped right after (see
+    /// [`SearchCore::one_shot`]; [`Checker::run_with`]). Nothing is
+    /// resumed, so the resolver is never asked for a
+    /// [`SessionResolver::assignment`].
+    pub(super) fn check_once(mut self, resolver: &dyn SharedResolver) -> Outcome<M::State> {
         self.core.one_shot = true;
         self.isolated(|session, start| match session.start_fresh(start) {
             Some(outcome) => outcome,
-            None => explore(session, start),
+            None => session.explore(start, resolver, None),
         })
     }
 
@@ -576,13 +544,14 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 s.run_layer_parallel(start, f0, f1, resolver, answers)
             });
         }
-        // One worker resolver for the whole check, seeded with the previous
+        // One consultant for the whole check, seeded with the previous
         // check's name cache and drained back when the check ends.
-        let mut worker = resolver.worker(self.engine.pop_name_cache());
+        let cache = self.engine.pop_name_cache();
+        let mut consultant = Consultant::new(self.registry, resolver, cache);
         let outcome = self.drive(start, |s, f0, f1| {
-            s.run_layer_serial(start, f0, f1, &mut *worker, Some(resolver), answers)
+            s.run_layer_serial(start, f0, f1, &mut consultant, answers)
         });
-        self.engine.push_name_cache(worker.take_name_cache());
+        self.engine.push_name_cache(consultant.into_cache());
         outcome
     }
 
@@ -628,20 +597,16 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// expansion record is valid under `session` (a held session's check)
     /// is walked from the record instead.
     ///
-    /// The single worker numbers its deferred discoveries in its
+    /// The single consultant numbers its first sightings in its
     /// consultation order, which *is* the serial order, and the walk
-    /// registers the ones it reached at the layer end (or at the stop)
-    /// through `resolver`, the worker's shared resolver; a held session's
-    /// check (`session` present) also logs them by id. Only
-    /// [`Checker::run_with`] passes no shared resolver: its exclusive one
-    /// cannot defer.
+    /// registers the ones it reached at the layer end (or at the stop); a
+    /// held session's check (`session` present) also logs them by id.
     fn run_layer_serial(
         &mut self,
         start: Instant,
         f0: usize,
         f1: usize,
-        worker: &mut dyn HoleResolver,
-        resolver: Option<&dyn SharedResolver>,
+        consultant: &mut Consultant<'_>,
         session: Option<&dyn SessionResolver>,
     ) -> Layer<M::State> {
         let mut walk = Walk::new(session.is_some());
@@ -653,16 +618,14 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                 self.engine
                     .walk_record(&mut self.core, &mut walk, start, sid)
             } else {
-                self.expand_in_place(start, sid, worker, &mut walk, &mut draft)
+                self.expand_in_place(start, sid, consultant, &mut walk, &mut draft)
             };
             if walked.is_err() {
                 break;
             }
         }
-        if resolver.is_some() {
-            walk.end_scope(worker.take_pending_discoveries());
-        }
-        (walked, walk.end_layer(resolver))
+        walk.end_scope(consultant.take_pending());
+        (walked, walk.end_layer(self.registry))
     }
 
     /// Applies every rule to frontier state `sid` on the calling thread,
@@ -671,7 +634,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         &mut self,
         start: Instant,
         sid: usize,
-        worker: &mut dyn HoleResolver,
+        consultant: &mut Consultant<'_>,
         walk: &mut Walk,
         draft: &mut Vec<u32>,
     ) -> Result<(), Box<Outcome<M::State>>> {
@@ -680,8 +643,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         let mut refs = Refs::none();
         draft.clear();
         for (ri, rule) in model.rules().iter().enumerate() {
-            worker.begin_application();
-            let word = match rule.apply(&state, worker) {
+            let word = match consultant.apply(rule, &state) {
                 RuleOutcome::Disabled => DISABLED,
                 RuleOutcome::Blocked => BLOCKED,
                 RuleOutcome::Next(next) => {
@@ -700,9 +662,9 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             if push_app(
                 draft,
                 ri,
-                worker.application_touches(),
-                worker.application_wildcards(),
-                worker.application_fresh_touches(),
+                &consultant.touches,
+                &consultant.wildcards,
+                &consultant.fresh,
                 word,
             ) {
                 let app = &mut draft[at..];
@@ -731,12 +693,12 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     ) -> Layer<M::State> {
         let chunks = self
             .engine
-            .expand_layer(&self.core, resolver, answers, f0, f1);
+            .expand_layer(&self.core, self.registry, resolver, answers, f0, f1);
         let mut walk = Walk::new(answers.is_some());
         let walked = self
             .engine
             .walk_layer(&mut self.core, &mut walk, start, f0, chunks);
-        (walked, walk.end_layer(Some(resolver)))
+        (walked, walk.end_layer(self.registry))
     }
 }
 
@@ -746,17 +708,33 @@ mod tests {
     use super::super::tests_support::assert_same_outcome;
     use super::super::{Checker, CheckerOptions};
     use super::*;
-    use crate::eval::{Choice, HoleSpec, NameCache, NoHoles, SharedResolver, WildcardTouch};
+    use crate::eval::{Choice, HoleResolver, HoleSpec, NameCache, NoHoles};
     use crate::model::ModelBuilder;
     use parking_lot::Mutex;
     use std::collections::BTreeSet;
 
+    /// A model's holes: `HOLES[i]` is hole "hi" and its action library.
+    type Holes = [(&'static str, &'static [&'static str])];
+
+    /// The spec of hole `i` of `holes`.
+    fn hole(holes: &Holes, i: usize) -> HoleSpec {
+        let (name, actions) = holes[i];
+        HoleSpec::new(name, actions.iter().copied())
+    }
+
+    /// A registry holding `holes` in order, so hole "hN" has id N.
+    fn registry(holes: &Holes) -> HoleRegistry {
+        let registry = HoleRegistry::new();
+        for i in 0..holes.len() {
+            registry.resolve_or_register(&hole(holes, i));
+        }
+        registry
+    }
+
     /// A minimal session resolver over pre-registered holes named "h0",
-    /// "h1", …: hole id = the numeric suffix, answers from a fixed table.
-    /// Tracks touches and wildcards the way the synthesis resolvers do, and
-    /// collects every concrete answer any of its workers hands out — the
-    /// touched-set oracle of a reference run, which stops where the serial
-    /// order does.
+    /// "h1", … (see [`registry`]): answers from a fixed table by id, and
+    /// collects every concrete answer it hands out — the touched-set oracle
+    /// of a reference run, which stops where the serial order does.
     #[derive(Debug)]
     struct TableResolver {
         answers: Vec<Option<u16>>,
@@ -772,19 +750,14 @@ mod tests {
         }
     }
 
-    struct TableWorker<'a> {
-        shared: &'a TableResolver,
-        touches: Vec<(usize, u16)>,
-        wildcards: Vec<WildcardTouch>,
-    }
-
     impl SharedResolver for TableResolver {
-        fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
-            Box::new(TableWorker {
-                shared: self,
-                touches: Vec::new(),
-                wildcards: Vec::new(),
-            })
+        fn answer(&self, _hole: &HoleSpec, id: Option<usize>) -> Option<u16> {
+            let id = id.expect("test holes are registered before the check");
+            let answer = self.assignment(id);
+            if let Some(action) = answer {
+                self.answered.lock().insert((id, action));
+            }
+            answer
         }
     }
 
@@ -794,41 +767,11 @@ mod tests {
         }
     }
 
-    impl HoleResolver for TableWorker<'_> {
-        fn choose(&mut self, spec: &HoleSpec) -> Choice {
-            let id: usize = spec
-                .name()
-                .strip_prefix('h')
-                .and_then(|s| s.parse().ok())
-                .expect("test holes are named hN");
-            match self.shared.assignment(id) {
-                Some(action) => {
-                    if !self.touches.iter().any(|&(h, _)| h == id) {
-                        self.touches.push((id, action));
-                    }
-                    self.shared.answered.lock().insert((id, action));
-                    Choice::Action(action as usize)
-                }
-                None => {
-                    self.wildcards.push(WildcardTouch::Known(id));
-                    Choice::Wildcard
-                }
-            }
-        }
-
-        fn begin_application(&mut self) {
-            self.touches.clear();
-            self.wildcards.clear();
-        }
-
-        fn application_touches(&self) -> &[(usize, u16)] {
-            &self.touches
-        }
-
-        fn application_wildcards(&self) -> &[WildcardTouch] {
-            &self.wildcards
-        }
-    }
+    const LAYERED: &Holes = &[
+        ("h0", &["a", "b"]),
+        ("h1", &["x", "y", "z", "w"]),
+        ("h2", &["stay", "leave"]),
+    ];
 
     /// A hole chain: hole 0 decides at depth 1, hole 1 at depth 4, and
     /// hole 2 only in state 43 (reached by h1 = "w"), whose "stay" action
@@ -840,7 +783,7 @@ mod tests {
         b.rule("step", |&s: &u8, ctx| {
             match s {
                 0 => {
-                    let spec = HoleSpec::new("h0", ["a", "b"]);
+                    let spec = hole(LAYERED, 0);
                     match ctx.choose(&spec) {
                         Choice::Action(i) => RuleOutcome::Next(1 + i as u8),
                         Choice::Wildcard => RuleOutcome::Blocked,
@@ -849,7 +792,7 @@ mod tests {
                 1..=9 => RuleOutcome::Next(s + 10),
                 11..=19 => RuleOutcome::Next(s + 10),
                 21..=29 => {
-                    let spec = HoleSpec::new("h1", ["x", "y", "z", "w"]);
+                    let spec = hole(LAYERED, 1);
                     match ctx.choose(&spec) {
                         Choice::Action(i) => RuleOutcome::Next(40 + i as u8),
                         Choice::Wildcard => RuleOutcome::Blocked,
@@ -857,7 +800,7 @@ mod tests {
                 }
                 40..=42 => RuleOutcome::Next(40), // quiescent cycle
                 43 => {
-                    let spec = HoleSpec::new("h2", ["stay", "leave"]);
+                    let spec = hole(LAYERED, 2);
                     match ctx.choose(&spec) {
                         Choice::Action(0) => RuleOutcome::Disabled,
                         Choice::Action(_) => RuleOutcome::Next(40),
@@ -874,8 +817,9 @@ mod tests {
     #[test]
     fn repeated_identical_checks_reuse_everything() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let checker = Checker::new(CheckerOptions::default().allow_deadlock());
-        let mut session = checker.session(&model);
+        let mut session = checker.session(&model, &holes);
         let resolver = TableResolver::new(vec![Some(0), Some(1)]);
         let first = session.check(&resolver);
         let expanded_after_first = session.stats().states_expanded;
@@ -892,14 +836,15 @@ mod tests {
     #[test]
     fn deep_hole_change_reuses_shallow_prefix() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let checker = Checker::new(CheckerOptions::default().allow_deadlock());
-        let mut session = checker.session(&model);
+        let mut session = checker.session(&model, &holes);
         // h1 is first consulted at depth 4; changing it must preserve the
         // layers before that.
         let a = TableResolver::new(vec![Some(0), Some(0)]);
         let b = TableResolver::new(vec![Some(0), Some(1)]);
         let out_a = session.check(&a);
-        let fresh_b = checker.session(&model).check(&b);
+        let fresh_b = checker.session(&model, &holes).check(&b);
         let out_b = session.check(&b);
         assert_same_outcome(&out_b, &fresh_b, "deep-change re-check");
         assert!(out_a.is_success());
@@ -913,13 +858,14 @@ mod tests {
     #[test]
     fn shallow_hole_change_invalidates_deep_checkpoints() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let checker = Checker::new(CheckerOptions::default().allow_deadlock());
-        let mut session = checker.session(&model);
+        let mut session = checker.session(&model, &holes);
         let a = TableResolver::new(vec![Some(0), Some(0)]);
         let b = TableResolver::new(vec![Some(1), Some(0)]);
         let out_a = session.check(&a);
         assert!(out_a.is_success());
-        let fresh_b = checker.session(&model).check(&b);
+        let fresh_b = checker.session(&model, &holes).check(&b);
         let out_b = session.check(&b);
         assert_same_outcome(&out_b, &fresh_b, "shallow-change re-check");
     }
@@ -927,18 +873,19 @@ mod tests {
     #[test]
     fn failure_outcomes_are_reproduced_after_reuse() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let checker = Checker::new(CheckerOptions::default().allow_deadlock());
-        let mut session = checker.session(&model);
+        let mut session = checker.session(&model, &holes);
         let good = TableResolver::new(vec![Some(0), Some(0)]);
         // h1 = 2 reaches the forbidden state 42.
         let bad = TableResolver::new(vec![Some(0), Some(2)]);
         session.check(&good);
-        let fresh_bad = checker.session(&model).check(&bad);
+        let fresh_bad = checker.session(&model, &holes).check(&bad);
         let session_bad = session.check(&bad);
         assert_eq!(session_bad.verdict(), Verdict::Failure);
         assert_same_outcome(&session_bad, &fresh_bad, "failing candidate");
         // And flipping back still matches a fresh success.
-        let fresh_good = checker.session(&model).check(&good);
+        let fresh_good = checker.session(&model, &holes).check(&good);
         let session_good = session.check(&good);
         assert_same_outcome(&session_good, &fresh_good, "back to good");
     }
@@ -946,8 +893,9 @@ mod tests {
     #[test]
     fn wildcard_answers_are_tracked_for_invalidation() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let checker = Checker::new(CheckerOptions::default().allow_deadlock());
-        let mut session = checker.session(&model);
+        let mut session = checker.session(&model, &holes);
         // h1 wildcard: exploration stops at depth 4 with Unknown.
         let wild = TableResolver::new(vec![Some(0), None]);
         let out = session.check(&wild);
@@ -955,7 +903,7 @@ mod tests {
         // Now assigning h1 must re-expand the blocked layer, not reuse the
         // Unknown exploration wholesale.
         let concrete = TableResolver::new(vec![Some(0), Some(0)]);
-        let fresh = checker.session(&model).check(&concrete);
+        let fresh = checker.session(&model, &holes).check(&concrete);
         let resumed = session.check(&concrete);
         assert_same_outcome(&resumed, &fresh, "wildcard-then-concrete");
         assert!(resumed.is_success());
@@ -964,12 +912,13 @@ mod tests {
     #[test]
     fn session_matches_one_shot_across_thread_counts() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         for threads in [1, 2, 4] {
             let options = CheckerOptions::default()
                 .allow_deadlock()
                 .threads(threads)
                 .clamp_threads(false);
-            let mut session = Checker::new(options.clone()).session(&model);
+            let mut session = Checker::new(options.clone()).session(&model, &holes);
             for answers in [
                 vec![Some(0), Some(0)],
                 vec![Some(0), Some(1)],
@@ -980,7 +929,7 @@ mod tests {
             ] {
                 let resolver = TableResolver::new(answers.clone());
                 let fresh = Checker::new(options.clone())
-                    .session(&model)
+                    .session(&model, &holes)
                     .check(&resolver);
                 let reused = session.check(&resolver);
                 assert_same_outcome(&reused, &fresh, &format!("{threads} threads {answers:?}"));
@@ -988,48 +937,56 @@ mod tests {
         }
     }
 
+    /// The engine banks each consultant's name cache and seeds later
+    /// consultants with it, so a hole name costs one registry lookup per
+    /// session, not one per check: the first check's consultant starts
+    /// from an empty bank, and the later check's takes the cache the first
+    /// one drained instead of starting a new one. The second check answers
+    /// h1 differently, so it explores rather than replays.
     #[test]
-    fn set_threads_retargets_between_checks() {
+    fn consultants_start_from_the_engine_bank() {
         let model = layered_model();
-        let options = CheckerOptions::default()
-            .allow_deadlock()
-            .clamp_threads(false);
-        let mut session = Checker::new(options.clone()).session(&model);
-        assert_eq!(session.threads(), 1);
-        let resolver = TableResolver::new(vec![Some(0), Some(1)]);
-        let serial = session.check(&resolver);
-
-        // Retarget to 4 threads: the pool must be (re)built to the new
-        // size, not silently kept at the stale one, and the outcome must
-        // stay bit-identical across the switch — in both directions.
-        session.set_threads(4);
-        assert_eq!(session.threads(), 4);
-        let bumped = TableResolver::new(vec![Some(0), Some(2)]);
-        let fresh = Checker::new(options.clone().threads(4))
-            .session(&model)
-            .check(&bumped);
-        let parallel = session.check(&bumped);
-        assert_same_outcome(&parallel, &fresh, "after set_threads(4)");
-
-        session.set_threads(1);
-        assert_eq!(session.threads(), 1);
-        let back = session.check(&resolver);
-        assert_same_outcome(&back, &serial, "back to serial");
+        let holes = registry(LAYERED);
+        for threads in [1, 2] {
+            let options = CheckerOptions::default()
+                .allow_deadlock()
+                .threads(threads)
+                .clamp_threads(false);
+            let mut session = Checker::new(options).session(&model, &holes);
+            let bank = |session: &CheckSession<'_, _>| -> Vec<usize> {
+                let caches = session.engine.name_caches.lock();
+                caches.iter().map(NameCache::len).collect()
+            };
+            assert!(
+                bank(&session).is_empty(),
+                "threads={threads}: an empty bank"
+            );
+            session.check(&TableResolver::new(vec![A, A]));
+            let first = bank(&session);
+            assert!(
+                first.iter().any(|&names| names > 0),
+                "threads={threads}: the first consultant banks its cache, got {first:?}"
+            );
+            let before = session.stats().checks_replayed;
+            session.check(&TableResolver::new(vec![A, B]));
+            assert_eq!(session.stats().checks_replayed, before);
+            assert_eq!(
+                bank(&session).len(),
+                first.len(),
+                "threads={threads}: the later consultant must start from the banked cache"
+            );
+        }
     }
 
     #[test]
-    fn set_threads_honors_the_availability_clamp() {
-        let model = layered_model();
+    fn the_thread_count_honors_the_availability_clamp() {
         // Default options clamp to available parallelism: the effective
-        // count never exceeds the host's cores no matter what is requested.
-        let mut session = Checker::new(CheckerOptions::default().allow_deadlock()).session(&model);
-        session.set_threads(4096);
+        // count never exceeds the host's cores no matter what is requested
+        // (and no thread is started to find out).
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        assert!(session.threads() <= cores);
-        let out = session.check(&TableResolver::new(vec![Some(0), Some(0)]));
-        assert!(out.is_success());
+        assert!(CheckerOptions::default().threads(4096).effective_threads() <= cores);
     }
 
     #[test]
@@ -1040,7 +997,8 @@ mod tests {
         b.invariant("bounded", |&s: &u8| s < 64);
         let m = b.finish();
         let checker = Checker::new(CheckerOptions::default());
-        let mut session = checker.session(&m);
+        let holes = HoleRegistry::new();
+        let mut session = checker.session(&m, &holes);
         let first = session.check(&NoHoles);
         let second = session.check(&NoHoles);
         assert_eq!(first.stats(), second.stats());
@@ -1056,7 +1014,8 @@ mod tests {
         b.rule("inc", |&s: &u64, _| RuleOutcome::Next(s + 1));
         let m = b.finish();
         let checker = Checker::new(CheckerOptions::default().max_states(50));
-        let mut session = checker.session(&m);
+        let holes = HoleRegistry::new();
+        let mut session = checker.session(&m, &holes);
         let first = session.check(&NoHoles);
         let second = session.check(&NoHoles);
         assert_eq!(first.verdict(), Verdict::Unknown);
@@ -1067,9 +1026,10 @@ mod tests {
     #[test]
     fn kept_graph_is_identical_after_reuse() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let options = CheckerOptions::default().allow_deadlock().keep_graph(true);
         let checker = Checker::new(options.clone());
-        let mut session = checker.session(&model);
+        let mut session = checker.session(&model, &holes);
         session.check(&TableResolver::new(vec![Some(0), Some(0)]));
         // A checkpoint resume, then replays of a complete run and of a run
         // stopped mid-layer by the violation at 42 (h2 is never consulted).
@@ -1082,7 +1042,7 @@ mod tests {
             let resolver = TableResolver::new(answers.clone());
             let reused = session.check(&resolver);
             let fresh = Checker::new(options.clone())
-                .session(&model)
+                .session(&model, &holes)
                 .check(&resolver);
             assert_eq!(session.stats().checks_replayed, replays, "{answers:?}");
             assert_eq!(
@@ -1099,6 +1059,7 @@ mod tests {
     /// the session replayed.
     fn check_against_fresh(
         session: &mut CheckSession<'_, crate::model::BuiltModel<u8>>,
+        holes: &HoleRegistry,
         options: &CheckerOptions,
         answers: &[Option<u16>],
         what: &str,
@@ -1107,12 +1068,7 @@ mod tests {
         let got = session.check(&TableResolver::new(answers.to_vec()));
 
         let oracle = TableResolver::new(answers.to_vec());
-        let want = Bfs::new(
-            session.model(),
-            options,
-            &mut *oracle.worker(NameCache::default()),
-        )
-        .explore();
+        let want = Bfs::new(session.model(), options, &oracle, holes).explore();
         assert_same_outcome(&got, &want, what);
         assert_eq!(
             session.touched(),
@@ -1128,6 +1084,7 @@ mod tests {
     #[test]
     fn unconsulted_hole_changes_replay_every_kind_of_stop() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let base = CheckerOptions::default().clamp_threads(false);
         let cases = [
             // h1 = "z" reaches the forbidden state 42; h2 and h3 unread.
@@ -1147,13 +1104,19 @@ mod tests {
         for threads in [1, 4] {
             for (kind, options, first, second) in &cases {
                 let options = options.clone().threads(threads);
-                let mut session = Checker::new(options.clone()).session(&model);
+                let mut session = Checker::new(options.clone()).session(&model, &holes);
                 let first: Vec<Option<u16>> = first.iter().map(|&a| Some(a)).collect();
                 let second: Vec<Option<u16>> = second.iter().map(|&a| Some(a)).collect();
                 let what = format!("{kind} at {threads} threads");
-                assert!(!check_against_fresh(&mut session, &options, &first, &what));
+                assert!(!check_against_fresh(
+                    &mut session,
+                    &holes,
+                    &options,
+                    &first,
+                    &what
+                ));
                 assert!(
-                    check_against_fresh(&mut session, &options, &second, &what),
+                    check_against_fresh(&mut session, &holes, &options, &second, &what),
                     "{what}: an unconsulted-hole change must replay"
                 );
                 assert_eq!(
@@ -1162,7 +1125,13 @@ mod tests {
                 );
                 // Back to the first candidate: still nothing consulted
                 // changed, so it replays too.
-                assert!(check_against_fresh(&mut session, &options, &first, &what));
+                assert!(check_against_fresh(
+                    &mut session,
+                    &holes,
+                    &options,
+                    &first,
+                    &what
+                ));
             }
         }
     }
@@ -1172,6 +1141,7 @@ mod tests {
     #[test]
     fn changed_stop_layer_answers_do_not_replay() {
         let model = layered_model();
+        let holes = registry(LAYERED);
         let options = CheckerOptions::default().clamp_threads(false);
         let cases = [
             // The violation at 42 is found while expanding layer 3, which
@@ -1184,14 +1154,14 @@ mod tests {
         for threads in [1, 4] {
             for (kind, first, second) in &cases {
                 let options = options.clone().threads(threads);
-                let mut session = Checker::new(options.clone()).session(&model);
+                let mut session = Checker::new(options.clone()).session(&model, &holes);
                 let first: Vec<Option<u16>> = first.iter().map(|&a| Some(a)).collect();
                 let second: Vec<Option<u16>> = second.iter().map(|&a| Some(a)).collect();
                 let what = format!("{kind} at {threads} threads");
-                check_against_fresh(&mut session, &options, &first, &what);
+                check_against_fresh(&mut session, &holes, &options, &first, &what);
                 let reused_before = session.stats().layers_reused;
                 assert!(
-                    !check_against_fresh(&mut session, &options, &second, &what),
+                    !check_against_fresh(&mut session, &holes, &options, &second, &what),
                     "{what}: a changed stop-layer answer must not replay"
                 );
                 assert!(
@@ -1200,37 +1170,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The stored ending does not depend on the thread count, so a replay
-    /// works across `set_threads` in both directions.
-    #[test]
-    fn replay_survives_set_threads() {
-        let model = layered_model();
-        let options = CheckerOptions::default().clamp_threads(false);
-        let mut session = Checker::new(options.clone()).session(&model);
-        let what = "set_threads";
-        assert!(!check_against_fresh(
-            &mut session,
-            &options,
-            &[Some(0), Some(2), Some(0)],
-            what
-        ));
-        session.set_threads(4);
-        assert!(check_against_fresh(
-            &mut session,
-            &options,
-            &[Some(0), Some(2), Some(1)],
-            what
-        ));
-        session.set_threads(1);
-        assert!(check_against_fresh(
-            &mut session,
-            &options,
-            &[Some(0), Some(2), None],
-            what
-        ));
-        assert_eq!(session.stats().checks_replayed, 2);
     }
 
     /// Three branches whose expansions consult different holes, so a check
@@ -1246,8 +1185,8 @@ mod tests {
     ///
     /// Layer 1 is ids 1–3 and, under h0 = "a", layer 2 is `10, 20, 30, 31`.
     fn branching_model() -> crate::model::BuiltModel<u8> {
-        fn pick(ctx: &mut dyn HoleResolver, hole: &str, actions: &[&str]) -> Choice {
-            ctx.choose(&HoleSpec::new(hole, actions.iter().copied()))
+        fn pick(ctx: &mut dyn HoleResolver, i: usize) -> Choice {
+            ctx.choose(&hole(BRANCHING, i))
         }
         let mut b = ModelBuilder::new("branching");
         b.initial(0u8);
@@ -1266,16 +1205,16 @@ mod tests {
                 Choice::Wildcard => RuleOutcome::Blocked,
             };
             match s {
-                1 => next(pick(ctx, "h0", &["a", "b", "c"]), 10),
-                2 => next(pick(ctx, "h1", &["a", "b", "c"]), 20),
+                1 => next(pick(ctx, 0), 10),
+                2 => next(pick(ctx, 1), 20),
                 3 => RuleOutcome::Next(30),
-                10..=13 => match pick(ctx, "h3", &["a", "b"]) {
+                10..=13 => match pick(ctx, 3) {
                     Choice::Action(0) => RuleOutcome::Next(40),
                     Choice::Action(_) => RuleOutcome::Next(99),
                     Choice::Wildcard => RuleOutcome::Blocked,
                 },
                 20..=22 => RuleOutcome::Next(41),
-                30 => match pick(ctx, "h2", &["stay", "leave"]) {
+                30 => match pick(ctx, 2) {
                     Choice::Action(0) => RuleOutcome::Disabled,
                     Choice::Action(_) => RuleOutcome::Next(44),
                     Choice::Wildcard => RuleOutcome::Blocked,
@@ -1285,7 +1224,7 @@ mod tests {
             }
         });
         b.rule("twin", |&s: &u8, ctx| match s {
-            1 => match pick(ctx, "h0", &["a", "b", "c"]) {
+            1 => match pick(ctx, 0) {
                 Choice::Action(1) => RuleOutcome::Next(13),
                 Choice::Action(_) => RuleOutcome::Disabled,
                 Choice::Wildcard => RuleOutcome::Blocked,
@@ -1296,6 +1235,13 @@ mod tests {
         b.invariant("not forbidden", |&s: &u8| s != 99);
         b.finish()
     }
+
+    const BRANCHING: &Holes = &[
+        ("h0", &["a", "b", "c"]),
+        ("h1", &["a", "b", "c"]),
+        ("h2", &["stay", "leave"]),
+        ("h3", &["a", "b"]),
+    ];
 
     const A: Option<u16> = Some(0);
     const B: Option<u16> = Some(1);
@@ -1311,18 +1257,19 @@ mod tests {
     /// records.
     fn reuse_per_check(options: &CheckerOptions, checks: &[Vec<Option<u16>>]) -> Vec<Vec<u64>> {
         let model = branching_model();
+        let holes = registry(BRANCHING);
         [1, 4]
             .iter()
             .map(|&threads| {
                 let options = options.clone().threads(threads).clamp_threads(false);
-                let mut session = Checker::new(options.clone()).session(&model);
+                let mut session = Checker::new(options.clone()).session(&model, &holes);
                 checks
                     .iter()
                     .enumerate()
                     .map(|(i, answers)| {
                         let before = session.stats().expansions_reused;
                         let what = format!("check {i} {answers:?} at {threads} threads");
-                        check_against_fresh(&mut session, &options, answers, &what);
+                        check_against_fresh(&mut session, &holes, &options, answers, &what);
                         session.stats().expansions_reused - before
                     })
                     .collect()
@@ -1407,14 +1354,21 @@ mod tests {
     #[test]
     fn a_known_wildcard_that_turns_concrete_invalidates_its_record() {
         let model = branching_model();
+        let holes = registry(BRANCHING);
         let blocked = TableResolver::new(vec![A, None, LEAVE, STAY]);
         let concrete = TableResolver::new(vec![A, A, LEAVE, STAY]);
         for threads in [1, 4] {
             let options = CheckerOptions::default()
                 .threads(threads)
                 .clamp_threads(false);
-            let mut session = Checker::new(options.clone()).session(&model);
-            check_against_fresh(&mut session, &options, &blocked.answers, "wildcard h1");
+            let mut session = Checker::new(options.clone()).session(&model, &holes);
+            check_against_fresh(
+                &mut session,
+                &holes,
+                &options,
+                &blocked.answers,
+                "wildcard h1",
+            );
             assert!(session.engine.records.valid(2, &blocked));
             assert!(
                 !session.engine.records.valid(2, &concrete),
@@ -1422,7 +1376,13 @@ mod tests {
             );
             assert!(session.engine.records.valid(3, &concrete));
             let before = session.stats().expansions_reused;
-            check_against_fresh(&mut session, &options, &concrete.answers, "concrete h1");
+            check_against_fresh(
+                &mut session,
+                &holes,
+                &options,
+                &concrete.answers,
+                "concrete h1",
+            );
             // Layer 1 reuses states 1 and 3, layer 2 reuses 10, 30 and 31
             // around the new 20, and layer 3 reuses 40, 44 and 45 around
             // the new 41.
@@ -1453,12 +1413,13 @@ mod tests {
     #[test]
     fn kept_graph_is_identical_after_record_reuse() {
         let model = branching_model();
+        let holes = registry(BRANCHING);
         for threads in [1, 4] {
             let options = CheckerOptions::default()
                 .keep_graph(true)
                 .threads(threads)
                 .clamp_threads(false);
-            let mut session = Checker::new(options.clone()).session(&model);
+            let mut session = Checker::new(options.clone()).session(&model, &holes);
             for h in [
                 [A, A, LEAVE, STAY],
                 [A, B, LEAVE, STAY],
@@ -1469,7 +1430,7 @@ mod tests {
                 let resolver = TableResolver::new(h.to_vec());
                 let reused = session.check(&resolver);
                 let fresh = Checker::new(options.clone())
-                    .session(&model)
+                    .session(&model, &holes)
                     .check(&resolver);
                 assert_same_outcome(&reused, &fresh, &format!("{h:?}"));
                 assert_eq!(

@@ -4,49 +4,51 @@
 //! committed to an implementation; instead they supply a finite library of
 //! candidate **actions** (pure functions, per the paper §II) and let the
 //! synthesis procedure enumerate them. A rule consults its holes through a
-//! [`HoleResolver`]:
+//! [`HoleResolver`], whose one method, [`HoleResolver::choose`], answers an
+//! action or the wildcard.
 //!
-//! * During plain model checking of a complete protocol there are no holes
-//!   and [`NoHoles`] is used.
-//! * During synthesis, `verc3-core` supplies a resolver backed by the current
-//!   *candidate configuration vector*. Holes are **discovered lazily**: the
-//!   first time the model checker executes a rule containing an unknown hole,
-//!   the resolver answers it and parks its spec, and the checker registers
-//!   it at the end of the layer, in the serial order
-//!   ([`SharedResolver::commit_discoveries`]). Until a later candidate
-//!   assigns it a concrete action, the hole resolves to [`Choice::Wildcard`],
-//!   which instructs the rule to return [`crate::RuleOutcome::Blocked`] —
-//!   aborting that execution branch exactly as the paper prescribes, and
-//!   producing the third verification verdict, *unknown*.
+//! The checker hands every rule application one resolver of its own, the
+//! **consultant** (`Consultant`, private to this crate), and keeps all of
+//! the bookkeeping of lazy hole discovery there, in the serial schedule, in
+//! each parallel chunk and in the reference BFS alike:
 //!
-//! Resolvers answer; they do not keep score. Which holes a check consulted,
-//! and with what answers, is read from the walk that committed the check:
-//! per rule application (the `Cₜ` of a counterexample edge) and, for a held
-//! session, per check ([`crate::CheckSession::touched`]).
+//! * it looks each consulted hole up by name in the session's
+//!   [`HoleRegistry`], through a name cache the session banks across chunks
+//!   and checks;
+//! * it parks a hole the registry does not know yet — a **first sighting**
+//!   — under an index local to its chunk; the walk registers the first
+//!   sightings it reached at the end of the layer, in the serial order, so
+//!   hole ids never depend on thread interleaving;
+//! * it buffers each application's concrete touches, wildcard answers and
+//!   answers to first sightings, which the walk commits into expansion
+//!   records, per-edge `Cₜ` attribution and a held session's layer logs;
+//! * it asks the caller's [`SharedResolver`] for the action, passing the
+//!   hole's id (`None` for a first sighting), and range-checks the answer.
+//!
+//! So a caller's resolver only answers. During plain model checking of a
+//! complete protocol there are no holes and [`NoHoles`] is used. During
+//! synthesis, `verc3-core` answers from the current *candidate
+//! configuration vector*: until a candidate assigns a hole a concrete
+//! action, the hole resolves to [`Choice::Wildcard`], which instructs the
+//! rule to return [`crate::RuleOutcome::Blocked`] — aborting that execution
+//! branch exactly as the paper prescribes, and producing the third
+//! verification verdict, *unknown*.
 //!
 //! Holes are identified by name. The same [`HoleSpec`] value should be reused
-//! across invocations (store it in the model), both for speed — resolvers may
-//! cache by address — and because a hole's action library must never change
-//! within a synthesis run.
+//! across invocations (store it in the model), and a hole's action library
+//! must never change within a registry's lifetime.
 
 use crate::hashers::FnvHashMap;
+use crate::registry::HoleRegistry;
+use crate::rule::{Rule, RuleOutcome};
 use std::fmt;
 
-/// A hole name → resolver-defined id lookup cache.
-///
-/// Resolving a hole by name usually means taking a shared-registry lock;
-/// worker resolvers therefore keep a private name cache so each hole pays
-/// the lock once per worker. The cache outlives any single worker: drivers
-/// that create workers repeatedly over one hole namespace (most notably
-/// [`crate::checker::CheckSession`], which builds a fresh worker per
-/// `check`/chunk) drain it back via [`HoleResolver::take_name_cache`] and
-/// seed the next worker with it through [`SharedResolver::worker`], so the
-/// per-name lock is paid once per *session*, not once per check.
-///
-/// Keyed with the checker's deterministic FNV hasher: the cache sits on the
-/// per-rule-application hot path, where SipHash on short hole names is
-/// measurable overhead.
-pub type NameCache = FnvHashMap<String, usize>;
+/// A hole name → registry id cache. Resolving a hole by name otherwise takes
+/// the registry's lock; a session banks its consultants' caches and seeds
+/// later consultants with them, so the lock is paid once per hole per
+/// session. Keyed with the checker's FNV hasher: the cache sits on the
+/// per-rule-application hot path.
+pub(crate) type NameCache = FnvHashMap<String, usize>;
 
 /// Declaration of a hole: its stable name plus the candidate action library.
 ///
@@ -125,26 +127,6 @@ impl fmt::Display for HoleSpec {
     }
 }
 
-/// One wildcard consultation inside a rule application, as reported by
-/// [`HoleResolver::application_wildcards`].
-///
-/// Wildcard answers are not "touches" (no concrete action was handed out,
-/// so they never appear in [`HoleResolver::application_touches`]) — but a
-/// [`crate::checker::CheckSession`] still needs to know *which* holes an
-/// exploration consulted, because a candidate that later assigns one of
-/// them a concrete action invalidates every checkpoint at or beyond that
-/// consultation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WildcardTouch {
-    /// A hole the resolver has already registered, by its resolver-defined
-    /// id (the same id space as [`HoleResolver::application_touches`]).
-    Known(usize),
-    /// A hole first sighted by this worker whose registration is deferred
-    /// (see [`HoleResolver::take_pending_discoveries`]): the index into the
-    /// spec list the *next* `take_pending_discoveries` call will return.
-    Fresh(u32),
-}
-
 /// The outcome of resolving a hole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Choice {
@@ -168,138 +150,32 @@ impl Choice {
     }
 }
 
-/// Resolves hole choices during state-space exploration.
+/// What a rule consults its holes through.
 ///
 /// Implementations must be deterministic within one model-checker run: the
 /// same hole must resolve to the same choice every time, since BFS may
-/// execute a rule from many states.
-///
-/// The `begin_application` / `application_touches` pair lets the checker
-/// attribute hole consultations to individual rule applications. The paper's
-/// key insight is that a minimal error trace rarely touches every hole
-/// (`Cₜ ⊆ C`, §II); by recording which holes each transition consulted, the
-/// checker can report the exact consultation set of a counterexample trace,
-/// and the synthesizer can prune on that set alone. Resolvers that do not
-/// track consultations (e.g. [`NoHoles`]) use the default no-op
-/// implementations.
+/// execute a rule from many states. The checker always passes its own
+/// consultant (see the module docs); [`FixedResolver`] and [`NoHoles`]
+/// implement this trait for code that applies rules directly.
 pub trait HoleResolver {
     /// Resolves the choice for `hole`.
-    ///
-    /// Implementations may register previously unseen holes as a side effect
-    /// (lazy hole discovery).
     fn choose(&mut self, hole: &HoleSpec) -> Choice;
-
-    /// Called by the checker before each rule application; tracking
-    /// resolvers reset their per-application consultation buffer here.
-    fn begin_application(&mut self) {}
-
-    /// The concrete `(hole id, action)` resolutions handed out since the
-    /// last [`HoleResolver::begin_application`]. Hole ids are
-    /// implementation-defined (the synthesis engine uses registry ids).
-    fn application_touches(&self) -> &[(usize, u16)] {
-        &[]
-    }
-
-    /// The wildcard resolutions handed out since the last
-    /// [`HoleResolver::begin_application`], for resolvers that track
-    /// consultations (see [`WildcardTouch`]). A resolver that defers
-    /// discoveries must report its wildcard answers to them here (and its
-    /// concrete ones through [`HoleResolver::application_fresh_touches`]):
-    /// the checker registers only the discoveries its walk reached. The
-    /// default — no tracking — suits hole-free models and one-shot checks
-    /// through resolvers that never defer; a held session needs every
-    /// wildcard answer to know which checkpoints a later concrete answer
-    /// invalidates.
-    fn application_wildcards(&self) -> &[WildcardTouch] {
-        &[]
-    }
-
-    /// The concrete resolutions handed out since the last
-    /// [`HoleResolver::begin_application`] to holes whose registration is
-    /// still deferred (see [`HoleResolver::take_pending_discoveries`]):
-    /// `(index, action)` pairs where `index` points into the spec list the
-    /// *next* `take_pending_discoveries` call will return — the concrete
-    /// sibling of [`WildcardTouch::Fresh`], for resolvers whose discovery
-    /// default is a real action rather than the wildcard. Drivers log these
-    /// once the commit assigns the hole its id. The default — no deferral —
-    /// is an empty slice.
-    fn application_fresh_touches(&self) -> &[(u32, u16)] {
-        &[]
-    }
-
-    /// Drains the hole specs this worker first sighted since the last call
-    /// (or since creation), in consultation order, *without* having
-    /// registered them yet — the deferred-registration protocol that makes
-    /// hole-discovery order deterministic under parallel exploration.
-    ///
-    /// Exploration drivers call this at a deterministic sequence point (the
-    /// end of a worker's chunk, or a layer boundary) and forward the
-    /// concatenated, serially-ordered spec lists, cut to the discoveries
-    /// their walk reached, to [`SharedResolver::commit_discoveries`].
-    /// Resolvers that register eagerly (the default) always return an
-    /// empty list.
-    fn take_pending_discoveries(&mut self) -> Vec<HoleSpec> {
-        Vec::new()
-    }
-
-    /// Surrenders this worker's hole name → id cache so the driver can seed
-    /// a future worker with it (see [`SharedResolver::worker`]).
-    /// Resolvers without a name cache — the default — return an empty map.
-    fn take_name_cache(&mut self) -> NameCache {
-        NameCache::default()
-    }
 }
 
-/// A hole-resolution strategy that can serve several checker worker threads
-/// at once.
+/// The caller's side of hole resolution: the answer for each hole a check
+/// consults, shared by every worker of the checker
+/// ([`crate::CheckerOptions::threads`]).
 ///
-/// The checker cannot hand one `&mut dyn HoleResolver` to every worker of
-/// the parallel engine ([`crate::CheckerOptions::threads`]); instead it asks
-/// a shared, immutable strategy for one [`HoleResolver`] *per worker* via
-/// [`SharedResolver::worker`]. Each worker resolver keeps its own
-/// per-application touch log (the `begin_application` /
-/// `application_touches` protocol stays single-threaded), while the choices
-/// themselves come from shared state. The strategy keeps no record of what
-/// was consulted: the checker's walk logs the consultations it commits.
-///
-/// Implementations must be **consistent**: every worker resolver must answer
-/// every hole identically for the whole run, exactly as the determinism
-/// contract of [`HoleResolver`] requires within one resolver. This is what
-/// makes the parallel exploration's verdict independent of thread
-/// interleaving.
+/// Implementations must be **consistent**: the same hole must receive the
+/// same answer for the whole check, from every thread. This is what makes
+/// the parallel exploration's verdict independent of thread interleaving.
 pub trait SharedResolver: Sync {
-    /// Creates the resolver one worker will use, seeded with a hole name →
-    /// id cache an earlier worker surrendered through
-    /// [`HoleResolver::take_name_cache`] (empty for the first) — the
-    /// amortization loop that lets a [`crate::checker::CheckSession`] reuse
-    /// one cache across `check` calls instead of re-resolving every hole
-    /// name per check.
-    ///
-    /// The seed comes from a resolver over the **same hole namespace**
-    /// (same ids for the same names); a `CheckSession` already requires
-    /// this of the resolvers passed to successive checks, since its
-    /// checkpoint logs are keyed by raw hole id. Strategies without a name
-    /// cache ignore it.
-    fn worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_>;
-
-    /// Registers the deferred discoveries drained from this strategy's
-    /// workers (see [`HoleResolver::take_pending_discoveries`]), in the
-    /// given order, returning one hole id per spec — the id the spec's hole
-    /// now resolves under, whether this call registered it or an earlier
-    /// sighting already had.
-    ///
-    /// Exploration drivers concatenate worker drain lists in the serial
-    /// driver's deterministic order before calling this, which is what
-    /// makes first-discovery ids independent of worker interleaving. The
-    /// default (for strategies that register eagerly and therefore never
-    /// defer) expects an empty list.
-    fn commit_discoveries(&self, specs: &[HoleSpec]) -> Vec<usize> {
-        assert!(
-            specs.is_empty(),
-            "resolver deferred discoveries but does not implement commit_discoveries"
-        );
-        Vec::new()
-    }
+    /// The answer for `hole`: `Some(action)` for a concrete action (an index
+    /// into the hole's library, which the checker range-checks), `None` for
+    /// the wildcard. `id` is the hole's id in the session's
+    /// [`HoleRegistry`], or `None` for a first sighting that the walk has
+    /// not registered yet.
+    fn answer(&self, hole: &HoleSpec, id: Option<usize>) -> Option<u16>;
 }
 
 /// A [`SharedResolver`] that can additionally be *queried* for the answer it
@@ -311,17 +187,161 @@ pub trait SharedResolver: Sync {
 /// and the answer it received; on the next [`check`] call it asks the new
 /// resolver for its [`assignment`] of each recorded hole and resumes from
 /// the deepest checkpoint whose prefix of consultations is answered
-/// identically. Implementations must therefore keep `assignment` consistent
-/// with what every worker's [`HoleResolver::choose`] would answer, over the
-/// same id space as [`HoleResolver::application_touches`].
+/// identically. `assignment(id)` must therefore agree with
+/// [`SharedResolver::answer`]`(_, Some(id))`.
 ///
 /// [`check`]: crate::checker::CheckSession::check
 /// [`assignment`]: SessionResolver::assignment
 pub trait SessionResolver: SharedResolver {
-    /// The answer this strategy gives the hole with resolver-defined id
-    /// `hole`: `Some(action)` for a concrete resolution, `None` for the
-    /// wildcard.
+    /// The answer this strategy gives the hole with registry id `hole`:
+    /// `Some(action)` for a concrete resolution, `None` for the wildcard.
     fn assignment(&self, hole: usize) -> Option<u16>;
+}
+
+/// An answer as the rule sees it, range-checked against the hole's library.
+fn checked(hole: &HoleSpec, answer: Option<u16>) -> Choice {
+    match answer {
+        Some(action) => {
+            assert!(
+                usize::from(action) < hole.arity(),
+                "answer {action} out of range for hole `{}` with {} actions",
+                hole.name(),
+                hole.arity()
+            );
+            Choice::Action(usize::from(action))
+        }
+        None => Choice::Wildcard,
+    }
+}
+
+/// One wildcard consultation inside a rule application. A held session
+/// needs to know which holes an exploration consulted as wildcards too: a
+/// candidate that later assigns one of them a concrete action invalidates
+/// every checkpoint at or beyond that consultation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WildcardTouch {
+    /// A registered hole, by registry id.
+    Known(usize),
+    /// A first sighting, by its index in the list the consultant's next
+    /// [`Consultant::take_pending`] returns.
+    Fresh(u32),
+}
+
+/// The [`HoleResolver`] every rule application receives from the checker
+/// (see the module docs): it looks holes up, tracks what each application
+/// consulted, parks first sightings for the walk to register, and asks the
+/// caller's [`SharedResolver`] for the actions.
+pub(crate) struct Consultant<'a> {
+    registry: &'a HoleRegistry,
+    resolver: &'a dyn SharedResolver,
+    cache: NameCache,
+    /// The current application's concrete answers to registered holes.
+    pub(crate) touches: Vec<(usize, u16)>,
+    /// The current application's wildcard answers.
+    pub(crate) wildcards: Vec<WildcardTouch>,
+    /// The current application's concrete answers to first sightings, as
+    /// `(pending index, action)` pairs.
+    pub(crate) fresh: Vec<(u32, u16)>,
+    /// Specs first sighted since the last [`Consultant::take_pending`], in
+    /// consultation order.
+    pending: Vec<HoleSpec>,
+    /// name → index into `pending`, so a repeat sighting reuses the parked
+    /// spec.
+    pending_idx: FnvHashMap<String, u32>,
+}
+
+impl<'a> Consultant<'a> {
+    /// A consultant over `registry` answering through `resolver`, whose name
+    /// cache starts from `cache` (one drained from an earlier consultant
+    /// over the same registry, or empty).
+    pub(crate) fn new(
+        registry: &'a HoleRegistry,
+        resolver: &'a dyn SharedResolver,
+        cache: NameCache,
+    ) -> Self {
+        Consultant {
+            registry,
+            resolver,
+            cache,
+            touches: Vec::new(),
+            wildcards: Vec::new(),
+            fresh: Vec::new(),
+            pending: Vec::new(),
+            pending_idx: FnvHashMap::default(),
+        }
+    }
+
+    /// Applies `rule` to `state`, buffering the application's consultations
+    /// in place of the previous application's.
+    pub(crate) fn apply<S>(&mut self, rule: &Rule<S>, state: &S) -> RuleOutcome<S> {
+        self.touches.clear();
+        self.wildcards.clear();
+        self.fresh.clear();
+        rule.apply(state, self)
+    }
+
+    /// Drains the specs first sighted since the last call, in consultation
+    /// order: what the [`WildcardTouch::Fresh`] and `fresh` indices point
+    /// into.
+    pub(crate) fn take_pending(&mut self) -> Vec<HoleSpec> {
+        self.pending_idx.clear();
+        std::mem::take(&mut self.pending)
+    }
+
+    /// The name cache, for the session to bank.
+    pub(crate) fn into_cache(self) -> NameCache {
+        self.cache
+    }
+
+    /// The pending index of first sighting `hole`, parking its spec if
+    /// this is its first sighting since the last drain.
+    fn park(&mut self, hole: &HoleSpec) -> u32 {
+        if let Some(&index) = self.pending_idx.get(hole.name()) {
+            return index;
+        }
+        let index = self.pending.len() as u32;
+        self.pending.push(hole.clone());
+        self.pending_idx.insert(hole.name().to_owned(), index);
+        index
+    }
+}
+
+impl HoleResolver for Consultant<'_> {
+    fn choose(&mut self, hole: &HoleSpec) -> Choice {
+        let id = match self.cache.get(hole.name()) {
+            Some(&id) => Some(id),
+            None => {
+                let id = self.registry.lookup(hole.name());
+                if let Some(id) = id {
+                    self.cache.insert(hole.name().to_owned(), id);
+                }
+                id
+            }
+        };
+        let answer = self.resolver.answer(hole, id);
+        let choice = checked(hole, answer);
+        match (id, answer) {
+            (Some(id), Some(action)) => push_once(&mut self.touches, (id, action)),
+            (Some(id), None) => push_once(&mut self.wildcards, WildcardTouch::Known(id)),
+            (None, Some(action)) => {
+                let index = self.park(hole);
+                push_once(&mut self.fresh, (index, action));
+            }
+            (None, None) => {
+                let index = self.park(hole);
+                push_once(&mut self.wildcards, WildcardTouch::Fresh(index));
+            }
+        }
+        choice
+    }
+}
+
+/// Appends `item` unless `buffer` holds it already: an application
+/// consults a hole as often as its rule asks, but records it once.
+fn push_once<T: PartialEq>(buffer: &mut Vec<T>, item: T) {
+    if !buffer.contains(&item) {
+        buffer.push(item);
+    }
 }
 
 /// Resolver for models without holes.
@@ -332,9 +352,17 @@ pub trait SessionResolver: SharedResolver {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHoles;
 
+fn no_holes(hole: &HoleSpec) -> ! {
+    panic!(
+        "model consulted hole `{}` but was checked with NoHoles; \
+         use a synthesis resolver or a FixedResolver",
+        hole.name()
+    );
+}
+
 impl SharedResolver for NoHoles {
-    fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
-        Box::new(NoHoles)
+    fn answer(&self, hole: &HoleSpec, _id: Option<usize>) -> Option<u16> {
+        no_holes(hole)
     }
 }
 
@@ -348,11 +376,7 @@ impl SessionResolver for NoHoles {
 
 impl HoleResolver for NoHoles {
     fn choose(&mut self, hole: &HoleSpec) -> Choice {
-        panic!(
-            "model consulted hole `{}` but was checked with NoHoles; \
-             use a synthesis resolver or a FixedResolver",
-            hole.name()
-        );
+        no_holes(hole)
     }
 }
 
@@ -360,7 +384,8 @@ impl HoleResolver for NoHoles {
 ///
 /// Useful for model-checking one specific candidate outside the synthesis
 /// loop (e.g. verifying a synthesized solution in a test, or "golden"
-/// configurations of a skeleton).
+/// configurations of a skeleton) through [`crate::Checker::run_with`], or
+/// for applying rules directly.
 ///
 /// # Examples
 ///
@@ -409,27 +434,21 @@ impl FixedResolver {
 }
 
 impl SharedResolver for FixedResolver {
-    /// Each worker gets a clone; a `FixedResolver` never changes its answers,
-    /// so clones are trivially consistent.
-    fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
-        Box::new(self.clone())
+    /// Answers by name, whatever the hole's id: a fixed assignment never
+    /// changes, so every thread answers alike. An index too large for 16
+    /// bits saturates, which the range check then rejects.
+    fn answer(&self, hole: &HoleSpec, _id: Option<usize>) -> Option<u16> {
+        let saturate = |i: usize| u16::try_from(i).unwrap_or(u16::MAX);
+        match self.assignments.get(hole.name()) {
+            Some(&i) => Some(saturate(i)),
+            None => self.fallback.action().map(saturate),
+        }
     }
 }
 
 impl HoleResolver for FixedResolver {
     fn choose(&mut self, hole: &HoleSpec) -> Choice {
-        match self.assignments.get(hole.name()) {
-            Some(&i) => {
-                assert!(
-                    i < hole.arity(),
-                    "assignment {i} out of range for hole `{}` with {} actions",
-                    hole.name(),
-                    hole.arity()
-                );
-                Choice::Action(i)
-            }
-            None => self.fallback,
-        }
+        checked(hole, self.answer(hole, None))
     }
 }
 
@@ -469,5 +488,139 @@ mod tests {
     fn choice_action_accessor() {
         assert_eq!(Choice::Action(3).action(), Some(3));
         assert_eq!(Choice::Wildcard.action(), None);
+    }
+
+    fn spec(name: &str, n: usize) -> HoleSpec {
+        HoleSpec::new(name, (0..n).map(|i| format!("a{i}")))
+    }
+
+    /// Answers registered holes from `digits` and every other hole with
+    /// `default`, as a synthesis candidate does.
+    struct Digits<'a> {
+        digits: &'a [u16],
+        default: Option<u16>,
+    }
+
+    impl SharedResolver for Digits<'_> {
+        fn answer(&self, _hole: &HoleSpec, id: Option<usize>) -> Option<u16> {
+            match id.and_then(|id| self.digits.get(id)) {
+                Some(&action) => Some(action),
+                None => self.default,
+            }
+        }
+    }
+
+    #[test]
+    fn consultants_answer_identically() {
+        let reg = HoleRegistry::new();
+        reg.resolve_or_register(&spec("x", 3));
+        reg.resolve_or_register(&spec("y", 2));
+        let digits = Digits {
+            digits: &[2, 1],
+            default: None,
+        };
+        let mut c1 = Consultant::new(&reg, &digits, NameCache::default());
+        let mut c2 = Consultant::new(&reg, &digits, NameCache::default());
+        assert_eq!(c1.choose(&spec("x", 3)), Choice::Action(2));
+        assert_eq!(c1.touches, [(0, 2)]);
+        // A second consultant resolves the same holes identically, and each
+        // buffers only its own consultations.
+        assert_eq!(c2.choose(&spec("x", 3)), Choice::Action(2));
+        assert_eq!(c2.choose(&spec("y", 2)), Choice::Action(1));
+        assert_eq!(c2.touches, [(0, 2), (1, 1)]);
+        assert_eq!(c1.touches, [(0, 2)]);
+    }
+
+    #[test]
+    fn a_first_sighting_stays_unregistered_until_the_walk_registers_it() {
+        let reg = HoleRegistry::new();
+        reg.resolve_or_register(&spec("x", 2));
+        let wild = Digits {
+            digits: &[1],
+            default: None,
+        };
+        let mut c1 = Consultant::new(&reg, &wild, NameCache::default());
+        let mut c2 = Consultant::new(&reg, &wild, NameCache::default());
+        // A wildcard answer to a parked spec, numbered by first sighting;
+        // a repeat sighting reuses the parked spec.
+        assert_eq!(c1.choose(&spec("z", 2)), Choice::Wildcard);
+        assert_eq!(c1.choose(&spec("w", 2)), Choice::Wildcard);
+        assert_eq!(c1.choose(&spec("z", 2)), Choice::Wildcard);
+        assert_eq!(
+            c1.wildcards,
+            [WildcardTouch::Fresh(0), WildcardTouch::Fresh(1)]
+        );
+        assert!(c1.touches.is_empty());
+        assert_eq!(c2.choose(&spec("w", 2)), Choice::Wildcard);
+        assert_eq!(reg.len(), 1, "sightings alone register nothing");
+        // The walk registers the parked specs in the order given, one id
+        // per spec.
+        let parked: Vec<HoleSpec> = c1
+            .take_pending()
+            .into_iter()
+            .chain(c2.take_pending())
+            .collect();
+        let ids: Vec<usize> = parked
+            .iter()
+            .map(|spec| reg.resolve_or_register(spec).0)
+            .collect();
+        assert_eq!(ids, [1, 2, 2]);
+        assert_eq!(reg.lookup("z"), Some(1));
+        // A registered hole beyond the candidate is a known wildcard.
+        let mut c = Consultant::new(&reg, &wild, NameCache::default());
+        assert_eq!(c.choose(&spec("w", 2)), Choice::Wildcard);
+        assert_eq!(c.wildcards, [WildcardTouch::Known(2)]);
+    }
+
+    #[test]
+    fn concrete_answers_to_first_sightings_are_fresh_touches() {
+        let reg = HoleRegistry::new();
+        let naive = Digits {
+            digits: &[],
+            default: Some(0),
+        };
+        let mut c = Consultant::new(&reg, &naive, NameCache::default());
+        assert_eq!(c.choose(&spec("fresh", 4)), Choice::Action(0));
+        assert_eq!(c.fresh, [(0, 0)]);
+        assert!(c.touches.is_empty());
+        assert_eq!(reg.len(), 0);
+        for spec in c.take_pending() {
+            reg.resolve_or_register(&spec);
+        }
+        // Once registered, the same hole is an ordinary concrete touch.
+        let mut c = Consultant::new(&reg, &naive, c.into_cache());
+        assert_eq!(c.choose(&spec("fresh", 4)), Choice::Action(0));
+        assert_eq!(c.touches, [(0, 0)]);
+    }
+
+    #[test]
+    fn application_touches_deduplicate_repeat_consultations() {
+        let reg = HoleRegistry::new();
+        reg.resolve_or_register(&spec("x", 2));
+        let digits = Digits {
+            digits: &[1],
+            default: None,
+        };
+        let mut c = Consultant::new(&reg, &digits, NameCache::default());
+        let twice = Rule::new("twice", |&s: &u8, ctx: &mut dyn HoleResolver| {
+            ctx.choose(&spec("x", 2));
+            ctx.choose(&spec("x", 2));
+            RuleOutcome::Next(s)
+        });
+        let _ = c.apply(&twice, &0);
+        assert_eq!(c.touches, [(0, 1)]);
+        let _ = c.apply(&Rule::new("quiet", |_: &u8, _| RuleOutcome::Disabled), &0);
+        assert!(c.touches.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn answers_are_range_checked() {
+        let reg = HoleRegistry::new();
+        let too_large = Digits {
+            digits: &[],
+            default: Some(2),
+        };
+        Consultant::new(&reg, &too_large, NameCache::default()).choose(&spec("x", 2));
     }
 }

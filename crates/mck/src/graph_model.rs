@@ -44,9 +44,9 @@ pub type NodeId = u32;
 /// b.error_node(2);
 /// let model = b.finish();
 ///
-/// let mut pick_good = FixedResolver::from_pairs([("direction", 0usize)]);
+/// let pick_good = FixedResolver::from_pairs([("direction", 0usize)]);
 /// let out = Checker::new(CheckerOptions::default().allow_deadlock())
-///     .run_with(&model, &mut pick_good);
+///     .run_with(&model, &pick_good);
 /// assert_eq!(out.verdict(), Verdict::Success);
 /// ```
 #[derive(Debug)]
@@ -366,9 +366,9 @@ mod tests {
     use crate::eval::FixedResolver;
 
     fn check(model: &GraphModel, assignments: &[(&str, usize)]) -> Verdict {
-        let mut r = FixedResolver::from_pairs(assignments.iter().map(|&(n, i)| (n, i)));
+        let r = FixedResolver::from_pairs(assignments.iter().map(|&(n, i)| (n, i)));
         Checker::new(CheckerOptions::default().allow_deadlock())
-            .run_with(model, &mut r)
+            .run_with(model, &r)
             .verdict()
     }
 
@@ -412,8 +412,8 @@ mod tests {
                 assignment.push(((h + 1).to_string(), (idx % ar) as usize));
                 idx /= ar;
             }
-            let mut r = FixedResolver::from_pairs(assignment.iter().map(|(n, i)| (n.clone(), *i)));
-            let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &mut r);
+            let r = FixedResolver::from_pairs(assignment.iter().map(|(n, i)| (n.clone(), *i)));
+            let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &r);
             if out.verdict() == Verdict::Success {
                 solutions += 1;
             }
@@ -424,8 +424,8 @@ mod tests {
     #[test]
     fn wildcard_on_first_hole_is_unknown() {
         let m = GraphModel::worked_example();
-        let mut r = FixedResolver::new(); // all wildcard
-        let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &mut r);
+        let r = FixedResolver::new(); // all wildcard
+        let out = Checker::new(CheckerOptions::default().allow_deadlock()).run_with(&m, &r);
         assert_eq!(out.verdict(), Verdict::Unknown);
         // Only the initial node is reachable; all three hole-1 edges blocked.
         assert_eq!(out.stats().states_visited, 1);

@@ -29,7 +29,9 @@
 //!   consult a [`HoleResolver`] to select one of several candidate actions,
 //!   and unresolved holes ("wildcards") abort the execution branch, producing
 //!   the paper's three-valued verdict *success / failure / unknown*
-//!   ([`eval`], [`Verdict`]).
+//!   ([`eval`], [`Verdict`]). The checker discovers holes lazily into a
+//!   [`HoleRegistry`] and tracks every consultation itself; a caller's
+//!   [`SharedResolver`] only answers.
 //!
 //! The synthesis engine itself lives in the sibling crate `verc3-core`; the
 //! protocol case studies (directory-based MSI coherence and friends) live in
@@ -68,6 +70,7 @@ pub mod hashers;
 pub mod model;
 pub mod multiset;
 pub mod properties;
+pub mod registry;
 pub mod rule;
 pub mod scalarset;
 
@@ -77,13 +80,13 @@ pub use checker::{
 };
 pub use error::MckError;
 pub use eval::{
-    Choice, FixedResolver, HoleResolver, HoleSpec, NameCache, NoHoles, SessionResolver,
-    SharedResolver, WildcardTouch,
+    Choice, FixedResolver, HoleResolver, HoleSpec, NoHoles, SessionResolver, SharedResolver,
 };
 pub use graph_model::{GraphModel, GraphModelBuilder};
 pub use model::{BuiltModel, ModelBuilder, TransitionSystem};
 pub use multiset::Multiset;
 pub use properties::Property;
+pub use registry::{HoleId, HoleInfo, HoleRegistry};
 pub use rule::{Rule, RuleOutcome};
 pub use scalarset::{
     all_permutations, apply_perm_to_index, perm_table, rank_keys, OrbitPartition, Perm, Symmetric,

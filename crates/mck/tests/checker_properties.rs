@@ -18,8 +18,8 @@ proptest! {
     fn checker_is_deterministic(seed in 0u64..50_000) {
         let model = GraphModel::random(seed, 6, 3);
         let run = || {
-            let mut r = all_zero_resolver(&model);
-            let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+            let r = all_zero_resolver(&model);
+            let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
             (out.verdict(), out.stats().clone())
         };
         let (v1, s1) = run();
@@ -31,9 +31,9 @@ proptest! {
     #[test]
     fn kept_graph_matches_stats(seed in 0u64..50_000) {
         let model = GraphModel::random(seed, 5, 3);
-        let mut r = all_zero_resolver(&model);
+        let r = all_zero_resolver(&model);
         let out = Checker::new(CheckerOptions::default().keep_graph(true))
-            .run_with(&model, &mut r);
+            .run_with(&model, &r);
         if out.verdict() == Verdict::Success {
             let graph = out.graph().expect("requested");
             prop_assert_eq!(graph.len(), out.stats().states_visited);
@@ -54,8 +54,8 @@ proptest! {
     #[test]
     fn violation_traces_are_shortest_paths(seed in 0u64..50_000) {
         let model = GraphModel::random(seed, 6, 3);
-        let mut r = all_zero_resolver(&model);
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+        let r = all_zero_resolver(&model);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
         if let Some(failure) = out.failure() {
             if let Some(trace) = &failure.trace {
                 // Re-run with graph retention (stopping later) to measure

@@ -883,7 +883,7 @@ mod tests {
         let mut cfg = MsiConfig::msi_small();
         cfg.data_values = true;
         let model = MsiModel::new(cfg);
-        let mut r = FixedResolver::from_pairs([
+        let r = FixedResolver::from_pairs([
             ("cache/SM_AD+Inv/resp", 2usize), // golden
             ("cache/SM_AD+Inv/next", 4),      // golden
             ("dir/IS_B+Ack/resp", 0),
@@ -893,7 +893,7 @@ mod tests {
             ("dir/SM_B+Ack/next", 2),
             ("dir/SM_B+Ack/track", 0),
         ]);
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
         assert_eq!(out.verdict(), Verdict::Failure);
     }
 

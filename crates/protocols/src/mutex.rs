@@ -294,11 +294,11 @@ mod tests {
         // P0 enters (turn = 0), P1's request rewrites turn to 1 and P1
         // sails straight through the gate: both end up critical.
         let model = MutexModel::new(MutexConfig::synth_both());
-        let mut r = FixedResolver::from_pairs([
+        let r = FixedResolver::from_pairs([
             ("mutex/request/turn", 0usize),
             ("mutex/enter/wait-for", 0usize),
         ]);
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
         assert_eq!(out.verdict(), Verdict::Failure);
         let failure = out.failure().unwrap();
         assert_eq!(failure.kind, FailureKind::InvariantViolation);
@@ -314,11 +314,11 @@ mod tests {
         // turn := other on request (correct), but enter when turn == OTHER:
         // both processes pass the gate together.
         let model = MutexModel::new(MutexConfig::synth_both());
-        let mut r = FixedResolver::from_pairs([
+        let r = FixedResolver::from_pairs([
             ("mutex/request/turn", 1usize),
             ("mutex/enter/wait-for", 1usize),
         ]);
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
         assert_eq!(out.verdict(), Verdict::Failure);
         let failure = out.failure().unwrap();
         assert_eq!(failure.kind, FailureKind::InvariantViolation);

@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 use verc3::mck::checker::reference::Bfs;
 use verc3::mck::{
-    Checker, CheckerOptions, FixedResolver, GraphModel, NameCache, Outcome, SharedResolver,
-    TransitionSystem, Verdict,
+    Checker, CheckerOptions, FixedResolver, GraphModel, GraphModelBuilder, HoleRegistry, Outcome,
+    SharedResolver, TransitionSystem, Verdict,
 };
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
@@ -20,14 +20,15 @@ use verc3::protocols::vi::{ViConfig, ViModel};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The reference BFS outcome of `model` under `options`, resolving holes
-/// through one worker of `resolver`.
+/// The reference BFS outcome of `model` under `options`, answering holes
+/// through `resolver` and registering them into a private table, as a
+/// one-shot check does.
 fn reference<M: TransitionSystem>(
     model: &M,
     resolver: &dyn SharedResolver,
     options: &CheckerOptions,
 ) -> Outcome<M::State> {
-    Bfs::new(model, options, &mut *resolver.worker(NameCache::default())).explore()
+    Bfs::new(model, options, resolver, &HoleRegistry::new()).explore()
 }
 
 /// Runs `model` at every thread count and asserts all outcomes match the
@@ -43,7 +44,7 @@ fn assert_thread_invariant<M: TransitionSystem>(
         // interleavings even on single-core CI shards, where the availability
         // clamp would silently collapse every run to the serial loop.
         let got = Checker::new(options.clone().threads(threads).clamp_threads(false))
-            .run_shared(model, resolver);
+            .run_with(model, resolver);
         assert_eq!(
             want.verdict(),
             got.verdict(),
@@ -132,7 +133,7 @@ proptest! {
         // at any thread count (the stats equality above extends this from
         // the reference run to all of them).
         let out = Checker::new(CheckerOptions::default().allow_deadlock().max_states(cap))
-            .run_shared(&model, &resolver);
+            .run_with(&model, &resolver);
         prop_assert!(out.stats().states_visited <= cap, "cap {cap} overshot");
     }
 }
@@ -206,7 +207,7 @@ fn adversarial_interleavings_are_thread_invariant() {
                     .threads(threads)
                     .clamp_threads(false),
             )
-            .run_shared(&model, &resolver);
+            .run_with(&model, &resolver);
             assert_eq!(want.verdict(), got.verdict(), "seed {seed} t{threads}");
             assert_eq!(want.stats(), got.stats(), "seed {seed} t{threads}");
             assert_eq!(
@@ -267,4 +268,67 @@ fn mutated_msi_candidates_are_thread_invariant() {
         assert_thread_invariant(&model, &partial, CheckerOptions::default()),
         Verdict::Unknown
     );
+}
+
+/// Graph models whose failing trace consults a hole again after the layer
+/// where it was first sighted. A one-shot check registers each layer's
+/// first sightings into its private table at the layer end, so the failure
+/// attributes the later consultations by id (an edge of the first-sighting
+/// layer carries none) — at every thread count, with one-state chunks
+/// that sight a hole in several chunks of one layer, and in the reference
+/// BFS, which registers by the same rule independently.
+#[test]
+fn failures_attribute_holes_consulted_after_their_first_layer() {
+    // Invariant: 0 -h@on-> 1 -h@on-> 2 (error); h is first sighted in
+    // layer 0 and consulted again by the failing edge in layer 1.
+    let mut b = GraphModelBuilder::new("again");
+    let h = b.hole("h", ["on", "off"]);
+    b.edge_hole(0, 1, h, 0).edge_hole(1, 2, h, 0).error_node(2);
+    let again = (b.finish(), FixedResolver::from_pairs([("h", 0usize)]));
+
+    // Deadlock: 1 leaves only by h@off, decided in layer 1 under h = on.
+    let mut b = GraphModelBuilder::new("stuck");
+    let h = b.hole("h", ["on", "off"]);
+    b.edge_hole(0, 1, h, 0)
+        .edge_hole(1, 2, h, 1)
+        .terminal_node(2);
+    let stuck = (b.finish(), FixedResolver::from_pairs([("h", 0usize)]));
+
+    // A fan: layer 1 sights h in three states, layer 2 sights g and
+    // consults h again, and the failing edge of layer 3 consults g again.
+    let mut b = GraphModelBuilder::new("fan");
+    let h = b.hole("h", ["a", "b"]);
+    let g = b.hole("g", ["x", "y", "z"]);
+    for n in 1..=3 {
+        b.edge(0, n).edge_hole(n, 10 + n, h, 1);
+        b.edge_hole(10 + n, 20, g, 2).edge_hole(10 + n, 21, h, 1);
+    }
+    b.edge_hole(20, 30, g, 2).error_node(30).terminal_node(21);
+    let fan = (
+        b.finish(),
+        FixedResolver::from_pairs([("h", 1usize), ("g", 2)]),
+    );
+
+    for ((model, resolver), want) in [
+        (again, vec![(0, 0)]),
+        (stuck, vec![(0, 0)]),
+        (fan, vec![(1, 2)]),
+    ] {
+        let touched = |options: &CheckerOptions| {
+            let outcome = reference(&model, &resolver, options);
+            outcome.failure().and_then(|f| f.touched.clone())
+        };
+        for options in [
+            CheckerOptions::default(),
+            CheckerOptions::default().chunk_states(1),
+        ] {
+            assert_eq!(
+                assert_thread_invariant(&model, &resolver, options.clone()),
+                Verdict::Failure,
+                "{}",
+                model.name()
+            );
+            assert_eq!(touched(&options), Some(want.clone()), "{}", model.name());
+        }
+    }
 }

@@ -14,9 +14,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use verc3::mck::faults::{self, arm, disarm_all, hit_count, site};
 use verc3::mck::{
-    BuiltModel, Checker, CheckerOptions, Choice, FixedResolver, HoleResolver, HoleSpec, MckError,
-    ModelBuilder, NameCache, Outcome, RuleOutcome, SessionResolver, SharedResolver, Verdict,
-    WildcardTouch,
+    BuiltModel, Checker, CheckerOptions, Choice, FixedResolver, HoleRegistry, HoleResolver,
+    HoleSpec, MckError, ModelBuilder, Outcome, RuleOutcome, SessionResolver, SharedResolver,
+    Verdict,
 };
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::synth::journal::record_boundaries;
@@ -81,51 +81,23 @@ fn wide_model() -> BuiltModel<(u8, u32)> {
     b.finish()
 }
 
-/// A [`SessionResolver`] answering hole `h0` from a one-entry table — the
-/// session-facing shape the synthesis resolvers have, minimally.
+/// A [`SessionResolver`] answering the model's one hole, `h0` (id 0 in
+/// the session's registry) — the session-facing shape the synthesis
+/// resolvers have, minimally.
 #[derive(Debug, Clone)]
 struct OneHole {
     answer: u16,
 }
 
-struct OneHoleWorker<'a> {
-    shared: &'a OneHole,
-    touches: Vec<(usize, u16)>,
-}
-
 impl SharedResolver for OneHole {
-    fn worker(&self, _seed: NameCache) -> Box<dyn HoleResolver + '_> {
-        Box::new(OneHoleWorker {
-            shared: self,
-            touches: Vec::new(),
-        })
+    fn answer(&self, _hole: &HoleSpec, _id: Option<usize>) -> Option<u16> {
+        Some(self.answer)
     }
 }
 
 impl SessionResolver for OneHole {
     fn assignment(&self, hole: usize) -> Option<u16> {
         (hole == 0).then_some(self.answer)
-    }
-}
-
-impl HoleResolver for OneHoleWorker<'_> {
-    fn choose(&mut self, _spec: &HoleSpec) -> Choice {
-        if self.touches.is_empty() {
-            self.touches.push((0, self.shared.answer));
-        }
-        Choice::Action(self.shared.answer as usize)
-    }
-
-    fn begin_application(&mut self) {
-        self.touches.clear();
-    }
-
-    fn application_touches(&self) -> &[(usize, u16)] {
-        &self.touches
-    }
-
-    fn application_wildcards(&self) -> &[WildcardTouch] {
-        &[]
     }
 }
 
@@ -162,7 +134,8 @@ fn a_panic_at_any_chunk_leaves_session_verdicts_unchanged() {
         .clamp_threads(false)
         .chunk_states(8)
         .allow_deadlock();
-    let mut session = Checker::new(options).session(&model);
+    let registry = HoleRegistry::new();
+    let mut session = Checker::new(options).session(&model, &registry);
     let clean_even = session.check(&even);
     let clean_odd = session.check(&odd);
     assert_eq!(clean_even.verdict(), Verdict::Success);
@@ -222,7 +195,8 @@ fn the_worker_pool_survives_repeated_injected_panics() {
         .clamp_threads(false)
         .chunk_states(8)
         .allow_deadlock();
-    let mut session = Checker::new(options).session(&model);
+    let registry = HoleRegistry::new();
+    let mut session = Checker::new(options).session(&model, &registry);
     let clean_even = session.check(&even);
     let clean_odd = session.check(&odd);
 
@@ -270,7 +244,7 @@ fn an_injected_chunk_panic_mid_synthesis_quarantines_one_candidate() {
         for &(hole, action) in &solution.assignment {
             resolver.assign(faulted.holes()[hole].name.clone(), action as usize);
         }
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut resolver);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &resolver);
         assert_eq!(
             out.verdict(),
             Verdict::Success,
@@ -406,7 +380,8 @@ proptest! {
             .clamp_threads(false)
             .chunk_states(8)
             .allow_deadlock();
-        let mut session = Checker::new(options).session(&model);
+        let registry = HoleRegistry::new();
+        let mut session = Checker::new(options).session(&model, &registry);
         let clean_even = session.check(&even);
         let clean_odd = session.check(&odd);
         disarm_all();

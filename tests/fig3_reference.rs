@@ -3,7 +3,9 @@
 //! is anchored to numbers and not only to the checker it checks.
 
 use verc3::mck::checker::reference::Bfs;
-use verc3::mck::{CheckerOptions, HoleResolver, NoHoles, TransitionSystem, Verdict};
+use verc3::mck::{
+    CheckerOptions, HoleRegistry, NoHoles, SharedResolver, TransitionSystem, Verdict,
+};
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
 use verc3::protocols::vi::{ViConfig, ViModel};
@@ -11,9 +13,10 @@ use verc3_bench::{skeleton_golden_resolver, FIG3_GOLDEN_ROWS};
 
 fn reference<M: TransitionSystem>(
     model: &M,
-    resolver: &mut dyn HoleResolver,
+    resolver: &dyn SharedResolver,
 ) -> (Verdict, usize, usize) {
-    let out = Bfs::new(model, &CheckerOptions::default(), resolver).explore();
+    let registry = HoleRegistry::new();
+    let out = Bfs::new(model, &CheckerOptions::default(), resolver, &registry).explore();
     (
         out.verdict(),
         out.stats().states_visited,
@@ -23,10 +26,10 @@ fn reference<M: TransitionSystem>(
 
 #[test]
 fn reference_bfs_reproduces_every_fig3_golden_row() {
-    let msi = |config| reference(&MsiModel::new(config), &mut NoHoles);
+    let msi = |config| reference(&MsiModel::new(config), &NoHoles);
     let skeleton = |config: MsiConfig| {
-        let mut resolver = skeleton_golden_resolver(&config);
-        reference(&MsiModel::new(config), &mut resolver)
+        let resolver = skeleton_golden_resolver(&config);
+        reference(&MsiModel::new(config), &resolver)
     };
     let mut rows = Vec::new();
     for n_caches in [2, 3, 4, 5, 6] {
@@ -50,14 +53,14 @@ fn reference_bfs_reproduces_every_fig3_golden_row() {
             n_caches,
             ..MesiConfig::golden()
         });
-        rows.push(reference(&model, &mut NoHoles));
+        rows.push(reference(&model, &NoHoles));
     }
     for n_caches in [2, 3] {
         let model = ViModel::new(ViConfig {
             n_caches,
             ..ViConfig::golden()
         });
-        rows.push(reference(&model, &mut NoHoles));
+        rows.push(reference(&model, &NoHoles));
     }
     assert_eq!(rows.len(), FIG3_GOLDEN_ROWS.len(), "one row per golden");
     for (got, &(label, states, transitions)) in rows.into_iter().zip(FIG3_GOLDEN_ROWS) {

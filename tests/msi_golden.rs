@@ -38,7 +38,7 @@ fn check_candidate(
     r.assign("dir/SM_B+Ack/resp", smb_ack.0);
     r.assign("dir/SM_B+Ack/next", smb_ack.1);
     r.assign("dir/SM_B+Ack/track", smb_ack.2);
-    Checker::new(CheckerOptions::default()).run_with(&model, &mut r)
+    Checker::new(CheckerOptions::default()).run_with(&model, &r)
 }
 
 // Action indices (see verc3-protocols::msi::actions):
@@ -152,7 +152,7 @@ fn msi_large_skeleton_accepts_the_golden_candidate() {
         r.assign(format!("{stem}/next"), next_idx);
         r.assign(format!("{stem}/track"), 0);
     }
-    let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+    let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
     assert_eq!(
         out.verdict(),
         Verdict::Success,

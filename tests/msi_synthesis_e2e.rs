@@ -68,7 +68,7 @@ fn msi_tiny_solutions_verify_independently() {
         for &(hole, action) in &solution.assignment {
             resolver.assign(report.holes()[hole].name.clone(), action as usize);
         }
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut resolver);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &resolver);
         assert_eq!(
             out.verdict(),
             Verdict::Success,
@@ -113,7 +113,7 @@ fn msi_tiny_non_solutions_fail_independently() {
         for (name, action) in &assignment {
             resolver.assign(name.clone(), *action as usize);
         }
-        let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut resolver);
+        let out = Checker::new(CheckerOptions::default()).run_with(&model, &resolver);
         match (is_solution, out.verdict()) {
             (true, Verdict::Success) => {}
             (false, Verdict::Failure) => failures += 1,

@@ -106,15 +106,17 @@ fn assert_agree(indexed: &PatternTable, reference: &ReferencePatternTable, step:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random insert sequences keep the four tables (direct + merge entry
-    /// points, indexed + reference) observationally identical at every step.
+    /// Random insert sequences keep the four tables (novelty read or
+    /// replayed, indexed + reference) observationally identical at every
+    /// step.
     #[test]
     fn insert_and_merge_sequences_agree(seed in 0u64..1_000_000, steps in 1usize..36) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut indexed = PatternTable::new();
         let mut reference = ReferencePatternTable::new();
-        // Tables fed exclusively through the merge entry points (the shared
-        // pattern-log replay path of parallel synthesis).
+        // Tables fed the same inserts without reading their novelty, the
+        // way a worker replays the shared pattern log in parallel
+        // synthesis.
         let mut merged_indexed = PatternTable::new();
         let mut merged_reference = ReferencePatternTable::new();
 
@@ -126,8 +128,8 @@ proptest! {
                         reference.insert_prefix(&prefix),
                         "insert_prefix({:?}) novelty at step {}", &prefix, step
                     );
-                    merged_indexed.merge_prefix(&prefix);
-                    merged_reference.merge_prefix(&prefix);
+                    merged_indexed.insert_prefix(&prefix);
+                    merged_reference.insert_prefix(&prefix);
                 }
                 Op::Sparse(pairs) => {
                     prop_assert_eq!(
@@ -135,8 +137,8 @@ proptest! {
                         reference.insert_sparse(pairs.clone()),
                         "insert_sparse({:?}) novelty at step {}", &pairs, step
                     );
-                    merged_indexed.merge_sparse(pairs.clone());
-                    merged_reference.merge_sparse(pairs);
+                    merged_indexed.insert_sparse(pairs.clone());
+                    merged_reference.insert_sparse(pairs);
                 }
             }
             assert_agree(&indexed, &reference, step);

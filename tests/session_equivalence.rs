@@ -10,7 +10,7 @@
 //! *independent* implementations, not the session against itself. A check's
 //! touched set ([`CheckSession::touched`], read from the session's logs) is
 //! held to the concrete answers the reference run handed out, recorded by
-//! name around its worker. A second group holds the session-based synthesis
+//! name around its resolver. A second group holds the session-based synthesis
 //! loop ([`SynthOptions::reuse_sessions`]) bit-identical to the
 //! per-candidate-restart loop, which checks each candidate on a fresh
 //! session.
@@ -19,73 +19,60 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 use verc3::mck::checker::reference::Bfs;
 use verc3::mck::{
-    CheckSession, Checker, CheckerOptions, Choice, GraphModel, HoleResolver, HoleSpec, NameCache,
-    Outcome, SharedResolver, TransitionSystem, Verdict, WildcardTouch,
+    CheckSession, Checker, CheckerOptions, GraphModel, HoleSpec, Outcome, SharedResolver,
+    TransitionSystem, Verdict,
 };
 use verc3::synth::{
     DiscoveryDefault, HoleRegistry, PatternMode, SharedCandidateResolver, SynthOptions,
     SynthReport, Synthesizer,
 };
 
-/// The touched-set oracle: a reference BFS worker that records every
-/// concrete answer it hands out, by hole name. It forwards every other
-/// [`HoleResolver`] method, so the reference run's attribution is the
-/// wrapped worker's own.
+/// The touched-set oracle: wraps a resolver's answers and records every
+/// concrete one it hands out, by hole name.
 struct NamedAnswers<'a> {
-    inner: Box<dyn HoleResolver + 'a>,
-    answered: BTreeSet<(String, u16)>,
+    inner: &'a dyn SharedResolver,
+    answered: Mutex<BTreeSet<(String, u16)>>,
 }
 
-impl HoleResolver for NamedAnswers<'_> {
-    fn choose(&mut self, hole: &HoleSpec) -> Choice {
-        let choice = self.inner.choose(hole);
-        if let Choice::Action(action) = choice {
-            self.answered
-                .insert((hole.name().to_owned(), action as u16));
+impl SharedResolver for NamedAnswers<'_> {
+    fn answer(&self, hole: &HoleSpec, id: Option<usize>) -> Option<u16> {
+        let answer = self.inner.answer(hole, id);
+        if let Some(action) = answer {
+            let named = (hole.name().to_owned(), action);
+            self.answered.lock().unwrap().insert(named);
         }
-        choice
-    }
-
-    fn begin_application(&mut self) {
-        self.inner.begin_application();
-    }
-
-    fn application_touches(&self) -> &[(usize, u16)] {
-        self.inner.application_touches()
-    }
-
-    fn application_wildcards(&self) -> &[WildcardTouch] {
-        self.inner.application_wildcards()
-    }
-
-    fn application_fresh_touches(&self) -> &[(u32, u16)] {
-        self.inner.application_fresh_touches()
-    }
-
-    fn take_pending_discoveries(&mut self) -> Vec<HoleSpec> {
-        self.inner.take_pending_discoveries()
-    }
-
-    fn take_name_cache(&mut self) -> NameCache {
-        self.inner.take_name_cache()
+        answer
     }
 }
 
-/// The reference BFS run of `model` under one worker of `resolver`, and the
-/// concrete answers it handed out by hole name.
+/// A registry holding `registry`'s holes in order: what a reference run
+/// registers into, so that it starts from the table the session's check
+/// sees and leaves that table to the session.
+fn copy_of(registry: &HoleRegistry) -> HoleRegistry {
+    let copy = HoleRegistry::new();
+    for hole in registry.snapshot() {
+        copy.resolve_or_register(&HoleSpec::new(hole.name, hole.actions));
+    }
+    copy
+}
+
+/// The reference BFS run of `model` under `resolver` over a copy of
+/// `registry`, and the concrete answers it handed out by hole name.
 fn reference_run<M: TransitionSystem>(
     model: &M,
     options: &CheckerOptions,
+    registry: &HoleRegistry,
     resolver: &SharedCandidateResolver<'_>,
 ) -> (Outcome<M::State>, BTreeSet<(String, u16)>) {
-    let mut worker = NamedAnswers {
-        inner: resolver.worker(NameCache::default()),
-        answered: BTreeSet::new(),
+    let named = NamedAnswers {
+        inner: resolver,
+        answered: Mutex::default(),
     };
-    let outcome = Bfs::new(model, options, &mut worker).explore();
-    (outcome, worker.answered)
+    let outcome = Bfs::new(model, options, &named, &copy_of(registry)).explore();
+    (outcome, named.answered.into_inner().unwrap())
 }
 
 /// The session's touched set after its latest check, by hole name.
@@ -211,10 +198,10 @@ proptest! {
                 // Clamp off: the 4-thread leg must stay multi-threaded even
                 // on single-core CI shards.
                 let options = CheckerOptions::default().threads(threads).clamp_threads(false);
-                let mut session = Checker::new(options.clone()).session(&model);
+                let mut session = Checker::new(options.clone()).session(&model, &registry);
                 for (i, digits) in candidates.iter().enumerate() {
-                    let resolver = SharedCandidateResolver::new(&registry, digits, default);
-                    let fresh = Bfs::new(&model, &options, &mut *resolver.worker(NameCache::default())).explore();
+                    let resolver = SharedCandidateResolver::new(digits, default);
+                    let (fresh, _) = reference_run(&model, &options, &registry, &resolver);
                     let reused = session.check(&resolver);
                     assert_outcomes_match(
                         &reused,
@@ -335,19 +322,13 @@ fn worked_example_session_matches_one_shot_at_4_threads() {
     let radices = register_holes(&model, &registry);
     assert_eq!(radices.len(), 4);
     let options = CheckerOptions::default().threads(4).clamp_threads(false);
-    let mut session = Checker::new(options.clone()).session(&model);
+    let mut session = Checker::new(options.clone()).session(&model, &registry);
     // Walk the full candidate space in odometer order — the worst case for
     // checkpoint bookkeeping (every candidate differs from its predecessor).
     let mut digits = vec![0u16; radices.len()];
     loop {
-        let resolver =
-            SharedCandidateResolver::new(&registry, &digits, DiscoveryDefault::ActionZero);
-        let fresh = Bfs::new(
-            &model,
-            &options,
-            &mut *resolver.worker(NameCache::default()),
-        )
-        .explore();
+        let resolver = SharedCandidateResolver::new(&digits, DiscoveryDefault::ActionZero);
+        let (fresh, _) = reference_run(&model, &options, &registry, &resolver);
         let reused = session.check(&resolver);
         assert_outcomes_match(&reused, &fresh, &format!("candidate {digits:?}"));
         // Advance the odometer (least significant digit fastest).
@@ -449,13 +430,13 @@ fn replayed_checks_match_fresh_runs() {
             let options = CheckerOptions::default()
                 .threads(threads)
                 .clamp_threads(false);
-            let mut session = Checker::new(options.clone()).session(&model);
+            let mut session = Checker::new(options.clone()).session(&model, &registry);
             let mut changed_replays = 0;
             for (i, digits) in candidates.iter().enumerate() {
                 let replays_before = session.stats().checks_replayed;
                 let what = format!("{default:?} t{threads} step {i}");
-                let resolver = SharedCandidateResolver::new(&registry, digits, default);
-                let (fresh, answered) = reference_run(&model, &options, &resolver);
+                let resolver = SharedCandidateResolver::new(digits, default);
+                let (fresh, answered) = reference_run(&model, &options, &registry, &resolver);
                 let reused = session.check(&resolver);
                 assert_outcomes_match(&reused, &fresh, &what);
                 assert_eq!(
@@ -492,17 +473,17 @@ fn replays_report_holes_first_sighted_in_the_stop_layer() {
                 .threads(threads)
                 .clamp_threads(false);
             let registry = HoleRegistry::new();
-            let mut session = Checker::new(options.clone()).session(&model);
+            let mut session = Checker::new(options.clone()).session(&model, &registry);
             let what = format!("seed {seed} t{threads}");
-            let first = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::ActionZero);
-            let (_, answered) = reference_run(&model, &options, &first);
+            let first = SharedCandidateResolver::new(&[], DiscoveryDefault::ActionZero);
+            let (_, answered) = reference_run(&model, &options, &registry, &first);
             let first_outcome = session.check(&first);
             assert_eq!(
                 named_touched(&session, &registry),
                 answered,
                 "{what}: first touched set"
             );
-            let second = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::ActionZero);
+            let second = SharedCandidateResolver::new(&[], DiscoveryDefault::ActionZero);
             let second_outcome = session.check(&second);
             assert_eq!(session.stats().checks_replayed, 1, "{what}: replays");
             assert_outcomes_match(&second_outcome, &first_outcome, &what);
@@ -515,35 +496,32 @@ fn replays_report_holes_first_sighted_in_the_stop_layer() {
     }
 }
 
-/// A one-shot check registers the holes it first sights in the order a held
-/// session's first check does, at every thread count: on a fresh registry,
-/// [`Checker::run_shared`] of the empty naïve candidate leaves the same
-/// ordered hole table, and the same outcome, as [`CheckSession::check`] —
-/// and both match the serial order.
+/// A fresh session's first check registers the holes it first sights in
+/// the order the reference BFS does, at every thread count: on fresh
+/// registries, the empty naïve candidate leaves the same ordered hole
+/// table, and the same outcome, in both drivers.
 #[test]
-fn one_shot_checks_register_first_sightings_like_a_held_session() {
+fn fresh_sessions_register_first_sightings_like_the_reference() {
     use verc3::protocols::msi::{MsiConfig, MsiModel};
     fn compare<M: TransitionSystem>(model: &M, what: &str) {
-        let mut serial: Option<Vec<String>> = None;
         for threads in [1usize, 2, 4] {
             let what = format!("{what} t{threads}");
-            let checker = Checker::new(
-                CheckerOptions::default()
-                    .threads(threads)
-                    .clamp_threads(false),
-            );
-            let (one_shot, held) = (HoleRegistry::new(), HoleRegistry::new());
-            let naive = |registry| {
-                SharedCandidateResolver::new(registry, &[], DiscoveryDefault::ActionZero)
-            };
-            let once = checker.run_shared(model, &naive(&one_shot));
-            let first = checker.session(model).check(&naive(&held));
-            assert_outcomes_match(&once, &first, &what);
+            let options = CheckerOptions::default()
+                .threads(threads)
+                .clamp_threads(false);
+            let (held, reference) = (HoleRegistry::new(), HoleRegistry::new());
+            let naive = SharedCandidateResolver::new(&[], DiscoveryDefault::ActionZero);
+            let first = Checker::new(options.clone())
+                .session(model, &held)
+                .check(&naive);
+            let want = Bfs::new(model, &options, &naive, &reference).explore();
+            assert_outcomes_match(&first, &want, &what);
             assert!(!held.is_empty(), "{what}: the check must discover holes");
-            let order = held.names_from(0);
-            assert_eq!(one_shot.names_from(0), order, "{what}: registration order");
-            let serial = serial.get_or_insert_with(|| order.clone());
-            assert_eq!(&order, serial, "{what}: serial registration order");
+            assert_eq!(
+                held.names_from(0),
+                reference.names_from(0),
+                "{what}: registration order"
+            );
         }
     }
     for seed in 0..16 {
@@ -559,9 +537,9 @@ fn unknown_verdicts_survive_session_reuse() {
     let model = GraphModel::worked_example();
     let registry = HoleRegistry::new();
     register_holes(&model, &registry);
-    let mut session = Checker::new(CheckerOptions::default()).session(&model);
+    let mut session = Checker::new(CheckerOptions::default()).session(&model, &registry);
     // Empty prefix in wildcard mode: every hole blocks.
-    let wild = SharedCandidateResolver::new(&registry, &[], DiscoveryDefault::Wildcard);
+    let wild = SharedCandidateResolver::new(&[], DiscoveryDefault::Wildcard);
     let first = session.check(&wild);
     assert_eq!(first.verdict(), Verdict::Unknown);
     let second = session.check(&wild);
@@ -591,11 +569,11 @@ fn reused_expansions_match_fresh_runs() {
             let options = CheckerOptions::default()
                 .threads(threads)
                 .clamp_threads(false);
-            let mut session = Checker::new(options.clone()).session(model);
+            let mut session = Checker::new(options.clone()).session(model, registry);
             for (i, digits) in candidates.iter().enumerate() {
                 let what = format!("{what} {default:?} t{threads} step {i}");
-                let resolver = SharedCandidateResolver::new(registry, digits, default);
-                let (fresh, answered) = reference_run(model, &options, &resolver);
+                let resolver = SharedCandidateResolver::new(digits, default);
+                let (fresh, answered) = reference_run(model, &options, registry, &resolver);
                 let reused = session.check(&resolver);
                 assert_outcomes_match(&reused, &fresh, &what);
                 assert_eq!(
@@ -636,10 +614,10 @@ fn reused_expansions_match_fresh_runs() {
     let model = MsiModel::new(MsiConfig::msi_small());
     for default in [DiscoveryDefault::Wildcard, DiscoveryDefault::ActionZero] {
         let registry = HoleRegistry::new();
-        let mut session = Checker::new(CheckerOptions::default()).session(&model);
+        let mut session = Checker::new(CheckerOptions::default()).session(&model, &registry);
         for k in 0..16 {
             let digits = vec![0u16; registry.len().min(k)];
-            session.check(&SharedCandidateResolver::new(&registry, &digits, default));
+            session.check(&SharedCandidateResolver::new(&digits, default));
         }
         let radices = registry.arities(registry.len());
         let candidates = candidate_sequence(&radices, 11, 12);

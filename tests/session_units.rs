@@ -1,11 +1,11 @@
 //! Unit-level regressions for the session-based checker API: the
-//! initial-states contract (computed once per session), model naming
-//! through outcomes and reports, and the name cache a session carries
-//! across checks.
+//! initial-states contract (computed once per session) and model naming
+//! through outcomes and reports.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use verc3::mck::{
-    Checker, CheckerOptions, NoHoles, Property, Rule, RuleOutcome, TransitionSystem, Verdict,
+    Checker, CheckerOptions, HoleRegistry, NoHoles, Property, Rule, RuleOutcome, TransitionSystem,
+    Verdict,
 };
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
@@ -55,7 +55,8 @@ impl TransitionSystem for CountingModel {
 fn session_queries_initial_states_exactly_once() {
     let model = CountingModel::new();
     let checker = Checker::new(CheckerOptions::default());
-    let mut session = checker.session(&model);
+    let registry = HoleRegistry::new();
+    let mut session = checker.session(&model, &registry);
     assert_eq!(
         model.calls.load(Ordering::SeqCst),
         1,
@@ -125,108 +126,4 @@ fn built_models_and_reports_are_named() {
     let report = Synthesizer::new(SynthOptions::default().max_evaluations(3)).run(&skeleton);
     assert_eq!(report.model_name(), "MSI-3c skeleton (8 holes)");
     assert!(report.to_string().contains("MSI-3c skeleton (8 holes)"));
-}
-
-/// The session must drain a worker's hole name → id cache when a check ends
-/// and seed the next check's worker with it (`SharedResolver::worker` /
-/// `HoleResolver::take_name_cache`), so name resolution pays the registry
-/// lock once per session, not once per check.
-///
-/// The second check answers the probe's hole differently: a check that
-/// repeats every answer of the previous one replays its ending and builds
-/// no worker at all, so only a check that explores can show the seed.
-#[test]
-fn session_reseeds_the_name_cache_across_checks() {
-    use std::sync::Mutex;
-    use verc3::mck::{Choice, HoleResolver, HoleSpec, NameCache, SessionResolver, SharedResolver};
-
-    /// Answers one hole ("h0" = `answer`) and records the size of every
-    /// seed cache it is handed.
-    struct SeedProbe<'a> {
-        answer: u16,
-        seed_sizes: &'a Mutex<Vec<usize>>,
-    }
-
-    struct ProbeWorker {
-        answer: u16,
-        cache: NameCache,
-        touches: Vec<(usize, u16)>,
-    }
-
-    impl SharedResolver for SeedProbe<'_> {
-        fn worker(&self, seed: NameCache) -> Box<dyn HoleResolver + '_> {
-            self.seed_sizes.lock().unwrap().push(seed.len());
-            Box::new(ProbeWorker {
-                answer: self.answer,
-                cache: seed,
-                touches: Vec::new(),
-            })
-        }
-    }
-
-    impl SessionResolver for SeedProbe<'_> {
-        fn assignment(&self, hole: usize) -> Option<u16> {
-            (hole == 0).then_some(self.answer)
-        }
-    }
-
-    impl HoleResolver for ProbeWorker {
-        fn choose(&mut self, spec: &HoleSpec) -> Choice {
-            self.cache.entry(spec.name().to_owned()).or_insert(0);
-            self.touches.push((0, self.answer));
-            Choice::Action(self.answer as usize)
-        }
-
-        fn begin_application(&mut self) {
-            self.touches.clear();
-        }
-
-        fn application_touches(&self) -> &[(usize, u16)] {
-            &self.touches
-        }
-
-        fn take_name_cache(&mut self) -> NameCache {
-            std::mem::take(&mut self.cache)
-        }
-    }
-
-    let mut b = verc3::mck::ModelBuilder::new("seeded");
-    b.initial(0u8);
-    b.rule("step", |&s: &u8, ctx: &mut dyn HoleResolver| {
-        if s < 4 {
-            let spec = HoleSpec::new("h0", ["a", "b"]);
-            match ctx.choose(&spec) {
-                Choice::Action(_) => RuleOutcome::Next(s + 1),
-                Choice::Wildcard => RuleOutcome::Blocked,
-            }
-        } else {
-            RuleOutcome::Disabled
-        }
-    });
-    b.invariant("bounded", |&s: &u8| s <= 4);
-    let model = b.finish();
-
-    for threads in [1usize, 2] {
-        let seed_sizes = Mutex::new(Vec::new());
-        let probe = |answer| SeedProbe {
-            answer,
-            seed_sizes: &seed_sizes,
-        };
-        let checker = Checker::new(CheckerOptions::default().allow_deadlock().threads(threads));
-        let mut session = checker.session(&model);
-        let first = session.check(&probe(0));
-        let second = session.check(&probe(1));
-        assert_eq!(first.verdict(), Verdict::Success);
-        assert_eq!(first.stats(), second.stats());
-        let sizes = seed_sizes.lock().unwrap();
-        assert_eq!(
-            sizes[0], 0,
-            "threads={threads}: the first worker starts with an empty cache"
-        );
-        assert!(
-            sizes.iter().skip(1).any(|&s| s > 0),
-            "threads={threads}: a later worker must be seeded with the drained \
-             cache, got seed sizes {sizes:?}"
-        );
-    }
 }

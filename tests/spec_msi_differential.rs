@@ -79,10 +79,10 @@ fn spec_msi_golden_candidate_verifies_bit_identically() {
 
     for threads in [1usize, 4] {
         let opts = CheckerOptions::default().threads(threads);
-        let mut ra = FixedResolver::from_pairs(pairs.clone());
-        let mut rb = FixedResolver::from_pairs(pairs.clone());
-        let a = Checker::new(opts.clone()).run_with(&spec_model, &mut ra);
-        let b = Checker::new(opts).run_with(&hand, &mut rb);
+        let ra = FixedResolver::from_pairs(pairs.clone());
+        let rb = FixedResolver::from_pairs(pairs.clone());
+        let a = Checker::new(opts.clone()).run_with(&spec_model, &ra);
+        let b = Checker::new(opts).run_with(&hand, &rb);
 
         assert_eq!(
             a.verdict(),
@@ -109,10 +109,10 @@ fn spec_msi_wrong_candidate_fails_identically() {
     let spec_model = spec.model();
     let hand = hand_model();
 
-    let mut ra = FixedResolver::from_pairs(pairs.clone());
-    let mut rb = FixedResolver::from_pairs(pairs);
-    let a = Checker::new(CheckerOptions::default()).run_with(&spec_model, &mut ra);
-    let b = Checker::new(CheckerOptions::default()).run_with(&hand, &mut rb);
+    let ra = FixedResolver::from_pairs(pairs.clone());
+    let rb = FixedResolver::from_pairs(pairs);
+    let a = Checker::new(CheckerOptions::default()).run_with(&spec_model, &ra);
+    let b = Checker::new(CheckerOptions::default()).run_with(&hand, &rb);
 
     assert_eq!(a.verdict(), Verdict::Failure);
     assert_eq!(b.verdict(), Verdict::Failure);

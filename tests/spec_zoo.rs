@@ -47,8 +47,8 @@ fn zoo_specs_verify_to_their_goldens() {
             "{name}: zoo specs must commit a verification golden"
         );
 
-        let mut resolver = golden_resolver(&spec);
-        let out = Checker::new(CheckerOptions::default()).run_with(&spec.model(), &mut resolver);
+        let resolver = golden_resolver(&spec);
+        let out = Checker::new(CheckerOptions::default()).run_with(&spec.model(), &resolver);
         println!(
             "{name}: verdict={:?} states={} transitions={}",
             out.verdict(),

@@ -74,7 +74,7 @@ proptest! {
             for &(h, a) in &solution.assignment {
                 r.assign(report.holes()[h].name.clone(), a as usize);
             }
-            let out = Checker::new(CheckerOptions::default()).run_with(&model, &mut r);
+            let out = Checker::new(CheckerOptions::default()).run_with(&model, &r);
             prop_assert_eq!(out.verdict(), Verdict::Success);
         }
     }
