@@ -1,14 +1,15 @@
 //! Model-checker throughput benchmarks: full verification of the golden
-//! protocols, with and without symmetry reduction.
+//! protocols, with and without symmetry reduction, hand-written and
+//! interpreted from `specs/`.
 //!
 //! These calibrate the substrate: every synthesis number in Table I is a sum
 //! of checker runs, so checker time per protocol is the unit cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use verc3_bench::{spec_golden_resolver, spec_with_pids};
 use verc3_mck::{Checker, CheckerOptions, Verdict};
 use verc3_protocols::mesi::{MesiConfig, MesiModel};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
-use verc3_protocols::vi::{ViConfig, ViModel};
 
 fn bench_checker(c: &mut Criterion) {
     let mut group = c.benchmark_group("checker");
@@ -57,14 +58,12 @@ fn bench_checker(c: &mut Criterion) {
         })
     });
 
-    let vi = ViModel::new(ViConfig {
-        n_caches: 3,
-        ..ViConfig::golden()
-    });
+    let vi_spec = spec_with_pids("vi", 3);
+    let (vi, vi_golden) = (vi_spec.model(), spec_golden_resolver(&vi_spec));
     group.bench_function("vi_golden_3caches_sym", |b| {
         b.iter(|| {
             Checker::new(CheckerOptions::default())
-                .run(&vi)
+                .run_with(&vi, &vi_golden)
                 .stats()
                 .states_visited
         })

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use verc3_core::{PatternMode, SynthOptions, Synthesizer};
 use verc3_mck::GraphModel;
 use verc3_protocols::msi::{MsiConfig, MsiModel};
-use verc3_protocols::vi::{ViConfig, ViModel};
+use verc3_spec::ProtocolSpec;
 
 fn bench_synthesis(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthesis");
@@ -32,7 +32,10 @@ fn bench_synthesis(c: &mut Criterion) {
     });
 
     group.bench_function("vi_full_pruning", |b| {
-        let model = ViModel::new(ViConfig::synth_full());
+        let spec =
+            ProtocolSpec::from_path(concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/vi.toml"))
+                .expect("specs/vi.toml");
+        let model = spec.model();
         b.iter(|| {
             Synthesizer::new(SynthOptions::default())
                 .run(&model)

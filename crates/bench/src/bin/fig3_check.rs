@@ -1,9 +1,9 @@
 //! Verifies the paper's **Figure 3** protocol (directory-based MSI, stable
-//! states as drawn, unordered networks) plus the companion VI and MESI
-//! models, reporting state-space statistics.
+//! states as drawn, unordered networks) plus the companion MESI model,
+//! reporting state-space statistics.
 //!
 //! ```text
-//! cargo run --release -p verc3-bench --bin fig3_check [--dot] [--check-threads N]
+//! cargo run --release -p verc3-bench --bin fig3_check [--check-threads N]
 //! cargo run --release -p verc3-bench --bin fig3_check -- --spec specs/german.toml
 //! ```
 //!
@@ -23,9 +23,6 @@
 //! workers; the printed states/transitions are guaranteed identical to the
 //! serial run (CI diffs the two).
 //!
-//! `--dot` additionally writes the full explored state graph of the 2-cache
-//! VI protocol to `vi_2cache.dot` (small enough to render with Graphviz).
-//!
 //! SIGINT (Ctrl-C) stops cleanly *between* models: every model verified so
 //! far keeps its printed verdict, the remainder are skipped, and the binary
 //! exits 130 without claiming the full suite passed. An unknown flag or an
@@ -35,18 +32,16 @@ use verc3_bench::{
     check_flags, parse_check_threads, sigint, spec_verification_deviations, usage_error, verify,
     verify_skeleton_golden, verify_spec_golden, FIG3_GOLDEN_ROWS,
 };
-use verc3_mck::{Checker, CheckerOptions, NoHoles, TransitionSystem, Verdict};
+use verc3_mck::{NoHoles, TransitionSystem, Verdict};
 use verc3_protocols::mesi::{MesiConfig, MesiModel};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
-use verc3_protocols::vi::{ViConfig, ViModel};
 use verc3_spec::ProtocolSpec;
 
-const USAGE: &str = "usage: fig3_check [--dot] [--check-threads N] [--spec PATH]...";
+const USAGE: &str = "usage: fig3_check [--check-threads N] [--spec PATH]...";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     check_flags(&args, USAGE).unwrap_or_else(|e| usage_error(USAGE, e));
-    let dot = args.iter().any(|a| a == "--dot");
     let threads = parse_check_threads(&args).unwrap_or_else(|e| usage_error(USAGE, e));
     // `check_flags` guarantees every `--spec` is followed by its path.
     let specs: Vec<&String> = args
@@ -117,13 +112,6 @@ fn main() {
         };
         hole_free(MesiModel::new(config), threads)
     };
-    let vi = |n_caches| {
-        let config = ViConfig {
-            n_caches,
-            ..ViConfig::golden()
-        };
-        hole_free(ViModel::new(config), threads)
-    };
     let mut checks: Vec<Check> = [2, 3, 4, 5, 6].into_iter().map(msi_caches).collect();
     checks.extend([
         msi(MsiConfig {
@@ -144,8 +132,6 @@ fn main() {
         Box::new(move || verify_skeleton_golden(MsiConfig::msi5(), threads)),
         mesi(2),
         mesi(3),
-        vi(2),
-        vi(3),
     ]);
 
     let mut skipped = 0usize;
@@ -180,15 +166,6 @@ fn main() {
          solutions; our stalling-directory design serializes more and explores \
          fewer states at the same cache count (see EXPERIMENTS.md)."
     );
-
-    if dot {
-        let model = ViModel::new(ViConfig::golden());
-        let out = Checker::new(CheckerOptions::default().keep_graph(true)).run(&model);
-        let graph = out.graph().expect("graph kept");
-        let path = "vi_2cache.dot";
-        std::fs::write(path, graph.to_dot("vi-2cache")).expect("write dot file");
-        println!("wrote {path} ({} states)", graph.len());
-    }
 
     finish(all_ok, &deviations, skipped);
 }

@@ -4,8 +4,9 @@
 //!
 //! * `table1` — Table I (the MSI case study: naïve vs pruning vs parallel);
 //! * `fig2` — the Figure 2 worked example's run table;
-//! * `fig3_check` — verification of the Figure 3 protocol (and the VI/MESI
-//!   companions) with state-space statistics;
+//! * `fig3_check` — verification of the Figure 3 protocol (and the MESI
+//!   companion, or any `specs/*.toml` under its golden) with state-space
+//!   statistics;
 //! * Criterion benches (`benches/`) for checker throughput, synthesis
 //!   end-to-end times, the pruning-mode ablation, and parallel scaling.
 //!
@@ -626,8 +627,6 @@ pub const FIG3_GOLDEN_ROWS: &[(&str, usize, usize)] = &[
     ("MSI-5 skeleton (golden)", 2991, 15250),
     ("MESI golden (2 caches)", 66, 134),
     ("MESI golden (3 caches)", 281, 835),
-    ("VI golden (2 caches)", 12, 18),
-    ("VI golden (3 caches)", 19, 41),
 ];
 
 /// Verifies `model` under `resolver` with the given checker thread count
@@ -698,6 +697,25 @@ pub fn spec_golden_resolver(spec: &ProtocolSpec) -> FixedResolver {
         resolver.assign(hole.clone(), idx);
     }
     resolver
+}
+
+/// Loads the workspace's `specs/{stem}.toml` at `pids` processes: the
+/// document's one `pids = …` line (in its `[protocol]` table) is replaced
+/// before parsing, so one committed spec serves every instance size.
+///
+/// Panics when the file is missing, holds no single `pids` line, or the
+/// substituted document is not a valid spec.
+pub fn spec_with_pids(stem: &str, pids: usize) -> ProtocolSpec {
+    let path = format!("{}/../../specs/{stem}.toml", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let at: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("pids = "))
+        .collect();
+    assert_eq!(at.len(), 1, "{path}: one `pids = ` line");
+    lines[at[0]] = format!("pids = {pids}");
+    let text = lines.join("\n");
+    ProtocolSpec::from_toml_str(&text).unwrap_or_else(|e| panic!("{path} at pids = {pids}: {e}"))
 }
 
 /// Verifies a declarative spec (`specs/*.toml`) under its committed golden

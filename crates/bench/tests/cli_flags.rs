@@ -37,6 +37,8 @@ fn bad_flags_exit_2_with_the_usage_line() {
         (synthd, &["--threads", "four"]),
         (synthd, &["--journal"]),
         (synthd, &["--journal-dir", "retired"]),
+        // Retired: the VI graph it wrote is gone with the VI model.
+        (fig3, &["--dot"]),
         // Retired: every run enumerates guided.
         (table1, &["--guided"]),
         (synthd, &["--workload", "fig2", "--guided"]),

@@ -178,9 +178,6 @@ pub struct SynthStats {
     pub generations: Vec<GenStats>,
     /// Wall-clock time of the whole synthesis.
     pub wall: Duration,
-    /// `true` if the run stopped early on
-    /// [`crate::SynthOptions::max_evaluations`].
-    pub truncated: bool,
     /// Why the run stopped (`Completed` unless a cap, budget, deadline or
     /// external stop fired first).
     pub stop: StopReason,

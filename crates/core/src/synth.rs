@@ -262,7 +262,7 @@ impl SynthOptions {
         Ok(self)
     }
 
-    /// Stops the run (marking the report truncated) after this many
+    /// Stops the run (with [`StopReason::MaxEvaluations`]) after this many
     /// model-checker dispatches, for the whole run: every worker checks the
     /// one run-wide count before each dispatch, so a run with `t` threads
     /// stops after at most `cap + t - 1` dispatches, and a serial run after
@@ -769,7 +769,6 @@ impl Run {
             probes: generations.iter().map(|g| g.probes).sum(),
             generations,
             wall: self.start.elapsed(),
-            truncated: stop != StopReason::Completed,
             stop,
             quarantined: merged.quarantined.len() as u64,
             check_states_expanded: self.check_expanded.load(Ordering::Relaxed),
@@ -1885,7 +1884,7 @@ mod tests {
     fn max_evaluations_truncates() {
         let model = GraphModel::worked_example();
         let report = Synthesizer::new(SynthOptions::default().max_evaluations(3)).run(&model);
-        assert!(report.stats().truncated);
+        assert_eq!(report.stats().stop, StopReason::MaxEvaluations);
         assert!(report.stats().evaluated <= 4);
     }
 

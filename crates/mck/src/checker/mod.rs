@@ -48,7 +48,6 @@ mod trace;
 
 pub use graph::{Edge, ExploredGraph, StateId};
 pub use outcome::{Failure, FailureKind, Outcome, Stats, Timing, Verdict};
-pub use pool::WorkerPool;
 pub use session::{CheckSession, SessionStats};
 pub use trace::{Trace, TraceStep};
 
@@ -59,17 +58,6 @@ use crate::model::TransitionSystem;
 use crate::properties::Property;
 use crate::registry::HoleRegistry;
 use std::time::Instant;
-
-/// What the checker should do when it finds a state with no enabled rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeadlockPolicy {
-    /// A state without successors is an error (the default; distributed
-    /// protocols must always be able to make progress).
-    #[default]
-    Disallow,
-    /// States without successors are acceptable terminal states.
-    Allow,
-}
 
 /// Configuration for a [`Checker`].
 ///
@@ -88,7 +76,10 @@ pub enum DeadlockPolicy {
 #[derive(Debug, Clone)]
 pub struct CheckerOptions {
     max_states: usize,
-    deadlock: DeadlockPolicy,
+    /// Whether a state without successors is an acceptable terminal rather
+    /// than an error (off by default: distributed protocols must always be
+    /// able to make progress).
+    allow_deadlock: bool,
     keep_graph: bool,
     threads: usize,
     clamp_threads: bool,
@@ -102,7 +93,7 @@ impl Default for CheckerOptions {
     fn default() -> Self {
         CheckerOptions {
             max_states: 50_000_000,
-            deadlock: DeadlockPolicy::Disallow,
+            allow_deadlock: false,
             keep_graph: false,
             threads: 1,
             clamp_threads: true,
@@ -135,13 +126,7 @@ impl CheckerOptions {
 
     /// Treats successor-less states as acceptable terminals.
     pub fn allow_deadlock(mut self) -> Self {
-        self.deadlock = DeadlockPolicy::Allow;
-        self
-    }
-
-    /// Sets the deadlock policy explicitly.
-    pub fn deadlock(mut self, policy: DeadlockPolicy) -> Self {
-        self.deadlock = policy;
+        self.allow_deadlock = true;
         self
     }
 

@@ -78,8 +78,7 @@ use super::records::{
     Successor, BLOCKED, CLAIM, DISABLED, FRESH, HELD, PANICKED,
 };
 use super::{
-    fingerprint, insert_id, remove_id, CheckerOptions, DeadlockPolicy, Edge, IdList, Outcome,
-    SearchCore, StateId,
+    fingerprint, insert_id, remove_id, CheckerOptions, Edge, IdList, Outcome, SearchCore, StateId,
 };
 use crate::eval::{Consultant, HoleSpec, NameCache, SessionResolver, SharedResolver};
 use crate::hashers::FnvHashMap;
@@ -732,7 +731,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         // Within-layer index every state past which workers may stop once a
         // failure is announced (`usize::MAX` = none announced).
         let stop = AtomicUsize::new(usize::MAX);
-        let watch_deadlock = core.options.deadlock == DeadlockPolicy::Disallow;
+        let watch_deadlock = !core.options.allow_deadlock;
         let chunk = self.chunk_size(f1 - f0);
         let ranges: Vec<(usize, usize)> = (f0..f1)
             .step_by(chunk)
@@ -1147,8 +1146,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         // A state with no successors is a deadlock — unless a wildcard
         // aborted some branch, in which case we cannot tell (the aborted
         // branch might have provided an exit).
-        if !walk.any_next && !walk.any_blocked && core.options.deadlock == DeadlockPolicy::Disallow
-        {
+        if !walk.any_next && !walk.any_blocked && !core.options.allow_deadlock {
             let expansion = expansion_touches(words);
             return Err(Box::new(core.deadlock(start, sid as StateId, &expansion)));
         }

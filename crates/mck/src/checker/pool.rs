@@ -53,7 +53,7 @@ struct PoolShared {
 /// in barrier-synchronized batches (the caller participates; a batch runs
 /// to completion before `run_batch` returns, which is what makes borrowed
 /// jobs sound — see the module source for the full discipline).
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: std::sync::Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
 }

@@ -17,8 +17,8 @@
 //! tests and under the `reference` feature.
 
 use super::{
-    fingerprint, insert_id, CheckerOptions, DeadlockPolicy, Edge, Failure, FailureKind, IdList,
-    Outcome, SearchCore, StateId, Verdict,
+    fingerprint, insert_id, CheckerOptions, Edge, Failure, FailureKind, IdList, Outcome,
+    SearchCore, StateId, Verdict,
 };
 use crate::error::MckError;
 use crate::eval::{Consultant, SharedResolver};
@@ -290,7 +290,7 @@ impl<'a, M: TransitionSystem> Bfs<'a, M> {
             // A state with no successors is a deadlock — unless a wildcard
             // aborted some branch, in which case we cannot tell (the aborted
             // branch might have provided an exit).
-            if !any_next && !any_blocked && self.core.options.deadlock == DeadlockPolicy::Disallow {
+            if !any_next && !any_blocked && !self.core.options.allow_deadlock {
                 let failure = Failure {
                     kind: FailureKind::Deadlock,
                     property: "deadlock freedom".to_owned(),

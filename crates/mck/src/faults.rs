@@ -31,8 +31,8 @@
 
 /// Failpoint site names used by this workspace (see each call site).
 pub mod site {
-    /// Entry of every [`crate::WorkerPool`] job, inside the pool's
-    /// panic-isolation scope.
+    /// Entry of every job of the parallel checker's worker pool, inside the
+    /// pool's panic-isolation scope.
     pub const POOL_JOB: &str = "pool.job";
     /// Start of each parallel expansion chunk (`Engine::expand_chunk`).
     pub const EXPAND_CHUNK: &str = "checker.expand_chunk";

@@ -75,8 +75,8 @@ pub mod rule;
 pub mod scalarset;
 
 pub use checker::{
-    CheckSession, Checker, CheckerOptions, DeadlockPolicy, ExploredGraph, FailureKind, Outcome,
-    SessionStats, Stats, Trace, TraceStep, Verdict, WorkerPool,
+    CheckSession, Checker, CheckerOptions, ExploredGraph, FailureKind, Outcome, SessionStats,
+    Stats, Trace, TraceStep, Verdict,
 };
 pub use error::MckError;
 pub use eval::{

@@ -1,9 +1,9 @@
-//! Checker unit tests: deadlock policy handling, state-limit truncation, and
+//! Checker unit tests: deadlock handling, state-limit truncation, and
 //! BFS counterexample minimality on hand-built graph models.
 
 use verc3_mck::{
-    Checker, CheckerOptions, DeadlockPolicy, FailureKind, GraphModelBuilder, MckError,
-    ModelBuilder, RuleOutcome, Verdict,
+    Checker, CheckerOptions, FailureKind, GraphModelBuilder, MckError, ModelBuilder, RuleOutcome,
+    Verdict,
 };
 
 /// A three-node chain ending in a successor-less sink.
@@ -15,10 +15,9 @@ fn chain_to_sink() -> verc3_mck::GraphModel {
 }
 
 #[test]
-fn deadlock_policy_disallow_reports_the_sink() {
+fn deadlocks_are_reported_by_default() {
     let model = chain_to_sink();
-    let out =
-        Checker::new(CheckerOptions::default().deadlock(DeadlockPolicy::Disallow)).run(&model);
+    let out = Checker::new(CheckerOptions::default()).run(&model);
     assert_eq!(out.verdict(), Verdict::Failure);
     let failure = out.failure().expect("deadlock must be reported");
     assert_eq!(failure.kind, FailureKind::Deadlock);
@@ -30,28 +29,12 @@ fn deadlock_policy_disallow_reports_the_sink() {
 }
 
 #[test]
-fn deadlock_policy_disallow_is_the_default() {
+fn allow_deadlock_accepts_terminal_states() {
     let model = chain_to_sink();
-    let explicit =
-        Checker::new(CheckerOptions::default().deadlock(DeadlockPolicy::Disallow)).run(&model);
-    let implicit = Checker::new(CheckerOptions::default()).run(&model);
-    assert_eq!(explicit.verdict(), implicit.verdict());
-    assert_eq!(
-        explicit.failure().unwrap().kind,
-        implicit.failure().unwrap().kind
-    );
-}
-
-#[test]
-fn deadlock_policy_allow_accepts_terminal_states() {
-    let model = chain_to_sink();
-    let out = Checker::new(CheckerOptions::default().deadlock(DeadlockPolicy::Allow)).run(&model);
+    let out = Checker::new(CheckerOptions::default().allow_deadlock()).run(&model);
     assert_eq!(out.verdict(), Verdict::Success);
     assert!(out.failure().is_none());
     assert_eq!(out.stats().states_visited, 3);
-    // The convenience builder method selects the same policy.
-    let out = Checker::new(CheckerOptions::default().allow_deadlock()).run(&model);
-    assert_eq!(out.verdict(), Verdict::Success);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! Rust reproduction of *VerC3: A Library for Explicit State Synthesis of
 //! Concurrent Systems* (Elver, Banks, Jackson, Nagarajan — DATE 2018).
 //!
-//! This facade crate re-exports the three layers of the system:
+//! This facade crate re-exports the layers of the system:
 //!
 //! * [`mck`] — the embedded Murϕ-like explicit-state model checker
 //!   (guarded-command models, BFS with minimal traces, symmetry reduction,
@@ -11,12 +11,15 @@
 //! * [`synth`] — the synthesis engine (lazy hole discovery, candidate
 //!   enumeration with wildcard generations, dynamic-programming candidate
 //!   pruning, parallel synthesis);
-//! * [`protocols`] — the protocol case studies: the paper's directory-based
-//!   MSI cache-coherence skeletons (MSI-small, MSI-large) plus VI, MESI and
-//!   mutual-exclusion models;
+//! * [`protocols`] — the hand-written models: the paper's directory-based
+//!   MSI cache-coherence skeletons (MSI-small, MSI-large) and its MESI
+//!   extension;
 //! * [`spec`] — the declarative front-end: TOML protocol descriptions
 //!   validated into [`spec::ProtocolSpec`] and interpreted as transition
 //!   systems, so new protocols are payloads rather than recompilations.
+//!   The committed zoo in `specs/` includes the VI coherence protocol,
+//!   Peterson's and Lamport's mutual-exclusion algorithms, and German's
+//!   protocol.
 //!
 //! ## Quickstart
 //!

@@ -16,7 +16,7 @@ use verc3::mck::{
 };
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
-use verc3::protocols::vi::{ViConfig, ViModel};
+use verc3_bench::{spec_golden_resolver, spec_with_pids};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -163,12 +163,13 @@ fn golden_protocols_are_thread_invariant() {
         Verdict::Success
     );
 
-    let vi = ViModel::new(ViConfig {
-        n_caches: 3,
-        ..ViConfig::golden()
-    });
+    let vi = spec_with_pids("vi", 3);
     assert_eq!(
-        assert_thread_invariant(&vi, &NoHoles, CheckerOptions::default()),
+        assert_thread_invariant(
+            &vi.model(),
+            &spec_golden_resolver(&vi),
+            CheckerOptions::default()
+        ),
         Verdict::Success
     );
 }

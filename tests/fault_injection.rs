@@ -182,8 +182,8 @@ fn a_panic_at_any_chunk_leaves_session_verdicts_unchanged() {
 }
 
 /// Satellite regression: a panicking chunk mid-layer must leave the
-/// `WorkerPool` barrier un-poisoned — check alternation keeps working and
-/// the pool never wedges (this test hanging IS the failure mode).
+/// checker's worker-pool barrier un-poisoned — check alternation keeps
+/// working and the pool never wedges (this test hanging IS the failure mode).
 #[test]
 fn the_worker_pool_survives_repeated_injected_panics() {
     let _guard = faults::exclusive();

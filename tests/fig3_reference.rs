@@ -1,6 +1,7 @@
 //! Pins the reference serial BFS — the oracle the equivalence suites hold
-//! every check to — to the committed `fig3_check` golden rows, so the oracle
-//! is anchored to numbers and not only to the checker it checks.
+//! every check to — to the committed `fig3_check` golden rows and to the VI
+//! spec's golden counts, so the oracle is anchored to numbers and not only
+//! to the checker it checks.
 
 use verc3::mck::checker::reference::Bfs;
 use verc3::mck::{
@@ -8,8 +9,9 @@ use verc3::mck::{
 };
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
-use verc3::protocols::vi::{ViConfig, ViModel};
-use verc3_bench::{skeleton_golden_resolver, FIG3_GOLDEN_ROWS};
+use verc3_bench::{
+    skeleton_golden_resolver, spec_golden_resolver, spec_with_pids, FIG3_GOLDEN_ROWS,
+};
 
 fn reference<M: TransitionSystem>(
     model: &M,
@@ -55,15 +57,20 @@ fn reference_bfs_reproduces_every_fig3_golden_row() {
         });
         rows.push(reference(&model, &NoHoles));
     }
-    for n_caches in [2, 3] {
-        let model = ViModel::new(ViConfig {
-            n_caches,
-            ..ViConfig::golden()
-        });
-        rows.push(reference(&model, &NoHoles));
-    }
     assert_eq!(rows.len(), FIG3_GOLDEN_ROWS.len(), "one row per golden");
     for (got, &(label, states, transitions)) in rows.into_iter().zip(FIG3_GOLDEN_ROWS) {
         assert_eq!(got, (Verdict::Success, states, transitions), "{label}");
+    }
+
+    // VI is `specs/vi.toml` under its golden assignment, at the committed
+    // two caches (its `[golden]` block) and at three.
+    for (pids, states, transitions) in [(2, 12, 18), (3, 19, 41)] {
+        let spec = spec_with_pids("vi", pids);
+        let got = reference(&spec.model(), &spec_golden_resolver(&spec));
+        assert_eq!(
+            got,
+            (Verdict::Success, states, transitions),
+            "VI spec, pids = {pids}"
+        );
     }
 }

@@ -23,7 +23,7 @@
 use std::collections::BTreeSet;
 use verc3::mck::CheckerOptions;
 use verc3::protocols::msi::{MsiConfig, MsiModel};
-use verc3::synth::{PatternMode, SynthOptions, SynthReport, Synthesizer};
+use verc3::synth::{PatternMode, StopReason, SynthOptions, SynthReport, Synthesizer};
 
 /// Serial golden values (threads = 1): deterministic by construction.
 const GOLDEN_HOLES: usize = 14;
@@ -111,7 +111,7 @@ fn msi_xl_serial_run_is_golden() {
     assert_eq!(report.stats().patterns, GOLDEN_PATTERNS);
     assert_eq!(report.stats().patterns_sparse, GOLDEN_PATTERNS);
     assert_eq!(report.stats().patterns_dense, 0, "refined mode");
-    assert!(!report.stats().truncated);
+    assert_eq!(report.stats().stop, StopReason::Completed);
 
     // The golden run log: one record per dispatch, starting from the empty
     // candidate that discovers all 14 holes at once.

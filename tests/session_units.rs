@@ -9,7 +9,6 @@ use verc3::mck::{
 };
 use verc3::protocols::mesi::{MesiConfig, MesiModel};
 use verc3::protocols::msi::{MsiConfig, MsiModel};
-use verc3::protocols::vi::{ViConfig, ViModel};
 use verc3::synth::{SynthOptions, Synthesizer};
 
 /// A hand-rolled `TransitionSystem` that counts how often the checker asks
@@ -101,8 +100,6 @@ fn protocol_models_report_their_names() {
     assert_eq!(checker.run(&msi_data).model_name(), "MSI-3c+data");
     let mesi = MesiModel::new(MesiConfig::golden());
     assert_eq!(checker.run(&mesi).model_name(), "MESI-3c");
-    let vi = ViModel::new(ViConfig::golden());
-    assert!(checker.run(&vi).model_name().starts_with("VI-"));
 }
 
 #[test]

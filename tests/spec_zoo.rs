@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use verc3::mck::{Checker, CheckerOptions, FixedResolver, Verdict};
 use verc3::spec::{InvalidSpec, ProtocolSpec};
-use verc3::synth::{PatternMode, SynthOptions, Synthesizer};
+use verc3::synth::{PatternMode, SynthOptions, SynthReport, Synthesizer};
 
 fn zoo_paths() -> Vec<PathBuf> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/specs");
@@ -76,9 +76,10 @@ fn zoo_specs_verify_to_their_goldens() {
     }
 }
 
-/// Specs that commit synthesis goldens reproduce them. The MSI port is
-/// excluded in debug builds (unoptimized full synthesis is too slow; the
-/// release-mode differential suite covers it).
+/// Specs that commit synthesis goldens reproduce them, and naïve synthesis
+/// finds the same solutions by name: pruning never changes the answer. The
+/// MSI port is excluded in debug builds (unoptimized full synthesis is too
+/// slow; the release-mode differential suite covers it).
 #[test]
 fn zoo_specs_reproduce_their_synthesis_goldens() {
     for path in zoo_paths() {
@@ -133,7 +134,55 @@ fn zoo_specs_reproduce_their_synthesis_goldens() {
             });
             assert!(found, "{name}: golden assignment must be a solution");
         }
+
+        let naive = Synthesizer::new(SynthOptions::default().pruning(false)).run(&spec.model());
+        assert_eq!(
+            naive.stats().evaluated as u128,
+            naive.naive_candidate_space(),
+            "{name}: naïve evaluates the whole space"
+        );
+        assert_eq!(
+            named_solutions(&report),
+            named_solutions(&naive),
+            "{name}: pruned and naïve solutions"
+        );
+
+        // VI's cache side has one correct fill; the directory's owner update
+        // on the completion ack is a don't-care, hence two solutions.
+        if name == "vi.toml" {
+            for pairs in named_solutions(&report) {
+                for fill in [
+                    "vi/cache/IV_D+Data/resp@send_ack",
+                    "vi/cache/IV_D+Data/next@V",
+                ] {
+                    assert!(pairs.iter().any(|p| p == fill), "{pairs:?} lacks {fill}");
+                }
+            }
+        }
     }
+}
+
+/// A report's solutions as `hole@action` lists, each sorted and the whole
+/// sorted: hole ids follow discovery order, names do not.
+fn named_solutions(report: &SynthReport) -> Vec<Vec<String>> {
+    let mut named: Vec<Vec<String>> = report
+        .solutions()
+        .iter()
+        .map(|s| {
+            let mut pairs: Vec<String> = s
+                .assignment
+                .iter()
+                .map(|&(h, a)| {
+                    let hole = &report.holes()[h];
+                    format!("{}@{}", hole.name, hole.actions[a as usize])
+                })
+                .collect();
+            pairs.sort();
+            pairs
+        })
+        .collect();
+    named.sort();
+    named
 }
 
 // --- Malformed specs are rejected with structured errors, never panics ----
